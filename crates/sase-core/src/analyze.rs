@@ -42,7 +42,7 @@ use crate::expr::CompiledExpr;
 use crate::functions::FunctionRegistry;
 use crate::lang::ast::{AggArg, AttrRef, BinOp, Expr, PatternElem, Query, ReturnItem, UnaryOp};
 use crate::lang::parse_query;
-use crate::plan::{routing_rejections, Planner, PlannerOptions, QueryPlan, RoutingRejection};
+use crate::plan::{routing_keys, Planner, PlannerOptions, QueryPlan, RoutingRejection};
 use crate::time::TimeScale;
 use crate::value::{Value, ValueType};
 
@@ -758,7 +758,9 @@ impl<'a> Analyzer<'a> {
                 ));
             }
             Some(spec) if plan.routing_keys.is_empty() => {
-                for rej in routing_rejections(spec, &plan.pattern, self.registry) {
+                for rej in routing_keys(spec, &plan.pattern, self.registry)
+                    .filter_map(|verdict| verdict.err())
+                {
                     self.diags.push(self.routing_rejection_diag(&rej));
                 }
             }

@@ -197,64 +197,8 @@ pub struct RoutingKey {
     pub per_type: Vec<TypeKeyAccess>,
 }
 
-/// Derive the data-parallel routing candidates of a partitioned query.
-///
-/// A [`PartitionPart`] qualifies as a routing key only when:
-///
-/// * it covers **every** pattern slot, negated slots included — a
-///   counterexample that lands on a different shard could otherwise fail
-///   to suppress a match it should kill;
-/// * the key attribute of every candidate type resolves **statically**
-///   (fixed position or the timestamp pseudo-attribute) — so runtime key
-///   extraction is infallible and a missing attribute cannot silently
-///   fall through to hash-of-nothing routing;
-/// * no event type is asked for two different attributes by the same
-///   part — the router sees an event, not a slot, so per-type access
-///   must be unambiguous.
-pub(crate) fn routing_candidates(
-    spec: &PartitionSpec,
-    pattern: &CompiledPattern,
-    registry: &SchemaRegistry,
-) -> Vec<RoutingKey> {
-    let mut keys = Vec::new();
-    'part: for part in &spec.parts {
-        let mut per_type: Vec<TypeKeyAccess> = Vec::new();
-        for elem in &pattern.elements {
-            let Some(ka) = part.key_for_slot(elem.slot) else {
-                continue 'part;
-            };
-            for &tid in &elem.type_ids {
-                let access = AttrAccess::resolve(&ka.attr, std::slice::from_ref(&tid), registry);
-                if matches!(access, AttrAccess::Dynamic { .. }) {
-                    continue 'part;
-                }
-                let attr_lc: Arc<str> = if matches!(access, AttrAccess::Timestamp) {
-                    Arc::from("timestamp")
-                } else {
-                    Arc::from(ka.attr.to_ascii_lowercase().as_str())
-                };
-                if let Some(existing) = per_type.iter().find(|t| t.type_id == tid) {
-                    if existing.attr_lc != attr_lc {
-                        continue 'part;
-                    }
-                    continue;
-                }
-                per_type.push(TypeKeyAccess {
-                    type_id: tid,
-                    attr_lc,
-                    access,
-                });
-            }
-        }
-        per_type.sort_by_key(|t| t.type_id);
-        keys.push(RoutingKey { per_type });
-    }
-    keys
-}
-
 /// Why one [`PartitionPart`] failed to qualify as a data-parallel routing
-/// key. The mirror of the rejection paths of [`routing_candidates`], for
-/// static-analysis diagnostics.
+/// key; the analyzer reports these as SA021, SA022 and SA025.
 #[derive(Debug, Clone)]
 pub(crate) enum RoutingRejection {
     /// The part has no key attribute for a pattern slot.
@@ -282,62 +226,83 @@ pub(crate) enum RoutingRejection {
     },
 }
 
-/// Explain why each [`PartitionPart`] of `spec` was rejected as a routing
-/// key: one rejection per failing part (the first reason encountered, in
-/// the same order [`routing_candidates`] checks them). Parts that qualify
-/// contribute nothing.
-pub(crate) fn routing_rejections(
-    spec: &PartitionSpec,
+/// Derive the data-parallel routing candidates of a partitioned query: one
+/// verdict per [`PartitionPart`] of `spec`, in order — the routing key, or
+/// the first reason the part does not qualify.
+///
+/// A [`PartitionPart`] qualifies as a routing key only when:
+///
+/// * it covers **every** pattern slot, negated slots included — a
+///   counterexample that lands on a different shard could otherwise fail
+///   to suppress a match it should kill;
+/// * the key attribute of every candidate type resolves **statically**
+///   (fixed position or the timestamp pseudo-attribute) — so runtime key
+///   extraction is infallible and a missing attribute cannot silently
+///   fall through to hash-of-nothing routing;
+/// * no event type is asked for two different attributes by the same
+///   part — the router sees an event, not a slot, so per-type access
+///   must be unambiguous.
+pub(crate) fn routing_keys<'a>(
+    spec: &'a PartitionSpec,
+    pattern: &'a CompiledPattern,
+    registry: &'a SchemaRegistry,
+) -> impl Iterator<Item = std::result::Result<RoutingKey, RoutingRejection>> + 'a {
+    spec.parts
+        .iter()
+        .map(move |part| routing_key(part, pattern, registry))
+}
+
+fn routing_key(
+    part: &PartitionPart,
     pattern: &CompiledPattern,
     registry: &SchemaRegistry,
-) -> Vec<RoutingRejection> {
+) -> std::result::Result<RoutingKey, RoutingRejection> {
     let type_name = |tid: EventTypeId| -> Arc<str> {
         registry
             .schema(tid)
             .map(|s| s.name.clone())
             .unwrap_or_else(|| Arc::from("?"))
     };
-    let mut rejections = Vec::new();
-    'part: for part in &spec.parts {
-        let mut per_type: Vec<(EventTypeId, Arc<str>)> = Vec::new();
-        for elem in &pattern.elements {
-            let Some(ka) = part.key_for_slot(elem.slot) else {
-                rejections.push(RoutingRejection::UncoveredSlot {
-                    var: elem.variable.clone(),
-                    negated: elem.negated,
+    let mut per_type: Vec<TypeKeyAccess> = Vec::new();
+    for elem in &pattern.elements {
+        let Some(ka) = part.key_for_slot(elem.slot) else {
+            return Err(RoutingRejection::UncoveredSlot {
+                var: elem.variable.clone(),
+                negated: elem.negated,
+            });
+        };
+        for &tid in &elem.type_ids {
+            let access = AttrAccess::resolve(&ka.attr, std::slice::from_ref(&tid), registry);
+            if matches!(access, AttrAccess::Dynamic { .. }) {
+                return Err(RoutingRejection::DynamicAttr {
+                    type_name: type_name(tid),
+                    attr: ka.attr.clone(),
                 });
-                continue 'part;
-            };
-            for &tid in &elem.type_ids {
-                let access = AttrAccess::resolve(&ka.attr, std::slice::from_ref(&tid), registry);
-                if matches!(access, AttrAccess::Dynamic { .. }) {
-                    rejections.push(RoutingRejection::DynamicAttr {
-                        type_name: type_name(tid),
-                        attr: ka.attr.clone(),
-                    });
-                    continue 'part;
-                }
-                let attr_lc: Arc<str> = if matches!(access, AttrAccess::Timestamp) {
-                    Arc::from("timestamp")
-                } else {
-                    Arc::from(ka.attr.to_ascii_lowercase().as_str())
-                };
-                if let Some((_, existing)) = per_type.iter().find(|(t, _)| *t == tid) {
-                    if *existing != attr_lc {
-                        rejections.push(RoutingRejection::ConflictingAttrs {
-                            type_name: type_name(tid),
-                            first: existing.clone(),
-                            second: attr_lc,
-                        });
-                        continue 'part;
-                    }
-                    continue;
-                }
-                per_type.push((tid, attr_lc));
             }
+            let attr_lc: Arc<str> = if matches!(access, AttrAccess::Timestamp) {
+                Arc::from("timestamp")
+            } else {
+                Arc::from(ka.attr.to_ascii_lowercase().as_str())
+            };
+            if let Some(existing) = per_type.iter().find(|t| t.type_id == tid) {
+                if existing.attr_lc != attr_lc {
+                    return Err(RoutingRejection::ConflictingAttrs {
+                        type_name: type_name(tid),
+                        first: existing.attr_lc.clone(),
+                        second: attr_lc,
+                    });
+                }
+                continue;
+            }
+            per_type.push(TypeKeyAccess {
+                type_id: tid,
+                attr_lc,
+                access,
+            });
         }
     }
-    rejections
+    per_type.sort_by_key(|t| t.type_id);
+    Ok(RoutingKey { per_type })
 }
 
 /// The result of analyzing a WHERE clause against a pattern.
@@ -847,6 +812,12 @@ mod tests {
         (a, p)
     }
 
+    fn routing_ok(a: &WhereAnalysis, p: &CompiledPattern, reg: &SchemaRegistry) -> Vec<RoutingKey> {
+        routing_keys(a.partition.as_ref().unwrap(), p, reg)
+            .map(|verdict| verdict.expect("part qualifies as a routing key"))
+            .collect()
+    }
+
     const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                       WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 43200";
 
@@ -1054,7 +1025,7 @@ mod tests {
         // Q1: the TagId class covers all three slots, including the
         // negated counter reading — one routing key, three typed accessors.
         let (a, p) = analyze(Q1, true);
-        let keys = routing_candidates(a.partition.as_ref().unwrap(), &p, &reg);
+        let keys = routing_ok(&a, &p, &reg);
         assert_eq!(keys.len(), 1);
         assert_eq!(keys[0].per_type.len(), 3);
         assert!(keys[0]
@@ -1073,8 +1044,14 @@ mod tests {
              WHERE x.TagId = z.TagId WITHIN 10",
             true,
         );
-        let keys = routing_candidates(a.partition.as_ref().unwrap(), &p, &reg);
-        assert!(keys.is_empty());
+        let verdicts: Vec<_> = routing_keys(a.partition.as_ref().unwrap(), &p, &reg).collect();
+        assert!(
+            matches!(
+                &verdicts[..],
+                [Err(RoutingRejection::UncoveredSlot { var, negated: true })] if &**var == "y"
+            ),
+            "{verdicts:?}"
+        );
     }
 
     #[test]
@@ -1085,7 +1062,7 @@ mod tests {
             "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId",
             true,
         );
-        let keys = routing_candidates(a.partition.as_ref().unwrap(), &p, &reg);
+        let keys = routing_ok(&a, &p, &reg);
         assert_eq!(keys.len(), 1);
         let e = reg
             .build_event(

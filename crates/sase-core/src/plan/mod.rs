@@ -15,7 +15,7 @@
 mod analysis;
 mod planner;
 
-pub(crate) use analysis::{routing_rejections, RoutingRejection};
+pub(crate) use analysis::{routing_keys, RoutingRejection};
 pub use analysis::{PartitionPart, PartitionSpec, RoutingKey, TypeKeyAccess, WhereAnalysis};
 pub use planner::Planner;
 

@@ -97,9 +97,10 @@ impl Planner {
 
         let routing_keys = analysis
             .partition
-            .as_ref()
-            .map(|spec| super::analysis::routing_candidates(spec, &pattern, &self.registry))
-            .unwrap_or_default();
+            .iter()
+            .flat_map(|spec| super::routing_keys(spec, &pattern, &self.registry))
+            .filter_map(|verdict| verdict.ok())
+            .collect();
 
         Ok(QueryPlan {
             query: query.clone(),

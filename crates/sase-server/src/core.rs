@@ -25,13 +25,19 @@ use sase_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::wire::TickMode;
 use crate::{render_emission, Backend, Result, ServerError};
 
-/// What happens to a subscriber whose bounded fan-out queue is full when
-/// an emission arrives.
+/// What happens when an emission finds a subscriber's fan-out queue
+/// (`ServerConfig::subscriber_queue` frames in user space; what the
+/// kernel has already accepted is not counted) full. Under either policy
+/// the engine thread never waits for the subscriber: the ingest is
+/// acknowledged and other subscribers are served as usual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SlowPolicy {
-    /// Drop the push for that subscriber and count it in
-    /// `sase_server_pushes_dropped_total`. The subscriber stays connected
-    /// and misses emissions it was too slow for.
+    /// Drop *this* push for that subscriber and count it in
+    /// `sase_server_pushes_dropped_total`; frames already queued are
+    /// kept. The subscriber stays connected and misses the emissions it
+    /// was too slow for, so `sase_server_pushes_total` +
+    /// `sase_server_pushes_dropped_total` always equals the emissions
+    /// offered to subscribers.
     #[default]
     Drop,
     /// Disconnect the subscriber; a consumer that cannot keep up stops

@@ -53,9 +53,16 @@ pub struct ServerConfig {
     /// Bound of the engine command queue. A full queue blocks request
     /// threads — backpressure, not buffering.
     pub cmd_queue: usize,
-    /// Bound of each push subscriber's fan-out queue.
+    /// Bound of each push subscriber's fan-out queue: at most this many
+    /// frames are queued in user space per subscriber (plus the one its
+    /// writer thread is writing). Bytes the kernel has accepted from the
+    /// writer — its send buffer, the peer's receive buffer — are the
+    /// peer's and are neither counted nor limited here, so a subscriber
+    /// that stops reading fills those first and overflows this queue
+    /// only afterwards; a burst that outruns the writer overflows it at
+    /// once. See `docs/wire-protocol.md`, "Fan-out bound".
     pub subscriber_queue: usize,
-    /// What happens to a subscriber whose queue is full.
+    /// What happens to an emission that finds a subscriber's queue full.
     pub slow_policy: SlowPolicy,
 }
 

@@ -260,12 +260,26 @@ fn websocket_push_end_to_end() {
     handle.shutdown();
 }
 
+/// The fan-out contract (`docs/wire-protocol.md`, "Fan-out bound"): at
+/// most `subscriber_queue` frames wait in user space per subscriber;
+/// bytes the kernel has accepted are the peer's. So a subscriber that
+/// never reads takes drops only once its socket is full, and from then
+/// on the queue is all it can still be given.
 #[test]
 fn slow_subscribers_drop_instead_of_buffering() {
+    const QUEUE: usize = 2;
+    // Each push carries this much text, so the loopback socket buffers
+    // (a few MiB) fill within a few hundred pushes.
+    const PUSH_BYTES: usize = 32 * 1024;
+    // 256 MiB of pushes: far beyond any kernel's socket buffers.
+    const FILL_ATTEMPTS: u64 = 8192;
+    const BURST: u64 = 16;
+    const BURSTS: u64 = 8;
+
     let reg = retail_registry();
     let engine = Engine::new(reg.clone());
     let config = ServerConfig {
-        subscriber_queue: 2,
+        subscriber_queue: QUEUE,
         slow_policy: SlowPolicy::Drop,
         ..ServerConfig::default()
     };
@@ -273,32 +287,74 @@ fn slow_subscribers_drop_instead_of_buffering() {
 
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client.register("exits", Q_EXIT).unwrap();
+    // From here on the subscriber never reads its socket.
     let mut push = PushClient::connect(handle.local_addr()).unwrap();
     push.subscribe("exits").unwrap();
 
-    // 64 matching events while the subscriber reads nothing: the queue
-    // (capacity 2) must overflow into counted drops, never unbounded
-    // buffering or a blocked engine.
-    let batch: Vec<Event> = (0..64)
-        .map(|i| reading(&reg, "EXIT_READING", 1 + i, i as i64))
-        .collect();
-    let emissions = client.ingest(None, TickMode::Explicit, &batch).unwrap();
-    assert_eq!(emissions.len(), 64);
-
-    let metrics = client.metrics().unwrap();
-    let value = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find(|l| l.starts_with(name) && !l.starts_with('#'))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(|v| v as u64)
-            .unwrap_or(0)
+    let product = "x".repeat(PUSH_BYTES);
+    let mut ts = 0u64;
+    let mut emitted = 0u64;
+    // Ingest `n` matching events in one batch (the ack proves the engine
+    // was not blocked by the subscriber) and return the drop counter; the
+    // fan-out counters must account for every emission so far.
+    let mut ingest = |client: &mut Client, n: u64| -> u64 {
+        let batch: Vec<Event> = (0..n)
+            .map(|_| {
+                ts += 1;
+                reg.build_event(
+                    "EXIT_READING",
+                    ts,
+                    vec![Value::Int(7), Value::str(&product), Value::Int(4)],
+                )
+                .unwrap()
+            })
+            .collect();
+        let acked = client.ingest(None, TickMode::Explicit, &batch).unwrap();
+        assert_eq!(acked.len() as u64, n, "every ingest is acked in full");
+        emitted += n;
+        let metrics = client.metrics().unwrap();
+        let value = |name: &str| -> u64 {
+            metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no `{name}` sample in:\n{metrics}"))
+        };
+        let delivered = value("sase_server_pushes_total");
+        let dropped = value("sase_server_pushes_dropped_total");
+        assert_eq!(delivered + dropped, emitted, "{metrics}");
+        dropped
     };
-    let delivered = value("sase_server_pushes_total");
-    let dropped = value("sase_server_pushes_dropped_total");
-    assert_eq!(delivered + dropped, 64, "{metrics}");
-    assert!(dropped >= 62, "queue of 2 must drop most pushes: {dropped}");
+
+    // Fill the socket one push per round trip: the writer thread has a
+    // whole round trip to take each frame off the queue, so the queue
+    // only overflows once the writer is blocked on a full socket.
+    let mut dropped = 0;
+    for _ in 0..FILL_ATTEMPTS {
+        dropped = ingest(&mut client, 1);
+        if dropped > 0 {
+            break;
+        }
+    }
+    assert!(
+        dropped > 0,
+        "the subscriber's socket never filled: {FILL_ATTEMPTS} pushes of \
+         {PUSH_BYTES} bytes were all accepted"
+    );
+
+    // The kernel takes no more, so each burst can add at most the queue.
+    for _ in 0..BURSTS {
+        let before = dropped;
+        dropped = ingest(&mut client, BURST);
+        assert!(
+            dropped - before >= BURST - QUEUE as u64,
+            "a burst of {BURST} into a full queue of {QUEUE} dropped only {}",
+            dropped - before
+        );
+    }
+
+    // A writer blocked on a peer that never reads would block shutdown
+    // too; closing the peer fails its write and lets it exit.
+    drop(push);
     handle.shutdown();
 }
 

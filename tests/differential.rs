@@ -165,22 +165,26 @@ proptest! {
 
 fn check_query(query: &str, seeds: &[u64], events: usize, partitions: usize) {
     for &seed in seeds {
-        let cfg = SyntheticConfig::retail(seed, events, partitions);
-        let registry = registry_for(&cfg);
-        let stream = generate(&registry, &cfg);
-        let reference = canonical_matches(&registry, &stream, query, PlannerOptions::default());
-        for options in all_configs() {
-            let got = canonical_matches(&registry, &stream, query, options);
-            assert_eq!(
-                reference, got,
-                "seed {seed}: {options:?} disagrees on {query}"
-            );
-        }
-        assert!(
-            !reference.is_empty(),
-            "seed {seed}: workload produced no matches for {query} — weak test"
+        check_workload(query, &SyntheticConfig::retail(seed, events, partitions));
+    }
+}
+
+fn check_workload(query: &str, cfg: &SyntheticConfig) {
+    let seed = cfg.seed;
+    let registry = registry_for(cfg);
+    let stream = generate(&registry, cfg);
+    let reference = canonical_matches(&registry, &stream, query, PlannerOptions::default());
+    for options in all_configs() {
+        let got = canonical_matches(&registry, &stream, query, options);
+        assert_eq!(
+            reference, got,
+            "seed {seed}: {options:?} disagrees on {query}"
         );
     }
+    assert!(
+        !reference.is_empty(),
+        "seed {seed}: workload produced no matches for {query} — weak test"
+    );
 }
 
 #[test]
@@ -217,4 +221,21 @@ fn differential_negation_with_candidate_filter() {
 fn differential_unbounded_window() {
     // No WITHIN clause at all: matches accumulate over the whole stream.
     check_query(QUERIES[6], &[15], 400, 10);
+}
+
+#[test]
+fn differential_four_steps_over_custom_types() {
+    // The longest positive sequence under test, over a non-retail type mix.
+    let cfg = SyntheticConfig {
+        seed: 16,
+        events: 600,
+        partitions: 5,
+        type_mix: (0..4).map(|i| (format!("T{i}"), 1)).collect(),
+        max_ts_step: 1,
+        areas: 4,
+    };
+    check_workload(
+        "EVENT SEQ(T0 a, T1 b, T2 c, T3 d) WHERE [TagId] WITHIN 40",
+        &cfg,
+    );
 }
