@@ -230,6 +230,20 @@ impl SchemaRegistry {
             .collect()
     }
 
+    /// Resolve a type name (case-insensitive) to its id and current schema
+    /// under one read lock; an unregistered name is a schema error naming
+    /// it. The handle builds events of that type without coming back to
+    /// the registry; see [`ResolvedType`].
+    pub fn resolve(&self, name: &str) -> Result<ResolvedType> {
+        with_ascii_lowercase(name, |lc| {
+            let inner = self.inner.read();
+            let id = *inner.by_name.get(lc)?;
+            let schema = inner.schemas.get(id.0 as usize)?.clone();
+            Some(ResolvedType { id, schema })
+        })
+        .ok_or_else(|| SaseError::schema(format!("unknown event type `{name}`")))
+    }
+
     /// Create a validated event of the named type.
     pub fn build_event(
         &self,
@@ -237,10 +251,7 @@ impl SchemaRegistry {
         timestamp: Timestamp,
         attrs: Vec<Value>,
     ) -> Result<Event> {
-        let id = self
-            .type_id(type_name)
-            .ok_or_else(|| SaseError::schema(format!("unknown event type `{type_name}`")))?;
-        self.build_event_by_id(id, timestamp, attrs)
+        self.resolve(type_name)?.build_event(timestamp, attrs)
     }
 
     /// Create a validated event of the identified type.
@@ -253,15 +264,50 @@ impl SchemaRegistry {
         let schema = self
             .schema(id)
             .ok_or_else(|| SaseError::schema(format!("unknown event type id {id}")))?;
-        if attrs.len() != schema.arity() {
+        ResolvedType { id, schema }.build_event(timestamp, attrs)
+    }
+}
+
+/// An event type resolved once against a [`SchemaRegistry`]: its id and
+/// the schema it had at that moment.
+///
+/// This is the constructor for code that wants a type's arity before it
+/// has the attributes (a decoder) or builds many events of one type (a
+/// generator): resolve the name with [`SchemaRegistry::resolve`], then
+/// [`ResolvedType::build_event`] validates arity and attribute types exactly as
+/// [`SchemaRegistry::build_event`] does (same checks, same messages — that
+/// method is this one behind a lookup) but touches neither the registry
+/// nor its lock, and allocates only the event itself. The handle is a
+/// snapshot: if the type is later [redefined](SchemaRegistry::redefine),
+/// events built from an old handle keep the schema they were validated
+/// against, like any event built before the redefinition.
+#[derive(Debug, Clone)]
+pub struct ResolvedType {
+    id: EventTypeId,
+    schema: Arc<Schema>,
+}
+
+impl ResolvedType {
+    /// Fail unless `n` is the schema's arity. [`ResolvedType::build_event`]
+    /// checks this itself; a decoder calls it first so that it can refuse a
+    /// wrong attribute count before reserving room for that many values.
+    pub fn check_arity(&self, n: usize) -> Result<()> {
+        if n != self.schema.arity() {
             return Err(SaseError::schema(format!(
                 "event of type `{}` expects {} attributes, got {}",
-                schema.name,
-                schema.arity(),
-                attrs.len()
+                self.schema.name,
+                self.schema.arity(),
+                n
             )));
         }
-        for (decl, v) in schema.attributes.iter().zip(&attrs) {
+        Ok(())
+    }
+
+    /// Create a validated event of this type. Pass `attrs` at exact
+    /// capacity and the only allocation here is the event's own.
+    pub fn build_event(&self, timestamp: Timestamp, attrs: Vec<Value>) -> Result<Event> {
+        self.check_arity(attrs.len())?;
+        for (decl, v) in self.schema.attributes.iter().zip(&attrs) {
             // Ints are accepted where floats are declared (numeric widening),
             // mirroring the coercion in predicate evaluation.
             let ok = v.value_type() == decl.ty
@@ -270,7 +316,7 @@ impl SchemaRegistry {
                 return Err(SaseError::schema(format!(
                     "attribute `{}` of `{}` expects {}, got {}",
                     decl.name,
-                    schema.name,
+                    self.schema.name,
                     decl.ty,
                     v.value_type()
                 )));
@@ -278,8 +324,8 @@ impl SchemaRegistry {
         }
         Ok(Event {
             data: Arc::new(EventData {
-                type_id: id,
-                schema,
+                type_id: self.id,
+                schema: Arc::clone(&self.schema),
                 timestamp,
                 attrs: attrs.into_boxed_slice(),
             }),

@@ -1,6 +1,8 @@
 //! Counting-allocator proof that steady-state predicate evaluation — and
 //! the whole per-event SSC/negation path around it — performs **zero heap
-//! allocations** for the paper's representative Q1/Q2 queries.
+//! allocations** for the paper's representative Q1/Q2 queries, and that
+//! building an event from a resolved type costs exactly its own two
+//! allocations plus one per string attribute.
 //!
 //! The test binary installs a global allocator that counts allocations
 //! while a flag is up. Everything allocating (events, engines, warmup that
@@ -271,4 +273,63 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     let snap = engine.metrics_registry().unwrap().snapshot();
     assert_eq!(snap.counter("sase_ingest_events_total", &[]), 800);
     assert_eq!(snap.counter("sase_ingest_batches_total", &[]), 100);
+
+    // ---- 6. The garbage budget of building an event from a resolved
+    //         type — what a decoder pays per event: the attribute buffer,
+    //         the event, and one `Arc<str>` per string attribute. Nothing
+    //         for the type name, nothing for the registry. -------------
+    reg.register(
+        "LABELLED",
+        &[
+            ("Id", sase_core::value::ValueType::Int),
+            ("A", sase_core::value::ValueType::Str),
+            ("B", sase_core::value::ValueType::Str),
+        ],
+    )
+    .unwrap();
+    let shelf = reg.resolve("shelf_reading").unwrap();
+    let labelled = reg.resolve("Labelled").unwrap();
+    let mut built = Vec::with_capacity(2_000);
+    let allocs = counted(|| {
+        for ts in 0..1_000u64 {
+            let attrs = vec![Value::Int(7), Value::str("soap"), Value::Int(1)];
+            built.push(shelf.build_event(ts, attrs).unwrap());
+        }
+    });
+    assert_eq!(
+        allocs,
+        1_000 * (2 + 1),
+        "an event with one string attribute is three allocations"
+    );
+    let allocs = counted(|| {
+        for ts in 0..1_000u64 {
+            let attrs = vec![Value::Int(7), Value::str("left"), Value::str("right")];
+            built.push(labelled.build_event(ts, attrs).unwrap());
+        }
+    });
+    assert_eq!(
+        allocs,
+        1_000 * (2 + 2),
+        "an event with two string attributes is four allocations"
+    );
+    assert_eq!(
+        built[0].to_string(),
+        ev(&reg, "SHELF_READING", 0, 7, 1).to_string()
+    );
+
+    // The resolved path validates exactly as the by-name path does.
+    let too_few = vec![Value::Int(1)];
+    let wrong_type = vec![Value::str("x"), Value::str("y"), Value::Int(1)];
+    for (attrs, says) in [
+        (too_few, "`SHELF_READING` expects 3 attributes, got 1"),
+        (wrong_type, "attribute `TagId` of `SHELF_READING` expects"),
+    ] {
+        let resolved = shelf.build_event(5, attrs.clone()).unwrap_err().to_string();
+        let by_name = reg
+            .build_event("SHELF_READING", 5, attrs)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(resolved, by_name);
+        assert!(resolved.contains(says), "{resolved}");
+    }
 }

@@ -5,13 +5,14 @@
 //! runtime.
 
 use std::collections::VecDeque;
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use sase_core::event::Event;
 use sase_core::runtime::RuntimeStats;
 
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response, TickMode,
+    decode_response, ingest_frame, read_frame, request_frame, Request, Response, TickMode,
     WireComplexEvent, WireDiagnostic,
 };
 use crate::ws::WsClient;
@@ -21,7 +22,9 @@ use crate::{Result, ServerError};
 /// over one TCP connection (= one server session; queries registered here
 /// are owned by this connection).
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer (one socket read per frame);
+    /// requests are written to the stream underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -29,11 +32,18 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &encode_request(req))?;
+        self.exchange(&request_frame(req))
+    }
+
+    /// Send one complete request frame and decode the reply.
+    fn exchange(&mut self, frame: &[u8]) -> Result<Response> {
+        self.stream.get_mut().write_all(frame)?;
         let payload = read_frame(&mut self.stream)?
             .ok_or_else(|| ServerError::Io("server closed the connection".into()))?;
         match decode_response(&payload)? {
@@ -62,12 +72,7 @@ impl Client {
         ticks: TickMode,
         events: &[Event],
     ) -> Result<Vec<WireComplexEvent>> {
-        let req = Request::Ingest {
-            stream: stream.map(str::to_string),
-            ticks,
-            events: events.to_vec(),
-        };
-        match self.roundtrip(&req)? {
+        match self.exchange(&ingest_frame(stream, ticks, events))? {
             Response::Ingested(out) => Ok(out),
             other => Err(Self::protocol_err(&other)),
         }

@@ -13,7 +13,12 @@
 //! 2. every open connection's read half is shut down, unblocking reader
 //!    threads; requests already submitted to the engine queue stay in
 //!    flight;
-//! 3. connection threads are joined;
+//! 3. connection threads finish what is in flight and are joined. One
+//!    still running after a one-second grace has its socket shut both
+//!    ways: that fails the `write` of a writer whose peer stopped reading
+//!    (and frees a push session's reader queued behind that writer), so
+//!    the join always returns; a request that slow loses its
+//!    acknowledgement, not its effect;
 //! 4. the engine thread drains its (FIFO) queue, flushes the backend —
 //!    fsyncing the WAL on durable deployments — and hands it back.
 //!
@@ -22,7 +27,7 @@
 //! were never acknowledged and may be dropped.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -44,6 +49,18 @@ pub use crate::core::SlowPolicy;
 /// code is shallow; small stacks keep thousand-connection fan-in cheap.
 const THREAD_STACK: usize = 256 * 1024;
 
+/// How long [`ServerHandle::shutdown`] lets connection threads finish on
+/// their own before shutting the sockets of those still running.
+const DRAIN_GRACE: Duration = Duration::from_secs(1);
+
+/// Most bytes a push writer gathers into one socket write; with the
+/// subscriber queue it bounds what one subscriber holds in user space.
+const WRITE_BATCH: usize = 64 * 1024;
+
+/// Read buffer of a line-protocol connection: large enough that a typical
+/// ingest frame (a few hundred events, tens of KiB) is one socket read.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -54,8 +71,9 @@ pub struct ServerConfig {
     /// threads — backpressure, not buffering.
     pub cmd_queue: usize,
     /// Bound of each push subscriber's fan-out queue: at most this many
-    /// frames are queued in user space per subscriber (plus the one its
-    /// writer thread is writing). Bytes the kernel has accepted from the
+    /// frames are queued in user space per subscriber (plus the one write,
+    /// at most 64 KiB and one frame, its writer thread is in). Bytes the
+    /// kernel has accepted from the
     /// writer — its send buffer, the peer's receive buffer — are the
     /// peer's and are neither counted nor limited here, so a subscriber
     /// that stops reading fills those first and overflows this queue
@@ -186,6 +204,18 @@ impl ServerHandle {
         for stream in self.conns.lock().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
+        // A connection thread leaves `conns` as it ends. One whose peer has
+        // stopped reading never would: its writer sits in `write` on a full
+        // socket, and a push session's reader may be queued behind that
+        // writer with a reply. Those sockets are cut, which fails the write
+        // and unwinds the session.
+        let deadline = Instant::now() + DRAIN_GRACE;
+        while !self.conns.lock().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for stream in self.conns.lock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
         let joins: Vec<_> = std::mem::take(&mut *self.joins.lock());
         for j in joins {
             let _ = j.join();
@@ -216,6 +246,9 @@ fn accept_loop(
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Acks and pushes are small and latency-bound: never hold
+                // one back waiting for the peer to ACK the previous one.
+                let _ = stream.set_nodelay(true);
                 let session = next_session.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
                     conns.lock().insert(session, clone);
@@ -348,21 +381,17 @@ fn serve_line(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, first: [u8; 4], o
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = (&first[..]).chain(read_half);
+    // One buffered reader for the connection's lifetime: a frame's length
+    // prefix, payload and CRC come out of one or two socket reads.
+    let mut reader = BufReader::with_capacity(READ_BUFFER, (&first[..]).chain(read_half));
     let mut write_half = stream;
     if over_cap {
-        let _ = wire::write_frame(
-            &mut write_half,
-            &wire::encode_error(&ServerError::AtCapacity),
-        );
+        let _ = write_half.write_all(&wire::error_frame(&ServerError::AtCapacity));
         return;
     }
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
-            let _ = wire::write_frame(
-                &mut write_half,
-                &wire::encode_error(&ServerError::ShuttingDown),
-            );
+            let _ = write_half.write_all(&wire::error_frame(&ServerError::ShuttingDown));
             break;
         }
         let payload = match wire::read_frame(&mut reader) {
@@ -372,7 +401,7 @@ fn serve_line(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, first: [u8; 4], o
                 // Framing damage: answer with the typed fault when the
                 // socket still writes, then tear this connection down.
                 ctx.metrics.wire_errors.inc();
-                let _ = wire::write_frame(&mut write_half, &wire::encode_error(&e));
+                let _ = write_half.write_all(&wire::error_frame(&e));
                 break;
             }
         };
@@ -380,24 +409,22 @@ fn serve_line(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, first: [u8; 4], o
             Ok(r) => r,
             Err(fault) => {
                 ctx.metrics.wire_errors.inc();
-                let _ = wire::write_frame(
-                    &mut write_half,
-                    &wire::encode_error(&ServerError::Wire(fault)),
-                );
+                let _ = write_half.write_all(&wire::error_frame(&ServerError::Wire(fault)));
                 break;
             }
         };
         let frame = line_response(ctx, session, request);
-        if wire::write_frame(&mut write_half, &frame).is_err() {
+        if write_half.write_all(&frame).is_err() {
             break;
         }
     }
 }
 
-/// Execute one line-protocol request and encode its response frame.
+/// Execute one line-protocol request and build its complete response
+/// frame.
 fn line_response(ctx: &Arc<Ctx>, session: u64, request: Request) -> Vec<u8> {
     match request {
-        Request::Ping => wire::encode_response_parts(&ResponseParts::Pong),
+        Request::Ping => wire::response_frame(&ResponseParts::Pong),
         Request::Ingest {
             stream,
             ticks,
@@ -411,8 +438,8 @@ fn line_response(ctx: &Arc<Ctx>, session: u64, request: Request) -> Vec<u8> {
             })
             .and_then(|r| r)
             {
-                Ok(emissions) => wire::encode_response_parts(&ResponseParts::Ingested(&emissions)),
-                Err(e) => wire::encode_error(&e),
+                Ok(emissions) => wire::response_frame(&ResponseParts::Ingested(&emissions)),
+                Err(e) => wire::error_frame(&e),
             }
         }
         Request::Register { name, src } => {
@@ -424,8 +451,8 @@ fn line_response(ctx: &Arc<Ctx>, session: u64, request: Request) -> Vec<u8> {
             })
             .and_then(|r| r)
             {
-                Ok(diags) => wire::encode_response_parts(&ResponseParts::Registered(&diags)),
-                Err(e) => wire::encode_error(&e),
+                Ok(diags) => wire::response_frame(&ResponseParts::Registered(&diags)),
+                Err(e) => wire::error_frame(&e),
             }
         }
         Request::Unregister { name } => {
@@ -436,37 +463,35 @@ fn line_response(ctx: &Arc<Ctx>, session: u64, request: Request) -> Vec<u8> {
             })
             .and_then(|r| r)
             {
-                Ok(existed) => wire::encode_response_parts(&ResponseParts::Unregistered(existed)),
-                Err(e) => wire::encode_error(&e),
+                Ok(existed) => wire::response_frame(&ResponseParts::Unregistered(existed)),
+                Err(e) => wire::error_frame(&e),
             }
         }
         Request::Check { src } => match call(&ctx.tx, |reply| Cmd::Check { src, reply }) {
-            Ok(diags) => wire::encode_response_parts(&ResponseParts::Checked(&diags)),
-            Err(e) => wire::encode_error(&e),
+            Ok(diags) => wire::response_frame(&ResponseParts::Checked(&diags)),
+            Err(e) => wire::error_frame(&e),
         },
         Request::Stats { name } => {
             match call(&ctx.tx, |reply| Cmd::Stats { name, reply }).and_then(|r| r) {
-                Ok(stats) => wire::encode_response_parts(&ResponseParts::Stats(&stats)),
-                Err(e) => wire::encode_error(&e),
+                Ok(stats) => wire::response_frame(&ResponseParts::Stats(&stats)),
+                Err(e) => wire::error_frame(&e),
             }
         }
         Request::Metrics => match call(&ctx.tx, |reply| Cmd::Metrics { reply }) {
             Ok(mut snap) => {
                 snap.merge(&ctx.metrics.registry.snapshot());
-                wire::encode_response_parts(&ResponseParts::Metrics(&sase_obs::render_prometheus(
-                    &snap,
-                )))
+                wire::response_frame(&ResponseParts::Metrics(&sase_obs::render_prometheus(&snap)))
             }
-            Err(e) => wire::encode_error(&e),
+            Err(e) => wire::error_frame(&e),
         },
         Request::Queries => match call(&ctx.tx, |reply| Cmd::Queries { reply }) {
-            Ok(names) => wire::encode_response_parts(&ResponseParts::Queries(&names)),
-            Err(e) => wire::encode_error(&e),
+            Ok(names) => wire::response_frame(&ResponseParts::Queries(&names)),
+            Err(e) => wire::error_frame(&e),
         },
         Request::Explain { name } => {
             match call(&ctx.tx, |reply| Cmd::Explain { name, reply }).and_then(|r| r) {
-                Ok(text) => wire::encode_response_parts(&ResponseParts::Explain(&text)),
-                Err(e) => wire::encode_error(&e),
+                Ok(text) => wire::response_frame(&ResponseParts::Explain(&text)),
+                Err(e) => wire::error_frame(&e),
             }
         }
     }
@@ -573,6 +598,13 @@ fn ws_command(
 
 /// Drains a WS connection's outbound queue onto the socket. Exits when
 /// every sender is gone (session teardown) or a write fails.
+///
+/// Each wake-up takes everything already queued (up to [`WRITE_BATCH`]
+/// bytes), frames it into one buffer and issues one `write_all`: pushes
+/// that were queued together cost one syscall and, with Nagle off, leave
+/// in as few segments as they fit. The `depth` gauge drops as each push
+/// leaves the queue and `send_latency` is recorded per push once the
+/// write holding it returns.
 fn ws_writer(
     mut sock: TcpStream,
     rx: mpsc::Receiver<WsOut>,
@@ -580,31 +612,42 @@ fn ws_writer(
     depth: sase_obs::Gauge,
     dead: Arc<AtomicBool>,
 ) {
-    for msg in rx.iter() {
+    let mut buf = Vec::new();
+    let mut enqueued_at = Vec::new();
+    while let Ok(first) = rx.recv() {
         if dead.load(Ordering::Relaxed) {
             break;
         }
-        let ok = match msg {
-            WsOut::Control(text) => {
-                if text.is_empty() {
+        buf.clear();
+        enqueued_at.clear();
+        let mut close = false;
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match msg {
+                WsOut::Control(text) if text.is_empty() => {
                     // Teardown wake-up from the reader.
-                    let _ = ws::write_frame(&mut sock, ws::Opcode::Close, &[], None);
+                    ws::put_frame(&mut buf, ws::Opcode::Close, &[], None);
+                    close = true;
                     break;
                 }
-                ws::write_frame(&mut sock, ws::Opcode::Text, text.as_bytes(), None).is_ok()
+                WsOut::Control(text) => {
+                    ws::put_frame(&mut buf, ws::Opcode::Text, text.as_bytes(), None)
+                }
+                WsOut::Pong(payload) => ws::put_frame(&mut buf, ws::Opcode::Pong, &payload, None),
+                WsOut::Push { text, enqueued } => {
+                    depth.add(-1.0);
+                    ws::put_frame(&mut buf, ws::Opcode::Text, text.as_bytes(), None);
+                    enqueued_at.push(enqueued);
+                }
             }
-            WsOut::Pong(payload) => {
-                ws::write_frame(&mut sock, ws::Opcode::Pong, &payload, None).is_ok()
+            if buf.len() >= WRITE_BATCH {
+                break;
             }
-            WsOut::Push { text, enqueued } => {
-                depth.add(-1.0);
-                let ok =
-                    ws::write_frame(&mut sock, ws::Opcode::Text, text.as_bytes(), None).is_ok();
-                send_latency.record(elapsed_ns(enqueued));
-                ok
-            }
-        };
-        if !ok {
+        }
+        let written = sock.write_all(&buf);
+        for &enqueued in &enqueued_at {
+            send_latency.record(elapsed_ns(enqueued));
+        }
+        if close || written.is_err() {
             break;
         }
     }

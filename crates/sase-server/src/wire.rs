@@ -33,7 +33,9 @@ use sase_core::event::{Event, SchemaRegistry};
 use sase_core::output::ComplexEvent;
 use sase_core::runtime::RuntimeStats;
 use sase_core::value::Value;
-use sase_store::codec::{crc32, get_value, put_value, ByteReader, ByteWriter};
+use sase_store::codec::{
+    crc32, get_events, get_value, put_events, put_value, ByteReader, ByteWriter,
+};
 use sase_store::StoreError;
 
 use crate::{Result, ServerError};
@@ -317,19 +319,30 @@ impl fmt::Display for WireDiagnostic {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Wrap a payload in the `len | payload | crc` frame and write it.
+/// Build one complete frame — length prefix, the payload `body` writes,
+/// CRC — in a single buffer, so no payload is encoded into one `Vec` and
+/// copied into another.
+fn frame(body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.len_prefixed(body);
+    debug_assert!(w.len() - 4 <= MAX_FRAME as usize);
+    w.u32(crc32(&w.as_slice()[4..]));
+    w.into_bytes()
+}
+
+/// Wrap an already-encoded payload in the `len | payload | crc` frame and
+/// write it with one `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() as u32 <= MAX_FRAME);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
-    w.write_all(&frame)
+    w.write_all(&frame(|f| {
+        f.reserve(payload.len() + 4);
+        f.raw(payload);
+    }))
 }
 
 /// Read one frame's payload, validating length and CRC. `Ok(None)` means
 /// the peer closed cleanly *between* frames; mid-frame EOF is
-/// [`WireFault::Truncated`].
+/// [`WireFault::Truncated`]. Payload and CRC are read together, so a frame
+/// costs two reads of `r` — fewer through a `BufReader`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match read_exact_or_eof(r, &mut len_buf)? {
@@ -341,15 +354,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     if len > MAX_FRAME {
         return Err(WireFault::FrameTooLarge(len).into());
     }
-    let mut payload = vec![0u8; len as usize];
+    let len = len as usize;
+    let mut payload = vec![0u8; len + 4];
     if !matches!(read_exact_or_eof(r, &mut payload)?, ReadOutcome::Full) {
         return Err(WireFault::Truncated.into());
     }
-    let mut crc_buf = [0u8; 4];
-    if !matches!(read_exact_or_eof(r, &mut crc_buf)?, ReadOutcome::Full) {
-        return Err(WireFault::Truncated.into());
-    }
-    let expected = u32::from_be_bytes(crc_buf);
+    let expected = u32::from_be_bytes(payload[len..].try_into().expect("four CRC bytes"));
+    payload.truncate(len);
     let actual = crc32(&payload);
     if expected != actual {
         return Err(WireFault::Crc { expected, actual }.into());
@@ -413,27 +424,24 @@ fn get_opt_str(r: &mut ByteReader<'_>) -> std::result::Result<Option<String>, Wi
     }
 }
 
-/// Encode a request into a frame payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_ingest(w: &mut ByteWriter, stream: Option<&str>, ticks: TickMode, events: &[Event]) {
+    w.u8(OP_INGEST);
+    put_opt_str(w, stream);
+    w.u8(match ticks {
+        TickMode::Explicit => 0,
+        TickMode::ServerAssigned => 1,
+    });
+    put_events(w, events);
+}
+
+fn put_request(w: &mut ByteWriter, req: &Request) {
     match req {
         Request::Ping => w.u8(OP_PING),
         Request::Ingest {
             stream,
             ticks,
             events,
-        } => {
-            w.u8(OP_INGEST);
-            put_opt_str(&mut w, stream.as_deref());
-            w.u8(match ticks {
-                TickMode::Explicit => 0,
-                TickMode::ServerAssigned => 1,
-            });
-            w.u32(events.len() as u32);
-            for e in events {
-                sase_store::codec::put_event(&mut w, e);
-            }
-        }
+        } => put_ingest(w, stream.as_deref(), *ticks, events),
         Request::Register { name, src } => {
             w.u8(OP_REGISTER);
             w.str(name);
@@ -458,7 +466,24 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.str(name);
         }
     }
+}
+
+/// Encode a request into a frame payload.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_request(&mut w, req);
     w.into_bytes()
+}
+
+/// A request as a complete frame, ready for one `write_all`.
+pub(crate) fn request_frame(req: &Request) -> Vec<u8> {
+    frame(|w| put_request(w, req))
+}
+
+/// An ingest request as a complete frame, encoded from the caller's
+/// events where they lie.
+pub(crate) fn ingest_frame(stream: Option<&str>, ticks: TickMode, events: &[Event]) -> Vec<u8> {
+    frame(|w| put_ingest(w, stream, ticks, events))
 }
 
 /// Decode a request frame payload. Events are rebuilt against `registry`;
@@ -478,11 +503,7 @@ pub fn decode_request(
                 1 => TickMode::ServerAssigned,
                 t => return Err(WireFault::Decode(format!("unknown tick mode {t}"))),
             };
-            let n = r.count().map_err(WireFault::from)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(sase_store::codec::get_event(&mut r, registry)?);
-            }
+            let events = get_events(&mut r, registry)?;
             Request::Ingest {
                 stream,
                 ticks,
@@ -712,22 +733,19 @@ fn get_stats(r: &mut ByteReader<'_>) -> std::result::Result<RuntimeStats, WireFa
     })
 }
 
-/// Encode a response into a frame payload. Emissions are encoded from the
-/// live [`ComplexEvent`]s, diagnostics from the analyzer's findings.
-pub fn encode_response_parts(resp: &ResponseParts<'_>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_response(w: &mut ByteWriter, resp: &ResponseParts<'_>) {
     match resp {
         ResponseParts::Pong => w.u8(OP_PONG),
         ResponseParts::Ingested(emissions) => {
             w.u8(OP_INGESTED);
             w.u32(emissions.len() as u32);
             for ce in emissions.iter() {
-                put_complex_event(&mut w, ce);
+                put_complex_event(w, ce);
             }
         }
         ResponseParts::Registered(diags) => {
             w.u8(OP_REGISTERED);
-            put_diagnostics(&mut w, diags);
+            put_diagnostics(w, diags);
         }
         ResponseParts::Unregistered(existed) => {
             w.u8(OP_UNREGISTERED);
@@ -735,11 +753,11 @@ pub fn encode_response_parts(resp: &ResponseParts<'_>) -> Vec<u8> {
         }
         ResponseParts::Checked(diags) => {
             w.u8(OP_CHECKED);
-            put_diagnostics(&mut w, diags);
+            put_diagnostics(w, diags);
         }
         ResponseParts::Stats(s) => {
             w.u8(OP_STATS_OK);
-            put_stats(&mut w, s);
+            put_stats(w, s);
         }
         ResponseParts::Metrics(text) => {
             w.u8(OP_METRICS_OK);
@@ -762,7 +780,19 @@ pub fn encode_response_parts(resp: &ResponseParts<'_>) -> Vec<u8> {
             w.str(message);
         }
     }
+}
+
+/// Encode a response into a frame payload. Emissions are encoded from the
+/// live [`ComplexEvent`]s, diagnostics from the analyzer's findings.
+pub fn encode_response_parts(resp: &ResponseParts<'_>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_response(&mut w, resp);
     w.into_bytes()
+}
+
+/// A response as a complete frame, ready for one `write_all`.
+pub(crate) fn response_frame(resp: &ResponseParts<'_>) -> Vec<u8> {
+    frame(|w| put_response(w, resp))
 }
 
 /// Borrowed view of a response for encoding, so the server never clones
@@ -796,8 +826,8 @@ pub enum ResponseParts<'a> {
     },
 }
 
-/// Encode a [`ServerError`] as an `Error` response payload.
-pub fn encode_error(e: &ServerError) -> Vec<u8> {
+/// A [`ServerError`] as a complete `Error` response frame.
+pub(crate) fn error_frame(e: &ServerError) -> Vec<u8> {
     let message = match e {
         // NotOwner/UnknownQuery round-trip their payload through the
         // message field; `ServerError::from_code` reverses this.
@@ -805,7 +835,7 @@ pub fn encode_error(e: &ServerError) -> Vec<u8> {
         ServerError::UnknownQuery(q) => q.clone(),
         other => other.to_string(),
     };
-    encode_response_parts(&ResponseParts::Error {
+    response_frame(&ResponseParts::Error {
         code: e.code(),
         message: &message,
     })

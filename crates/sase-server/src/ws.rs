@@ -21,7 +21,7 @@
 //! Emissions arrive unsolicited as `event <ComplexEvent display>` text
 //! frames on every query the connection subscribed to.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 use crate::{Result, ServerError};
 
@@ -172,35 +172,41 @@ impl Opcode {
 /// rendered emission is never remotely this large.
 pub const MAX_WS_FRAME: u64 = 1 << 20;
 
-/// Write one frame. `mask` carries the client role's masking key
-/// (`None` for server-to-client frames, per the RFC).
+/// Append one frame to `buf`. `mask` carries the client role's masking
+/// key (`None` for server-to-client frames, per the RFC).
+pub fn put_frame(buf: &mut Vec<u8>, opcode: Opcode, payload: &[u8], mask: Option<[u8; 4]>) {
+    buf.reserve(payload.len() + 14);
+    buf.push(0x80 | opcode.bits()); // FIN, no extensions
+    let mask_bit = if mask.is_some() { 0x80 } else { 0x00 };
+    match payload.len() {
+        n if n < 126 => buf.push(mask_bit | n as u8),
+        n if n <= u16::MAX as usize => {
+            buf.push(mask_bit | 126);
+            buf.extend_from_slice(&(n as u16).to_be_bytes());
+        }
+        n => {
+            buf.push(mask_bit | 127);
+            buf.extend_from_slice(&(n as u64).to_be_bytes());
+        }
+    }
+    match mask {
+        None => buf.extend_from_slice(payload),
+        Some(key) => {
+            buf.extend_from_slice(&key);
+            buf.extend(payload.iter().enumerate().map(|(i, b)| b ^ key[i % 4]));
+        }
+    }
+}
+
+/// Write one frame with one `write_all`; see [`put_frame`].
 pub fn write_frame(
     w: &mut impl Write,
     opcode: Opcode,
     payload: &[u8],
     mask: Option<[u8; 4]>,
 ) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(payload.len() + 14);
-    frame.push(0x80 | opcode.bits()); // FIN, no extensions
-    let mask_bit = if mask.is_some() { 0x80 } else { 0x00 };
-    match payload.len() {
-        n if n < 126 => frame.push(mask_bit | n as u8),
-        n if n <= u16::MAX as usize => {
-            frame.push(mask_bit | 126);
-            frame.extend_from_slice(&(n as u16).to_be_bytes());
-        }
-        n => {
-            frame.push(mask_bit | 127);
-            frame.extend_from_slice(&(n as u64).to_be_bytes());
-        }
-    }
-    match mask {
-        None => frame.extend_from_slice(payload),
-        Some(key) => {
-            frame.extend_from_slice(&key);
-            frame.extend(payload.iter().enumerate().map(|(i, b)| b ^ key[i % 4]));
-        }
-    }
+    let mut frame = Vec::new();
+    put_frame(&mut frame, opcode, payload, mask);
     w.write_all(&frame)
 }
 
@@ -312,25 +318,28 @@ fn read_all_or_protocol(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
 // ---------------------------------------------------------------------------
 
 /// A blocking client-side WebSocket connection over any byte stream,
-/// used by the push-subscription client and the load bench.
+/// used by the push-subscription client and the load bench. Frames are
+/// read through a buffer, so pushes the server wrote together are
+/// received together instead of costing two socket reads each.
 pub struct WsClient<S: Read + Write> {
-    stream: S,
+    stream: BufReader<S>,
     mask_seq: u32,
 }
 
 impl<S: Read + Write> WsClient<S> {
     /// Perform the client half of the RFC 6455 handshake on `stream`
     /// (request `path`, any `host`), validating the accept digest.
-    pub fn handshake(mut stream: S, host: &str, path: &str) -> Result<Self> {
+    pub fn handshake(stream: S, host: &str, path: &str) -> Result<Self> {
         let key = base64(b"sase-server-ws19"); // 16 bytes, as the RFC asks
         let request = format!(
             "GET {path} HTTP/1.1\r\nHost: {host}\r\nUpgrade: websocket\r\n\
              Connection: Upgrade\r\nSec-WebSocket-Key: {key}\r\n\
              Sec-WebSocket-Version: 13\r\n\r\n"
         );
-        stream.write_all(request.as_bytes())?;
-        // Read the response head byte-by-byte to stop exactly at the
-        // blank line — frames may follow immediately in the same packet.
+        let mut stream = BufReader::new(stream);
+        stream.get_mut().write_all(request.as_bytes())?;
+        // Frames may follow the response head in the same packet; they
+        // stay in the buffer for `recv_text`.
         let mut head = Vec::with_capacity(256);
         let mut byte = [0u8; 1];
         while !head.ends_with(b"\r\n\r\n") {
@@ -369,7 +378,7 @@ impl<S: Read + Write> WsClient<S> {
     pub fn send_text(&mut self, text: &str) -> Result<()> {
         self.mask_seq = self.mask_seq.wrapping_mul(0x01000193).wrapping_add(1);
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             Opcode::Text,
             text.as_bytes(),
             Some(self.mask_seq.to_be_bytes()),
@@ -386,7 +395,7 @@ impl<S: Read + Write> WsClient<S> {
                 Some((Opcode::Ping, payload)) => {
                     self.mask_seq = self.mask_seq.wrapping_mul(0x01000193).wrapping_add(1);
                     write_frame(
-                        &mut self.stream,
+                        self.stream.get_mut(),
                         Opcode::Pong,
                         &payload,
                         Some(self.mask_seq.to_be_bytes()),
@@ -411,7 +420,7 @@ impl<S: Read + Write> WsClient<S> {
     pub fn close(mut self) -> Result<()> {
         self.mask_seq = self.mask_seq.wrapping_mul(0x01000193).wrapping_add(1);
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             Opcode::Close,
             &[],
             Some(self.mask_seq.to_be_bytes()),
@@ -421,7 +430,7 @@ impl<S: Read + Write> WsClient<S> {
 
     /// The underlying stream (to set timeouts on a `TcpStream`).
     pub fn stream(&self) -> &S {
-        &self.stream
+        self.stream.get_ref()
     }
 }
 

@@ -3,12 +3,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};
 use sase_core::value::Value;
 use sase_server::client::{Client, PushClient};
 use sase_server::wire::TickMode;
+use sase_server::ws::WsClient;
 use sase_server::{Server, ServerConfig, ServerError, ServerHandle, SlowPolicy};
 
 const Q_PAIR: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
@@ -22,6 +24,14 @@ fn reading(reg: &SchemaRegistry, ty: &str, ts: u64, tag: i64) -> Event {
         vec![Value::Int(tag), Value::str("soap"), Value::Int(1)],
     )
     .unwrap()
+}
+
+/// The sample of an unlabeled series in a Prometheus exposition.
+fn sample(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` sample in:\n{metrics}"))
 }
 
 fn serve_default() -> (ServerHandle, SchemaRegistry) {
@@ -313,14 +323,8 @@ fn slow_subscribers_drop_instead_of_buffering() {
         assert_eq!(acked.len() as u64, n, "every ingest is acked in full");
         emitted += n;
         let metrics = client.metrics().unwrap();
-        let value = |name: &str| -> u64 {
-            metrics
-                .lines()
-                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
-                .unwrap_or_else(|| panic!("no `{name}` sample in:\n{metrics}"))
-        };
-        let delivered = value("sase_server_pushes_total");
-        let dropped = value("sase_server_pushes_dropped_total");
+        let delivered = sample(&metrics, "sase_server_pushes_total");
+        let dropped = sample(&metrics, "sase_server_pushes_dropped_total");
         assert_eq!(delivered + dropped, emitted, "{metrics}");
         dropped
     };
@@ -352,10 +356,117 @@ fn slow_subscribers_drop_instead_of_buffering() {
         );
     }
 
-    // A writer blocked on a peer that never reads would block shutdown
-    // too; closing the peer fails its write and lets it exit.
     drop(push);
     handle.shutdown();
+}
+
+/// Serve one query, hand the address to `subscribe` (which must leave a
+/// subscriber to `exits` that never reads), fill that subscriber's socket
+/// — running `each_round` on the subscriber between pushes — until its
+/// writer is blocked in `write` with the queue behind it full, and
+/// require `shutdown()` to hand back the backend within 5 s with every
+/// acknowledged batch applied, while the peer is still connected and
+/// still not reading.
+fn shutdown_with_a_stuck_subscriber<S>(
+    subscribe: impl FnOnce(std::net::SocketAddr) -> S,
+    mut each_round: impl FnMut(&mut S),
+) {
+    const PUSH_BYTES: usize = 32 * 1024;
+    const FILL_ATTEMPTS: u64 = 8192;
+    const STUCK: Duration = Duration::from_millis(500);
+
+    let reg = retail_registry();
+    let config = ServerConfig {
+        subscriber_queue: 2,
+        slow_policy: SlowPolicy::Drop,
+        ..ServerConfig::default()
+    };
+    let handle = Server::serve("127.0.0.1:0", Box::new(Engine::new(reg.clone())), config).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.register("exits", Q_EXIT).unwrap();
+    let mut subscriber = subscribe(handle.local_addr());
+
+    // One push per round trip until every push has been dropped for STUCK
+    // on end. The kernel stalls a writer for tens of milliseconds now and
+    // then while it still has room to grow the peer's buffers; a writer
+    // that has not taken a frame off its full queue for this long is
+    // blocked on a socket that is full for good.
+    let product = "x".repeat(PUSH_BYTES);
+    let mut dropped = 0;
+    let mut acked = 0u64;
+    let mut last_delivered = Instant::now();
+    while last_delivered.elapsed() < STUCK {
+        assert!(
+            acked < FILL_ATTEMPTS,
+            "the subscriber's socket never filled"
+        );
+        acked += 1;
+        let event = reg
+            .build_event(
+                "EXIT_READING",
+                acked,
+                vec![Value::Int(7), Value::str(&product), Value::Int(4)],
+            )
+            .unwrap();
+        let out = client.ingest(None, TickMode::Explicit, &[event]).unwrap();
+        assert_eq!(out.len(), 1);
+        each_round(&mut subscriber);
+        let now = sample(
+            &client.metrics().unwrap(),
+            "sase_server_pushes_dropped_total",
+        );
+        if now == dropped {
+            last_delivered = Instant::now();
+        }
+        dropped = now;
+    }
+
+    let (done, returned) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let backend = handle.shutdown();
+        let _ = done.send(backend.stats("exits").unwrap().matches_emitted);
+    });
+    let applied = returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown hung on a subscriber that never reads");
+    assert_eq!(applied, acked, "every acknowledged batch is applied");
+    stopper.join().unwrap();
+    // Only now does the peer go away.
+    drop(subscriber);
+}
+
+/// A subscriber that stops reading blocks its writer thread in `write`
+/// once the socket is full. Shutdown must not wait on that peer.
+#[test]
+fn shutdown_does_not_wait_for_a_subscriber_that_never_reads() {
+    shutdown_with_a_stuck_subscriber(
+        |addr| {
+            let mut push = PushClient::connect(addr).unwrap();
+            push.subscribe("exits").unwrap();
+            push
+        },
+        |_| {},
+    );
+}
+
+/// The same subscriber, sending a command every round. Once the writer is
+/// blocked a reply has to queue behind it, so the session's reader blocks
+/// too — in `send`, where shutting the read half does not wake it.
+/// Shutdown must not wait on that either. (Traffic from the peer also
+/// carries its receive window, so a writer that stays blocked through it
+/// is not merely waiting for a window update.)
+#[test]
+fn shutdown_does_not_wait_for_a_reader_queued_behind_a_stuck_writer() {
+    shutdown_with_a_stuck_subscriber(
+        |addr| {
+            let sock = TcpStream::connect(addr).unwrap();
+            let mut ws = WsClient::handshake(sock, "server", "/ws").unwrap();
+            ws.send_text("subscribe exits").unwrap();
+            assert_eq!(ws.recv_text().unwrap().as_deref(), Some("subscribed exits"));
+            ws
+        },
+        |ws| ws.send_text("ping").unwrap(),
+    );
 }
 
 #[test]

@@ -59,16 +59,10 @@ fn encode(ckpt: &Checkpoint) -> Vec<u8> {
     w.u64(ckpt.replay_from_seq);
     w.u32(ckpt.engines.len() as u32);
     for e in &ckpt.engines {
-        let mut blob = ByteWriter::new();
-        put_engine_snapshot(&mut blob, e);
-        let blob = blob.into_bytes();
-        w.u32(blob.len() as u32);
-        w.raw(&blob);
+        w.len_prefixed(|blob| put_engine_snapshot(blob, e));
     }
-    let mut bytes = w.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_be_bytes());
-    bytes
+    w.u32(crc32(w.as_slice()));
+    w.into_bytes()
 }
 
 fn decode(path: &Path, bytes: &[u8]) -> Result<Checkpoint> {

@@ -20,9 +20,12 @@ use sase_core::value::{Value, ValueKey, ValueType};
 
 use crate::error::{Result, StoreError};
 
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for CRC-32 (IEEE 802.3), built at compile time.
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes, which is what lets
+/// eight input bytes be folded in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -35,17 +38,52 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of a byte slice.
+/// CRC-32 of a byte slice: the IEEE 802.3 / zlib checksum — polynomial
+/// `0x04C11DB7` processed reflected (`0xEDB88320`), initial value and final
+/// XOR `0xFFFFFFFF`, check value `crc32(b"123456789") == 0xCBF43926`.
+///
+/// Every frame, log record and checkpoint is summed with it, so it runs
+/// over each byte that crosses a socket or reaches the log. The kernel is
+/// slicing-by-8: eight bytes are folded per step through eight
+/// compile-time tables whose lookups do not depend on one another, in
+/// place of the bytewise loop's one dependent lookup per byte; the 0..=7
+/// byte tail takes the bytewise step. It stays safe Rust — `chunks_exact`
+/// hands the compiler the lengths, the table indices are `u8`-ranged — so
+/// it runs identically on every target the workspace builds for, with no
+/// intrinsics and no feature detection to get wrong.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -69,6 +107,28 @@ impl ByteWriter {
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Make room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Write what `body` writes behind a big-endian `u32` holding its
+    /// encoded length. The prefix is filled in once the body is there, so
+    /// prefix, body and whatever follows share this one buffer — no body
+    /// is encoded into a `Vec` of its own to learn its length.
+    pub fn len_prefixed(&mut self, body: impl FnOnce(&mut ByteWriter)) {
+        let at = self.buf.len();
+        self.u32(0);
+        body(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Bytes written so far.
@@ -191,20 +251,32 @@ impl<'a> ByteReader<'a> {
         Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Read a length-prefixed UTF-8 string, borrowed from the buffer
+    /// (validated in place, nothing copied).
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| StoreError::Decode("string is not valid UTF-8".into()))
+    }
+
+    /// Read a length-prefixed UTF-8 string into an owned `String`.
+    pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
     }
 
     /// A collection count, sanity-bounded by the bytes actually available
     /// (each element needs at least one byte) so a corrupt count cannot
     /// trigger a huge allocation.
     pub fn count(&mut self) -> Result<usize> {
+        self.count_of(1)
+    }
+
+    /// A count of elements that each occupy at least `min_bytes` encoded
+    /// bytes: the tighter bound for elements with a fixed-size header, so
+    /// the `Vec` reserved for them stays within the size of the input.
+    pub fn count_of(&mut self, min_bytes: usize) -> Result<usize> {
         let n = self.u32()? as usize;
-        if n > self.remaining() {
+        if n > self.remaining() / min_bytes {
             return Err(StoreError::Decode(format!(
                 "collection count {n} exceeds remaining {} bytes",
                 self.remaining()
@@ -247,7 +319,7 @@ pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value> {
     Ok(match r.u8()? {
         0 => Value::Int(r.i64()?),
         1 => Value::Float(f64::from_bits(r.u64()?)),
-        2 => Value::str(r.str()?),
+        2 => Value::str(r.str_ref()?),
         3 => Value::Bool(r.u8()? != 0),
         t => return Err(StoreError::Decode(format!("unknown value tag {t}"))),
     })
@@ -278,7 +350,7 @@ fn get_value_key(r: &mut ByteReader<'_>) -> Result<ValueKey> {
     Ok(match r.u8()? {
         0 => ValueKey::Int(r.i64()?),
         1 => ValueKey::Float(r.u64()?),
-        2 => ValueKey::Str(r.str()?.into()),
+        2 => ValueKey::Str(r.str_ref()?.into()),
         3 => ValueKey::Bool(r.u8()? != 0),
         t => return Err(StoreError::Decode(format!("unknown value-key tag {t}"))),
     })
@@ -303,6 +375,10 @@ fn get_value_type(r: &mut ByteReader<'_>) -> Result<ValueType> {
     })
 }
 
+/// Fewest bytes one encoded event can occupy: name length, timestamp,
+/// attribute count.
+const EVENT_MIN_BYTES: usize = 4 + 8 + 4;
+
 /// Encode one live event (by type name, so the frame is portable across
 /// process restarts).
 pub fn put_event(w: &mut ByteWriter, e: &Event) {
@@ -314,16 +390,62 @@ pub fn put_event(w: &mut ByteWriter, e: &Event) {
     }
 }
 
-/// Decode one event, resolving its type against `registry`.
+/// Encode a batch of events as `count u32 · count × event` — the body of
+/// an ingest frame and the payload of a log record — reserving once for
+/// the whole batch from the size of its first event.
+pub fn put_events(w: &mut ByteWriter, events: &[Event]) {
+    w.u32(events.len() as u32);
+    let Some((first, rest)) = events.split_first() else {
+        return;
+    };
+    let before = w.len();
+    put_event(w, first);
+    w.reserve((w.len() - before) * rest.len());
+    for e in rest {
+        put_event(w, e);
+    }
+}
+
+/// Decode one event written by [`put_event`], resolving its type against
+/// `registry`.
+///
+/// Nothing is copied out of the payload that the event does not keep: the
+/// type name is read as a `&str` borrowed from `r`'s buffer and only
+/// looked up — one [`SchemaRegistry::resolve`], one read lock — and a
+/// string attribute goes from the borrowed slice straight into its
+/// `Arc<str>`. The attribute count is checked against the schema's arity
+/// *before* the attribute buffer is reserved, so that buffer is exactly
+/// the schema's size whatever count the bytes claim. Per event that is one
+/// allocation for the attribute buffer, one for the event itself, and one
+/// per string attribute. Arity and attribute types are validated by
+/// [`ResolvedType::build_event`](sase_core::event::ResolvedType::build_event)
+/// exactly as `SchemaRegistry::build_event` validates them; an
+/// unregistered type is a [`StoreError::Core`] naming it.
+///
+/// Types are not remembered from one event of a frame to the next: a map
+/// from the names a frame has used to their resolved types was measured
+/// on `serve_wire` (128 types over 512-event batches, each named about
+/// four times) and made no difference to any end-to-end metric.
 pub fn get_event(r: &mut ByteReader<'_>, registry: &SchemaRegistry) -> Result<Event> {
-    let type_name = r.str()?;
+    let ty = registry.resolve(r.str_ref()?)?;
     let ts = r.u64()?;
     let n = r.count()?;
+    ty.check_arity(n)?;
     let mut attrs = Vec::with_capacity(n);
     for _ in 0..n {
         attrs.push(get_value(r)?);
     }
-    Ok(registry.build_event(&type_name, ts, attrs)?)
+    Ok(ty.build_event(ts, attrs)?)
+}
+
+/// Decode a batch written by [`put_events`].
+pub fn get_events(r: &mut ByteReader<'_>, registry: &SchemaRegistry) -> Result<Vec<Event>> {
+    let n = r.count_of(EVENT_MIN_BYTES)?;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        events.push(get_event(r, registry)?);
+    }
+    Ok(events)
 }
 
 fn put_event_snapshot(w: &mut ByteWriter, e: &EventSnapshot) {
@@ -749,7 +871,10 @@ mod tests {
         w.u32(0);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(matches!(get_event(&mut r, &reg), Err(StoreError::Core(_))));
+        match get_event(&mut r, &reg) {
+            Err(StoreError::Core(e)) => assert!(e.to_string().contains("`VANISHED`"), "{e}"),
+            other => panic!("expected a schema error naming the type, got {other:?}"),
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::time::Timestamp;
 
-use crate::codec::{crc32, put_event, ByteReader, ByteWriter};
+use crate::codec::{crc32, get_events, put_events, ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
 
 /// Segment file magic ("SASL": SASE log).
@@ -456,21 +456,14 @@ impl EventLog {
             self.roll()?;
         }
 
+        // Header, payload and CRC are built in one buffer.
         let mut rec = ByteWriter::new();
         rec.u16(REC_MAGIC);
         rec.u64(self.next_seq);
         rec.u64(tick);
-        let mut payload = ByteWriter::new();
-        payload.u32(events.len() as u32);
-        for e in events {
-            put_event(&mut payload, e);
-        }
-        let payload = payload.into_bytes();
-        rec.u32(payload.len() as u32);
-        rec.raw(&payload);
-        let mut bytes = rec.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_be_bytes());
+        rec.len_prefixed(|payload| put_events(payload, events));
+        rec.u32(crc32(rec.as_slice()));
+        let bytes = rec.into_bytes();
 
         let current = self.segments.last_mut().expect("log always has a segment");
         self.writer
@@ -712,15 +705,8 @@ impl LogIter {
                 return Ok(None);
             }
             let mut pr = ByteReader::new(payload);
-            let decoded = (|| -> Result<Vec<Event>> {
-                let n = pr.count()?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(crate::codec::get_event(&mut pr, &self.registry)?);
-                }
-                pr.expect_end()?;
-                Ok(events)
-            })();
+            let decoded = get_events(&mut pr, &self.registry)
+                .and_then(|events| pr.expect_end().map(|()| events));
             let events = match decoded {
                 Ok(events) => events,
                 Err(StoreError::Core(e)) => return Err(StoreError::Core(e)),

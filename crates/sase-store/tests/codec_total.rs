@@ -1,0 +1,377 @@
+//! The checksum and the codec are total and unchanged.
+//!
+//! * `crc32` is the IEEE CRC-32 at every length and alignment: known
+//!   vectors, and a differential against the bytewise loop it replaced.
+//! * The log and checkpoint formats did not move: bytes written before the
+//!   byte path was rebuilt decode, and re-encode identically.
+//! * A damaged log record is a typed error or the committed prefix, never
+//!   a panic.
+//! * `decode ∘ encode = id` over every kind of event a batch can hold.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use proptest::prelude::*;
+
+use sase_core::event::{Event, SchemaRegistry};
+use sase_core::value::Value;
+use sase_store::codec::{crc32, get_events, put_events, ByteReader, ByteWriter};
+use sase_store::{
+    load_latest_checkpoint, write_checkpoint, Checkpoint, EventLog, LogOptions, Record, StoreError,
+};
+
+#[path = "fixtures/values.rs"]
+mod values;
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+fn tmp_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "sase-codec-total-{}-{label}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+// ---------------------------------------------------------------------------
+// Checksum
+// ---------------------------------------------------------------------------
+
+/// The one-table, one-byte-per-step loop `crc32` used to be: the reference
+/// the sliced kernel must agree with on every input.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+#[test]
+fn crc32_known_vectors() {
+    assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(
+        crc32(b"The quick brown fox jumps over the lazy dog"),
+        0x414F_A339
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every length 0..=64 at every start offset 0..8: all combinations of
+    /// unaligned head, whole 8-byte steps and a 1–7 byte tail.
+    #[test]
+    fn crc32_matches_bytewise_at_every_short_length(
+        bytes in prop::collection::vec(any::<u8>(), 72..73),
+    ) {
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// Random windows of buffers up to 64 KiB.
+    #[test]
+    fn crc32_matches_bytewise_on_long_slices(
+        bytes in prop::collection::vec(any::<u8>(), 0..65_537),
+        start in 0usize..4096,
+        trim in 0usize..4096,
+    ) {
+        let start = start.min(bytes.len());
+        let end = bytes.len().saturating_sub(trim).max(start);
+        let slice = &bytes[start..end];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+
+fn rendered(events: &[Event]) -> Vec<String> {
+    events.iter().map(|e| e.to_string()).collect()
+}
+
+fn encoded(events: &[Event]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_events(&mut w, events);
+    w.into_bytes()
+}
+
+#[test]
+fn golden_wal_segment_decodes_and_reencodes_identically() {
+    let golden = fixture("wal_segment.log");
+    let reg = values::registry();
+    let events = values::events(&reg);
+
+    // Decode: the parent's segment opens and replays to the same batches.
+    let dir = tmp_dir("golden-read");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-0000000000000000.log"), &golden).unwrap();
+    let mut log = EventLog::open(&dir, LogOptions::default()).unwrap();
+    assert_eq!(log.next_seq(), 2);
+    let records: Vec<Record> = log
+        .replay_from(&reg, 0)
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(records.len(), 2);
+    assert_eq!((records[0].seq, records[0].tick), (0, 6));
+    assert_eq!(rendered(&records[0].events), rendered(&events));
+    assert_eq!(encoded(&records[0].events), encoded(&events));
+    assert_eq!((records[1].seq, records[1].tick), (1, 6));
+    assert!(records[1].events.is_empty());
+    drop(log);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Re-encode: the same appends write the same file.
+    let dir = tmp_dir("golden-write");
+    let mut log = EventLog::open(&dir, LogOptions::default()).unwrap();
+    log.append(6, &events).unwrap();
+    log.append(6, &[]).unwrap();
+    log.commit().unwrap();
+    let written = std::fs::read(&log.segments()[0].path).unwrap();
+    assert_eq!(written, golden, "the log format moved");
+    drop(log);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_checkpoint_decodes_and_reencodes_identically() {
+    let golden = fixture("checkpoint.ckpt");
+    let want = Checkpoint {
+        replay_from_seq: 42,
+        engines: vec![values::snapshot()],
+    };
+
+    let dir = tmp_dir("golden-ckpt-read");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("ckpt-000000000000002a.ckpt"), &golden).unwrap();
+    let (loaded, corrupt) = load_latest_checkpoint(&dir).unwrap();
+    assert!(corrupt.is_empty(), "{corrupt:?}");
+    assert_eq!(loaded.unwrap(), want);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = tmp_dir("golden-ckpt-write");
+    let path = write_checkpoint(&dir, &want).unwrap();
+    assert_eq!(
+        std::fs::read(path).unwrap(),
+        golden,
+        "the checkpoint format moved"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Damage
+// ---------------------------------------------------------------------------
+
+/// Open a directory holding `bytes` as its only segment and replay it.
+fn open_and_replay(bytes: &[u8], reg: &SchemaRegistry) -> Result<Vec<Record>, StoreError> {
+    let dir = tmp_dir("damage");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-0000000000000000.log"), bytes).unwrap();
+    let outcome = EventLog::open(&dir, LogOptions::default())
+        .and_then(|mut log| log.replay_from(reg, 0)?.collect::<Result<Vec<_>, _>>());
+    std::fs::remove_dir_all(&dir).unwrap();
+    outcome
+}
+
+/// Every truncation and every single-bit flip of the golden segment is the
+/// committed prefix or a typed error — `open_and_replay` returning at all
+/// is the "never a panic" half.
+#[test]
+fn damaged_wal_records_are_typed_errors_or_the_committed_prefix() {
+    let golden = fixture("wal_segment.log");
+    let reg = values::registry();
+    let whole = open_and_replay(&golden, &reg).unwrap();
+    let same_prefix = |got: &[Record]| {
+        got.len() <= whole.len()
+            && got.iter().zip(&whole).all(|(g, w)| {
+                (g.seq, g.tick) == (w.seq, w.tick) && rendered(&g.events) == rendered(&w.events)
+            })
+    };
+
+    for cut in 0..golden.len() {
+        match open_and_replay(&golden[..cut], &reg) {
+            // A torn tail is truncated away: a strict prefix survives.
+            Ok(records) => assert!(
+                records.len() < whole.len() && same_prefix(&records),
+                "cut at {cut} invented records"
+            ),
+            Err(StoreError::Corrupt { .. }) => {}
+            Err(other) => panic!("cut at {cut}: unexpected error class {other}"),
+        }
+    }
+    for bit in 0..golden.len() * 8 {
+        let mut bytes = golden.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        match open_and_replay(&bytes, &reg) {
+            // A flipped length can make the tail look torn; what is left
+            // must still be a prefix of what was written.
+            Ok(records) => assert!(same_prefix(&records), "bit {bit} changed a record"),
+            Err(StoreError::Corrupt { .. }) => {}
+            Err(other) => panic!("bit {bit}: unexpected error class {other}"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Round trip
+// ---------------------------------------------------------------------------
+
+fn decoded(bytes: &[u8], reg: &SchemaRegistry) -> Result<Vec<Event>, StoreError> {
+    let mut r = ByteReader::new(bytes);
+    let events = get_events(&mut r, reg)?;
+    r.expect_end()?;
+    Ok(events)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batches drawn over the fixture registry: mixed-case and non-ASCII
+    /// type names in any spelling, arbitrary (possibly empty) strings,
+    /// floats from raw bits (NaN payloads, −0.0, infinities), and long
+    /// runs alternating between two types.
+    #[test]
+    fn decode_inverts_encode(
+        picks in prop::collection::vec(
+            (0u8..4, any::<u64>(), any::<i64>(), any::<String>(), any::<bool>()),
+            0..48,
+        ),
+    ) {
+        let reg = values::registry();
+        let mut ts = 0u64;
+        let events: Vec<Event> = picks
+            .iter()
+            .map(|(kind, bits, int, text, flag)| {
+                ts += 1;
+                match kind {
+                    0 => reg.build_event(
+                        "Shelf_Reading",
+                        ts,
+                        vec![Value::Int(*int), Value::str(text), Value::Int(1)],
+                    ),
+                    1 => reg.build_event(
+                        "exit_reading",
+                        ts,
+                        vec![Value::Int(*int), Value::str(""), Value::Int(-1)],
+                    ),
+                    2 => reg.build_event(
+                        "TëMP_PROBE",
+                        ts,
+                        vec![
+                            Value::Float(f64::from_bits(*bits)),
+                            Value::Bool(*flag),
+                            Value::str(text),
+                        ],
+                    ),
+                    _ => reg.build_event(
+                        "Tëmp_Probe",
+                        ts,
+                        vec![Value::Float(-0.0), Value::Bool(*flag), Value::str(text)],
+                    ),
+                }
+                .unwrap()
+            })
+            .collect();
+
+        let bytes = encoded(&events);
+        let back = decoded(&bytes, &reg).unwrap();
+        prop_assert_eq!(back.len(), events.len());
+        for (b, e) in back.iter().zip(&events) {
+            prop_assert_eq!(b.type_id(), e.type_id());
+            prop_assert_eq!(b.timestamp(), e.timestamp());
+        }
+        // Bit-exact, floats included: the re-encoding is the same bytes.
+        prop_assert_eq!(encoded(&back), bytes);
+    }
+}
+
+#[test]
+fn a_batch_alternating_between_two_types_round_trips() {
+    let reg = values::registry();
+    let events: Vec<Event> = (0..512u64)
+        .map(|ts| {
+            if ts % 2 == 0 {
+                reg.build_event(
+                    "SHELF_READING",
+                    ts,
+                    vec![Value::Int(ts as i64), Value::str("soap"), Value::Int(1)],
+                )
+            } else {
+                reg.build_event(
+                    "Tëmp_Probe",
+                    ts,
+                    vec![Value::Float(0.5), Value::Bool(true), Value::str("ok")],
+                )
+            }
+            .unwrap()
+        })
+        .collect();
+    let bytes = encoded(&events);
+    let back = decoded(&bytes, &reg).unwrap();
+    assert_eq!(rendered(&back), rendered(&events));
+    assert_eq!(encoded(&back), bytes);
+}
+
+#[test]
+fn an_unknown_type_mid_batch_is_a_typed_error_naming_it() {
+    let reg = values::registry();
+    let mut events = values::events(&reg);
+    let other = SchemaRegistry::new();
+    other
+        .register("VANISHED", &[("A", sase_core::value::ValueType::Int)])
+        .unwrap();
+    events.insert(
+        3,
+        other
+            .build_event("VANISHED", 9, vec![Value::Int(1)])
+            .unwrap(),
+    );
+    match decoded(&encoded(&events), &reg) {
+        Err(StoreError::Core(e)) => assert!(e.to_string().contains("`VANISHED`"), "{e}"),
+        other => panic!("expected a schema error naming the type, got {other:?}"),
+    }
+    // A known type whose bytes disagree with its schema is typed too, and
+    // is refused before room for the claimed attributes is reserved.
+    let mut w = ByteWriter::new();
+    w.u32(1);
+    w.str("SHELF_READING");
+    w.u64(1);
+    w.u32(2);
+    w.raw(&[3, 1, 3, 0]); // two bools
+    match decoded(&w.into_bytes(), &reg) {
+        Err(StoreError::Core(e)) => {
+            assert!(e.to_string().contains("expects 3 attributes, got 2"), "{e}")
+        }
+        other => panic!("expected an arity error, got {other:?}"),
+    }
+}

@@ -15,7 +15,9 @@ fail=0
 
 # Modules on the per-event hot path. engine.rs (registration/dispatch
 # control plane) and analyze.rs (plan-time only) are intentionally absent,
-# though today they also use FxHash throughout.
+# though today they also use FxHash throughout. The store codec and the
+# wire codec are here because they run per event on every frame and log
+# record.
 HOT_PATHS="
 crates/sase-core/src/program.rs
 crates/sase-core/src/expr.rs
@@ -28,6 +30,8 @@ crates/sase-core/src/output.rs
 crates/sase-core/src/runtime
 crates/sase-obs/src/metrics.rs
 crates/sase-obs/src/trace.rs
+crates/sase-store/src/codec.rs
+crates/sase-server/src/wire.rs
 "
 
 # Hasher types that silently reintroduce SipHash. Plain `HashMap<`/
@@ -48,9 +52,10 @@ for path in $HOT_PATHS; do
 done
 
 # `unsafe` allowlist: files permitted to contain unsafe code. All product
-# code is safe Rust; the only exception is the counting global allocator
-# the zero-allocation proof test installs.
-ALLOW_UNSAFE="crates/sase-core/tests/zero_alloc.rs"
+# code is safe Rust; the only exceptions are the measuring global
+# allocators two tests install (allocation count for the zero-allocation
+# proof, largest allocation for the damaged-frame sweep).
+ALLOW_UNSAFE="crates/sase-core/tests/zero_alloc.rs crates/sase-server/tests/codec_total.rs"
 
 unsafe_hits=$(grep -rn 'unsafe' crates src --include='*.rs' 2>/dev/null \
     | grep -vE '^[^:]+:[0-9]+:\s*(//|//!|///)' \
