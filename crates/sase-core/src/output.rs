@@ -17,8 +17,10 @@ use crate::value::Value;
 pub struct ComplexEvent {
     /// Name of the query that produced this output.
     pub query: Arc<str>,
-    /// Variable names of the positive pattern components, in order.
-    pub variables: Vec<Arc<str>>,
+    /// Variable names of the positive pattern components, in order (shared
+    /// with the query's plan: every emission of a query names the same
+    /// variables).
+    pub variables: Arc<[Arc<str>]>,
     /// The matched events (one per positive component, in order).
     pub events: Vec<Event>,
     /// RETURN projection: `(column name, value)` pairs in clause order.
@@ -93,7 +95,7 @@ mod tests {
             .unwrap();
         let ce = ComplexEvent {
             query: Arc::from("shoplifting"),
-            variables: vec![Arc::from("x"), Arc::from("z")],
+            variables: Arc::from([Arc::from("x"), Arc::from("z")]),
             events: vec![shelf, exit],
             values: vec![(Arc::from("x.TagId"), Value::Int(9))],
             detected_at: 8,

@@ -59,6 +59,9 @@ pub struct CompiledPattern {
     pub elements: Vec<CompiledElem>,
     /// Slots of positive components, in order.
     pub positive_slots: Vec<usize>,
+    /// Variables of the positive components, in order: the one list every
+    /// composite event of the query shares.
+    pub positive_variables: Arc<[Arc<str>]>,
     /// Scopes for negated components, in pattern order.
     pub negations: Vec<NegationScope>,
 }
@@ -149,9 +152,14 @@ impl CompiledPattern {
             });
         }
 
+        let positive_variables = positive_slots
+            .iter()
+            .map(|slot| elements[*slot].variable.clone())
+            .collect();
         Ok(CompiledPattern {
             elements,
             positive_slots,
+            positive_variables,
             negations,
         })
     }

@@ -39,16 +39,10 @@ pub fn transform(
             }
         }
     }
-    let variables = plan
-        .pattern
-        .positive_slots
-        .iter()
-        .map(|s| Arc::from(plan.pattern.elements[*s].variable.as_ref()))
-        .collect();
     let detected_at = m.last().map(|e| e.timestamp()).unwrap_or(0);
     Ok(ComplexEvent {
         query: query_name.clone(),
-        variables,
+        variables: plan.pattern.positive_variables.clone(),
         events: m,
         values,
         detected_at,

@@ -223,5 +223,5 @@ fn detected_at_equals_last_event_time() {
             .unwrap(),
     );
     assert_eq!(out[0].detected_at, 31);
-    assert_eq!(out[0].variables, vec!["x".into(), "z".into()]);
+    assert_eq!(*out[0].variables, ["x".into(), "z".into()]);
 }

@@ -5,11 +5,11 @@
 //! box/pallet, and when. Mirrors the location table's `TimeIn`/`TimeOut`
 //! representation; an open membership has `time_out = -1`.
 
-use sase_core::value::{Value, ValueType};
-
 use crate::database::Database;
 use crate::error::Result;
-use crate::location::OPEN;
+use crate::location::{
+    close, current, ensure_intervals, enter, history, open_items, rows_of, Interval, PLACE,
+};
 
 /// Name of the backing table.
 pub const TABLE: &str = "containment";
@@ -21,11 +21,20 @@ pub struct Membership {
     pub container: i64,
     /// When the item entered.
     pub time_in: i64,
-    /// When it left; [`OPEN`] while current.
+    /// When it left; [`OPEN`](crate::location::OPEN) while current.
     pub time_out: i64,
 }
 
-/// Typed access to the `containment` table.
+fn membership([container, time_in, time_out]: Interval) -> Membership {
+    Membership {
+        container,
+        time_in,
+        time_out,
+    }
+}
+
+/// Typed access to the `containment` table, on the same index probes and
+/// by-value writes as [`LocationStore`](crate::location::LocationStore).
 #[derive(Debug, Clone)]
 pub struct ContainmentStore {
     db: Database,
@@ -34,19 +43,7 @@ pub struct ContainmentStore {
 impl ContainmentStore {
     /// Open (creating if needed) the containment table on a database.
     pub fn open(db: Database) -> Result<ContainmentStore> {
-        if !db.table_names().contains(&TABLE.to_string()) {
-            db.create_table(
-                TABLE,
-                &[
-                    ("item", ValueType::Int),
-                    ("container", ValueType::Int),
-                    ("time_in", ValueType::Int),
-                    ("time_out", ValueType::Int),
-                ],
-            )?;
-            db.create_index(TABLE, "item")?;
-            db.create_index(TABLE, "container")?;
-        }
+        ensure_intervals(&db, TABLE, "container", &["item", "container"])?;
         Ok(ContainmentStore { db })
     }
 
@@ -56,74 +53,43 @@ impl ContainmentStore {
     }
 
     /// Record the item entering a container at `ts`. Closes any other open
-    /// membership first (an item is in at most one container).
+    /// membership first (an item is in at most one container), in the same
+    /// critical section.
     pub fn add_to_container(&self, item: i64, container: i64, ts: i64) -> Result<()> {
-        if let Some(m) = self.current_container(item)? {
-            if m.container == container {
-                return Ok(());
-            }
-            self.remove_from_container(item, ts)?;
-        }
-        self.db.execute(&format!(
-            "INSERT INTO {TABLE} VALUES ({item}, {container}, {ts}, {OPEN})"
-        ))?;
-        Ok(())
+        self.db
+            .write(TABLE, |t| enter(t, item, container, ts).map(drop))
     }
 
     /// Record the item leaving its current container at `ts`.
     pub fn remove_from_container(&self, item: i64, ts: i64) -> Result<bool> {
-        let affected = self.db.execute(&format!(
-            "UPDATE {TABLE} SET time_out = {ts} WHERE item = {item} AND time_out = {OPEN}"
-        ))?;
-        Ok(matches!(
-            affected,
-            crate::database::StatementResult::Affected(n) if n > 0
-        ))
+        self.db.write(TABLE, |t| close(t, item, ts))
     }
 
     /// The item's current container, if boxed.
     pub fn current_container(&self, item: i64) -> Result<Option<Membership>> {
-        let rs = self.db.query(&format!(
-            "SELECT container, time_in, time_out FROM {TABLE} \
-             WHERE item = {item} AND time_out = {OPEN}"
-        ))?;
-        Ok(rs.rows.first().map(|r| row_to_membership(r)))
+        self.db
+            .read(TABLE, |t| Ok(current(t, item).map(membership)))
     }
 
     /// All memberships of an item, chronological.
     pub fn history(&self, item: i64) -> Result<Vec<Membership>> {
-        let rs = self.db.query(&format!(
-            "SELECT container, time_in, time_out FROM {TABLE} \
-             WHERE item = {item} ORDER BY time_in"
-        ))?;
-        Ok(rs.rows.iter().map(|r| row_to_membership(r)).collect())
+        self.db.read(TABLE, |t| {
+            Ok(history(t, item).into_iter().map(membership).collect())
+        })
     }
 
     /// Items currently inside a container.
     pub fn contents(&self, container: i64) -> Result<Vec<i64>> {
-        let rs = self.db.query(&format!(
-            "SELECT item FROM {TABLE} \
-             WHERE container = {container} AND time_out = {OPEN} ORDER BY item"
-        ))?;
-        Ok(rs
-            .rows
-            .iter()
-            .map(|r| r[0].as_int().expect("item is int"))
-            .collect())
-    }
-}
-
-fn row_to_membership(row: &[Value]) -> Membership {
-    Membership {
-        container: row[0].as_int().expect("container is int"),
-        time_in: row[1].as_int().expect("time_in is int"),
-        time_out: row[2].as_int().expect("time_out is int"),
+        self.db.read(TABLE, |t| {
+            Ok(open_items(rows_of(t, PLACE, container), container))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::location::OPEN;
 
     fn store() -> ContainmentStore {
         ContainmentStore::open(Database::new()).unwrap()

@@ -3,20 +3,23 @@
 //!
 //! Replaces the paper's MySQL 5.0.22 instance. The complex event processor
 //! reaches it through the built-in functions (`_retrieveLocation`,
-//! `_updateLocation`, ...) registered by `sase-system`; users reach it with
-//! ad-hoc SQL through [`Database::execute`].
+//! `_updateLocation`, ...) registered by `sase-system`, which run on the
+//! typed path ([`Database::read`] / [`Database::write`]: one lock
+//! acquisition, a `&Table` or `&mut Table`, no SQL text); users reach the
+//! same tables with ad-hoc SQL through [`Database::execute`].
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use sase_core::hash::FxHashMap;
 use sase_core::lang::ast::{AggFunc, BinOp, UnaryOp};
-use sase_core::value::{Value, ValueType};
+use sase_core::value::{Value, ValueKey, ValueType};
 
 use crate::error::{DbError, Result};
 use crate::sql::{parse_sql, SelectItem, SelectStmt, SqlExpr, Statement};
-use crate::table::{Row, Table, TableSchema};
+use crate::table::{Row, RowId, Table, TableSchema};
 
 /// Rows returned by a SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +91,21 @@ impl StatementResult {
 /// Cloning the handle is cheap; all clones see the same data.
 #[derive(Clone, Default)]
 pub struct Database {
-    inner: Arc<RwLock<HashMap<String, Table>>>,
+    inner: Arc<RwLock<FxHashMap<String, Table>>>,
+}
+
+/// The map key of a table name. Keys are lower case; a name already in
+/// that form (every name the typed stores pass) is borrowed, not copied.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+fn unknown_table(name: &str) -> DbError {
+    DbError::UnknownTable(name.to_string())
 }
 
 impl Database {
@@ -97,44 +114,65 @@ impl Database {
         Self::default()
     }
 
+    /// Run `f` on a table under the read lock, taken once for the call.
+    pub fn read<R>(&self, table: &str, f: impl FnOnce(&Table) -> Result<R>) -> Result<R> {
+        let inner = self.inner.read();
+        f(inner
+            .get(&*table_key(table))
+            .ok_or_else(|| unknown_table(table))?)
+    }
+
+    /// Run `f` on a table under the write lock, taken once for the call:
+    /// whatever `f` reads and then writes is one critical section.
+    pub fn write<R>(&self, table: &str, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
+        let mut inner = self.inner.write();
+        f(inner
+            .get_mut(&*table_key(table))
+            .ok_or_else(|| unknown_table(table))?)
+    }
+
     /// Create a table programmatically.
     pub fn create_table(&self, name: &str, columns: &[(&str, ValueType)]) -> Result<()> {
         let schema = TableSchema::new(name, columns)?;
         let mut inner = self.inner.write();
-        let key = name.to_ascii_lowercase();
-        if inner.contains_key(&key) {
+        let key = table_key(name);
+        if inner.contains_key(&*key) {
             return Err(DbError::Schema(format!("table `{name}` already exists")));
         }
-        inner.insert(key, Table::new(schema));
+        inner.insert(key.into_owned(), Table::new(schema));
         Ok(())
+    }
+
+    /// Create a table with indexes on `indexed` unless a table of that name
+    /// exists, in which case only the indexes it lacks are added. One
+    /// critical section, so concurrent callers agree on one table.
+    pub fn ensure_table(
+        &self,
+        name: &str,
+        columns: &[(&str, ValueType)],
+        indexed: &[&str],
+    ) -> Result<()> {
+        let schema = TableSchema::new(name, columns)?;
+        let mut inner = self.inner.write();
+        let t = inner
+            .entry(table_key(name).into_owned())
+            .or_insert_with(|| Table::new(schema));
+        indexed.iter().try_for_each(|column| t.create_index(column))
     }
 
     /// Create a secondary index programmatically.
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
-        let mut inner = self.inner.write();
-        let t = inner
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        t.create_index(column)
+        self.write(table, |t| t.create_index(column))
     }
 
     /// Insert a row programmatically.
     pub fn insert(&self, table: &str, row: Row) -> Result<()> {
-        let mut inner = self.inner.write();
-        let t = inner
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        t.insert(row)?;
-        Ok(())
+        self.write(table, |t| t.insert(row).map(drop))
     }
 
     /// Number of live rows in a table.
     pub fn table_len(&self, table: &str) -> Result<usize> {
-        let inner = self.inner.read();
-        let t = inner
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        Ok(t.len())
+        self.read(table, |t| Ok(t.len()))
     }
 
     /// Names of all tables, sorted.
@@ -151,82 +189,53 @@ impl Database {
                 let rs = self.run_select(&sel)?;
                 Ok(StatementResult::Rows(rs))
             }
-            Statement::Insert { table, rows } => {
-                let mut inner = self.inner.write();
-                let t = inner
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                let mut n = 0;
-                for row_exprs in rows {
-                    let empty: Row = Vec::new();
+            Statement::Insert { table, rows } => self.write(&table, |t| {
+                for row_exprs in &rows {
                     let row: Row = row_exprs
                         .iter()
-                        .map(|e| eval_expr(e, None, &empty))
+                        .map(|e| eval_expr(e, None, &[]))
                         .collect::<Result<_>>()?;
                     t.insert(row)?;
-                    n += 1;
                 }
-                Ok(StatementResult::Affected(n))
-            }
+                Ok(StatementResult::Affected(rows.len()))
+            }),
             Statement::Update {
                 table,
                 sets,
                 where_clause,
-            } => {
-                let mut inner = self.inner.write();
-                let t = inner
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                let schema = t.schema().clone();
+            } => self.write(&table, |t| {
+                let cols = OutCols::from_table(&table, t.schema());
                 let set_positions: Vec<(usize, &SqlExpr)> = sets
                     .iter()
                     .map(|(col, e)| {
-                        schema
+                        t.schema()
                             .column_index(col)
                             .map(|p| (p, e))
                             .ok_or_else(|| DbError::UnknownColumn(col.clone()))
                     })
                     .collect::<Result<_>>()?;
-                let cols = OutCols::from_table(&table, &schema);
-                let mut targets = Vec::new();
-                for rid in candidate_rids(t, &where_clause) {
-                    let row = t.get(rid).expect("candidates are live");
-                    if matches_where(&where_clause, &cols, row)? {
-                        targets.push(rid);
-                    }
-                }
+                let targets = matching_rids(t, &where_clause, &cols)?;
                 for rid in &targets {
-                    let row = t.get(*rid).expect("selected live").clone();
+                    let row = t.get(*rid).expect("selected live");
                     let updates: Vec<(usize, Value)> = set_positions
                         .iter()
-                        .map(|(p, e)| eval_expr(e, Some(&cols), &row).map(|v| (*p, v)))
+                        .map(|(p, e)| eval_expr(e, Some(&cols), row).map(|v| (*p, v)))
                         .collect::<Result<_>>()?;
                     t.update_row(*rid, &updates)?;
                 }
                 Ok(StatementResult::Affected(targets.len()))
-            }
+            }),
             Statement::Delete {
                 table,
                 where_clause,
-            } => {
-                let mut inner = self.inner.write();
-                let t = inner
-                    .get_mut(&table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                let schema = t.schema().clone();
-                let cols = OutCols::from_table(&table, &schema);
-                let mut targets = Vec::new();
-                for rid in candidate_rids(t, &where_clause) {
-                    let row = t.get(rid).expect("candidates are live");
-                    if matches_where(&where_clause, &cols, row)? {
-                        targets.push(rid);
-                    }
-                }
+            } => self.write(&table, |t| {
+                let cols = OutCols::from_table(&table, t.schema());
+                let targets = matching_rids(t, &where_clause, &cols)?;
                 for rid in &targets {
                     t.delete(*rid);
                 }
                 Ok(StatementResult::Affected(targets.len()))
-            }
+            }),
             Statement::CreateTable { table, columns } => {
                 let cols: Vec<(&str, ValueType)> =
                     columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
@@ -251,10 +260,9 @@ impl Database {
     fn run_select(&self, sel: &SelectStmt) -> Result<ResultSet> {
         let inner = self.inner.read();
         let t = inner
-            .get(&sel.table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable(sel.table.clone()))?;
-        let schema = t.schema().clone();
-        let left_cols = OutCols::from_table(&sel.table, &schema);
+            .get(&*table_key(&sel.table))
+            .ok_or_else(|| unknown_table(&sel.table))?;
+        let left_cols = OutCols::from_table(&sel.table, t.schema());
 
         // Candidate rows and their column layout: single-table (index probe
         // or scan) or an inner join (index nested-loop when the right ON
@@ -262,13 +270,10 @@ impl Database {
         let joined = sel.join.is_some();
         let (cols, mut candidates) = match &sel.join {
             None => {
-                let mut candidates: Vec<Row> = Vec::new();
-                for rid in candidate_rids(t, &sel.where_clause) {
-                    let row = t.get(rid).expect("candidates are live");
-                    if matches_where(&sel.where_clause, &left_cols, row)? {
-                        candidates.push(row.clone());
-                    }
-                }
+                let candidates = matching_rids(t, &sel.where_clause, &left_cols)?
+                    .into_iter()
+                    .map(|rid| t.get(rid).expect("selected live").clone())
+                    .collect();
                 (left_cols, candidates)
             }
             Some(join) => {
@@ -276,8 +281,8 @@ impl Database {
                     return Err(DbError::Eval("self-joins are not supported".to_string()));
                 }
                 let rt = inner
-                    .get(&join.table.to_ascii_lowercase())
-                    .ok_or_else(|| DbError::UnknownTable(join.table.clone()))?;
+                    .get(&*table_key(&join.table))
+                    .ok_or_else(|| unknown_table(&join.table))?;
                 let right_cols = OutCols::from_table(&join.table, rt.schema());
                 // The ON condition names one column per side, in either
                 // order.
@@ -292,7 +297,6 @@ impl Database {
                         (l, r)
                     }
                 };
-                let right_plain = rt.schema().columns[rcol].name.to_string();
                 let cols = left_cols.concat(right_cols);
                 let mut candidates: Vec<Row> = Vec::new();
                 for (_, lrow) in t.iter() {
@@ -306,10 +310,10 @@ impl Database {
                         }
                         Ok(())
                     };
-                    match rt.index_lookup(&right_plain, key) {
+                    match rt.probe(rcol, &ValueKey::from_value(key)) {
                         Some(rids) => {
                             for rid in rids {
-                                let rrow = rt.get(rid).expect("index is live");
+                                let rrow = rt.get(*rid).expect("index is live");
                                 probe(rrow, &mut candidates)?;
                             }
                         }
@@ -434,11 +438,12 @@ impl OutCols {
     }
 }
 
-/// Row ids a WHERE clause may touch: an index probe for a top-level
-/// `col = literal` conjunct when available, else every live row. The WHERE
-/// clause is still evaluated on every candidate.
-fn candidate_rids(t: &Table, where_clause: &Option<SqlExpr>) -> Vec<usize> {
-    let probe = where_clause.as_ref().and_then(|w| {
+/// Ids of the rows a WHERE clause selects. Candidates come from the same
+/// [`Table::probe`] the typed stores use when a top-level `col = literal`
+/// conjunct names an indexed column (index order), else from every live
+/// row (table order); the whole clause is evaluated on each candidate.
+fn matching_rids(t: &Table, where_clause: &Option<SqlExpr>, cols: &OutCols) -> Result<Vec<RowId>> {
+    let probed = where_clause.as_ref().and_then(|w| {
         w.conjuncts().into_iter().find_map(|c| match c {
             SqlExpr::Binary {
                 op: BinOp::Eq,
@@ -447,18 +452,28 @@ fn candidate_rids(t: &Table, where_clause: &Option<SqlExpr>) -> Vec<usize> {
             } => match (&**left, &**right) {
                 (SqlExpr::Column(col), SqlExpr::Literal(v))
                 | (SqlExpr::Literal(v), SqlExpr::Column(col)) => {
-                    let plain = plain_column_for(t, col)?;
-                    t.has_index(plain).then(|| (plain.to_string(), v.clone()))
+                    let pos = t.schema().column_index(plain_column_for(t, col)?)?;
+                    t.probe(pos, &ValueKey::from_value(v))
                 }
                 _ => None,
             },
             _ => None,
         })
     });
-    match probe {
-        Some((col, v)) => t.index_lookup(&col, &v).unwrap_or_default(),
-        None => t.iter().map(|(rid, _)| rid).collect(),
+    let mut selected = Vec::new();
+    let mut offer = |rid: RowId, row: &Row| -> Result<()> {
+        if matches_where(where_clause, cols, row)? {
+            selected.push(rid);
+        }
+        Ok(())
+    };
+    match probed {
+        Some(rids) => rids
+            .iter()
+            .try_for_each(|rid| offer(*rid, t.get(*rid).expect("index is live")))?,
+        None => t.iter().try_for_each(|(rid, row)| offer(rid, row))?,
     }
+    Ok(selected)
 }
 
 /// Strip a `table.` qualifier when it names this table; `None` when the
@@ -484,7 +499,7 @@ fn sort_rows(rows: &mut [Row], positions: &[(usize, bool)]) {
     });
 }
 
-fn matches_where(where_clause: &Option<SqlExpr>, cols: &OutCols, row: &Row) -> Result<bool> {
+fn matches_where(where_clause: &Option<SqlExpr>, cols: &OutCols, row: &[Value]) -> Result<bool> {
     match where_clause {
         None => Ok(true),
         Some(e) => match eval_expr(e, Some(cols), row)? {
@@ -498,7 +513,7 @@ fn matches_where(where_clause: &Option<SqlExpr>, cols: &OutCols, row: &Row) -> R
 
 /// Evaluate an expression over a row. `cols == None` (INSERT values)
 /// rejects column references.
-fn eval_expr(e: &SqlExpr, cols: Option<&OutCols>, row: &Row) -> Result<Value> {
+fn eval_expr(e: &SqlExpr, cols: Option<&OutCols>, row: &[Value]) -> Result<Value> {
     match e {
         SqlExpr::Literal(v) => Ok(v.clone()),
         SqlExpr::Column(name) => {
@@ -709,10 +724,10 @@ fn project_grouped(
 ) -> Result<(Vec<String>, Vec<Row>)> {
     let gpos = cols.resolve(group_col)?;
     // Preserve first-seen group order for determinism.
-    let mut order: Vec<sase_core::value::ValueKey> = Vec::new();
-    let mut groups: HashMap<sase_core::value::ValueKey, Vec<Row>> = HashMap::new();
+    let mut order: Vec<ValueKey> = Vec::new();
+    let mut groups: FxHashMap<ValueKey, Vec<Row>> = FxHashMap::default();
     for row in candidates {
-        let key = sase_core::value::ValueKey::from_value(&row[gpos]);
+        let key = ValueKey::from_value(&row[gpos]);
         if !groups.contains_key(&key) {
             order.push(key.clone());
         }

@@ -7,18 +7,113 @@
 //! creates a tuple for the new location with the TimeIn attribute also set
 //! to the value of y.Timestamp."
 //!
-//! An open (current) stay has `time_out = -1`.
+//! An open (current) stay has `time_out = -1`. The containment table has
+//! the same shape, so what both stores do to such a table lives here.
 
-use sase_core::value::{Value, ValueType};
+use sase_core::value::{Value, ValueKey, ValueType};
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::table::{Row, RowId, Table};
 
 /// Sentinel `time_out` for the current (open) stay.
 pub const OPEN: i64 = -1;
 
 /// Name of the backing table.
 pub const TABLE: &str = "item_location";
+
+/// Column positions shared by `item_location` and `containment`: both are
+/// `(item, place, time_in, time_out)`, the place an area or a container,
+/// and both are indexed on `item`.
+const ITEM: usize = 0;
+pub(crate) const PLACE: usize = 1;
+const TIME_IN: usize = 2;
+const TIME_OUT: usize = 3;
+
+/// Create an interval table, or add the indexes an existing one lacks.
+pub(crate) fn ensure_intervals(
+    db: &Database,
+    table: &str,
+    place: &str,
+    indexed: &[&str],
+) -> Result<()> {
+    let columns = ["item", place, "time_in", "time_out"].map(|c| (c, ValueType::Int));
+    db.ensure_table(table, &columns, indexed)
+}
+
+/// `[place, time_in, time_out]` of one row.
+pub(crate) type Interval = [i64; 3];
+
+fn interval(row: &Row) -> Interval {
+    [PLACE, TIME_IN, TIME_OUT].map(|pos| row[pos].as_int().expect("interval columns are ints"))
+}
+
+fn is_open(row: &Row) -> bool {
+    row[TIME_OUT].as_int() == Some(OPEN)
+}
+
+/// Live rows whose column `pos` — one the store indexed at open — is `key`,
+/// oldest first: what `WHERE <col> = <key>` selects, in the same order.
+pub(crate) fn rows_of(t: &Table, pos: usize, key: i64) -> impl Iterator<Item = (RowId, &Row)> {
+    t.probe(pos, &ValueKey::Int(key))
+        .expect("the store indexed this column at open")
+        .iter()
+        .map(|&rid| (rid, t.get(rid).expect("index is live")))
+}
+
+/// The item's open interval; the oldest, should ad-hoc SQL have opened
+/// several.
+pub(crate) fn current(t: &Table, item: i64) -> Option<Interval> {
+    rows_of(t, ITEM, item)
+        .find(|(_, row)| is_open(row))
+        .map(|(_, row)| interval(row))
+}
+
+/// All intervals of an item, chronological.
+pub(crate) fn history(t: &Table, item: i64) -> Vec<Interval> {
+    let mut all: Vec<Interval> = rows_of(t, ITEM, item)
+        .map(|(_, row)| interval(row))
+        .collect();
+    all.sort_by_key(|[_, time_in, _]| *time_in);
+    all
+}
+
+/// Close every open interval of an item at `ts`; false when none was open.
+pub(crate) fn close(t: &mut Table, item: i64, ts: i64) -> Result<bool> {
+    let mut open = rows_of(t, ITEM, item)
+        .filter(|(_, row)| is_open(row))
+        .map(|(rid, _)| rid);
+    let first = open.next();
+    // Non-empty only after ad-hoc SQL reopened intervals; collecting
+    // nothing allocates nothing.
+    let rest: Vec<RowId> = open.collect();
+    for rid in first.iter().chain(&rest) {
+        t.update_row(*rid, &[(TIME_OUT, Value::Int(ts))])?;
+    }
+    Ok(first.is_some())
+}
+
+/// The read-modify-write both archiving rules share: unless the item's
+/// open interval is already at `place`, close what is open at `ts` and open
+/// one at `place` from `ts`. False when nothing changed.
+pub(crate) fn enter(t: &mut Table, item: i64, place: i64, ts: i64) -> Result<bool> {
+    if current(t, item).is_some_and(|[at, ..]| at == place) {
+        return Ok(false);
+    }
+    close(t, item, ts)?;
+    t.insert([item, place, ts, OPEN].map(Value::Int).to_vec())?;
+    Ok(true)
+}
+
+/// Items with an open interval at `place` among `rows`, ascending.
+pub(crate) fn open_items<'t>(rows: impl Iterator<Item = (RowId, &'t Row)>, place: i64) -> Vec<i64> {
+    let mut items: Vec<i64> = rows
+        .filter(|(_, row)| matches!(interval(row), [at, _, OPEN] if at == place))
+        .filter_map(|(_, row)| row[ITEM].as_int())
+        .collect();
+    items.sort_unstable();
+    items
+}
 
 /// One stay of an item in an area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +126,16 @@ pub struct Stay {
     pub time_out: i64,
 }
 
-/// Typed access to the `item_location` table.
+fn stay([area, time_in, time_out]: Interval) -> Stay {
+    Stay {
+        area,
+        time_in,
+        time_out,
+    }
+}
+
+/// Typed access to the `item_location` table: index probes and by-value
+/// row writes under one lock acquisition per call.
 #[derive(Debug, Clone)]
 pub struct LocationStore {
     db: Database,
@@ -40,18 +144,7 @@ pub struct LocationStore {
 impl LocationStore {
     /// Open (creating if needed) the location table on a database.
     pub fn open(db: Database) -> Result<LocationStore> {
-        if !db.table_names().contains(&TABLE.to_string()) {
-            db.create_table(
-                TABLE,
-                &[
-                    ("item", ValueType::Int),
-                    ("area", ValueType::Int),
-                    ("time_in", ValueType::Int),
-                    ("time_out", ValueType::Int),
-                ],
-            )?;
-            db.create_index(TABLE, "item")?;
-        }
+        ensure_intervals(&db, TABLE, "area", &["item"])?;
         Ok(LocationStore { db })
     }
 
@@ -61,59 +154,28 @@ impl LocationStore {
     }
 
     /// The paper's `_updateLocation` semantics: close the current stay at
-    /// `ts` and open a new one in `area` at `ts`. Re-observing the current
-    /// area is a no-op (no location change happened).
+    /// `ts` and open a new one in `area` at `ts`, as one critical section.
+    /// Re-observing the current area is a no-op (no location change
+    /// happened).
     pub fn update_location(&self, item: i64, area: i64, ts: i64) -> Result<bool> {
-        if let Some(current) = self.current_location(item)? {
-            if current.area == area {
-                return Ok(false);
-            }
-        }
-        self.db.execute(&format!(
-            "UPDATE {TABLE} SET time_out = {ts} WHERE item = {item} AND time_out = {OPEN}"
-        ))?;
-        self.db.execute(&format!(
-            "INSERT INTO {TABLE} VALUES ({item}, {area}, {ts}, {OPEN})"
-        ))?;
-        Ok(true)
+        self.db.write(TABLE, |t| enter(t, item, area, ts))
     }
 
     /// The item's current stay, if it is anywhere.
     pub fn current_location(&self, item: i64) -> Result<Option<Stay>> {
-        let rs = self.db.query(&format!(
-            "SELECT area, time_in, time_out FROM {TABLE} \
-             WHERE item = {item} AND time_out = {OPEN}"
-        ))?;
-        Ok(rs.rows.first().map(|r| row_to_stay(r)))
+        self.db.read(TABLE, |t| Ok(current(t, item).map(stay)))
     }
 
     /// All stays of an item, chronological.
     pub fn history(&self, item: i64) -> Result<Vec<Stay>> {
-        let rs = self.db.query(&format!(
-            "SELECT area, time_in, time_out FROM {TABLE} \
-             WHERE item = {item} ORDER BY time_in"
-        ))?;
-        Ok(rs.rows.iter().map(|r| row_to_stay(r)).collect())
+        self.db.read(TABLE, |t| {
+            Ok(history(t, item).into_iter().map(stay).collect())
+        })
     }
 
-    /// Items currently in an area.
+    /// Items currently in an area (a scan: `area` is not indexed).
     pub fn items_in_area(&self, area: i64) -> Result<Vec<i64>> {
-        let rs = self.db.query(&format!(
-            "SELECT item FROM {TABLE} WHERE area = {area} AND time_out = {OPEN} ORDER BY item"
-        ))?;
-        Ok(rs
-            .rows
-            .iter()
-            .map(|r| r[0].as_int().expect("item is int"))
-            .collect())
-    }
-}
-
-fn row_to_stay(row: &[Value]) -> Stay {
-    Stay {
-        area: row[0].as_int().expect("area is int"),
-        time_in: row[1].as_int().expect("time_in is int"),
-        time_out: row[2].as_int().expect("time_out is int"),
+        self.db.read(TABLE, |t| Ok(open_items(t.iter(), area)))
     }
 }
 

@@ -1,8 +1,8 @@
 //! Tables: typed columns, rows, and secondary indexes.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use sase_core::hash::FxHashMap;
 use sase_core::value::{Value, ValueKey, ValueType};
 
 use crate::error::{DbError, Result};
@@ -74,8 +74,10 @@ pub struct Table {
     schema: TableSchema,
     rows: Vec<Option<Row>>,
     live: usize,
-    /// column position -> (value key -> row ids)
-    indexes: HashMap<usize, BTreeMap<ValueKey, Vec<RowId>>>,
+    /// column position -> (value key -> live row ids, in the order they
+    /// took that key). Deletes and key changes remove a row's entry, so an
+    /// entry never names a dead row.
+    indexes: FxHashMap<usize, FxHashMap<ValueKey, Vec<RowId>>>,
 }
 
 impl Table {
@@ -85,7 +87,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             live: 0,
-            indexes: HashMap::new(),
+            indexes: FxHashMap::default(),
         }
     }
 
@@ -104,13 +106,17 @@ impl Table {
         self.live == 0
     }
 
-    /// Create a secondary index on a column. Existing rows are indexed.
+    /// Create a secondary index on a column, unless it has one. Existing
+    /// rows are indexed.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let pos = self
             .schema
             .column_index(column)
             .ok_or_else(|| DbError::UnknownColumn(column.to_string()))?;
-        let mut map: BTreeMap<ValueKey, Vec<RowId>> = BTreeMap::new();
+        if self.indexes.contains_key(&pos) {
+            return Ok(());
+        }
+        let mut map: FxHashMap<ValueKey, Vec<RowId>> = FxHashMap::default();
         for (rid, row) in self.rows.iter().enumerate() {
             if let Some(row) = row {
                 map.entry(ValueKey::from_value(&row[pos]))
@@ -122,15 +128,24 @@ impl Table {
         Ok(())
     }
 
-    /// Is a column indexed?
-    pub fn has_index(&self, column: &str) -> bool {
-        self.schema
-            .column_index(column)
-            .map(|p| self.indexes.contains_key(&p))
-            .unwrap_or(false)
+    /// Validate one cell against its column (with int→float widening).
+    fn check_cell(&self, pos: usize, v: &Value) -> Result<()> {
+        let col = &self.schema.columns[pos];
+        if v.value_type() == col.ty
+            || (col.ty == ValueType::Float && v.value_type() == ValueType::Int)
+        {
+            return Ok(());
+        }
+        Err(DbError::Type(format!(
+            "column `{}` of `{}` expects {}, got {}",
+            col.name,
+            self.schema.name,
+            col.ty,
+            v.value_type()
+        )))
     }
 
-    /// Validate a row against the schema (with int→float widening).
+    /// Validate a row against the schema.
     fn check_row(&self, row: &Row) -> Result<()> {
         if row.len() != self.schema.arity() {
             return Err(DbError::Type(format!(
@@ -140,20 +155,9 @@ impl Table {
                 row.len()
             )));
         }
-        for (col, v) in self.schema.columns.iter().zip(row) {
-            let ok = v.value_type() == col.ty
-                || (col.ty == ValueType::Float && v.value_type() == ValueType::Int);
-            if !ok {
-                return Err(DbError::Type(format!(
-                    "column `{}` of `{}` expects {}, got {}",
-                    col.name,
-                    self.schema.name,
-                    col.ty,
-                    v.value_type()
-                )));
-            }
-        }
-        Ok(())
+        row.iter()
+            .enumerate()
+            .try_for_each(|(pos, v)| self.check_cell(pos, v))
     }
 
     /// Insert a row; returns its row id.
@@ -184,38 +188,22 @@ impl Table {
             .filter_map(|(rid, r)| r.as_ref().map(|row| (rid, row)))
     }
 
-    /// Row ids whose indexed `column` equals `value`; `None` when the
-    /// column is not indexed (caller falls back to a scan).
-    pub fn index_lookup(&self, column: &str, value: &Value) -> Option<Vec<RowId>> {
-        let pos = self.schema.column_index(column)?;
+    /// Ids of the live rows whose column `pos` equals `key`, borrowed from
+    /// the index in the order the rows took that key (oldest first); `None`
+    /// when the column is not indexed (caller falls back to a scan).
+    pub fn probe(&self, pos: usize, key: &ValueKey) -> Option<&[RowId]> {
         let index = self.indexes.get(&pos)?;
-        Some(
-            index
-                .get(&ValueKey::from_value(value))
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|rid| self.rows[*rid].is_some())
-                        .collect()
-                })
-                .unwrap_or_default(),
-        )
+        Some(index.get(key).map_or(&[], Vec::as_slice))
     }
 
     /// Overwrite columns of a row in place.
     pub fn update_row(&mut self, rid: RowId, updates: &[(usize, Value)]) -> Result<()> {
         // Validate first, then apply, so a failed update changes nothing.
-        {
-            let row = self
-                .rows
-                .get(rid)
-                .and_then(|r| r.as_ref())
-                .ok_or_else(|| DbError::Eval(format!("row {rid} does not exist")))?;
-            let mut candidate = row.clone();
-            for (pos, v) in updates {
-                candidate[*pos] = v.clone();
-            }
-            self.check_row(&candidate)?;
+        if self.get(rid).is_none() {
+            return Err(DbError::Eval(format!("row {rid} does not exist")));
+        }
+        for (pos, v) in updates {
+            self.check_cell(*pos, v)?;
         }
         for (pos, v) in updates {
             if let Some(index) = self.indexes.get_mut(pos) {
@@ -307,28 +295,28 @@ mod tests {
         assert!(TableSchema::new("t", &[("a", ValueType::Int), ("A", ValueType::Int)]).is_err());
     }
 
+    fn probe(t: &Table, pos: usize, v: i64) -> Option<&[RowId]> {
+        t.probe(pos, &ValueKey::Int(v))
+    }
+
     #[test]
-    fn index_lookup_and_maintenance() {
+    fn probe_and_index_maintenance() {
         let mut t = Table::new(schema());
         t.create_index("item").unwrap();
         let r0 = t.insert(row(1, 2, 0, -1)).unwrap();
         let r1 = t.insert(row(1, 3, 5, -1)).unwrap();
         t.insert(row(2, 4, 6, -1)).unwrap();
-        assert!(t.has_index("ITEM"));
-        assert_eq!(
-            t.index_lookup("item", &Value::Int(1)).unwrap(),
-            vec![r0, r1]
-        );
-        assert!(t.index_lookup("area", &Value::Int(2)).is_none()); // no index
+        assert_eq!(probe(&t, 0, 1).unwrap(), [r0, r1]);
+        assert!(probe(&t, 1, 2).is_none()); // no index
 
         // Update moves index entries.
         t.update_row(r0, &[(0, Value::Int(9))]).unwrap();
-        assert_eq!(t.index_lookup("item", &Value::Int(1)).unwrap(), vec![r1]);
-        assert_eq!(t.index_lookup("item", &Value::Int(9)).unwrap(), vec![r0]);
+        assert_eq!(probe(&t, 0, 1).unwrap(), [r1]);
+        assert_eq!(probe(&t, 0, 9).unwrap(), [r0]);
 
         // Delete removes them.
         assert!(t.delete(r1));
-        assert!(t.index_lookup("item", &Value::Int(1)).unwrap().is_empty());
+        assert!(probe(&t, 0, 1).unwrap().is_empty());
         assert!(!t.delete(r1)); // double delete is a no-op
         assert_eq!(t.len(), 2);
     }
@@ -338,7 +326,7 @@ mod tests {
         let mut t = Table::new(schema());
         let r0 = t.insert(row(5, 1, 0, -1)).unwrap();
         t.create_index("item").unwrap();
-        assert_eq!(t.index_lookup("item", &Value::Int(5)).unwrap(), vec![r0]);
+        assert_eq!(probe(&t, 0, 5).unwrap(), [r0]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! changes of an item."
 //!
 //! Combines the location and containment tables into one chronological
-//! view of an item's journey through the simulated supply chain.
+//! view of an item's journey through the simulated supply chain. Both
+//! halves are read through the typed stores: two `item` index probes, no
+//! SQL.
 
 use crate::containment::ContainmentStore;
 use crate::database::Database;
@@ -109,31 +111,22 @@ impl TrackAndTrace {
         use std::fmt::Write as _;
         let mut out = format!("movement history of item {item}:\n");
         for e in self.movement_history(item)? {
-            match e {
+            let (time_in, time_out, place) = match e {
                 TraceEntry::Location {
                     area,
                     time_in,
                     time_out,
-                } => {
-                    let until = if time_out == OPEN {
-                        "now".to_string()
-                    } else {
-                        time_out.to_string()
-                    };
-                    let _ = writeln!(out, "  [{time_in} .. {until}] in area {area}");
-                }
+                } => (time_in, time_out, format!("in area {area}")),
                 TraceEntry::Containment {
                     container,
                     time_in,
                     time_out,
-                } => {
-                    let until = if time_out == OPEN {
-                        "now".to_string()
-                    } else {
-                        time_out.to_string()
-                    };
-                    let _ = writeln!(out, "  [{time_in} .. {until}] inside container {container}");
-                }
+                } => (time_in, time_out, format!("inside container {container}")),
+            };
+            if time_out == OPEN {
+                let _ = writeln!(out, "  [{time_in} .. now] {place}");
+            } else {
+                let _ = writeln!(out, "  [{time_in} .. {time_out}] {place}");
             }
         }
         Ok(out)

@@ -545,7 +545,7 @@ pub fn decode_request(
 pub fn put_complex_event(w: &mut ByteWriter, ce: &ComplexEvent) {
     w.str(&ce.query);
     w.u32(ce.variables.len() as u32);
-    for v in &ce.variables {
+    for v in ce.variables.iter() {
         w.str(v);
     }
     w.u32(ce.events.len() as u32);

@@ -10,52 +10,71 @@
 //! on the engine's [`FunctionRegistry`]; the event processor invokes them
 //! exactly once per emitted composite event, which is what makes the
 //! side-effecting update functions safe as archiving rules.
+//!
+//! Every built-in runs on the database's typed path — an index probe or a
+//! by-value row write under one lock acquisition ([`Database::read`] /
+//! [`Database::write`], through [`TrackAndTrace`]'s stores); none builds or
+//! parses SQL text (`tools/lint-hotpath.sh` holds that line), and the rows
+//! they write are ordinary table rows, visible to ad-hoc SQL.
 
-use sase_core::error::{Result as CoreResult, SaseError};
+use sase_core::error::SaseError;
 use sase_core::functions::FunctionRegistry;
-use sase_core::value::{Value, ValueType};
+use sase_core::value::{Value, ValueKey, ValueType};
 
-use sase_db::{Database, TrackAndTrace};
+use sase_db::{Database, DbError, RowId, Table, TrackAndTrace};
 
-/// Name of the area-description table backing `_retrieveLocation`.
+/// Name of the area-description table backing `_retrieveLocation`:
+/// `(area int, description string)`, indexed on `area`.
 pub const AREA_INFO_TABLE: &str = "area_info";
+const AREA: usize = 0;
+const DESCRIPTION: usize = 1;
 
-fn arg_int(name: &str, args: &[Value], i: usize) -> CoreResult<i64> {
-    args.get(i)
-        .and_then(|v| v.as_int())
-        .ok_or_else(|| SaseError::Function {
-            name: name.to_string(),
-            message: format!("argument {i} must be an integer"),
-        })
-}
-
-fn db_err(name: &str, e: sase_db::DbError) -> SaseError {
-    SaseError::Function {
+/// Register `f` as the built-in `name` of `N` integer arguments: argument
+/// checks and error wrapping are the same for every database function.
+fn register<const N: usize>(
+    functions: &FunctionRegistry,
+    name: &'static str,
+    f: impl Fn([i64; N]) -> sase_db::Result<Value> + Send + Sync + 'static,
+) {
+    let fail = |message: String| SaseError::Function {
         name: name.to_string(),
-        message: e.to_string(),
-    }
+        message,
+    };
+    functions.register_fn(name, Some(N), move |args| {
+        let mut ints = [0; N];
+        for (i, slot) in ints.iter_mut().enumerate() {
+            *slot = args
+                .get(i)
+                .and_then(Value::as_int)
+                .ok_or_else(|| fail(format!("argument {i} must be an integer")))?;
+        }
+        f(ints).map_err(|e| fail(e.to_string()))
+    });
 }
 
 /// Create (if needed) and seed the `area_info` table with a description per
 /// area. Existing descriptions are replaced.
 pub fn seed_area_info(db: &Database, areas: &[(i64, &str)]) -> sase_db::Result<()> {
-    if !db.table_names().contains(&AREA_INFO_TABLE.to_string()) {
-        db.create_table(
-            AREA_INFO_TABLE,
-            &[("area", ValueType::Int), ("description", ValueType::Str)],
-        )?;
-        db.create_index(AREA_INFO_TABLE, "area")?;
-    }
-    for (area, desc) in areas {
-        db.execute(&format!(
-            "DELETE FROM {AREA_INFO_TABLE} WHERE area = {area}"
-        ))?;
-        db.execute(&format!(
-            "INSERT INTO {AREA_INFO_TABLE} VALUES ({area}, '{}')",
-            desc.replace('\'', "''")
-        ))?;
-    }
-    Ok(())
+    db.ensure_table(
+        AREA_INFO_TABLE,
+        &[("area", ValueType::Int), ("description", ValueType::Str)],
+        &["area"],
+    )?;
+    db.write(AREA_INFO_TABLE, |t| {
+        for (area, desc) in areas {
+            while let Some(&stale) = described(t, *area)?.first() {
+                t.delete(stale);
+            }
+            t.insert(vec![Value::Int(*area), Value::str(*desc)])?;
+        }
+        Ok(())
+    })
+}
+
+/// Ids of an area's description rows, through the `area` index.
+fn described(t: &Table, area: i64) -> sase_db::Result<&[RowId]> {
+    t.probe(AREA, &ValueKey::Int(area))
+        .ok_or_else(|| DbError::Schema(format!("`{AREA_INFO_TABLE}` has no index on `area`")))
 }
 
 /// The retail demo's area descriptions (Figure 2), including the paper's
@@ -85,78 +104,38 @@ pub fn retail_area_descriptions() -> Vec<(i64, &'static str)> {
 pub fn register_db_builtins(functions: &FunctionRegistry, db: &Database) -> sase_db::Result<()> {
     let tnt = TrackAndTrace::open(db.clone())?;
 
-    {
-        let db = db.clone();
-        functions.register_fn("_retrieveLocation", Some(1), move |args| {
-            let area = arg_int("_retrieveLocation", args, 0)?;
-            let rs = db
-                .query(&format!(
-                    "SELECT description FROM {AREA_INFO_TABLE} WHERE area = {area}"
-                ))
-                .map_err(|e| db_err("_retrieveLocation", e))?;
-            match rs.rows.first() {
-                Some(row) => Ok(row[0].clone()),
-                None => Ok(Value::str(format!("area {area}"))),
-            }
-        });
-    }
-    {
-        let tnt = tnt.clone();
-        functions.register_fn("_updateLocation", Some(3), move |args| {
-            let tag = arg_int("_updateLocation", args, 0)?;
-            let area = arg_int("_updateLocation", args, 1)?;
-            let ts = arg_int("_updateLocation", args, 2)?;
-            let changed = tnt
-                .locations()
-                .update_location(tag, area, ts)
-                .map_err(|e| db_err("_updateLocation", e))?;
-            Ok(Value::Bool(changed))
-        });
-    }
-    {
-        let tnt = tnt.clone();
-        functions.register_fn("_addToContainer", Some(3), move |args| {
-            let item = arg_int("_addToContainer", args, 0)?;
-            let container = arg_int("_addToContainer", args, 1)?;
-            let ts = arg_int("_addToContainer", args, 2)?;
-            tnt.containments()
-                .add_to_container(item, container, ts)
-                .map_err(|e| db_err("_addToContainer", e))?;
-            Ok(Value::Bool(true))
-        });
-    }
-    {
-        let tnt = tnt.clone();
-        functions.register_fn("_removeFromContainer", Some(2), move |args| {
-            let item = arg_int("_removeFromContainer", args, 0)?;
-            let ts = arg_int("_removeFromContainer", args, 1)?;
-            let removed = tnt
-                .containments()
-                .remove_from_container(item, ts)
-                .map_err(|e| db_err("_removeFromContainer", e))?;
-            Ok(Value::Bool(removed))
-        });
-    }
-    {
-        let tnt = tnt.clone();
-        functions.register_fn("_currentLocation", Some(1), move |args| {
-            let item = arg_int("_currentLocation", args, 0)?;
-            let stay = tnt
-                .current_location(item)
-                .map_err(|e| db_err("_currentLocation", e))?;
-            Ok(Value::Int(stay.map(|s| s.area).unwrap_or(-1)))
-        });
-    }
-    {
-        let tnt = tnt.clone();
-        functions.register_fn("_movementHistory", Some(1), move |args| {
-            let item = arg_int("_movementHistory", args, 0)?;
-            let text = tnt
-                .render_history(item)
-                .map_err(|e| db_err("_movementHistory", e))?;
-            Ok(Value::str(text))
-        });
-    }
+    let db = db.clone();
+    register(functions, "_retrieveLocation", move |[area]| {
+        let known = db.read(AREA_INFO_TABLE, |t| {
+            Ok(described(t, area)?
+                .first()
+                .map(|&rid| t.get(rid).expect("index is live")[DESCRIPTION].clone()))
+        })?;
+        Ok(known.unwrap_or_else(|| Value::str(format!("area {area}"))))
+    });
+    let t = tnt.clone();
+    register(functions, "_updateLocation", move |[tag, area, ts]| {
+        Ok(Value::Bool(t.locations().update_location(tag, area, ts)?))
+    });
+    let t = tnt.clone();
+    register(functions, "_addToContainer", move |[item, container, ts]| {
+        t.containments().add_to_container(item, container, ts)?;
+        Ok(Value::Bool(true))
+    });
+    let t = tnt.clone();
+    register(functions, "_removeFromContainer", move |[item, ts]| {
+        Ok(Value::Bool(
+            t.containments().remove_from_container(item, ts)?,
+        ))
+    });
+    let t = tnt.clone();
+    register(functions, "_currentLocation", move |[item]| {
+        let stay = t.current_location(item)?;
+        Ok(Value::Int(stay.map_or(-1, |s| s.area)))
+    });
+    register(functions, "_movementHistory", move |[item]| {
+        Ok(Value::str(tnt.render_history(item)?))
+    });
     Ok(())
 }
 
@@ -261,14 +240,30 @@ mod tests {
             .is_err());
     }
 
+    /// Descriptions are stored by value, so a quote in one needs no
+    /// escaping on the way in and comes back as written.
+    #[test]
+    fn quoted_description_round_trips() {
+        let (f, db) = setup();
+        seed_area_info(&db, &[(9, "the manager's \"office\"")]).unwrap();
+        let v = f
+            .resolve("_retrieveLocation")
+            .unwrap()
+            .call(&[Value::Int(9)])
+            .unwrap();
+        assert_eq!(v, Value::str("the manager's \"office\""));
+        let rs = db
+            .query("SELECT description FROM area_info WHERE area = 9")
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![v]]);
+    }
+
     #[test]
     fn seeding_is_idempotent() {
         let (_f, db) = setup();
         seed_area_info(&db, &[(4, "new exit description")]).unwrap();
         let rs = db
-            .query(&format!(
-                "SELECT description FROM {AREA_INFO_TABLE} WHERE area = 4"
-            ))
+            .query("SELECT description FROM area_info WHERE area = 4")
             .unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::str("new exit description"));

@@ -1887,7 +1887,7 @@ impl std::fmt::Debug for ShardedEngine {
 pub fn retail_stages(
     catalog_size: usize,
 ) -> CoreResult<(SchemaRegistry, CleaningPipeline, Engine)> {
-    let (registry, functions, pipeline) = retail_parts(catalog_size)?;
+    let (registry, functions, _, pipeline) = crate::system::retail_parts(catalog_size)?;
     let engine = Engine::with_functions(registry.clone(), functions);
     Ok((registry, pipeline, engine))
 }
@@ -1898,33 +1898,9 @@ pub fn retail_stages(
 pub fn retail_stages_sharded(
     catalog_size: usize,
 ) -> CoreResult<(SchemaRegistry, CleaningPipeline, ShardedEngineBuilder)> {
-    let (registry, functions, pipeline) = retail_parts(catalog_size)?;
+    let (registry, functions, _, pipeline) = crate::system::retail_parts(catalog_size)?;
     let builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
     Ok((registry, pipeline, builder))
-}
-
-fn retail_parts(
-    catalog_size: usize,
-) -> CoreResult<(SchemaRegistry, FunctionRegistry, CleaningPipeline)> {
-    use crate::builtins::{register_db_builtins, retail_area_descriptions, seed_area_info};
-    use sase_db::Database;
-    use sase_stream::{register_reading_schemas, CleaningConfig, StaticOns};
-
-    let cfg = CleaningConfig::retail_demo();
-    let registry = SchemaRegistry::new();
-    register_reading_schemas(&registry)?;
-    let db = Database::new();
-    seed_area_info(&db, &retail_area_descriptions())
-        .map_err(|e| SaseError::engine(e.to_string()))?;
-    let functions = FunctionRegistry::with_stdlib();
-    register_db_builtins(&functions, &db).map_err(|e| SaseError::engine(e.to_string()))?;
-    let mut ons = StaticOns::new();
-    for item in 1..=catalog_size as u64 {
-        let (name, category, price) = crate::system::demo_product(item);
-        ons.insert(cfg.make_tag(item), name, category, price);
-    }
-    let pipeline = CleaningPipeline::new(cfg, registry.clone(), Arc::new(ons));
-    Ok((registry, functions, pipeline))
 }
 
 #[cfg(test)]

@@ -120,7 +120,7 @@ mod tests {
     fn detection() -> ComplexEvent {
         ComplexEvent {
             query: Arc::from("shoplifting"),
-            variables: vec![],
+            variables: Arc::from([]),
             events: vec![],
             values: vec![
                 (Arc::from("x.TagId"), Value::Int(7)),

@@ -9,7 +9,7 @@ use sase_core::event::{Event, SchemaRegistry};
 use sase_core::functions::FunctionRegistry;
 use sase_core::output::ComplexEvent;
 use sase_core::processor::EventProcessor;
-use sase_core::value::ValueType;
+use sase_core::value::{Value, ValueType};
 
 use sase_db::{Database, TrackAndTrace};
 use sase_rfid::noise::NoiseModel;
@@ -45,9 +45,7 @@ const PRODUCT_NAMES: [&str; 8] = [
 ];
 
 /// The demo catalog entry for an item id: `(name, category, price cents)`.
-/// Shared by the single-threaded and pipelined deployments so their ONS
-/// contents are identical.
-pub(crate) fn demo_product(item: u64) -> (&'static str, &'static str, i64) {
+fn demo_product(item: u64) -> (&'static str, &'static str, i64) {
     let name = PRODUCT_NAMES[(item as usize - 1) % PRODUCT_NAMES.len()];
     let category = if item % 2 == 0 {
         "household"
@@ -58,6 +56,46 @@ pub(crate) fn demo_product(item: u64) -> (&'static str, &'static str, i64) {
     (name, category, price)
 }
 
+/// What every retail deployment is assembled from: the reading schemas,
+/// the host functions bound to an event database seeded (by value, never
+/// as SQL text) with area descriptions and the product catalog, and a
+/// cleaning pipeline over a simulated ONS holding the same catalog.
+pub(crate) fn retail_parts(
+    catalog_size: usize,
+) -> CoreResult<(SchemaRegistry, FunctionRegistry, Database, CleaningPipeline)> {
+    let cfg = CleaningConfig::retail_demo();
+    let registry = SchemaRegistry::new();
+    register_reading_schemas(&registry)?;
+
+    let db = Database::new();
+    seed_area_info(&db, &retail_area_descriptions()).map_err(db_err)?;
+    let columns = [
+        ("item", ValueType::Int),
+        ("name", ValueType::Str),
+        ("category", ValueType::Str),
+        ("price_cents", ValueType::Int),
+    ];
+    db.ensure_table("product", &columns, &["item"])
+        .map_err(db_err)?;
+    let mut ons = StaticOns::new();
+    for item in 1..=catalog_size as u64 {
+        let (name, category, price) = demo_product(item);
+        ons.insert(cfg.make_tag(item), name, category, price);
+        let row = vec![
+            Value::Int(item as i64),
+            Value::str(name),
+            Value::str(category),
+            Value::Int(price),
+        ];
+        db.insert("product", row).map_err(db_err)?;
+    }
+
+    let functions = FunctionRegistry::with_stdlib();
+    register_db_builtins(&functions, &db).map_err(db_err)?;
+    let pipeline = CleaningPipeline::new(cfg, registry.clone(), Arc::new(ons));
+    Ok((registry, functions, db, pipeline))
+}
+
 /// The fully wired system: simulator, cleaning pipeline, engine, database.
 ///
 /// The complex-event-processor stage is held behind the unified
@@ -65,7 +103,6 @@ pub(crate) fn demo_product(item: u64) -> (&'static str, &'static str, i64) {
 /// any other deployment shape are interchangeable without touching the
 /// tick path.
 pub struct SaseSystem {
-    cfg: CleaningConfig,
     registry: SchemaRegistry,
     /// Kept so [`SaseSystem::reset_engine`] can rebuild a fresh engine
     /// sharing the same host functions.
@@ -87,51 +124,15 @@ impl SaseSystem {
     /// `catalog_size` tagged items; the paper's built-in DB functions
     /// registered and the `area_info` table seeded.
     pub fn retail(noise: NoiseModel, seed: u64, catalog_size: usize) -> CoreResult<Self> {
-        let cfg = CleaningConfig::retail_demo();
-        let registry = SchemaRegistry::new();
-        register_reading_schemas(&registry)?;
-
-        let db = Database::new();
-        seed_area_info(&db, &retail_area_descriptions()).map_err(db_err)?;
-        db.create_table(
-            "product",
-            &[
-                ("item", ValueType::Int),
-                ("name", ValueType::Str),
-                ("category", ValueType::Str),
-                ("price_cents", ValueType::Int),
-            ],
-        )
-        .map_err(db_err)?;
-        db.create_index("product", "item").map_err(db_err)?;
-
-        // Catalog: both in the simulated ONS and queryable in the DB.
-        let mut ons = StaticOns::new();
-        for item in 1..=catalog_size as u64 {
-            let (name, category, price) = demo_product(item);
-            ons.insert(cfg.make_tag(item), name, category, price);
-            db.execute(&format!(
-                "INSERT INTO product VALUES ({item}, '{name}', '{category}', {price})"
-            ))
-            .map_err(db_err)?;
-        }
-
-        let functions = FunctionRegistry::with_stdlib();
-        register_db_builtins(&functions, &db).map_err(db_err)?;
-        let engine = Engine::with_functions(registry.clone(), functions.clone());
-        let tnt = TrackAndTrace::open(db.clone()).map_err(db_err)?;
-        let pipeline = CleaningPipeline::new(cfg.clone(), registry.clone(), Arc::new(ons));
-        let sim = RfidSimulator::retail_demo(noise, seed);
-
+        let (registry, functions, db, pipeline) = retail_parts(catalog_size)?;
         Ok(SaseSystem {
-            cfg,
+            engine: Box::new(Engine::with_functions(registry.clone(), functions.clone())),
+            tnt: TrackAndTrace::open(db.clone()).map_err(db_err)?,
+            sim: RfidSimulator::retail_demo(noise, seed),
             registry,
             functions,
             db,
-            tnt,
-            engine: Box::new(engine),
             pipeline,
-            sim,
             cleaning_tap: Vec::new(),
             detections: Vec::new(),
         })
@@ -139,7 +140,7 @@ impl SaseSystem {
 
     /// The cleaning configuration.
     pub fn config(&self) -> &CleaningConfig {
-        &self.cfg
+        self.pipeline.config()
     }
 
     /// The schema registry.
@@ -343,24 +344,19 @@ impl SaseSystem {
     /// Pre-populate the event database from a warehouse trace (§4's
     /// track-and-trace data set).
     pub fn prepopulate_warehouse(&mut self, trace: &WarehouseTrace) -> CoreResult<()> {
+        let (locations, boxes) = (self.tnt.locations(), self.tnt.containments());
         for m in &trace.movements {
-            self.tnt
-                .locations()
+            locations
                 .update_location(m.item, m.area, m.ts as i64)
                 .map_err(db_err)?;
         }
         for c in &trace.containments {
             if c.added {
-                self.tnt
-                    .containments()
-                    .add_to_container(c.item, c.container, c.ts as i64)
-                    .map_err(db_err)?;
+                boxes.add_to_container(c.item, c.container, c.ts as i64)
             } else {
-                self.tnt
-                    .containments()
-                    .remove_from_container(c.item, c.ts as i64)
-                    .map_err(db_err)?;
+                boxes.remove_from_container(c.item, c.ts as i64).map(drop)
             }
+            .map_err(db_err)?;
         }
         Ok(())
     }
@@ -467,6 +463,29 @@ mod tests {
             let hist = sys.track_and_trace().movement_history(item).unwrap();
             assert!(hist.len() >= 4);
         }
+    }
+
+    /// The catalog is inserted by value, not spliced into SQL text: names
+    /// come back as written, a quote included.
+    #[test]
+    fn catalog_rows_round_trip_through_sql() {
+        let sys = SaseSystem::retail(NoiseModel::perfect(), 1, 8).unwrap();
+        let db = sys.database();
+        let rs = db.query("SELECT name FROM product ORDER BY item").unwrap();
+        let names: Vec<&str> = rs.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+        assert_eq!(names, PRODUCT_NAMES);
+
+        let row = vec![
+            Value::Int(99),
+            Value::str("baker's yeast"),
+            Value::str("grocery"),
+            Value::Int(149),
+        ];
+        db.insert("product", row.clone()).unwrap();
+        let rs = db
+            .query("SELECT * FROM product WHERE name = 'baker''s yeast'")
+            .unwrap();
+        assert_eq!(rs.rows, vec![row]);
     }
 
     #[test]

@@ -131,6 +131,71 @@ fn d3_archiving_rules_mirror_ground_truth() {
     }
 }
 
+/// D3'' — the two read paths see the same database: what track-and-trace
+/// reads through the typed stores is what ad-hoc SQL reads from the tables
+/// the archiving rules wrote.
+#[test]
+fn d3_track_and_trace_equals_the_same_history_through_sql() {
+    use sase::db::TraceEntry;
+
+    let mut sys = SaseSystem::retail(NoiseModel::perfect(), 13, 40).unwrap();
+    sys.register_demo_queries().unwrap();
+    let scenario = RetailScenario::build(sys.config(), 41, 4, 2, 2);
+    sys.run_scenario(&scenario).unwrap();
+    // A boxed leg, so the merged history has both kinds of entry.
+    let boxed = scenario.truth.misplaced[0];
+    let containments = sys.track_and_trace().containments();
+    containments.add_to_container(boxed, 1000, 1).unwrap();
+    containments.remove_from_container(boxed, 3).unwrap();
+
+    let through_sql = |item: i64| {
+        let rows = |table: &str, place: &str| {
+            sys.database()
+                .query(&format!(
+                    "SELECT {place}, time_in, time_out FROM {table} WHERE item = {item} ORDER BY time_in"
+                ))
+                .unwrap()
+                .rows
+                .into_iter()
+                .map(|r| r.iter().map(|v| v.as_int().unwrap()).collect::<Vec<i64>>())
+                .collect::<Vec<_>>()
+        };
+        let mut entries: Vec<TraceEntry> = rows("item_location", "area")
+            .iter()
+            .map(|r| TraceEntry::Location {
+                area: r[0],
+                time_in: r[1],
+                time_out: r[2],
+            })
+            .chain(
+                rows("containment", "container")
+                    .iter()
+                    .map(|r| TraceEntry::Containment {
+                        container: r[0],
+                        time_in: r[1],
+                        time_out: r[2],
+                    }),
+            )
+            .collect();
+        entries.sort_by_key(|e| (e.time_in(), matches!(e, TraceEntry::Containment { .. })));
+        entries
+    };
+    let truth = &scenario.truth;
+    let mut checked = 0;
+    for &item in truth
+        .misplaced
+        .iter()
+        .chain(&truth.honest)
+        .chain(&truth.shoplifted)
+    {
+        let history = sys.track_and_trace().movement_history(item).unwrap();
+        assert!(!history.is_empty(), "item {item} was archived");
+        assert_eq!(history, through_sql(item), "item {item}");
+        checked += history.len();
+    }
+    assert!(checked > truth.honest.len(), "histories have several stays");
+}
+
 /// D3' — the Q2-form location_change rule and the complete archive rule
 /// agree: Q2 fires only on actual area changes.
 #[test]

@@ -17,7 +17,8 @@ fail=0
 # control plane) and analyze.rs (plan-time only) are intentionally absent,
 # though today they also use FxHash throughout. The store codec and the
 # wire codec are here because they run per event on every frame and log
-# record.
+# record; the event database's tables and typed stores and the built-ins
+# that call them, because the archiving rules run once per emission.
 HOT_PATHS="
 crates/sase-core/src/program.rs
 crates/sase-core/src/expr.rs
@@ -32,6 +33,12 @@ crates/sase-obs/src/metrics.rs
 crates/sase-obs/src/trace.rs
 crates/sase-store/src/codec.rs
 crates/sase-server/src/wire.rs
+crates/sase-db/src/table.rs
+crates/sase-db/src/database.rs
+crates/sase-db/src/location.rs
+crates/sase-db/src/containment.rs
+crates/sase-db/src/trace.rs
+crates/sase-system/src/builtins.rs
 "
 
 # Hasher types that silently reintroduce SipHash. Plain `HashMap<`/
@@ -50,6 +57,21 @@ for path in $HOT_PATHS; do
         fail=1
     fi
 done
+
+# The rules reach the event database through its typed path; SQL is for
+# ad-hoc callers (repl, examples, tests) who bring their own text. Building
+# a statement with `format!` inside the database or the system crate puts
+# lex + parse + plan back on a per-emission path, and splices values into
+# SQL unescaped. Test modules (everything from a file's `#[cfg(test)]` on)
+# may: the SQL surface is what they check.
+sql_hits=$(find crates/sase-db/src crates/sase-system/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } /(execute|query)\(&format!/ { print f ":" FNR ":" $0 }' "$f"
+done)
+if [ -n "$sql_hits" ]; then
+    echo "lint-hotpath: SQL text built per call (use Database::read/write or Database::insert):" >&2
+    echo "$sql_hits" >&2
+    fail=1
+fi
 
 # `unsafe` allowlist: files permitted to contain unsafe code. All product
 # code is safe Rust; the only exceptions are the measuring global
