@@ -19,16 +19,26 @@
 //! it can react to ([`crate::plan::QueryPlan::relevant_types`] — positive
 //! component types plus negation counterexample types), so an arriving
 //! event touches only the queries that can change state because of it
-//! instead of every registered query. [`RoutingMode::ScanAll`] retains the
-//! original scan-every-query loop as a baseline for differential testing
-//! and benchmarking.
+//! instead of every registered query. The index is dense: per stream, a
+//! vector indexed by [`EventTypeId`], so a route is one bounds-checked
+//! load. [`RoutingMode::ScanAll`] retains the original scan-every-query
+//! semantics (every query listening on the stream) as a baseline for
+//! differential testing and benchmarking.
+//!
+//! ## Ingest
+//!
+//! One loop serves input and derived events alike: each input event is
+//! offered straight to its routed queries, then the `INTO` events its
+//! emissions derive are offered breadth-first from a queue that holds only
+//! derived events, before the next input. Every offer checks the stream's
+//! monotonicity clock and the derivation depth limit first.
 //!
 //! Stream names (`FROM` / `INTO`) are case-insensitive, like event type
 //! and attribute names; the engine normalizes them once at query
 //! registration and once per ingest call, so `RETURN ... INTO Foo` feeds
 //! `FROM foo`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::hash::{FxHashMap, FxHashSet};
 
@@ -40,7 +50,7 @@ use crate::output::ComplexEvent;
 use crate::plan::{Planner, PlannerOptions, QueryPlan};
 use crate::runtime::{QueryRuntime, RuntimeStats};
 use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
-use crate::time::TimeScale;
+use crate::time::{TimeScale, Timestamp};
 
 /// A per-query output callback.
 pub type Sink = Box<dyn FnMut(&ComplexEvent) + Send>;
@@ -104,42 +114,59 @@ struct Registered {
     sinks: Vec<Sink>,
 }
 
-/// The inverted routing index: `(stream, event type) -> query indices`,
-/// with query indices in registration order so routed delivery preserves
-/// the scan loop's output order. Rebuilt on register/unregister (rare)
-/// rather than maintained incrementally.
+/// The routes of one input stream: query indices per event type, in
+/// registration order so routed delivery preserves the scan loop's output
+/// order.
+#[derive(Debug, Default)]
+struct StreamRoutes {
+    /// Dense by event type: `by_type[t]` serves `EventTypeId(t)`.
+    by_type: Vec<Vec<usize>>,
+    /// Every query listening on the stream ([`RoutingMode::ScanAll`]).
+    all: Vec<usize>,
+}
+
+/// The inverted routing index: `(stream, event type) -> query indices`.
+/// Rebuilt on register/unregister (rare) rather than maintained
+/// incrementally.
 #[derive(Debug, Default)]
 struct RouterIndex {
     /// Routes for the default (unnamed) input stream.
-    default_stream: FxHashMap<EventTypeId, Vec<usize>>,
+    default_stream: StreamRoutes,
     /// Routes per named stream (keys normalized to lowercase).
-    named: FxHashMap<String, FxHashMap<EventTypeId, Vec<usize>>>,
+    named: FxHashMap<String, StreamRoutes>,
 }
 
 impl RouterIndex {
     fn rebuild(&mut self, queries: &[Registered]) {
-        self.default_stream.clear();
-        self.named.clear();
+        *self = RouterIndex::default();
         for (idx, q) in queries.iter().enumerate() {
-            let bucket = match &q.from {
+            let routes = match &q.from {
                 None => &mut self.default_stream,
                 Some(s) => self.named.entry(s.clone()).or_default(),
             };
+            routes.all.push(idx);
             for &ty in &q.relevant {
-                bucket.entry(ty).or_default().push(idx);
+                let t = ty.0 as usize;
+                if routes.by_type.len() <= t {
+                    routes.by_type.resize_with(t + 1, Vec::new);
+                }
+                routes.by_type[t].push(idx);
             }
         }
     }
 
-    fn route(&self, stream: Option<&str>, ty: EventTypeId) -> &[usize] {
-        let bucket = match stream {
-            None => Some(&self.default_stream),
-            Some(s) => self.named.get(s),
+    fn route(&self, mode: RoutingMode, stream: Option<&str>, ty: EventTypeId) -> &[usize] {
+        let routes = match stream {
+            None => &self.default_stream,
+            Some(s) => match self.named.get(s) {
+                Some(routes) => routes,
+                None => return &[],
+            },
         };
-        bucket
-            .and_then(|b| b.get(&ty))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        match mode {
+            RoutingMode::Indexed => routes.by_type.get(ty.0 as usize).map_or(&[], Vec::as_slice),
+            RoutingMode::ScanAll => &routes.all,
+        }
     }
 }
 
@@ -187,9 +214,12 @@ impl EngineMetrics {
     }
 }
 
-/// The breadth-first derivation queue of [`Engine::ingest`], kept as an
-/// engine-owned scratch buffer so steady-state batches allocate nothing.
-type IngestQueue = VecDeque<(Option<String>, Event, u16, Vec<EmissionHop>)>;
+/// One emission's provenance: `(input index, derivation depth, path)`.
+type Tag = (u32, u16, Vec<EmissionHop>);
+
+/// The breadth-first queue of `INTO`-derived events awaiting their offer:
+/// `(normalized stream, event, path)`. Input events never enter it.
+type DerivedQueue = VecDeque<(String, Event, Vec<EmissionHop>)>;
 
 /// Memoized event type of a derived (`INTO`) output stream.
 #[derive(Debug, Clone, Copy)]
@@ -206,7 +236,7 @@ pub struct Engine {
     functions: FunctionRegistry,
     time_scale: TimeScale,
     queries: Vec<Registered>,
-    by_name: HashMap<String, usize>,
+    by_name: FxHashMap<String, usize>,
     routing: RoutingMode,
     router: RouterIndex,
     /// Lazily-registered event types of derived (`INTO`) output streams,
@@ -215,13 +245,15 @@ pub struct Engine {
     /// Streams whose event type the engine registered but whose producers
     /// are all gone: the next producer may redefine the schema.
     reusable_derived: FxHashSet<String>,
-    /// Per-stream monotonicity clocks (key = normalized stream name,
-    /// `None` = default stream). Events must arrive in non-decreasing
-    /// timestamp order per stream; the engine enforces this once, before
-    /// routing, so both routing modes reject regressions identically
-    /// (per-query runtimes repeat the check for defense in depth, but
-    /// under indexed routing they only see their relevant events).
-    stream_clocks: FxHashMap<Option<String>, crate::time::Timestamp>,
+    /// Monotonicity clock of the default stream. Events must arrive in
+    /// non-decreasing timestamp order per stream; the engine enforces this
+    /// once, before routing, so both routing modes reject regressions
+    /// identically (per-query runtimes repeat the check for defense in
+    /// depth, but under indexed routing they only see their relevant
+    /// events).
+    default_clock: Option<Timestamp>,
+    /// Monotonicity clocks of named streams (keys normalized to lowercase).
+    named_clocks: FxHashMap<String, Timestamp>,
     /// Pre-resolved metric handles; `None` (the default) keeps ingest
     /// entirely uninstrumented.
     metrics: Option<EngineMetrics>,
@@ -229,22 +261,14 @@ pub struct Engine {
     tracer: sase_obs::Tracer,
     /// Batch sequence number — the provenance id of batch-ingest spans.
     batch_seq: u64,
-    /// Reusable derivation queue (see [`IngestQueue`]).
-    ingest_scratch: IngestQueue,
+    /// The derivation queue (see [`DerivedQueue`]): empty between calls,
+    /// capacity kept, so steady-state batches allocate nothing.
+    derived_queue: DerivedQueue,
 }
 
 /// Maximum chain of query-to-query derivations one input event may cause;
 /// exceeding it means the INTO graph is cyclic.
 const MAX_DERIVATION_DEPTH: u16 = 16;
-
-fn stream_matches(from: Option<&str>, stream: Option<&str>) -> bool {
-    // Both sides are already normalized to lowercase.
-    match (from, stream) {
-        (None, None) => true,
-        (Some(f), Some(s)) => f == s,
-        _ => false,
-    }
-}
 
 impl Engine {
     /// Create an engine over a schema registry, with the standard pure
@@ -260,16 +284,17 @@ impl Engine {
             functions,
             time_scale: TimeScale::default(),
             queries: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: FxHashMap::default(),
             routing: RoutingMode::default(),
             router: RouterIndex::default(),
             derived_types: FxHashMap::default(),
             reusable_derived: FxHashSet::default(),
-            stream_clocks: FxHashMap::default(),
+            default_clock: None,
+            named_clocks: FxHashMap::default(),
             metrics: None,
             tracer: sase_obs::Tracer::disabled(),
             batch_seq: 0,
-            ingest_scratch: IngestQueue::new(),
+            derived_queue: DerivedQueue::new(),
         }
     }
 
@@ -609,7 +634,7 @@ impl Engine {
         stream: Option<&str>,
         events: &[Event],
         out: &mut Vec<ComplexEvent>,
-        tags: Option<&mut Vec<(u32, u16, Vec<EmissionHop>)>>,
+        tags: Option<&mut Vec<Tag>>,
     ) -> Result<()> {
         // Instrumentation wraps the core loop at batch grain: one
         // latency sample, one batch-ingest span, and counter deltas per
@@ -624,13 +649,14 @@ impl Engine {
         self.batch_seq = self.batch_seq.wrapping_add(1);
         let out_before = out.len();
 
-        // The derivation queue is engine-owned scratch: take it for the
-        // duration of the call, clear and give it back (capacity kept)
-        // so steady-state batches allocate nothing.
-        let mut queue = std::mem::take(&mut self.ingest_scratch);
-        let result = self.ingest_queued(stream, events, out, tags, &mut queue);
-        queue.clear();
-        self.ingest_scratch = queue;
+        let result = match stream {
+            None => self.ingest_queued(None, events, out, tags),
+            Some(s) => crate::event::with_ascii_lowercase(s, |s| {
+                self.ingest_queued(Some(s), events, out, tags)
+            }),
+        };
+        // A failed call may leave derived events behind.
+        self.derived_queue.clear();
 
         if let Some(m) = &self.metrics {
             m.batches.inc();
@@ -646,99 +672,111 @@ impl Engine {
         result
     }
 
-    /// The ingest loop proper, over a caller-provided derivation queue.
+    /// The ingest loop proper: each input event is offered straight to
+    /// its routed queries, then the `INTO` events it derived are offered
+    /// breadth-first before the next input. `stream` is already normalized
+    /// to lowercase.
     fn ingest_queued(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
         out: &mut Vec<ComplexEvent>,
-        mut tags: Option<&mut Vec<(u32, u16, Vec<EmissionHop>)>>,
-        queue: &mut IngestQueue,
+        mut tags: Option<&mut Vec<Tag>>,
     ) -> Result<()> {
-        let stream_key = stream.map(str::to_ascii_lowercase);
         for (input_index, input) in events.iter().enumerate() {
-            queue.push_back((stream_key.clone(), input.clone(), 0, Vec::new()));
-            while let Some((stream, event, depth, path)) = queue.pop_front() {
-                if depth > MAX_DERIVATION_DEPTH {
-                    return Err(SaseError::engine(format!(
-                        "derived-stream depth exceeded {MAX_DERIVATION_DEPTH} hops; \
-                         the INTO graph is probably cyclic"
-                    )));
+            let input_index = input_index as u32;
+            self.offer(stream, input, input_index, &[], out, tags.as_deref_mut())?;
+            while let Some((derived_stream, event, path)) = self.derived_queue.pop_front() {
+                let stream = Some(derived_stream.as_str());
+                self.offer(stream, &event, input_index, &path, out, tags.as_deref_mut())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Offer one event — an input (empty `path`) or an `INTO` event derived
+    /// along `path`, whose length is its derivation depth — to the queries
+    /// routed for it, and queue the `INTO` events its emissions derive.
+    fn offer(
+        &mut self,
+        stream: Option<&str>,
+        event: &Event,
+        input_index: u32,
+        path: &[EmissionHop],
+        out: &mut Vec<ComplexEvent>,
+        mut tags: Option<&mut Vec<Tag>>,
+    ) -> Result<()> {
+        let depth = path.len() as u16;
+        if depth > MAX_DERIVATION_DEPTH {
+            return Err(SaseError::engine(format!(
+                "derived-stream depth exceeded {MAX_DERIVATION_DEPTH} hops; \
+                 the INTO graph is probably cyclic"
+            )));
+        }
+        // Per-stream monotonicity: enforced once here (not only in the
+        // per-query runtimes) so a clock regression is caught identically
+        // whether or not the event routes anywhere.
+        let ts = event.timestamp();
+        let last = match stream {
+            None => self.default_clock.get_or_insert(ts),
+            Some(s) => match self.named_clocks.get_mut(s) {
+                Some(last) => last,
+                None => self.named_clocks.entry(s.to_owned()).or_insert(ts),
+            },
+        };
+        if ts < *last {
+            return Err(SaseError::engine(format!(
+                "out-of-order event: timestamp {ts} after {last} on stream `{}`",
+                stream.unwrap_or("<default>"),
+            )));
+        }
+        *last = ts;
+        // This event's INTO outputs, collected first: deriving needs
+        // `&mut self` while the router slice is borrowed.
+        let mut derived: Vec<(ComplexEvent, Vec<EmissionHop>)> = Vec::new();
+        let routed = self.router.route(self.routing, stream, event.type_id());
+        if let Some(m) = &self.metrics {
+            if routed.is_empty() {
+                m.router_misses.inc();
+            } else {
+                m.router_hits.inc();
+            }
+        }
+        for &qi in routed {
+            let qspan = self
+                .tracer
+                .begin(sase_obs::TraceKind::QueryEval, qi as u64, 0);
+            let q = &mut self.queries[qi];
+            let start = out.len();
+            q.runtime.process(event, out)?;
+            if let Some(qspan) = qspan {
+                self.tracer.end(qspan, (out.len() - start) as u64);
+            }
+            for (j, ce) in out[start..].iter().enumerate() {
+                for sink in &mut q.sinks {
+                    sink(ce);
                 }
-                // Per-stream monotonicity: enforced once here (not only in
-                // the per-query runtimes) so a clock regression is caught
-                // identically whether or not the event routes anywhere.
-                if let Some(last) = self.stream_clocks.get_mut(&stream) {
-                    if event.timestamp() < *last {
-                        return Err(SaseError::engine(format!(
-                            "out-of-order event: timestamp {} after {} on stream `{}`",
-                            event.timestamp(),
-                            last,
-                            stream.as_deref().unwrap_or("<default>"),
-                        )));
-                    }
-                    *last = event.timestamp();
-                } else {
-                    self.stream_clocks.insert(stream.clone(), event.timestamp());
+                if tags.is_none() && ce.into.is_none() {
+                    continue;
                 }
-                // This round's INTO outputs, collected first: deriving
-                // needs `&mut self` while the router slice is borrowed.
-                let mut derived: Vec<(ComplexEvent, Vec<EmissionHop>)> = Vec::new();
-                let scanned: Vec<usize>;
-                let routed: &[usize] = match self.routing {
-                    RoutingMode::Indexed => self.router.route(stream.as_deref(), event.type_id()),
-                    RoutingMode::ScanAll => {
-                        scanned = (0..self.queries.len())
-                            .filter(|&i| {
-                                stream_matches(self.queries[i].from.as_deref(), stream.as_deref())
-                            })
-                            .collect();
-                        &scanned
-                    }
-                };
-                if let Some(m) = &self.metrics {
-                    if routed.is_empty() {
-                        m.router_misses.inc();
-                    } else {
-                        m.router_hits.inc();
-                    }
+                let mut hop_path = Vec::with_capacity(path.len() + 1);
+                hop_path.extend_from_slice(path);
+                hop_path.push((qi as u32, j as u32));
+                if ce.into.is_some() {
+                    derived.push((ce.clone(), hop_path.clone()));
                 }
-                for &qi in routed {
-                    let qspan = self
-                        .tracer
-                        .begin(sase_obs::TraceKind::QueryEval, qi as u64, 0);
-                    let q = &mut self.queries[qi];
-                    let start = out.len();
-                    q.runtime.process(&event, out)?;
-                    if let Some(qspan) = qspan {
-                        self.tracer.end(qspan, (out.len() - start) as u64);
-                    }
-                    for (j, ce) in out[start..].iter().enumerate() {
-                        for sink in &mut q.sinks {
-                            sink(ce);
-                        }
-                        if tags.is_none() && ce.into.is_none() {
-                            continue;
-                        }
-                        let mut hop_path = Vec::with_capacity(path.len() + 1);
-                        hop_path.extend_from_slice(&path);
-                        hop_path.push((qi as u32, j as u32));
-                        if ce.into.is_some() {
-                            derived.push((ce.clone(), hop_path.clone()));
-                        }
-                        if let Some(t) = tags.as_deref_mut() {
-                            t.push((input_index as u32, depth, hop_path));
-                        }
-                    }
-                }
-                for (ce, hop_path) in derived {
-                    let (derived_stream, derived_event) = self.derive_event(&ce)?;
-                    if let Some(m) = &self.metrics {
-                        m.derived_events.inc();
-                    }
-                    queue.push_back((Some(derived_stream), derived_event, depth + 1, hop_path));
+                if let Some(t) = tags.as_deref_mut() {
+                    t.push((input_index, depth, hop_path));
                 }
             }
+        }
+        for (ce, hop_path) in derived {
+            let (derived_stream, derived_event) = self.derive_event(&ce)?;
+            if let Some(m) = &self.metrics {
+                m.derived_events.inc();
+            }
+            self.derived_queue
+                .push_back((derived_stream, derived_event, hop_path));
         }
         Ok(())
     }
@@ -815,10 +853,11 @@ impl Engine {
     /// (`INTO`) schema registry. See [`crate::snapshot`] for the restore
     /// protocol.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut stream_clocks: Vec<(Option<String>, crate::time::Timestamp)> = self
-            .stream_clocks
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
+        let mut stream_clocks: Vec<(Option<String>, Timestamp)> = self
+            .default_clock
+            .map(|ts| (None, ts))
+            .into_iter()
+            .chain(self.named_clocks.iter().map(|(k, v)| (Some(k.clone()), *v)))
             .collect();
         stream_clocks.sort();
 
@@ -913,7 +952,12 @@ impl Engine {
         }
         self.derived_types = derived_types;
         self.reusable_derived = reusable_derived;
-        self.stream_clocks = snap.stream_clocks.iter().cloned().collect();
+        let clocks = &snap.stream_clocks;
+        self.default_clock = clocks.iter().find(|(s, _)| s.is_none()).map(|c| c.1);
+        self.named_clocks = clocks
+            .iter()
+            .filter_map(|(s, ts)| Some((s.clone()?, *ts)))
+            .collect();
         Ok(())
     }
 
@@ -1437,6 +1481,70 @@ mod tests {
                 .process(&ev(&engine, "EXIT_READING", 11, 3, 4))
                 .unwrap();
             assert_eq!(out.len(), 1);
+        }
+    }
+
+    #[test]
+    fn out_of_order_inside_a_batch_keeps_the_prefix() {
+        // A regression at position k fails the batch after the events
+        // before it were offered: the engine is left exactly as if it had
+        // been fed that prefix one event at a time, in both routing modes,
+        // derived (INTO) events included.
+        let mk = |mode: RoutingMode| {
+            let registry = retail_registry();
+            registry
+                .register("side", &[("tag", ValueType::Int)])
+                .unwrap();
+            let mut engine = Engine::new(registry);
+            engine.set_routing(mode);
+            engine.register("q1", Q1).unwrap();
+            engine
+                .register(
+                    "producer",
+                    "EVENT EXIT_READING z RETURN z.TagId AS tag INTO side",
+                )
+                .unwrap();
+            engine
+                .register("listener", "FROM side EVENT side a RETURN a.tag AS t")
+                .unwrap();
+            // The clock is set before the batch, so a regression at k = 0
+            // is one too.
+            engine
+                .process(&ev(&engine, "SHELF_READING", 9, 0, 1))
+                .unwrap();
+            engine
+        };
+        let proto = mk(RoutingMode::Indexed);
+        let kinds = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"];
+        let batch: Vec<Event> = (0..12u64)
+            .map(|i| ev(&proto, kinds[(i % 3) as usize], 10 + i, (i % 4) as i64, 1))
+            .collect();
+        let next: Vec<Event> = (0..12u64)
+            .map(|i| ev(&proto, kinds[(i % 3) as usize], 100 + i, (i % 4) as i64, 4))
+            .collect();
+        let render = |v: &[ComplexEvent]| v.iter().map(|d| d.to_string()).collect::<Vec<_>>();
+        for k in [0, 5, 11] {
+            let mut bad = batch.clone();
+            bad[k] = ev(&proto, "EXIT_READING", 1, 9, 4);
+            let mut errors = Vec::new();
+            let mut follow_ups = Vec::new();
+            for mode in [RoutingMode::Indexed, RoutingMode::ScanAll] {
+                let mut batched = mk(mode);
+                let err = batched.process_batch(&bad).unwrap_err().to_string();
+                assert!(err.contains("out-of-order event: timestamp 1"), "{err}");
+                errors.push(err);
+                let mut single = mk(mode);
+                for e in &batch[..k] {
+                    single.process(e).unwrap();
+                }
+                let got = render(&batched.process_batch(&next).unwrap());
+                let want = render(&single.process_batch(&next).unwrap());
+                assert_eq!(got, want, "{mode:?}, regression at {k}");
+                assert!(!got.is_empty());
+                follow_ups.push(got);
+            }
+            assert_eq!(errors[0], errors[1], "regression at {k}");
+            assert_eq!(follow_ups[0], follow_ups[1], "regression at {k}");
         }
     }
 

@@ -14,6 +14,10 @@
 //! Stacks support pruning from the front (window pushdown) without
 //! invalidating RIPs: instances are addressed by *absolute index* (count
 //! since stream start), and each stack remembers how many it has dropped.
+//!
+//! Each instance holds its event's timestamp inline, so pruning and the
+//! window-bounded walk of sequence construction read it without chasing
+//! the shared event body; a group of up to two stacks holds them inline.
 
 use std::collections::VecDeque;
 
@@ -27,6 +31,10 @@ use crate::time::Timestamp;
 pub struct Instance {
     /// The event bound to this component.
     pub event: Event,
+    /// `event.timestamp()`, held inline: pruning and sequence construction
+    /// compare timestamps of every instance they walk, and reading them
+    /// here saves a pointer chase into the shared event body per step.
+    pub ts: Timestamp,
     /// Absolute count of instances in the previous stack at append time.
     /// Zero for the first stack.
     pub rip: usize,
@@ -86,7 +94,7 @@ impl Stack {
     pub fn prune_before(&mut self, min_ts: Timestamp) -> usize {
         let mut dropped = 0;
         while let Some(front) = self.items.front() {
-            if front.event.timestamp() < min_ts {
+            if front.ts < min_ts {
                 self.items.pop_front();
                 self.base += 1;
                 dropped += 1;
@@ -117,8 +125,10 @@ impl Stack {
     pub fn from_snapshot(snap: &StackSnapshot, registry: &SchemaRegistry) -> Result<Stack> {
         let mut items = VecDeque::with_capacity(snap.instances.len());
         for i in &snap.instances {
+            let event = i.event.rebuild(registry)?;
             items.push_back(Instance {
-                event: i.event.rebuild(registry)?,
+                ts: event.timestamp(),
+                event,
                 rip: i.rip as usize,
             });
         }
@@ -148,15 +158,55 @@ impl Stack {
 /// use a single group; PAIS keeps one group per partition-key value.
 #[derive(Debug)]
 pub struct AisGroup {
-    stacks: Vec<Stack>,
+    stacks: GroupStacks,
+}
+
+/// A group's stacks. Up to two — every `SEQ(A, B)` — live inline in the
+/// group, and so in its PAIS map entry: a probe reaches them without a
+/// second pointer chase, and a new partition allocates nothing for them.
+/// Longer patterns keep theirs in one heap slice.
+#[derive(Debug)]
+enum GroupStacks {
+    /// The first `len` stacks are the group's.
+    Inline {
+        stacks: [Stack; 2],
+        len: usize,
+    },
+    Heap(Box<[Stack]>),
+}
+
+impl std::ops::Deref for GroupStacks {
+    type Target = [Stack];
+
+    fn deref(&self) -> &[Stack] {
+        match self {
+            GroupStacks::Inline { stacks, len } => &stacks[..*len],
+            GroupStacks::Heap(stacks) => stacks,
+        }
+    }
+}
+
+impl std::ops::DerefMut for GroupStacks {
+    fn deref_mut(&mut self) -> &mut [Stack] {
+        match self {
+            GroupStacks::Inline { stacks, len } => &mut stacks[..*len],
+            GroupStacks::Heap(stacks) => stacks,
+        }
+    }
 }
 
 impl AisGroup {
     /// Create a group for `n` positive components.
     pub fn new(n: usize) -> Self {
-        AisGroup {
-            stacks: (0..n).map(|_| Stack::new()).collect(),
-        }
+        let stacks = if n <= 2 {
+            GroupStacks::Inline {
+                stacks: Default::default(),
+                len: n,
+            }
+        } else {
+            GroupStacks::Heap((0..n).map(|_| Stack::new()).collect())
+        };
+        AisGroup { stacks }
     }
 
     /// The stack for positive component `i`.
@@ -186,12 +236,11 @@ impl AisGroup {
 
     /// Rebuild a group from per-stack snapshots.
     pub fn from_snapshot(stacks: &[StackSnapshot], registry: &SchemaRegistry) -> Result<AisGroup> {
-        Ok(AisGroup {
-            stacks: stacks
-                .iter()
-                .map(|s| Stack::from_snapshot(s, registry))
-                .collect::<Result<_>>()?,
-        })
+        let mut group = AisGroup::new(stacks.len());
+        for (slot, s) in group.stacks.iter_mut().zip(stacks) {
+            *slot = Stack::from_snapshot(s, registry)?;
+        }
+        Ok(group)
     }
 
     /// Prune every stack; returns total dropped.
@@ -227,6 +276,7 @@ mod tests {
         for ts in [1, 2, 3, 4, 5] {
             s.push(Instance {
                 event: ev(ts),
+                ts,
                 rip: 0,
             });
         }
@@ -247,6 +297,7 @@ mod tests {
         for ts in [10, 20, 30, 40] {
             s.push(Instance {
                 event: ev(ts),
+                ts,
                 rip: 0,
             });
         }
@@ -272,6 +323,7 @@ mod tests {
         for ts in [1, 2, 3, 4, 5] {
             s.push(Instance {
                 event: ev(ts),
+                ts,
                 rip: ts as usize - 1,
             });
         }
@@ -298,18 +350,43 @@ mod tests {
         let mut g = AisGroup::new(2);
         g.stack_mut(0).push(Instance {
             event: ev(1),
+            ts: 1,
             rip: 0,
         });
         g.stack_mut(0).push(Instance {
             event: ev(5),
+            ts: 5,
             rip: 0,
         });
         g.stack_mut(1).push(Instance {
             event: ev(2),
+            ts: 2,
             rip: 1,
         });
         assert_eq!(g.retained(), 3);
         assert_eq!(g.prune_before(3), 2);
         assert_eq!(g.retained(), 1);
+    }
+
+    #[test]
+    fn group_layouts_round_trip() {
+        // One and two stacks are held inline, three on the heap.
+        for n in 1..=3 {
+            let mut g = AisGroup::new(n);
+            assert_eq!(g.len(), n);
+            for i in 0..n {
+                g.stack_mut(i).push(Instance {
+                    event: ev(i as u64 + 1),
+                    ts: i as u64 + 1,
+                    rip: i,
+                });
+            }
+            let back = AisGroup::from_snapshot(&g.snapshot(), &retail_registry()).unwrap();
+            assert_eq!(back.len(), n);
+            for i in 0..n {
+                let inst = back.stack(i).get(0).unwrap();
+                assert_eq!((inst.ts, inst.rip), (i as u64 + 1, i));
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@ use crate::output::ComplexEvent;
 use crate::plan::{QueryPlan, SequenceStrategy};
 use crate::snapshot::{mismatch, QuerySnapshot, SeqSnapshot};
 use crate::time::Timestamp;
+use crate::value::ValueKey;
 
 use naive::NaiveRunner;
 use negation::NegationOperator;
@@ -129,6 +130,46 @@ impl std::fmt::Display for RuntimeStats {
     }
 }
 
+/// A partition key as the PAIS group map and the negation buckets store
+/// it: a single-part key (the common case) inline in the map entry, so a
+/// probe compares it without a pointer chase. Hashes and borrows as the
+/// `[ValueKey]` slice it holds, so lookups take a reused key buffer's slice
+/// and allocate nothing; `new` is the only constructor, so the derived
+/// equality agrees with the slice's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PartitionKey {
+    One(ValueKey),
+    Many(Box<[ValueKey]>),
+}
+
+impl PartitionKey {
+    fn new(parts: &[ValueKey]) -> Self {
+        match parts {
+            [one] => PartitionKey::One(one.clone()),
+            _ => PartitionKey::Many(parts.into()),
+        }
+    }
+
+    fn as_slice(&self) -> &[ValueKey] {
+        match self {
+            PartitionKey::One(k) => std::slice::from_ref(k),
+            PartitionKey::Many(ks) => ks,
+        }
+    }
+}
+
+impl std::borrow::Borrow<[ValueKey]> for PartitionKey {
+    fn borrow(&self) -> &[ValueKey] {
+        self.as_slice()
+    }
+}
+
+impl std::hash::Hash for PartitionKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
 #[derive(Debug)]
 enum SeqRunner {
     Ssc(SscOperator),
@@ -203,11 +244,15 @@ impl QueryRuntime {
 
         // Buffer negation counterexamples first; the open-interval scope
         // makes the relative order with sequence processing immaterial for
-        // the current event.
+        // the current event. `events_processed` paces the sweep of idle
+        // negation buckets, so a restored runtime sweeps when the original
+        // would have.
         self.negation.observe(event, &mut self.stats)?;
         if let Some(w) = self.plan.window {
-            self.negation
-                .prune_before(event.timestamp().saturating_sub(w));
+            if self.stats.events_processed % ssc::SWEEP_PERIOD as u64 == 0 {
+                self.negation
+                    .prune_before(event.timestamp().saturating_sub(w));
+            }
         }
 
         self.scratch.clear();

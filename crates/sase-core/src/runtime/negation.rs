@@ -24,12 +24,12 @@ use crate::time::Timestamp;
 use crate::value::ValueKey;
 
 use super::binding::{MatchBinding, PositiveMatch};
-use super::RuntimeStats;
+use super::{PartitionKey, RuntimeStats};
 
 #[derive(Debug)]
 struct NegBuffer {
     /// Bucketed by composite partition key when indexing is active.
-    buckets: FxHashMap<Vec<ValueKey>, VecDeque<Event>>,
+    buckets: FxHashMap<PartitionKey, VecDeque<Event>>,
     /// Flat temporal buffer when not indexed.
     all: VecDeque<Event>,
     indexed: bool,
@@ -42,7 +42,7 @@ pub struct NegationOperator {
     buffers: Vec<NegBuffer>,
     /// Reused partition-key buffer: steady-state candidate bucketing and
     /// probing never allocates (bucket lookups go through the
-    /// `Vec<ValueKey>: Borrow<[ValueKey]>` impl).
+    /// `PartitionKey: Borrow<[ValueKey]>` impl).
     key_scratch: Vec<ValueKey>,
 }
 
@@ -92,7 +92,12 @@ impl NegationOperator {
                 let mut buckets: Vec<(Vec<ValueKey>, Vec<EventSnapshot>)> = b
                     .buckets
                     .iter()
-                    .map(|(k, q)| (k.clone(), q.iter().map(EventSnapshot::capture).collect()))
+                    .map(|(k, q)| {
+                        (
+                            k.as_slice().to_vec(),
+                            q.iter().map(EventSnapshot::capture).collect(),
+                        )
+                    })
                     .collect();
                 buckets.sort_by(|a, b| a.0.cmp(&b.0));
                 NegationBufferSnapshot {
@@ -136,7 +141,7 @@ impl NegationOperator {
                 for e in events {
                     queue.push_back(e.rebuild(registry)?);
                 }
-                if buf.buckets.insert(key.clone(), queue).is_some() {
+                if buf.buckets.insert(PartitionKey::new(key), queue).is_some() {
                     return Err(mismatch("duplicate negation bucket key"));
                 }
             }
@@ -148,8 +153,14 @@ impl NegationOperator {
     }
 
     /// Observe an arriving event, buffering it wherever it is a candidate
-    /// counterexample.
+    /// counterexample. The bucket (or flat buffer) it lands in drops its
+    /// window-expired front on the way; untouched buckets wait for the
+    /// periodic [`NegationOperator::prune_before`] sweep.
     pub fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) -> Result<()> {
+        let min_ts = self
+            .plan
+            .window
+            .map(|w| event.timestamp().saturating_sub(w));
         for (ni, neg) in self.plan.negations.iter().enumerate() {
             if !neg.type_ids.contains(&event.type_id()) {
                 continue;
@@ -169,7 +180,7 @@ impl NegationOperator {
                 continue;
             }
             let buf = &mut self.buffers[ni];
-            if buf.indexed {
+            let queue = if buf.indexed {
                 let attrs = neg.partition_attrs.as_ref().expect("indexed implies attrs");
                 self.key_scratch.clear();
                 let mut complete = true;
@@ -184,24 +195,26 @@ impl NegationOperator {
                         }
                     }
                 }
-                if complete {
-                    // Slice-keyed lookup; the key is only cloned when the
-                    // bucket is new.
-                    match buf.buckets.get_mut(self.key_scratch.as_slice()) {
-                        Some(q) => q.push_back(event.clone()),
-                        None => {
-                            buf.buckets
-                                .entry(self.key_scratch.clone())
-                                .or_default()
-                                .push_back(event.clone());
-                        }
-                    }
-                    stats.negation_candidates_buffered += 1;
+                if !complete {
+                    continue;
+                }
+                // Slice-keyed lookup; the key is only cloned when the
+                // bucket is new.
+                match buf.buckets.get_mut(self.key_scratch.as_slice()) {
+                    Some(q) => q,
+                    None => buf
+                        .buckets
+                        .entry(PartitionKey::new(&self.key_scratch))
+                        .or_default(),
                 }
             } else {
-                buf.all.push_back(event.clone());
-                stats.negation_candidates_buffered += 1;
+                &mut buf.all
+            };
+            if let Some(min_ts) = min_ts {
+                prune_front(queue, min_ts);
             }
+            queue.push_back(event.clone());
+            stats.negation_candidates_buffered += 1;
         }
         Ok(())
     }
@@ -257,27 +270,26 @@ impl NegationOperator {
         Ok(true)
     }
 
-    /// Drop candidates older than `min_ts` (window expiry).
+    /// Drop candidates older than `min_ts` (window expiry) from every
+    /// buffer, and buckets left empty. Expired candidates are inert — a
+    /// probe only looks inside its match's window — so this is purely a
+    /// memory bound, run every SSC `SWEEP_PERIOD` events rather than per
+    /// event, where it would cost O(live keys).
     pub fn prune_before(&mut self, min_ts: Timestamp) {
         for buf in &mut self.buffers {
-            if buf.indexed {
-                buf.buckets.retain(|_, q| {
-                    while q.front().map(|e| e.timestamp() < min_ts).unwrap_or(false) {
-                        q.pop_front();
-                    }
-                    !q.is_empty()
-                });
-            } else {
-                while buf
-                    .all
-                    .front()
-                    .map(|e| e.timestamp() < min_ts)
-                    .unwrap_or(false)
-                {
-                    buf.all.pop_front();
-                }
-            }
+            buf.buckets.retain(|_, q| {
+                prune_front(q, min_ts);
+                !q.is_empty()
+            });
+            prune_front(&mut buf.all, min_ts);
         }
+    }
+}
+
+/// Drop a temporally ordered buffer's candidates older than `min_ts`.
+fn prune_front(queue: &mut VecDeque<Event>, min_ts: Timestamp) {
+    while queue.front().is_some_and(|e| e.timestamp() < min_ts) {
+        queue.pop_front();
     }
 }
 

@@ -16,6 +16,11 @@
 //!   backwards, applying window bounds and multi-variable predicates as
 //!   early as their variables are bound.
 //!
+//! Per arriving event, each component it can bind costs one probe of the
+//! partition map (a `PartitionKey` holds a single-part key inline,
+//! so the probe compares it in place) and a prune of the group it finds;
+//! only a new partition inserts.
+//!
 //! The operator emits every match (skip-till-any-match semantics): each
 //! combination of events, one per positive component, in strictly
 //! increasing timestamp order, within the window, satisfying the pushed
@@ -31,7 +36,7 @@ use crate::value::ValueKey;
 
 use super::ais::{AisGroup, Instance};
 use super::binding::PositiveMatch;
-use super::RuntimeStats;
+use super::{PartitionKey, RuntimeStats};
 
 /// The SSC operator: one per running query (when the plan strategy is
 /// [`crate::plan::SequenceStrategy::Ssc`]).
@@ -39,13 +44,13 @@ use super::RuntimeStats;
 pub struct SscOperator {
     plan: std::sync::Arc<QueryPlan>,
     /// Partition key -> stacks. Unpartitioned plans use the empty key.
-    groups: FxHashMap<Vec<ValueKey>, AisGroup>,
+    groups: FxHashMap<PartitionKey, AisGroup>,
     /// Construction filters grouped by the positive index at which they
     /// become evaluable during backward construction.
     filters_by_min: Vec<Vec<ConstructionFilter>>,
     events_since_sweep: usize,
     /// Reused partition-key buffer: steady-state key extraction never
-    /// allocates (lookups go through the `Vec<ValueKey>: Borrow<[ValueKey]>`
+    /// allocates (lookups go through the `PartitionKey: Borrow<[ValueKey]>`
     /// impl; the key is only cloned when a new partition materializes).
     key_scratch: Vec<ValueKey>,
     /// Reused slot-binding buffer for sequence construction — one buffer
@@ -53,9 +58,10 @@ pub struct SscOperator {
     binding_scratch: Vec<Option<Event>>,
 }
 
-/// Full-sweep period (events) for pruning partitions that have not been
-/// touched recently. Purely a memory bound; correctness never depends on it.
-const SWEEP_PERIOD: usize = 4096;
+/// Full-sweep period (events) for pruning partitions (and negation
+/// buckets) that have not been touched recently. Purely a memory bound;
+/// correctness never depends on it.
+pub(super) const SWEEP_PERIOD: usize = 4096;
 
 impl SscOperator {
     /// Build the operator for a plan.
@@ -93,7 +99,7 @@ impl SscOperator {
             .groups
             .iter()
             .map(|(key, group)| PartitionSnapshot {
-                key: key.clone(),
+                key: key.as_slice().to_vec(),
                 stacks: group.snapshot(),
             })
             .collect();
@@ -123,7 +129,10 @@ impl SscOperator {
                 )));
             }
             if groups
-                .insert(p.key.clone(), AisGroup::from_snapshot(&p.stacks, registry)?)
+                .insert(
+                    PartitionKey::new(&p.key),
+                    AisGroup::from_snapshot(&p.stacks, registry)?,
+                )
                 .is_some()
             {
                 return Err(mismatch("duplicate partition key"));
@@ -192,16 +201,15 @@ impl SscOperator {
                 }
                 None => self.key_scratch.clear(),
             }
-            // Slice-keyed lookup first; the key is only cloned into the map
+            // One slice-keyed probe; the key is only cloned into the map
             // when a brand-new partition materializes.
-            if !self.groups.contains_key(self.key_scratch.as_slice()) {
-                self.groups
-                    .insert(self.key_scratch.clone(), AisGroup::new(n));
-            }
-            let group = self
-                .groups
-                .get_mut(self.key_scratch.as_slice())
-                .expect("present: just ensured");
+            let group = match self.groups.get_mut(self.key_scratch.as_slice()) {
+                Some(group) => group,
+                None => self
+                    .groups
+                    .entry(PartitionKey::new(&self.key_scratch))
+                    .or_insert_with(|| AisGroup::new(n)),
+            };
             if let Some(w) = window {
                 stats.instances_pruned +=
                     group.prune_before(event.timestamp().saturating_sub(w)) as u64;
@@ -219,6 +227,7 @@ impl SscOperator {
             };
             group.stack_mut(i).push(Instance {
                 event: event.clone(),
+                ts: event.timestamp(),
                 rip,
             });
             stats.instances_appended += 1;
@@ -312,7 +321,7 @@ fn descend(
     // `iter_below` walks newest-first: timestamps are non-increasing, so the
     // window bound terminates the scan with `break`.
     for (_, inst) in group.stack(i).iter_below(bound) {
-        let ts = inst.event.timestamp();
+        let ts = inst.ts;
         if ts >= prev_ts {
             // Same-or-later timestamp: strict sequencing rejects it, but
             // older instances further down may still qualify.

@@ -180,3 +180,43 @@ fn long_stream_memory_is_bounded_by_window() {
     );
     assert!(rt.stats().instances_pruned > 100_000);
 }
+
+/// Negation candidates under many distinct partition keys — each bucket
+/// touched once and never again — are still released by the periodic
+/// sweep, so buffered candidates stay bounded by the window.
+#[test]
+fn idle_negation_buckets_are_swept() {
+    use sase_core::functions::FunctionRegistry;
+    use sase_core::plan::Planner;
+    use sase_core::runtime::QueryRuntime;
+
+    let registry = retail_registry();
+    let planner = Planner::new(registry.clone(), FunctionRegistry::with_stdlib());
+    let q = parse_query(
+        "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+         WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 50",
+    )
+    .unwrap();
+    let plan = planner.plan(&q).unwrap();
+    let mut rt = QueryRuntime::new("keys", plan);
+    let mut out = Vec::new();
+    // 10k distinct keys, then enough further events to cross a sweep
+    // (every 4096 events processed).
+    for k in 0..12_288u64 {
+        let e = registry
+            .build_event(
+                "COUNTER_READING",
+                k,
+                vec![Value::Int(k as i64), Value::str("p"), Value::Int(1)],
+            )
+            .unwrap();
+        rt.process(&e, &mut out).unwrap();
+    }
+    assert!(out.is_empty());
+    let (_, neg_candidates) = rt.retained_state();
+    assert!(
+        neg_candidates <= 51,
+        "negation candidates after a sweep: {neg_candidates}"
+    );
+    assert_eq!(rt.stats().negation_candidates_buffered, 12_288);
+}

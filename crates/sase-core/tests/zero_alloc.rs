@@ -274,6 +274,66 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     assert_eq!(snap.counter("sase_ingest_events_total", &[]), 800);
     assert_eq!(snap.counter("sase_ingest_batches_total", &[]), 100);
 
+    // The fan-in shape: 128 two-step queries over 128 types, 32 tags,
+    // batches of 512, on the default stream and on a named stream spelled
+    // in mixed case at ingest. Only even types arrive, so every event is
+    // routed to two queries — a stack push in one, a predecessor-less skip
+    // in the other — and nothing is ever emitted.
+    let fanin = SchemaRegistry::new();
+    for t in 0..128 {
+        fanin
+            .register(
+                &format!("T{t}"),
+                &[
+                    ("TagId", sase_core::value::ValueType::Int),
+                    ("ProductName", sase_core::value::ValueType::Str),
+                    ("AreaId", sase_core::value::ValueType::Int),
+                ],
+            )
+            .unwrap();
+    }
+    let names: Vec<String> = (0..128).map(|t| format!("T{t}")).collect();
+    let fanin_batches: Vec<Vec<Event>> = (0..64u64)
+        .map(|b| {
+            (0..512u64)
+                .map(|k| {
+                    let i = b * 512 + k;
+                    let ty = &names[((i * 37) % 64 * 2) as usize];
+                    let attrs = vec![Value::Int((i % 32) as i64), Value::str("p"), Value::Int(1)];
+                    fanin.build_event(ty, i + 1, attrs).unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    for (from, stream) in [("", None), ("FROM fanin ", Some("FanIn"))] {
+        let mut engine = Engine::new(fanin.clone());
+        engine.enable_metrics(&MetricsRegistry::new());
+        for i in 0..128 {
+            let (a, b) = (i, (i + 1) % 128);
+            let src = format!(
+                "{from}EVENT SEQ(T{a} x, T{b} y) WHERE x.TagId = y.TagId WITHIN 64 \
+                 RETURN x.TagId AS tag"
+            );
+            engine.register(&format!("q{i}"), &src).unwrap();
+        }
+        for batch in &fanin_batches[..32] {
+            assert!(engine.process_batch_on(stream, batch).unwrap().is_empty());
+        }
+        let allocs = counted(|| {
+            for batch in &fanin_batches[32..] {
+                assert!(engine.process_batch_on(stream, batch).unwrap().is_empty());
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state 128-query fan-in ingest on stream {stream:?} must not allocate"
+        );
+        let appended: u64 = (0..128)
+            .map(|i| engine.stats(&format!("q{i}")).unwrap().instances_appended)
+            .sum();
+        assert_eq!(appended, 64 * 512, "every event entered one stack");
+    }
+
     // ---- 6. The garbage budget of building an event from a resolved
     //         type — what a decoder pays per event: the attribute buffer,
     //         the event, and one `Arc<str>` per string attribute. Nothing

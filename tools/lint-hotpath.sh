@@ -13,13 +13,15 @@ set -u
 
 fail=0
 
-# Modules on the per-event hot path. engine.rs (registration/dispatch
-# control plane) and analyze.rs (plan-time only) are intentionally absent,
-# though today they also use FxHash throughout. The store codec and the
-# wire codec are here because they run per event on every frame and log
-# record; the event database's tables and typed stores and the built-ins
-# that call them, because the archiving rules run once per emission.
+# Modules on the per-event hot path. engine.rs is here because its ingest
+# loop routes and clocks every event; analyze.rs (plan-time only) is
+# intentionally absent, though today it also uses FxHash throughout. The
+# store codec and the wire codec are here because they run per event on
+# every frame and log record; the event database's tables and typed stores
+# and the built-ins that call them, because the archiving rules run once
+# per emission.
 HOT_PATHS="
+crates/sase-core/src/engine.rs
 crates/sase-core/src/program.rs
 crates/sase-core/src/expr.rs
 crates/sase-core/src/event.rs
