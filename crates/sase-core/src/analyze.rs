@@ -42,7 +42,7 @@ use crate::expr::CompiledExpr;
 use crate::functions::FunctionRegistry;
 use crate::lang::ast::{AggArg, AttrRef, BinOp, Expr, PatternElem, Query, ReturnItem, UnaryOp};
 use crate::lang::parse_query;
-use crate::plan::{routing_keys, Planner, PlannerOptions, QueryPlan, RoutingRejection};
+use crate::plan::{routing_keys, Planner, QueryPlan, RoutingRejection};
 use crate::time::TimeScale;
 use crate::value::{Value, ValueType};
 
@@ -170,7 +170,7 @@ pub fn analyze_with(
     }
 
     let planner = Planner::new(registry.clone(), functions.clone()).with_time_scale(scale);
-    match planner.plan_with(query, PlannerOptions::default()) {
+    match planner.plan(query) {
         Ok(plan) => {
             a.check_satisfiability(&plan);
             a.check_routing(&plan, functions);

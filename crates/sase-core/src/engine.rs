@@ -47,7 +47,7 @@ use crate::event::{Event, EventTypeId, SchemaRegistry};
 use crate::functions::FunctionRegistry;
 use crate::lang::parse_query;
 use crate::output::ComplexEvent;
-use crate::plan::{Planner, PlannerOptions, QueryPlan};
+use crate::plan::{Planner, QueryPlan};
 use crate::runtime::{QueryRuntime, RuntimeStats};
 use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
 use crate::time::{TimeScale, Timestamp};
@@ -64,8 +64,9 @@ pub enum RoutingMode {
     #[default]
     Indexed,
     /// Scan every registered query per event (the pre-index baseline).
-    /// Kept for differential tests and benchmark ablations; emits exactly
-    /// what [`RoutingMode::Indexed`] emits.
+    /// Kept as the reference the router differential and the benchmark's
+    /// output check compare against; emits exactly what
+    /// [`RoutingMode::Indexed`] emits.
     ScanAll,
 }
 
@@ -347,17 +348,12 @@ impl Engine {
         &self.functions
     }
 
-    /// Register a continuous query from source text with default options.
-    pub fn register(&mut self, name: &str, src: &str) -> Result<()> {
-        self.register_with(name, src, PlannerOptions::default())
-    }
-
-    /// Register a continuous query with explicit planner options.
+    /// Register a continuous query from source text.
     ///
     /// Failures are reported as [`SaseError::Registration`], carrying the
     /// query name and — when the static analyzer can pin the failure to a
     /// lint — the diagnostic code (see [`crate::analyze()`]).
-    pub fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> Result<()> {
+    pub fn register(&mut self, name: &str, src: &str) -> Result<()> {
         if self.by_name.contains_key(name) {
             return Err(SaseError::registration(
                 name,
@@ -392,7 +388,7 @@ impl Engine {
         });
         let planner = Planner::new(self.registry.clone(), self.functions.clone())
             .with_time_scale(self.time_scale);
-        let plan = planner.plan_with(&query, options).map_err(|e| {
+        let plan = planner.plan(&query).map_err(|e| {
             let code = diags
                 .unwrap_or_else(|| {
                     crate::analyze::analyze_with(
@@ -908,8 +904,8 @@ impl Engine {
 
     /// Restore a snapshot onto this engine.
     ///
-    /// The engine must already have the snapshot's queries registered, in
-    /// the same order, compiled with the same planner options, and every
+    /// The engine must already have the snapshot's queries registered, with
+    /// the same text and in the same order, and every
     /// derived stream type must exist in the schema registry
     /// ([`EngineSnapshot::preregister_derived`] arranges that). Sinks are
     /// not part of snapshots — whatever is attached to this engine stays
@@ -986,8 +982,8 @@ impl std::fmt::Debug for Engine {
 /// [`Engine::restore`] remain the single-engine-typed forms, used per
 /// shard by sharded deployments).
 impl crate::processor::EventProcessor for Engine {
-    fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> Result<()> {
-        Engine::register_with(self, name, src, options)
+    fn register(&mut self, name: &str, src: &str) -> Result<()> {
+        Engine::register(self, name, src)
     }
 
     fn check(&self, src: &str) -> Vec<crate::analyze::Diagnostic> {

@@ -83,7 +83,7 @@ pub use event::{Event, EventTypeId, Schema, SchemaRegistry};
 pub use functions::{BuiltinFunction, FunctionRegistry};
 pub use lang::{parse_query, Query};
 pub use output::ComplexEvent;
-pub use plan::{Planner, PlannerOptions, QueryPlan, SequenceStrategy};
+pub use plan::{Planner, QueryPlan};
 pub use processor::EventProcessor;
 pub use program::PredicateProgram;
 pub use runtime::{QueryRuntime, RuntimeStats};

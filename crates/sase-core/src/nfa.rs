@@ -15,8 +15,8 @@
 //!   ignored, and one event can extend many partial runs).
 //!
 //! The Active Instance Stack runtime ([`crate::runtime::ssc`]) is an
-//! optimized encoding of exactly this automaton; the [`crate::runtime::naive`]
-//! runner simulates it directly and serves as the unoptimized baseline.
+//! optimized encoding of exactly this automaton; the automaton itself is
+//! what `explain` prints.
 
 use std::fmt;
 use std::fmt::Write as _;

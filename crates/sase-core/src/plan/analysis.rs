@@ -350,26 +350,19 @@ impl UnionFind {
     }
 }
 
-/// Analyze the WHERE clause.
-///
-/// `use_partition` decides whether qualifying equivalence classes become a
-/// [`PartitionSpec`] (PAIS) or are expanded into explicit equality
-/// predicates; `push_single` decides whether single-variable predicates are
-/// pushed to element filters or kept as construction filters.
+/// Analyze the WHERE clause: qualifying equivalence classes become a
+/// [`PartitionSpec`] (PAIS), single-variable predicates become element
+/// filters, and the rest become construction filters or negation checks.
 pub fn analyze_where(
     where_clause: Option<&Expr>,
     pattern: &CompiledPattern,
     registry: &SchemaRegistry,
     functions: &FunctionRegistry,
-    use_partition: bool,
-    push_single: bool,
 ) -> Result<WhereAnalysis> {
     Analyzer {
         pattern,
         registry,
         functions,
-        use_partition,
-        push_single,
         slots: pattern.slot_table(),
     }
     .run(where_clause)
@@ -379,8 +372,6 @@ struct Analyzer<'a> {
     pattern: &'a CompiledPattern,
     registry: &'a SchemaRegistry,
     functions: &'a FunctionRegistry,
-    use_partition: bool,
-    push_single: bool,
     slots: Vec<(String, usize)>,
 }
 
@@ -543,19 +534,14 @@ impl<'a> Analyzer<'a> {
             });
         }
 
-        let partition_active = self.use_partition && !parts.is_empty();
-
         // Pass 2: dispose of each conjunct.
         for kind in kinds {
             match kind {
-                Kind::EquivDecl(attr) => {
-                    self.dispose_equivalence(attr, partition_active, &mut out)?;
-                }
+                Kind::EquivDecl(attr) => self.dispose_equivalence(attr, &mut out)?,
                 Kind::Edge { a, b, expr } => {
                     let root = uf.find(a);
                     debug_assert_eq!(root, uf.find(b));
-                    let absorbed = partition_active
-                        && qualifying_roots.contains(&root)
+                    let absorbed = qualifying_roots.contains(&root)
                         && !self.slot_is_negated(nodes[a].slot)
                         && !self.slot_is_negated(nodes[b].slot);
                     if absorbed {
@@ -568,28 +554,25 @@ impl<'a> Analyzer<'a> {
         }
 
         // Intra-slot equalities surfaced by partition key selection.
-        if partition_active {
-            for (slot, extra, chosen) in intra_slot_filters {
-                let var = self.pattern.elements[slot].variable.clone();
-                let expr = CompiledExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(CompiledExpr::Attr {
-                        slot,
-                        attr: extra,
-                        var: var.clone(),
-                    }),
-                    right: Box::new(CompiledExpr::Attr {
-                        slot,
-                        attr: chosen,
-                        var,
-                    }),
-                };
-                let program = self.prog(expr)?;
-                self.place_single_slot(slot, program, &mut out);
-            }
+        for (slot, extra, chosen) in intra_slot_filters {
+            let var = self.pattern.elements[slot].variable.clone();
+            let expr = CompiledExpr::Binary {
+                op: BinOp::Eq,
+                left: Box::new(CompiledExpr::Attr {
+                    slot,
+                    attr: extra,
+                    var: var.clone(),
+                }),
+                right: Box::new(CompiledExpr::Attr {
+                    slot,
+                    attr: chosen,
+                    var,
+                }),
+            };
+            out.element_filters[slot].push(self.prog(expr)?);
         }
 
-        if partition_active {
+        if !parts.is_empty() {
             out.partition = Some(PartitionSpec { parts });
         }
         Ok(out)
@@ -600,43 +583,20 @@ impl<'a> Analyzer<'a> {
         PredicateProgram::from_expr(expr, self.pattern, self.registry)
     }
 
-    /// Expand an `[attr]` declaration that is not absorbed by partitioning.
-    fn dispose_equivalence(
-        &self,
-        attr: &str,
-        partition_active: bool,
-        out: &mut WhereAnalysis,
-    ) -> Result<()> {
+    /// Check the negated components of an `[attr]` declaration. Its class
+    /// covers every positive component, so with two or more of them it is
+    /// a partition part that enforces the positive equalities; with one
+    /// there is nothing to enforce among positives.
+    fn dispose_equivalence(&self, attr: &str, out: &mut WhereAnalysis) -> Result<()> {
         let first_positive_slot = self.pattern.positive_slots[0];
         let mk_attr = |slot: usize| CompiledExpr::Attr {
             slot,
             attr: Arc::from(attr),
             var: self.pattern.elements[slot].variable.clone(),
         };
-
-        if !partition_active {
-            // Pairwise chain over positive components.
-            for w in self.pattern.positive_slots.windows(2) {
-                let expr = CompiledExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(mk_attr(w[0])),
-                    right: Box::new(mk_attr(w[1])),
-                };
-                let (min_p, max_p) = (
-                    self.pattern.elements[w[0]].positive_index,
-                    self.pattern.elements[w[1]].positive_index,
-                );
-                out.construction_filters.push(ConstructionFilter {
-                    expr: self.prog(expr)?,
-                    min_positive: min_p,
-                    max_positive: max_p,
-                });
-            }
-        }
         // Negated components with the attribute: the counterexample must
         // also agree. (When the partition covers the negated slot this is
-        // additionally enforced by bucketing; the explicit check keeps the
-        // two configurations semantically identical.)
+        // additionally enforced by bucketing.)
         for (ni, neg) in self.pattern.negations.iter().enumerate() {
             if !self.elem_has_attr(neg.slot, attr) {
                 continue;
@@ -675,12 +635,11 @@ impl<'a> Analyzer<'a> {
                 out.construction_filters.push(ConstructionFilter {
                     expr: program,
                     min_positive: self.pattern.positive_len().saturating_sub(1),
-                    max_positive: 0,
                 });
                 Ok(())
             }
             (1, 0) => {
-                self.place_single_slot(slots[0], program, out);
+                out.element_filters[slots[0]].push(program);
                 Ok(())
             }
             (_, 1) => {
@@ -702,30 +661,17 @@ impl<'a> Analyzer<'a> {
             }
             _ => {
                 // Multi-variable over positive components.
-                let pidx: Vec<usize> = slots
+                let min_positive = slots
                     .iter()
                     .map(|s| self.pattern.elements[*s].positive_index)
-                    .collect();
+                    .min()
+                    .expect("nonempty");
                 out.construction_filters.push(ConstructionFilter {
                     expr: program,
-                    min_positive: *pidx.iter().min().expect("nonempty"),
-                    max_positive: *pidx.iter().max().expect("nonempty"),
+                    min_positive,
                 });
                 Ok(())
             }
-        }
-    }
-
-    fn place_single_slot(&self, slot: usize, program: PredicateProgram, out: &mut WhereAnalysis) {
-        if self.slot_is_negated(slot) || self.push_single {
-            out.element_filters[slot].push(program);
-        } else {
-            let p = self.pattern.elements[slot].positive_index;
-            out.construction_filters.push(ConstructionFilter {
-                expr: program,
-                min_positive: p,
-                max_positive: p,
-            });
         }
     }
 
@@ -796,7 +742,7 @@ mod tests {
     use crate::event::retail_registry;
     use crate::lang::parse_query;
 
-    fn analyze(src: &str, use_partition: bool) -> (WhereAnalysis, CompiledPattern) {
+    fn analyze(src: &str) -> (WhereAnalysis, CompiledPattern) {
         let reg = retail_registry();
         let q = parse_query(src).unwrap();
         let p = CompiledPattern::compile(&q.pattern, &reg).unwrap();
@@ -805,8 +751,6 @@ mod tests {
             &p,
             &reg,
             &FunctionRegistry::with_stdlib(),
-            use_partition,
-            true,
         )
         .unwrap();
         (a, p)
@@ -823,7 +767,7 @@ mod tests {
 
     #[test]
     fn q1_explicit_predicates_derive_partition() {
-        let (a, _p) = analyze(Q1, true);
+        let (a, _p) = analyze(Q1);
         let spec = a.partition.expect("partition derived");
         assert_eq!(spec.parts.len(), 1);
         // All three slots covered (incl. the negated counter reading).
@@ -838,36 +782,27 @@ mod tests {
 
     #[test]
     fn q1_without_partition_expands_to_predicates() {
-        let (a, _p) = analyze(Q1, false);
+        // Q1 plus a positive component the TagId class does not reach: no
+        // class covers every positive, so nothing partitions.
+        let (a, _p) = analyze(
+            "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z, \
+             SHELF_READING w) WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 43200",
+        );
         assert!(a.partition.is_none());
         // x=z stays a construction filter; x=y a negation check.
         assert_eq!(a.construction_filters.len(), 1);
         assert_eq!(a.construction_filters[0].min_positive, 0);
-        assert_eq!(a.construction_filters[0].max_positive, 1);
         assert_eq!(a.negation_checks[0].len(), 1);
     }
 
     #[test]
     fn equivalence_shorthand_partition() {
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, SHELF_READING y) WHERE [TagId] WITHIN 10",
-            true,
-        );
+        let (a, _p) =
+            analyze("EVENT SEQ(SHELF_READING x, SHELF_READING y) WHERE [TagId] WITHIN 10");
         let spec = a.partition.unwrap();
         assert_eq!(spec.parts.len(), 1);
         assert!(spec.covers_slot(0) && spec.covers_slot(1));
         assert!(a.construction_filters.is_empty());
-    }
-
-    #[test]
-    fn equivalence_shorthand_expanded_when_partition_off() {
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, SHELF_READING y, EXIT_READING z) WHERE [TagId]",
-            false,
-        );
-        assert!(a.partition.is_none());
-        // Chain of 2 pairwise equalities over 3 positives.
-        assert_eq!(a.construction_filters.len(), 2);
     }
 
     #[test]
@@ -877,14 +812,7 @@ mod tests {
             parse_query("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE [Temperature] WITHIN 5")
                 .unwrap();
         let p = CompiledPattern::compile(&q.pattern, &reg).unwrap();
-        let err = analyze_where(
-            q.where_clause.as_ref(),
-            &p,
-            &reg,
-            &FunctionRegistry::new(),
-            true,
-            true,
-        );
+        let err = analyze_where(q.where_clause.as_ref(), &p, &reg, &FunctionRegistry::new());
         assert!(err.is_err());
     }
 
@@ -893,7 +821,6 @@ mod tests {
         let (a, _p) = analyze(
             "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
              WHERE x.AreaId = 2 AND z.AreaId > 0 AND x.TagId = z.TagId",
-            true,
         );
         assert_eq!(a.element_filters[0].len(), 1);
         assert_eq!(a.element_filters[1].len(), 1);
@@ -901,42 +828,18 @@ mod tests {
     }
 
     #[test]
-    fn single_var_pushdown_disabled_keeps_construction_filters() {
-        let reg = retail_registry();
-        let q =
-            parse_query("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.AreaId = 2").unwrap();
-        let p = CompiledPattern::compile(&q.pattern, &reg).unwrap();
-        let a = analyze_where(
-            q.where_clause.as_ref(),
-            &p,
-            &reg,
-            &FunctionRegistry::new(),
-            true,
-            false,
-        )
-        .unwrap();
-        assert!(a.element_filters.iter().all(|f| f.is_empty()));
-        assert_eq!(a.construction_filters.len(), 1);
-        assert_eq!(a.construction_filters[0].min_positive, 0);
-        assert_eq!(a.construction_filters[0].max_positive, 0);
-    }
-
-    #[test]
     fn predicate_on_negated_component_is_candidate_filter() {
         let (a, _p) = analyze(
             "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
              WHERE y.AreaId = 3 AND x.TagId = z.TagId",
-            true,
         );
         assert_eq!(a.element_filters[1].len(), 1);
     }
 
     #[test]
     fn non_equality_multi_var_is_construction_filter() {
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, SHELF_READING y) WHERE x.AreaId != y.AreaId",
-            true,
-        );
+        let (a, _p) =
+            analyze("EVENT SEQ(SHELF_READING x, SHELF_READING y) WHERE x.AreaId != y.AreaId");
         assert!(a.partition.is_none());
         assert_eq!(a.construction_filters.len(), 1);
     }
@@ -948,7 +851,6 @@ mod tests {
         let (a, _p) = analyze(
             "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
              WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 3600",
-            true,
         );
         assert!(a.partition.is_some());
         assert_eq!(a.construction_filters.len(), 1);
@@ -963,14 +865,7 @@ mod tests {
         )
         .unwrap();
         let p = CompiledPattern::compile(&q.pattern, &reg).unwrap();
-        let err = analyze_where(
-            q.where_clause.as_ref(),
-            &p,
-            &reg,
-            &FunctionRegistry::new(),
-            true,
-            true,
-        );
+        let err = analyze_where(q.where_clause.as_ref(), &p, &reg, &FunctionRegistry::new());
         assert!(err.is_err());
     }
 
@@ -979,7 +874,6 @@ mod tests {
         let (a, _p) = analyze(
             "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
              WHERE x.TagId = z.TagId OR x.AreaId = z.AreaId",
-            true,
         );
         // The OR is one conjunct referencing two positive slots.
         assert!(a.partition.is_none());
@@ -988,10 +882,8 @@ mod tests {
 
     #[test]
     fn intra_slot_equality_is_single_var() {
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = x.AreaId",
-            true,
-        );
+        let (a, _p) =
+            analyze("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = x.AreaId");
         assert!(a.partition.is_none());
         assert_eq!(a.element_filters[0].len(), 1);
     }
@@ -999,10 +891,8 @@ mod tests {
     #[test]
     fn cross_attribute_equality_chain_partitions() {
         // Different attribute names on each side still form one class.
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.AreaId",
-            true,
-        );
+        let (a, _p) =
+            analyze("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.AreaId");
         let spec = a.partition.unwrap();
         assert_eq!(spec.parts[0].attr_for_slot(0).unwrap().as_ref(), "TagId");
         assert_eq!(spec.parts[0].attr_for_slot(1).unwrap().as_ref(), "AreaId");
@@ -1013,7 +903,6 @@ mod tests {
         let (a, _p) = analyze(
             "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
              WHERE x.TagId = y.TagId AND x.ProductName = y.ProductName",
-            true,
         );
         let spec = a.partition.unwrap();
         assert_eq!(spec.parts.len(), 2);
@@ -1024,7 +913,7 @@ mod tests {
         let reg = retail_registry();
         // Q1: the TagId class covers all three slots, including the
         // negated counter reading — one routing key, three typed accessors.
-        let (a, p) = analyze(Q1, true);
+        let (a, p) = analyze(Q1);
         let keys = routing_ok(&a, &p, &reg);
         assert_eq!(keys.len(), 1);
         assert_eq!(keys[0].per_type.len(), 3);
@@ -1042,7 +931,6 @@ mod tests {
         let (a, p) = analyze(
             "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
              WHERE x.TagId = z.TagId WITHIN 10",
-            true,
         );
         let verdicts: Vec<_> = routing_keys(a.partition.as_ref().unwrap(), &p, &reg).collect();
         assert!(
@@ -1058,10 +946,7 @@ mod tests {
     fn routing_candidate_key_extraction_is_typed() {
         use crate::value::Value;
         let reg = retail_registry();
-        let (a, p) = analyze(
-            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId",
-            true,
-        );
+        let (a, p) = analyze("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId");
         let keys = routing_ok(&a, &p, &reg);
         assert_eq!(keys.len(), 1);
         let e = reg
@@ -1083,10 +968,7 @@ mod tests {
     fn partition_key_extraction() {
         use crate::value::Value;
         let reg = retail_registry();
-        let (a, _p) = analyze(
-            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId",
-            true,
-        );
+        let (a, _p) = analyze("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId");
         let spec = a.partition.unwrap();
         let e = reg
             .build_event(

@@ -7,10 +7,14 @@
 //! Stacks, optionally partitioned — PAIS), followed by negation, window,
 //! selection, and transformation stages.
 //!
-//! The [`PlannerOptions`] knobs correspond to the paper's optimizations
-//! ("we strategically push some of the predicates and windows down to the
-//! sequence operators") and are individually toggleable so the benchmark
-//! suite can ablate them.
+//! Every plan applies the paper's optimizations ("we strategically push some
+//! of the predicates and windows down to the sequence operators"): the
+//! window and single-variable predicates always run inside the sequence
+//! scan, and an equivalence class that covers every positive component
+//! always becomes a PAIS partition. What a plan leaves out follows from the
+//! query alone: no qualifying equivalence means unpartitioned SSC, and a
+//! partition that does not cover a negated component means a flat negation
+//! buffer for it.
 
 mod analysis;
 mod planner;
@@ -28,69 +32,6 @@ use crate::pattern::{CompiledPattern, NegationScope};
 use crate::program::PredicateProgram;
 use crate::time::LogicalDuration;
 
-/// Which sequence operator implements the EVENT clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SequenceStrategy {
-    /// Sequence Scan & Construction over Active Instance Stacks — the
-    /// paper's native sequence operator (optionally partitioned).
-    #[default]
-    Ssc,
-    /// Direct NFA simulation keeping every partial run alive — the
-    /// unoptimized baseline used by the benchmarks.
-    Naive,
-}
-
-/// Planner knobs. Defaults match the paper's optimized configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerOptions {
-    /// Implement equivalence predicates by partitioning the instance
-    /// stacks (PAIS). When off, equivalence tests run as ordinary
-    /// predicates during sequence construction.
-    pub pushdown_partition: bool,
-    /// Enforce WITHIN during sequence scan and construction, pruning
-    /// expired stack instances. When off, the window is a post-filter.
-    pub pushdown_window: bool,
-    /// Apply single-variable predicates before an event enters a stack.
-    /// When off, they are evaluated during construction.
-    pub pushdown_single_event_predicates: bool,
-    /// Index negation candidate events by partition key. When off, each
-    /// negation check scans all buffered candidates.
-    pub indexed_negation: bool,
-    /// Sequence operator choice.
-    pub strategy: SequenceStrategy,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            pushdown_partition: true,
-            pushdown_window: true,
-            pushdown_single_event_predicates: true,
-            indexed_negation: true,
-            strategy: SequenceStrategy::Ssc,
-        }
-    }
-}
-
-impl PlannerOptions {
-    /// The paper's fully-optimized configuration (the default).
-    pub fn optimized() -> Self {
-        Self::default()
-    }
-
-    /// Everything off: naive NFA simulation with post-filtering. The
-    /// baseline configuration for the benchmark ablations.
-    pub fn naive() -> Self {
-        PlannerOptions {
-            pushdown_partition: false,
-            pushdown_window: false,
-            pushdown_single_event_predicates: false,
-            indexed_negation: false,
-            strategy: SequenceStrategy::Naive,
-        }
-    }
-}
-
 /// A multi-variable predicate evaluated during sequence construction.
 #[derive(Debug, Clone)]
 pub struct ConstructionFilter {
@@ -100,9 +41,6 @@ pub struct ConstructionFilter {
     /// last component towards the first) can evaluate the filter as soon as
     /// it has bound down to this index.
     pub min_positive: usize,
-    /// Largest positive index referenced. Forward extension (the naive
-    /// runner) can evaluate once it has bound up to this index.
-    pub max_positive: usize,
 }
 
 /// The compiled form of one negated pattern component.
@@ -211,8 +149,6 @@ pub struct QueryPlan {
     pub negations: Vec<NegationPlan>,
     /// Compiled RETURN clause.
     pub return_plan: ReturnPlan,
-    /// Options the plan was compiled with.
-    pub options: PlannerOptions,
 }
 
 impl QueryPlan {
@@ -231,27 +167,20 @@ impl QueryPlan {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "Plan for:\n{}", self.query);
-        let _ = writeln!(out, "strategy: {:?}", self.options.strategy);
         let _ = writeln!(out, "NFA: {}", self.nfa);
-        match (&self.partition, self.options.pushdown_partition) {
-            (Some(p), _) => {
+        match &self.partition {
+            Some(p) => {
                 let _ = writeln!(out, "SSC: partitioned (PAIS), key = {p}");
             }
-            (None, true) => {
+            None => {
                 let _ = writeln!(out, "SSC: unpartitioned (no equivalence attribute found)");
             }
-            (None, false) => {
-                let _ = writeln!(out, "SSC: unpartitioned (partition pushdown disabled)");
-            }
         }
-        match (self.window, self.options.pushdown_window) {
-            (Some(w), true) => {
+        match self.window {
+            Some(w) => {
                 let _ = writeln!(out, "WITHIN {w} units: pushed into sequence scan");
             }
-            (Some(w), false) => {
-                let _ = writeln!(out, "WITHIN {w} units: post-construction filter");
-            }
-            (None, _) => {
+            None => {
                 let _ = writeln!(out, "WITHIN: unbounded");
             }
         }
@@ -263,8 +192,8 @@ impl QueryPlan {
         for f in &self.construction_filters {
             let _ = writeln!(
                 out,
-                "construction filter (positives {}..={}): {:?}",
-                f.min_positive, f.max_positive, f.expr
+                "construction filter (from positive {}): {:?}",
+                f.min_positive, f.expr
             );
         }
         for n in &self.negations {
@@ -275,7 +204,7 @@ impl QueryPlan {
                 n.scope.after_positive,
                 n.scope.before_positive,
                 n.checks.len(),
-                n.partition_attrs.is_some() && self.options.indexed_negation,
+                n.partition_attrs.is_some(),
             );
         }
         let _ = writeln!(out, "RETURN: {} items", self.return_plan.items.len());

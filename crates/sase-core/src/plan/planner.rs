@@ -12,10 +12,7 @@ use crate::pattern::CompiledPattern;
 use crate::time::TimeScale;
 
 use super::analysis::{analyze_where, negation_partition_attrs};
-use super::{
-    CompiledAggArg, CompiledReturnItem, NegationPlan, PlannerOptions, QueryPlan, ReturnPlan,
-    SequenceStrategy,
-};
+use super::{CompiledAggArg, CompiledReturnItem, NegationPlan, QueryPlan, ReturnPlan};
 
 /// Compiles parsed queries into executable plans.
 ///
@@ -44,27 +41,16 @@ impl Planner {
         self
     }
 
-    /// Plan a query with default (fully optimized) options.
+    /// Plan a query.
     pub fn plan(&self, query: &Query) -> Result<QueryPlan> {
-        self.plan_with(query, PlannerOptions::default())
-    }
-
-    /// Plan a query with explicit options.
-    pub fn plan_with(&self, query: &Query, options: PlannerOptions) -> Result<QueryPlan> {
         let pattern = Arc::new(CompiledPattern::compile(&query.pattern, &self.registry)?);
         let nfa = Arc::new(Nfa::from_pattern(&pattern));
-
-        // The naive strategy deliberately ignores partitioning: it is the
-        // "no optimizations" baseline.
-        let use_partition = options.pushdown_partition && options.strategy == SequenceStrategy::Ssc;
 
         let analysis = analyze_where(
             query.where_clause.as_ref(),
             &pattern,
             &self.registry,
             &self.functions,
-            use_partition,
-            options.pushdown_single_event_predicates,
         )?;
 
         let window = query.within.map(|w| w.to_logical(self.time_scale));
@@ -113,7 +99,6 @@ impl Planner {
             construction_filters: analysis.construction_filters,
             negations,
             return_plan,
-            options,
         })
     }
 
@@ -245,23 +230,6 @@ mod tests {
         let explain = plan.explain();
         assert!(explain.contains("PAIS"));
         assert!(explain.contains("pushed into sequence scan"));
-    }
-
-    #[test]
-    fn naive_strategy_disables_partition() {
-        let q = parse_query(Q1).unwrap();
-        let plan = planner()
-            .plan_with(
-                &q,
-                PlannerOptions {
-                    strategy: SequenceStrategy::Naive,
-                    ..PlannerOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(plan.partition.is_none());
-        // Equality predicates remain explicit.
-        assert_eq!(plan.construction_filters.len(), 1);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! implement, capturing the full continuous-query lifecycle:
 //!
 //! * **query management** — [`register`](EventProcessor::register) /
-//!   [`register_with`](EventProcessor::register_with) /
 //!   [`unregister`](EventProcessor::unregister);
 //! * **ingest** — [`process_batch_on`](EventProcessor::process_batch_on)
 //!   (and the provided [`process_batch`](EventProcessor::process_batch)
@@ -41,8 +40,7 @@
 //!   [`Emission::order_key`] — regardless of internal parallelism.
 //! * `snapshot` → `restore` round-trips exactly: restoring a snapshot onto
 //!   a freshly configured deployment with the same queries (in the same
-//!   order, planned with the same options) resumes processing as if
-//!   nothing happened. See [`crate::snapshot`] for the restore protocol.
+//!   order) resumes processing as if nothing happened. See [`crate::snapshot`] for the restore protocol.
 
 use crate::analyze::{check_src, Diagnostic};
 use crate::engine::{Emission, Sink};
@@ -51,7 +49,6 @@ use crate::event::{Event, SchemaRegistry};
 use crate::functions::FunctionRegistry;
 use crate::lang::parse_query;
 use crate::output::ComplexEvent;
-use crate::plan::PlannerOptions;
 use crate::runtime::RuntimeStats;
 use crate::snapshot::SnapshotSet;
 use crate::time::TimeScale;
@@ -64,14 +61,9 @@ use sase_obs::{MetricsRegistry, MetricsSnapshot};
 /// lets deployments move across threads (pipelined stages own their
 /// processor).
 pub trait EventProcessor: Send {
-    /// Register a continuous query from source text with explicit planner
-    /// options. Query names are unique per deployment.
-    fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> Result<()>;
-
-    /// Register a continuous query from source text with default options.
-    fn register(&mut self, name: &str, src: &str) -> Result<()> {
-        self.register_with(name, src, PlannerOptions::default())
-    }
+    /// Register a continuous query from source text. Query names are
+    /// unique per deployment.
+    fn register(&mut self, name: &str, src: &str) -> Result<()>;
 
     /// Statically analyze query text against this deployment *without*
     /// registering it: schema/type errors, unsatisfiable predicates,

@@ -2,13 +2,11 @@
 //!
 //! A [`QueryRuntime`] is one running continuous query. Per arriving event it
 //! drives the dataflow of §2.1.2: the native sequence operator at the bottom
-//! (SSC over Active Instance Stacks, or the naive NFA baseline), pipelining
-//! constructed sequences through negation, window (when not pushed down),
-//! and transformation.
+//! (SSC over Active Instance Stacks, with the window pushed into the scan),
+//! pipelining constructed sequences through negation and transformation.
 
 pub mod ais;
 pub mod binding;
-pub mod naive;
 pub mod negation;
 pub mod ssc;
 pub mod transform;
@@ -20,12 +18,11 @@ use std::sync::Arc;
 use crate::error::{Result, SaseError};
 use crate::event::{Event, SchemaRegistry};
 use crate::output::ComplexEvent;
-use crate::plan::{QueryPlan, SequenceStrategy};
+use crate::plan::QueryPlan;
 use crate::snapshot::{mismatch, QuerySnapshot, SeqSnapshot};
 use crate::time::Timestamp;
 use crate::value::ValueKey;
 
-use naive::NaiveRunner;
 use negation::NegationOperator;
 use ssc::SscOperator;
 
@@ -44,8 +41,9 @@ pub struct RuntimeStats {
     pub sequences_constructed: u64,
     /// Construction-filter rejections during sequence construction.
     pub construction_filter_rejects: u64,
-    /// Matches dropped by the post-construction window filter (only when
-    /// window pushdown is disabled, or in the naive runner).
+    /// Always 0: the window runs inside the sequence scan, so no
+    /// constructed match is ever outside it. Kept so the checkpoint, the
+    /// Stats frame and the metrics keep their shape.
     pub dropped_by_window: u64,
     /// Matches killed by a negation counterexample.
     pub dropped_by_negation: u64,
@@ -53,7 +51,8 @@ pub struct RuntimeStats {
     pub negation_candidates_buffered: u64,
     /// Composite events emitted.
     pub matches_emitted: u64,
-    /// Peak number of live partial runs (naive runner only).
+    /// Always 0: SSC keeps stack instances, not partial runs. Kept so the
+    /// checkpoint, the Stats frame and the metrics keep their shape.
     pub partial_runs_peak: u64,
     /// Current number of PAIS partitions.
     pub partitions: u64,
@@ -170,18 +169,12 @@ impl std::hash::Hash for PartitionKey {
     }
 }
 
-#[derive(Debug)]
-enum SeqRunner {
-    Ssc(SscOperator),
-    Naive(NaiveRunner),
-}
-
 /// One running continuous query.
 #[derive(Debug)]
 pub struct QueryRuntime {
     name: Arc<str>,
     plan: Arc<QueryPlan>,
-    seq: SeqRunner,
+    seq: SscOperator,
     negation: NegationOperator,
     stats: RuntimeStats,
     last_ts: Option<Timestamp>,
@@ -192,10 +185,7 @@ impl QueryRuntime {
     /// Instantiate a plan as a running query.
     pub fn new(name: impl AsRef<str>, plan: QueryPlan) -> Self {
         let plan = Arc::new(plan);
-        let seq = match plan.options.strategy {
-            SequenceStrategy::Ssc => SeqRunner::Ssc(SscOperator::new(plan.clone())),
-            SequenceStrategy::Naive => SeqRunner::Naive(NaiveRunner::new(plan.clone())),
-        };
+        let seq = SscOperator::new(plan.clone());
         let negation = NegationOperator::new(plan.clone());
         QueryRuntime {
             name: Arc::from(name.as_ref()),
@@ -257,24 +247,9 @@ impl QueryRuntime {
 
         self.scratch.clear();
         let mut candidates = std::mem::take(&mut self.scratch);
-        match &mut self.seq {
-            SeqRunner::Ssc(op) => op.on_event(event, &mut self.stats, &mut candidates)?,
-            SeqRunner::Naive(op) => op.on_event(event, &mut self.stats, &mut candidates)?,
-        }
+        self.seq.on_event(event, &mut self.stats, &mut candidates)?;
 
         for m in candidates.drain(..) {
-            // Post-construction window filter (SSC with pushdown disabled;
-            // the naive runner enforces it at accept already).
-            if !self.plan.options.pushdown_window {
-                if let Some(w) = self.plan.window {
-                    let span = m.last().expect("nonempty").timestamp()
-                        - m.first().expect("nonempty").timestamp();
-                    if span > w {
-                        self.stats.dropped_by_window += 1;
-                        continue;
-                    }
-                }
-            }
             if !self.negation.allows(&m)? {
                 self.stats.dropped_by_negation += 1;
                 continue;
@@ -302,19 +277,16 @@ impl QueryRuntime {
             name: self.name.to_string(),
             stats: self.stats.clone(),
             last_ts: self.last_ts,
-            seq: match &self.seq {
-                SeqRunner::Ssc(op) => op.snapshot(),
-                SeqRunner::Naive(op) => op.snapshot(),
-            },
+            seq: self.seq.snapshot(),
             negations: self.negation.snapshot(),
         }
     }
 
     /// Replace this runtime's state with a snapshot's.
     ///
-    /// The runtime must have been built from the same query under the same
-    /// planner options as the snapshotted one (the engine restore protocol
-    /// guarantees this by re-registering queries before restoring);
+    /// The runtime must have been built from the same query as the
+    /// snapshotted one (the engine restore protocol guarantees this by
+    /// re-registering queries before restoring);
     /// mismatches are rejected with a typed error, never applied halfway —
     /// nothing is modified unless every piece of the snapshot fits.
     pub fn restore(&mut self, snap: &QuerySnapshot, registry: &SchemaRegistry) -> Result<()> {
@@ -326,25 +298,12 @@ impl QueryRuntime {
         }
         // Rebuild both operators from the snapshot before touching any
         // state, so a mid-restore failure leaves the runtime unchanged.
-        let mut seq = match self.plan.options.strategy {
-            SequenceStrategy::Ssc => SeqRunner::Ssc(SscOperator::new(self.plan.clone())),
-            SequenceStrategy::Naive => SeqRunner::Naive(NaiveRunner::new(self.plan.clone())),
-        };
-        match (&mut seq, &snap.seq) {
-            (
-                SeqRunner::Ssc(op),
-                SeqSnapshot::Ssc {
-                    partitions,
-                    events_since_sweep,
-                },
-            ) => op.restore(partitions, *events_since_sweep, registry)?,
-            (SeqRunner::Naive(op), SeqSnapshot::Naive { runs }) => op.restore(runs, registry)?,
-            _ => {
-                return Err(mismatch(
-                    "snapshot sequence strategy differs from the plan's (SSC vs naive)",
-                ))
-            }
-        }
+        let mut seq = SscOperator::new(self.plan.clone());
+        let SeqSnapshot::Ssc {
+            partitions,
+            events_since_sweep,
+        } = &snap.seq;
+        seq.restore(partitions, *events_since_sweep, registry)?;
         let mut negation = NegationOperator::new(self.plan.clone());
         negation.restore(&snap.negations, registry)?;
 
@@ -355,14 +314,10 @@ impl QueryRuntime {
         Ok(())
     }
 
-    /// Memory footprint indicators: retained stack instances (SSC) or live
-    /// partial runs (naive), plus buffered negation candidates.
+    /// Memory footprint indicators: retained stack instances plus buffered
+    /// negation candidates.
     pub fn retained_state(&self) -> (usize, usize) {
-        let seq = match &self.seq {
-            SeqRunner::Ssc(op) => op.retained_instances(),
-            SeqRunner::Naive(op) => op.live_runs(),
-        };
-        (seq, self.negation.buffered())
+        (self.seq.retained_instances(), self.negation.buffered())
     }
 }
 
@@ -372,14 +327,14 @@ mod tests {
     use crate::event::{retail_registry, SchemaRegistry};
     use crate::functions::FunctionRegistry;
     use crate::lang::parse_query;
-    use crate::plan::{Planner, PlannerOptions};
+    use crate::plan::Planner;
     use crate::value::Value;
 
-    fn runtime(src: &str, options: PlannerOptions) -> (QueryRuntime, SchemaRegistry) {
+    fn runtime(src: &str) -> (QueryRuntime, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(src).unwrap();
-        let plan = planner.plan_with(&q, options).unwrap();
+        let plan = planner.plan(&q).unwrap();
         (QueryRuntime::new("test", plan), reg)
     }
 
@@ -398,7 +353,7 @@ mod tests {
 
     #[test]
     fn q1_shoplifting_detection() {
-        let (mut rt, reg) = runtime(Q1, PlannerOptions::default());
+        let (mut rt, reg) = runtime(Q1);
         // Tag 7 is shoplifted; tag 8 checks out properly.
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
@@ -434,29 +389,21 @@ mod tests {
             let tag = ((state >> 16) % 6) as i64;
             events.push(ev(&reg, ty, k + 1, tag, ((state >> 24) % 4) as i64));
         }
-        let configs = [
-            PlannerOptions::default(),
-            PlannerOptions::naive(),
-            PlannerOptions {
-                pushdown_partition: false,
-                ..PlannerOptions::default()
-            },
-            PlannerOptions {
-                pushdown_window: false,
-                ..PlannerOptions::default()
-            },
-            PlannerOptions {
-                indexed_negation: false,
-                ..PlannerOptions::default()
-            },
-            PlannerOptions {
-                pushdown_single_event_predicates: false,
-                ..PlannerOptions::default()
-            },
-        ];
+        // Q1, and Q1 reworded so its tag equalities are no longer plain
+        // attribute equalities: no equivalence class forms, so the plan
+        // picks unpartitioned SSC and a flat negation buffer.
+        let flat = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+                    WHERE x.TagId + 0 = y.TagId AND x.TagId + 0 = z.TagId WITHIN 1000 \
+                    RETURN x.TagId, x.ProductName, z.AreaId";
         let mut results: Vec<Vec<Vec<u64>>> = Vec::new();
-        for opt in configs {
-            let (mut rt, _) = runtime(Q1, opt);
+        for src in [Q1, flat] {
+            let (mut rt, _) = runtime(src);
+            assert_eq!(
+                rt.plan().partition.is_some(),
+                src == Q1,
+                "{}",
+                rt.plan().explain()
+            );
             let out = rt.process_all(&events).unwrap();
             let mut canon: Vec<Vec<u64>> = out
                 .iter()
@@ -476,7 +423,7 @@ mod tests {
 
     #[test]
     fn out_of_order_rejected() {
-        let (mut rt, reg) = runtime(Q1, PlannerOptions::default());
+        let (mut rt, reg) = runtime(Q1);
         let mut out = Vec::new();
         rt.process(&ev(&reg, "SHELF_READING", 10, 1, 1), &mut out)
             .unwrap();
@@ -489,7 +436,7 @@ mod tests {
 
     #[test]
     fn retained_state_reports() {
-        let (mut rt, reg) = runtime(Q1, PlannerOptions::default());
+        let (mut rt, reg) = runtime(Q1);
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "COUNTER_READING", 2, 7, 3),
@@ -505,7 +452,7 @@ mod tests {
         let q2 = "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
                   WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 3600 \
                   RETURN y.TagId, y.AreaId, y.Timestamp";
-        let (mut rt, reg) = runtime(q2, PlannerOptions::default());
+        let (mut rt, reg) = runtime(q2);
         let events = vec![
             ev(&reg, "SHELF_READING", 10, 7, 1),
             ev(&reg, "SHELF_READING", 20, 7, 1), // same area: no event

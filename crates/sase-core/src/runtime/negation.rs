@@ -7,10 +7,10 @@
 //! each constructed sequence, probes for a counterexample strictly between
 //! the flanking positive events that satisfies the relational checks.
 //!
-//! With `indexed_negation` (and a partition that covers the negated slot)
-//! candidates are additionally bucketed by partition key — the "indexing
-//! relevant events ... across value-based partitions" of §2.1.2 — so a
-//! probe touches only same-key candidates.
+//! When the partition covers the negated slot, candidates are bucketed by
+//! partition key — the "indexing relevant events ... across value-based
+//! partitions" of §2.1.2 — so a probe touches only same-key candidates;
+//! otherwise they wait in one flat buffer.
 
 use std::collections::VecDeque;
 
@@ -28,9 +28,10 @@ use super::{PartitionKey, RuntimeStats};
 
 #[derive(Debug)]
 struct NegBuffer {
-    /// Bucketed by composite partition key when indexing is active.
+    /// Bucketed by composite partition key when the partition covers the
+    /// negated slot.
     buckets: FxHashMap<PartitionKey, VecDeque<Event>>,
-    /// Flat temporal buffer when not indexed.
+    /// Flat temporal buffer otherwise.
     all: VecDeque<Event>,
     indexed: bool,
 }
@@ -55,7 +56,7 @@ impl NegationOperator {
             .map(|n| NegBuffer {
                 buckets: FxHashMap::default(),
                 all: VecDeque::new(),
-                indexed: plan.options.indexed_negation && n.partition_attrs.is_some(),
+                indexed: n.partition_attrs.is_some(),
             })
             .collect();
         NegationOperator {
@@ -109,8 +110,8 @@ impl NegationOperator {
     }
 
     /// Replace the buffered candidates with a snapshot's. The snapshot
-    /// must come from a plan with the same negations and the same
-    /// `indexed_negation` option (bucketed vs. flat buffering).
+    /// must come from a plan with the same negations, each buffered the
+    /// same way (bucketed vs. flat).
     pub fn restore(
         &mut self,
         snaps: &[NegationBufferSnapshot],
@@ -299,25 +300,24 @@ mod tests {
     use crate::event::{retail_registry, SchemaRegistry};
     use crate::functions::FunctionRegistry;
     use crate::lang::parse_query;
-    use crate::plan::{Planner, PlannerOptions};
+    use crate::plan::Planner;
     use crate::value::Value;
 
     const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                       WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 1000";
 
+    /// Q1 with the counter reading's tag test written so that it is no
+    /// attribute equality: the partition no longer covers the negated slot,
+    /// so its candidates are buffered flat.
+    const Q1_FLAT: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+                           WHERE y.TagId + 0 = x.TagId AND x.TagId = z.TagId WITHIN 1000";
+
     fn setup(indexed: bool) -> (NegationOperator, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
-        let q = parse_query(Q1).unwrap();
-        let plan = planner
-            .plan_with(
-                &q,
-                PlannerOptions {
-                    indexed_negation: indexed,
-                    ..PlannerOptions::default()
-                },
-            )
-            .unwrap();
+        let q = parse_query(if indexed { Q1 } else { Q1_FLAT }).unwrap();
+        let plan = planner.plan(&q).unwrap();
+        assert_eq!(plan.negations[0].partition_attrs.is_some(), indexed);
         (NegationOperator::new(std::sync::Arc::new(plan)), reg)
     }
 

@@ -38,8 +38,7 @@ use super::ais::{AisGroup, Instance};
 use super::binding::PositiveMatch;
 use super::{PartitionKey, RuntimeStats};
 
-/// The SSC operator: one per running query (when the plan strategy is
-/// [`crate::plan::SequenceStrategy::Ssc`]).
+/// The SSC operator: one per running query.
 #[derive(Debug)]
 pub struct SscOperator {
     plan: std::sync::Arc<QueryPlan>,
@@ -119,9 +118,20 @@ impl SscOperator {
         registry: &SchemaRegistry,
     ) -> Result<()> {
         let n = self.plan.pattern.positive_len();
+        let key_parts = self
+            .plan
+            .partition
+            .as_ref()
+            .map_or(0, |spec| spec.parts.len());
         let mut groups = FxHashMap::default();
         groups.reserve(partitions.len());
         for p in partitions {
+            if p.key.len() != key_parts {
+                return Err(mismatch(format!(
+                    "partition key has {} parts, plan has {key_parts}",
+                    p.key.len()
+                )));
+            }
             if p.stacks.len() != n {
                 return Err(mismatch(format!(
                     "partition has {} stacks, plan has {n} positive components",
@@ -151,8 +161,7 @@ impl SscOperator {
         out: &mut Vec<PositiveMatch>,
     ) -> Result<()> {
         let n = self.plan.pattern.positive_len();
-        let push_window = self.plan.options.pushdown_window;
-        let window = self.plan.window.filter(|_| push_window);
+        let window = self.plan.window;
 
         // Periodic global sweep bounds memory of idle partitions.
         self.events_since_sweep += 1;
@@ -285,10 +294,7 @@ fn construct(
         return Ok(());
     }
 
-    let min_ts = plan
-        .window
-        .filter(|_| plan.options.pushdown_window)
-        .map(|w| last.timestamp().saturating_sub(w));
+    let min_ts = plan.window.map(|w| last.timestamp().saturating_sub(w));
 
     descend(
         plan,
@@ -377,14 +383,14 @@ mod tests {
     use crate::event::{retail_registry, SchemaRegistry};
     use crate::functions::FunctionRegistry;
     use crate::lang::parse_query;
-    use crate::plan::{Planner, PlannerOptions};
+    use crate::plan::Planner;
     use crate::value::Value;
 
-    fn setup(src: &str, options: PlannerOptions) -> (SscOperator, SchemaRegistry) {
+    fn setup(src: &str) -> (SscOperator, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(src).unwrap();
-        let plan = planner.plan_with(&q, options).unwrap();
+        let plan = planner.plan(&q).unwrap();
         (SscOperator::new(std::sync::Arc::new(plan)), reg)
     }
 
@@ -412,7 +418,7 @@ mod tests {
 
     #[test]
     fn basic_two_step_sequence() {
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "SHELF_READING", 2, 8, 1),
@@ -430,7 +436,7 @@ mod tests {
     #[test]
     fn all_matches_semantics() {
         // Two shelf readings of the same tag then one exit: both pair.
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "SHELF_READING", 2, 7, 2),
@@ -442,7 +448,7 @@ mod tests {
 
     #[test]
     fn window_prunes_old_matches() {
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "EXIT_READING", 200, 7, 4), // outside WITHIN 100
@@ -450,7 +456,7 @@ mod tests {
         let (matches, _) = run(&mut op, &events);
         assert!(matches.is_empty());
         // Boundary: exactly W apart is inside.
-        let (mut op, _) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, _) = setup(SEQ2);
         let events = vec![
             ev(&reg, "SHELF_READING", 100, 7, 1),
             ev(&reg, "EXIT_READING", 200, 7, 4),
@@ -460,44 +466,8 @@ mod tests {
     }
 
     #[test]
-    fn window_post_filter_matches_pushdown_results() {
-        let reg = retail_registry();
-        let mk = |seed: u64| {
-            let mut evs = Vec::new();
-            for k in 0..60u64 {
-                let ts = k * 7 + 1;
-                let tag = ((k + seed) % 5) as i64;
-                if k % 3 == 0 {
-                    evs.push(ev(&reg, "EXIT_READING", ts, tag, 4));
-                } else {
-                    evs.push(ev(&reg, "SHELF_READING", ts, tag, 1));
-                }
-            }
-            evs
-        };
-        let events = mk(3);
-        let (mut op_push, _) = setup(SEQ2, PlannerOptions::default());
-        let (m1, _) = run(&mut op_push, &events);
-        let (mut op_post, _) = setup(
-            SEQ2,
-            PlannerOptions {
-                pushdown_window: false,
-                ..PlannerOptions::default()
-            },
-        );
-        let (m2, _) = run(&mut op_post, &events);
-        // Post-filter generates a superset; filter by window and compare.
-        let w = 100;
-        let m2f: Vec<_> = m2
-            .into_iter()
-            .filter(|m| m[1].timestamp() - m[0].timestamp() <= w)
-            .collect();
-        assert_eq!(m1.len(), m2f.len());
-    }
-
-    #[test]
     fn strict_timestamp_ordering() {
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         // Same timestamp: not a sequence.
         let events = vec![
             ev(&reg, "SHELF_READING", 5, 7, 1),
@@ -512,7 +482,6 @@ mod tests {
         let (mut op, reg) = setup(
             "EVENT SEQ(ANY(SHELF_READING, EXIT_READING) a, \
              ANY(SHELF_READING, EXIT_READING) b) WITHIN 100",
-            PlannerOptions::default(),
         );
         let events = vec![ev(&reg, "SHELF_READING", 1, 7, 1)];
         let (matches, _) = run(&mut op, &events);
@@ -527,7 +496,7 @@ mod tests {
 
     #[test]
     fn partition_isolation() {
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "EXIT_READING", 2, 8, 4), // different tag: no match
@@ -538,12 +507,11 @@ mod tests {
 
     #[test]
     fn unpartitioned_plan_equality_still_enforced() {
+        // The equality is not a plain attribute equality, so it does not
+        // partition: it runs as a construction filter.
         let (mut op, reg) = setup(
-            SEQ2,
-            PlannerOptions {
-                pushdown_partition: false,
-                ..PlannerOptions::default()
-            },
+            "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
+             WHERE x.TagId + 0 = z.TagId WITHIN 100",
         );
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
@@ -560,7 +528,6 @@ mod tests {
         let (mut op, reg) = setup(
             "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) \
              WHERE [TagId] WITHIN 1000",
-            PlannerOptions::default(),
         );
         // 2 shelf, 2 counter, 1 exit (same tag): 2*2 = 4 matches.
         let events = vec![
@@ -584,7 +551,6 @@ mod tests {
         let (mut op, reg) = setup(
             "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
              WHERE x.AreaId = 1 AND x.TagId = z.TagId WITHIN 100",
-            PlannerOptions::default(),
         );
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 2), // wrong area: filtered
@@ -603,7 +569,6 @@ mod tests {
         let (mut op, reg) = setup(
             "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
              WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 3600",
-            PlannerOptions::default(),
         );
         let events = vec![
             ev(&reg, "SHELF_READING", 1, 7, 1),
@@ -617,7 +582,7 @@ mod tests {
 
     #[test]
     fn pruning_reduces_retained_instances() {
-        let (mut op, reg) = setup(SEQ2, PlannerOptions::default());
+        let (mut op, reg) = setup(SEQ2);
         let mut events = Vec::new();
         for k in 0..500u64 {
             events.push(ev(&reg, "SHELF_READING", k + 1, 7, 1));

@@ -23,8 +23,8 @@
 //! 1. the host rebuilds the schema registry with its base event types and
 //!    calls [`EngineSnapshot::preregister_derived`] so consumers of derived
 //!    streams can plan;
-//! 2. the host re-registers the same queries, in the same order, with the
-//!    same planner options as the checkpointed run;
+//! 2. the host re-registers the same queries, with the same text and in
+//!    the same order, as the checkpointed run;
 //! 3. [`crate::engine::Engine::restore`] swaps the recorded runtime state
 //!    into the re-registered runtimes.
 //!
@@ -101,7 +101,8 @@ pub struct PartitionSnapshot {
     pub stacks: Vec<StackSnapshot>,
 }
 
-/// State of a query's sequence operator.
+/// State of a query's sequence operator. The checkpoint codec writes the
+/// variant as a tag byte: `Ssc` is 0, and no other tag decodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeqSnapshot {
     /// The SSC operator: live partitions plus the sweep phase counter.
@@ -110,11 +111,6 @@ pub enum SeqSnapshot {
         partitions: Vec<PartitionSnapshot>,
         /// Events seen since the last idle-partition sweep.
         events_since_sweep: u64,
-    },
-    /// The naive NFA baseline: every live partial run.
-    Naive {
-        /// Partial runs, each the events bound to components `0..k`.
-        runs: Vec<Vec<EventSnapshot>>,
     },
 }
 
@@ -191,21 +187,19 @@ impl EngineSnapshot {
         Ok(())
     }
 
-    /// Total retained events across all queries (stack instances, naive
-    /// runs, and negation candidates) — a size indicator for checkpoint
-    /// policy decisions.
+    /// Total retained events across all queries (stack instances and
+    /// negation candidates) — a size indicator for checkpoint policy
+    /// decisions.
     pub fn retained_events(&self) -> usize {
         self.queries
             .iter()
             .map(|q| {
-                let seq = match &q.seq {
-                    SeqSnapshot::Ssc { partitions, .. } => partitions
-                        .iter()
-                        .flat_map(|p| p.stacks.iter())
-                        .map(|s| s.instances.len())
-                        .sum::<usize>(),
-                    SeqSnapshot::Naive { runs } => runs.iter().map(Vec::len).sum(),
-                };
+                let SeqSnapshot::Ssc { partitions, .. } = &q.seq;
+                let seq: usize = partitions
+                    .iter()
+                    .flat_map(|p| p.stacks.iter())
+                    .map(|s| s.instances.len())
+                    .sum();
                 let neg: usize = q
                     .negations
                     .iter()

@@ -1,9 +1,8 @@
-//! Cross-module engine behaviour: time scales, multiple negations, ANY
-//! patterns in full queries, and option interplay.
+//! Cross-module engine behaviour: time scales, multiple negations, and ANY
+//! patterns in full queries.
 
 use sase_core::engine::Engine;
 use sase_core::event::retail_registry;
-use sase_core::plan::{PlannerOptions, SequenceStrategy};
 use sase_core::time::TimeScale;
 use sase_core::value::Value;
 
@@ -145,36 +144,6 @@ fn any_component_binds_either_type() {
     );
     // Both the shelf and the counter reading pair with the exit.
     assert_eq!(out.len(), 2);
-}
-
-#[test]
-fn naive_strategy_usable_through_engine() {
-    let registry = retail_registry();
-    let mut engine = Engine::new(registry);
-    engine
-        .register_with(
-            "q",
-            "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
-             WHERE x.TagId = z.TagId WITHIN 100 RETURN x.TagId",
-            PlannerOptions {
-                strategy: SequenceStrategy::Naive,
-                ..PlannerOptions::naive()
-            },
-        )
-        .unwrap();
-    let mut out = Vec::new();
-    out.extend(
-        engine
-            .process(&ev(&engine, "SHELF_READING", 1, 1, 1))
-            .unwrap(),
-    );
-    out.extend(
-        engine
-            .process(&ev(&engine, "EXIT_READING", 2, 1, 4))
-            .unwrap(),
-    );
-    assert_eq!(out.len(), 1);
-    assert!(engine.explain("q").unwrap().contains("Naive"));
 }
 
 #[test]

@@ -7,12 +7,11 @@
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};
-use sase_core::plan::PlannerOptions;
 use sase_core::value::{Value, ValueType};
 
 /// A query set covering every kind of runtime state: PAIS stacks, indexed
-/// and (via options) flat negation buffers, naive NFA runs, derived INTO
-/// streams with a consumer, and partition-less plans.
+/// and flat negation buffers, unpartitioned stacks, and derived INTO
+/// streams with a consumer.
 const QUERIES: [(&str, &str); 5] = [
     (
         "shoplifting",
@@ -32,7 +31,24 @@ const QUERIES: [(&str, &str); 5] = [
          RETURN b.tag AS t",
     ),
     (
-        "naive_pairs",
+        // No equality: one unpartitioned group of stacks.
+        "unpartitioned_pairs",
+        "EVENT SEQ(SHELF_READING p, EXIT_READING q) WHERE p.AreaId < q.AreaId \
+         WITHIN 40 RETURN p.TagId AS tag",
+    ),
+    (
+        // The partition does not cover `c`: a flat negation buffer.
+        "flat_negation",
+        "EVENT SEQ(SHELF_READING a, !(COUNTER_READING c), EXIT_READING b) \
+         WHERE a.TagId = b.TagId AND a.AreaId = c.AreaId WITHIN 90 RETURN a.TagId AS t",
+    ),
+];
+
+/// Same names, other shapes: `unpartitioned_pairs` partitions and
+/// `flat_negation` indexes its negation buffer.
+const RESHAPED: [(&str, &str); 2] = [
+    (
+        "unpartitioned_pairs",
         "EVENT SEQ(SHELF_READING p, EXIT_READING q) WHERE p.TagId = q.TagId \
          WITHIN 40 RETURN p.TagId AS tag",
     ),
@@ -42,17 +58,6 @@ const QUERIES: [(&str, &str); 5] = [
          WHERE a.TagId = b.TagId AND a.TagId = c.TagId WITHIN 90 RETURN a.TagId AS t",
     ),
 ];
-
-fn options_for(name: &str) -> PlannerOptions {
-    match name {
-        "naive_pairs" => PlannerOptions::naive(),
-        "flat_negation" => PlannerOptions {
-            indexed_negation: false,
-            ..PlannerOptions::default()
-        },
-        _ => PlannerOptions::default(),
-    }
-}
 
 fn registry() -> SchemaRegistry {
     // `moves` is pre-registered so the consumer can plan before the first
@@ -69,7 +74,7 @@ fn registry() -> SchemaRegistry {
 fn build_engine(reg: &SchemaRegistry) -> Engine {
     let mut engine = Engine::new(reg.clone());
     for (name, src) in QUERIES {
-        engine.register_with(name, src, options_for(name)).unwrap();
+        engine.register(name, src).unwrap();
     }
     engine
 }
@@ -137,6 +142,10 @@ fn restored_engine_finishes_stream_identically() {
     let snap = original.snapshot();
     assert!(snap.retained_events() > 0, "workload must retain state");
     assert_eq!(snap.queries.len(), QUERIES.len());
+    let explain = |name| original.explain(name).unwrap();
+    assert!(explain("unpartitioned_pairs").contains("SSC: unpartitioned"));
+    assert!(explain("flat_negation").contains("indexed=false"));
+    assert!(explain("shoplifting").contains("indexed=true"));
 
     // Restore protocol on a fresh registry + engine.
     let new_reg = registry();
@@ -242,24 +251,26 @@ fn restore_rejects_mismatched_engines() {
     let other_reg = registry();
     let mut reordered = Engine::new(other_reg.clone());
     for (name, src) in QUERIES.iter().rev() {
-        reordered
-            .register_with(name, src, options_for(name))
-            .unwrap();
+        reordered.register(name, src).unwrap();
     }
     assert!(reordered.restore(&snap).is_err());
 
-    // Same order, wrong planner options (SSC snapshot into naive plan).
-    let strat_reg = registry();
-    let mut wrong_strategy = Engine::new(strat_reg.clone());
-    for (name, src) in QUERIES {
-        let opts = if name == "naive_pairs" {
-            PlannerOptions::default() // was naive in the snapshot
-        } else {
-            options_for(name)
-        };
-        wrong_strategy.register_with(name, src, opts).unwrap();
+    // Same names in the same order, but one query has another shape: its
+    // state does not fit the plan.
+    let flat = &snap.queries[4].negations[0];
+    assert!(flat.buckets.is_empty() && !flat.all.is_empty());
+    for (reshaped, src) in RESHAPED {
+        let mut other = Engine::new(registry());
+        for (name, original) in QUERIES {
+            let text = if name == reshaped { src } else { original };
+            other.register(name, text).unwrap();
+        }
+        let err = other.restore(&snap).unwrap_err();
+        assert!(
+            err.to_string().contains("snapshot mismatch"),
+            "{reshaped}: {err}"
+        );
     }
-    assert!(wrong_strategy.restore(&snap).is_err());
 }
 
 #[test]

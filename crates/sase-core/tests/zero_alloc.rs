@@ -22,7 +22,7 @@ use sase_core::event::{retail_registry, Event, SchemaRegistry};
 use sase_core::expr::SlotProbe;
 use sase_core::functions::FunctionRegistry;
 use sase_core::lang::parse_query;
-use sase_core::plan::{Planner, PlannerOptions};
+use sase_core::plan::Planner;
 use sase_core::runtime::QueryRuntime;
 use sase_core::value::Value;
 use sase_obs::{MetricsRegistry, TraceKind, Tracer};
@@ -106,9 +106,7 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
 
     // ---- 1. Raw program evaluation: Q1/Q2 predicate shapes. --------------
-    let q2_plan = planner
-        .plan_with(&parse_query(Q2).unwrap(), PlannerOptions::default())
-        .unwrap();
+    let q2_plan = planner.plan(&parse_query(Q2).unwrap()).unwrap();
     // Q2's inequality survives partition absorption as the construction
     // filter; evaluate it over a bound match.
     assert_eq!(q2_plan.construction_filters.len(), 1);
@@ -127,13 +125,12 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
 
     // A pushed single-variable filter probe (Q1-style stack admission).
     let probe_plan = planner
-        .plan_with(
+        .plan(
             &parse_query(
                 "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
                  WHERE x.AreaId > 0 AND x.TagId != 9999 AND x.TagId = z.TagId WITHIN 50",
             )
             .unwrap(),
-            PlannerOptions::default(),
         )
         .unwrap();
     let filters = &probe_plan.element_filters[0];
@@ -156,9 +153,7 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
 
     // ---- 2. The full per-event runtime path, Q1 (negation buffering,
     //         window pruning, stack admission — no emissions). ------------
-    let q1_plan = planner
-        .plan_with(&parse_query(Q1).unwrap(), PlannerOptions::default())
-        .unwrap();
+    let q1_plan = planner.plan(&parse_query(Q1).unwrap()).unwrap();
     let mut rt = QueryRuntime::new("q1", q1_plan);
     // Fixed tag set so the partition map reaches its steady key set;
     // shelf + counter only, so sequence construction never completes (an
@@ -192,9 +187,7 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     );
 
     // ---- 3. Q2 with construction running (and rejecting) every event. ---
-    let q2_plan = planner
-        .plan_with(&parse_query(Q2).unwrap(), PlannerOptions::default())
-        .unwrap();
+    let q2_plan = planner.plan(&parse_query(Q2).unwrap()).unwrap();
     let mut rt2 = QueryRuntime::new("q2", q2_plan);
     // Same tag, same area: every arrival triggers backward construction,
     // and the inequality filter rejects every candidate — maximum

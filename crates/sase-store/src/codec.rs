@@ -543,34 +543,21 @@ fn get_stack(r: &mut ByteReader<'_>) -> Result<StackSnapshot> {
 }
 
 fn put_seq(w: &mut ByteWriter, seq: &SeqSnapshot) {
-    match seq {
-        SeqSnapshot::Ssc {
-            partitions,
-            events_since_sweep,
-        } => {
-            w.u8(0);
-            w.u64(*events_since_sweep);
-            w.u32(partitions.len() as u32);
-            for p in partitions {
-                w.u32(p.key.len() as u32);
-                for k in &p.key {
-                    put_value_key(w, k);
-                }
-                w.u32(p.stacks.len() as u32);
-                for s in &p.stacks {
-                    put_stack(w, s);
-                }
-            }
+    let SeqSnapshot::Ssc {
+        partitions,
+        events_since_sweep,
+    } = seq;
+    w.u8(0);
+    w.u64(*events_since_sweep);
+    w.u32(partitions.len() as u32);
+    for p in partitions {
+        w.u32(p.key.len() as u32);
+        for k in &p.key {
+            put_value_key(w, k);
         }
-        SeqSnapshot::Naive { runs } => {
-            w.u8(1);
-            w.u32(runs.len() as u32);
-            for run in runs {
-                w.u32(run.len() as u32);
-                for e in run {
-                    put_event_snapshot(w, e);
-                }
-            }
+        w.u32(p.stacks.len() as u32);
+        for s in &p.stacks {
+            put_stack(w, s);
         }
     }
 }
@@ -599,19 +586,7 @@ fn get_seq(r: &mut ByteReader<'_>) -> Result<SeqSnapshot> {
                 events_since_sweep,
             })
         }
-        1 => {
-            let nr = r.count()?;
-            let mut runs = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                let ne = r.count()?;
-                let mut run = Vec::with_capacity(ne);
-                for _ in 0..ne {
-                    run.push(get_event_snapshot(r)?);
-                }
-                runs.push(run);
-            }
-            Ok(SeqSnapshot::Naive { runs })
-        }
+        // Tag 1 is retired: no runtime writes it, and none can read it.
         t => Err(StoreError::Decode(format!(
             "unknown sequence-snapshot tag {t}"
         ))),

@@ -5,7 +5,7 @@
 //! * The log and checkpoint formats did not move: bytes written before the
 //!   byte path was rebuilt decode, and re-encode identically.
 //! * A damaged log record is a typed error or the committed prefix, never
-//!   a panic.
+//!   a panic; a retired sequence-snapshot tag is a typed error.
 //! * `decode ∘ encode = id` over every kind of event a batch can hold.
 
 use std::path::PathBuf;
@@ -15,7 +15,10 @@ use proptest::prelude::*;
 
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::value::Value;
-use sase_store::codec::{crc32, get_events, put_events, ByteReader, ByteWriter};
+use sase_store::checkpoint::{CKPT_MAGIC, CKPT_VERSION};
+use sase_store::codec::{
+    crc32, get_engine_snapshot, get_events, put_events, ByteReader, ByteWriter,
+};
 use sase_store::{
     load_latest_checkpoint, write_checkpoint, Checkpoint, EventLog, LogOptions, Record, StoreError,
 };
@@ -240,6 +243,80 @@ fn damaged_wal_records_are_typed_errors_or_the_committed_prefix() {
             Err(other) => panic!("bit {bit}: unexpected error class {other}"),
         }
     }
+}
+
+/// An engine snapshot of one query, written field by field so that its
+/// sequence snapshot can carry any tag: `tag`, then what `body` writes.
+fn one_query_snapshot(tag: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(1); // queries
+    w.str("q");
+    w.u32(11); // stat counters
+    for _ in 0..11 {
+        w.u64(0);
+    }
+    w.u8(0); // no query clock
+    w.u8(tag);
+    body(&mut w);
+    w.u32(0); // negation buffers
+    w.u32(0); // stream clocks
+    w.u32(0); // derived streams
+    w.into_bytes()
+}
+
+fn decode_snapshot(bytes: &[u8]) -> Result<(), StoreError> {
+    let mut r = ByteReader::new(bytes);
+    get_engine_snapshot(&mut r)?;
+    r.expect_end()
+}
+
+/// Tag 1 was the sequence snapshot of a runtime that is gone. A checkpoint
+/// holding one is a typed decode error at every length, and recovery skips
+/// the file as corrupt; tag 0 written the same way decodes.
+#[test]
+fn a_retired_sequence_snapshot_tag_is_a_typed_error() {
+    let ssc = one_query_snapshot(0, |w| {
+        w.u64(0); // events since the last sweep
+        w.u32(0); // partitions
+    });
+    decode_snapshot(&ssc).unwrap();
+
+    // The retired layout: runs, each a list of event snapshots.
+    let retired = one_query_snapshot(1, |w| {
+        w.u32(1);
+        w.u32(1);
+        w.str("SHELF_READING");
+        w.u64(3);
+        w.u32(0);
+    });
+    match decode_snapshot(&retired) {
+        Err(StoreError::Decode(d)) => {
+            assert!(d.contains("unknown sequence-snapshot tag 1"), "{d}")
+        }
+        other => panic!("expected a typed decode error, got {other:?}"),
+    }
+    for cut in 0..retired.len() {
+        assert!(
+            matches!(decode_snapshot(&retired[..cut]), Err(StoreError::Decode(_))),
+            "cut at {cut}"
+        );
+    }
+
+    let mut w = ByteWriter::new();
+    w.u32(CKPT_MAGIC);
+    w.u16(CKPT_VERSION);
+    w.u64(9);
+    w.u32(1);
+    w.len_prefixed(|blob| blob.raw(&retired));
+    w.u32(crc32(w.as_slice()));
+    let dir = tmp_dir("retired-tag");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt-0000000000000009.ckpt");
+    std::fs::write(&path, w.into_bytes()).unwrap();
+    let (loaded, corrupt) = load_latest_checkpoint(&dir).unwrap();
+    assert!(loaded.is_none());
+    assert_eq!(corrupt, vec![path]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------

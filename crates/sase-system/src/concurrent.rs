@@ -41,7 +41,7 @@ use sase_core::functions::FunctionRegistry;
 use sase_core::hash::FxHasher;
 use sase_core::lang::{parse_query, Query};
 use sase_core::output::ComplexEvent;
-use sase_core::plan::{Planner, PlannerOptions, QueryPlan, TypeKeyAccess};
+use sase_core::plan::{Planner, QueryPlan, TypeKeyAccess};
 use sase_core::processor::EventProcessor;
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::SnapshotSet;
@@ -363,18 +363,8 @@ impl ShardedEngineBuilder {
         self.routing = Some(mode);
     }
 
-    /// Register a continuous query from source text with default options.
+    /// Register a continuous query from source text.
     pub fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
-        self.register_with(name, src, PlannerOptions::default())
-    }
-
-    /// Register a continuous query with explicit planner options.
-    pub fn register_with(
-        &mut self,
-        name: &str,
-        src: &str,
-        options: PlannerOptions,
-    ) -> CoreResult<()> {
         if self.queries.iter().any(|(n, _)| n == name) {
             return Err(SaseError::registration(
                 name,
@@ -385,7 +375,7 @@ impl ShardedEngineBuilder {
         let query =
             parse_query(src).map_err(|e| SaseError::registration(name, None, e.to_string()))?;
         if self.metrics {
-            // Mirror `Engine::register_with`: every diagnostic the static
+            // Mirror `Engine::register`: every diagnostic the static
             // analyzer raises at registration is counted by severity (the
             // counts land in the deployment registry at `build`).
             for d in analyze::analyze_with(
@@ -401,7 +391,7 @@ impl ShardedEngineBuilder {
         if let Some(scale) = self.time_scale {
             planner = planner.with_time_scale(scale);
         }
-        let plan = planner.plan_with(&query, options).map_err(|e| {
+        let plan = planner.plan(&query).map_err(|e| {
             registration_error(
                 name,
                 &query,
@@ -924,13 +914,6 @@ impl ShardedEngine {
         &self.names
     }
 
-    /// Register a continuous query from source text with default options,
-    /// placing it on a shard consistent with the builder's co-location
-    /// rules (see [`ShardedEngine::register_with`]).
-    pub fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
-        self.register_with(name, src, PlannerOptions::default())
-    }
-
     /// Register a continuous query on a live deployment.
     ///
     /// Placement follows the builder's co-location rules: a query that
@@ -945,12 +928,7 @@ impl ShardedEngine {
     /// be rebuilt and restored. If the rules demand co-location with
     /// queries on *different* shards, registration fails — rebuild the
     /// deployment through [`ShardedEngineBuilder`] to repartition.
-    pub fn register_with(
-        &mut self,
-        name: &str,
-        src: &str,
-        options: PlannerOptions,
-    ) -> CoreResult<()> {
+    pub fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
         if self.names.iter().any(|n| n == name) {
             return Err(SaseError::registration(
                 name,
@@ -977,7 +955,7 @@ impl ShardedEngine {
         if let Some(scale) = self.time_scale {
             planner = planner.with_time_scale(scale);
         }
-        let plan = planner.plan_with(&query, options).map_err(|e| {
+        let plan = planner.plan(&query).map_err(|e| {
             registration_error(
                 name,
                 &query,
@@ -1799,8 +1777,8 @@ impl ShardedEngine {
 /// `dyn EventProcessor` — including post-build registration, per-query
 /// sinks, and snapshot/restore (one engine snapshot per shard).
 impl EventProcessor for ShardedEngine {
-    fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> CoreResult<()> {
-        ShardedEngine::register_with(self, name, src, options)
+    fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
+        ShardedEngine::register(self, name, src)
     }
 
     fn check(&self, src: &str) -> Vec<analyze::Diagnostic> {

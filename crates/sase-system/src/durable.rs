@@ -37,7 +37,6 @@ use sase_core::engine::{Emission, Sink};
 use sase_core::error::{Result as CoreResult, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::output::ComplexEvent;
-use sase_core::plan::PlannerOptions;
 use sase_core::processor::EventProcessor;
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::{EngineSnapshot, SnapshotSet};
@@ -543,8 +542,8 @@ impl<E: EventProcessor> std::fmt::Debug for DurableEngine<E> {
 /// rather than logged state: recovery re-registers them via the
 /// [`DurableEngine::recover`] callback.
 impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
-    fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> CoreResult<()> {
-        self.engine.register_with(name, src, options)
+    fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
+        self.engine.register(name, src)
     }
 
     fn check(&self, src: &str) -> Vec<sase_core::analyze::Diagnostic> {

@@ -48,7 +48,6 @@ use sase_core::error::{Result, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::functions::FunctionRegistry;
 use sase_core::output::ComplexEvent;
-use sase_core::plan::PlannerOptions;
 use sase_core::processor::EventProcessor;
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::SnapshotSet;
@@ -458,21 +457,11 @@ impl Sase {
 
     /// Register a continuous query from source text; the returned handle
     /// addresses the query in every other facade call.
-    pub fn register(&mut self, name: &str, src: &str) -> Result<QueryHandle> {
-        self.register_with(name, src, PlannerOptions::default())
-    }
-
-    /// Register a continuous query with explicit planner options.
     ///
     /// When the deployment was built with [`SaseBuilder::deny`], the query
     /// is statically analyzed first and rejected (with the offending lint
     /// code) if any diagnostic reaches the configured severity.
-    pub fn register_with(
-        &mut self,
-        name: &str,
-        src: &str,
-        options: PlannerOptions,
-    ) -> Result<QueryHandle> {
+    pub fn register(&mut self, name: &str, src: &str) -> Result<QueryHandle> {
         if let Some(threshold) = self.deny {
             let diags = self.check(src);
             if let Some(bad) = diags.iter().find(|d| d.severity >= threshold) {
@@ -486,7 +475,7 @@ impl Sase {
                 ));
             }
         }
-        self.processor_mut().register_with(name, src, options)?;
+        self.processor_mut().register(name, src)?;
         Ok(QueryHandle {
             name: Arc::from(name),
         })
@@ -720,8 +709,8 @@ impl std::fmt::Debug for Sase {
 /// anywhere a deployment is expected (pipelined stages, differential
 /// tests). Every method delegates to the configured backend.
 impl EventProcessor for Sase {
-    fn register_with(&mut self, name: &str, src: &str, options: PlannerOptions) -> Result<()> {
-        Sase::register_with(self, name, src, options).map(|_| ())
+    fn register(&mut self, name: &str, src: &str) -> Result<()> {
+        Sase::register(self, name, src).map(|_| ())
     }
 
     fn check(&self, src: &str) -> Vec<Diagnostic> {

@@ -1,136 +1,23 @@
 //! Property-based tests (proptest) over the core engine:
 //!
 //! * the canonical printer and parser round-trip,
-//! * the SSC operator agrees with a brute-force enumeration oracle on
+//! * the engine agrees with the brute-force oracle (`tests/oracle`) on
 //!   randomly generated streams (for both plain and negated patterns),
-//! * every optimized configuration agrees with the naive NFA runner,
 //! * structural invariants of emitted matches.
+
+mod oracle;
 
 use proptest::prelude::*;
 
+use oracle::harness::{arb_stream, assert_engine_matches_oracle, materialize};
 use sase::core::functions::FunctionRegistry;
 use sase::core::lang::parse_query;
-use sase::core::plan::{Planner, PlannerOptions};
+use sase::core::plan::Planner;
 use sase::core::runtime::QueryRuntime;
-use sase::core::value::Value;
-use sase::core::{Event, SchemaRegistry};
-
-// ---------------------------------------------------------------------------
-// Stream generation
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct RawEvent {
-    ty: usize, // 0 = SHELF, 1 = COUNTER, 2 = EXIT
-    ts_gap: u64,
-    tag: i64,
-    area: i64,
-}
-
-fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<RawEvent>> {
-    prop::collection::vec(
-        (0usize..3, 1u64..4, 0i64..4, 1i64..5).prop_map(|(ty, ts_gap, tag, area)| RawEvent {
-            ty,
-            ts_gap,
-            tag,
-            area,
-        }),
-        0..max_len,
-    )
-}
-
-fn materialize(registry: &SchemaRegistry, raw: &[RawEvent]) -> Vec<Event> {
-    const TYPES: [&str; 3] = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"];
-    let mut ts = 0;
-    raw.iter()
-        .map(|r| {
-            ts += r.ts_gap;
-            registry
-                .build_event(
-                    TYPES[r.ty],
-                    ts,
-                    vec![Value::Int(r.tag), Value::str("p"), Value::Int(r.area)],
-                )
-                .unwrap()
-        })
-        .collect()
-}
-
-fn run(query: &str, options: PlannerOptions, events: &[Event]) -> Vec<Vec<u64>> {
-    let registry = sase::core::event::retail_registry();
-    let planner = Planner::new(registry, FunctionRegistry::with_stdlib());
-    let q = parse_query(query).unwrap();
-    let plan = planner.plan_with(&q, options).unwrap();
-    let mut rt = QueryRuntime::new("prop", plan);
-    let out = rt.process_all(events).unwrap();
-    let mut canon: Vec<Vec<u64>> = out
-        .iter()
-        .map(|ce| ce.events.iter().map(|e| e.timestamp()).collect())
-        .collect();
-    canon.sort();
-    canon
-}
-
-// ---------------------------------------------------------------------------
-// Brute-force oracles
-// ---------------------------------------------------------------------------
-
-/// All (shelf, exit) pairs with equal tags within the window.
-fn oracle_seq2(events: &[Event], window: u64) -> Vec<Vec<u64>> {
-    let mut out = Vec::new();
-    for (i, a) in events.iter().enumerate() {
-        if a.type_name() != "SHELF_READING" {
-            continue;
-        }
-        for b in &events[i + 1..] {
-            if b.type_name() != "EXIT_READING" {
-                continue;
-            }
-            if b.timestamp() <= a.timestamp() {
-                continue;
-            }
-            if b.timestamp() - a.timestamp() > window {
-                continue;
-            }
-            if a.attr("TagId") != b.attr("TagId") {
-                continue;
-            }
-            out.push(vec![a.timestamp(), b.timestamp()]);
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Q1 oracle: pairs as above, minus those with a same-tag counter reading
-/// strictly between.
-fn oracle_q1(events: &[Event], window: u64) -> Vec<Vec<u64>> {
-    oracle_seq2(events, window)
-        .into_iter()
-        .filter(|pair| {
-            let (t0, t1) = (pair[0], pair[1]);
-            let tag = events
-                .iter()
-                .find(|e| e.timestamp() == t0 && e.type_name() == "SHELF_READING")
-                .unwrap()
-                .attr("TagId");
-            !events.iter().any(|e| {
-                e.type_name() == "COUNTER_READING"
-                    && e.timestamp() > t0
-                    && e.timestamp() < t1
-                    && e.attr("TagId") == tag
-            })
-        })
-        .collect()
-}
 
 const SEQ2: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId WITHIN 10";
 const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                   WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 10";
-
-// Timestamps can collide across events only via different gap events; gaps
-// are >= 1 so timestamps are strictly increasing and unique, making the
-// timestamp-vector canonicalization faithful.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -139,29 +26,14 @@ proptest! {
     fn ssc_matches_brute_force_seq2(raw in arb_stream(40)) {
         let registry = sase::core::event::retail_registry();
         let events = materialize(&registry, &raw);
-        let got = run(SEQ2, PlannerOptions::default(), &events);
-        let want = oracle_seq2(&events, 10);
-        prop_assert_eq!(got, want);
+        assert_engine_matches_oracle(&registry, &events, SEQ2);
     }
 
     #[test]
     fn ssc_matches_brute_force_q1_negation(raw in arb_stream(40)) {
         let registry = sase::core::event::retail_registry();
         let events = materialize(&registry, &raw);
-        let got = run(Q1, PlannerOptions::default(), &events);
-        let want = oracle_q1(&events, 10);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn naive_agrees_with_optimized(raw in arb_stream(60)) {
-        let registry = sase::core::event::retail_registry();
-        let events = materialize(&registry, &raw);
-        for q in [SEQ2, Q1] {
-            let a = run(q, PlannerOptions::default(), &events);
-            let b = run(q, PlannerOptions::naive(), &events);
-            prop_assert_eq!(a, b);
-        }
+        assert_engine_matches_oracle(&registry, &events, Q1);
     }
 
     #[test]
@@ -282,36 +154,6 @@ proptest! {
     }
 }
 
-/// Brute-force oracle for the 3-component sequence with tag equivalence.
-fn oracle_seq3(events: &[Event], window: u64) -> Vec<Vec<u64>> {
-    let mut out = Vec::new();
-    for (i, a) in events.iter().enumerate() {
-        if a.type_name() != "SHELF_READING" {
-            continue;
-        }
-        for (j, b) in events.iter().enumerate().skip(i + 1) {
-            if b.type_name() != "COUNTER_READING"
-                || b.timestamp() <= a.timestamp()
-                || a.attr("TagId") != b.attr("TagId")
-            {
-                continue;
-            }
-            for c in &events[j + 1..] {
-                if c.type_name() != "EXIT_READING"
-                    || c.timestamp() <= b.timestamp()
-                    || a.attr("TagId") != c.attr("TagId")
-                    || c.timestamp() - a.timestamp() > window
-                {
-                    continue;
-                }
-                out.push(vec![a.timestamp(), b.timestamp(), c.timestamp()]);
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 const SEQ3: &str = "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) \
                     WHERE [TagId] WITHIN 12";
 
@@ -322,9 +164,7 @@ proptest! {
     fn ssc_matches_brute_force_seq3(raw in arb_stream(36)) {
         let registry = sase::core::event::retail_registry();
         let events = materialize(&registry, &raw);
-        let got = run(SEQ3, PlannerOptions::default(), &events);
-        let want = oracle_seq3(&events, 12);
-        prop_assert_eq!(got, want);
+        assert_engine_matches_oracle(&registry, &events, SEQ3);
     }
 
     /// The derived-stream path is deterministic: two engines fed the same
