@@ -3,7 +3,7 @@
 //! The Event Generation Layer (§3, component 5) "generates events according
 //! to a pre-defined schema". A [`SchemaRegistry`] holds those pre-defined
 //! schemas; every [`Event`] is an instance of exactly one registered type
-//! with a timestamp in logical time and a vector of typed attributes.
+//! with a timestamp in logical time and its typed attributes.
 //!
 //! Attribute names are matched case-insensitively (the paper itself writes
 //! `TagId` in Q1 and `id` / `area_id` in Q2), and every event exposes the
@@ -12,7 +12,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{Result, SaseError};
 use crate::hash::FxHashMap;
@@ -143,8 +143,17 @@ pub struct SchemaRegistry {
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    schemas: Vec<Arc<Schema>>,
+    /// Indexed by [`EventTypeId`].
+    types: Vec<ResolvedType>,
     by_name: FxHashMap<String, EventTypeId>,
+}
+
+impl RegistryInner {
+    fn resolve(&self, name: &str) -> Result<&ResolvedType> {
+        with_ascii_lowercase(name, |lc| self.by_name.get(lc))
+            .and_then(|id| self.types.get(id.0 as usize))
+            .ok_or_else(|| SaseError::schema(format!("unknown event type `{name}`")))
+    }
 }
 
 impl SchemaRegistry {
@@ -163,8 +172,11 @@ impl SchemaRegistry {
                 "event type `{name}` is already registered"
             )));
         }
-        let id = EventTypeId(inner.schemas.len() as u32);
-        inner.schemas.push(Arc::new(schema));
+        let id = EventTypeId(inner.types.len() as u32);
+        inner.types.push(ResolvedType {
+            id,
+            schema: Arc::new(schema),
+        });
         inner.by_name.insert(key, id);
         Ok(id)
     }
@@ -188,7 +200,7 @@ impl SchemaRegistry {
                 "cannot redefine unregistered event type `{name}`"
             )));
         };
-        inner.schemas[id.0 as usize] = Arc::new(schema);
+        inner.types[id.0 as usize].schema = Arc::new(schema);
         Ok(id)
     }
 
@@ -201,7 +213,11 @@ impl SchemaRegistry {
 
     /// Fetch the schema for a type id.
     pub fn schema(&self, id: EventTypeId) -> Option<Arc<Schema>> {
-        self.inner.read().schemas.get(id.0 as usize).cloned()
+        self.inner
+            .read()
+            .types
+            .get(id.0 as usize)
+            .map(|t| Arc::clone(&t.schema))
     }
 
     /// Fetch a schema by name.
@@ -212,7 +228,7 @@ impl SchemaRegistry {
 
     /// Number of registered types.
     pub fn len(&self) -> usize {
-        self.inner.read().schemas.len()
+        self.inner.read().types.len()
     }
 
     /// True when no types are registered.
@@ -224,9 +240,9 @@ impl SchemaRegistry {
     pub fn type_names(&self) -> Vec<Arc<str>> {
         self.inner
             .read()
-            .schemas
+            .types
             .iter()
-            .map(|s| s.name.clone())
+            .map(|t| t.schema.name.clone())
             .collect()
     }
 
@@ -235,13 +251,15 @@ impl SchemaRegistry {
     /// it. The handle builds events of that type without coming back to
     /// the registry; see [`ResolvedType`].
     pub fn resolve(&self, name: &str) -> Result<ResolvedType> {
-        with_ascii_lowercase(name, |lc| {
-            let inner = self.inner.read();
-            let id = *inner.by_name.get(lc)?;
-            let schema = inner.schemas.get(id.0 as usize)?.clone();
-            Some(ResolvedType { id, schema })
-        })
-        .ok_or_else(|| SaseError::schema(format!("unknown event type `{name}`")))
+        self.read().resolve(name).cloned()
+    }
+
+    /// Take one read of the registry, to resolve many names under it; see
+    /// [`RegistryRead`] for what the holder must not do meanwhile.
+    pub fn read(&self) -> RegistryRead<'_> {
+        RegistryRead {
+            inner: self.inner.read(),
+        }
     }
 
     /// Create a validated event of the named type.
@@ -261,10 +279,44 @@ impl SchemaRegistry {
         timestamp: Timestamp,
         attrs: Vec<Value>,
     ) -> Result<Event> {
-        let schema = self
-            .schema(id)
+        let ty = self
+            .inner
+            .read()
+            .types
+            .get(id.0 as usize)
+            .cloned()
             .ok_or_else(|| SaseError::schema(format!("unknown event type id {id}")))?;
-        ResolvedType { id, schema }.build_event(timestamp, attrs)
+        ty.build_event(timestamp, attrs)
+    }
+}
+
+/// One read of a [`SchemaRegistry`], held while many names are resolved:
+/// a decoder takes one per frame instead of one lock per event.
+///
+/// # Holding it
+///
+/// A `RegistryRead` holds the registry's read lock until it is dropped,
+/// so [`register`](SchemaRegistry::register) and
+/// [`redefine`](SchemaRegistry::redefine) wait for it. While it lives, the
+/// thread holding it **must not call back into the registry** — no
+/// [`SchemaRegistry`] method, on this handle or any clone of it. The lock
+/// is `std`'s `RwLock`, which may park a second read behind a writer that
+/// is itself waiting for the first read to end (a deadlock), or panic on
+/// it. Nothing reachable from here needs to: [`RegistryRead::resolve`]
+/// answers from the held read, and a [`ResolvedType`] builds events from
+/// its own schema handle. Resolve, build, then drop the read.
+#[derive(Debug)]
+pub struct RegistryRead<'a> {
+    inner: RwLockReadGuard<'a, RegistryInner>,
+}
+
+impl RegistryRead<'_> {
+    /// Resolve a type name (case-insensitive) as
+    /// [`SchemaRegistry::resolve`] does, without taking the lock again and
+    /// without touching the schema's reference count: the handle is
+    /// borrowed from the read.
+    pub fn resolve(&self, name: &str) -> Result<&ResolvedType> {
+        self.inner.resolve(name)
     }
 }
 
@@ -273,14 +325,25 @@ impl SchemaRegistry {
 ///
 /// This is the constructor for code that wants a type's arity before it
 /// has the attributes (a decoder) or builds many events of one type (a
-/// generator): resolve the name with [`SchemaRegistry::resolve`], then
-/// [`ResolvedType::build_event`] validates arity and attribute types exactly as
-/// [`SchemaRegistry::build_event`] does (same checks, same messages — that
-/// method is this one behind a lookup) but touches neither the registry
-/// nor its lock, and allocates only the event itself. The handle is a
-/// snapshot: if the type is later [redefined](SchemaRegistry::redefine),
-/// events built from an old handle keep the schema they were validated
-/// against, like any event built before the redefinition.
+/// generator): resolve the name with [`SchemaRegistry::resolve`] (or
+/// [`RegistryRead::resolve`] for many names under one read), then build
+/// with [`ResolvedType::build_event_with`], which takes each attribute
+/// from a callback and writes it straight into the event, or with
+/// [`ResolvedType::build_event`], its wrapper for a `Vec`. Both validate
+/// arity and attribute types exactly as [`SchemaRegistry::build_event`]
+/// does (same checks, same messages — that method is this one behind a
+/// lookup) but touch neither the registry nor its lock.
+///
+/// **Cost:** `build_event_with` is one allocation, the event itself, for
+/// a type of up to three attributes, and two for a wider one (see
+/// [`Event`] for the layout); the values it is handed are moved in, so a
+/// string attribute costs whatever made its `Arc<str>` and nothing more.
+/// `build_event` adds only the caller's `Vec`, which it frees.
+///
+/// The handle is a snapshot: if the type is later
+/// [redefined](SchemaRegistry::redefine), events built from an old handle
+/// keep the schema they were validated against, like any event built
+/// before the redefinition.
 #[derive(Debug, Clone)]
 pub struct ResolvedType {
     id: EventTypeId,
@@ -290,7 +353,7 @@ pub struct ResolvedType {
 impl ResolvedType {
     /// Fail unless `n` is the schema's arity. [`ResolvedType::build_event`]
     /// checks this itself; a decoder calls it first so that it can refuse a
-    /// wrong attribute count before reserving room for that many values.
+    /// wrong attribute count before reading that many values.
     pub fn check_arity(&self, n: usize) -> Result<()> {
         if n != self.schema.arity() {
             return Err(SaseError::schema(format!(
@@ -303,54 +366,138 @@ impl ResolvedType {
         Ok(())
     }
 
-    /// Create a validated event of this type. Pass `attrs` at exact
-    /// capacity and the only allocation here is the event's own.
+    /// Create a validated event of this type whose `i`-th attribute is
+    /// `attr(i)`. `attr` is called once per declared attribute, in schema
+    /// order, and its value is type-checked before the next is asked for;
+    /// the first error, from `attr` or from validation, is returned and
+    /// nothing is kept.
+    pub fn build_event_with<E: From<SaseError>>(
+        &self,
+        timestamp: Timestamp,
+        mut attr: impl FnMut(usize) -> std::result::Result<Value, E>,
+    ) -> std::result::Result<Event, E> {
+        Event::new(self.id, &self.schema, timestamp, |slots| {
+            for (i, (slot, decl)) in slots.iter_mut().zip(&self.schema.attributes).enumerate() {
+                let v = attr(i)?;
+                self.check_type(decl, &v)?;
+                *slot = v;
+            }
+            Ok(())
+        })
+    }
+
+    /// Create a validated event of this type from a `Vec` of attributes,
+    /// checked as [`ResolvedType::build_event_with`] checks them.
     pub fn build_event(&self, timestamp: Timestamp, attrs: Vec<Value>) -> Result<Event> {
         self.check_arity(attrs.len())?;
         for (decl, v) in self.schema.attributes.iter().zip(&attrs) {
-            // Ints are accepted where floats are declared (numeric widening),
-            // mirroring the coercion in predicate evaluation.
-            let ok = v.value_type() == decl.ty
-                || (decl.ty == ValueType::Float && v.value_type() == ValueType::Int);
-            if !ok {
-                return Err(SaseError::schema(format!(
-                    "attribute `{}` of `{}` expects {}, got {}",
-                    decl.name,
-                    self.schema.name,
-                    decl.ty,
-                    v.value_type()
-                )));
-            }
+            self.check_type(decl, v)?;
         }
-        Ok(Event {
-            data: Arc::new(EventData {
-                type_id: self.id,
-                schema: Arc::clone(&self.schema),
-                timestamp,
-                attrs: attrs.into_boxed_slice(),
-            }),
+        Event::new(self.id, &self.schema, timestamp, |slots| {
+            for (slot, v) in slots.iter_mut().zip(attrs) {
+                *slot = v;
+            }
+            Ok(())
         })
+    }
+
+    /// Fail unless `v` fits `decl`. Ints are accepted where floats are
+    /// declared (numeric widening), mirroring the coercion in predicate
+    /// evaluation.
+    fn check_type(&self, decl: &AttributeDecl, v: &Value) -> Result<()> {
+        if v.value_type() == decl.ty
+            || (decl.ty == ValueType::Float && v.value_type() == ValueType::Int)
+        {
+            return Ok(());
+        }
+        Err(SaseError::schema(format!(
+            "attribute `{}` of `{}` expects {}, got {}",
+            decl.name,
+            self.schema.name,
+            decl.ty,
+            v.value_type()
+        )))
     }
 }
 
-#[derive(Debug)]
+/// Attribute slots inside an event's own allocation: the three of the
+/// paper's readings (`TagId`, `ProductName`, `AreaId`), which every
+/// reading type this system generates shares.
+const INLINE_ATTRS: usize = 3;
+
+/// An event body: a fixed header and the attributes.
 struct EventData {
     type_id: EventTypeId,
-    schema: Arc<Schema>,
+    /// How many attributes the event has; inline slots past it hold
+    /// [`PAD`]. Sits in what would otherwise be the padding after
+    /// `type_id`.
+    arity: u32,
     timestamp: Timestamp,
-    attrs: Box<[Value]>,
+    schema: Arc<Schema>,
+    attrs: Attrs,
 }
+
+/// Where an event's attributes live. Both cases take the inline array's
+/// 72 bytes: the spilled slice's pointer fits in bytes the first inline
+/// value leaves unused, so an inline event pays nothing for the other.
+enum Attrs {
+    /// Up to [`INLINE_ATTRS`] attributes, in the event's own allocation.
+    Inline([Value; INLINE_ATTRS]),
+    /// A wider event's attributes, in an allocation of their own.
+    Spill(Box<[Value]>),
+}
+
+/// What fills the inline slots past the event's arity.
+const PAD: Value = Value::Bool(false);
 
 /// A single event instance.
 ///
 /// `Event` is a cheap handle (`Arc` internally): sequence construction
 /// clones events into composite events freely without copying payloads.
-#[derive(Debug, Clone)]
+///
+/// **Layout.** The handle is one pointer. An event of up to three
+/// attributes is one allocation of 112 bytes: a header (type id, arity,
+/// timestamp, schema handle) with the attribute values inline behind it,
+/// slots past the arity holding a placeholder that [`Event::attrs`] (and
+/// `Debug` and `Display`) never show. A wider event keeps its attributes
+/// in a second allocation, exactly its arity long. An event never changes
+/// once built; the way to a different timestamp is a copy,
+/// [`Event::with_timestamp`].
+#[derive(Clone)]
 pub struct Event {
     data: Arc<EventData>,
 }
 
 impl Event {
+    /// The one constructor: `fill` writes the `schema.arity()` attributes.
+    /// Validation is the caller's.
+    fn new<E>(
+        type_id: EventTypeId,
+        schema: &Arc<Schema>,
+        timestamp: Timestamp,
+        fill: impl FnOnce(&mut [Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Event, E> {
+        let arity = schema.arity();
+        let attrs = if arity <= INLINE_ATTRS {
+            let mut slots = [PAD; INLINE_ATTRS];
+            fill(&mut slots[..arity])?;
+            Attrs::Inline(slots)
+        } else {
+            let mut slots = vec![PAD; arity];
+            fill(&mut slots)?;
+            Attrs::Spill(slots.into_boxed_slice())
+        };
+        Ok(Event {
+            data: Arc::new(EventData {
+                type_id,
+                arity: arity as u32,
+                timestamp,
+                schema: Arc::clone(schema),
+                attrs,
+            }),
+        })
+    }
+
     /// The event's type id.
     pub fn type_id(&self) -> EventTypeId {
         self.data.type_id
@@ -373,7 +520,10 @@ impl Event {
 
     /// Attribute values in schema order.
     pub fn attrs(&self) -> &[Value] {
-        &self.data.attrs
+        match &self.data.attrs {
+            Attrs::Inline(slots) => &slots[..self.data.arity as usize],
+            Attrs::Spill(slots) => slots,
+        }
     }
 
     /// Attribute lookup by name (case-insensitive). `timestamp` / `ts`
@@ -385,12 +535,33 @@ impl Event {
         self.data
             .schema
             .attr_position(name)
-            .map(|i| self.data.attrs[i].clone())
+            .map(|i| self.attrs()[i].clone())
     }
 
     /// Attribute lookup by position (no pseudo-attributes).
     pub fn attr_at(&self, pos: usize) -> Option<&Value> {
-        self.data.attrs.get(pos)
+        self.attrs().get(pos)
+    }
+
+    /// This event at another timestamp: the same type, schema and
+    /// attributes, already validated, copied into a new event without
+    /// going back to the registry.
+    pub fn with_timestamp(&self, timestamp: Timestamp) -> Event {
+        Event::new(self.data.type_id, &self.data.schema, timestamp, |slots| {
+            slots.clone_from_slice(self.attrs());
+            Ok::<_, std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {})
+    }
+}
+
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Event")
+            .field("type", &self.type_name())
+            .field("timestamp", &self.timestamp())
+            .field("attrs", &self.attrs())
+            .finish()
     }
 }
 
@@ -402,7 +573,7 @@ impl fmt::Display for Event {
             .schema
             .attributes
             .iter()
-            .zip(self.data.attrs.iter())
+            .zip(self.attrs())
             .enumerate()
         {
             if i > 0 {
@@ -584,5 +755,35 @@ mod tests {
             .unwrap();
         let e2 = e.clone();
         assert!(Arc::ptr_eq(&e.data, &e2.data));
+    }
+
+    #[test]
+    fn a_three_attribute_event_is_one_112_byte_allocation() {
+        // The spilled case costs the inline case nothing.
+        assert_eq!(
+            std::mem::size_of::<Attrs>(),
+            3 * std::mem::size_of::<Value>()
+        );
+        // Two reference counts, then the header and three inline values.
+        assert_eq!(16 + std::mem::size_of::<EventData>(), 112);
+        assert_eq!(std::mem::size_of::<Event>(), 8);
+    }
+
+    #[test]
+    fn rebasing_keeps_everything_but_the_timestamp() {
+        let r = reg();
+        let e = r
+            .build_event(
+                "EXIT_READING",
+                9,
+                vec![Value::Int(1), Value::str("soap"), Value::Int(4)],
+            )
+            .unwrap();
+        let moved = e.with_timestamp(40);
+        assert_eq!(moved.timestamp(), 40);
+        assert_eq!(moved.type_id(), e.type_id());
+        assert!(Arc::ptr_eq(moved.schema(), e.schema()));
+        assert_eq!(moved.to_string(), e.to_string().replace("@9(", "@40("));
+        assert_eq!(e.timestamp(), 9, "the original is untouched");
     }
 }

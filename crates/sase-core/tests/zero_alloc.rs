@@ -1,8 +1,10 @@
 //! Counting-allocator proof that steady-state predicate evaluation — and
 //! the whole per-event SSC/negation path around it — performs **zero heap
-//! allocations** for the paper's representative Q1/Q2 queries, and that
-//! building an event from a resolved type costs exactly its own two
-//! allocations plus one per string attribute.
+//! allocations** for the paper's representative Q1/Q2 queries; that
+//! building an event of up to three attributes from a resolved type costs
+//! exactly one allocation plus whatever made its strings; and that
+//! decoding a frame costs one allocation per event, one per distinct
+//! string, and a constant.
 //!
 //! The test binary installs a global allocator that counts allocations
 //! while a flag is up. Everything allocating (events, engines, warmup that
@@ -18,6 +20,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sase_core::engine::Engine;
+use sase_core::error::SaseError;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};
 use sase_core::expr::SlotProbe;
 use sase_core::functions::FunctionRegistry;
@@ -26,6 +29,7 @@ use sase_core::plan::Planner;
 use sase_core::runtime::QueryRuntime;
 use sase_core::value::Value;
 use sase_obs::{MetricsRegistry, TraceKind, Tracer};
+use sase_store::codec::{get_events, put_events, ByteReader, ByteWriter};
 
 struct CountingAlloc;
 
@@ -327,10 +331,10 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
         assert_eq!(appended, 64 * 512, "every event entered one stack");
     }
 
-    // ---- 6. The garbage budget of building an event from a resolved
-    //         type — what a decoder pays per event: the attribute buffer,
-    //         the event, and one `Arc<str>` per string attribute. Nothing
-    //         for the type name, nothing for the registry. -------------
+    // ---- 6. The garbage budget of an event: building one of up to three
+    //         attributes from a resolved type is exactly one allocation,
+    //         the event, plus whatever made the strings handed in; nothing
+    //         for the type name, nothing for the registry. ---------------
     reg.register(
         "LABELLED",
         &[
@@ -342,33 +346,145 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     .unwrap();
     let shelf = reg.resolve("shelf_reading").unwrap();
     let labelled = reg.resolve("Labelled").unwrap();
-    let mut built = Vec::with_capacity(2_000);
+    let soap = Value::str("soap");
+    let mut built = Vec::with_capacity(4_000);
     let allocs = counted(|| {
         for ts in 0..1_000u64 {
-            let attrs = vec![Value::Int(7), Value::str("soap"), Value::Int(1)];
+            let e = shelf.build_event_with(ts, |i| {
+                Ok::<_, SaseError>(match i {
+                    0 => Value::Int(7),
+                    1 => soap.clone(),
+                    _ => Value::Int(1),
+                })
+            });
+            built.push(e.unwrap());
+        }
+    });
+    assert_eq!(
+        allocs, 1_000,
+        "an event built from values in hand is one allocation"
+    );
+    let allocs = counted(|| {
+        for ts in 0..1_000u64 {
+            let e = labelled.build_event_with(ts, |i| {
+                Ok::<_, SaseError>(match i {
+                    0 => Value::Int(7),
+                    1 => Value::str("left"),
+                    _ => Value::str("right"),
+                })
+            });
+            built.push(e.unwrap());
+        }
+    });
+    assert_eq!(
+        allocs,
+        1_000 * (1 + 2),
+        "an event plus the two strings made for it is three allocations"
+    );
+    // Past three attributes they spill into an allocation of their own.
+    reg.register(
+        "WIDE",
+        &[
+            ("A", sase_core::value::ValueType::Int),
+            ("B", sase_core::value::ValueType::Int),
+            ("C", sase_core::value::ValueType::Int),
+            ("D", sase_core::value::ValueType::Int),
+        ],
+    )
+    .unwrap();
+    let wide = reg.resolve("wide").unwrap();
+    let mut wide_built = Vec::with_capacity(1_000);
+    let allocs = counted(|| {
+        for ts in 0..1_000u64 {
+            let e = wide.build_event_with(ts, |i| Ok::<_, SaseError>(Value::Int(i as i64)));
+            wide_built.push(e.unwrap());
+        }
+    });
+    assert_eq!(
+        allocs,
+        1_000 * 2,
+        "a four-attribute event is two allocations"
+    );
+    assert_eq!(wide_built[9].to_string(), "WIDE@9(A=0, B=1, C=2, D=3)");
+    // The `Vec` wrapper adds only the caller's `Vec`.
+    let allocs = counted(|| {
+        for ts in 0..1_000u64 {
+            let attrs = vec![Value::Int(7), soap.clone(), Value::Int(1)];
             built.push(shelf.build_event(ts, attrs).unwrap());
         }
     });
-    assert_eq!(
-        allocs,
-        1_000 * (2 + 1),
-        "an event with one string attribute is three allocations"
-    );
+    assert_eq!(allocs, 1_000 * 2, "the event and the caller's `Vec`");
+    // Rebasing an event onto another tick is one allocation, too.
     let allocs = counted(|| {
         for ts in 0..1_000u64 {
-            let attrs = vec![Value::Int(7), Value::str("left"), Value::str("right")];
-            built.push(labelled.build_event(ts, attrs).unwrap());
+            built.push(built[ts as usize].with_timestamp(ts + 5_000));
         }
     });
-    assert_eq!(
-        allocs,
-        1_000 * (2 + 2),
-        "an event with two string attributes is four allocations"
-    );
+    assert_eq!(allocs, 1_000, "a rebased event is one allocation");
     assert_eq!(
         built[0].to_string(),
         ev(&reg, "SHELF_READING", 0, 7, 1).to_string()
     );
+    assert_eq!(
+        built[3_000].to_string(),
+        ev(&reg, "SHELF_READING", 5_000, 7, 1).to_string()
+    );
+
+    // Decoding a frame of `n` events carrying `d` distinct strings is
+    // exactly `n + d + C` allocations: one per event, one per distinct
+    // string (every repeat shares it), and `C` for the frame itself.
+    const C: u64 = 2; // the frame's `Vec<Event>` and its string table
+    let frame = |distinct: u64| {
+        let events: Vec<Event> = (0..512u64)
+            .map(|k| {
+                let text = format!("product-{}", k % distinct);
+                let attrs = vec![Value::Int(k as i64), Value::str(text), Value::Int(1)];
+                fanin
+                    .build_event(&names[(k % 128) as usize], k + 1, attrs)
+                    .unwrap()
+            })
+            .collect();
+        let mut w = ByteWriter::new();
+        put_events(&mut w, &events);
+        (events, w.into_bytes())
+    };
+    let decode = |bytes: &[u8]| {
+        let mut r = ByteReader::new(bytes);
+        let events = get_events(&mut r, &fanin).unwrap();
+        r.expect_end().unwrap();
+        events
+    };
+    for d in [1u64, 32, 512] {
+        let (events, bytes) = frame(d);
+        // Warm-up: the thread's hasher keys are made on first use.
+        drop(decode(&bytes));
+        let mut back = Vec::new();
+        let allocs = counted(|| back = decode(&bytes));
+        assert_eq!(
+            allocs,
+            512 + d + C,
+            "a 512-event frame with {d} distinct strings"
+        );
+        let rendered = |evs: &[Event]| evs.iter().map(|e| e.to_string()).collect::<Vec<_>>();
+        assert_eq!(rendered(&back), rendered(&events));
+    }
+    // A frame without strings has no string table: `C - 1`.
+    reg.register("COUNT", &[("N", sase_core::value::ValueType::Int)])
+        .unwrap();
+    let numbers: Vec<Event> = (0..64u64)
+        .map(|k| {
+            reg.build_event("COUNT", k, vec![Value::Int(k as i64)])
+                .unwrap()
+        })
+        .collect();
+    let mut w = ByteWriter::new();
+    put_events(&mut w, &numbers);
+    let bytes = w.into_bytes();
+    let allocs = counted(|| {
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(get_events(&mut r, &reg).unwrap().len(), 64);
+    });
+    assert_eq!(allocs, 64 + C - 1, "a frame without strings");
 
     // The resolved path validates exactly as the by-name path does.
     let too_few = vec![Value::Int(1)];

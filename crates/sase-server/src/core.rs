@@ -113,7 +113,9 @@ impl Hub {
         if subs.is_empty() {
             return;
         }
-        let text: Arc<str> = Arc::from(format!("event {}", render_emission(ce)).as_str());
+        let mut line = String::from("event ");
+        render_emission(&mut line, ce);
+        let text: Arc<str> = Arc::from(line);
         let (pushes, dropped) = (&self.pushes, &self.dropped);
         subs.retain(|s| {
             if s.dead.load(Ordering::Relaxed) {
@@ -377,19 +379,17 @@ pub(crate) fn run_engine(
                             .map_err(engine_err)
                     }
                     TickMode::ServerAssigned => {
-                        let rebased: sase_core::error::Result<Vec<Event>> = events
+                        // Decode validated every event; each is copied to
+                        // its tick as it is, without the registry.
+                        let rebased: Vec<Event> = events
                             .iter()
                             .map(|e| {
                                 *clock += 1;
-                                backend.schemas().build_event(
-                                    e.type_name(),
-                                    *clock,
-                                    e.attrs().to_vec(),
-                                )
+                                e.with_timestamp(*clock)
                             })
                             .collect();
-                        rebased
-                            .and_then(|evs| backend.process_batch_on(stream.as_deref(), &evs))
+                        backend
+                            .process_batch_on(stream.as_deref(), &rebased)
                             .map_err(engine_err)
                     }
                 };

@@ -426,7 +426,7 @@ fn handle_ingest(ctx: &Ctx, req: &Request) -> Result<String> {
     })??;
     let mut out = String::new();
     for ce in &emissions {
-        out.push_str(&crate::render_emission(ce));
+        crate::render_emission(&mut out, ce);
         out.push('\n');
     }
     Ok(out)

@@ -190,9 +190,10 @@ impl From<WireFault> for ServerError {
 /// Result alias for server operations.
 pub type Result<T> = std::result::Result<T, ServerError>;
 
-/// Render one emission exactly as push subscribers receive it: the
-/// [`ComplexEvent`] `Display` form. Centralized so the WS push path, the
-/// HTTP ingest response, and the wire codec can never drift apart.
-pub(crate) fn render_emission(ce: &ComplexEvent) -> String {
-    ce.to_string()
+/// Append one emission to `out` exactly as push subscribers receive it:
+/// the [`ComplexEvent`] `Display` form. Centralized so the WS push path,
+/// the HTTP ingest response, and the wire codec can never drift apart.
+pub(crate) fn render_emission(out: &mut String, ce: &ComplexEvent) {
+    use std::fmt::Write as _;
+    write!(out, "{ce}").expect("writing to a String cannot fail");
 }

@@ -220,6 +220,45 @@ fn server_assigned_ticks_accept_concurrent_ingesters() {
         other => panic!("expected out-of-order rejection, got {other:?}"),
     }
     handle.shutdown();
+
+    // A batch of several events with string attributes (repeated, empty,
+    // non-ASCII), all stamped 1, is rebased to ticks 1..=6 on a fresh
+    // server: it emits exactly what the same events stamped 1..=6 emit
+    // in explicit mode.
+    let batch = |stamp: &dyn Fn(u64) -> u64| -> Vec<Event> {
+        [
+            ("SHELF_READING", 7, "soap"),
+            ("SHELF_READING", 8, "naïve ☃"),
+            ("EXIT_READING", 7, "soap"),
+            ("EXIT_READING", 8, "naïve ☃"),
+            ("EXIT_READING", 9, ""),
+            ("EXIT_READING", 7, "soap"),
+        ]
+        .iter()
+        .zip(1u64..)
+        .map(|(&(ty, tag, product), k)| {
+            reg.build_event(
+                ty,
+                stamp(k),
+                vec![Value::Int(tag), Value::str(product), Value::Int(1)],
+            )
+            .unwrap()
+        })
+        .collect()
+    };
+    let emitted = |ticks: TickMode, events: &[Event]| -> Vec<String> {
+        let (handle, _) = serve_default();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.register("pairs", Q_PAIR).unwrap();
+        client.register("exits", Q_EXIT).unwrap();
+        let out = client.ingest(None, ticks, events).unwrap();
+        handle.shutdown();
+        out.iter().map(|ce| ce.to_string()).collect()
+    };
+    let rebased = emitted(TickMode::ServerAssigned, &batch(&|_| 1));
+    let explicit = emitted(TickMode::Explicit, &batch(&|k| k));
+    assert_eq!(rebased.len(), 4 + 3, "four exits, three shelf-exit pairs");
+    assert_eq!(rebased, explicit);
 }
 
 #[test]

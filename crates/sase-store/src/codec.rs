@@ -10,7 +10,10 @@
 //! All integers are big-endian. Collections are `u32`-count-prefixed;
 //! strings are UTF-8 with a `u32` byte length.
 
-use sase_core::event::{Event, SchemaRegistry};
+use std::collections::HashSet; // input-keyed: std hasher
+use std::sync::Arc;
+
+use sase_core::event::{Event, RegistryRead, SchemaRegistry};
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::{
     DerivedStreamSnapshot, EngineSnapshot, EventSnapshot, InstanceSnapshot, NegationBufferSnapshot,
@@ -316,10 +319,19 @@ pub fn put_value(w: &mut ByteWriter, v: &Value) {
 
 /// Decode one [`Value`] written by [`put_value`].
 pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value> {
+    get_value_with(r, Arc::from)
+}
+
+/// [`get_value`], with `string` turning a string value's bytes, borrowed
+/// from `r`'s buffer, into its `Arc<str>`.
+fn get_value_with<'a>(
+    r: &mut ByteReader<'a>,
+    string: impl FnOnce(&'a str) -> Arc<str>,
+) -> Result<Value> {
     Ok(match r.u8()? {
         0 => Value::Int(r.i64()?),
         1 => Value::Float(f64::from_bits(r.u64()?)),
-        2 => Value::str(r.str_ref()?),
+        2 => Value::Str(string(r.str_ref()?)),
         3 => Value::Bool(r.u8()? != 0),
         t => return Err(StoreError::Decode(format!("unknown value tag {t}"))),
     })
@@ -407,45 +419,109 @@ pub fn put_events(w: &mut ByteWriter, events: &[Event]) {
 }
 
 /// Decode one event written by [`put_event`], resolving its type against
-/// `registry`.
+/// `registry`: a batch of one, decoded as [`get_events`] decodes each
+/// event of a batch.
 ///
 /// Nothing is copied out of the payload that the event does not keep: the
 /// type name is read as a `&str` borrowed from `r`'s buffer and only
-/// looked up — one [`SchemaRegistry::resolve`], one read lock — and a
-/// string attribute goes from the borrowed slice straight into its
-/// `Arc<str>`. The attribute count is checked against the schema's arity
-/// *before* the attribute buffer is reserved, so that buffer is exactly
-/// the schema's size whatever count the bytes claim. Per event that is one
-/// allocation for the attribute buffer, one for the event itself, and one
-/// per string attribute. Arity and attribute types are validated by
-/// [`ResolvedType::build_event`](sase_core::event::ResolvedType::build_event)
-/// exactly as `SchemaRegistry::build_event` validates them; an
-/// unregistered type is a [`StoreError::Core`] naming it.
+/// looked up, and a string attribute goes from the borrowed slice straight
+/// into its `Arc<str>`. The attribute count is checked against the
+/// schema's arity before any value is read, and each value is read
+/// straight into its slot in the event
+/// ([`ResolvedType::build_event_with`](sase_core::event::ResolvedType::build_event_with)),
+/// which validates arity and attribute types exactly as
+/// `SchemaRegistry::build_event` does; an unregistered type is a
+/// [`StoreError::Core`] naming it. An event of up to three attributes is
+/// one allocation (a wider one, two), plus one per string attribute whose
+/// text the frame has not carried before.
 ///
 /// Types are not remembered from one event of a frame to the next: a map
 /// from the names a frame has used to their resolved types was measured
 /// on `serve_wire` (128 types over 512-event batches, each named about
-/// four times) and made no difference to any end-to-end metric.
+/// four times) and made no difference to any end-to-end metric. What a
+/// frame does share is the registry *read*: [`get_events`] takes the read
+/// lock once for the whole frame ([`SchemaRegistry::read`]) and resolves
+/// every name under it, instead of taking the lock once per event. Each
+/// name is still looked up, so there is no cache to fill, to miss, or to
+/// go stale; the saving is the per-event lock traffic and the per-event
+/// reference count of the resolved schema, not the lookup.
 pub fn get_event(r: &mut ByteReader<'_>, registry: &SchemaRegistry) -> Result<Event> {
-    let ty = registry.resolve(r.str_ref()?)?;
-    let ts = r.u64()?;
-    let n = r.count()?;
-    ty.check_arity(n)?;
-    let mut attrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        attrs.push(get_value(r)?);
-    }
-    Ok(ty.build_event(ts, attrs)?)
+    Frame::new(registry.read(), 1, r).event(r)
 }
 
-/// Decode a batch written by [`put_events`].
+/// Decode a batch written by [`put_events`]: the body of an ingest frame
+/// and of a log record.
+///
+/// The whole batch is decoded under one read of `registry` (see
+/// [`get_event`]; nothing here calls back into the registry while the read
+/// is held, which [`RegistryRead`] requires), and a string value that
+/// repeats within the batch is one `Arc<str>` shared by every event that
+/// carries it. So a batch of `n` events of up to three attributes carrying
+/// `d` distinct strings costs `n + d` allocations for its events, plus the
+/// batch's `Vec` and, if it holds a string, its string table: one
+/// allocation, with room for a distinct string per event (or per 48 bytes
+/// of the batch, if that is fewer), grown only by a batch that carries
+/// more.
 pub fn get_events(r: &mut ByteReader<'_>, registry: &SchemaRegistry) -> Result<Vec<Event>> {
     let n = r.count_of(EVENT_MIN_BYTES)?;
+    let mut frame = Frame::new(registry.read(), n, r);
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        events.push(get_event(r, registry)?);
+        events.push(frame.event(r)?);
     }
     Ok(events)
+}
+
+/// Bytes of batch that pay for one slot of its string table when the table
+/// is first reserved. A slot is one `Arc<str>` and a control byte, and
+/// rounding up to a power of two at most doubles the slots, so a table
+/// reserved at this rate stays within the bytes that sized it (bar the
+/// smallest table, 84 bytes), whatever count a damaged batch claims; and a
+/// batch whose events average 48 bytes or more (a three-attribute reading
+/// is about 55) still gets room for a distinct string in every event.
+const STRING_SLOT_BYTES: usize = 48;
+
+/// What the events of one batch share while it is decoded: one registry
+/// read, and the batch's distinct string values.
+struct Frame<'r> {
+    types: RegistryRead<'r>,
+    /// Empty until the batch's first string, then reserved for `slots`.
+    /// Its keys are bytes from outside the program, so it keeps std's
+    /// keyed hasher: under FxHash, strings crafted to collide would make
+    /// their batch's decode quadratic. (Measured against FxHash: no slower.)
+    strings: HashSet<Arc<str>>, // input-keyed: std hasher
+    slots: usize,
+}
+
+impl<'r> Frame<'r> {
+    /// A batch of `events` events, whose bytes are what `r` has left.
+    fn new(types: RegistryRead<'r>, events: usize, r: &ByteReader<'_>) -> Self {
+        Frame {
+            types,
+            strings: HashSet::new(),
+            slots: events.min(r.remaining() / STRING_SLOT_BYTES),
+        }
+    }
+
+    fn event(&mut self, r: &mut ByteReader<'_>) -> Result<Event> {
+        let ty = self.types.resolve(r.str_ref()?)?;
+        let ts = r.u64()?;
+        ty.check_arity(r.count()?)?;
+        let (strings, slots) = (&mut self.strings, self.slots);
+        ty.build_event_with(ts, |_| {
+            get_value_with(r, |s| {
+                if let Some(shared) = strings.get(s) {
+                    return Arc::clone(shared);
+                }
+                if strings.capacity() == 0 {
+                    strings.reserve(slots);
+                }
+                let shared: Arc<str> = Arc::from(s);
+                strings.insert(Arc::clone(&shared));
+                shared
+            })
+        })
+    }
 }
 
 fn put_event_snapshot(w: &mut ByteWriter, e: &EventSnapshot) {

@@ -6,15 +6,22 @@
 //!   byte path was rebuilt decode, and re-encode identically.
 //! * A damaged log record is a typed error or the committed prefix, never
 //!   a panic; a retired sequence-snapshot tag is a typed error.
-//! * `decode ∘ encode = id` over every kind of event a batch can hold.
+//! * `decode ∘ encode = id` over every kind of event a batch can hold and
+//!   both layouts an event can take; equal strings within a batch decode
+//!   to one shared `Arc<str>`, and an event prints exactly its attributes.
+//! * A batch decodes under one registry read while other threads redefine
+//!   and register types.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use sase_core::event::{Event, SchemaRegistry};
-use sase_core::value::Value;
+use sase_core::value::{Value, ValueType};
 use sase_store::checkpoint::{CKPT_MAGIC, CKPT_VERSION};
 use sase_store::codec::{
     crc32, get_engine_snapshot, get_events, put_events, ByteReader, ByteWriter,
@@ -450,5 +457,194 @@ fn an_unknown_type_mid_batch_is_a_typed_error_naming_it() {
             assert!(e.to_string().contains("expects 3 attributes, got 2"), "{e}")
         }
         other => panic!("expected an arity error, got {other:?}"),
+    }
+}
+
+/// Arities on both sides of the inline layout's three slots: padded,
+/// exactly full, and spilled at several widths.
+const TIER_ARITIES: [usize; 9] = [0, 1, 2, 3, 4, 8, 9, 17, 40];
+
+const TYPES: [ValueType; 4] = [
+    ValueType::Str,
+    ValueType::Float,
+    ValueType::Int,
+    ValueType::Bool,
+];
+
+/// One type per tier, `W<arity>`, its attributes `a0, a1, …` cycling
+/// through every value type.
+fn tier_registry() -> SchemaRegistry {
+    let reg = SchemaRegistry::new();
+    for n in TIER_ARITIES {
+        let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+        let attrs: Vec<(&str, ValueType)> = names
+            .iter()
+            .zip(TYPES.iter().cycle())
+            .map(|(name, ty)| (name.as_str(), *ty))
+            .collect();
+        reg.register(&format!("W{n}"), &attrs).unwrap();
+    }
+    reg
+}
+
+/// Strings every batch repeats: empty, ASCII and non-ASCII.
+const REPEATED: [&str; 3] = ["", "soap", "naïve ☃"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Batches of events of every tier whose strings repeat (within an
+    /// event, across events, and the empty string), are distinct, or are
+    /// arbitrary; floats from raw bits.
+    #[test]
+    fn every_layout_tier_round_trips_with_shared_strings(
+        picks in prop::collection::vec(
+            (0..TIER_ARITIES.len(), any::<u64>(), any::<String>(), any::<u8>()),
+            0..16,
+        ),
+    ) {
+        let reg = tier_registry();
+        let mut events = Vec::new();
+        let mut given = Vec::new();
+        for (k, (tier, bits, text, pick)) in picks.iter().enumerate() {
+            let n = TIER_ARITIES[*tier];
+            let attrs: Vec<Value> = (0..n)
+                .map(|i| {
+                    let r = *pick as usize + i;
+                    match TYPES[i % 4] {
+                        ValueType::Str => match r % 5 {
+                            0..=2 => Value::str(REPEATED[r % 3]),
+                            3 => Value::str(text),
+                            _ => Value::str(format!("{text}#{k}.{i}")),
+                        },
+                        ValueType::Float => Value::Float(f64::from_bits(bits.rotate_left(i as u32))),
+                        ValueType::Int => Value::Int(bits.rotate_right(i as u32) as i64),
+                        ValueType::Bool => Value::Bool((bits >> (i % 64)) & 1 == 1),
+                    }
+                })
+                .collect();
+            events.push(reg.build_event(&format!("W{n}"), k as u64, attrs.clone()).unwrap());
+            given.push(attrs);
+        }
+
+        let bytes = encoded(&events);
+        let back = decoded(&bytes, &reg).unwrap();
+        // Bit-exact, floats included: the re-encoding is the same bytes.
+        prop_assert_eq!(encoded(&back), bytes);
+
+        let mut shared: HashMap<&str, &Arc<str>> = HashMap::new();
+        for ((b, e), attrs) in back.iter().zip(&events).zip(&given) {
+            prop_assert_eq!(b.type_id(), e.type_id());
+            prop_assert_eq!(b.attrs().len(), attrs.len());
+            // Exactly the attributes, whatever the layout pads them to.
+            let debug = format!(
+                "Event {{ type: {:?}, timestamp: {}, attrs: {:?} }}",
+                e.type_name(),
+                e.timestamp(),
+                attrs
+            );
+            prop_assert_eq!(format!("{b:?}"), debug);
+            let shown: Vec<String> = e
+                .schema()
+                .attributes
+                .iter()
+                .zip(attrs)
+                .map(|(decl, v)| format!("{}={v}", decl.name))
+                .collect();
+            let display = format!("{}@{}({})", e.type_name(), e.timestamp(), shown.join(", "));
+            prop_assert_eq!(b.to_string(), display);
+            // Equal strings within the batch are one `Arc`.
+            for v in b.attrs() {
+                if let Value::Str(s) = v {
+                    let first = shared.entry(&**s).or_insert(s);
+                    prop_assert!(Arc::ptr_eq(first, s), "{s:?} decoded twice");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One registry read per batch
+// ---------------------------------------------------------------------------
+
+/// A batch is decoded under one read of the registry, while another
+/// thread redefines the batch's type back and forth and registers new
+/// types. No sleeps: the two threads start together and each runs a fixed
+/// number of rounds. Both finish; every decoded batch's events share the
+/// one schema they were validated against, and keep it whatever the type
+/// is redefined to afterwards.
+#[test]
+fn batches_decode_under_one_read_while_types_change() {
+    const ROUNDS: usize = 300;
+    let shapes: [[(&str, ValueType); 2]; 2] = [
+        [("Tag", ValueType::Int), ("Note", ValueType::Str)],
+        [("Id", ValueType::Int), ("Label", ValueType::Str)],
+    ];
+    let reg = SchemaRegistry::new();
+    reg.register("FLIP", &shapes[0]).unwrap();
+    let events: Vec<Event> = (0..64u64)
+        .map(|k| {
+            let note = if k % 2 == 0 { "even" } else { "odd" };
+            reg.build_event("FLIP", k, vec![Value::Int(k as i64), Value::str(note)])
+                .unwrap()
+        })
+        .collect();
+    let bytes = encoded(&events);
+
+    let start = Arc::new(Barrier::new(2));
+    let (done, finished) = mpsc::channel();
+    let writer = {
+        let (reg, start, done) = (reg.clone(), Arc::clone(&start), done.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            for k in 1..=ROUNDS {
+                reg.redefine("FLIP", &shapes[k % 2]).unwrap();
+                reg.register(&format!("NEW{k}"), &[("X", ValueType::Int)])
+                    .unwrap();
+            }
+            done.send(()).unwrap();
+        })
+    };
+    let reader = {
+        let reg = reg.clone();
+        std::thread::spawn(move || {
+            start.wait();
+            let kept: Vec<Vec<Event>> = (0..ROUNDS)
+                .map(|_| decoded(&bytes, &reg).unwrap())
+                .collect();
+            done.send(()).unwrap();
+            kept
+        })
+    };
+    for _ in 0..2 {
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("decoding and registry writes both finish");
+    }
+    writer.join().unwrap();
+    let kept = reader.join().unwrap();
+    assert_eq!(reg.len(), 1 + ROUNDS);
+
+    for batch in &kept {
+        let schema = batch[0].schema();
+        let names: Vec<&str> = schema.attributes.iter().map(|a| &*a.name).collect();
+        assert!(
+            names == ["Tag", "Note"] || names == ["Id", "Label"],
+            "{names:?}"
+        );
+        for (e, original) in batch.iter().zip(&events) {
+            assert!(Arc::ptr_eq(e.schema(), schema), "one batch, one schema");
+            let (tag, note) = (&original.attrs()[0], &original.attrs()[1]);
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "FLIP@{}({}={tag}, {}={note})",
+                    e.timestamp(),
+                    names[0],
+                    names[1]
+                )
+            );
+        }
     }
 }

@@ -3,7 +3,8 @@
 #
 # The per-event code paths (predicate evaluation, AIS/SSC runtime, key
 # extraction) must not regress to SipHash-based std collections: every map
-# or set keyed on the hot path goes through `sase_core::hash` (FxHash).
+# or set keyed on the hot path goes through `sase_core::hash` (FxHash),
+# except a map keyed by bytes read from a frame, marked as such below.
 # This script fails the build when a hot-path module names a std hasher
 # type, and when `unsafe` appears anywhere outside the explicit allowlist.
 #
@@ -51,8 +52,11 @@ BANNED='std::collections::HashMap|std::collections::HashSet|DefaultHasher|SipHas
 for path in $HOT_PATHS; do
     [ -e "$path" ] || { echo "lint-hotpath: missing hot-path module $path" >&2; fail=1; continue; }
     # Lines naming FxBuildHasher explicitly are the aliasing site itself
-    # (sase_core::hash) — the one legitimate spelling of HashMap here.
-    hits=$(grep -rnE "$BANNED" "$path" --include='*.rs' 2>/dev/null | grep -v 'FxBuildHasher' || true)
+    # (sase_core::hash). Lines marked `input-keyed: std hasher` are maps
+    # keyed by bytes read from a frame, which keep SipHash so that crafted
+    # keys cannot force collisions.
+    hits=$(grep -rnE "$BANNED" "$path" --include='*.rs' 2>/dev/null \
+        | grep -v 'FxBuildHasher' | grep -v 'input-keyed: std hasher' || true)
     if [ -n "$hits" ]; then
         echo "lint-hotpath: std hasher on the hot path (use sase_core::hash):" >&2
         echo "$hits" >&2
