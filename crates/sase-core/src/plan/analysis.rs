@@ -29,7 +29,7 @@ use crate::expr::{CompiledExpr, SlotResolver};
 use crate::functions::FunctionRegistry;
 use crate::lang::ast::{BinOp, Expr};
 use crate::pattern::CompiledPattern;
-use crate::program::{AttrAccess, Fetched, PredicateProgram};
+use crate::program::{AttrAccess, PredicateProgram};
 use crate::value::ValueKey;
 
 use super::{ConstructionFilter, NegationPlan};
@@ -56,14 +56,9 @@ impl KeyAttr {
         KeyAttr { attr, access }
     }
 
-    /// The partition key contribution of `event`, or `None` when the event
-    /// lacks the attribute (it can never satisfy the equivalence test).
-    #[inline]
-    pub fn key_of(&self, event: &Event) -> Option<ValueKey> {
-        Some(match self.access.value_of(event)? {
-            Fetched::Ref(v) => ValueKey::from_value(v),
-            Fetched::Ts(t) => ValueKey::Int(t),
-        })
+    /// How the attribute is read: what a runtime's offer table copies.
+    pub(crate) fn access(&self) -> &AttrAccess {
+        &self.access
     }
 }
 
@@ -98,39 +93,6 @@ pub struct PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// Compute the composite key of an event arriving at `slot`.
-    ///
-    /// Returns `None` when the event lacks one of the key attributes — such
-    /// an event can never satisfy the equivalence predicates, so it is
-    /// correctly dropped by the caller.
-    pub fn key_for_slot(&self, slot: usize, event: &Event) -> Option<Vec<ValueKey>> {
-        let mut key = Vec::with_capacity(self.parts.len());
-        if self.key_for_slot_into(slot, event, &mut key) {
-            Some(key)
-        } else {
-            None
-        }
-    }
-
-    /// Allocation-free variant of [`PartitionSpec::key_for_slot`]: fills a
-    /// caller-owned (reused) buffer and returns whether the event has a
-    /// complete key. The buffer is cleared first; on `false` its contents
-    /// are unspecified.
-    #[inline]
-    pub fn key_for_slot_into(&self, slot: usize, event: &Event, out: &mut Vec<ValueKey>) -> bool {
-        out.clear();
-        for part in &self.parts {
-            let Some(ka) = part.key_for_slot(slot) else {
-                return false;
-            };
-            let Some(k) = ka.key_of(event) else {
-                return false;
-            };
-            out.push(k);
-        }
-        true
-    }
-
     /// Does every part cover `slot`?
     pub fn covers_slot(&self, slot: usize) -> bool {
         self.parts.iter().all(|p| p.key_for_slot(slot).is_some())
@@ -178,10 +140,7 @@ impl TypeKeyAccess {
     /// "route nowhere" (the event could never complete a match anyway).
     #[inline]
     pub fn key_of(&self, event: &Event) -> Option<ValueKey> {
-        Some(match self.access.value_of(event)? {
-            Fetched::Ref(v) => ValueKey::from_value(v),
-            Fetched::Ts(t) => ValueKey::Int(t),
-        })
+        self.access.key_of(event)
     }
 }
 
@@ -962,22 +921,5 @@ mod tests {
             .find(|t| t.type_id == e.type_id())
             .unwrap();
         assert_eq!(tk.key_of(&e), Some(ValueKey::Int(7)));
-    }
-
-    #[test]
-    fn partition_key_extraction() {
-        use crate::value::Value;
-        let reg = retail_registry();
-        let (a, _p) = analyze("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId");
-        let spec = a.partition.unwrap();
-        let e = reg
-            .build_event(
-                "SHELF_READING",
-                1,
-                vec![Value::Int(42), Value::str("p"), Value::Int(1)],
-            )
-            .unwrap();
-        let key = spec.key_for_slot(0, &e).unwrap();
-        assert_eq!(key, vec![ValueKey::Int(42)]);
     }
 }

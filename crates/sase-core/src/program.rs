@@ -151,6 +151,17 @@ impl AttrAccess {
             }
         }
     }
+
+    /// This attribute of `event` as a partition key, or `None` when the
+    /// event's schema lacks it (it can never satisfy an equivalence test).
+    #[inline]
+    pub fn key_of(&self, event: &Event) -> Option<crate::value::ValueKey> {
+        use crate::value::ValueKey;
+        Some(match self.value_of(event)? {
+            Fetched::Ref(v) => ValueKey::from_value(v),
+            Fetched::Ts(t) => ValueKey::Int(t),
+        })
+    }
 }
 
 /// A fetched attribute value: borrowed from the event, or the timestamp

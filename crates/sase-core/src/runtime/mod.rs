@@ -4,6 +4,35 @@
 //! drives the dataflow of §2.1.2: the native sequence operator at the bottom
 //! (SSC over Active Instance Stacks, with the window pushed into the scan),
 //! pipelining constructed sequences through negation and transformation.
+//!
+//! ## What an offer touches
+//!
+//! When a runtime is built it compiles its plan's per-offer path into one
+//! flat *offer table*, a single allocation. Its rows are the positive
+//! components in the descending order the sequence scan walks them, then
+//! the negated components in pattern order. Each row holds:
+//!
+//! * the candidate type: one id inline, a slice for `ANY(...)`;
+//! * the slot, and the positive (or negation) index;
+//! * whether the slot has element filters;
+//! * the partition-key accessors, one per key part, the first inline
+//!   (none for unpartitioned SSC and for a negation buffered flat).
+//!
+//! Beside the rows sit the positive count and the window; a query has
+//! negations exactly when rows follow its positive ones. An offer reads a
+//! row per component and the operators' own state: the type match, the
+//! key extraction and one probe of the partition map (or negation bucket).
+//! It reaches the plan only to run element filters that exist and to
+//! construct sequences. A single-part key is probed from a slot on the
+//! stack; a longer one from a reused buffer. Either way the map entry holds
+//! the key, so steady state allocates nothing.
+//!
+//! The plan, by contrast, keeps the same facts a dozen dependent loads
+//! apart (pattern → positive slots → elements → type ids; element
+//! filters; partition → parts → per-slot attributes → accessor;
+//! negations), spread over each query's separate allocations. The table is
+//! derived state, like SSC's construction filters by index: snapshots and
+//! output do not depend on it.
 
 pub mod ais;
 pub mod binding;
@@ -16,11 +45,13 @@ pub use binding::{MatchBinding, PositiveMatch};
 use std::sync::Arc;
 
 use crate::error::{Result, SaseError};
-use crate::event::{Event, SchemaRegistry};
+use crate::event::{Event, EventTypeId, SchemaRegistry};
+use crate::expr::SlotProbe;
 use crate::output::ComplexEvent;
 use crate::plan::QueryPlan;
+use crate::program::AttrAccess;
 use crate::snapshot::{mismatch, QuerySnapshot, SeqSnapshot};
-use crate::time::Timestamp;
+use crate::time::{LogicalDuration, Timestamp};
 use crate::value::ValueKey;
 
 use negation::NegationOperator;
@@ -132,8 +163,8 @@ impl std::fmt::Display for RuntimeStats {
 /// A partition key as the PAIS group map and the negation buckets store
 /// it: a single-part key (the common case) inline in the map entry, so a
 /// probe compares it without a pointer chase. Hashes and borrows as the
-/// `[ValueKey]` slice it holds, so lookups take a reused key buffer's slice
-/// and allocate nothing; `new` is the only constructor, so the derived
+/// `[ValueKey]` slice it holds, so lookups take a borrowed slice and
+/// allocate nothing; `new` is the only constructor, so the derived
 /// equality agrees with the slice's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PartitionKey {
@@ -169,11 +200,185 @@ impl std::hash::Hash for PartitionKey {
     }
 }
 
+/// The candidate event types of one component: one id inline, or the
+/// slice of an `ANY(...)`.
+#[derive(Debug)]
+enum TypeMatch {
+    One(EventTypeId),
+    Any(Box<[EventTypeId]>),
+}
+
+impl TypeMatch {
+    fn new(ids: &[EventTypeId]) -> Self {
+        match ids {
+            [one] => TypeMatch::One(*one),
+            _ => TypeMatch::Any(ids.into()),
+        }
+    }
+
+    #[inline]
+    fn matches(&self, ty: EventTypeId) -> bool {
+        match self {
+            TypeMatch::One(id) => *id == ty,
+            TypeMatch::Any(ids) => ids.contains(&ty),
+        }
+    }
+}
+
+/// How one component's events reach their partition key.
+#[derive(Debug)]
+enum KeyAccess {
+    /// Unpartitioned SSC, or a negation buffered flat: every event has the
+    /// empty key.
+    Unkeyed,
+    /// One accessor per partition part, in part order, the first inline.
+    Keyed {
+        first: AttrAccess,
+        rest: Box<[AttrAccess]>,
+    },
+}
+
+impl KeyAccess {
+    fn new(mut parts: impl Iterator<Item = AttrAccess>) -> Self {
+        match parts.next() {
+            None => KeyAccess::Unkeyed,
+            Some(first) => KeyAccess::Keyed {
+                first,
+                rest: parts.collect(),
+            },
+        }
+    }
+
+    /// The partition key of `event`, or `None` when the event lacks a key
+    /// attribute (it can never satisfy the equivalence test). A single-part
+    /// key lands in `one`, a slot on the caller's stack; a longer one in
+    /// the reused `scratch` buffer.
+    #[inline]
+    fn extract<'k>(
+        &self,
+        event: &Event,
+        one: &'k mut Option<ValueKey>,
+        scratch: &'k mut Vec<ValueKey>,
+    ) -> Option<&'k [ValueKey]> {
+        let KeyAccess::Keyed { first, rest } = self else {
+            return Some(&[]);
+        };
+        let head = first.key_of(event)?;
+        if rest.is_empty() {
+            return Some(std::slice::from_ref(one.insert(head)));
+        }
+        scratch.clear();
+        scratch.push(head);
+        for access in rest.iter() {
+            scratch.push(access.key_of(event)?);
+        }
+        Some(scratch.as_slice())
+    }
+}
+
+/// One component's row of an [`OfferTable`].
+#[derive(Debug)]
+struct OfferRow {
+    types: TypeMatch,
+    /// Whether the slot has element filters: an offer reaches the plan
+    /// only to run filters that exist.
+    filtered: bool,
+    slot: usize,
+    /// The positive index (SSC rows) or the negation index (negation rows).
+    index: usize,
+    key: KeyAccess,
+}
+
+impl OfferRow {
+    /// Can `event` bind this component: one of its types, passing its
+    /// element filters?
+    #[inline]
+    fn admits(&self, plan: &QueryPlan, event: &Event) -> Result<bool> {
+        if !self.types.matches(event.type_id()) {
+            return Ok(false);
+        }
+        if self.filtered {
+            let probe = SlotProbe {
+                slot: self.slot,
+                event,
+            };
+            for f in &plan.element_filters[self.slot] {
+                if !f.eval_bool(&probe)? {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// A query's per-offer path, compiled from its plan (see the module
+/// documentation for its layout and cost).
+#[derive(Debug)]
+pub(crate) struct OfferTable {
+    /// Positive components in descending positive order, then negated
+    /// components in pattern order.
+    rows: Box<[OfferRow]>,
+    /// How many leading rows are positive components.
+    positives: usize,
+    window: Option<LogicalDuration>,
+}
+
+impl OfferTable {
+    pub(crate) fn new(plan: &QueryPlan) -> Self {
+        let pattern = &plan.pattern;
+        let positives = (0..pattern.positive_len()).rev().map(|i| {
+            let elem = pattern.positive_elem(i);
+            let parts = plan.partition.iter().flat_map(|spec| &spec.parts);
+            OfferRow {
+                types: TypeMatch::new(&elem.type_ids),
+                filtered: !plan.element_filters[elem.slot].is_empty(),
+                slot: elem.slot,
+                index: i,
+                key: KeyAccess::new(parts.map(|part| {
+                    part.key_for_slot(elem.slot)
+                        .expect("a partition part covers every positive slot")
+                        .access()
+                        .clone()
+                })),
+            }
+        });
+        let negations = plan.negations.iter().enumerate().map(|(ni, neg)| OfferRow {
+            types: TypeMatch::new(&neg.type_ids),
+            filtered: !plan.element_filters[neg.scope.slot].is_empty(),
+            slot: neg.scope.slot,
+            index: ni,
+            key: KeyAccess::new(
+                neg.partition_attrs
+                    .iter()
+                    .flatten()
+                    .map(|attr| attr.access().clone()),
+            ),
+        });
+        OfferTable {
+            rows: positives.chain(negations).collect(),
+            positives: pattern.positive_len(),
+            window: plan.window,
+        }
+    }
+
+    /// The positive components, in the order the sequence scan walks them.
+    fn positives(&self) -> &[OfferRow] {
+        &self.rows[..self.positives]
+    }
+
+    /// The negated components; empty when the query has no negation.
+    fn negations(&self) -> &[OfferRow] {
+        &self.rows[self.positives..]
+    }
+}
+
 /// One running continuous query.
 #[derive(Debug)]
 pub struct QueryRuntime {
     name: Arc<str>,
     plan: Arc<QueryPlan>,
+    offers: OfferTable,
     seq: SscOperator,
     negation: NegationOperator,
     stats: RuntimeStats,
@@ -185,11 +390,13 @@ impl QueryRuntime {
     /// Instantiate a plan as a running query.
     pub fn new(name: impl AsRef<str>, plan: QueryPlan) -> Self {
         let plan = Arc::new(plan);
+        let offers = OfferTable::new(&plan);
         let seq = SscOperator::new(plan.clone());
         let negation = NegationOperator::new(plan.clone());
         QueryRuntime {
             name: Arc::from(name.as_ref()),
             plan,
+            offers,
             seq,
             negation,
             stats: RuntimeStats::default(),
@@ -237,8 +444,9 @@ impl QueryRuntime {
         // the current event. `events_processed` paces the sweep of idle
         // negation buckets, so a restored runtime sweeps when the original
         // would have.
-        self.negation.observe(event, &mut self.stats)?;
-        if let Some(w) = self.plan.window {
+        self.negation
+            .observe(&self.offers, event, &mut self.stats)?;
+        if let Some(w) = self.offers.window {
             if self.stats.events_processed % ssc::SWEEP_PERIOD as u64 == 0 {
                 self.negation
                     .prune_before(event.timestamp().saturating_sub(w));
@@ -247,10 +455,11 @@ impl QueryRuntime {
 
         self.scratch.clear();
         let mut candidates = std::mem::take(&mut self.scratch);
-        self.seq.on_event(event, &mut self.stats, &mut candidates)?;
+        self.seq
+            .on_event(&self.offers, event, &mut self.stats, &mut candidates)?;
 
         for m in candidates.drain(..) {
-            if !self.negation.allows(&m)? {
+            if !self.negation.allows(&m, self.seq.match_key())? {
                 self.stats.dropped_by_negation += 1;
                 continue;
             }
@@ -328,14 +537,18 @@ mod tests {
     use crate::functions::FunctionRegistry;
     use crate::lang::parse_query;
     use crate::plan::Planner;
-    use crate::value::Value;
+    use crate::value::{Value, ValueType};
 
-    fn runtime(src: &str) -> (QueryRuntime, SchemaRegistry) {
-        let reg = retail_registry();
+    fn runtime_on(reg: &SchemaRegistry, src: &str) -> QueryRuntime {
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(src).unwrap();
         let plan = planner.plan(&q).unwrap();
-        (QueryRuntime::new("test", plan), reg)
+        QueryRuntime::new("test", plan)
+    }
+
+    fn runtime(src: &str) -> (QueryRuntime, SchemaRegistry) {
+        let reg = retail_registry();
+        (runtime_on(&reg, src), reg)
     }
 
     fn ev(reg: &SchemaRegistry, ty: &str, ts: u64, tag: i64, area: i64) -> Event {
@@ -419,6 +632,124 @@ mod tests {
             !results[0].is_empty(),
             "workload should produce at least one match"
         );
+    }
+
+    /// The key `rows[row]` of `rt`'s offer table extracts from `event`.
+    fn key_at(rt: &QueryRuntime, row: usize, event: &Event) -> Option<Vec<ValueKey>> {
+        let mut one = None;
+        let mut scratch = Vec::new();
+        rt.offers.rows[row]
+            .key
+            .extract(event, &mut one, &mut scratch)
+            .map(<[ValueKey]>::to_vec)
+    }
+
+    #[test]
+    fn offer_table_rows_follow_the_plan() {
+        let (rt, _) = runtime(Q1);
+        let t = &rt.offers;
+        let positives: Vec<(usize, usize)> =
+            t.positives().iter().map(|r| (r.index, r.slot)).collect();
+        // Descending positive order; the negated slot 1 follows.
+        assert_eq!(positives, vec![(1, 2), (0, 0)]);
+        assert_eq!(t.negations().len(), 1);
+        assert_eq!((t.negations()[0].index, t.negations()[0].slot), (0, 1));
+        assert_eq!(t.window, Some(1000));
+        assert!(t.rows.iter().all(|r| !r.filtered));
+        assert!(t
+            .rows
+            .iter()
+            .all(|r| matches!(r.key, KeyAccess::Keyed { ref rest, .. } if rest.is_empty())));
+
+        // A pushed filter marks its row; ANY keeps its candidate slice; no
+        // negation leaves no negation rows.
+        let (rt, reg) = runtime(
+            "EVENT SEQ(ANY(SHELF_READING, COUNTER_READING) a, EXIT_READING b) \
+             WHERE a.TagId = b.TagId AND b.AreaId > 1",
+        );
+        let t = &rt.offers;
+        assert!(t.negations().is_empty());
+        assert_eq!(t.window, None);
+        assert!(t.positives()[0].filtered && !t.positives()[1].filtered);
+        assert!(matches!(&t.positives()[1].types, TypeMatch::Any(ids) if ids.len() == 2));
+        let counter = reg.type_id("COUNTER_READING").unwrap();
+        assert!(t.positives()[1].types.matches(counter));
+        assert!(!t.positives()[0].types.matches(counter));
+    }
+
+    #[test]
+    fn offer_table_extracts_every_key_shape() {
+        let (rt, reg) =
+            runtime("EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId");
+        let shelf = ev(&reg, "SHELF_READING", 5, 42, 1);
+        assert_eq!(key_at(&rt, 1, &shelf), Some(vec![ValueKey::Int(42)]));
+
+        // Two parts, in part order, through the reused buffer.
+        let two = runtime_on(
+            &reg,
+            "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
+             WHERE x.TagId = z.TagId AND x.ProductName = z.ProductName",
+        );
+        let mut key = key_at(&two, 1, &shelf).unwrap();
+        key.sort();
+        assert_eq!(key, vec![ValueKey::Int(42), ValueKey::Str("soap".into())]);
+
+        // The timestamp pseudo-attribute.
+        let ts = runtime_on(
+            &reg,
+            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.Timestamp = z.Timestamp",
+        );
+        assert!(matches!(
+            ts.offers.positives()[1].key,
+            KeyAccess::Keyed {
+                first: AttrAccess::Timestamp,
+                ..
+            }
+        ));
+        assert_eq!(key_at(&ts, 1, &shelf), Some(vec![ValueKey::Int(5)]));
+
+        // Unpartitioned: the empty key.
+        let flat = runtime_on(
+            &reg,
+            "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId + 0 = z.TagId",
+        );
+        assert_eq!(key_at(&flat, 1, &shelf), Some(Vec::new()));
+
+        // An ANY component whose key attribute sits at a different
+        // position in each candidate type resolves per event type.
+        let mixed = SchemaRegistry::new();
+        mixed
+            .register(
+                "A",
+                &[("TagId", ValueType::Int), ("AreaId", ValueType::Int)],
+            )
+            .unwrap();
+        mixed
+            .register(
+                "B",
+                &[("AreaId", ValueType::Int), ("TagId", ValueType::Int)],
+            )
+            .unwrap();
+        let any = runtime_on(
+            &mixed,
+            "EVENT SEQ(ANY(A, B) a, A z) WHERE a.TagId = z.TagId WITHIN 10",
+        );
+        assert!(matches!(
+            any.offers.positives()[1].key,
+            KeyAccess::Keyed {
+                first: AttrAccess::Dynamic { .. },
+                ..
+            }
+        ));
+        let a = mixed
+            .build_event("A", 1, vec![Value::Int(7), Value::Int(1)])
+            .unwrap();
+        let b = mixed
+            .build_event("B", 2, vec![Value::Int(1), Value::Int(7)])
+            .unwrap();
+        for e in [&a, &b, &a] {
+            assert_eq!(key_at(&any, 1, e), Some(vec![ValueKey::Int(7)]));
+        }
     }
 
     #[test]

@@ -11,12 +11,19 @@
 //! partition key — the "indexing relevant events ... across value-based
 //! partitions" of §2.1.2 — so a probe touches only same-key candidates;
 //! otherwise they wait in one flat buffer.
+//!
+//! An arriving event is checked against the negated rows of its runtime's
+//! offer table (see [`super`]): type, element filters only where they
+//! exist, and the bucket key by the row's accessors. A query without
+//! negation has no such rows, so it pays one length check. The
+//! non-occurrence check of a match probes the bucket of the key SSC built
+//! the match under — every part of that key covers the negated slot — so
+//! it extracts no key of its own.
 
 use std::collections::VecDeque;
 
 use crate::error::Result;
 use crate::event::{Event, SchemaRegistry};
-use crate::expr::SlotProbe;
 use crate::hash::FxHashMap;
 use crate::plan::QueryPlan;
 use crate::snapshot::{mismatch, EventSnapshot, NegationBufferSnapshot};
@@ -24,7 +31,7 @@ use crate::time::Timestamp;
 use crate::value::ValueKey;
 
 use super::binding::{MatchBinding, PositiveMatch};
-use super::{PartitionKey, RuntimeStats};
+use super::{OfferTable, PartitionKey, RuntimeStats};
 
 #[derive(Debug)]
 struct NegBuffer {
@@ -41,8 +48,8 @@ struct NegBuffer {
 pub struct NegationOperator {
     plan: std::sync::Arc<QueryPlan>,
     buffers: Vec<NegBuffer>,
-    /// Reused partition-key buffer: steady-state candidate bucketing and
-    /// probing never allocates (bucket lookups go through the
+    /// Reused buffer for multi-part bucket keys: steady-state candidate
+    /// bucketing never allocates (bucket lookups go through the
     /// `PartitionKey: Borrow<[ValueKey]>` impl).
     key_scratch: Vec<ValueKey>,
 }
@@ -157,62 +164,35 @@ impl NegationOperator {
     /// counterexample. The bucket (or flat buffer) it lands in drops its
     /// window-expired front on the way; untouched buckets wait for the
     /// periodic [`NegationOperator::prune_before`] sweep.
-    pub fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) -> Result<()> {
-        let min_ts = self
-            .plan
-            .window
-            .map(|w| event.timestamp().saturating_sub(w));
-        for (ni, neg) in self.plan.negations.iter().enumerate() {
-            if !neg.type_ids.contains(&event.type_id()) {
+    pub(crate) fn observe(
+        &mut self,
+        offers: &OfferTable,
+        event: &Event,
+        stats: &mut RuntimeStats,
+    ) -> Result<()> {
+        for row in offers.negations() {
+            if !row.admits(&self.plan, event)? {
                 continue;
             }
-            let probe = SlotProbe {
-                slot: neg.scope.slot,
-                event,
+            let mut one = None;
+            let Some(key) = row.key.extract(event, &mut one, &mut self.key_scratch) else {
+                // Missing key attribute: cannot satisfy the equivalence
+                // predicate, so never a counterexample.
+                continue;
             };
-            let mut pass = true;
-            for f in &neg.filters {
-                if !f.eval_bool(&probe)? {
-                    pass = false;
-                    break;
-                }
-            }
-            if !pass {
-                continue;
-            }
-            let buf = &mut self.buffers[ni];
+            let buf = &mut self.buffers[row.index];
             let queue = if buf.indexed {
-                let attrs = neg.partition_attrs.as_ref().expect("indexed implies attrs");
-                self.key_scratch.clear();
-                let mut complete = true;
-                for ka in attrs {
-                    match ka.key_of(event) {
-                        Some(k) => self.key_scratch.push(k),
-                        // Missing key attribute: cannot satisfy the
-                        // equivalence predicate, so never a counterexample.
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                if !complete {
-                    continue;
-                }
                 // Slice-keyed lookup; the key is only cloned when the
                 // bucket is new.
-                match buf.buckets.get_mut(self.key_scratch.as_slice()) {
+                match buf.buckets.get_mut(key) {
                     Some(q) => q,
-                    None => buf
-                        .buckets
-                        .entry(PartitionKey::new(&self.key_scratch))
-                        .or_default(),
+                    None => buf.buckets.entry(PartitionKey::new(key)).or_default(),
                 }
             } else {
                 &mut buf.all
             };
-            if let Some(min_ts) = min_ts {
-                prune_front(queue, min_ts);
+            if let Some(w) = offers.window {
+                prune_front(queue, event.timestamp().saturating_sub(w));
             }
             queue.push_back(event.clone());
             stats.negation_candidates_buffered += 1;
@@ -222,23 +202,16 @@ impl NegationOperator {
 
     /// Does the match survive every non-occurrence requirement?
     ///
-    /// `&mut self` only for the reused key-scratch buffer; buffered
-    /// candidates are not modified.
-    pub fn allows(&mut self, m: &PositiveMatch) -> Result<bool> {
+    /// `key` is the partition key of the group SSC built `m` in. An indexed
+    /// negation buckets its candidates by the same parts, so `key` names
+    /// the bucket to probe.
+    pub(crate) fn allows(&self, m: &PositiveMatch, key: &[ValueKey]) -> Result<bool> {
         for (ni, neg) in self.plan.negations.iter().enumerate() {
             let t_after = m[neg.scope.after_positive].timestamp();
             let t_before = m[neg.scope.before_positive].timestamp();
             let buf = &self.buffers[ni];
             let candidates: Option<&VecDeque<Event>> = if buf.indexed {
-                let spec = self.plan.partition.as_ref().expect("indexed");
-                // The match lives in one partition; derive its key from the
-                // first positive event.
-                let slot0 = self.plan.pattern.positive_slots[0];
-                if spec.key_for_slot_into(slot0, &m[0], &mut self.key_scratch) {
-                    buf.buckets.get(self.key_scratch.as_slice())
-                } else {
-                    None
-                }
+                buf.buckets.get(key)
             } else {
                 Some(&buf.all)
             };
@@ -312,13 +285,51 @@ mod tests {
     const Q1_FLAT: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                            WHERE y.TagId + 0 = x.TagId AND x.TagId = z.TagId WITHIN 1000";
 
-    fn setup(indexed: bool) -> (NegationOperator, SchemaRegistry) {
+    /// The operator, with the offer table it reads.
+    struct Op {
+        neg: NegationOperator,
+        offers: OfferTable,
+    }
+
+    impl Op {
+        fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) -> Result<()> {
+            self.neg.observe(&self.offers, event, stats)
+        }
+
+        /// Whether a match of two same-tag events survives; SSC would
+        /// have built it in the group of that tag.
+        fn allows(&self, m: &PositiveMatch) -> Result<bool> {
+            let key = [ValueKey::from_value(m[0].attr_at(0).unwrap())];
+            self.neg.allows(m, &key)
+        }
+    }
+
+    impl std::ops::Deref for Op {
+        type Target = NegationOperator;
+
+        fn deref(&self) -> &NegationOperator {
+            &self.neg
+        }
+    }
+
+    impl std::ops::DerefMut for Op {
+        fn deref_mut(&mut self) -> &mut NegationOperator {
+            &mut self.neg
+        }
+    }
+
+    fn setup(indexed: bool) -> (Op, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(if indexed { Q1 } else { Q1_FLAT }).unwrap();
         let plan = planner.plan(&q).unwrap();
         assert_eq!(plan.negations[0].partition_attrs.is_some(), indexed);
-        (NegationOperator::new(std::sync::Arc::new(plan)), reg)
+        let plan = std::sync::Arc::new(plan);
+        let op = Op {
+            offers: OfferTable::new(&plan),
+            neg: NegationOperator::new(plan),
+        };
+        (op, reg)
     }
 
     fn ev(reg: &SchemaRegistry, ty: &str, ts: u64, tag: i64) -> Event {

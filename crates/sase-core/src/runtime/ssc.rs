@@ -16,10 +16,14 @@
 //!   backwards, applying window bounds and multi-variable predicates as
 //!   early as their variables are bound.
 //!
-//! Per arriving event, each component it can bind costs one probe of the
-//! partition map (a `PartitionKey` holds a single-part key inline,
-//! so the probe compares it in place) and a prune of the group it finds;
-//! only a new partition inserts.
+//! Per arriving event, the operator walks the positive rows of its
+//! runtime's offer table (see [`super`]): a type match and, only where the
+//! slot has element filters, a run of them. Each component the event binds
+//! then costs one key extraction by the row's accessors, one probe of the
+//! partition map (a `PartitionKey` holds a single-part key inline, so the
+//! probe compares it in place) and a prune of the group it finds; only a
+//! new partition inserts. The plan is read again only to construct
+//! sequences.
 //!
 //! The operator emits every match (skip-till-any-match semantics): each
 //! combination of events, one per positive component, in strictly
@@ -28,7 +32,6 @@
 
 use crate::error::Result;
 use crate::event::{Event, SchemaRegistry};
-use crate::expr::SlotProbe;
 use crate::hash::FxHashMap;
 use crate::plan::{ConstructionFilter, QueryPlan};
 use crate::snapshot::{mismatch, PartitionSnapshot, SeqSnapshot};
@@ -36,7 +39,7 @@ use crate::value::ValueKey;
 
 use super::ais::{AisGroup, Instance};
 use super::binding::PositiveMatch;
-use super::{PartitionKey, RuntimeStats};
+use super::{OfferTable, PartitionKey, RuntimeStats};
 
 /// The SSC operator: one per running query.
 #[derive(Debug)]
@@ -48,10 +51,15 @@ pub struct SscOperator {
     /// become evaluable during backward construction.
     filters_by_min: Vec<Vec<ConstructionFilter>>,
     events_since_sweep: usize,
-    /// Reused partition-key buffer: steady-state key extraction never
-    /// allocates (lookups go through the `PartitionKey: Borrow<[ValueKey]>`
-    /// impl; the key is only cloned when a new partition materializes).
+    /// Reused buffer for multi-part partition keys: steady-state key
+    /// extraction never allocates (lookups go through the
+    /// `PartitionKey: Borrow<[ValueKey]>` impl; the key is only cloned when
+    /// a new partition materializes).
     key_scratch: Vec<ValueKey>,
+    /// The key of the group the last event's matches were constructed in.
+    /// An indexed negation buffers candidates under the same key, so it
+    /// probes with this one instead of extracting it again.
+    match_key: Vec<ValueKey>,
     /// Reused slot-binding buffer for sequence construction — one buffer
     /// per operator instead of a fresh `Vec<Option<Event>>` per candidate.
     binding_scratch: Vec<Option<Event>>,
@@ -77,8 +85,16 @@ impl SscOperator {
             filters_by_min,
             events_since_sweep: 0,
             key_scratch: Vec::new(),
+            match_key: Vec::new(),
             binding_scratch: vec![None; slot_count],
         }
+    }
+
+    /// The partition key of the group the matches of the last
+    /// [`SscOperator::on_event`] call were constructed in (empty when
+    /// unpartitioned).
+    pub(crate) fn match_key(&self) -> &[ValueKey] {
+        &self.match_key
     }
 
     /// Number of live partitions (1 when unpartitioned and active).
@@ -153,15 +169,18 @@ impl SscOperator {
         Ok(())
     }
 
-    /// Process one event; pushes every completed positive match to `out`.
-    pub fn on_event(
+    /// Process one event through the positive rows of `offers`, the table
+    /// compiled from this operator's plan; pushes every completed positive
+    /// match to `out`.
+    pub(crate) fn on_event(
         &mut self,
+        offers: &OfferTable,
         event: &Event,
         stats: &mut RuntimeStats,
         out: &mut Vec<PositiveMatch>,
     ) -> Result<()> {
-        let n = self.plan.pattern.positive_len();
-        let window = self.plan.window;
+        let n = offers.positives;
+        let window = offers.window;
 
         // Periodic global sweep bounds memory of idle partitions.
         self.events_since_sweep += 1;
@@ -178,47 +197,29 @@ impl SscOperator {
             }
         }
 
-        // Descending component order so an event binding several components
-        // cannot become its own predecessor within this arrival.
-        for i in (0..n).rev() {
-            let elem = self.plan.pattern.positive_elem(i);
-            if !elem.matches_type(event.type_id()) {
+        // Descending component order (the rows' order) so an event binding
+        // several components cannot become its own predecessor within this
+        // arrival.
+        for row in offers.positives() {
+            if !row.admits(&self.plan, event)? {
                 continue;
             }
-            let probe = SlotProbe {
-                slot: elem.slot,
-                event,
+            let mut one = None;
+            let Some(key) = row.key.extract(event, &mut one, &mut self.key_scratch) else {
+                // Missing key attribute: the equivalence predicate can
+                // never hold for this event.
+                continue;
             };
-            let mut pass = true;
-            for f in &self.plan.element_filters[elem.slot] {
-                if !f.eval_bool(&probe)? {
-                    pass = false;
-                    break;
-                }
-            }
-            if !pass {
-                continue;
-            }
-
-            match &self.plan.partition {
-                Some(spec) => {
-                    // Missing key attribute: the equivalence predicate can
-                    // never hold for this event.
-                    if !spec.key_for_slot_into(elem.slot, event, &mut self.key_scratch) {
-                        continue;
-                    }
-                }
-                None => self.key_scratch.clear(),
-            }
             // One slice-keyed probe; the key is only cloned into the map
             // when a brand-new partition materializes.
-            let group = match self.groups.get_mut(self.key_scratch.as_slice()) {
+            let group = match self.groups.get_mut(key) {
                 Some(group) => group,
                 None => self
                     .groups
-                    .entry(PartitionKey::new(&self.key_scratch))
+                    .entry(PartitionKey::new(key))
                     .or_insert_with(|| AisGroup::new(n)),
             };
+            let i = row.index;
             if let Some(w) = window {
                 stats.instances_pruned +=
                     group.prune_before(event.timestamp().saturating_sub(w)) as u64;
@@ -242,6 +243,7 @@ impl SscOperator {
             stats.instances_appended += 1;
 
             if i == n - 1 {
+                let before = out.len();
                 construct(
                     &self.plan,
                     &self.filters_by_min,
@@ -252,6 +254,10 @@ impl SscOperator {
                     stats,
                     out,
                 )?;
+                if out.len() > before {
+                    self.match_key.clear();
+                    self.match_key.extend_from_slice(key);
+                }
             }
         }
         stats.partitions = self.groups.len() as u64;
@@ -386,12 +392,41 @@ mod tests {
     use crate::plan::Planner;
     use crate::value::Value;
 
-    fn setup(src: &str) -> (SscOperator, SchemaRegistry) {
+    /// The operator, with the offer table it walks.
+    struct Op {
+        ssc: SscOperator,
+        offers: OfferTable,
+    }
+
+    impl Op {
+        fn on_event(
+            &mut self,
+            event: &Event,
+            stats: &mut RuntimeStats,
+            out: &mut Vec<PositiveMatch>,
+        ) -> Result<()> {
+            self.ssc.on_event(&self.offers, event, stats, out)
+        }
+
+        fn partition_count(&self) -> usize {
+            self.ssc.partition_count()
+        }
+
+        fn retained_instances(&self) -> usize {
+            self.ssc.retained_instances()
+        }
+    }
+
+    fn setup(src: &str) -> (Op, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(src).unwrap();
-        let plan = planner.plan(&q).unwrap();
-        (SscOperator::new(std::sync::Arc::new(plan)), reg)
+        let plan = std::sync::Arc::new(planner.plan(&q).unwrap());
+        let op = Op {
+            offers: OfferTable::new(&plan),
+            ssc: SscOperator::new(plan),
+        };
+        (op, reg)
     }
 
     fn ev(reg: &SchemaRegistry, ty: &str, ts: u64, tag: i64, area: i64) -> Event {
@@ -403,7 +438,7 @@ mod tests {
         .unwrap()
     }
 
-    fn run(op: &mut SscOperator, events: &[Event]) -> (Vec<PositiveMatch>, RuntimeStats) {
+    fn run(op: &mut Op, events: &[Event]) -> (Vec<PositiveMatch>, RuntimeStats) {
         let mut out = Vec::new();
         let mut stats = RuntimeStats::default();
         for e in events {

@@ -27,7 +27,7 @@ use sase_core::functions::FunctionRegistry;
 use sase_core::lang::parse_query;
 use sase_core::plan::Planner;
 use sase_core::runtime::QueryRuntime;
-use sase_core::value::Value;
+use sase_core::value::{Value, ValueType};
 use sase_obs::{MetricsRegistry, TraceKind, Tracer};
 use sase_store::codec::{get_events, put_events, ByteReader, ByteWriter};
 
@@ -213,6 +213,82 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "steady-state Q2 sequence construction must not allocate"
+    );
+
+    // ---- 3b. The other key shapes: a two-part key whose parts also bucket
+    //          the negation, and an `ANY(...)` component whose key
+    //          attribute sits at a different position in each candidate
+    //          type (resolved per event type). ----------------------------
+    let two_part = planner
+        .plan(
+            &parse_query(
+                "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+                 WHERE x.TagId = y.TagId AND x.TagId = z.TagId \
+                 AND x.AreaId = y.AreaId AND x.AreaId = z.AreaId WITHIN 50",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    assert_eq!(two_part.partition.as_ref().map(|p| p.parts.len()), Some(2));
+    assert!(two_part.negations[0].partition_attrs.is_some());
+    let mut rt3 = QueryRuntime::new("two_part", two_part);
+    // §2's shelf + counter stream: stacks and buckets fill, nothing
+    // completes.
+    for e in &events[..400] {
+        rt3.process(e, &mut out).unwrap();
+    }
+    let allocs = counted(|| {
+        for e in &events[400..] {
+            rt3.process(e, &mut out).unwrap();
+        }
+    });
+    assert!(out.is_empty());
+    assert!(rt3.stats().negation_candidates_buffered > 0);
+    assert_eq!(
+        allocs, 0,
+        "steady-state two-part-key processing with negation buckets must not allocate"
+    );
+
+    let mixed = SchemaRegistry::new();
+    for (name, attrs) in [
+        ("A", [("TagId", ValueType::Int), ("AreaId", ValueType::Int)]),
+        ("B", [("AreaId", ValueType::Int), ("TagId", ValueType::Int)]),
+        ("C", [("TagId", ValueType::Int), ("AreaId", ValueType::Int)]),
+    ] {
+        mixed.register(name, &attrs).unwrap();
+    }
+    let any_plan = Planner::new(mixed.clone(), FunctionRegistry::with_stdlib())
+        .plan(
+            &parse_query("EVENT SEQ(ANY(A, B) a, C c) WHERE a.TagId = c.TagId WITHIN 50").unwrap(),
+        )
+        .unwrap();
+    let mut rt4 = QueryRuntime::new("any", any_plan);
+    // A and B alternate over eight tags and no C arrives: every event
+    // enters a stack, nothing completes.
+    let any_events: Vec<Event> = (0..800u64)
+        .map(|k| {
+            let tag = Value::Int((k % 8) as i64);
+            let built = if k % 2 == 0 {
+                mixed.build_event("A", k + 1, vec![tag, Value::Int(1)])
+            } else {
+                mixed.build_event("B", k + 1, vec![Value::Int(1), tag])
+            };
+            built.unwrap()
+        })
+        .collect();
+    for e in &any_events[..400] {
+        rt4.process(e, &mut out).unwrap();
+    }
+    let allocs = counted(|| {
+        for e in &any_events[400..] {
+            rt4.process(e, &mut out).unwrap();
+        }
+    });
+    assert!(out.is_empty());
+    assert_eq!(rt4.stats().instances_appended, 800);
+    assert_eq!(
+        allocs, 0,
+        "steady-state ANY(...) processing with a per-type key must not allocate"
     );
 
     // ---- 4. Metrics primitives: recording through registry handles is

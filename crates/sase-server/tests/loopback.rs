@@ -34,6 +34,19 @@ fn sample(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no `{name}` sample in:\n{metrics}"))
 }
 
+/// The largest `sase_server_fanout_queue_depth{session=…}` sample in a
+/// Prometheus exposition.
+fn deepest_queue(metrics: &str) -> f64 {
+    metrics
+        .lines()
+        .filter_map(|l| {
+            let sample = l.strip_prefix("sase_server_fanout_queue_depth{")?;
+            sample.rsplit_once(' ')?.1.parse::<f64>().ok()
+        })
+        .reduce(f64::max)
+        .unwrap_or_else(|| panic!("no queue-depth series in:\n{metrics}"))
+}
+
 fn serve_default() -> (ServerHandle, SchemaRegistry) {
     let reg = retail_registry();
     let engine = Engine::new(reg.clone());
@@ -344,9 +357,10 @@ fn slow_subscribers_drop_instead_of_buffering() {
     let mut ts = 0u64;
     let mut emitted = 0u64;
     // Ingest `n` matching events in one batch (the ack proves the engine
-    // was not blocked by the subscriber) and return the drop counter; the
-    // fan-out counters must account for every emission so far.
-    let mut ingest = |client: &mut Client, n: u64| -> u64 {
+    // was not blocked by the subscriber) and return the drop counter and
+    // the deepest subscriber queue; the fan-out counters must account for
+    // every emission so far.
+    let mut ingest = |client: &mut Client, n: u64| -> (u64, f64) {
         let batch: Vec<Event> = (0..n)
             .map(|_| {
                 ts += 1;
@@ -365,7 +379,7 @@ fn slow_subscribers_drop_instead_of_buffering() {
         let delivered = sample(&metrics, "sase_server_pushes_total");
         let dropped = sample(&metrics, "sase_server_pushes_dropped_total");
         assert_eq!(delivered + dropped, emitted, "{metrics}");
-        dropped
+        (dropped, deepest_queue(&metrics))
     };
 
     // Fill the socket one push per round trip: the writer thread has a
@@ -373,7 +387,7 @@ fn slow_subscribers_drop_instead_of_buffering() {
     // only overflows once the writer is blocked on a full socket.
     let mut dropped = 0;
     for _ in 0..FILL_ATTEMPTS {
-        dropped = ingest(&mut client, 1);
+        (dropped, _) = ingest(&mut client, 1);
         if dropped > 0 {
             break;
         }
@@ -384,14 +398,17 @@ fn slow_subscribers_drop_instead_of_buffering() {
          {PUSH_BYTES} bytes were all accepted"
     );
 
-    // The kernel takes no more, so each burst can add at most the queue.
+    // How much of a burst the kernel still takes is not fixed (Linux can
+    // resume a stalled writer as it grows the peer's buffers), so neither
+    // is how much of it drops. The queue is what is bounded. The writer
+    // lowers the gauge just after it takes a push, so one push may sit
+    // between the two.
     for _ in 0..BURSTS {
-        let before = dropped;
-        dropped = ingest(&mut client, BURST);
+        let (_, depth) = ingest(&mut client, BURST);
         assert!(
-            dropped - before >= BURST - QUEUE as u64,
-            "a burst of {BURST} into a full queue of {QUEUE} dropped only {}",
-            dropped - before
+            depth <= (QUEUE + 1) as f64,
+            "after a burst of {BURST}, {depth} pushes wait for a subscriber \
+             whose queue holds {QUEUE}"
         );
     }
 

@@ -6,7 +6,10 @@
 //! [`QUERIES`] holds one query per runtime configuration the planner can
 //! select from a query's shape: PAIS or unpartitioned SSC, indexed or flat
 //! negation buffers, pushed single-variable predicates, `ANY` components,
-//! same-type sequences, one component, and an unbounded window.
+//! same-type sequences, one component, an unbounded window, and the key
+//! shapes a runtime's offer table reads: one integer part, two parts (with
+//! and without negation buckets), and a string. An anchor over custom types
+//! adds the key attribute read per event type.
 //!
 //! Two layers of coverage:
 //!
@@ -20,10 +23,12 @@ mod oracle;
 use proptest::prelude::*;
 
 use oracle::harness::{arb_stream, assert_engine_matches_oracle, generator_stream, materialize};
+use sase::core::value::{Value, ValueType};
+use sase::core::{Event, SchemaRegistry};
 use sase::rfid::generator::SyntheticConfig;
 
 /// The query shapes under differential test.
-const QUERIES: [&str; 11] = [
+const QUERIES: [&str; 14] = [
     "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId WITHIN 120",
     "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
      WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 150",
@@ -46,6 +51,15 @@ const QUERIES: [&str; 11] = [
      WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 100",
     // One component.
     "EVENT COUNTER_READING c WHERE c.AreaId >= 3",
+    // A two-part partition key.
+    "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
+     WHERE x.TagId = z.TagId AND x.AreaId = z.AreaId WITHIN 120",
+    // A two-part key that also covers the negated slot: two-part buckets.
+    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+     WHERE x.TagId = y.TagId AND x.TagId = z.TagId \
+     AND x.AreaId = y.AreaId AND x.AreaId = z.AreaId WITHIN 150",
+    // A string key.
+    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.ProductName = z.ProductName WITHIN 60",
 ];
 
 // ---------------------------------------------------------------------------
@@ -153,6 +167,74 @@ fn differential_same_type_sequence() {
 #[test]
 fn differential_single_component() {
     check_query(QUERIES[10], &[23], 600, 6);
+}
+
+#[test]
+fn differential_two_part_key() {
+    check_query(QUERIES[11], &[25, 26], 1_500, 6);
+}
+
+#[test]
+fn differential_two_part_key_with_negation() {
+    check_query(QUERIES[12], &[27, 28], 1_500, 4);
+}
+
+#[test]
+fn differential_string_key() {
+    check_query(QUERIES[13], &[29], 1_200, 6);
+}
+
+#[test]
+fn differential_any_with_key_at_different_positions() {
+    // `TagId` sits at a different position in each candidate type of
+    // `ANY(A, B)` and of `ANY(B, C)`, so their keys resolve per event type.
+    // The generator's types share one layout and cannot produce this.
+    let registry = SchemaRegistry::new();
+    registry
+        .register(
+            "A",
+            &[("TagId", ValueType::Int), ("AreaId", ValueType::Int)],
+        )
+        .unwrap();
+    registry
+        .register(
+            "B",
+            &[("AreaId", ValueType::Int), ("TagId", ValueType::Int)],
+        )
+        .unwrap();
+    registry
+        .register(
+            "C",
+            &[
+                ("AreaId", ValueType::Int),
+                ("Label", ValueType::Str),
+                ("TagId", ValueType::Int),
+            ],
+        )
+        .unwrap();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let stream: Vec<Event> = (1..=600u64)
+        .map(|ts| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let tag = Value::Int(((state >> 8) % 5) as i64);
+            let area = Value::Int(1 + ((state >> 24) % 3) as i64);
+            let (ty, attrs) = match state % 3 {
+                0 => ("A", vec![tag, area]),
+                1 => ("B", vec![area, tag]),
+                _ => ("C", vec![area, Value::str("c"), tag]),
+            };
+            registry.build_event(ty, ts, attrs).unwrap()
+        })
+        .collect();
+    let matched = assert_engine_matches_oracle(
+        &registry,
+        &stream,
+        "EVENT SEQ(ANY(A, B) a, !(ANY(B, C) n), C c) \
+         WHERE a.TagId = n.TagId AND a.TagId = c.TagId WITHIN 30",
+    );
+    assert!(matched > 0, "the stream produced no matches — weak test");
 }
 
 #[test]
