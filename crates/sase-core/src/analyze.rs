@@ -528,7 +528,7 @@ impl<'a> Analyzer<'a> {
                     }
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         if let (Some(lt), Some(rt)) = (lt, rt) {
-                            if !comparable(lt, rt) {
+                            if !lt.compares_with(rt) {
                                 let (sev, verdict) = if *op == BinOp::Ne {
                                     (Severity::Warning, "always true")
                                 } else if conj {
@@ -818,30 +818,15 @@ struct Contradiction {
     anchor: Option<(String, String)>,
 }
 
-/// The kind class a constrained attribute must inhabit for a constraint to
-/// be satisfiable (the engine never coerces across these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Num,
-    Str,
-    Bool,
-}
-
-fn class_of(v: &Value) -> Class {
-    match v.value_type() {
-        ValueType::Int | ValueType::Float => Class::Num,
-        ValueType::Str => Class::Str,
-        ValueType::Bool => Class::Bool,
-    }
-}
-
 /// Accumulated constraints on one `(slot, attr)` pair. All reasoning uses
 /// the engine's own comparison semantics (`sase_eq` / `sase_cmp`), so a
 /// reported contradiction is a proof that no event value satisfies every
 /// conjunct simultaneously.
 #[derive(Debug, Clone, Default)]
 struct Domain {
-    class: Option<Class>,
+    /// The type of the first literal constrained against; every later
+    /// literal must compare with it ([`ValueType::compares_with`]).
+    class: Option<ValueType>,
     eq: Option<Value>,
     ne: Vec<Value>,
     lower: Option<(Value, bool)>,
@@ -904,14 +889,15 @@ impl Domain {
         }
     }
 
-    /// Require the attribute to inhabit `lit`'s kind class; true on
-    /// conflict with an earlier requirement.
+    /// Require the attribute to compare with `lit`'s type; true on
+    /// conflict with an earlier requirement (the engine never coerces
+    /// across the kinds [`ValueType::compares_with`] separates).
     fn pin_class(&mut self, lit: &Value) -> bool {
-        let c = class_of(lit);
+        let t = lit.value_type();
         match self.class {
-            Some(prev) if prev != c => true,
-            _ => {
-                self.class = Some(c);
+            Some(prev) => !prev.compares_with(t),
+            None => {
+                self.class = Some(t);
                 false
             }
         }
@@ -1239,14 +1225,6 @@ fn describe_expr(e: &CompiledExpr) -> String {
 // ---------------------------------------------------------------------------
 // Small helpers
 // ---------------------------------------------------------------------------
-
-/// Whether two static types ever compare under the engine's coercion
-/// rules (`sase_eq` / `sase_cmp`): int and float coerce to each other;
-/// everything else only compares with its own kind.
-fn comparable(a: ValueType, b: ValueType) -> bool {
-    let numeric = |t| matches!(t, ValueType::Int | ValueType::Float);
-    a == b || (numeric(a) && numeric(b))
-}
 
 fn is_timestamp_attr(attr: &str) -> bool {
     attr.eq_ignore_ascii_case("timestamp") || attr.eq_ignore_ascii_case("ts")

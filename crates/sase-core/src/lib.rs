@@ -46,8 +46,7 @@
 //! | paper concept (§) | module |
 //! |---|---|
 //! | event language (2.1.1) | [`lang`] |
-//! | NFA-based sequence model (2.1.2) | [`nfa`] |
-//! | sequence scan & construction, sequence indexes (2.1.2) | [`runtime::ssc`], [`runtime::ais`] |
+//! | NFA-based sequence operators: sequence scan & construction, sequence indexes (2.1.2) | [`runtime::ssc`], [`runtime::ais`] |
 //! | value-based partitions / PAIS (2.1.2) | [`plan`] (analysis), [`runtime::ssc`] |
 //! | negation (2.1.1) | [`runtime::negation`] |
 //! | RETURN transformation & built-in `_functions` (2.1.1) | [`runtime::transform`], [`functions`] |
@@ -65,7 +64,6 @@ pub mod expr;
 pub mod functions;
 pub mod hash;
 pub mod lang;
-pub mod nfa;
 pub mod output;
 pub mod pattern;
 pub mod plan;

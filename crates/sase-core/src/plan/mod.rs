@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use crate::event::EventTypeId;
 use crate::lang::ast::{AggFunc, Query};
-use crate::nfa::Nfa;
 use crate::pattern::{CompiledPattern, NegationScope};
 use crate::program::PredicateProgram;
 use crate::time::LogicalDuration;
@@ -128,8 +127,6 @@ pub struct QueryPlan {
     pub query: Query,
     /// Compiled pattern structure.
     pub pattern: Arc<CompiledPattern>,
-    /// The sequence NFA over positive components.
-    pub nfa: Arc<Nfa>,
     /// Window width in logical time units (`None` = unbounded).
     pub window: Option<LogicalDuration>,
     /// PAIS partition specification, when enabled and derivable.
@@ -167,7 +164,6 @@ impl QueryPlan {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "Plan for:\n{}", self.query);
-        let _ = writeln!(out, "NFA: {}", self.nfa);
         match &self.partition {
             Some(p) => {
                 let _ = writeln!(out, "SSC: partitioned (PAIS), key = {p}");

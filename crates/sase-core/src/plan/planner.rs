@@ -7,7 +7,6 @@ use crate::event::SchemaRegistry;
 use crate::expr::CompiledExpr;
 use crate::functions::FunctionRegistry;
 use crate::lang::ast::{AggArg, Query, ReturnItem};
-use crate::nfa::Nfa;
 use crate::pattern::CompiledPattern;
 use crate::time::TimeScale;
 
@@ -44,7 +43,6 @@ impl Planner {
     /// Plan a query.
     pub fn plan(&self, query: &Query) -> Result<QueryPlan> {
         let pattern = Arc::new(CompiledPattern::compile(&query.pattern, &self.registry)?);
-        let nfa = Arc::new(Nfa::from_pattern(&pattern));
 
         let analysis = analyze_where(
             query.where_clause.as_ref(),
@@ -91,7 +89,6 @@ impl Planner {
         Ok(QueryPlan {
             query: query.clone(),
             pattern,
-            nfa,
             window,
             partition: analysis.partition,
             routing_keys,

@@ -24,6 +24,16 @@ pub enum ValueType {
     Bool,
 }
 
+impl ValueType {
+    /// Whether values of these two types ever compare under
+    /// [`Value::sase_eq`] / [`Value::sase_cmp`]: int and float coerce to
+    /// each other; every other type compares only with itself.
+    pub(crate) fn compares_with(self, other: ValueType) -> bool {
+        let numeric = |t| matches!(t, ValueType::Int | ValueType::Float);
+        self == other || (numeric(self) && numeric(other))
+    }
+}
+
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -315,6 +325,25 @@ mod tests {
         assert_eq!(Value::Float(1.0).value_type(), ValueType::Float);
         assert_eq!(Value::str("a").value_type(), ValueType::Str);
         assert_eq!(Value::Bool(true).value_type(), ValueType::Bool);
+    }
+
+    #[test]
+    fn compares_with_is_the_rule_sase_cmp_implements() {
+        let samples = [
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(f64::NAN),
+            Value::str("3"),
+            Value::Bool(true),
+        ];
+        for a in &samples {
+            for b in &samples {
+                let rule = a.value_type().compares_with(b.value_type());
+                assert_eq!(rule, a.sase_cmp(b).is_some(), "{a:?} vs {b:?}");
+                // Equality never holds across types the rule separates.
+                assert!(rule || !a.sase_eq(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

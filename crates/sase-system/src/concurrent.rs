@@ -1,36 +1,20 @@
-//! Threaded deployments: each Figure 1 layer on its own thread, and a
-//! sharded complex event processor.
+//! The sharded complex event processor.
 //!
-//! In the paper's prototype the physical device layer, the Cleaning and
-//! Association Layer, and the complex event processor are separate
-//! components connected by sockets. This module reproduces that deployment
-//! shape: a *device* thread streams wire-encoded reading frames
-//! ([`sase_rfid::wire`]) into a channel, a *cleaning* thread decodes and
-//! runs the five-layer pipeline, and an *engine* stage executes the
-//! continuous queries — with crossbeam channels standing in for the
-//! sockets. Events travel between the cleaning and engine stages in
-//! tick-sized batches so channel, routing, and output handling costs are
-//! amortized ([`Engine::process_batch`]).
-//!
-//! The engine stage is pluggable through the unified
-//! [`EventProcessor`] surface: a single [`Engine`], a [`ShardedEngine`]
-//! that partitions the registered queries across N engine workers, or a
-//! durable wrapper around either. Each query's state is independent, so
-//! sharding by query is semantics-preserving; the shards' emissions are
+//! A [`ShardedEngine`] spreads the work across N engine workers, each an
+//! [`Engine`] on its own thread fed through a command channel: by query
+//! set or by partition key ([`ShardingMode`]). It implements the unified
+//! [`EventProcessor`] surface, so it stands wherever a single [`Engine`]
+//! does, the durable wrapper included. Each query's state is independent,
+//! so sharding by query is semantics-preserving; the shards' emissions are
 //! merged on their provenance tags ([`sase_core::engine::Emission`]) so a
-//! sharded run reproduces the single-engine output sequence byte for byte.
-//!
-//! The single-threaded [`crate::SaseSystem`] is the reference; both the
-//! pipelined and the sharded deployments produce exactly the same
-//! detections (the stages are deterministic and order-preserving), which
-//! the tests assert.
-
+//! sharded run reproduces the single-engine output sequence byte for byte,
+//! which the tests assert against the single-threaded
+//! [`crate::SaseSystem`].
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use sase_core::analyze;
@@ -47,14 +31,6 @@ use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::SnapshotSet;
 use sase_core::time::{TimeScale, Timestamp};
 use sase_obs::{Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot, TraceKind, Tracer};
-
-use sase_rfid::wire::{decode_frame, encode_frame};
-use sase_stream::pipeline::CleaningPipeline;
-use sase_stream::reading::RawReading;
-use sase_stream::Tick;
-
-/// Channel capacity between stages (frames / event batches in flight).
-const STAGE_CAPACITY: usize = 64;
 
 /// Wrap a planner failure in a [`SaseError::Registration`], attaching the
 /// static analyzer's lint code when it can pin the failure to one.
@@ -142,109 +118,6 @@ impl ShardMetrics {
         self.queue_depth[shard].set(0.0);
     }
 }
-
-/// Outcome of a pipelined run.
-#[derive(Debug)]
-pub struct PipelinedRun {
-    /// Every composite event, in emission order.
-    pub detections: Vec<ComplexEvent>,
-    /// Events that left the cleaning stage.
-    pub events_generated: usize,
-    /// Frames the device stage shipped.
-    pub frames_shipped: usize,
-}
-
-/// Run a scripted reading source through cleaning and an engine stage, one
-/// thread per layer.
-///
-/// `ticks` yields each scan cycle's readings in order (the device stage
-/// encodes them to wire frames); `pipeline` and `engine` are consumed by
-/// their stages. The engine stage is any [`EventProcessor`] — a single
-/// [`Engine`], a [`ShardedEngine`], a durable wrapper, or the `Sase`
-/// facade. The cleaning stage ships each tick's events as one batch.
-/// Errors from any stage abort the run.
-pub fn run_pipelined<I, E>(
-    ticks: I,
-    mut pipeline: CleaningPipeline,
-    mut engine: E,
-) -> CoreResult<PipelinedRun>
-where
-    I: IntoIterator<Item = (Tick, Vec<RawReading>)> + Send + 'static,
-    I::IntoIter: Send,
-    E: EventProcessor,
-{
-    let (frame_tx, frame_rx): (Sender<Bytes>, Receiver<Bytes>) = bounded(STAGE_CAPACITY);
-    let (batch_tx, batch_rx): (Sender<Vec<Event>>, Receiver<Vec<Event>>) = bounded(STAGE_CAPACITY);
-
-    // Stage 1: the device layer ships frames "over the socket".
-    let device = thread::spawn(move || -> CoreResult<usize> {
-        let mut shipped = 0usize;
-        for (tick, readings) in ticks {
-            let frame = encode_frame(tick, &readings)
-                .map_err(|e| SaseError::engine(format!("wire encode: {e}")))?;
-            if frame_tx.send(frame).is_err() {
-                break; // downstream closed (error path)
-            }
-            shipped += 1;
-        }
-        Ok(shipped)
-    });
-
-    // Stage 2: cleaning and association, one event batch per tick.
-    let cleaning = thread::spawn(move || -> CoreResult<usize> {
-        let mut generated = 0usize;
-        for frame in frame_rx {
-            let (tick, readings) =
-                decode_frame(frame).map_err(|e| SaseError::engine(format!("wire decode: {e}")))?;
-            let events = pipeline.process_tick(tick, &readings)?;
-            if events.is_empty() {
-                continue;
-            }
-            generated += events.len();
-            if batch_tx.send(events).is_err() {
-                return Ok(generated); // downstream closed
-            }
-        }
-        Ok(generated)
-    });
-
-    // Stage 3: the complex event processor (this thread).
-    let mut detections = Vec::new();
-    for batch in batch_rx {
-        detections.extend(engine.process_batch(&batch)?);
-    }
-
-    let frames_shipped = device
-        .join()
-        .map_err(|_| SaseError::engine("device stage panicked"))??;
-    let events_generated = cleaning
-        .join()
-        .map_err(|_| SaseError::engine("cleaning stage panicked"))??;
-
-    Ok(PipelinedRun {
-        detections,
-        events_generated,
-        frames_shipped,
-    })
-}
-
-/// Convenience: pre-render a simulator + scenario into the tick iterator
-/// [`run_pipelined`] consumes.
-pub fn scripted_ticks(
-    mut sim: sase_rfid::sim::RfidSimulator,
-    scenario: &sase_rfid::scenario::RetailScenario,
-) -> Vec<(Tick, Vec<RawReading>)> {
-    let mut out = Vec::with_capacity(scenario.duration as usize);
-    for tick in 0..scenario.duration {
-        scenario.apply_tick(&mut sim, tick);
-        out.push((tick, sim.tick()));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Sharded engine deployment
-// ---------------------------------------------------------------------------
 
 /// The pure stdlib functions ([`FunctionRegistry::with_stdlib`]); sharing
 /// one of these across shards never needs co-location.
@@ -754,6 +627,9 @@ fn add_stats(total: &mut RuntimeStats, s: &RuntimeStats) {
     total.partitions += s.partitions;
 }
 
+/// Capacity of each shard worker's command and result channels.
+const SHARD_QUEUE_CAPACITY: usize = 64;
+
 /// A command executed by a shard worker thread.
 enum ShardCmd {
     /// Process a batch; the tagged emissions go to the worker's persistent
@@ -781,8 +657,8 @@ struct ShardWorker {
 
 impl ShardWorker {
     fn spawn(mut engine: Engine) -> ShardWorker {
-        let (cmd_tx, cmd_rx) = bounded::<ShardCmd>(STAGE_CAPACITY);
-        let (batch_tx, batch_rx) = bounded::<CoreResult<Vec<Emission>>>(STAGE_CAPACITY);
+        let (cmd_tx, cmd_rx) = bounded::<ShardCmd>(SHARD_QUEUE_CAPACITY);
+        let (batch_tx, batch_rx) = bounded::<CoreResult<Vec<Emission>>>(SHARD_QUEUE_CAPACITY);
         let handle = thread::spawn(move || {
             for cmd in cmd_rx {
                 match cmd {
@@ -1856,31 +1732,6 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Retail-demo stage wiring
-// ---------------------------------------------------------------------------
-
-/// Build the cleaning pipeline and engine for the retail demo without the
-/// rest of [`crate::SaseSystem`] (the pipelined deployment owns them).
-pub fn retail_stages(
-    catalog_size: usize,
-) -> CoreResult<(SchemaRegistry, CleaningPipeline, Engine)> {
-    let (registry, functions, _, pipeline) = crate::system::retail_parts(catalog_size)?;
-    let engine = Engine::with_functions(registry.clone(), functions);
-    Ok((registry, pipeline, engine))
-}
-
-/// Like [`retail_stages`], but the engine stage is a
-/// [`ShardedEngineBuilder`]: register the standing queries on the builder,
-/// `build(n)` it, and hand the result to [`run_pipelined`].
-pub fn retail_stages_sharded(
-    catalog_size: usize,
-) -> CoreResult<(SchemaRegistry, CleaningPipeline, ShardedEngineBuilder)> {
-    let (registry, functions, _, pipeline) = crate::system::retail_parts(catalog_size)?;
-    let builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
-    Ok((registry, pipeline, builder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1903,40 +1754,15 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_single_threaded() {
-        let cfg = CleaningConfig::retail_demo();
-        let scenario = RetailScenario::build(&cfg, 42, 4, 2, 1);
-        let expect = reference_detections(&scenario);
-
-        // Pipelined deployment over the *same* device stream (same sim
-        // seed and noise).
-        let (_registry, pipeline, mut engine) = retail_stages(40).unwrap();
-        engine
-            .register("shoplifting", queries::SHOPLIFTING)
-            .unwrap();
-        engine
-            .register("location_change", queries::LOCATION_CHANGE)
-            .unwrap();
-        engine
-            .register("archive_location", queries::ARCHIVE_LOCATION)
-            .unwrap();
-        let sim = RfidSimulator::retail_demo(NoiseModel::realistic(), 9);
-        let ticks = scripted_ticks(sim, &scenario);
-        let run = run_pipelined(ticks, pipeline, engine).unwrap();
-
-        let got: Vec<String> = run.detections.iter().map(|d| d.to_string()).collect();
-        assert_eq!(expect, got, "pipelined deployment must agree exactly");
-        assert!(run.frames_shipped as u64 >= scenario.duration);
-        assert!(run.events_generated > 0);
-    }
-
-    #[test]
     fn sharded_pipelined_matches_single_threaded() {
         let cfg = CleaningConfig::retail_demo();
         let scenario = RetailScenario::build(&cfg, 42, 4, 2, 1);
         let expect = reference_detections(&scenario);
 
-        let (_registry, pipeline, mut builder) = retail_stages_sharded(40).unwrap();
+        // The reference's cleaning pipeline and host functions, without
+        // the rest of the system.
+        let (registry, functions, _db, mut pipeline) = crate::system::retail_parts(40).unwrap();
+        let mut builder = ShardedEngineBuilder::with_functions(registry, functions);
         builder
             .register("shoplifting", queries::SHOPLIFTING)
             .unwrap();
@@ -1946,7 +1772,7 @@ mod tests {
         builder
             .register("archive_location", queries::ARCHIVE_LOCATION)
             .unwrap();
-        let sharded = builder.build(3).unwrap();
+        let mut sharded = builder.build(3).unwrap();
         // location_change and archive_location share the stateful
         // `_updateLocation` built-in, so they are co-located; shoplifting
         // runs on its own shard.
@@ -1959,10 +1785,17 @@ mod tests {
             sharded.shard_of("location_change")
         );
 
-        let sim = RfidSimulator::retail_demo(NoiseModel::realistic(), 9);
-        let ticks = scripted_ticks(sim, &scenario);
-        let run = run_pipelined(ticks, pipeline, sharded).unwrap();
-        let got: Vec<String> = run.detections.iter().map(|d| d.to_string()).collect();
+        // The same device stream (same sim seed and noise), one batch per
+        // scan cycle, as `SaseSystem::tick` drives it.
+        let mut sim = RfidSimulator::retail_demo(NoiseModel::realistic(), 9);
+        let mut got = Vec::new();
+        for tick in 0..scenario.duration {
+            scenario.apply_tick(&mut sim, tick);
+            let events = pipeline.process_tick(tick, &sim.tick()).unwrap();
+            let detections = sharded.process_batch(&events).unwrap();
+            got.extend(detections.iter().map(|d| d.to_string()));
+        }
+        assert!(!expect.is_empty());
         assert_eq!(
             expect, got,
             "sharded deployment must agree with the single-threaded reference byte for byte"
@@ -2045,46 +1878,6 @@ mod tests {
         }
         assert!(!expect.is_empty());
         assert_eq!(render(&expect), render(&got));
-    }
-
-    #[test]
-    fn pipelined_detects_planted_shoplifters() {
-        let cfg = CleaningConfig::retail_demo();
-        let scenario = RetailScenario::build(&cfg, 7, 3, 2, 0);
-        let (_registry, pipeline, mut engine) = retail_stages(40).unwrap();
-        engine
-            .register("shoplifting", queries::SHOPLIFTING)
-            .unwrap();
-        let sim = RfidSimulator::retail_demo(NoiseModel::perfect(), 1);
-        let run = run_pipelined(scripted_ticks(sim, &scenario), pipeline, engine).unwrap();
-        let mut flagged: Vec<i64> = run
-            .detections
-            .iter()
-            .filter_map(|d| d.value("x.TagId").and_then(Value::as_int))
-            .collect();
-        flagged.sort_unstable();
-        flagged.dedup();
-        assert_eq!(flagged, scenario.truth.shoplifted);
-    }
-
-    #[test]
-    fn engine_error_propagates_across_threads() {
-        let (_registry, pipeline, mut engine) = retail_stages(4).unwrap();
-        engine.functions().register_fn("_boom", Some(1), |_| {
-            Err(SaseError::Function {
-                name: "_boom".into(),
-                message: "injected".into(),
-            })
-        });
-        engine
-            .register("q", "EVENT SHELF_READING x RETURN _boom(x.TagId)")
-            .unwrap();
-        let cfg = CleaningConfig::retail_demo();
-        let mut sim = RfidSimulator::retail_demo(NoiseModel::perfect(), 1);
-        sim.place_tag(cfg.make_tag(1), 1);
-        let ticks: Vec<(Tick, Vec<RawReading>)> = vec![(0, sim.tick())];
-        let err = run_pipelined(ticks, pipeline, engine).unwrap_err();
-        assert!(err.to_string().contains("injected"));
     }
 
     #[test]

@@ -18,18 +18,23 @@
 //! replay (at-least-once), and deterministically identical to the
 //! originals, so downstream consumers dedup by log position.
 //!
-//! Two wrappers share the machinery:
+//! Two wrappers share the machinery: one private write-ahead core owns the
+//! directory, the options, the log, the metrics and the tracer, and is the
+//! only code that refuses an occupied directory, appends, commits,
+//! checkpoints and replays.
 //!
-//! * [`DurableEngine`] wraps any [`EventProcessor`] — a single [`Engine`](sase_core::engine::Engine),
-//!   a [`ShardedEngine`](crate::concurrent::ShardedEngine) (whose checkpoint stores one snapshot per shard,
-//!   atomically in one file), or any other deployment implementing the
-//!   trait. [`DurableEngine`] itself implements [`EventProcessor`], so
-//!   durability and sharding are orthogonal, composable decorators.
-//! * [`DurableSystem`] wraps the full [`SaseSystem`]: each tick's cleaned
-//!   events are logged before ingest, and the engine can be crashed and
-//!   recovered in place while the device and cleaning layers keep running
-//!   (the deployment shape of Figure 1, where those layers are separate
-//!   processes).
+//! * [`DurableEngine`] is that core plus any [`EventProcessor`] — a single
+//!   [`Engine`](sase_core::engine::Engine), a
+//!   [`ShardedEngine`](crate::concurrent::ShardedEngine) (whose checkpoint
+//!   stores one snapshot per shard, atomically in one file), or any other
+//!   deployment implementing the trait. [`DurableEngine`] itself
+//!   implements [`EventProcessor`], so durability and sharding are
+//!   orthogonal, composable decorators.
+//! * [`DurableSystem`] is that core plus the full [`SaseSystem`]: each
+//!   tick's cleaned events are logged before ingest, and the engine can be
+//!   crashed and recovered in place while the device and cleaning layers
+//!   keep running (the deployment shape of Figure 1, where those layers
+//!   are separate processes).
 
 use std::path::{Path, PathBuf};
 
@@ -43,8 +48,8 @@ use sase_core::snapshot::{EngineSnapshot, SnapshotSet};
 use sase_core::time::Timestamp;
 
 use sase_store::{
-    load_latest_checkpoint, prune_checkpoints, write_checkpoint, Checkpoint, EventLog, LogOptions,
-    StoreError,
+    load_latest_checkpoint, prune_checkpoints, write_checkpoint, Checkpoint, EventLog, LogIter,
+    LogOptions, StoreError,
 };
 
 use crate::system::{SaseSystem, TickResult};
@@ -190,73 +195,224 @@ pub struct ReplayRun {
     pub errors: Vec<(u64, String)>,
 }
 
-/// Drive log records through an ingest function, accumulating emissions.
-///
-/// Store-level failures (I/O, corruption) abort; *engine* rejections are
-/// collected per record and replay continues — the rejection is
-/// deterministic (the live path rejected the identical record identically,
-/// leaving the engine usable), so surfacing it as data instead of an error
-/// keeps every committed record after a poisoned one reachable.
-fn drive_replay(
-    records: sase_store::LogIter,
-    mut ingest: impl FnMut(&[Event]) -> CoreResult<Vec<ComplexEvent>>,
-) -> Result<ReplayRun> {
-    let mut run = ReplayRun {
-        records: 0,
-        events: 0,
-        emissions: Vec::new(),
-        errors: Vec::new(),
-    };
-    for record in records {
-        let record = record?;
-        run.records += 1;
-        run.events += record.events.len() as u64;
-        match ingest(&record.events) {
-            Ok(out) => run.emissions.extend(out),
-            Err(e) => run.errors.push((record.seq, e.to_string())),
-        }
-    }
-    Ok(run)
+/// The newest valid checkpoint recovery starts from.
+struct Restart {
+    /// The checkpoint's log position and its snapshots (moved out of the
+    /// checkpoint, never cloned); `None` when no valid checkpoint exists.
+    from: Option<(u64, SnapshotSet)>,
+    /// Checkpoint files skipped because they failed validation.
+    corrupt: Vec<PathBuf>,
 }
 
-/// Reject recovery when a checkpoint references log records that no
-/// longer exist (e.g. a segment was deleted or truncated below the
-/// checkpoint): replaying from thin air would silently lose state.
-fn ensure_log_covers(dir: &Path, log: &EventLog, replay_from: u64) -> Result<()> {
-    if replay_from > log.next_seq() {
-        return Err(StoreError::Corrupt {
-            path: dir.to_path_buf(),
-            offset: 0,
-            detail: format!(
-                "checkpoint references log seq {replay_from} but the log ends at {}; \
-                 committed records are missing",
-                log.next_seq()
-            ),
-        }
-        .into());
+impl Restart {
+    fn snapshots(&self) -> Option<&SnapshotSet> {
+        self.from.as_ref().map(|(_, snaps)| snaps)
     }
-    Ok(())
 }
 
-/// Commit the log, write an atomic checkpoint of `engines` at the current
-/// log position, prune old checkpoints; returns the checkpoint position.
-fn write_engine_checkpoint(
-    dir: &Path,
-    keep: usize,
-    log: &mut EventLog,
-    engines: Vec<EngineSnapshot>,
-) -> Result<u64> {
-    log.commit()?;
-    let seq = log.next_seq();
-    write_checkpoint(
-        dir,
-        &Checkpoint {
-            replay_from_seq: seq,
-            engines,
-        },
-    )?;
-    prune_checkpoints(dir, keep)?;
-    Ok(seq)
+/// The write-ahead core both durable wrappers run on: the deployment
+/// directory, its options, the event log, the layer's metrics and its
+/// lifecycle tracer.
+struct Wal {
+    dir: PathBuf,
+    opts: DurableOptions,
+    log: EventLog,
+    metrics: DurableMetrics,
+    tracer: sase_obs::Tracer,
+}
+
+impl Wal {
+    /// Open (or create) the event log in `dir`, instrumented on a fresh
+    /// metrics registry, with tracing off.
+    fn open(dir: PathBuf, opts: DurableOptions) -> Result<Wal> {
+        let metrics = DurableMetrics::new();
+        let mut log = EventLog::open(&dir, opts.log())?;
+        log.set_metrics(sase_store::WalMetrics::new(&metrics.registry));
+        Ok(Wal {
+            dir,
+            opts,
+            log,
+            metrics,
+            tracer: sase_obs::Tracer::disabled(),
+        })
+    }
+
+    /// Open `dir` for a *new* deployment. Fails if it already holds log
+    /// records or checkpoints: silently restarting over history would
+    /// desynchronize engine state from the log, so an existing deployment
+    /// must be recovered instead.
+    fn create(dir: PathBuf, opts: DurableOptions) -> Result<Wal> {
+        let wal = Wal::open(dir, opts)?;
+        let records = wal.log.next_seq();
+        let checkpoints = sase_store::list_checkpoints(&wal.dir)?.len();
+        if records > 0 || checkpoints > 0 {
+            return Err(StoreError::InvalidArgument(format!(
+                "{} already holds a durable deployment ({records} log records, \
+                 {checkpoints} checkpoints); recover it instead",
+                wal.dir.display()
+            ))
+            .into());
+        }
+        Ok(wal)
+    }
+
+    /// Append one batch at `tick`, committing it under `sync_each_batch`.
+    ///
+    /// The tick is clamped up to the log's last tick: the WAL tick is a
+    /// replay-range index (events carry their own timestamps), and callers
+    /// may mix clocks (logical ticks, event timestamps), which must never
+    /// make the log reject a batch the engine would accept.
+    fn append(&mut self, tick: Timestamp, events: &[Event]) -> sase_store::Result<()> {
+        let tick = tick.max(self.log.last_tick().unwrap_or(0));
+        self.log.append(tick, events)?;
+        if self.opts.sync_each_batch {
+            self.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Commit under a WAL-commit trace span (id = last appended seq).
+    fn commit(&mut self) -> sase_store::Result<()> {
+        let span = self.tracer.begin(
+            sase_obs::TraceKind::WalCommit,
+            self.log.next_seq().saturating_sub(1),
+            self.log.uncommitted(),
+        );
+        let result = self.log.commit();
+        if let Some(span) = span {
+            self.tracer.end(span, result.is_ok() as u64);
+        }
+        result
+    }
+
+    /// Under a checkpoint span: commit the log, write an atomic checkpoint
+    /// of `snapshot()` at the current log position, and prune old
+    /// checkpoints. Returns the checkpoint's log position.
+    fn checkpoint(&mut self, snapshot: impl FnOnce() -> SnapshotSet) -> Result<u64> {
+        let span = self
+            .tracer
+            .begin(sase_obs::TraceKind::Checkpoint, self.log.next_seq(), 0);
+        let result = self.write_checkpoint(snapshot().engines);
+        if result.is_ok() {
+            self.metrics.checkpoints.inc();
+        }
+        if let Some(span) = span {
+            self.tracer.end(span, result.is_ok() as u64);
+        }
+        result
+    }
+
+    fn write_checkpoint(&mut self, engines: Vec<EngineSnapshot>) -> Result<u64> {
+        self.log.commit()?;
+        let seq = self.log.next_seq();
+        write_checkpoint(
+            &self.dir,
+            &Checkpoint {
+                replay_from_seq: seq,
+                engines,
+            },
+        )?;
+        prune_checkpoints(&self.dir, self.opts.keep_checkpoints)?;
+        Ok(seq)
+    }
+
+    /// Load the newest valid checkpoint, skipping corrupt ones.
+    fn load_checkpoint(&self) -> Result<Restart> {
+        let (ckpt, corrupt) = load_latest_checkpoint(&self.dir)?;
+        Ok(Restart {
+            from: ckpt.map(|c| (c.replay_from_seq, SnapshotSet { engines: c.engines })),
+            corrupt,
+        })
+    }
+
+    /// The recovery tail, once `engine` holds the checkpointed run's
+    /// queries: restore its state from `restart`, check the log still
+    /// covers the checkpoint, and replay the log from there.
+    fn recover<P: EventProcessor + ?Sized>(
+        &mut self,
+        restart: Restart,
+        engine: &mut P,
+    ) -> Result<RecoveryReport> {
+        let checkpoint_seq = restart.from.as_ref().map(|(seq, _)| *seq);
+        if let Some((_, snaps)) = &restart.from {
+            engine.restore(snaps)?;
+        }
+        let replay_from = checkpoint_seq.unwrap_or(0);
+        // Reject a checkpoint referencing log records that no longer exist
+        // (a segment deleted or truncated below it): replaying from thin
+        // air would silently lose state.
+        if replay_from > self.log.next_seq() {
+            return Err(StoreError::Corrupt {
+                path: self.dir.clone(),
+                offset: 0,
+                detail: format!(
+                    "checkpoint references log seq {replay_from} but the log ends at {}; \
+                     committed records are missing",
+                    self.log.next_seq()
+                ),
+            }
+            .into());
+        }
+        let registry = engine.schemas().clone();
+        let records = self.log.replay_from(&registry, replay_from)?;
+        let run = self.replay(replay_from, records, engine)?;
+        Ok(RecoveryReport {
+            checkpoint_seq,
+            records_replayed: run.records,
+            events_replayed: run.events,
+            emissions: run.emissions,
+            replay_errors: run.errors,
+            corrupt_checkpoints: restart.corrupt,
+        })
+    }
+
+    /// Drive log records through `engine` under a recovery span (id =
+    /// `span_id`), advancing the recovery counters record by record so a
+    /// concurrent metrics scrape sees replay progress.
+    ///
+    /// Store-level failures (I/O, corruption) abort; *engine* rejections
+    /// are collected per record and replay continues — the rejection is
+    /// deterministic (the live path rejected the identical record
+    /// identically, leaving the engine usable), so surfacing it as data
+    /// instead of an error keeps every committed record after a poisoned
+    /// one reachable.
+    fn replay<P: EventProcessor + ?Sized>(
+        &self,
+        span_id: u64,
+        records: LogIter,
+        engine: &mut P,
+    ) -> Result<ReplayRun> {
+        let span = self.tracer.begin(sase_obs::TraceKind::Recovery, span_id, 0);
+        let m = &self.metrics;
+        let drive = || -> Result<ReplayRun> {
+            let mut run = ReplayRun {
+                records: 0,
+                events: 0,
+                emissions: Vec::new(),
+                errors: Vec::new(),
+            };
+            for record in records {
+                let record = record?;
+                let events = record.events.len() as u64;
+                run.records += 1;
+                run.events += events;
+                m.recovery_records.inc();
+                m.recovery_events.add(events);
+                match engine.process_batch(&record.events) {
+                    Ok(out) => run.emissions.extend(out),
+                    Err(e) => run.errors.push((record.seq, e.to_string())),
+                }
+            }
+            m.recovery_errors.add(run.errors.len() as u64);
+            m.recovery_runs.inc();
+            Ok(run)
+        };
+        let run = drive();
+        if let Some(span) = span {
+            self.tracer.end(span, run.as_ref().map_or(0, |r| r.records));
+        }
+        run
+    }
 }
 
 /// Register every derived (`INTO`) stream type recorded in a checkpoint's
@@ -279,12 +435,8 @@ pub fn preregister_derived(registry: &SchemaRegistry, snaps: &SnapshotSet) -> Co
 /// on a named stream through the [`EventProcessor`] surface is rejected
 /// (the log records carry no stream name, so replay could not route them).
 pub struct DurableEngine<E: EventProcessor> {
-    dir: PathBuf,
-    opts: DurableOptions,
-    log: EventLog,
+    wal: Wal,
     engine: E,
-    metrics: DurableMetrics,
-    tracer: sase_obs::Tracer,
 }
 
 impl<E: EventProcessor> DurableEngine<E> {
@@ -294,32 +446,9 @@ impl<E: EventProcessor> DurableEngine<E> {
     /// [`DurableEngine::recover`], silently restarting over history would
     /// desynchronize engine state from the log.
     pub fn create(dir: impl Into<PathBuf>, engine: E, opts: DurableOptions) -> Result<Self> {
-        let dir = dir.into();
-        let metrics = DurableMetrics::new();
-        let mut log = EventLog::open(&dir, opts.log())?;
-        log.set_metrics(sase_store::WalMetrics::new(&metrics.registry));
-        if log.next_seq() > 0 {
-            return Err(StoreError::InvalidArgument(format!(
-                "{} already holds {} log records; use DurableEngine::recover",
-                dir.display(),
-                log.next_seq()
-            ))
-            .into());
-        }
-        if !sase_store::list_checkpoints(&dir)?.is_empty() {
-            return Err(StoreError::InvalidArgument(format!(
-                "{} already holds checkpoints; use DurableEngine::recover",
-                dir.display()
-            ))
-            .into());
-        }
         Ok(DurableEngine {
-            dir,
-            opts,
-            log,
+            wal: Wal::create(dir.into(), opts)?,
             engine,
-            metrics,
-            tracer: sase_obs::Tracer::disabled(),
         })
     }
 
@@ -333,60 +462,11 @@ impl<E: EventProcessor> DurableEngine<E> {
         opts: DurableOptions,
         make_engine: impl FnOnce(Option<&SnapshotSet>) -> CoreResult<E>,
     ) -> Result<(Self, RecoveryReport)> {
-        let dir = dir.into();
-        let (ckpt, corrupt_checkpoints) = load_latest_checkpoint(&dir)?;
-        // Move the snapshots out of the checkpoint (they can be large —
-        // every stack and buffer of every engine) instead of cloning.
-        let (ckpt_seq, snaps) = match ckpt {
-            Some(c) => (
-                Some(c.replay_from_seq),
-                Some(SnapshotSet { engines: c.engines }),
-            ),
-            None => (None, None),
-        };
-        let mut engine = make_engine(snaps.as_ref())?;
-        let replay_from = match &snaps {
-            Some(s) => {
-                engine.restore(s)?;
-                ckpt_seq.expect("snapshot implies a checkpoint")
-            }
-            None => 0,
-        };
-        let metrics = DurableMetrics::new();
-        let mut log = EventLog::open(&dir, opts.log())?;
-        log.set_metrics(sase_store::WalMetrics::new(&metrics.registry));
-        ensure_log_covers(&dir, &log, replay_from)?;
-        let registry = engine.schemas().clone();
-        let records = log.replay_from(&registry, replay_from)?;
-        // Progress counters advance per record, so a concurrent metrics
-        // scrape (the registry handle is shareable) sees replay advance.
-        let m = &metrics;
-        let run = drive_replay(records, |events| {
-            m.recovery_records.inc();
-            m.recovery_events.add(events.len() as u64);
-            engine.process_batch(events)
-        })?;
-        m.recovery_errors.add(run.errors.len() as u64);
-        m.recovery_runs.inc();
-        let report = RecoveryReport {
-            checkpoint_seq: ckpt_seq,
-            records_replayed: run.records,
-            events_replayed: run.events,
-            emissions: run.emissions,
-            replay_errors: run.errors,
-            corrupt_checkpoints,
-        };
-        Ok((
-            DurableEngine {
-                dir,
-                opts,
-                log,
-                engine,
-                metrics,
-                tracer: sase_obs::Tracer::disabled(),
-            },
-            report,
-        ))
+        let mut wal = Wal::open(dir.into(), opts)?;
+        let restart = wal.load_checkpoint()?;
+        let mut engine = make_engine(restart.snapshots())?;
+        let report = wal.recover(restart, &mut engine)?;
+        Ok((DurableEngine { wal, engine }, report))
     }
 
     /// Install a lifecycle tracer (WAL-commit, checkpoint, and replay
@@ -394,7 +474,7 @@ impl<E: EventProcessor> DurableEngine<E> {
     /// a tracer on it via [`DurableEngine::engine_mut`] (or build it
     /// traced before wrapping).
     pub fn set_tracer(&mut self, tracer: sase_obs::Tracer) {
-        self.tracer = tracer;
+        self.wal.tracer = tracer;
     }
 
     /// The durable layer's metrics registry (`sase_wal_*`,
@@ -402,7 +482,7 @@ impl<E: EventProcessor> DurableEngine<E> {
     /// enabled: WAL instrumentation cost is noise next to the I/O it
     /// measures.
     pub fn metrics_registry(&self) -> &sase_obs::MetricsRegistry {
-        &self.metrics.registry
+        &self.wal.metrics.registry
     }
 
     /// The wrapped engine.
@@ -417,12 +497,12 @@ impl<E: EventProcessor> DurableEngine<E> {
 
     /// The underlying event log.
     pub fn log(&self) -> &EventLog {
-        &self.log
+        &self.wal.log
     }
 
     /// The deployment directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.wal.dir
     }
 
     /// Log, then process, one batch of events at `tick` (a regressing
@@ -436,57 +516,20 @@ impl<E: EventProcessor> DurableEngine<E> {
     /// reports the same rejection for that record
     /// ([`RecoveryReport::replay_errors`]) and recovery proceeds past it.
     pub fn ingest(&mut self, tick: Timestamp, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        // Clamp to the log's last tick: the WAL tick is a replay-range
-        // index (events carry their own timestamps), and the trait
-        // surface stamps event-timestamp ticks — mixing the two clocks
-        // must never make the log reject an otherwise valid batch.
-        let tick = tick.max(self.log.last_tick().unwrap_or(0));
-        self.log.append(tick, events)?;
-        if self.opts.sync_each_batch {
-            self.traced_commit()?;
-        }
+        self.wal.append(tick, events)?;
         Ok(self.engine.process_batch(events)?)
     }
 
     /// Make every ingested batch durable (one fsync).
     pub fn commit(&mut self) -> Result<()> {
-        self.traced_commit()
-    }
-
-    /// Commit under a WAL-commit trace span (id = last appended seq).
-    fn traced_commit(&mut self) -> Result<()> {
-        let span = self.tracer.begin(
-            sase_obs::TraceKind::WalCommit,
-            self.log.next_seq().saturating_sub(1),
-            self.log.uncommitted(),
-        );
-        let result = self.log.commit();
-        if let Some(span) = span {
-            self.tracer.end(span, result.is_ok() as u64);
-        }
-        Ok(result?)
+        Ok(self.wal.commit()?)
     }
 
     /// Write an atomic checkpoint of the engine state referencing the
     /// current log position, then prune old checkpoints. Returns the
     /// checkpoint's log position.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let span = self
-            .tracer
-            .begin(sase_obs::TraceKind::Checkpoint, self.log.next_seq(), 0);
-        let result = write_engine_checkpoint(
-            &self.dir,
-            self.opts.keep_checkpoints,
-            &mut self.log,
-            self.engine.snapshot().engines,
-        );
-        if result.is_ok() {
-            self.metrics.checkpoints.inc();
-        }
-        if let Some(span) = span {
-            self.tracer.end(span, result.is_ok() as u64);
-        }
-        result
+        self.wal.checkpoint(|| self.engine.snapshot())
     }
 
     /// Replay mode: re-drive the logged tick range `[min_tick, max_tick]`
@@ -500,33 +543,16 @@ impl<E: EventProcessor> DurableEngine<E> {
         max_tick: Timestamp,
     ) -> Result<ReplayRun> {
         let registry = engine.schemas().clone();
-        let span = self
-            .tracer
-            .begin(sase_obs::TraceKind::Recovery, min_tick, 0);
-        let m = &self.metrics;
-        let records = self.log.replay_ticks(&registry, min_tick, max_tick)?;
-        let run = drive_replay(records, |events| {
-            m.recovery_records.inc();
-            m.recovery_events.add(events.len() as u64);
-            engine.process_batch(events)
-        });
-        if let Ok(run) = &run {
-            m.recovery_errors.add(run.errors.len() as u64);
-            m.recovery_runs.inc();
-        }
-        if let Some(span) = span {
-            self.tracer
-                .end(span, run.as_ref().map(|r| r.records).unwrap_or(0));
-        }
-        run
+        let records = self.wal.log.replay_ticks(&registry, min_tick, max_tick)?;
+        self.wal.replay(min_tick, records, engine)
     }
 }
 
 impl<E: EventProcessor> std::fmt::Debug for DurableEngine<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableEngine")
-            .field("dir", &self.dir)
-            .field("log", &self.log)
+            .field("dir", &self.wal.dir)
+            .field("log", &self.wal.log)
             .finish()
     }
 }
@@ -581,7 +607,7 @@ impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
     }
 
     fn metrics_registry(&self) -> Option<&sase_obs::MetricsRegistry> {
-        Some(&self.metrics.registry)
+        Some(&self.wal.metrics.registry)
     }
 
     fn metrics(&self) -> sase_obs::MetricsSnapshot {
@@ -589,7 +615,7 @@ impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
         // merges, per-query series) plus this layer's WAL / checkpoint /
         // recovery series.
         let mut snap = self.engine.metrics();
-        snap.merge(&self.metrics.registry.snapshot());
+        snap.merge(&self.wal.metrics.registry.snapshot());
         snap
     }
 
@@ -621,10 +647,9 @@ impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
 impl<E: EventProcessor> DurableEngine<E> {
     /// The trait-surface write-ahead step: reject named streams (log
     /// records carry no stream name, so they could not replay), then
-    /// append with the batch's first event timestamp as the WAL tick —
-    /// clamped to the log's last tick so interleaving this surface with
-    /// the explicit-tick [`DurableEngine::ingest`] (whose ticks may be a
-    /// different logical clock) can never make the log reject appends.
+    /// append with the batch's first event timestamp as the WAL tick
+    /// (clamped like every append, so interleaving this surface with the
+    /// explicit-tick [`DurableEngine::ingest`] never bricks the log).
     fn log_for_trait(&mut self, stream: Option<&str>, events: &[Event]) -> CoreResult<()> {
         if let Some(s) = stream {
             return Err(SaseError::engine(format!(
@@ -635,15 +660,9 @@ impl<E: EventProcessor> DurableEngine<E> {
         let Some(first) = events.first() else {
             return Ok(());
         };
-        let tick = first.timestamp().max(self.log.last_tick().unwrap_or(0));
-        self.log
-            .append(tick, events)
-            .map_err(|e| SaseError::engine(format!("event log: {e}")))?;
-        if self.opts.sync_each_batch {
-            self.traced_commit()
-                .map_err(|e| SaseError::engine(format!("event log: {e}")))?;
-        }
-        Ok(())
+        self.wal
+            .append(first.timestamp(), events)
+            .map_err(|e| SaseError::engine(format!("event log: {e}")))
     }
 }
 
@@ -654,46 +673,28 @@ impl<E: EventProcessor> DurableEngine<E> {
 /// paper's deployment; their in-flight state is upstream of the
 /// durability boundary).
 pub struct DurableSystem {
+    wal: Wal,
     sys: SaseSystem,
-    dir: PathBuf,
-    opts: DurableOptions,
-    log: EventLog,
     /// A tick's cleaned events whose WAL append failed: the simulator has
     /// already advanced past them, so they are parked here and retried at
     /// the start of the next [`DurableSystem::tick`] instead of being
     /// dropped.
     pending: Option<(Timestamp, Vec<Event>)>,
-    metrics: DurableMetrics,
-    tracer: sase_obs::Tracer,
 }
 
 impl DurableSystem {
     /// Wrap a freshly built [`SaseSystem`] (no ticks run yet) with a new
-    /// durable deployment in `dir`.
+    /// durable deployment in `dir`. Fails, like [`DurableEngine::create`],
+    /// if `dir` already holds log records or checkpoints.
     pub fn create(
         dir: impl Into<PathBuf>,
         sys: SaseSystem,
         opts: DurableOptions,
     ) -> Result<DurableSystem> {
-        let dir = dir.into();
-        let metrics = DurableMetrics::new();
-        let mut log = EventLog::open(&dir, opts.log())?;
-        log.set_metrics(sase_store::WalMetrics::new(&metrics.registry));
-        if log.next_seq() > 0 || !sase_store::list_checkpoints(&dir)?.is_empty() {
-            return Err(StoreError::InvalidArgument(format!(
-                "{} already holds a durable deployment; recover the engine instead",
-                dir.display()
-            ))
-            .into());
-        }
         Ok(DurableSystem {
+            wal: Wal::create(dir.into(), opts)?,
             sys,
-            dir,
-            opts,
-            log,
             pending: None,
-            metrics,
-            tracer: sase_obs::Tracer::disabled(),
         })
     }
 
@@ -717,18 +718,10 @@ impl DurableSystem {
         opts: DurableOptions,
         register: impl FnOnce(&mut SaseSystem) -> CoreResult<()>,
     ) -> Result<(DurableSystem, RecoveryReport)> {
-        let dir = dir.into();
-        let metrics = DurableMetrics::new();
-        let mut log = EventLog::open(&dir, opts.log())?;
-        log.set_metrics(sase_store::WalMetrics::new(&metrics.registry));
         let mut durable = DurableSystem {
+            wal: Wal::open(dir.into(), opts)?,
             sys,
-            dir,
-            opts,
-            log,
             pending: None,
-            metrics,
-            tracer: sase_obs::Tracer::disabled(),
         };
         let report = durable.recover_engine(register)?;
         Ok((durable, report))
@@ -737,20 +730,20 @@ impl DurableSystem {
     /// Install a lifecycle tracer (WAL-commit, checkpoint, and recovery
     /// spans).
     pub fn set_tracer(&mut self, tracer: sase_obs::Tracer) {
-        self.tracer = tracer;
+        self.wal.tracer = tracer;
     }
 
     /// The durable layer's metrics registry (`sase_wal_*`,
     /// `sase_checkpoints_total`, `sase_recovery_*` series).
     pub fn metrics_registry(&self) -> &sase_obs::MetricsRegistry {
-        &self.metrics.registry
+        &self.wal.metrics.registry
     }
 
     /// A typed metrics view of the whole deployment: the processor's
     /// series plus this layer's WAL / checkpoint / recovery series.
     pub fn metrics(&self) -> sase_obs::MetricsSnapshot {
         let mut snap = self.sys.processor().metrics();
-        snap.merge(&self.metrics.registry.snapshot());
+        snap.merge(&self.wal.metrics.registry.snapshot());
         snap
     }
 
@@ -766,13 +759,13 @@ impl DurableSystem {
 
     /// The underlying event log.
     pub fn log(&self) -> &EventLog {
-        &self.log
+        &self.wal.log
     }
 
     /// Make every logged tick durable (one fsync) — the host's commit
     /// cadence when `sync_each_batch` is off.
     pub fn commit(&mut self) -> Result<()> {
-        Ok(self.log.commit()?)
+        Ok(self.wal.commit()?)
     }
 
     /// Run one scan cycle, write-ahead logging the cleaned events before
@@ -788,8 +781,7 @@ impl DurableSystem {
         // than this cycle's, so log-and-process order is preserved.
         let mut carried = Vec::new();
         if let Some((tick, events)) = self.pending.take() {
-            if let Err(e) = Self::log_batch(&mut self.log, self.opts.sync_each_batch, tick, &events)
-            {
+            if let Err(e) = self.wal.append(tick, &events) {
                 self.pending = Some((tick, events));
                 return Err(e.into());
             }
@@ -798,13 +790,12 @@ impl DurableSystem {
             carried = detections;
         }
 
-        let log = &mut self.log;
-        let sync = self.opts.sync_each_batch;
+        let wal = &mut self.wal;
         // The observer channel only carries `SaseError`; stash the typed
         // store error (and the unlogged batch) on the side.
         let mut store_err: Option<(StoreError, Timestamp, Vec<Event>)> = None;
         let result = self.sys.tick_observed(scenario, &mut |tick, events| {
-            Self::log_batch(log, sync, tick, events).map_err(|e| {
+            wal.append(tick, events).map_err(|e| {
                 let wrapped = SaseError::engine(format!("event log: {e}"));
                 store_err = Some((e, tick, events.to_vec()));
                 wrapped
@@ -828,37 +819,9 @@ impl DurableSystem {
         }
     }
 
-    fn log_batch(
-        log: &mut EventLog,
-        sync: bool,
-        tick: Timestamp,
-        events: &[Event],
-    ) -> sase_store::Result<()> {
-        log.append(tick, events)?;
-        if sync {
-            log.commit()?;
-        }
-        Ok(())
-    }
-
     /// Checkpoint the engine against the current log position.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let span = self
-            .tracer
-            .begin(sase_obs::TraceKind::Checkpoint, self.log.next_seq(), 0);
-        let result = write_engine_checkpoint(
-            &self.dir,
-            self.opts.keep_checkpoints,
-            &mut self.log,
-            self.sys.processor().snapshot().engines,
-        );
-        if result.is_ok() {
-            self.metrics.checkpoints.inc();
-        }
-        if let Some(span) = span {
-            self.tracer.end(span, result.is_ok() as u64);
-        }
-        result
+        self.wal.checkpoint(|| self.sys.processor().snapshot())
     }
 
     /// Simulate an engine crash: all queries, runtime state, and stream
@@ -880,60 +843,20 @@ impl DurableSystem {
         register: impl FnOnce(&mut SaseSystem) -> CoreResult<()>,
     ) -> Result<RecoveryReport> {
         self.sys.reset_engine();
-        let (ckpt, corrupt_checkpoints) = load_latest_checkpoint(&self.dir)?;
-        // Move the snapshots out of the checkpoint instead of cloning.
-        let (ckpt_seq, snaps) = match ckpt {
-            Some(c) => (
-                Some(c.replay_from_seq),
-                Some(SnapshotSet { engines: c.engines }),
-            ),
-            None => (None, None),
-        };
-        if let Some(s) = &snaps {
-            preregister_derived(self.sys.schemas(), s)?;
+        let restart = self.wal.load_checkpoint()?;
+        if let Some(snaps) = restart.snapshots() {
+            preregister_derived(self.sys.schemas(), snaps)?;
         }
         register(&mut self.sys)?;
-        let replay_from = match &snaps {
-            Some(s) => {
-                self.sys.processor_mut().restore(s)?;
-                ckpt_seq.expect("snapshot implies a checkpoint")
-            }
-            None => 0,
-        };
-        ensure_log_covers(&self.dir, &self.log, replay_from)?;
-        let registry = self.sys.schemas().clone();
-        let span = self
-            .tracer
-            .begin(sase_obs::TraceKind::Recovery, replay_from, 0);
-        let records = self.log.replay_from(&registry, replay_from)?;
-        let sys = &mut self.sys;
-        let m = &self.metrics;
-        let run = drive_replay(records, |events| {
-            m.recovery_records.inc();
-            m.recovery_events.add(events.len() as u64);
-            sys.processor_mut().process_batch(events)
-        })?;
-        m.recovery_errors.add(run.errors.len() as u64);
-        m.recovery_runs.inc();
-        if let Some(span) = span {
-            self.tracer.end(span, run.records);
-        }
-        Ok(RecoveryReport {
-            checkpoint_seq: ckpt_seq,
-            records_replayed: run.records,
-            events_replayed: run.events,
-            emissions: run.emissions,
-            replay_errors: run.errors,
-            corrupt_checkpoints,
-        })
+        self.wal.recover(restart, self.sys.processor_mut())
     }
 }
 
 impl std::fmt::Debug for DurableSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableSystem")
-            .field("dir", &self.dir)
-            .field("log", &self.log)
+            .field("dir", &self.wal.dir)
+            .field("log", &self.wal.log)
             .finish()
     }
 }
@@ -944,6 +867,9 @@ mod tests {
     use sase_core::engine::Engine;
     use sase_core::event::retail_registry;
     use sase_core::value::Value;
+    use sase_obs::{MemorySink, TraceKind, TracePhase, Tracer};
+    use sase_rfid::noise::NoiseModel;
+    use std::sync::Arc;
 
     const Q: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
                      WHERE x.TagId = z.TagId WITHIN 100 RETURN x.TagId AS tag";
@@ -1069,6 +995,59 @@ mod tests {
             err,
             DurableError::Store(StoreError::InvalidArgument(_))
         ));
+        // Both wrappers refuse through the one shared check, in one text.
+        let sys = SaseSystem::retail(NoiseModel::perfect(), 7, 4).unwrap();
+        let sys_err = DurableSystem::create(&dir, sys, DurableOptions::default()).unwrap_err();
+        assert!(matches!(
+            sys_err,
+            DurableError::Store(StoreError::InvalidArgument(_))
+        ));
+        assert_eq!(sys_err.to_string(), err.to_string());
+        assert!(
+            err.to_string()
+                .contains("already holds a durable deployment (1 log records, 0 checkpoints)"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_synced_batch_is_one_wal_commit_span_on_either_wrapper() {
+        let commit_spans = |sink: &MemorySink| {
+            sink.drain()
+                .iter()
+                .filter(|e| e.kind == TraceKind::WalCommit && e.phase == TracePhase::End)
+                .count()
+        };
+
+        let dir = tmp_dir("spans-engine");
+        let mut durable =
+            DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
+        let sink = Arc::new(MemorySink::new());
+        durable.set_tracer(Tracer::sampled(sink.clone(), 1));
+        let reg = durable.engine().schemas().clone();
+        for tick in 0..3u64 {
+            durable
+                .ingest(tick, &[ev(&reg, "SHELF_READING", tick + 1, 7)])
+                .unwrap();
+        }
+        assert_eq!(commit_spans(&sink), 3);
+        durable.commit().unwrap();
+        assert_eq!(commit_spans(&sink), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = tmp_dir("spans-system");
+        let sys = SaseSystem::retail(NoiseModel::perfect(), 7, 4).unwrap();
+        let mut durable = DurableSystem::create(&dir, sys, DurableOptions::default()).unwrap();
+        let sink = Arc::new(MemorySink::new());
+        durable.set_tracer(Tracer::sampled(sink.clone(), 1));
+        for _ in 0..3 {
+            durable.tick(None).unwrap();
+        }
+        assert_eq!(durable.log().next_seq(), 3);
+        assert_eq!(commit_spans(&sink), 3);
+        durable.commit().unwrap();
+        assert_eq!(commit_spans(&sink), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -30,9 +30,7 @@ pub mod report;
 pub mod system;
 
 pub use builtins::{register_db_builtins, retail_area_descriptions, seed_area_info};
-pub use concurrent::{
-    run_pipelined, PipelinedRun, ShardedEngine, ShardedEngineBuilder, ShardingMode,
-};
+pub use concurrent::{ShardedEngine, ShardedEngineBuilder, ShardingMode};
 pub use durable::{
     DurableEngine, DurableError, DurableOptions, DurableSystem, RecoveryReport, ReplayRun,
 };

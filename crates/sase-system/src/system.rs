@@ -513,4 +513,22 @@ mod tests {
         assert!(stats.anomaly.dropped_spurious > 0 || stats.anomaly.dropped_truncated > 0);
         assert!(stats.dedup.suppressed > 0);
     }
+
+    #[test]
+    fn engine_error_surfaces_from_tick() {
+        // A query that fails at evaluation time aborts the scan cycle with
+        // the engine's error instead of dropping it.
+        let mut sys = SaseSystem::retail(NoiseModel::perfect(), 1, 4).unwrap();
+        sys.register_query(
+            "q",
+            "EVENT SHELF_READING x RETURN x.TagId / (x.AreaId - x.AreaId) AS boom",
+        )
+        .unwrap();
+        let tag = sys.config().make_tag(1);
+        sys.simulator().place_tag(tag, 1);
+        let err = (0..10)
+            .find_map(|_| sys.tick(None).err())
+            .expect("the shelf reading reaches the engine");
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    }
 }

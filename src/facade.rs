@@ -141,8 +141,8 @@ type MetricsPushFn = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 ///
 /// `Sase` itself implements
 /// [`EventProcessor`], so it can be
-/// dropped anywhere a deployment is expected — e.g. as the engine stage of
-/// [`sase_system::run_pipelined`].
+/// dropped anywhere a deployment is expected — e.g. wrapped in a
+/// [`sase_system::DurableEngine`].
 pub struct Sase {
     backend: Backend,
     deny: Option<Severity>,
@@ -706,7 +706,7 @@ impl std::fmt::Debug for Sase {
 }
 
 /// The facade is itself an [`EventProcessor`], so a `Sase` can stand in
-/// anywhere a deployment is expected (pipelined stages, differential
+/// anywhere a deployment is expected (the durable decorator, differential
 /// tests). Every method delegates to the configured backend.
 impl EventProcessor for Sase {
     fn register(&mut self, name: &str, src: &str) -> Result<()> {

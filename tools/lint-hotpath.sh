@@ -27,7 +27,6 @@ crates/sase-core/src/program.rs
 crates/sase-core/src/expr.rs
 crates/sase-core/src/event.rs
 crates/sase-core/src/value.rs
-crates/sase-core/src/nfa.rs
 crates/sase-core/src/pattern.rs
 crates/sase-core/src/hash.rs
 crates/sase-core/src/output.rs
