@@ -45,9 +45,8 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::error::{Result, SaseError};
 use crate::event::{Event, EventTypeId, SchemaRegistry};
 use crate::functions::FunctionRegistry;
-use crate::lang::parse_query;
 use crate::output::ComplexEvent;
-use crate::plan::{Planner, QueryPlan};
+use crate::plan::{compile_query, QueryPlan};
 use crate::runtime::{QueryRuntime, RuntimeStats};
 use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
 use crate::time::{TimeScale, Timestamp};
@@ -192,8 +191,8 @@ struct EngineMetrics {
     router_misses: sase_obs::Counter,
     /// Derived (`INTO`) events re-ingested.
     derived_events: sase_obs::Counter,
-    /// Analyzer diagnostics observed at registration, by severity
-    /// (`diagnostics_emitted{severity=…}`).
+    /// Analyzer diagnostics observed at registration, indexed by
+    /// `Severity as usize` (`diagnostics_emitted{severity=…}`).
     diagnostics: [sase_obs::Counter; 3],
 }
 
@@ -361,48 +360,20 @@ impl Engine {
                 "a query with this name is already registered",
             ));
         }
-        let query =
-            parse_query(src).map_err(|e| SaseError::registration(name, None, e.to_string()))?;
-        // With metrics enabled, every registration runs the static
-        // analyzer and counts what it reports into
-        // `sase_diagnostics_emitted_total{severity=…}`, so operators see
-        // warning-heavy query sets without scraping logs. Without
-        // metrics the analyzer still runs, but lazily — only to attach a
-        // lint code to a planner failure.
-        let diags = self.metrics.as_ref().map(|m| {
-            let ds = crate::analyze::analyze_with(
-                &query,
-                &self.registry,
-                &self.functions,
-                self.time_scale,
-            );
-            for d in &ds {
-                let sev = match d.severity {
-                    crate::analyze::Severity::Info => 0,
-                    crate::analyze::Severity::Warning => 1,
-                    crate::analyze::Severity::Error => 2,
-                };
-                m.diagnostics[sev].inc();
-            }
-            ds
-        });
-        let planner = Planner::new(self.registry.clone(), self.functions.clone())
-            .with_time_scale(self.time_scale);
-        let plan = planner.plan(&query).map_err(|e| {
-            let code = diags
-                .unwrap_or_else(|| {
-                    crate::analyze::analyze_with(
-                        &query,
-                        &self.registry,
-                        &self.functions,
-                        self.time_scale,
-                    )
-                })
-                .into_iter()
-                .find(|d| d.severity == crate::analyze::Severity::Error)
-                .map(|d| d.code.to_string());
-            SaseError::registration(name, code, e.to_string())
-        })?;
+        // With metrics on, count every diagnostic into
+        // `sase_diagnostics_emitted_total{severity=…}`.
+        let count = self
+            .metrics
+            .as_ref()
+            .map(|m| |d: &crate::analyze::Diagnostic| m.diagnostics[d.severity as usize].inc());
+        let plan = compile_query(
+            name,
+            src,
+            &self.registry,
+            &self.functions,
+            self.time_scale,
+            count,
+        )?;
         self.install(name, plan)
     }
 

@@ -21,7 +21,7 @@ mod planner;
 
 pub(crate) use analysis::{routing_keys, RoutingRejection};
 pub use analysis::{PartitionPart, PartitionSpec, RoutingKey, TypeKeyAccess, WhereAnalysis};
-pub use planner::Planner;
+pub use planner::{compile_query, Planner};
 
 use std::sync::Arc;
 

@@ -2,11 +2,13 @@
 
 use std::sync::Arc;
 
+use crate::analyze::{analyze_with, Diagnostic, Severity};
 use crate::error::{Result, SaseError};
 use crate::event::SchemaRegistry;
 use crate::expr::CompiledExpr;
 use crate::functions::FunctionRegistry;
 use crate::lang::ast::{AggArg, Query, ReturnItem};
+use crate::lang::parse_query;
 use crate::pattern::CompiledPattern;
 use crate::time::TimeScale;
 
@@ -199,11 +201,36 @@ impl Planner {
     }
 }
 
+/// The one registration front end: parse `src`, pass each analyzer
+/// diagnostic to `on_diagnostic` if given (metrics count them by severity),
+/// then plan. Failures are [`SaseError::Registration`]s; a planner failure
+/// carries the analyzer's lint code (the sole analysis without a callback).
+pub fn compile_query(
+    name: &str,
+    src: &str,
+    registry: &SchemaRegistry,
+    functions: &FunctionRegistry,
+    scale: TimeScale,
+    on_diagnostic: Option<impl FnMut(&Diagnostic)>,
+) -> Result<QueryPlan> {
+    let query = parse_query(src).map_err(|e| SaseError::registration(name, None, e.to_string()))?;
+    let analyze = || analyze_with(&query, registry, functions, scale);
+    let diags: Option<Vec<_>> = on_diagnostic.map(|f| analyze().into_iter().inspect(f).collect());
+    let planner = Planner::new(registry.clone(), functions.clone()).with_time_scale(scale);
+    planner.plan(&query).map_err(|e| {
+        let code = diags
+            .unwrap_or_else(analyze)
+            .into_iter()
+            .find(|d| d.severity == Severity::Error)
+            .map(|d| d.code.to_string());
+        SaseError::registration(name, code, e.to_string())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::retail_registry;
-    use crate::lang::parse_query;
 
     fn planner() -> Planner {
         Planner::new(retail_registry(), FunctionRegistry::with_stdlib())
@@ -213,6 +240,29 @@ mod tests {
                       WHERE x.TagId = y.TagId AND x.TagId = z.TagId\n\
                       WITHIN 12 hours\n\
                       RETURN x.TagId, x.ProductName, z.AreaId";
+
+    #[test]
+    fn compile_query_counts_diagnostics_and_codes_planner_failures() {
+        let (reg, funcs) = (retail_registry(), FunctionRegistry::with_stdlib());
+        let compile = |src: &str, on: Option<&mut dyn FnMut(&Diagnostic)>| {
+            compile_query("q", src, &reg, &funcs, TimeScale::default(), on)
+        };
+        let bad = "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.Nope = z.TagId WITHIN 9";
+        let mut seen = Vec::new();
+        let counted = compile(bad, Some(&mut |d| seen.push(d.code))).unwrap_err();
+        let lazy = compile(bad, None).unwrap_err();
+        // The lint code is the same whether or not the analyzer ran up front.
+        let code = counted
+            .diagnostic_code()
+            .expect("planner failure carries a code");
+        assert_eq!(counted.to_string(), lazy.to_string());
+        assert!(seen.contains(&code), "{code} in {seen:?}");
+        assert!(compile(Q1, None).is_ok());
+        assert!(compile("EVENT SEQ(", None)
+            .unwrap_err()
+            .diagnostic_code()
+            .is_none());
+    }
 
     #[test]
     fn q1_plans_with_partition_and_negation() {

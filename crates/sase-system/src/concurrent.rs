@@ -1,23 +1,26 @@
 //! The sharded complex event processor.
 //!
 //! A [`ShardedEngine`] spreads the work across N engine workers, each an
-//! [`Engine`] on its own thread fed through a command channel: by query
-//! set or by partition key ([`ShardingMode`]). It implements the unified
+//! [`Engine`] on its own thread fed through a command channel. Both
+//! [`ShardingMode`]s run on one core: one host table (each query runs on
+//! one worker or on every data worker), one router (per-stream clocks
+//! that reject what the single engine rejects, then a placement rule that
+//! picks each worker's sub-batch), and one dispatch loop that merges the
+//! workers' provenance-tagged emissions ([`sase_core::engine::Emission`])
+//! on their order keys, so a sharded run reproduces the single-engine
+//! output sequence byte for byte. It implements the unified
 //! [`EventProcessor`] surface, so it stands wherever a single [`Engine`]
-//! does, the durable wrapper included. Each query's state is independent,
-//! so sharding by query is semantics-preserving; the shards' emissions are
-//! merged on their provenance tags ([`sase_core::engine::Emission`]) so a
-//! sharded run reproduces the single-engine output sequence byte for byte,
-//! which the tests assert against the single-threaded
-//! [`crate::SaseSystem`].
+//! does, the durable wrapper included; the tests assert it against the
+//! single-threaded [`crate::SaseSystem`] and a single [`Engine`].
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use sase_core::analyze;
+use sase_core::analyze::{self, Diagnostic};
 use sase_core::engine::{Emission, Engine, RoutingMode, Sink};
 use sase_core::error::{Result as CoreResult, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
@@ -25,38 +28,12 @@ use sase_core::functions::FunctionRegistry;
 use sase_core::hash::FxHasher;
 use sase_core::lang::{parse_query, Query};
 use sase_core::output::ComplexEvent;
-use sase_core::plan::{Planner, QueryPlan, TypeKeyAccess};
+use sase_core::plan::{compile_query, QueryPlan, TypeKeyAccess};
 use sase_core::processor::EventProcessor;
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::SnapshotSet;
 use sase_core::time::{TimeScale, Timestamp};
 use sase_obs::{Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot, TraceKind, Tracer};
-
-/// Wrap a planner failure in a [`SaseError::Registration`], attaching the
-/// static analyzer's lint code when it can pin the failure to one.
-fn registration_error(
-    name: &str,
-    query: &Query,
-    registry: &SchemaRegistry,
-    functions: &FunctionRegistry,
-    time_scale: Option<TimeScale>,
-    err: SaseError,
-) -> SaseError {
-    let code = analyze::analyze_with(query, registry, functions, time_scale.unwrap_or_default())
-        .into_iter()
-        .find(|d| d.severity == analyze::Severity::Error)
-        .map(|d| d.code.to_string());
-    SaseError::registration(name, code, err.to_string())
-}
-
-/// The slot a diagnostic severity counts into (`sase_diagnostics_emitted_total`).
-fn severity_index(s: analyze::Severity) -> usize {
-    match s {
-        analyze::Severity::Info => 0,
-        analyze::Severity::Warning => 1,
-        analyze::Severity::Error => 2,
-    }
-}
 
 /// Deployment-level shard-router metrics: per-shard routing counters and
 /// queue-depth gauges, plus the registration-time diagnostics counter.
@@ -76,12 +53,13 @@ struct ShardMetrics {
     /// the gauge at its own send/recv seam.)
     queue_depth: Vec<Gauge>,
     /// Diagnostics surfaced at query registration, indexed by
-    /// [`severity_index`].
+    /// `Severity as usize`.
     diagnostics: [Counter; 3],
 }
 
 impl ShardMetrics {
-    fn new(registry: MetricsRegistry, shards: usize) -> ShardMetrics {
+    fn new(shards: usize, diag_counts: [u64; 3]) -> ShardMetrics {
+        let registry = MetricsRegistry::new();
         let mut events_routed = Vec::with_capacity(shards);
         let mut batches = Vec::with_capacity(shards);
         let mut queue_depth = Vec::with_capacity(shards);
@@ -92,11 +70,13 @@ impl ShardMetrics {
             batches.push(registry.counter("sase_shard_batches_total", labels));
             queue_depth.push(registry.gauge("sase_shard_queue_depth", labels));
         }
-        let diagnostics = [
-            registry.counter("sase_diagnostics_emitted_total", &[("severity", "info")]),
-            registry.counter("sase_diagnostics_emitted_total", &[("severity", "warning")]),
-            registry.counter("sase_diagnostics_emitted_total", &[("severity", "error")]),
-        ];
+        // Builder-time registrations were counted before the registry
+        // existed; seed the counter with them.
+        let diagnostics = ["info", "warning", "error"]
+            .map(|sev| registry.counter("sase_diagnostics_emitted_total", &[("severity", sev)]));
+        for (slot, n) in diagnostics.iter().zip(diag_counts) {
+            slot.add(n);
+        }
         ShardMetrics {
             registry,
             events_routed,
@@ -124,22 +104,24 @@ impl ShardMetrics {
 const STDLIB_FUNCTIONS: [&str; 5] = ["_abs", "_min", "_max", "_concat", "_len"];
 
 /// The error text a panicking shard engine surfaces as; the router watches
-/// for it to latch a data-parallel deployment poisoned.
+/// for it to latch the deployment poisoned.
 const SHARD_PANIC_MSG: &str = "engine shard panicked";
 
-/// The deterministic rejection every ingest call gets after a worker panic
-/// in [`ShardingMode::ByPartitionKey`]: a panicking worker may have lost
-/// arbitrary in-flight state, so byte-identity with the reference can no
-/// longer be promised.
+/// The deterministic rejection every ingest call gets after a worker
+/// panic: a panicking worker may have lost arbitrary in-flight state, so
+/// byte-identity with the reference can no longer be promised.
 const POISONED_MSG: &str = "sharded deployment poisoned: an engine shard panicked mid-batch; \
                             rebuild the deployment and restore from a checkpoint";
 
-/// How a [`ShardedEngine`] splits work across its engine workers.
+/// How a [`ShardedEngine`] places queries and events on its engine
+/// workers. Both modes share one router: it checks every batch against
+/// per-stream clocks first, then applies the mode's placement rule.
 ///
 /// * [`ShardingMode::ByQuery`] (query-parallel, the default) partitions
-///   the *query set*: every worker sees every event but runs only its
-///   queries. Scales with the number of independent query components;
-///   each worker still pays the full per-event routing loop.
+///   the *query set*: each query runs on one worker, and every worker
+///   hosting a query sees every event. Scales with the number of
+///   independent query components; each worker still pays the full
+///   per-event routing loop.
 /// * [`ShardingMode::ByPartitionKey`] (data-parallel) partitions the
 ///   *stream*: every worker runs **all** distributable queries, and each
 ///   event is routed to one worker by hashing its partition-key value.
@@ -176,12 +158,12 @@ pub enum ShardingMode {
 pub struct ShardedEngineBuilder {
     registry: SchemaRegistry,
     functions: FunctionRegistry,
-    time_scale: Option<TimeScale>,
+    time_scale: TimeScale,
     routing: Option<RoutingMode>,
     mode: ShardingMode,
     metrics: bool,
-    /// Diagnostics counted at builder registrations (by
-    /// [`severity_index`]), transferred into the deployment registry at
+    /// Diagnostics counted at builder registrations (indexed by
+    /// `Severity as usize`), transferred into the deployment registry at
     /// [`ShardedEngineBuilder::build`].
     diag_counts: [u64; 3],
     queries: Vec<(String, QueryPlan)>,
@@ -200,7 +182,7 @@ impl ShardedEngineBuilder {
         ShardedEngineBuilder {
             registry,
             functions,
-            time_scale: None,
+            time_scale: TimeScale::default(),
             routing: None,
             mode: ShardingMode::ByQuery,
             metrics: false,
@@ -227,7 +209,7 @@ impl ShardedEngineBuilder {
 
     /// Set the logical time scale used for WITHIN conversion.
     pub fn set_time_scale(&mut self, scale: TimeScale) {
-        self.time_scale = Some(scale);
+        self.time_scale = scale;
     }
 
     /// Select how each shard's engine matches events to queries (default:
@@ -245,258 +227,133 @@ impl ShardedEngineBuilder {
                 "a query with this name is already registered",
             ));
         }
-        let query =
-            parse_query(src).map_err(|e| SaseError::registration(name, None, e.to_string()))?;
-        if self.metrics {
-            // Mirror `Engine::register`: every diagnostic the static
-            // analyzer raises at registration is counted by severity (the
-            // counts land in the deployment registry at `build`).
-            for d in analyze::analyze_with(
-                &query,
-                &self.registry,
-                &self.functions,
-                self.time_scale.unwrap_or_default(),
-            ) {
-                self.diag_counts[severity_index(d.severity)] += 1;
-            }
-        }
-        let mut planner = Planner::new(self.registry.clone(), self.functions.clone());
-        if let Some(scale) = self.time_scale {
-            planner = planner.with_time_scale(scale);
-        }
-        let plan = planner.plan(&query).map_err(|e| {
-            registration_error(
-                name,
-                &query,
-                &self.registry,
-                &self.functions,
-                self.time_scale,
-                e,
-            )
-        })?;
+        // The counts land in the deployment registry at `build`.
+        let counts = &mut self.diag_counts;
+        let count = self
+            .metrics
+            .then_some(|d: &Diagnostic| counts[d.severity as usize] += 1);
+        let plan = compile_query(
+            name,
+            src,
+            &self.registry,
+            &self.functions,
+            self.time_scale,
+            count,
+        )?;
         self.queries.push((name.to_string(), plan));
         Ok(())
     }
 
-    /// Partition the registered queries across `shards` engine workers and
-    /// instantiate the deployment. A deployment may be built with fewer
-    /// queries than shards (even with none): later
-    /// [`ShardedEngine::register`] calls place new queries on the
-    /// least-loaded compatible shard.
+    /// Partition the registered queries across the engine workers and
+    /// instantiate the deployment: `shards` workers in
+    /// [`ShardingMode::ByQuery`] mode, `shards` data workers plus one
+    /// pinned worker in [`ShardingMode::ByPartitionKey`] mode. A deployment
+    /// may be built with fewer queries than shards (even with none): later
+    /// [`ShardedEngine::register`] calls place a query that no co-location
+    /// rule ties to a shard by continuing the round-robin assignment of
+    /// co-location components to shards.
     pub fn build(self, shards: usize) -> CoreResult<ShardedEngine> {
-        if self.mode == ShardingMode::ByPartitionKey {
-            return self.build_partitioned(shards);
-        }
-        let n_queries = self.queries.len();
-        // Union-find over query indices.
-        let mut parent: Vec<usize> = (0..n_queries).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        fn union(parent: &mut [usize], a: usize, b: usize) {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-
-        // Rule 1: producers of a stream with each other and with its
-        // consumers.
-        let mut producers: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut consumers: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, (_, plan)) in self.queries.iter().enumerate() {
-            if let Some(into) = &plan.return_plan.into {
-                producers
-                    .entry(into.to_ascii_lowercase())
-                    .or_default()
-                    .push(i);
-            }
-            if let Some(from) = &plan.query.from {
-                consumers
-                    .entry(from.to_ascii_lowercase())
-                    .or_default()
-                    .push(i);
-            }
-        }
-        for (stream, prod) in &producers {
-            let mut members = prod.clone();
-            if let Some(cons) = consumers.get(stream) {
-                members.extend_from_slice(cons);
-            }
-            for w in members.windows(2) {
-                union(&mut parent, w[0], w[1]);
-            }
-        }
-
-        // Rule 2: queries sharing a non-stdlib function.
-        let mut by_function: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, (_, plan)) in self.queries.iter().enumerate() {
-            for f in plan.query.called_functions() {
-                if !STDLIB_FUNCTIONS.contains(&f.as_str()) {
-                    by_function.entry(f).or_default().push(i);
-                }
-            }
-        }
-        for members in by_function.values() {
-            for w in members.windows(2) {
-                union(&mut parent, w[0], w[1]);
-            }
-        }
-
-        // Components in first-appearance order, assigned round-robin.
-        let shard_count = shards.max(1);
-        let mut component_of: HashMap<usize, usize> = HashMap::new();
-        let assignment: Vec<usize> = (0..n_queries)
-            .map(|i| {
-                let root = find(&mut parent, i);
-                let next = component_of.len();
-                *component_of.entry(root).or_insert(next) % shard_count
-            })
+        let data = shards.max(1);
+        let pinned = usize::from(self.mode == ShardingMode::ByPartitionKey);
+        let workers: Vec<ShardWorker> = (0..data + pinned)
+            .map(|_| ShardWorker::spawn(self.engine()))
             .collect();
-
-        // Instantiate shards; queries installed in global registration
-        // order so every shard's local order is consistent with it.
-        let mut shards_vec: Vec<Engine> = (0..shard_count)
-            .map(|_| {
-                let mut e = Engine::with_functions(self.registry.clone(), self.functions.clone());
-                if let Some(scale) = self.time_scale {
-                    e.set_time_scale(scale);
-                }
-                if let Some(mode) = self.routing {
-                    e.set_routing(mode);
-                }
-                if self.metrics {
-                    // Worker-local registry: recording stays uncontended;
-                    // `ShardedEngine::metrics` merges the workers' views.
-                    e.enable_metrics(&MetricsRegistry::new());
-                }
-                e
-            })
-            .collect();
-        let mut local_to_global: Vec<Vec<u32>> = vec![Vec::new(); shard_count];
-        let mut names = Vec::with_capacity(n_queries);
-        let mut meta = Vec::with_capacity(n_queries);
-        for (global, (name, plan)) in self.queries.into_iter().enumerate() {
-            let s = assignment[global];
-            meta.push(QueryMeta::of(&plan));
-            shards_vec[s].install(&name, plan)?;
-            local_to_global[s].push(global as u32);
-            names.push(name);
-        }
-
-        // A single shard runs inline (no worker thread, no tagging/merge
-        // overhead); multi-shard deployments get one persistent worker
-        // thread per shard.
-        let (inline, workers) = if shards_vec.len() == 1 {
-            (Some(shards_vec.pop().expect("one shard")), Vec::new())
-        } else {
-            (
-                None,
-                shards_vec.into_iter().map(ShardWorker::spawn).collect(),
-            )
-        };
-
-        Ok(ShardedEngine {
-            inline,
+        let metas: Vec<QueryMeta> = self.queries.iter().map(|(_, p)| QueryMeta::of(p)).collect();
+        // ByQuery places the whole query set at once, so a later query can
+        // merge two earlier components; ByPartitionKey decides per query.
+        let assignment = (self.mode == ShardingMode::ByQuery).then(|| colocate(&metas, data));
+        let mut engine = ShardedEngine {
+            l2g: vec![Vec::new(); workers.len()],
             workers,
+            mode: self.mode,
+            data,
             registry: self.registry,
             functions: self.functions,
             time_scale: self.time_scale,
-            local_to_global,
-            names,
-            meta,
-            components: component_of.len(),
-            partition: None,
-            metrics: Self::deployment_metrics(self.metrics, shard_count, self.diag_counts),
-            tracer: Tracer::disabled(),
-            batch_seq: 0,
-        })
-    }
-
-    /// Build the deployment-level [`ShardMetrics`] (when enabled),
-    /// seeding the diagnostics counter with the builder-time counts.
-    fn deployment_metrics(on: bool, shards: usize, diag_counts: [u64; 3]) -> Option<ShardMetrics> {
-        if !on {
-            return None;
-        }
-        let m = ShardMetrics::new(MetricsRegistry::new(), shards);
-        for (slot, n) in m.diagnostics.iter().zip(diag_counts) {
-            slot.add(n);
-        }
-        Some(m)
-    }
-
-    /// Instantiate a [`ShardingMode::ByPartitionKey`] deployment: `shards`
-    /// data workers plus one designated *pinned* worker. Distributable
-    /// queries (see [`PartitionState::claim`]) are installed on **every**
-    /// data worker; everything else goes to the pinned worker, which
-    /// receives the whole stream.
-    fn build_partitioned(self, shards: usize) -> CoreResult<ShardedEngine> {
-        let data = shards.max(1);
-        let mk = |registry: &SchemaRegistry, functions: &FunctionRegistry| {
-            let mut e = Engine::with_functions(registry.clone(), functions.clone());
-            if let Some(scale) = self.time_scale {
-                e.set_time_scale(scale);
-            }
-            if let Some(mode) = self.routing {
-                e.set_routing(mode);
-            }
-            if self.metrics {
-                e.enable_metrics(&MetricsRegistry::new());
-            }
-            e
-        };
-        let mut engines: Vec<Engine> = (0..data + 1)
-            .map(|_| mk(&self.registry, &self.functions))
-            .collect();
-        let mut st = PartitionState {
-            data,
+            names: Vec::new(),
+            meta: Vec::new(),
+            hosts: Vec::new(),
+            components: assignment.as_ref().map_or(0, |(_, n)| *n),
             claims: Vec::new(),
-            distributed: Vec::new(),
-            data_l2g: Vec::new(),
-            pinned_l2g: Vec::new(),
             clocks: HashMap::new(),
             poisoned: false,
-        };
-        let mut names = Vec::with_capacity(self.queries.len());
-        let mut meta = Vec::with_capacity(self.queries.len());
-        for (global, (name, plan)) in self.queries.into_iter().enumerate() {
-            let m = QueryMeta::of(&plan);
-            let dist = st.claim(&m, &plan);
-            if dist {
-                for e in &mut engines[..data] {
-                    e.install(&name, plan.clone())?;
-                }
-                st.data_l2g.push(global as u32);
-            } else {
-                engines[data].install(&name, plan)?;
-                st.pinned_l2g.push(global as u32);
-            }
-            st.distributed.push(dist);
-            names.push(name);
-            meta.push(m);
-        }
-        Ok(ShardedEngine {
-            inline: None,
-            workers: engines.into_iter().map(ShardWorker::spawn).collect(),
-            registry: self.registry,
-            functions: self.functions,
-            time_scale: self.time_scale,
-            local_to_global: Vec::new(),
-            names,
-            meta,
-            components: 0,
-            partition: Some(Box::new(st)),
-            // `data + 1` shards: the pinned worker is the last index.
-            metrics: Self::deployment_metrics(self.metrics, data + 1, self.diag_counts),
+            metrics: self
+                .metrics
+                .then(|| ShardMetrics::new(data + pinned, self.diag_counts)),
             tracer: Tracer::disabled(),
             batch_seq: 0,
-        })
+        };
+        for (global, ((name, plan), meta)) in self.queries.into_iter().zip(metas).enumerate() {
+            let host = match &assignment {
+                Some((shard_of, _)) => Host::One(shard_of[global]),
+                None => engine.place(&name, &meta, &plan)?,
+            };
+            engine.host(&name, plan, meta, host)?;
+        }
+        Ok(engine)
     }
+
+    /// A fresh worker engine configured like every other one.
+    fn engine(&self) -> Engine {
+        let mut e = Engine::with_functions(self.registry.clone(), self.functions.clone());
+        e.set_time_scale(self.time_scale);
+        if let Some(mode) = self.routing {
+            e.set_routing(mode);
+        }
+        if self.metrics {
+            // Worker-local registry: recording stays uncontended;
+            // `ShardedEngine::metrics` merges the workers' views.
+            e.enable_metrics(&MetricsRegistry::new());
+        }
+        e
+    }
+}
+
+/// The [`ShardingMode::ByQuery`] placement of a whole query set: union the
+/// queries each co-location rule ties together, then assign the components
+/// round-robin to `shards` in order of first appearance. Returns each
+/// query's shard and the number of components.
+fn colocate(metas: &[QueryMeta], shards: usize) -> (Vec<usize>, usize) {
+    let mut parent: Vec<usize> = (0..metas.len()).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    // Rule 1: producers of a stream with each other and with its
+    // consumers. Rule 2: queries sharing a non-stdlib function.
+    let mut groups: HashMap<(bool, &str), Vec<usize>> = HashMap::new();
+    for (i, m) in metas.iter().enumerate() {
+        let streams = m.into.iter().chain(&m.from);
+        for key in streams.map(|s| (true, s.as_str())) {
+            groups.entry(key).or_default().push(i);
+        }
+        for f in &m.funcs {
+            groups.entry((false, f.as_str())).or_default().push(i);
+        }
+    }
+    for (&(stream, name), members) in &groups {
+        // A stream nobody produces links nothing: its consumers only see
+        // externally injected events.
+        if stream && !metas.iter().any(|m| m.into.as_deref() == Some(name)) {
+            continue;
+        }
+        for w in members.windows(2) {
+            let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
+            parent[a] = b;
+        }
+    }
+    let mut component_of: HashMap<usize, usize> = HashMap::new();
+    let assignment = (0..metas.len())
+        .map(|i| {
+            let root = find(&mut parent, i);
+            let next = component_of.len();
+            *component_of.entry(root).or_insert(next) % shards
+        })
+        .collect();
+    (assignment, component_of.len())
 }
 
 /// Co-location-relevant facts about a registered query, kept so queries
@@ -529,84 +386,33 @@ impl QueryMeta {
                 .collect(),
         }
     }
-}
 
-/// Router state of a [`ShardingMode::ByPartitionKey`] deployment.
-///
-/// Workers `0..data` are *data* workers, each running every distributable
-/// query over its hash-slice of the stream; worker `data` is the *pinned*
-/// worker running everything else over the whole stream.
-struct PartitionState {
-    /// Number of data workers (the pinned worker is at index `data`).
-    data: usize,
-    /// Per event type (indexed by `EventTypeId.0`): the accessor that
-    /// extracts the routing key from events of that type. **Sticky**: a
-    /// claim survives unregistering the query that made it, so replaying
-    /// the same registration sequence after a crash reproduces the same
-    /// event → worker routing (the property restore depends on). A query
-    /// re-registered after an unregister may therefore end up pinned where
-    /// a fresh build would distribute it.
-    claims: Vec<Option<TypeKeyAccess>>,
-    /// Per query (global registration order): distributed or pinned.
-    distributed: Vec<bool>,
-    /// Local → global query-index tables for emission remapping: all data
-    /// workers share one table (they run the same queries in the same
-    /// local order); the pinned worker has its own.
-    data_l2g: Vec<u32>,
-    pinned_l2g: Vec<u32>,
-    /// Router-level per-stream monotonicity clocks, mirroring
-    /// [`Engine`]'s: a data worker only sees a slice of the stream, so
-    /// its own clocks cannot catch every regression the single-engine
-    /// reference would reject.
-    clocks: HashMap<Option<String>, Timestamp>,
-    /// Latched after a worker panic: every subsequent ingest is rejected
-    /// with [`POISONED_MSG`] (a panicking worker may have lost in-flight
-    /// state, so byte-identity can no longer be promised).
-    poisoned: bool,
-}
-
-impl PartitionState {
-    /// Decide a query's disposition and commit its routing-key claims.
-    ///
-    /// A query is **pinned** when it consumes a derived stream (`FROM` —
-    /// derived events are re-ingested inside the producing engine only),
-    /// produces one (`INTO` — its consumers must see every derived
-    /// event), or calls a non-stdlib host function (a stateful function
-    /// must see its calls in single-engine order). Otherwise it is
-    /// distributed iff one of its [`QueryPlan::routing_keys`] is
-    /// compatible with the claims committed so far: every event type the
-    /// query reacts to must either be unclaimed or already claimed with
-    /// the same key attribute — the router extracts one key per event,
-    /// so two queries asking different attributes of one type cannot
-    /// both distribute.
-    fn claim(&mut self, meta: &QueryMeta, plan: &QueryPlan) -> bool {
-        if meta.from.is_some() || meta.into.is_some() || !meta.funcs.is_empty() {
-            return false;
-        }
-        'candidate: for rk in &plan.routing_keys {
-            if rk.per_type.is_empty() {
-                continue;
-            }
-            for tk in &rk.per_type {
-                if let Some(Some(existing)) = self.claims.get(tk.type_id.0 as usize) {
-                    if existing.attr_lc != tk.attr_lc {
-                        continue 'candidate;
-                    }
-                }
-            }
-            for tk in &rk.per_type {
-                let idx = tk.type_id.0 as usize;
-                if idx >= self.claims.len() {
-                    self.claims.resize_with(idx + 1, || None);
-                }
-                if self.claims[idx].is_none() {
-                    self.claims[idx] = Some(tk.clone());
-                }
-            }
-            return true;
-        }
-        false
+    /// Whether a query with these facts must share a worker with `other`.
+    fn linked(&self, other: &QueryMeta) -> bool {
+        (self.from.is_some() && other.into == self.from)
+            || (self.into.is_some() && (other.into == self.into || other.from == self.into))
+            || other.funcs.iter().any(|f| self.funcs.contains(f))
     }
+}
+
+/// The workers hosting a query.
+#[derive(Debug, Clone, Copy)]
+enum Host {
+    /// One worker runs the query over every event it is sent.
+    One(usize),
+    /// Every data worker runs a copy of the query over its key slice of
+    /// the stream ([`ShardingMode::ByPartitionKey`]).
+    Data,
+}
+
+/// One worker's share of a batch.
+struct SubBatch {
+    worker: usize,
+    events: Arc<Vec<Event>>,
+    /// For a key slice, the batch index of each event; `None` when the
+    /// worker gets the whole valid prefix, whose indices are already the
+    /// batch's.
+    map: Option<Vec<u32>>,
 }
 
 /// Field-wise sum of two [`RuntimeStats`] (for aggregating a distributed
@@ -664,9 +470,9 @@ impl ShardWorker {
                 match cmd {
                     ShardCmd::Batch { stream, events } => {
                         // Panic isolation: a panicking shard engine becomes
-                        // an error result, exactly like the former scoped
-                        // per-batch threads; the worker (and so snapshot /
-                        // stats / restore) stays alive.
+                        // an error result (which poisons the deployment);
+                        // the worker (and so snapshot / stats / restore)
+                        // stays alive.
                         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             engine.process_batch_tagged(stream.as_deref(), &events)
                         }))
@@ -725,46 +531,72 @@ impl Drop for ShardWorker {
     }
 }
 
-/// N engine workers over a partition of the registered queries.
+/// N engine workers over a placement of the registered queries.
 ///
-/// [`ShardedEngine::process_batch`] broadcasts each batch to every shard in
-/// parallel, collects provenance-tagged emissions
-/// ([`sase_core::engine::Emission`]), remaps their per-shard query indices
-/// to the global registration order, and merges on
+/// Every query is hosted by one worker or, in
+/// [`ShardingMode::ByPartitionKey`] mode, by every data worker; each
+/// worker keeps its own local → global query-index table. Each engine
+/// lives on a **persistent worker thread** fed through a command channel
+/// (`ShardWorker`); a batch costs two channel hops per worker it reaches.
+///
+/// [`ShardedEngine::process_batch`] runs one router in both modes: it
+/// checks the batch against per-stream clocks the way one engine would,
+/// cuts it at the first regression, and gives the valid prefix to every
+/// worker hosting a query — except that `ByPartitionKey` data workers get
+/// only the events whose key hashes to them. One dispatch loop then
+/// collects the provenance-tagged emissions
+/// ([`sase_core::engine::Emission`]), remaps their per-worker indices to
+/// the batch and to the global registration order, and merges on
 /// [`Emission::order_key`] — reproducing, deterministically and byte for
-/// byte, the output sequence of one engine running all the queries.
-///
-/// Each shard's engine lives on a **persistent worker thread** fed through
-/// a command channel (`ShardWorker`); a batch costs two channel hops per
-/// shard instead of a thread spawn/join. A deployment built with one shard
-/// keeps its engine inline and pays no thread or merge overhead at all.
+/// byte, the output sequence of one engine running all the queries. A
+/// worker panic poisons the deployment in either mode.
 pub struct ShardedEngine {
-    /// The single-shard fast path: the engine runs on the caller's thread.
-    inline: Option<Engine>,
-    /// Multi-shard deployments: one persistent worker per shard.
+    /// One persistent worker per engine: the data workers first, then (in
+    /// [`ShardingMode::ByPartitionKey`] mode) the pinned worker.
     workers: Vec<ShardWorker>,
+    /// Per worker: local query index -> global registration index.
+    l2g: Vec<Vec<u32>>,
+    mode: ShardingMode,
+    /// Number of data workers: all of them in [`ShardingMode::ByQuery`]
+    /// mode, all but the pinned last one in
+    /// [`ShardingMode::ByPartitionKey`] mode.
+    data: usize,
     /// The shared schema registry (every shard holds a handle to it).
     registry: SchemaRegistry,
     /// The shared function registry, kept so queries can be planned (and
     /// placed) after the deployment is built.
     functions: FunctionRegistry,
     /// Time scale for WITHIN conversion in post-build registrations.
-    time_scale: Option<TimeScale>,
-    /// Per shard: local query index -> global registration index.
-    local_to_global: Vec<Vec<u32>>,
+    time_scale: TimeScale,
     /// Query names in global registration order.
     names: Vec<String>,
     /// Co-location facts per query, aligned with `names`.
     meta: Vec<QueryMeta>,
+    /// The workers hosting each query, aligned with `names`.
+    hosts: Vec<Host>,
     /// Co-location components created so far (monotone): post-build
     /// registrations of unconstrained queries continue the builder's
     /// round-robin component → shard assignment, so replaying the same
     /// registration sequence always reproduces the same partitioning
     /// (the property snapshot/restore depends on).
     components: usize,
-    /// Data-parallel router state; `Some` iff the deployment was built
-    /// with [`ShardingMode::ByPartitionKey`].
-    partition: Option<Box<PartitionState>>,
+    /// [`ShardingMode::ByPartitionKey`]: per event type (indexed by
+    /// `EventTypeId.0`), the accessor that extracts the routing key from
+    /// events of that type. **Sticky**: a claim survives unregistering the
+    /// query that made it, so replaying the same registration sequence
+    /// after a crash reproduces the same event → worker routing (the
+    /// property restore depends on). A query re-registered after an
+    /// unregister may therefore end up pinned where a fresh build would
+    /// distribute it.
+    claims: Vec<Option<TypeKeyAccess>>,
+    /// Router-level per-stream monotonicity clocks, mirroring
+    /// [`Engine`]'s: a worker sees only the batches (or key slices) it is
+    /// sent, so its own clocks cannot catch every regression the single
+    /// engine would reject.
+    clocks: HashMap<Option<String>, Timestamp>,
+    /// Latched after a worker panic: every subsequent ingest is rejected
+    /// with [`POISONED_MSG`] until a restore.
+    poisoned: bool,
     /// Deployment-level router metrics; `Some` iff the deployment was
     /// built with [`ShardedEngineBuilder::set_metrics`] on.
     metrics: Option<ShardMetrics>,
@@ -778,11 +610,7 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Number of engine workers.
     pub fn shard_count(&self) -> usize {
-        if self.inline.is_some() {
-            1
-        } else {
-            self.workers.len()
-        }
+        self.workers.len()
     }
 
     /// Query names in global registration order.
@@ -792,18 +620,20 @@ impl ShardedEngine {
 
     /// Register a continuous query on a live deployment.
     ///
-    /// Placement follows the builder's co-location rules: a query that
-    /// consumes a stream some registered query produces (`FROM` ↔ `INTO`),
-    /// produces a stream another query produces or consumes, or shares a
-    /// non-stdlib host function with a registered query is placed on that
-    /// query's shard. An unconstrained query starts a new co-location
-    /// component and continues the builder's round-robin component →
-    /// shard assignment, so replaying the same registration sequence
-    /// (build-time and post-build calls, in order) always reproduces the
-    /// same partitioning — which is what lets a checkpointed deployment
-    /// be rebuilt and restored. If the rules demand co-location with
-    /// queries on *different* shards, registration fails — rebuild the
-    /// deployment through [`ShardedEngineBuilder`] to repartition.
+    /// In [`ShardingMode::ByQuery`] mode placement follows the builder's
+    /// co-location rules: a query that consumes a stream some registered
+    /// query produces (`FROM` ↔ `INTO`), produces a stream another query
+    /// produces or consumes, or shares a non-stdlib host function with a
+    /// registered query is placed on that query's shard. An unconstrained
+    /// query starts a new co-location component and continues the
+    /// builder's round-robin component → shard assignment, so replaying
+    /// the same registration sequence (build-time and post-build calls, in
+    /// order) always reproduces the same partitioning — which is what lets
+    /// a checkpointed deployment be rebuilt and restored. If the rules
+    /// demand co-location with queries on *different* shards, registration
+    /// fails — rebuild the deployment through [`ShardedEngineBuilder`] to
+    /// repartition. In [`ShardingMode::ByPartitionKey`] mode the query is
+    /// distributed or pinned exactly as at build time.
     pub fn register(&mut self, name: &str, src: &str) -> CoreResult<()> {
         if self.names.iter().any(|n| n == name) {
             return Err(SaseError::registration(
@@ -812,55 +642,23 @@ impl ShardedEngine {
                 "a query with this name is already registered",
             ));
         }
-        let query =
-            parse_query(src).map_err(|e| SaseError::registration(name, None, e.to_string()))?;
-        if let Some(m) = &self.metrics {
-            // Post-build registrations count their diagnostics straight
-            // into the deployment registry (the builder path accumulates
-            // and transfers at `build`).
-            for d in analyze::analyze_with(
-                &query,
-                &self.registry,
-                &self.functions,
-                self.time_scale.unwrap_or_default(),
-            ) {
-                m.diagnostics[severity_index(d.severity)].inc();
-            }
-        }
-        let mut planner = Planner::new(self.registry.clone(), self.functions.clone());
-        if let Some(scale) = self.time_scale {
-            planner = planner.with_time_scale(scale);
-        }
-        let plan = planner.plan(&query).map_err(|e| {
-            registration_error(
-                name,
-                &query,
-                &self.registry,
-                &self.functions,
-                self.time_scale,
-                e,
-            )
-        })?;
+        // Post-build registrations count their diagnostics straight into
+        // the deployment registry.
+        let count = self
+            .metrics
+            .as_ref()
+            .map(|m| |d: &Diagnostic| m.diagnostics[d.severity as usize].inc());
+        let plan = compile_query(
+            name,
+            src,
+            &self.registry,
+            &self.functions,
+            self.time_scale,
+            count,
+        )?;
         let meta = QueryMeta::of(&plan);
-        if self.partition.is_some() {
-            return self.register_partitioned(name, plan, meta);
-        }
-        let placed = self.place(&meta, name)?;
-        let shard = placed.unwrap_or(self.components % self.shard_count());
-        match &mut self.inline {
-            Some(engine) => engine.install(name, plan)?,
-            None => {
-                let n = name.to_string();
-                self.workers[shard].call(move |engine| engine.install(&n, plan))??;
-            }
-        }
-        if placed.is_none() {
-            self.components += 1;
-        }
-        self.local_to_global[shard].push(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.meta.push(meta);
-        Ok(())
+        let host = self.place(name, &meta, &plan)?;
+        self.host(name, plan, meta, host)
     }
 
     /// Statically analyze query text against this deployment — its
@@ -879,29 +677,34 @@ impl ShardedEngine {
             src,
             &self.registry,
             &self.functions,
-            self.time_scale.unwrap_or_default(),
+            self.time_scale,
             &existing,
         )
     }
 
-    /// The shard a new query's co-location links pin it to (`None` when
-    /// unconstrained); an error when the links span two shards.
-    fn place(&self, meta: &QueryMeta, name: &str) -> CoreResult<Option<usize>> {
+    /// Decide where a new query runs. [`ShardingMode::ByPartitionKey`]
+    /// distributes it when [`ShardedEngine::claim`] succeeds and pins it
+    /// otherwise. [`ShardingMode::ByQuery`] puts it on the shard its
+    /// co-location links tie it to, or — unconstrained — starts a new
+    /// component on the next shard round-robin; links to two different
+    /// shards are an error.
+    fn place(&mut self, name: &str, meta: &QueryMeta, plan: &QueryPlan) -> CoreResult<Host> {
+        if self.mode == ShardingMode::ByPartitionKey {
+            return Ok(if self.claim(meta, plan) {
+                Host::Data
+            } else {
+                Host::One(self.data)
+            });
+        }
         let mut constrained: Option<usize> = None;
-        for (global, m) in self.meta.iter().enumerate() {
-            let linked = (meta.from.is_some() && m.into == meta.from)
-                || (meta.into.is_some() && (m.into == meta.into || m.from == meta.into))
-                || m.funcs.iter().any(|f| meta.funcs.contains(f));
-            if !linked {
+        for (m, &host) in self.meta.iter().zip(&self.hosts) {
+            // ByQuery hosts every query on exactly one worker.
+            let Host::One(shard) = host else { continue };
+            if !meta.linked(m) {
                 continue;
             }
-            let shard = self
-                .shard_of_global(global as u32)
-                .expect("registered queries have a shard");
             match constrained {
-                None => constrained = Some(shard),
-                Some(s) if s == shard => {}
-                Some(s) => {
+                Some(s) if s != shard => {
                     return Err(SaseError::registration(
                         name,
                         None,
@@ -911,116 +714,114 @@ impl ShardedEngine {
                         ),
                     ))
                 }
+                _ => constrained = Some(shard),
             }
         }
-        Ok(constrained)
+        let shard = constrained.unwrap_or_else(|| {
+            self.components += 1;
+            (self.components - 1) % self.workers.len()
+        });
+        Ok(Host::One(shard))
     }
 
-    /// Post-build registration in [`ShardingMode::ByPartitionKey`] mode:
-    /// decide the disposition (see [`PartitionState::claim`]), install on
-    /// every data worker or on the pinned worker, extend the bookkeeping.
-    fn register_partitioned(
-        &mut self,
-        name: &str,
-        plan: QueryPlan,
-        meta: QueryMeta,
-    ) -> CoreResult<()> {
-        let st = self.partition.as_mut().expect("partition mode");
-        let dist = st.claim(&meta, &plan);
-        let data = st.data;
-        if dist {
-            for w in &self.workers[..data] {
-                let n = name.to_string();
-                let p = plan.clone();
-                w.call(move |engine| engine.install(&n, p))??;
+    /// Commit a query's routing-key claims if it can be distributed
+    /// ([`ShardingMode::ByPartitionKey`]).
+    ///
+    /// A query is **pinned** when it consumes a derived stream (`FROM` —
+    /// derived events are re-ingested inside the producing engine only),
+    /// produces one (`INTO` — its consumers must see every derived
+    /// event), or calls a non-stdlib host function (a stateful function
+    /// must see its calls in single-engine order). Otherwise it is
+    /// distributed iff one of its [`QueryPlan::routing_keys`] is
+    /// compatible with the claims committed so far: every event type the
+    /// query reacts to must either be unclaimed or already claimed with
+    /// the same key attribute — the router extracts one key per event,
+    /// so two queries asking different attributes of one type cannot
+    /// both distribute.
+    fn claim(&mut self, meta: &QueryMeta, plan: &QueryPlan) -> bool {
+        if meta.from.is_some() || meta.into.is_some() || !meta.funcs.is_empty() {
+            return false;
+        }
+        let claims = &mut self.claims;
+        let fits = |tk: &TypeKeyAccess| match claims.get(tk.type_id.0 as usize) {
+            Some(Some(existing)) => existing.attr_lc == tk.attr_lc,
+            _ => true,
+        };
+        let Some(rk) = plan
+            .routing_keys
+            .iter()
+            .find(|rk| !rk.per_type.is_empty() && rk.per_type.iter().all(fits))
+        else {
+            return false;
+        };
+        for tk in &rk.per_type {
+            let idx = tk.type_id.0 as usize;
+            if idx >= claims.len() {
+                claims.resize_with(idx + 1, || None);
             }
-        } else {
-            let n = name.to_string();
-            self.workers[data].call(move |engine| engine.install(&n, plan))??;
+            claims[idx].get_or_insert_with(|| tk.clone());
+        }
+        true
+    }
+
+    /// The workers hosting a query.
+    fn workers_of(&self, host: Host) -> Range<usize> {
+        match host {
+            Host::One(w) => w..w + 1,
+            Host::Data => 0..self.data,
+        }
+    }
+
+    /// Global registration index of a query.
+    fn global(&self, name: &str) -> CoreResult<usize> {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))
+    }
+
+    /// Install a query on its hosting workers and record it in the host
+    /// table — the one path of build-time and post-build registration.
+    fn host(&mut self, name: &str, plan: QueryPlan, meta: QueryMeta, host: Host) -> CoreResult<()> {
+        let workers = self.workers_of(host);
+        for w in workers.clone() {
+            let (n, p) = (name.to_string(), plan.clone());
+            self.workers[w].call(move |engine| engine.install(&n, p))??;
         }
         let global = self.names.len() as u32;
-        let st = self.partition.as_mut().expect("partition mode");
-        if dist {
-            st.data_l2g.push(global);
-        } else {
-            st.pinned_l2g.push(global);
+        for table in &mut self.l2g[workers] {
+            table.push(global);
         }
-        st.distributed.push(dist);
         self.names.push(name.to_string());
         self.meta.push(meta);
+        self.hosts.push(host);
         Ok(())
     }
 
-    /// Delete a query in [`ShardingMode::ByPartitionKey`] mode. The
-    /// routing-key claims it committed stay in place (see
-    /// [`PartitionState::claims`]).
-    fn unregister_partitioned(&mut self, name: &str) -> bool {
-        let Some(global) = self.names.iter().position(|n| n == name) else {
-            return false;
-        };
-        let st = self.partition.as_ref().expect("partition mode");
-        let dist = st.distributed[global];
-        let data = st.data;
-        let removed = if dist {
-            let mut all = true;
-            for w in &self.workers[..data] {
-                let n = name.to_string();
-                all &= w.call(move |engine| engine.unregister(&n)).unwrap_or(false);
-            }
-            all
-        } else {
-            let n = name.to_string();
-            self.workers[data]
-                .call(move |engine| engine.unregister(&n))
-                .unwrap_or(false)
-        };
-        if !removed {
-            return false;
-        }
-        let g = global as u32;
-        self.names.remove(global);
-        self.meta.remove(global);
-        let st = self.partition.as_mut().expect("partition mode");
-        st.distributed.remove(global);
-        for table in [&mut st.data_l2g, &mut st.pinned_l2g] {
-            table.retain(|&x| x != g);
-            for x in table.iter_mut() {
-                if *x > g {
-                    *x -= 1;
-                }
-            }
-        }
-        true
-    }
-
     /// Delete a query, wherever it is hosted. Returns true if it existed.
+    /// In [`ShardingMode::ByPartitionKey`] mode the routing-key claims it
+    /// committed stay in place, so replaying the same registration sequence
+    /// reproduces the same event → worker routing.
     pub fn unregister(&mut self, name: &str) -> bool {
-        if self.partition.is_some() {
-            return self.unregister_partitioned(name);
-        }
-        let Some(global) = self.names.iter().position(|n| n == name) else {
+        let Ok(global) = self.global(name) else {
             return false;
         };
-        let g = global as u32;
-        let shard = self
-            .shard_of_global(g)
-            .expect("registered queries have a shard");
-        let removed = match &mut self.inline {
-            Some(engine) => engine.unregister(name),
-            None => {
-                let n = name.to_string();
-                self.workers[shard]
-                    .call(move |engine| engine.unregister(&n))
-                    .unwrap_or(false)
-            }
-        };
+        let mut removed = true;
+        for w in self.workers_of(self.hosts[global]) {
+            let n = name.to_string();
+            removed &= self.workers[w]
+                .call(move |engine| engine.unregister(&n))
+                .unwrap_or(false);
+        }
         if !removed {
             return false;
         }
         self.names.remove(global);
         self.meta.remove(global);
+        self.hosts.remove(global);
         // Renumber the global registration indices past the removed one.
-        for table in &mut self.local_to_global {
+        let g = global as u32;
+        for table in &mut self.l2g {
             table.retain(|&x| x != g);
             for x in table.iter_mut() {
                 if *x > g {
@@ -1031,72 +832,37 @@ impl ShardedEngine {
         true
     }
 
-    /// Attach an output sink to a query, wherever it is hosted. Sinks of
-    /// queries on worker shards fire on the worker's thread. In
-    /// [`ShardingMode::ByPartitionKey`] mode a distributed query's sink is
-    /// shared by every data worker behind a mutex: it sees every output,
-    /// but cross-worker delivery order is unspecified (per-worker order is
-    /// preserved).
+    /// Attach an output sink to a query, wherever it is hosted. Sinks fire
+    /// on the hosting worker's thread. A query with several hosts (a
+    /// distributed [`ShardingMode::ByPartitionKey`] query) shares one sink
+    /// behind a mutex: it sees every output, but cross-worker delivery
+    /// order is unspecified (per-worker order is preserved).
     pub fn add_sink(&mut self, name: &str, sink: Sink) -> CoreResult<()> {
-        if let Some(st) = &self.partition {
-            let global = self
-                .names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))?;
-            if st.distributed[global] {
-                let shared = Arc::new(Mutex::new(sink));
-                for w in &self.workers[..st.data] {
-                    let n = name.to_string();
-                    let s = shared.clone();
-                    w.call(move |engine| {
-                        engine.add_sink(
-                            &n,
-                            Box::new(move |ce| {
-                                let mut sink = s.lock().expect("sink lock");
-                                sink(ce);
-                            }),
-                        )
-                    })??;
-                }
-                return Ok(());
-            }
+        let workers = self.workers_of(self.hosts[self.global(name)?]);
+        if workers.len() == 1 {
+            let n = name.to_string();
+            return self.workers[workers.start].call(move |engine| engine.add_sink(&n, sink))?;
         }
-        let shard = self
-            .shard_of(name)
-            .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))?;
-        match &mut self.inline {
-            Some(engine) => engine.add_sink(name, sink),
-            None => {
-                let name = name.to_string();
-                self.workers[shard].call(move |engine| engine.add_sink(&name, sink))?
-            }
+        let shared = Arc::new(Mutex::new(sink));
+        for w in workers {
+            let (n, s) = (name.to_string(), shared.clone());
+            let sink: Sink = Box::new(move |ce| s.lock().expect("sink lock")(ce));
+            self.workers[w].call(move |engine| engine.add_sink(&n, sink))??;
         }
+        Ok(())
     }
 
-    /// Runtime counters of a query, wherever it is hosted. A distributed
-    /// query's counters ([`ShardingMode::ByPartitionKey`]) are summed
-    /// field-wise across the data workers; `partial_runs_peak` becomes an
-    /// upper bound on the deployment-wide peak (per-worker peaks need not
-    /// coincide in time).
+    /// Runtime counters of a query, summed field-wise over its hosting
+    /// workers; for a query with several hosts `partial_runs_peak` becomes
+    /// an upper bound on the deployment-wide peak (per-worker peaks need
+    /// not coincide in time).
     pub fn stats(&self, name: &str) -> CoreResult<RuntimeStats> {
-        if let Some(st) = &self.partition {
-            let global = self
-                .names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))?;
-            if st.distributed[global] {
-                let mut total = RuntimeStats::default();
-                for w in &self.workers[..st.data] {
-                    let n = name.to_string();
-                    let s = w.call(move |engine| engine.stats(&n))??;
-                    add_stats(&mut total, &s);
-                }
-                return Ok(total);
-            }
+        let mut total = RuntimeStats::default();
+        for w in self.workers_of(self.hosts[self.global(name)?]) {
+            let n = name.to_string();
+            add_stats(&mut total, &self.workers[w].call(move |e| e.stats(&n))??);
         }
-        self.query_call(name, |engine, name| engine.stats(name))
+        Ok(total)
     }
 
     /// EXPLAIN output of a query's plan, wherever it is hosted.
@@ -1109,32 +875,16 @@ impl ShardedEngine {
         self.query_call(name, |engine, name| engine.query_text(name))
     }
 
-    /// Run a read-only per-query accessor on the engine hosting `name`.
+    /// Run a read-only per-query accessor on the first worker hosting
+    /// `name` (every host holds an identical copy of the plan).
     fn query_call<R, F>(&self, name: &str, f: F) -> CoreResult<R>
     where
         R: Send + 'static,
         F: FnOnce(&Engine, &str) -> CoreResult<R> + Send + 'static,
     {
-        if let Some(st) = &self.partition {
-            let global = self
-                .names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))?;
-            // Every data worker holds an identical copy of a distributed
-            // query's plan; worker 0 answers for all of them.
-            let w = if st.distributed[global] { 0 } else { st.data };
-            let name = name.to_string();
-            return self.workers[w].call(move |engine| f(engine, &name))?;
-        }
-        let shard = self
-            .shard_of(name)
-            .ok_or_else(|| SaseError::engine(format!("no query named `{name}`")))?;
-        if let Some(engine) = &self.inline {
-            return f(engine, name);
-        }
+        let w = self.workers_of(self.hosts[self.global(name)?]).start;
         let name = name.to_string();
-        self.workers[shard].call(move |engine| f(engine, &name))?
+        self.workers[w].call(move |engine| f(engine, &name))?
     }
 
     /// The shared schema registry (all shards hold handles to one
@@ -1149,10 +899,6 @@ impl ShardedEngine {
     /// spans inside the workers). Worker spans fire on the worker threads.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.clone();
-        if let Some(engine) = &mut self.inline {
-            engine.set_tracer(tracer);
-            return;
-        }
         for w in &self.workers {
             let t = tracer.clone();
             let _ = w.call(move |engine| engine.set_tracer(t));
@@ -1178,11 +924,6 @@ impl ShardedEngine {
         if let Some(m) = &self.metrics {
             parts.push(m.registry.snapshot());
         }
-        if let Some(engine) = &self.inline {
-            if let Some(r) = engine.metrics_registry() {
-                parts.push(r.snapshot());
-            }
-        }
         for w in &self.workers {
             if let Ok(Some(snap)) = w.call(|engine| engine.metrics_registry().map(|r| r.snapshot()))
             {
@@ -1191,14 +932,10 @@ impl ShardedEngine {
         }
         let mut snap = MetricsSnapshot::merged(parts);
         if let Some(m) = &self.metrics {
-            // Imbalance over the shards that share routed work: the data
-            // workers in ByPartitionKey mode, every shard in ByQuery mode.
-            let data = self
-                .partition
-                .as_ref()
-                .map(|st| st.data)
-                .unwrap_or(m.events_routed.len());
-            let routed: Vec<u64> = m.events_routed[..data].iter().map(|c| c.get()).collect();
+            let routed: Vec<u64> = m.events_routed[..self.data]
+                .iter()
+                .map(|c| c.get())
+                .collect();
             let total: u64 = routed.iter().sum();
             if total > 0 {
                 let mean = total as f64 / routed.len() as f64;
@@ -1228,9 +965,6 @@ impl ShardedEngine {
     /// assignment — this makes a sharded deployment checkpointable:
     /// rebuild it the same way, then restore the snapshot set.
     pub fn snapshot(&self) -> SnapshotSet {
-        if let Some(engine) = &self.inline {
-            return SnapshotSet::single(engine.snapshot());
-        }
         let mut set = SnapshotSet {
             engines: self
                 .workers
@@ -1238,34 +972,32 @@ impl ShardedEngine {
                 .map(|w| {
                     // Workers isolate engine panics (batch errors leave
                     // them alive and snapshotable); this can only fail if
-                    // `Engine::snapshot` itself panics, which propagates
-                    // just as it did when the engines lived inline.
+                    // `Engine::snapshot` itself panics.
                     w.call(|engine| engine.snapshot())
                         .expect("shard workers survive batch errors")
                 })
                 .collect(),
         };
-        if let Some(st) = &self.partition {
-            // The pinned worker is skipped entirely while it hosts no
-            // queries, so its own clocks may lag the router's. Overlay
-            // the authoritative router clocks onto the pinned slot —
-            // `restore` rebuilds the router clocks from there. `max`
-            // keeps derived-stream entries the pinned engine minted
-            // itself; sorting makes snapshot bytes deterministic.
-            let snap = &mut set.engines[st.data];
-            for (stream, ts) in &st.clocks {
-                match snap.stream_clocks.iter_mut().find(|(s, _)| s == stream) {
-                    Some((_, t)) => *t = (*t).max(*ts),
-                    None => snap.stream_clocks.push((stream.clone(), *ts)),
-                }
+        // A worker hosting no queries is skipped entirely, so its own
+        // clocks may lag the router's. Overlay the authoritative router
+        // clocks onto the last slot — `restore` rebuilds the router clocks
+        // from the slots. `max` keeps derived-stream entries the engine
+        // minted itself; sorting makes snapshot bytes deterministic.
+        let snap = set.engines.last_mut().expect("at least one worker");
+        for (stream, ts) in &self.clocks {
+            match snap.stream_clocks.iter_mut().find(|(s, _)| s == stream) {
+                Some((_, t)) => *t = (*t).max(*ts),
+                None => snap.stream_clocks.push((stream.clone(), *ts)),
             }
-            snap.stream_clocks.sort();
         }
+        snap.stream_clocks.sort();
         set
     }
 
     /// Restore a snapshot set (one engine snapshot per shard, in shard
     /// order) onto a freshly rebuilt deployment with the same queries.
+    /// The router clocks become the per-stream maximum over all slots,
+    /// and a poison latch clears (the restored state is consistent).
     pub fn restore(&mut self, snaps: &SnapshotSet) -> CoreResult<()> {
         if snaps.len() != self.shard_count() {
             return Err(SaseError::engine(format!(
@@ -1274,35 +1006,22 @@ impl ShardedEngine {
                 self.shard_count()
             )));
         }
-        if let Some(engine) = &mut self.inline {
-            return engine.restore(&snaps.engines[0]);
-        }
         for (worker, snap) in self.workers.iter().zip(&snaps.engines) {
             let snap = snap.clone();
             worker.call(move |engine| engine.restore(&snap))??;
         }
-        if let Some(st) = &mut self.partition {
-            // `snapshot()` overlays the authoritative router clocks onto
-            // the pinned slot, so that slot always carries the complete
-            // stream clocks; restoring also clears a poison latch (the
-            // restored state is consistent).
-            st.clocks = snaps.engines[st.data]
-                .stream_clocks
-                .iter()
-                .cloned()
-                .collect();
-            st.poisoned = false;
+        self.clocks.clear();
+        for (stream, ts) in snaps.engines.iter().flat_map(|s| &s.stream_clocks) {
+            let clock = self.clocks.entry(stream.clone()).or_insert(*ts);
+            *clock = (*clock).max(*ts);
         }
+        self.poisoned = false;
         Ok(())
     }
 
     /// The deployment's sharding mode.
     pub fn sharding_mode(&self) -> ShardingMode {
-        if self.partition.is_some() {
-            ShardingMode::ByPartitionKey
-        } else {
-            ShardingMode::ByQuery
-        }
+        self.mode
     }
 
     /// Shard index hosting a query, for inspection. In
@@ -1310,21 +1029,10 @@ impl ShardedEngine {
     /// every data worker, so it has no single hosting shard (`None`);
     /// pinned queries report the designated pinned worker's index.
     pub fn shard_of(&self, name: &str) -> Option<usize> {
-        let global = self.names.iter().position(|n| n == name)? as u32;
-        self.shard_of_global(global)
-    }
-
-    fn shard_of_global(&self, global: u32) -> Option<usize> {
-        if let Some(st) = &self.partition {
-            return if st.distributed[global as usize] {
-                None
-            } else {
-                Some(st.data)
-            };
+        match self.hosts[self.global(name).ok()?] {
+            Host::One(w) => Some(w),
+            Host::Data => None,
         }
-        self.local_to_global
-            .iter()
-            .position(|t| t.contains(&global))
     }
 
     /// Process a batch of events on the default input stream.
@@ -1339,10 +1047,6 @@ impl ShardedEngine {
         stream: Option<&str>,
         events: &[Event],
     ) -> CoreResult<Vec<ComplexEvent>> {
-        if let Some(engine) = &mut self.inline {
-            // Single shard: skip the tagging/merge machinery entirely.
-            return engine.process_batch_on(stream, events);
-        }
         Ok(self
             .process_batch_tagged(stream, events)?
             .into_iter()
@@ -1362,136 +1066,45 @@ impl ShardedEngine {
     ) -> CoreResult<Vec<Emission>> {
         let seq = self.batch_seq;
         self.batch_seq = self.batch_seq.wrapping_add(1);
-        if let Some(engine) = &mut self.inline {
-            let span = self
-                .tracer
-                .begin(TraceKind::ShardDispatch, seq, events.len() as u64);
-            if let Some(m) = &self.metrics {
-                m.dispatched(0, events.len());
-            }
-            let out = engine.process_batch_tagged(stream, events);
-            if let Some(m) = &self.metrics {
-                m.drained(0);
-            }
-            if let Some(span) = span {
-                self.tracer
-                    .end(span, out.as_ref().map(|v| v.len() as u64).unwrap_or(0));
-            }
-            return out;
-        }
-        if self.partition.is_some() {
-            return self.process_batch_partitioned(stream, events, seq);
+        if self.poisoned {
+            return Err(SaseError::engine(POISONED_MSG));
         }
         let span = self
             .tracer
             .begin(TraceKind::ShardDispatch, seq, events.len() as u64);
-        // One shared copy of the batch; events are cheap `Arc` handles.
-        // Shards hosting no queries are skipped entirely — a deployment
-        // with more shards than queries pays nothing for the idle workers.
-        // (With no queries anywhere, every shard still sees the batch so
-        // the engine-level stream-clock validation keeps running.)
-        let shared = Arc::new(events.to_vec());
-        let any_populated = self.local_to_global.iter().any(|t| !t.is_empty());
-        let mut dispatched: Vec<usize> = Vec::with_capacity(self.workers.len());
-        let mut send_err: Option<SaseError> = None;
-        for (shard, worker) in self.workers.iter().enumerate() {
-            if any_populated && self.local_to_global[shard].is_empty() {
-                continue;
-            }
-            match worker.send(ShardCmd::Batch {
-                stream: stream.map(str::to_string),
-                events: shared.clone(),
-            }) {
-                Ok(()) => {
-                    if let Some(m) = &self.metrics {
-                        m.dispatched(shard, events.len());
-                    }
-                    dispatched.push(shard);
-                }
-                Err(e) => {
-                    send_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Drain exactly one result from every worker that received the
-        // batch — even on error — so the persistent result channels never
-        // desync: a leftover result would be merged into the *next* batch.
-        let mut results: Vec<(usize, CoreResult<Vec<Emission>>)> =
-            Vec::with_capacity(dispatched.len());
-        for &shard in &dispatched {
-            results.push((
-                shard,
-                self.workers[shard]
-                    .batch_rx
-                    .recv()
-                    .map_err(|_| SaseError::engine("engine shard worker disconnected"))
-                    .and_then(|r| r),
-            ));
-            if let Some(m) = &self.metrics {
-                m.drained(shard);
-            }
-        }
-        if let Some(e) = send_err {
+        // On a clock regression the valid prefix is still dispatched (the
+        // single engine has processed those events by the time it errors,
+        // and later batches must observe the same state); the clock error
+        // comes after any worker error, whose event came earlier.
+        let (subs, clock_err) = self.route(stream, events);
+        let merged = self.dispatch(stream, subs)?;
+        if let Some(e) = clock_err {
             return Err(e);
         }
-        let mut merged: Vec<Emission> = Vec::new();
-        for (shard, result) in results {
-            let table = &self.local_to_global[shard];
-            for mut emission in result? {
-                for hop in &mut emission.path {
-                    hop.0 = table[hop.0 as usize];
-                }
-                merged.push(emission);
-            }
-        }
-        merged.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
         if let Some(span) = span {
             self.tracer.end(span, merged.len() as u64);
         }
         Ok(merged)
     }
 
-    /// Data-parallel ingest ([`ShardingMode::ByPartitionKey`]): route each
-    /// event to a data worker by hashing its claimed partition-key value,
-    /// ship the whole batch to the pinned worker, then merge the tagged
-    /// emissions on their provenance order keys — byte-identical to one
-    /// engine running all the queries.
-    fn process_batch_partitioned(
+    /// The router: advance the stream's clock over the batch, cutting it at
+    /// the first regression exactly like [`Engine`] does, then split the
+    /// valid prefix. Every worker hosting a query gets the whole prefix,
+    /// except [`ShardingMode::ByPartitionKey`] data workers: each gets the
+    /// events whose claimed key hashes to it. Workers hosting no query are
+    /// skipped — there is nothing they could emit.
+    fn route(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-        seq: u64,
-    ) -> CoreResult<Vec<Emission>> {
-        let span = self
-            .tracer
-            .begin(TraceKind::ShardDispatch, seq, events.len() as u64);
-        let st: &mut PartitionState = self.partition.as_mut().expect("partition mode");
-        if st.poisoned {
-            return Err(SaseError::engine(POISONED_MSG));
-        }
-        if events.is_empty() {
-            return Ok(Vec::new());
-        }
-        let data = st.data;
+    ) -> (Vec<SubBatch>, Option<SaseError>) {
         let stream_key = stream.map(str::to_ascii_lowercase);
-        // Route the batch, enforcing per-stream monotonicity exactly like
-        // `Engine` does for input events — a data worker only sees a slice
-        // of the stream, so its own clocks cannot catch every regression
-        // the single-engine reference would reject. On a regression the
-        // valid prefix is still dispatched (the reference has processed
-        // those events by the time it errors, and subsequent batches must
-        // observe the same state) and the clock error returned afterwards.
-        let mut subs: Vec<Vec<Event>> = vec![Vec::new(); data];
-        let mut maps: Vec<Vec<u32>> = vec![Vec::new(); data];
+        // An absent entry starts at 0: timestamps are unsigned, so the
+        // first event always passes, exactly like `Engine`'s
+        // insert-on-first-sight.
+        let clock = self.clocks.entry(stream_key.clone()).or_insert(0);
         let mut cut = events.len();
-        let mut clock_err: Option<SaseError> = None;
-        // The whole batch targets one stream, so the clock entry is looked
-        // up once and the per-event check is a bare compare. An absent
-        // entry starts at 0: timestamps are unsigned, so the first event
-        // always passes, exactly like `Engine`'s insert-on-first-sight.
-        let route_distributed = stream_key.is_none() && !st.data_l2g.is_empty();
-        let clock = st.clocks.entry(stream_key.clone()).or_insert(0);
+        let mut clock_err = None;
         for (i, event) in events.iter().enumerate() {
             if event.timestamp() < *clock {
                 clock_err = Some(SaseError::engine(format!(
@@ -1504,145 +1117,130 @@ impl ShardedEngine {
                 break;
             }
             *clock = event.timestamp();
-            // Distributed queries listen on the default stream only (FROM
-            // consumers are pinned), so named-stream events route to the
-            // pinned worker alone.
-            if !route_distributed {
-                continue;
-            }
-            if let Some(Some(tk)) = st.claims.get(event.type_id().0 as usize) {
+        }
+        let prefix = &events[..cut];
+        let mut subs = Vec::new();
+        if prefix.is_empty() {
+            return (subs, clock_err);
+        }
+        let keyed = self.mode == ShardingMode::ByPartitionKey;
+        // Distributed queries listen on the default stream only (FROM
+        // consumers are pinned), so named-stream events skip the data
+        // workers.
+        if keyed && stream.is_none() && !self.l2g[0].is_empty() {
+            let mut slices = vec![(Vec::new(), Vec::new()); self.data];
+            for (i, event) in prefix.iter().enumerate() {
                 // Claimed accessors are statically resolved, so `key_of`
                 // is infallible for events of the claimed type; an event
                 // of an unclaimed type routes nowhere (no distributed
                 // query reacts to it).
-                if let Some(key) = tk.key_of(event) {
+                let claim = self.claims.get(event.type_id().0 as usize);
+                if let Some(key) = claim
+                    .and_then(Option::as_ref)
+                    .and_then(|tk| tk.key_of(event))
+                {
                     let mut h = FxHasher::default();
                     key.hash(&mut h);
-                    let shard = (h.finish() % data as u64) as usize;
-                    subs[shard].push(event.clone());
-                    maps[shard].push(i as u32);
+                    let (events, map) = &mut slices[(h.finish() % self.data as u64) as usize];
+                    events.push(event.clone());
+                    map.push(i as u32);
+                }
+            }
+            for (worker, (events, map)) in slices.into_iter().enumerate() {
+                if !events.is_empty() {
+                    let events = Arc::new(events);
+                    subs.push(SubBatch {
+                        worker,
+                        events,
+                        map: Some(map),
+                    });
                 }
             }
         }
-        // Dispatch: each data worker gets its slice; the pinned worker
-        // gets the whole valid prefix whenever it hosts at least one
-        // query. While it hosts none it is skipped entirely — there is
-        // nothing it could emit, and duplicating the stream into it would
-        // cost a full extra ingest pass. `snapshot()` overlays the router
-        // clocks onto the pinned slot, so recovery never depends on the
-        // pinned engine having seen every event.
-        let mut dispatched: Vec<usize> = Vec::new();
-        let mut send_err: Option<SaseError> = None;
-        for (w, sub) in subs.iter_mut().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let routed = sub.len();
-            match self.workers[w].send(ShardCmd::Batch {
-                stream: None,
-                events: Arc::new(std::mem::take(sub)),
-            }) {
-                Ok(()) => {
-                    if let Some(m) = &self.metrics {
-                        m.dispatched(w, routed);
-                    }
-                    dispatched.push(w);
-                }
-                Err(e) => {
-                    send_err = Some(e);
-                    break;
-                }
-            }
+        // One shared copy of the prefix; events are cheap `Arc` handles.
+        let mut shared: Option<Arc<Vec<Event>>> = None;
+        let whole = if keyed { self.data } else { 0 };
+        for worker in (whole..self.workers.len()).filter(|&w| !self.l2g[w].is_empty()) {
+            let events = shared.get_or_insert_with(|| Arc::new(prefix.to_vec()));
+            subs.push(SubBatch {
+                worker,
+                events: events.clone(),
+                map: None,
+            });
         }
-        if send_err.is_none() && cut > 0 && !st.pinned_l2g.is_empty() {
-            match self.workers[data].send(ShardCmd::Batch {
-                stream: stream.map(str::to_string),
-                events: Arc::new(events[..cut].to_vec()),
-            }) {
-                Ok(()) => {
-                    if let Some(m) = &self.metrics {
-                        m.dispatched(data, cut);
-                    }
-                    dispatched.push(data);
-                }
-                Err(e) => send_err = Some(e),
+        (subs, clock_err)
+    }
+
+    /// The dispatch loop: send each sub-batch, drain exactly one result per
+    /// dispatched worker, remap indices to the batch and to the global
+    /// registration order, and merge on [`Emission::order_key`]. The first
+    /// worker error wins; a worker panic also poisons the deployment.
+    fn dispatch(&mut self, stream: Option<&str>, subs: Vec<SubBatch>) -> CoreResult<Vec<Emission>> {
+        let mut sent = Vec::with_capacity(subs.len());
+        let mut send_err = None;
+        for SubBatch {
+            worker,
+            events,
+            map,
+        } in subs
+        {
+            let len = events.len();
+            let stream = stream.map(str::to_string);
+            if let Err(e) = self.workers[worker].send(ShardCmd::Batch { stream, events }) {
+                send_err = Some(e);
+                break;
             }
-        }
-        // Drain exactly one result from every worker that received a
-        // sub-batch — even on error — so the persistent result channels
-        // never desync (see `process_batch_tagged`).
-        let mut results: Vec<(usize, CoreResult<Vec<Emission>>)> =
-            Vec::with_capacity(dispatched.len());
-        for &w in &dispatched {
-            results.push((
-                w,
-                self.workers[w]
-                    .batch_rx
-                    .recv()
-                    .map_err(|_| SaseError::engine("engine shard worker disconnected"))
-                    .and_then(|r| r),
-            ));
             if let Some(m) = &self.metrics {
-                m.drained(w);
+                m.dispatched(worker, len);
             }
+            sent.push((worker, map));
+        }
+        // Drain every dispatched worker — even on error — so the
+        // persistent result channels never desync: a leftover result would
+        // be merged into the *next* batch.
+        let mut results = Vec::with_capacity(sent.len());
+        for (worker, map) in sent {
+            let result = self.workers[worker]
+                .batch_rx
+                .recv()
+                .map_err(|_| SaseError::engine("engine shard worker disconnected"))
+                .and_then(|r| r);
+            if let Some(m) = &self.metrics {
+                m.drained(worker);
+            }
+            results.push((worker, map, result));
         }
         if let Some(e) = send_err {
             return Err(e);
         }
-        // Merge. A worker panic latches the deployment poisoned — every
-        // subsequent ingest is rejected with the same typed error.
-        // Ordinary errors (host functions, clock regressions inside a
-        // worker) do not poison: the drain discipline keeps the workers
-        // consistent, matching ByQuery behavior. Worker errors take
-        // precedence over the router's clock error — workers only saw the
-        // pre-regression prefix, so theirs happened earlier in the
-        // single-engine order.
+        // Ordinary errors (host functions) do not poison: the drain
+        // discipline keeps the workers consistent.
         let mut first_err: Option<SaseError> = None;
         let mut merged: Vec<Emission> = Vec::new();
-        for (w, result) in results {
+        for (worker, map, result) in results {
             match result {
                 Err(e) => {
-                    if e.to_string().contains(SHARD_PANIC_MSG) {
-                        st.poisoned = true;
-                    }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    self.poisoned |= e.to_string().contains(SHARD_PANIC_MSG);
+                    first_err.get_or_insert(e);
                 }
-                Ok(emissions) if first_err.is_none() => {
-                    if w < data {
-                        let map = &maps[w];
-                        for mut emission in emissions {
+                Ok(emissions) => {
+                    let table = &self.l2g[worker];
+                    for mut emission in emissions {
+                        if let Some(map) = &map {
                             emission.input_index = map[emission.input_index as usize];
-                            for hop in &mut emission.path {
-                                hop.0 = st.data_l2g[hop.0 as usize];
-                            }
-                            merged.push(emission);
                         }
-                    } else {
-                        // The pinned worker saw the whole prefix: its
-                        // input indices are already global.
-                        for mut emission in emissions {
-                            for hop in &mut emission.path {
-                                hop.0 = st.pinned_l2g[hop.0 as usize];
-                            }
-                            merged.push(emission);
+                        for hop in &mut emission.path {
+                            hop.0 = table[hop.0 as usize];
                         }
+                        merged.push(emission);
                     }
                 }
-                Ok(_) => {}
             }
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-        if let Some(e) = clock_err {
-            return Err(e);
-        }
         merged.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
-        if let Some(span) = span {
-            self.tracer.end(span, merged.len() as u64);
-        }
         Ok(merged)
     }
 }
@@ -1975,8 +1573,9 @@ mod tests {
         sharded.process_batch(std::slice::from_ref(&exit)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1, "sink fired on its shard");
 
-        // Post-build registration lands on the least-loaded shard and is
-        // fully routable; unregister renumbers the merge tables.
+        // Post-build registration starts a new co-location component on
+        // the next shard round-robin and is fully routable; unregister
+        // renumbers the merge tables.
         sharded
             .register("counters", "EVENT COUNTER_READING c RETURN c.TagId AS t")
             .unwrap();
@@ -2128,147 +1727,199 @@ mod tests {
         );
     }
 
+    /// Both sharding modes, for tests that hold in either.
+    const MODES: [ShardingMode; 2] = [ShardingMode::ByQuery, ShardingMode::ByPartitionKey];
+
     #[test]
-    fn partitioned_worker_panic_poisons_deployment() {
+    fn worker_panic_poisons_deployment() {
         // A worker panic mid-batch must surface as a typed error — not a
         // hang or a silent drop — and every subsequent ingest must be
-        // rejected deterministically.
-        let registry = sase_core::event::retail_registry();
-        let functions = FunctionRegistry::with_stdlib();
-        functions.register_fn("_detonate", Some(1), |args| {
-            if args[0] == Value::Int(13) {
-                panic!("injected detonation");
-            }
-            Ok(args[0].clone())
-        });
-        let mut builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        builder
-            .register(
-                "pairs",
-                "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-                 WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
-            )
-            .unwrap();
-        builder
-            .register(
-                "boomy",
-                "EVENT SHELF_READING x RETURN _detonate(x.TagId) AS v",
-            )
-            .unwrap();
-        let mut sharded = builder.build(2).unwrap();
-        // The host-function caller is pinned; the equivalence query
-        // distributes.
-        assert_eq!(sharded.shard_of("pairs"), None);
-        assert_eq!(sharded.shard_of("boomy"), Some(2));
-
-        let mk = |ts: u64, tag: i64| {
-            registry
-                .build_event(
-                    "SHELF_READING",
-                    ts,
-                    vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
+        // rejected deterministically, whatever the sharding mode.
+        for mode in MODES {
+            let registry = sase_core::event::retail_registry();
+            let functions = FunctionRegistry::with_stdlib();
+            functions.register_fn("_detonate", Some(1), |args| {
+                if args[0] == Value::Int(13) {
+                    panic!("injected detonation");
+                }
+                Ok(args[0].clone())
+            });
+            let mut builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
+            builder.set_sharding(mode);
+            builder
+                .register(
+                    "pairs",
+                    "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
+                     WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
                 )
-                .unwrap()
-        };
-        assert_eq!(sharded.process_batch(&[mk(1, 1)]).unwrap().len(), 1);
+                .unwrap();
+            builder
+                .register(
+                    "boomy",
+                    "EVENT SHELF_READING x RETURN _detonate(x.TagId) AS v",
+                )
+                .unwrap();
+            let mut sharded = builder.build(2).unwrap();
+            if mode == ShardingMode::ByPartitionKey {
+                // The host-function caller is pinned; the equivalence
+                // query distributes.
+                assert_eq!(sharded.shard_of("pairs"), None);
+                assert_eq!(sharded.shard_of("boomy"), Some(2));
+            }
 
-        let err = sharded.process_batch(&[mk(2, 13)]).unwrap_err();
-        assert!(
-            err.to_string().contains("panicked"),
-            "panic must surface as a typed error: {err}"
-        );
+            let mk = |ts: u64, tag: i64| {
+                registry
+                    .build_event(
+                        "SHELF_READING",
+                        ts,
+                        vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
+                    )
+                    .unwrap()
+            };
+            assert_eq!(sharded.process_batch(&[mk(1, 1)]).unwrap().len(), 1);
 
-        // Deterministic rejection from here on: identical message, twice.
-        let e1 = sharded.process_batch(&[mk(3, 1)]).unwrap_err().to_string();
-        let e2 = sharded.process_batch(&[mk(4, 2)]).unwrap_err().to_string();
-        assert!(e1.contains("poisoned"), "got: {e1}");
-        assert_eq!(e1, e2, "rejection must be deterministic");
-        // The workers themselves survive (panic isolation): the poisoned
-        // deployment is still snapshotable for post-mortem inspection.
-        assert_eq!(sharded.snapshot().len(), 3);
+            let err = sharded.process_batch(&[mk(2, 13)]).unwrap_err();
+            assert!(
+                err.to_string().contains("panicked"),
+                "{mode:?}: panic must surface as a typed error: {err}"
+            );
+
+            // Deterministic rejection from here on: identical message, twice.
+            let e1 = sharded.process_batch(&[mk(3, 1)]).unwrap_err().to_string();
+            let e2 = sharded.process_batch(&[mk(4, 2)]).unwrap_err().to_string();
+            assert!(e1.contains("poisoned"), "{mode:?}: got: {e1}");
+            assert_eq!(e1, e2, "{mode:?}: rejection must be deterministic");
+            // The workers themselves survive (panic isolation): the
+            // poisoned deployment is still snapshotable for post-mortem
+            // inspection.
+            assert_eq!(sharded.snapshot().len(), sharded.shard_count());
+        }
     }
 
     #[test]
-    fn partitioned_error_does_not_poison() {
+    fn error_does_not_poison() {
         // An ordinary engine error (failing host function) propagates but
-        // leaves the deployment usable — parity with ByQuery behavior.
-        let registry = sase_core::event::retail_registry();
-        let functions = FunctionRegistry::with_stdlib();
-        functions.register_fn("_faulty", Some(1), |args| {
-            if args[0] == Value::Int(13) {
-                return Err(SaseError::Function {
-                    name: "_faulty".into(),
-                    message: "injected".into(),
-                });
-            }
-            Ok(args[0].clone())
-        });
-        let mut builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        builder
-            .register("q", "EVENT SHELF_READING x RETURN _faulty(x.TagId) AS v")
-            .unwrap();
-        let mut sharded = builder.build(2).unwrap();
-        let mk = |ts: u64, tag: i64| {
-            registry
-                .build_event(
-                    "SHELF_READING",
-                    ts,
-                    vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
-                )
-                .unwrap()
-        };
-        let err = sharded.process_batch(&[mk(1, 13)]).unwrap_err();
-        assert!(err.to_string().contains("injected"));
-        let out = sharded.process_batch(&[mk(2, 5)]).unwrap();
-        assert_eq!(out.len(), 1);
+        // leaves the deployment usable, whatever the sharding mode.
+        for mode in MODES {
+            let registry = sase_core::event::retail_registry();
+            let functions = FunctionRegistry::with_stdlib();
+            functions.register_fn("_faulty", Some(1), |args| {
+                if args[0] == Value::Int(13) {
+                    return Err(SaseError::Function {
+                        name: "_faulty".into(),
+                        message: "injected".into(),
+                    });
+                }
+                Ok(args[0].clone())
+            });
+            let mut builder = ShardedEngineBuilder::with_functions(registry.clone(), functions);
+            builder.set_sharding(mode);
+            builder
+                .register("q", "EVENT SHELF_READING x RETURN _faulty(x.TagId) AS v")
+                .unwrap();
+            let mut sharded = builder.build(2).unwrap();
+            let mk = |ts: u64, tag: i64| {
+                registry
+                    .build_event(
+                        "SHELF_READING",
+                        ts,
+                        vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
+                    )
+                    .unwrap()
+            };
+            let err = sharded.process_batch(&[mk(1, 13)]).unwrap_err();
+            assert!(err.to_string().contains("injected"), "{mode:?}: {err}");
+            let out = sharded.process_batch(&[mk(2, 5)]).unwrap();
+            assert_eq!(out.len(), 1, "{mode:?}");
+        }
     }
 
     #[test]
-    fn partitioned_router_rejects_out_of_order_like_single_engine() {
+    fn router_rejects_out_of_order_like_single_engine() {
         // The router-level clocks reproduce the single engine's
         // out-of-order rejection even when the regressing event would have
-        // hashed to a worker that never saw the earlier timestamp.
+        // reached a worker that never saw the earlier timestamp.
+        const PAIRS: &str = "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
+                             WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag";
+        for mode in MODES {
+            let registry = sase_core::event::retail_registry();
+            let mut single = Engine::new(registry.clone());
+            single.register("pairs", PAIRS).unwrap();
+            let mut builder = ShardedEngineBuilder::new(registry.clone());
+            builder.set_sharding(mode);
+            builder.register("pairs", PAIRS).unwrap();
+            let mut sharded = builder.build(4).unwrap();
+            let mk = |ts: u64, tag: i64| {
+                registry
+                    .build_event(
+                        "SHELF_READING",
+                        ts,
+                        vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
+                    )
+                    .unwrap()
+            };
+            let batch = vec![mk(10, 1), mk(5, 2)];
+            let e1 = single.process_batch(&batch).unwrap_err().to_string();
+            let e2 = sharded.process_batch(&batch).unwrap_err().to_string();
+            assert!(e1.contains("out-of-order"), "got: {e1}");
+            assert_eq!(
+                e1, e2,
+                "{mode:?}: clock rejection must match the single engine"
+            );
+            // Not poisoned: the next in-order batch is accepted by both.
+            assert!(single.process_batch(&[mk(11, 3)]).is_ok());
+            assert!(sharded.process_batch(&[mk(11, 3)]).is_ok(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn by_query_late_shard_rejects_what_single_engine_rejects() {
+        // A ByQuery shard idle while the stream clock advanced, then given
+        // a query, must still reject what the single engine rejects: the
+        // router's clocks saw every event, the idle worker's own did not.
+        const Q0: &str = "EVENT EXIT_READING z RETURN z.TagId AS tag";
+        const Q1: &str = "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
+                          WHERE a.TagId = b.TagId WITHIN 100 RETURN a.TagId AS tag";
         let registry = sase_core::event::retail_registry();
-        let mk_engine = || {
-            let mut e = Engine::new(registry.clone());
-            e.register(
-                "pairs",
-                "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-                 WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
-            )
-            .unwrap();
-            e
+        let script = |p: &mut dyn EventProcessor| -> Vec<String> {
+            let mk = |ty: &str, ts: u64| {
+                registry
+                    .build_event(ty, ts, vec![Value::Int(1), Value::str("p"), Value::Int(1)])
+                    .unwrap()
+            };
+            let mut out = Vec::new();
+            let mut feed =
+                |p: &mut dyn EventProcessor, event: Event| match p.process_batch(&[event]) {
+                    Ok(detections) => out.extend(detections.iter().map(|d| d.to_string())),
+                    Err(e) => out.push(format!("rejected: {e}")),
+                };
+            feed(p, mk("EXIT_READING", 10));
+            p.register("q1", Q1).unwrap();
+            feed(p, mk("SHELF_READING", 5));
+            feed(p, mk("EXIT_READING", 20));
+            out
         };
-        let mut single = mk_engine();
+
+        let mut single = Engine::new(registry.clone());
+        single.register("q0", Q0).unwrap();
+        let expect = script(&mut single);
+        assert!(
+            expect
+                .iter()
+                .any(|l| l.starts_with("rejected:") && l.contains("out-of-order")),
+            "the single engine rejects SHELF@5: {expect:?}"
+        );
+
         let mut builder = ShardedEngineBuilder::new(registry.clone());
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        builder
-            .register(
-                "pairs",
-                "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-                 WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
-            )
-            .unwrap();
-        let mut sharded = builder.build(4).unwrap();
-        let mk = |ts: u64, tag: i64| {
-            registry
-                .build_event(
-                    "SHELF_READING",
-                    ts,
-                    vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
-                )
-                .unwrap()
-        };
-        let batch = vec![mk(10, 1), mk(5, 2)];
-        let e1 = single.process_batch(&batch).unwrap_err().to_string();
-        let e2 = sharded.process_batch(&batch).unwrap_err().to_string();
-        assert!(e1.contains("out-of-order"), "got: {e1}");
-        assert_eq!(e1, e2, "clock rejection must match the single engine");
-        // Not poisoned: the next in-order batch is accepted by both.
-        assert!(single.process_batch(&[mk(11, 3)]).is_ok());
-        assert!(sharded.process_batch(&[mk(11, 3)]).is_ok());
+        builder.register("q0", Q0).unwrap();
+        let mut sharded = builder.build(2).unwrap();
+        let got = script(&mut sharded);
+        assert_eq!(
+            sharded.shard_of("q1"),
+            Some(1),
+            "q1 lands on the idle shard"
+        );
+        assert_eq!(expect, got);
     }
 
     #[test]

@@ -195,9 +195,10 @@ impl SaseBuilder {
     }
 
     /// Partition queries across `n` engine workers (default: one inline
-    /// engine). Queries registered later are placed on the least-loaded
-    /// shard compatible with the co-location rules (INTO/FROM chains and
-    /// shared host functions stay together).
+    /// engine). Queries registered later keep the co-location rules
+    /// (INTO/FROM chains and shared host functions stay together); an
+    /// unconstrained query starts a new co-location component, and
+    /// components are assigned to shards round-robin.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self

@@ -1,11 +1,11 @@
-//! Differential property tests for data-parallel sharding
-//! ([`ShardingMode::ByPartitionKey`]): random streams with skewed
-//! partition-key distributions — a hot key taking ~80% of the stream,
-//! uniform keys, and singleton keys unique per event — plus events whose
-//! type carries no partition-key attribute at all, are driven through
-//! 1/2/4/8 data shards and must emit **byte for byte** (provenance tags
-//! included) what the indexed single engine emits, across a mid-stream
-//! unregister of a distributed query and registration of a pinned one.
+//! Differential property tests for the sharded router, in both modes
+//! ([`ShardingMode::ByPartitionKey`] and [`ShardingMode::ByQuery`]):
+//! random streams with skewed partition-key distributions — a hot key
+//! taking ~80% of the stream, uniform keys, and singleton keys unique per
+//! event — plus events whose type carries no partition-key attribute at
+//! all, are driven through 1/2/4/8 shards and must emit **byte for byte**
+//! (provenance tags included) what the indexed single engine emits,
+//! across a mid-stream unregister of a query and a late registration.
 //!
 //! A deterministic companion test locks in the heterogeneous-key routing
 //! rule: a key attribute typed `Int` in one schema and `Float` in another
@@ -172,8 +172,9 @@ fn run_mutating(p: &mut dyn EventProcessor, events: &[Event]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Data-parallel sharding is byte-identical to the indexed single
-    /// engine under every skew, shard count, and mid-stream mutation.
+    /// Both sharding modes share one router; each is byte-identical to
+    /// the indexed single engine under every skew, shard count, and
+    /// mid-stream mutation.
     #[test]
     fn by_partition_key_matches_indexed_engine(case in arb_case()) {
         let (skew, shards, raw) = case;
@@ -185,24 +186,31 @@ proptest! {
         }
         let expected = run_mutating(&mut reference, &events);
 
-        let mut builder = ShardedEngineBuilder::new(registry());
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        for (name, src) in QUERIES {
-            builder.register(name, src).unwrap();
-        }
-        let mut sharded = builder.build(shards).unwrap();
-        prop_assert_eq!(sharded.shard_count(), shards + 1);
-        prop_assert_eq!(sharded.shard_of("flow"), None);
-        prop_assert_eq!(sharded.shard_of("big"), None);
-        prop_assert_eq!(sharded.shard_of("audit"), Some(shards));
+        for mode in [ShardingMode::ByPartitionKey, ShardingMode::ByQuery] {
+            let mut builder = ShardedEngineBuilder::new(registry());
+            builder.set_sharding(mode);
+            for (name, src) in QUERIES {
+                builder.register(name, src).unwrap();
+            }
+            let mut sharded = builder.build(shards).unwrap();
+            let keyed = mode == ShardingMode::ByPartitionKey;
+            prop_assert_eq!(sharded.shard_count(), shards + usize::from(keyed));
+            if keyed {
+                prop_assert_eq!(sharded.shard_of("flow"), None);
+                prop_assert_eq!(sharded.shard_of("big"), None);
+                prop_assert_eq!(sharded.shard_of("audit"), Some(shards));
+            }
 
-        let got = run_mutating(&mut sharded, &events);
-        // The uncovered negated slot pins the late registration.
-        prop_assert_eq!(sharded.shard_of("neg"), Some(shards));
-        prop_assert_eq!(
-            got, expected,
-            "ByPartitionKey({}) diverged under {:?} skew", shards, skew
-        );
+            let got = run_mutating(&mut sharded, &events);
+            if keyed {
+                // The uncovered negated slot pins the late registration.
+                prop_assert_eq!(sharded.shard_of("neg"), Some(shards));
+            }
+            prop_assert_eq!(
+                &got, &expected,
+                "{:?}({}) diverged under {:?} skew", mode, shards, skew
+            );
+        }
     }
 }
 
