@@ -33,6 +33,14 @@
 //! derived events, before the next input. Every offer checks the stream's
 //! monotonicity clock and the derivation depth limit first.
 //!
+//! ## Partition keys
+//!
+//! The engine owns one partition-key table for all its queries. An offered
+//! event's key is extracted and interned at most once per distinct key
+//! accessor, by the first query that needs it; every other routed query
+//! reuses the slot and reaches its PAIS group or negation bucket with two
+//! array loads (see [`crate::runtime`]).
+//!
 //! Stream names (`FROM` / `INTO`) are case-insensitive, like event type
 //! and attribute names; the engine normalizes them once at query
 //! registration and once per ingest call, so `RETURN ... INTO Foo` feeds
@@ -47,7 +55,7 @@ use crate::event::{Event, EventTypeId, SchemaRegistry};
 use crate::functions::FunctionRegistry;
 use crate::output::ComplexEvent;
 use crate::plan::{compile_query, QueryPlan};
-use crate::runtime::{QueryRuntime, RuntimeStats};
+use crate::runtime::{KeyTable, QueryRuntime, RuntimeStats};
 use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
 use crate::time::{TimeScale, Timestamp};
 
@@ -264,6 +272,8 @@ pub struct Engine {
     /// The derivation queue (see [`DerivedQueue`]): empty between calls,
     /// capacity kept, so steady-state batches allocate nothing.
     derived_queue: DerivedQueue,
+    /// The partition keys of every query's groups and negation buckets.
+    keys: KeyTable,
 }
 
 /// Maximum chain of query-to-query derivations one input event may cause;
@@ -295,6 +305,7 @@ impl Engine {
             tracer: sase_obs::Tracer::disabled(),
             batch_seq: 0,
             derived_queue: DerivedQueue::new(),
+            keys: KeyTable::default(),
         }
     }
 
@@ -412,7 +423,7 @@ impl Engine {
         // routing never compares mixed-case spellings.
         let from = plan.query.from.as_deref().map(str::to_ascii_lowercase);
         let relevant = plan.relevant_types();
-        let runtime = QueryRuntime::new(name, plan);
+        let runtime = QueryRuntime::in_table(name, plan, &mut self.keys);
         self.by_name.insert(name.to_string(), self.queries.len());
         self.queries.push(Registered {
             runtime,
@@ -429,7 +440,8 @@ impl Engine {
         let Some(idx) = self.by_name.remove(name) else {
             return false;
         };
-        let removed = self.queries.remove(idx);
+        let mut removed = self.queries.remove(idx);
+        removed.runtime.release(&mut self.keys);
         // Reindex the queries after the removed one.
         for v in self.by_name.values_mut() {
             if *v > idx {
@@ -698,6 +710,7 @@ impl Engine {
             )));
         }
         *last = ts;
+        self.keys.begin_offer();
         // This event's INTO outputs, collected first: deriving needs
         // `&mut self` while the router slice is borrowed.
         let mut derived: Vec<(ComplexEvent, Vec<EmissionHop>)> = Vec::new();
@@ -715,7 +728,7 @@ impl Engine {
                 .begin(sase_obs::TraceKind::QueryEval, qi as u64, 0);
             let q = &mut self.queries[qi];
             let start = out.len();
-            q.runtime.process(event, out)?;
+            q.runtime.offer(&mut self.keys, event, out)?;
             if let Some(qspan) = qspan {
                 self.tracer.end(qspan, (out.len() - start) as u64);
             }
@@ -867,7 +880,11 @@ impl Engine {
         }
 
         EngineSnapshot {
-            queries: self.queries.iter().map(|q| q.runtime.snapshot()).collect(),
+            queries: self
+                .queries
+                .iter()
+                .map(|q| q.runtime.snapshot_in(&self.keys))
+                .collect(),
             stream_clocks,
             derived_streams,
         }
@@ -891,7 +908,7 @@ impl Engine {
             )));
         }
         for (q, qs) in self.queries.iter_mut().zip(&snap.queries) {
-            q.runtime.restore(qs, &self.registry)?;
+            q.runtime.restore_in(qs, &self.registry, &mut self.keys)?;
         }
 
         let mut derived_types = FxHashMap::default();

@@ -13,34 +13,48 @@
 //! the negated components in pattern order. Each row holds:
 //!
 //! * the candidate type: one id inline, a slice for `ANY(...)`;
-//! * the slot, and the positive (or negation) index;
-//! * whether the slot has element filters;
+//! * the pattern slot, and the positive (or negation) index;
+//! * whether the pattern slot has element filters;
 //! * the partition-key accessors, one per key part, the first inline
-//!   (none for unpartitioned SSC and for a negation buffered flat).
+//!   (none for unpartitioned SSC and for a negation buffered flat), and
+//!   their id in the key table.
 //!
 //! Beside the rows sit the positive count and the window; a query has
 //! negations exactly when rows follow its positive ones. An offer reads a
 //! row per component and the operators' own state: the type match, the
-//! key extraction and one probe of the partition map (or negation bucket).
-//! It reaches the plan only to run element filters that exist and to
-//! construct sequences. A single-part key is probed from a slot on the
-//! stack; a longer one from a reused buffer. Either way the map entry holds
-//! the key, so steady state allocates nothing.
+//! event's key slot, and two array loads from that slot to the partition
+//! (or negation bucket). It reaches the plan only to run element filters
+//! that exist and to construct sequences.
+//!
+//! The partition keys themselves live in one `KeyTable` per engine (see
+//! the private `keys` module), which maps each live key to a dense `u32`
+//! key slot. The engine begins every offer, of an input or a derived
+//! event, with an empty memo: the first row of any routed query that needs
+//! the key through a given accessor extracts and interns it, and every
+//! later row with an equal accessor reuses the slot. In the fan-in shape, where each
+//! event reaches two queries partitioned on the same attribute, that is
+//! one hash probe per event instead of one per query. Each query indexes
+//! its groups and buckets by key slot: 4 B per slot the table has room
+//! for, plus its own entries. A single-part key is interned from a value
+//! on the stack, a longer one from a reused buffer, so steady state
+//! allocates nothing.
 //!
 //! The plan, by contrast, keeps the same facts a dozen dependent loads
 //! apart (pattern → positive slots → elements → type ids; element
 //! filters; partition → parts → per-slot attributes → accessor;
 //! negations), spread over each query's separate allocations. The table is
-//! derived state, like SSC's construction filters by index: snapshots and
-//! output do not depend on it.
+//! derived state, like SSC's construction filters by index, and so are key
+//! slot ids: snapshots write keys, and output does not depend on either.
 
 pub mod ais;
 pub mod binding;
+mod keys;
 pub mod negation;
 pub mod ssc;
 pub mod transform;
 
 pub use binding::{MatchBinding, PositiveMatch};
+pub(crate) use keys::KeyTable;
 
 use std::sync::Arc;
 
@@ -160,46 +174,6 @@ impl std::fmt::Display for RuntimeStats {
     }
 }
 
-/// A partition key as the PAIS group map and the negation buckets store
-/// it: a single-part key (the common case) inline in the map entry, so a
-/// probe compares it without a pointer chase. Hashes and borrows as the
-/// `[ValueKey]` slice it holds, so lookups take a borrowed slice and
-/// allocate nothing; `new` is the only constructor, so the derived
-/// equality agrees with the slice's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PartitionKey {
-    One(ValueKey),
-    Many(Box<[ValueKey]>),
-}
-
-impl PartitionKey {
-    fn new(parts: &[ValueKey]) -> Self {
-        match parts {
-            [one] => PartitionKey::One(one.clone()),
-            _ => PartitionKey::Many(parts.into()),
-        }
-    }
-
-    fn as_slice(&self) -> &[ValueKey] {
-        match self {
-            PartitionKey::One(k) => std::slice::from_ref(k),
-            PartitionKey::Many(ks) => ks,
-        }
-    }
-}
-
-impl std::borrow::Borrow<[ValueKey]> for PartitionKey {
-    fn borrow(&self) -> &[ValueKey] {
-        self.as_slice()
-    }
-}
-
-impl std::hash::Hash for PartitionKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
-    }
-}
-
 /// The candidate event types of one component: one id inline, or the
 /// slice of an `ANY(...)`.
 #[derive(Debug)]
@@ -226,7 +200,7 @@ impl TypeMatch {
 }
 
 /// How one component's events reach their partition key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum KeyAccess {
     /// Unpartitioned SSC, or a negation buffered flat: every event has the
     /// empty key.
@@ -276,6 +250,40 @@ impl KeyAccess {
     }
 }
 
+/// Accessors are equal when they read the same attributes of any one
+/// event: the same positions, or the same names resolved per event type.
+/// Rows with equal accessors share the key of an offered event.
+impl PartialEq for KeyAccess {
+    fn eq(&self, other: &Self) -> bool {
+        fn same(a: &AttrAccess, b: &AttrAccess) -> bool {
+            match (a, b) {
+                (AttrAccess::Pos(x), AttrAccess::Pos(y)) => x == y,
+                (AttrAccess::Timestamp, AttrAccess::Timestamp) => true,
+                (
+                    AttrAccess::Dynamic { attr_lc: x, .. },
+                    AttrAccess::Dynamic { attr_lc: y, .. },
+                ) => x == y,
+                _ => false,
+            }
+        }
+        match (self, other) {
+            (KeyAccess::Unkeyed, KeyAccess::Unkeyed) => true,
+            (
+                KeyAccess::Keyed { first, rest },
+                KeyAccess::Keyed {
+                    first: first2,
+                    rest: rest2,
+                },
+            ) => {
+                same(first, first2)
+                    && rest.len() == rest2.len()
+                    && rest.iter().zip(rest2.iter()).all(|(a, b)| same(a, b))
+            }
+            _ => false,
+        }
+    }
+}
+
 /// One component's row of an [`OfferTable`].
 #[derive(Debug)]
 struct OfferRow {
@@ -287,9 +295,18 @@ struct OfferRow {
     /// The positive index (SSC rows) or the negation index (negation rows).
     index: usize,
     key: KeyAccess,
+    /// The id of `key` in the [`KeyTable`] the query was registered with.
+    accessor: u32,
 }
 
 impl OfferRow {
+    /// The slot of `event`'s key in `keys`, or `None` when the event lacks
+    /// a key attribute.
+    #[inline]
+    fn slot(&self, keys: &mut KeyTable, event: &Event) -> Option<u32> {
+        keys.slot_of(self.accessor, &self.key, event)
+    }
+
     /// Can `event` bind this component: one of its types, passing its
     /// element filters?
     #[inline]
@@ -325,7 +342,9 @@ pub(crate) struct OfferTable {
 }
 
 impl OfferTable {
-    pub(crate) fn new(plan: &QueryPlan) -> Self {
+    /// Compile `plan`'s offer path, registering its key accessors in
+    /// `keys`.
+    fn new(plan: &QueryPlan, keys: &mut KeyTable) -> Self {
         let pattern = &plan.pattern;
         let positives = (0..pattern.positive_len()).rev().map(|i| {
             let elem = pattern.positive_elem(i);
@@ -341,6 +360,7 @@ impl OfferTable {
                         .access()
                         .clone()
                 })),
+                accessor: 0,
             }
         });
         let negations = plan.negations.iter().enumerate().map(|(ni, neg)| OfferRow {
@@ -354,9 +374,14 @@ impl OfferTable {
                     .flatten()
                     .map(|attr| attr.access().clone()),
             ),
+            accessor: 0,
         });
+        let mut rows: Box<[OfferRow]> = positives.chain(negations).collect();
+        for row in rows.iter_mut() {
+            row.accessor = keys.accessor(&row.key);
+        }
         OfferTable {
-            rows: positives.chain(negations).collect(),
+            rows,
             positives: pattern.positive_len(),
             window: plan.window,
         }
@@ -373,7 +398,17 @@ impl OfferTable {
     }
 }
 
+/// The public keyed methods of [`QueryRuntime`] run on its private key
+/// table, which only an engine's runtimes lack, and the engine never
+/// hands those out.
+const OWN_KEYS: &str = "a runtime used on its own owns a key table";
+
 /// One running continuous query.
+///
+/// Inside an [`Engine`](crate::engine::Engine) the query's partition keys
+/// live in the engine's key table, shared with every other query; a
+/// runtime used on its own keeps a private table, so its public methods
+/// run the same keyed code.
 #[derive(Debug)]
 pub struct QueryRuntime {
     name: Arc<str>,
@@ -384,13 +419,26 @@ pub struct QueryRuntime {
     stats: RuntimeStats,
     last_ts: Option<Timestamp>,
     scratch: Vec<PositiveMatch>,
+    /// The key table of a runtime used on its own; `None` inside an
+    /// engine. Boxed, so a standalone call moves it in and out as one
+    /// pointer.
+    keys: Option<Box<KeyTable>>,
 }
 
 impl QueryRuntime {
     /// Instantiate a plan as a running query.
     pub fn new(name: impl AsRef<str>, plan: QueryPlan) -> Self {
+        let mut keys = Box::default();
+        let mut runtime = Self::in_table(name, plan, &mut keys);
+        runtime.keys = Some(keys);
+        runtime
+    }
+
+    /// Instantiate a plan as a running query whose partition keys live in
+    /// `keys`, which every later keyed call must be given.
+    pub(crate) fn in_table(name: impl AsRef<str>, plan: QueryPlan, keys: &mut KeyTable) -> Self {
         let plan = Arc::new(plan);
-        let offers = OfferTable::new(&plan);
+        let offers = OfferTable::new(&plan, keys);
         let seq = SscOperator::new(plan.clone());
         let negation = NegationOperator::new(plan.clone());
         QueryRuntime {
@@ -402,6 +450,7 @@ impl QueryRuntime {
             stats: RuntimeStats::default(),
             last_ts: None,
             scratch: Vec::new(),
+            keys: None,
         }
     }
 
@@ -426,6 +475,27 @@ impl QueryRuntime {
     /// Conversion Layer guarantees this); regressions are rejected because
     /// stack and buffer pruning assume temporal order.
     pub fn process(&mut self, event: &Event, out: &mut Vec<ComplexEvent>) -> Result<()> {
+        let mut keys = self.own_keys();
+        keys.begin_offer();
+        let result = self.offer(&mut keys, event, out);
+        self.keys = Some(keys);
+        result
+    }
+
+    /// The private key table, taken out for one standalone call.
+    fn own_keys(&mut self) -> Box<KeyTable> {
+        self.keys.take().expect(OWN_KEYS)
+    }
+
+    /// [`QueryRuntime::process`] with the keys in `keys`, inside an offer
+    /// the caller began.
+    #[inline]
+    pub(crate) fn offer(
+        &mut self,
+        keys: &mut KeyTable,
+        event: &Event,
+        out: &mut Vec<ComplexEvent>,
+    ) -> Result<()> {
         if let Some(last) = self.last_ts {
             if event.timestamp() < last {
                 return Err(SaseError::engine(format!(
@@ -445,21 +515,21 @@ impl QueryRuntime {
         // negation buckets, so a restored runtime sweeps when the original
         // would have.
         self.negation
-            .observe(&self.offers, event, &mut self.stats)?;
+            .observe(&self.offers, keys, event, &mut self.stats)?;
         if let Some(w) = self.offers.window {
             if self.stats.events_processed % ssc::SWEEP_PERIOD as u64 == 0 {
                 self.negation
-                    .prune_before(event.timestamp().saturating_sub(w));
+                    .prune_before(event.timestamp().saturating_sub(w), keys);
             }
         }
 
         self.scratch.clear();
         let mut candidates = std::mem::take(&mut self.scratch);
         self.seq
-            .on_event(&self.offers, event, &mut self.stats, &mut candidates)?;
+            .on_event(&self.offers, keys, event, &mut self.stats, &mut candidates)?;
 
         for m in candidates.drain(..) {
-            if !self.negation.allows(&m, self.seq.match_key())? {
+            if !self.negation.allows(&m, self.seq.match_slot())? {
                 self.stats.dropped_by_negation += 1;
                 continue;
             }
@@ -482,12 +552,17 @@ impl QueryRuntime {
 
     /// Serializable image of this query's complete runtime state.
     pub fn snapshot(&self) -> QuerySnapshot {
+        self.snapshot_in(self.keys.as_ref().expect(OWN_KEYS))
+    }
+
+    /// [`QueryRuntime::snapshot`] with the keys in `keys`.
+    pub(crate) fn snapshot_in(&self, keys: &KeyTable) -> QuerySnapshot {
         QuerySnapshot {
             name: self.name.to_string(),
             stats: self.stats.clone(),
             last_ts: self.last_ts,
-            seq: self.seq.snapshot(),
-            negations: self.negation.snapshot(),
+            seq: self.seq.snapshot(keys),
+            negations: self.negation.snapshot(keys),
         }
     }
 
@@ -499,6 +574,19 @@ impl QueryRuntime {
     /// mismatches are rejected with a typed error, never applied halfway —
     /// nothing is modified unless every piece of the snapshot fits.
     pub fn restore(&mut self, snap: &QuerySnapshot, registry: &SchemaRegistry) -> Result<()> {
+        let mut keys = self.own_keys();
+        let result = self.restore_in(snap, registry, &mut keys);
+        self.keys = Some(keys);
+        result
+    }
+
+    /// [`QueryRuntime::restore`] with the keys in `keys`.
+    pub(crate) fn restore_in(
+        &mut self,
+        snap: &QuerySnapshot,
+        registry: &SchemaRegistry,
+        keys: &mut KeyTable,
+    ) -> Result<()> {
         if snap.name != self.name.as_ref() {
             return Err(mismatch(format!(
                 "snapshot is of query `{}`, runtime is `{}`",
@@ -508,19 +596,33 @@ impl QueryRuntime {
         // Rebuild both operators from the snapshot before touching any
         // state, so a mid-restore failure leaves the runtime unchanged.
         let mut seq = SscOperator::new(self.plan.clone());
+        let mut negation = NegationOperator::new(self.plan.clone());
         let SeqSnapshot::Ssc {
             partitions,
             events_since_sweep,
         } = &snap.seq;
-        seq.restore(partitions, *events_since_sweep, registry)?;
-        let mut negation = NegationOperator::new(self.plan.clone());
-        negation.restore(&snap.negations, registry)?;
+        let rebuilt = seq
+            .restore(partitions, *events_since_sweep, registry, keys)
+            .and_then(|()| negation.restore(&snap.negations, registry, keys));
+        if let Err(e) = rebuilt {
+            seq.release(keys);
+            negation.release(keys);
+            return Err(e);
+        }
 
+        self.release(keys);
         self.seq = seq;
         self.negation = negation;
         self.stats = snap.stats.clone();
         self.last_ts = snap.last_ts;
         Ok(())
+    }
+
+    /// Release every key this runtime holds in `keys`: the runtime is
+    /// being dropped or its state replaced.
+    pub(crate) fn release(&mut self, keys: &mut KeyTable) {
+        self.seq.release(keys);
+        self.negation.release(keys);
     }
 
     /// Memory footprint indicators: retained stack instances plus buffered

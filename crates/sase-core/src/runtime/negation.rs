@@ -10,37 +10,42 @@
 //! When the partition covers the negated slot, candidates are bucketed by
 //! partition key — the "indexing relevant events ... across value-based
 //! partitions" of §2.1.2 — so a probe touches only same-key candidates;
-//! otherwise they wait in one flat buffer.
+//! otherwise they wait in one flat buffer. Buckets are indexed by key slot
+//! of the engine's key table (see the runtime's `keys` module), laid out
+//! like SSC's groups: dense, with a key slot → bucket index of 4 B per
+//! slot.
 //!
 //! An arriving event is checked against the negated rows of its runtime's
 //! offer table (see [`super`]): type, element filters only where they
-//! exist, and the bucket key by the row's accessors. A query without
-//! negation has no such rows, so it pays one length check. The
-//! non-occurrence check of a match probes the bucket of the key SSC built
-//! the match under — every part of that key covers the negated slot — so
-//! it extracts no key of its own.
+//! exist, and the bucket by the event's key slot, interned once per offer
+//! and accessor for all queries. A query without negation has no such
+//! rows, so it pays one length check. The non-occurrence check of a match
+//! probes the bucket of the key slot SSC built the match under — every
+//! part of that key covers the negated slot — so it extracts no key of its
+//! own.
 
 use std::collections::VecDeque;
 
 use crate::error::Result;
 use crate::event::{Event, SchemaRegistry};
-use crate::hash::FxHashMap;
 use crate::plan::QueryPlan;
 use crate::snapshot::{mismatch, EventSnapshot, NegationBufferSnapshot};
 use crate::time::Timestamp;
 use crate::value::ValueKey;
 
 use super::binding::{MatchBinding, PositiveMatch};
-use super::{OfferTable, PartitionKey, RuntimeStats};
+use super::keys::{KeyTable, SlotMap};
+use super::{OfferTable, RuntimeStats};
 
 #[derive(Debug)]
 struct NegBuffer {
-    /// Bucketed by composite partition key when the partition covers the
-    /// negated slot.
-    buckets: FxHashMap<PartitionKey, VecDeque<Event>>,
+    /// Bucketed by slot of the composite partition key when the partition
+    /// covers the negated slot.
+    buckets: SlotMap<VecDeque<Event>>,
     /// Flat temporal buffer otherwise.
     all: VecDeque<Event>,
-    indexed: bool,
+    /// The number of key parts when bucketed, `None` when flat.
+    key_parts: Option<usize>,
 }
 
 /// Runtime state of all negated components of one query.
@@ -48,10 +53,6 @@ struct NegBuffer {
 pub struct NegationOperator {
     plan: std::sync::Arc<QueryPlan>,
     buffers: Vec<NegBuffer>,
-    /// Reused buffer for multi-part bucket keys: steady-state candidate
-    /// bucketing never allocates (bucket lookups go through the
-    /// `PartitionKey: Borrow<[ValueKey]>` impl).
-    key_scratch: Vec<ValueKey>,
 }
 
 impl NegationOperator {
@@ -61,16 +62,12 @@ impl NegationOperator {
             .negations
             .iter()
             .map(|n| NegBuffer {
-                buckets: FxHashMap::default(),
+                buckets: SlotMap::default(),
                 all: VecDeque::new(),
-                indexed: n.partition_attrs.is_some(),
+                key_parts: n.partition_attrs.as_ref().map(Vec::len),
             })
             .collect();
-        NegationOperator {
-            plan,
-            buffers,
-            key_scratch: Vec::new(),
-        }
+        NegationOperator { plan, buffers }
     }
 
     /// True when the query has no negated components.
@@ -82,30 +79,19 @@ impl NegationOperator {
     pub fn buffered(&self) -> usize {
         self.buffers
             .iter()
-            .map(|b| {
-                if b.indexed {
-                    b.buckets.values().map(|q| q.len()).sum()
-                } else {
-                    b.all.len()
-                }
-            })
+            .map(|b| b.buckets.values().map(VecDeque::len).sum::<usize>() + b.all.len())
             .sum()
     }
 
     /// Serializable image of every negation buffer, buckets sorted by key.
-    pub fn snapshot(&self) -> Vec<NegationBufferSnapshot> {
+    pub(crate) fn snapshot(&self, keys: &KeyTable) -> Vec<NegationBufferSnapshot> {
         self.buffers
             .iter()
             .map(|b| {
                 let mut buckets: Vec<(Vec<ValueKey>, Vec<EventSnapshot>)> = b
                     .buckets
-                    .iter()
-                    .map(|(k, q)| {
-                        (
-                            k.as_slice().to_vec(),
-                            q.iter().map(EventSnapshot::capture).collect(),
-                        )
-                    })
+                    .iter(keys)
+                    .map(|(k, q)| (k.to_vec(), q.iter().map(EventSnapshot::capture).collect()))
                     .collect();
                 buckets.sort_by(|a, b| a.0.cmp(&b.0));
                 NegationBufferSnapshot {
@@ -118,11 +104,14 @@ impl NegationOperator {
 
     /// Replace the buffered candidates with a snapshot's. The snapshot
     /// must come from a plan with the same negations, each buffered the
-    /// same way (bucketed vs. flat).
-    pub fn restore(
+    /// same way (bucketed vs. flat) under keys of as many parts. On error
+    /// the operator keeps the buckets restored so far; the caller releases
+    /// them.
+    pub(crate) fn restore(
         &mut self,
         snaps: &[NegationBufferSnapshot],
         registry: &SchemaRegistry,
+        keys: &mut KeyTable,
     ) -> Result<()> {
         if snaps.len() != self.buffers.len() {
             return Err(mismatch(format!(
@@ -131,25 +120,31 @@ impl NegationOperator {
                 self.buffers.len()
             )));
         }
+        self.release(keys);
         for (buf, snap) in self.buffers.iter_mut().zip(snaps) {
-            if buf.indexed && !snap.all.is_empty() {
+            if buf.key_parts.is_some() && !snap.all.is_empty() {
                 return Err(mismatch(
                     "snapshot buffered negation candidates flat, plan indexes them",
                 ));
             }
-            if !buf.indexed && !snap.buckets.is_empty() {
+            if buf.key_parts.is_none() && !snap.buckets.is_empty() {
                 return Err(mismatch(
                     "snapshot bucketed negation candidates, plan buffers them flat",
                 ));
             }
-            buf.buckets.clear();
-            buf.all.clear();
             for (key, events) in &snap.buckets {
+                let parts = buf.key_parts.unwrap_or(0);
+                if key.len() != parts {
+                    return Err(mismatch(format!(
+                        "negation bucket key has {} parts, plan has {parts}",
+                        key.len()
+                    )));
+                }
                 let mut queue = VecDeque::with_capacity(events.len());
                 for e in events {
                     queue.push_back(e.rebuild(registry)?);
                 }
-                if buf.buckets.insert(PartitionKey::new(key), queue).is_some() {
+                if !buf.buckets.insert_key(key, keys, queue) {
                     return Err(mismatch("duplicate negation bucket key"));
                 }
             }
@@ -167,6 +162,7 @@ impl NegationOperator {
     pub(crate) fn observe(
         &mut self,
         offers: &OfferTable,
+        keys: &mut KeyTable,
         event: &Event,
         stats: &mut RuntimeStats,
     ) -> Result<()> {
@@ -174,20 +170,14 @@ impl NegationOperator {
             if !row.admits(&self.plan, event)? {
                 continue;
             }
-            let mut one = None;
-            let Some(key) = row.key.extract(event, &mut one, &mut self.key_scratch) else {
-                // Missing key attribute: cannot satisfy the equivalence
-                // predicate, so never a counterexample.
-                continue;
-            };
             let buf = &mut self.buffers[row.index];
-            let queue = if buf.indexed {
-                // Slice-keyed lookup; the key is only cloned when the
-                // bucket is new.
-                match buf.buckets.get_mut(key) {
-                    Some(q) => q,
-                    None => buf.buckets.entry(PartitionKey::new(key)).or_default(),
-                }
+            let queue = if buf.key_parts.is_some() {
+                let Some(slot) = row.slot(keys, event) else {
+                    // Missing key attribute: cannot satisfy the equivalence
+                    // predicate, so never a counterexample.
+                    continue;
+                };
+                buf.buckets.get_or_insert_with(slot, keys, VecDeque::new)
             } else {
                 &mut buf.all
             };
@@ -202,16 +192,16 @@ impl NegationOperator {
 
     /// Does the match survive every non-occurrence requirement?
     ///
-    /// `key` is the partition key of the group SSC built `m` in. An indexed
-    /// negation buckets its candidates by the same parts, so `key` names
-    /// the bucket to probe.
-    pub(crate) fn allows(&self, m: &PositiveMatch, key: &[ValueKey]) -> Result<bool> {
+    /// `slot` is the slot of the group SSC built `m` in. An indexed
+    /// negation buckets its candidates by the same key parts, so `slot`
+    /// names the bucket to probe.
+    pub(crate) fn allows(&self, m: &PositiveMatch, slot: u32) -> Result<bool> {
         for (ni, neg) in self.plan.negations.iter().enumerate() {
             let t_after = m[neg.scope.after_positive].timestamp();
             let t_before = m[neg.scope.before_positive].timestamp();
             let buf = &self.buffers[ni];
-            let candidates: Option<&VecDeque<Event>> = if buf.indexed {
-                buf.buckets.get(key)
+            let candidates: Option<&VecDeque<Event>> = if buf.key_parts.is_some() {
+                buf.buckets.get(slot)
             } else {
                 Some(&buf.all)
             };
@@ -249,13 +239,21 @@ impl NegationOperator {
     /// probe only looks inside its match's window — so this is purely a
     /// memory bound, run every SSC `SWEEP_PERIOD` events rather than per
     /// event, where it would cost O(live keys).
-    pub fn prune_before(&mut self, min_ts: Timestamp) {
+    pub(crate) fn prune_before(&mut self, min_ts: Timestamp, keys: &mut KeyTable) {
         for buf in &mut self.buffers {
-            buf.buckets.retain(|_, q| {
+            buf.buckets.retain(keys, |q| {
                 prune_front(q, min_ts);
                 !q.is_empty()
             });
             prune_front(&mut buf.all, min_ts);
+        }
+    }
+
+    /// Drop every buffered candidate, releasing the bucket keys.
+    pub(crate) fn release(&mut self, keys: &mut KeyTable) {
+        for buf in &mut self.buffers {
+            buf.buckets.clear(keys);
+            buf.all.clear();
         }
     }
 }
@@ -285,22 +283,30 @@ mod tests {
     const Q1_FLAT: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                            WHERE y.TagId + 0 = x.TagId AND x.TagId = z.TagId WITHIN 1000";
 
-    /// The operator, with the offer table it reads.
+    /// The operator, with the offer table it reads and its key table.
     struct Op {
         neg: NegationOperator,
         offers: OfferTable,
+        keys: KeyTable,
     }
 
     impl Op {
         fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) -> Result<()> {
-            self.neg.observe(&self.offers, event, stats)
+            self.keys.begin_offer();
+            self.neg.observe(&self.offers, &mut self.keys, event, stats)
         }
 
         /// Whether a match of two same-tag events survives; SSC would
         /// have built it in the group of that tag.
-        fn allows(&self, m: &PositiveMatch) -> Result<bool> {
-            let key = [ValueKey::from_value(m[0].attr_at(0).unwrap())];
-            self.neg.allows(m, &key)
+        fn allows(&mut self, m: &PositiveMatch) -> Result<bool> {
+            let slot = self
+                .keys
+                .intern(&[ValueKey::from_value(m[0].attr_at(0).unwrap())]);
+            self.neg.allows(m, slot)
+        }
+
+        fn prune_before(&mut self, min_ts: Timestamp) {
+            self.neg.prune_before(min_ts, &mut self.keys);
         }
     }
 
@@ -312,12 +318,6 @@ mod tests {
         }
     }
 
-    impl std::ops::DerefMut for Op {
-        fn deref_mut(&mut self) -> &mut NegationOperator {
-            &mut self.neg
-        }
-    }
-
     fn setup(indexed: bool) -> (Op, SchemaRegistry) {
         let reg = retail_registry();
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
@@ -325,9 +325,11 @@ mod tests {
         let plan = planner.plan(&q).unwrap();
         assert_eq!(plan.negations[0].partition_attrs.is_some(), indexed);
         let plan = std::sync::Arc::new(plan);
+        let mut keys = KeyTable::default();
         let op = Op {
-            offers: OfferTable::new(&plan),
+            offers: OfferTable::new(&plan, &mut keys),
             neg: NegationOperator::new(plan),
+            keys,
         };
         (op, reg)
     }

@@ -16,14 +16,18 @@
 //!   backwards, applying window bounds and multi-variable predicates as
 //!   early as their variables are bound.
 //!
+//! The partitions are indexed by key slot of the engine's key table (see
+//! the runtime's `keys` module): the operator keeps its groups in a dense
+//! array, with a key slot → group index of 4 B per slot the table has room
+//! for. An unpartitioned plan keeps one group, under the empty key.
+//!
 //! Per arriving event, the operator walks the positive rows of its
 //! runtime's offer table (see [`super`]): a type match and, only where the
 //! slot has element filters, a run of them. Each component the event binds
-//! then costs one key extraction by the row's accessors, one probe of the
-//! partition map (a `PartitionKey` holds a single-part key inline, so the
-//! probe compares it in place) and a prune of the group it finds; only a
-//! new partition inserts. The plan is read again only to construct
-//! sequences.
+//! then costs the event's key slot — extracted and interned once per offer
+//! and accessor, for all queries — two array loads to its group, and a prune
+//! of that group; only a new partition inserts. The plan is read again
+//! only to construct sequences.
 //!
 //! The operator emits every match (skip-till-any-match semantics): each
 //! combination of events, one per positive component, in strictly
@@ -32,34 +36,29 @@
 
 use crate::error::Result;
 use crate::event::{Event, SchemaRegistry};
-use crate::hash::FxHashMap;
 use crate::plan::{ConstructionFilter, QueryPlan};
 use crate::snapshot::{mismatch, PartitionSnapshot, SeqSnapshot};
-use crate::value::ValueKey;
 
 use super::ais::{AisGroup, Instance};
 use super::binding::PositiveMatch;
-use super::{OfferTable, PartitionKey, RuntimeStats};
+use super::keys::{KeyTable, SlotMap};
+use super::{OfferTable, RuntimeStats};
 
 /// The SSC operator: one per running query.
 #[derive(Debug)]
 pub struct SscOperator {
     plan: std::sync::Arc<QueryPlan>,
-    /// Partition key -> stacks. Unpartitioned plans use the empty key.
-    groups: FxHashMap<PartitionKey, AisGroup>,
+    /// Stacks by slot of the partition key. Unpartitioned plans use the
+    /// empty key.
+    groups: SlotMap<AisGroup>,
     /// Construction filters grouped by the positive index at which they
     /// become evaluable during backward construction.
     filters_by_min: Vec<Vec<ConstructionFilter>>,
     events_since_sweep: usize,
-    /// Reused buffer for multi-part partition keys: steady-state key
-    /// extraction never allocates (lookups go through the
-    /// `PartitionKey: Borrow<[ValueKey]>` impl; the key is only cloned when
-    /// a new partition materializes).
-    key_scratch: Vec<ValueKey>,
-    /// The key of the group the last event's matches were constructed in.
-    /// An indexed negation buffers candidates under the same key, so it
-    /// probes with this one instead of extracting it again.
-    match_key: Vec<ValueKey>,
+    /// The slot of the group the last event's matches were constructed
+    /// in. An indexed negation buckets candidates under the same key, so it
+    /// probes with this slot instead of extracting the key again.
+    match_slot: u32,
     /// Reused slot-binding buffer for sequence construction — one buffer
     /// per operator instead of a fresh `Vec<Option<Event>>` per candidate.
     binding_scratch: Vec<Option<Event>>,
@@ -81,25 +80,29 @@ impl SscOperator {
         let slot_count = plan.pattern.slot_count();
         SscOperator {
             plan,
-            groups: FxHashMap::default(),
+            groups: SlotMap::default(),
             filters_by_min,
             events_since_sweep: 0,
-            key_scratch: Vec::new(),
-            match_key: Vec::new(),
+            match_slot: 0,
             binding_scratch: vec![None; slot_count],
         }
     }
 
-    /// The partition key of the group the matches of the last
-    /// [`SscOperator::on_event`] call were constructed in (empty when
-    /// unpartitioned).
-    pub(crate) fn match_key(&self) -> &[ValueKey] {
-        &self.match_key
+    /// The slot of the group the matches of the last
+    /// [`SscOperator::on_event`] call were constructed in.
+    pub(crate) fn match_slot(&self) -> u32 {
+        self.match_slot
     }
 
     /// Number of live partitions (1 when unpartitioned and active).
     pub fn partition_count(&self) -> usize {
         self.groups.len()
+    }
+
+    /// The partitions, by slot.
+    #[cfg(test)]
+    pub(super) fn groups(&self) -> &SlotMap<AisGroup> {
+        &self.groups
     }
 
     /// Total retained stack instances across partitions.
@@ -109,12 +112,12 @@ impl SscOperator {
 
     /// Serializable image of the operator's state, partitions sorted by
     /// key so equal states snapshot identically.
-    pub fn snapshot(&self) -> SeqSnapshot {
+    pub(crate) fn snapshot(&self, keys: &KeyTable) -> SeqSnapshot {
         let mut partitions: Vec<PartitionSnapshot> = self
             .groups
-            .iter()
+            .iter(keys)
             .map(|(key, group)| PartitionSnapshot {
-                key: key.as_slice().to_vec(),
+                key: key.to_vec(),
                 stacks: group.snapshot(),
             })
             .collect();
@@ -126,12 +129,15 @@ impl SscOperator {
     }
 
     /// Replace the operator's state with a snapshot's (the plan this
-    /// operator was built from must match the snapshotted one).
-    pub fn restore(
+    /// operator was built from must match the snapshotted one). On error
+    /// the operator keeps the partitions restored so far; the caller
+    /// releases them.
+    pub(crate) fn restore(
         &mut self,
         partitions: &[PartitionSnapshot],
         events_since_sweep: u64,
         registry: &SchemaRegistry,
+        keys: &mut KeyTable,
     ) -> Result<()> {
         let n = self.plan.pattern.positive_len();
         let key_parts = self
@@ -139,8 +145,7 @@ impl SscOperator {
             .partition
             .as_ref()
             .map_or(0, |spec| spec.parts.len());
-        let mut groups = FxHashMap::default();
-        groups.reserve(partitions.len());
+        self.groups.clear(keys);
         for p in partitions {
             if p.key.len() != key_parts {
                 return Err(mismatch(format!(
@@ -154,27 +159,28 @@ impl SscOperator {
                     p.stacks.len()
                 )));
             }
-            if groups
-                .insert(
-                    PartitionKey::new(&p.key),
-                    AisGroup::from_snapshot(&p.stacks, registry)?,
-                )
-                .is_some()
-            {
+            let group = AisGroup::from_snapshot(&p.stacks, registry)?;
+            if !self.groups.insert_key(&p.key, keys, group) {
                 return Err(mismatch("duplicate partition key"));
             }
         }
-        self.groups = groups;
         self.events_since_sweep = events_since_sweep as usize;
         Ok(())
+    }
+
+    /// Drop every partition, releasing its key.
+    pub(crate) fn release(&mut self, keys: &mut KeyTable) {
+        self.groups.clear(keys);
     }
 
     /// Process one event through the positive rows of `offers`, the table
     /// compiled from this operator's plan; pushes every completed positive
     /// match to `out`.
+    #[inline]
     pub(crate) fn on_event(
         &mut self,
         offers: &OfferTable,
+        keys: &mut KeyTable,
         event: &Event,
         stats: &mut RuntimeStats,
         out: &mut Vec<PositiveMatch>,
@@ -189,7 +195,7 @@ impl SscOperator {
             if let Some(w) = window {
                 let min_ts = event.timestamp().saturating_sub(w);
                 let mut pruned = 0u64;
-                self.groups.retain(|_, g| {
+                self.groups.retain(keys, |g| {
                     pruned += g.prune_before(min_ts) as u64;
                     g.retained() > 0
                 });
@@ -204,21 +210,14 @@ impl SscOperator {
             if !row.admits(&self.plan, event)? {
                 continue;
             }
-            let mut one = None;
-            let Some(key) = row.key.extract(event, &mut one, &mut self.key_scratch) else {
+            let Some(slot) = row.slot(keys, event) else {
                 // Missing key attribute: the equivalence predicate can
                 // never hold for this event.
                 continue;
             };
-            // One slice-keyed probe; the key is only cloned into the map
-            // when a brand-new partition materializes.
-            let group = match self.groups.get_mut(key) {
-                Some(group) => group,
-                None => self
-                    .groups
-                    .entry(PartitionKey::new(key))
-                    .or_insert_with(|| AisGroup::new(n)),
-            };
+            let group = self
+                .groups
+                .get_or_insert_with(slot, keys, || AisGroup::new(n));
             let i = row.index;
             if let Some(w) = window {
                 stats.instances_pruned +=
@@ -255,8 +254,7 @@ impl SscOperator {
                     out,
                 )?;
                 if out.len() > before {
-                    self.match_key.clear();
-                    self.match_key.extend_from_slice(key);
+                    self.match_slot = slot;
                 }
             }
         }
@@ -392,10 +390,11 @@ mod tests {
     use crate::plan::Planner;
     use crate::value::Value;
 
-    /// The operator, with the offer table it walks.
+    /// The operator, with the offer table it walks and its key table.
     struct Op {
         ssc: SscOperator,
         offers: OfferTable,
+        keys: KeyTable,
     }
 
     impl Op {
@@ -405,7 +404,9 @@ mod tests {
             stats: &mut RuntimeStats,
             out: &mut Vec<PositiveMatch>,
         ) -> Result<()> {
-            self.ssc.on_event(&self.offers, event, stats, out)
+            self.keys.begin_offer();
+            self.ssc
+                .on_event(&self.offers, &mut self.keys, event, stats, out)
         }
 
         fn partition_count(&self) -> usize {
@@ -422,9 +423,11 @@ mod tests {
         let planner = Planner::new(reg.clone(), FunctionRegistry::with_stdlib());
         let q = parse_query(src).unwrap();
         let plan = std::sync::Arc::new(planner.plan(&q).unwrap());
+        let mut keys = KeyTable::default();
         let op = Op {
-            offers: OfferTable::new(&plan),
+            offers: OfferTable::new(&plan, &mut keys),
             ssc: SscOperator::new(plan),
+            keys,
         };
         (op, reg)
     }

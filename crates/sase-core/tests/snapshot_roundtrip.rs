@@ -306,3 +306,109 @@ fn restore_requires_derived_types_preregistered() {
     let err = restored.restore(&snap).unwrap_err();
     assert!(err.to_string().contains("preregister_derived"), "{err}");
 }
+
+#[test]
+fn restore_rejects_a_negation_bucket_key_of_the_wrong_arity() {
+    // Q1: a counter reading of tag 9 between its shelf and exit readings
+    // kills the match.
+    const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+                      WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 60 \
+                      RETURN x.TagId AS tag";
+    let reg = retail_registry();
+    let reading = |ty, ts, tag| {
+        reg.build_event(
+            ty,
+            ts,
+            vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
+        )
+        .unwrap()
+    };
+    let mut engine = Engine::new(reg.clone());
+    engine.register("q1", Q1).unwrap();
+    engine
+        .process_batch(&[
+            reading("SHELF_READING", 1, 9),
+            reading("COUNTER_READING", 2, 9),
+        ])
+        .unwrap();
+    let mut snap = engine.snapshot();
+
+    // A bucket key with a part too many would never meet the group key a
+    // match is built under: the counterexample would silently vanish.
+    snap.queries[0].negations[0].buckets[0]
+        .0
+        .push(sase_core::value::ValueKey::Int(0));
+    let mut restored = Engine::new(reg.clone());
+    restored.register("q1", Q1).unwrap();
+    let err = restored.restore(&snap).unwrap_err();
+    assert!(err.to_string().contains("snapshot mismatch"), "{err}");
+    assert!(err.to_string().contains("negation bucket key"), "{err}");
+
+    // The uninterrupted engine raises no alarm.
+    let exit = reading("EXIT_READING", 3, 9);
+    assert!(engine.process(&exit).unwrap().is_empty());
+}
+
+/// The churn workload: every tag is read a few times in a row, then not
+/// again for thousands of ticks, so its groups, buckets and slot expire
+/// and the periodic sweeps free slots for later tags to reuse.
+fn churn(n: usize, tags: u64) -> Vec<(String, u64, i64, i64)> {
+    let mut state = 0x2545F4914F6CDD1Du64;
+    (0..n as u64)
+        .map(|k| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let ty = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"][(state % 3) as usize];
+            let tag = (k / 5 % tags) as i64;
+            let area = 1 + ((state >> 24) % 3) as i64;
+            (ty.to_string(), k + 1, tag, area)
+        })
+        .collect()
+}
+
+#[test]
+fn restore_remaps_churning_slots() {
+    let raw = churn(3 * 4_096 + 1_000, 2_500);
+    let reg = registry();
+    let events = events_for(&reg, &raw);
+    let chunks: Vec<&[Event]> = events.chunks(50).collect();
+
+    // The uninterrupted run, with a snapshot at several cuts.
+    let cuts = [20, 90, 170, 250];
+    let mut reference = build_engine(&reg);
+    let mut outputs = Vec::new();
+    let mut snaps = Vec::new();
+    for (i, chunk) in chunks.iter().enumerate() {
+        if cuts.contains(&i) {
+            snaps.push(reference.snapshot());
+        }
+        outputs.push(render(&reference.process_batch(chunk).unwrap()));
+    }
+    let last = reference.snapshot();
+    assert!(outputs.iter().any(|o| !o.is_empty()), "workload emits");
+
+    for (cut, snap) in cuts.iter().zip(&snaps) {
+        // A fresh engine that has interned other keys first, so the
+        // snapshot's keys land in other slots than the original's.
+        let new_reg = registry();
+        snap.preregister_derived(&new_reg).unwrap();
+        let mut restored = build_engine(&new_reg);
+        let prelude: Vec<(String, u64, i64, i64)> = churn(300, 60)
+            .into_iter()
+            .map(|(ty, ts, tag, area)| (ty, ts, 1_000_000 + tag, area))
+            .collect();
+        restored
+            .process_batch(&events_for(&new_reg, &prelude))
+            .unwrap();
+        restored.restore(snap).unwrap();
+        assert_eq!(&restored.snapshot(), snap, "cut at chunk {cut}");
+
+        let tail = events_for(&new_reg, &raw);
+        for (i, chunk) in tail.chunks(50).enumerate().skip(*cut) {
+            let out = render(&restored.process_batch(chunk).unwrap());
+            assert_eq!(out, outputs[i], "cut at chunk {cut}, chunk {i}");
+        }
+        assert_eq!(restored.snapshot(), last, "cut at chunk {cut}");
+    }
+}

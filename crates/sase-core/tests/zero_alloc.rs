@@ -407,6 +407,90 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
         assert_eq!(appended, 64 * 512, "every event entered one stack");
     }
 
+    // ---- 5b. One key, many queries: an event's key is interned once per
+    //          offer, and every routed query reaches its group (or
+    //          negation bucket) by that slot. Eight tags cycle through
+    //          `types`, one reading each, all in one area, in batches of 8.
+    let cycle = |types: &[&str]| -> Vec<Vec<Event>> {
+        let events: Vec<Event> = (0..1_600u64)
+            .map(|k| {
+                let ty = types[k as usize % types.len()];
+                let tag = Value::Int((k / types.len() as u64 % 8) as i64);
+                let attrs = vec![tag, Value::str("p"), Value::Int(1)];
+                fanin.build_event(ty, k + 1, attrs).unwrap()
+            })
+            .collect();
+        events.chunks(8).map(<[Event]>::to_vec).collect()
+    };
+    let shared_engine = |queries: &[&str]| {
+        let mut engine = Engine::new(fanin.clone());
+        for (i, src) in queries.iter().enumerate() {
+            engine.register(&format!("s{i}"), src).unwrap();
+        }
+        engine
+    };
+    let constructed = |engine: &Engine, n: usize| -> u64 {
+        (0..n)
+            .map(|i| {
+                engine
+                    .stats(&format!("s{i}"))
+                    .unwrap()
+                    .sequences_constructed
+            })
+            .sum()
+    };
+    // A T1 reading binds `y` of the first query and `x` of the second
+    // under one slot. Construction runs and the area inequality rejects
+    // every candidate, so nothing is emitted.
+    let mut engine = shared_engine(&[
+        "EVENT SEQ(T0 x, T1 y) WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 50",
+        "EVENT SEQ(T1 x, T2 y) WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 50",
+    ]);
+    let batches = cycle(&["T0", "T1", "T2"]);
+    for batch in &batches[..100] {
+        assert!(engine.process_batch(batch).unwrap().is_empty());
+    }
+    let allocs = counted(|| {
+        for batch in &batches[100..] {
+            assert!(engine.process_batch(batch).unwrap().is_empty());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state ingest of two queries sharing one key must not allocate"
+    );
+    for i in 0..2 {
+        let stats = engine.stats(&format!("s{i}")).unwrap();
+        assert!(stats.construction_filter_rejects > 0 && stats.sequences_constructed == 0);
+    }
+    // A negation query beside it: the T3 counterexample lands in the
+    // bucket of the slot T0 and T1 share with the other query, and kills
+    // every match at the probe by the match's slot. A constructed match
+    // is one allocation (its event list); the slot path adds none.
+    let mut engine = shared_engine(&[
+        "EVENT SEQ(T0 x, !(T3 n), T1 y) WHERE x.TagId = n.TagId AND x.TagId = y.TagId \
+         WITHIN 50",
+        "EVENT SEQ(T1 x, T2 y) WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 50",
+    ]);
+    let batches = cycle(&["T0", "T3", "T1", "T2"]);
+    for batch in &batches[..100] {
+        assert!(engine.process_batch(batch).unwrap().is_empty());
+    }
+    let dropped = |engine: &Engine| engine.stats("s0").unwrap().dropped_by_negation;
+    let (constructed_before, dropped_before) = (constructed(&engine, 2), dropped(&engine));
+    let allocs = counted(|| {
+        for batch in &batches[100..] {
+            assert!(engine.process_batch(batch).unwrap().is_empty());
+        }
+    });
+    let matches = constructed(&engine, 2) - constructed_before;
+    assert!(matches > 0);
+    assert_eq!(dropped(&engine) - dropped_before, matches);
+    assert_eq!(
+        allocs, matches,
+        "a negation probe by the shared slot must not allocate beyond the match"
+    );
+
     // ---- 6. The garbage budget of an event: building one of up to three
     //         attributes from a resolved type is exactly one allocation,
     //         the event, plus whatever made the strings handed in; nothing
