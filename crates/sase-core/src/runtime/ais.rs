@@ -17,13 +17,22 @@
 //!
 //! Each instance holds its event's timestamp inline, so pruning and the
 //! window-bounded walk of sequence construction read it without chasing
-//! the shared event body; a group of up to two stacks holds them inline.
+//! the shared event body. Each stack holds its oldest retained instance
+//! inline too, and a group of up to two stacks holds its stacks inline in
+//! the partition's entry: touching a partition whose stacks hold at most
+//! one instance each — almost every partition when keys are many and the
+//! window is short — reads no heap buffer of the index; only dropping an
+//! expired instance reaches into its event. The instances behind a stack's
+//! head live in its tail, a heap ring allocated by the first of them and
+//! kept, so a dense partition pays one allocation per stack, not one per
+//! spill.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 use crate::error::Result;
-use crate::event::{Event, SchemaRegistry};
-use crate::snapshot::{EventSnapshot, InstanceSnapshot, StackSnapshot};
+use crate::event::{Event, EventTypeId, SchemaRegistry};
+use crate::pattern::CompiledPattern;
+use crate::snapshot::{mismatch, EventSnapshot, InstanceSnapshot, StackSnapshot};
 use crate::time::Timestamp;
 
 /// One stack entry.
@@ -41,11 +50,21 @@ pub struct Instance {
 }
 
 /// A pruned-from-the-front stack with absolute indexing.
+///
+/// The retained instances, oldest first, are `head` followed by `tail`.
 #[derive(Debug, Default)]
 pub struct Stack {
     /// Number of instances pruned from the front since stream start.
     base: usize,
-    items: VecDeque<Instance>,
+    /// The oldest retained instance; `None` exactly when the stack is
+    /// empty.
+    head: Option<Instance>,
+    /// The retained instances after `head`, oldest first. Allocated by the
+    /// first instance pushed behind a head and kept from then on, so a
+    /// stack that keeps spilling and draining allocates once. Boxed so a
+    /// stack stays 40 B: a bare `VecDeque` header is 32.
+    #[allow(clippy::box_collection)]
+    tail: Option<Box<VecDeque<Instance>>>,
 }
 
 impl Stack {
@@ -56,7 +75,7 @@ impl Stack {
 
     /// Total instances ever appended (the next instance's absolute index).
     pub fn total(&self) -> usize {
-        self.base + self.items.len()
+        self.base + self.len()
     }
 
     /// Absolute index of the oldest retained instance.
@@ -66,43 +85,57 @@ impl Stack {
 
     /// Number of retained instances.
     pub fn len(&self) -> usize {
-        self.items.len()
+        match &self.head {
+            None => 0,
+            Some(_) => 1 + self.tail.as_ref().map_or(0, |t| t.len()),
+        }
     }
 
     /// True when no instances are retained.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.head.is_none()
     }
 
     /// Append an instance; returns its absolute index.
     pub fn push(&mut self, inst: Instance) -> usize {
         let idx = self.total();
-        self.items.push_back(inst);
+        if self.head.is_none() {
+            self.head = Some(inst);
+        } else {
+            self.tail.get_or_insert_with(Box::default).push_back(inst);
+        }
         idx
     }
 
     /// The instance at absolute index `idx`, if retained.
     pub fn get(&self, idx: usize) -> Option<&Instance> {
-        idx.checked_sub(self.base).and_then(|i| self.items.get(i))
+        match idx.checked_sub(self.base)? {
+            0 => self.head.as_ref(),
+            i => self.tail.as_ref()?.get(i - 1),
+        }
     }
 
     /// Drop instances with `timestamp < min_ts` from the front.
     /// Returns how many were dropped.
     ///
     /// Instances are appended in timestamp order, so expiry is always a
-    /// prefix.
+    /// prefix. Each dropped head is replaced by the front of the tail, so
+    /// the oldest retained instance is always the inline one.
     pub fn prune_before(&mut self, min_ts: Timestamp) -> usize {
         let mut dropped = 0;
-        while let Some(front) = self.items.front() {
-            if front.ts < min_ts {
-                self.items.pop_front();
-                self.base += 1;
-                dropped += 1;
-            } else {
-                break;
-            }
+        while self.head.as_ref().is_some_and(|h| h.ts < min_ts) {
+            self.head = self.tail.as_mut().and_then(|t| t.pop_front());
+            dropped += 1;
         }
+        self.base += dropped;
         dropped
+    }
+
+    /// The retained instances, oldest first.
+    fn instances(&self) -> impl Iterator<Item = &Instance> {
+        self.head
+            .iter()
+            .chain(self.tail.iter().flat_map(|t| t.iter()))
     }
 
     /// Serializable image of this stack (absolute indexing included).
@@ -110,8 +143,7 @@ impl Stack {
         StackSnapshot {
             base: self.base as u64,
             instances: self
-                .items
-                .iter()
+                .instances()
                 .map(|i| InstanceSnapshot {
                     event: EventSnapshot::capture(&i.event),
                     rip: i.rip as u64,
@@ -122,35 +154,78 @@ impl Stack {
 
     /// Rebuild a stack from its snapshot, resolving events against
     /// `registry`.
-    pub fn from_snapshot(snap: &StackSnapshot, registry: &SchemaRegistry) -> Result<Stack> {
-        let mut items = VecDeque::with_capacity(snap.instances.len());
+    ///
+    /// `types` are the event types the stack's component binds, and
+    /// `prev_total` is the previous stack's [`Stack::total`] (`None` for
+    /// the first stack). A snapshot the engine could not have written is
+    /// rejected: an instance of another type, timestamps that go
+    /// backwards, or RIPs that are not zero on the first stack, decrease,
+    /// or point past the previous stack. Sequence construction relies on
+    /// each of these, so accepting one would silently miss matches.
+    pub fn from_snapshot(
+        snap: &StackSnapshot,
+        registry: &SchemaRegistry,
+        types: &[EventTypeId],
+        prev_total: Option<usize>,
+    ) -> Result<Stack> {
+        let mut stack = Stack {
+            base: snap.base as usize,
+            ..Stack::default()
+        };
+        if stack.base.checked_add(snap.instances.len()).is_none() {
+            return Err(mismatch("stack base overflows"));
+        }
+        let (mut last_ts, mut last_rip) = (0, 0);
         for i in &snap.instances {
             let event = i.event.rebuild(registry)?;
-            items.push_back(Instance {
-                ts: event.timestamp(),
-                event,
-                rip: i.rip as usize,
-            });
+            let (ts, rip) = (event.timestamp(), i.rip as usize);
+            if !types.contains(&event.type_id()) {
+                return Err(mismatch(format!(
+                    "a `{}` instance in a stack whose component does not bind it",
+                    event.type_name()
+                )));
+            }
+            if ts < last_ts {
+                return Err(mismatch(format!(
+                    "stack timestamps go backwards ({ts} after {last_ts})"
+                )));
+            }
+            let wrong_rip = match prev_total {
+                None if rip != 0 => Some(format!("RIP {rip} in the first stack")),
+                Some(prev) if rip > prev => Some(format!(
+                    "RIP {rip} points past the previous stack's {prev} instances"
+                )),
+                _ if rip < last_rip => {
+                    Some(format!("stack RIPs go backwards ({rip} after {last_rip})"))
+                }
+                _ => None,
+            };
+            if let Some(what) = wrong_rip {
+                return Err(mismatch(what));
+            }
+            (last_ts, last_rip) = (ts, rip);
+            stack.push(Instance { event, ts, rip });
         }
-        Ok(Stack {
-            base: snap.base as usize,
-            items,
-        })
+        Ok(stack)
     }
 
     /// Iterate retained instances newest-first together with their absolute
     /// indexes, restricted to absolute index `< bound`.
     pub fn iter_below(&self, bound: usize) -> impl Iterator<Item = (usize, &Instance)> {
-        let upper = bound.min(self.total());
-        let start = self.base;
-        // Relative range [0, upper - base), iterated in reverse.
-        let count = upper.saturating_sub(start);
-        self.items
-            .iter()
-            .take(count)
-            .enumerate()
+        let count = bound.min(self.total()).saturating_sub(self.base);
+        let tail = match &self.tail {
+            Some(t) if count > 1 => t.range(..count - 1),
+            _ => vec_deque::Iter::default(),
+        };
+        // The bounded part of the tail backwards, then the head.
+        self.head
+            .as_ref()
+            .filter(|_| count > 0)
+            .into_iter()
+            .chain(tail)
             .rev()
-            .map(move |(i, inst)| (start + i, inst))
+            .zip((self.base..self.base + count).rev())
+            .map(|(inst, i)| (i, inst))
     }
 }
 
@@ -167,10 +242,11 @@ pub struct AisGroup {
 /// Longer patterns keep theirs in one heap slice.
 #[derive(Debug)]
 enum GroupStacks {
-    /// The first `len` stacks are the group's.
+    /// The first `len` stacks are the group's. A `u8` leaves room for the
+    /// variant tag beside it, so a group stays 88 B.
     Inline {
         stacks: [Stack; 2],
-        len: usize,
+        len: u8,
     },
     Heap(Box<[Stack]>),
 }
@@ -180,7 +256,7 @@ impl std::ops::Deref for GroupStacks {
 
     fn deref(&self) -> &[Stack] {
         match self {
-            GroupStacks::Inline { stacks, len } => &stacks[..*len],
+            GroupStacks::Inline { stacks, len } => &stacks[..usize::from(*len)],
             GroupStacks::Heap(stacks) => stacks,
         }
     }
@@ -189,7 +265,7 @@ impl std::ops::Deref for GroupStacks {
 impl std::ops::DerefMut for GroupStacks {
     fn deref_mut(&mut self) -> &mut [Stack] {
         match self {
-            GroupStacks::Inline { stacks, len } => &mut stacks[..*len],
+            GroupStacks::Inline { stacks, len } => &mut stacks[..usize::from(*len)],
             GroupStacks::Heap(stacks) => stacks,
         }
     }
@@ -201,7 +277,7 @@ impl AisGroup {
         let stacks = if n <= 2 {
             GroupStacks::Inline {
                 stacks: Default::default(),
-                len: n,
+                len: n as u8,
             }
         } else {
             GroupStacks::Heap((0..n).map(|_| Stack::new()).collect())
@@ -234,11 +310,27 @@ impl AisGroup {
         self.stacks.iter().map(Stack::snapshot).collect()
     }
 
-    /// Rebuild a group from per-stack snapshots.
-    pub fn from_snapshot(stacks: &[StackSnapshot], registry: &SchemaRegistry) -> Result<AisGroup> {
-        let mut group = AisGroup::new(stacks.len());
-        for (slot, s) in group.stacks.iter_mut().zip(stacks) {
-            *slot = Stack::from_snapshot(s, registry)?;
+    /// Rebuild a group of `pattern`'s positive components from per-stack
+    /// snapshots, validating each stack as [`Stack::from_snapshot`] does.
+    pub fn from_snapshot(
+        stacks: &[StackSnapshot],
+        registry: &SchemaRegistry,
+        pattern: &CompiledPattern,
+    ) -> Result<AisGroup> {
+        let n = pattern.positive_len();
+        if stacks.len() != n {
+            return Err(mismatch(format!(
+                "partition has {} stacks, plan has {n} positive components",
+                stacks.len()
+            )));
+        }
+        let mut group = AisGroup::new(n);
+        let mut prev_total = None;
+        for (i, s) in stacks.iter().enumerate() {
+            let types = &pattern.positive_elem(i).type_ids;
+            let stack = Stack::from_snapshot(s, registry, types, prev_total)?;
+            prev_total = Some(stack.total());
+            group.stacks[i] = stack;
         }
         Ok(group)
     }
@@ -258,6 +350,7 @@ impl AisGroup {
 mod tests {
     use super::*;
     use crate::event::retail_registry;
+    use crate::lang::parse_query;
     use crate::value::Value;
 
     fn ev(ts: u64) -> Event {
@@ -270,16 +363,46 @@ mod tests {
             .unwrap()
     }
 
+    fn inst(ts: u64, rip: usize) -> Instance {
+        Instance {
+            event: ev(ts),
+            ts,
+            rip,
+        }
+    }
+
+    /// A first stack holding one instance per timestamp.
+    fn stack_of(ts: &[u64]) -> Stack {
+        let mut s = Stack::new();
+        for &t in ts {
+            s.push(inst(t, 0));
+        }
+        s
+    }
+
+    /// `iter_below(bound)` as (absolute index, timestamp) pairs.
+    fn walk(s: &Stack, bound: usize) -> Vec<(usize, u64)> {
+        s.iter_below(bound).map(|(i, inst)| (i, inst.ts)).collect()
+    }
+
+    /// `iter_below(bound)` as (absolute index, timestamp, RIP) triples.
+    fn walk_rips(s: &Stack, bound: usize) -> Vec<(usize, u64, usize)> {
+        s.iter_below(bound)
+            .map(|(i, inst)| (i, inst.ts, inst.rip))
+            .collect()
+    }
+
+    fn shelf_types() -> Vec<EventTypeId> {
+        vec![retail_registry().type_id("SHELF_READING").unwrap()]
+    }
+
+    fn round_trip(s: &Stack) -> Stack {
+        Stack::from_snapshot(&s.snapshot(), &retail_registry(), &shelf_types(), None).unwrap()
+    }
+
     #[test]
     fn absolute_indexing_survives_pruning() {
-        let mut s = Stack::new();
-        for ts in [1, 2, 3, 4, 5] {
-            s.push(Instance {
-                event: ev(ts),
-                ts,
-                rip: 0,
-            });
-        }
+        let mut s = stack_of(&[1, 2, 3, 4, 5]);
         assert_eq!(s.total(), 5);
         assert_eq!(s.prune_before(3), 2);
         assert_eq!(s.total(), 5);
@@ -293,76 +416,144 @@ mod tests {
 
     #[test]
     fn iter_below_respects_rip_bound_and_pruning() {
-        let mut s = Stack::new();
-        for ts in [10, 20, 30, 40] {
-            s.push(Instance {
-                event: ev(ts),
-                ts,
-                rip: 0,
-            });
-        }
+        let mut s = stack_of(&[10, 20, 30, 40]);
         // Bound 3 = only absolute indexes 0,1,2; newest first.
-        let got: Vec<u64> = s.iter_below(3).map(|(_, i)| i.event.timestamp()).collect();
-        assert_eq!(got, vec![30, 20, 10]);
-
+        assert_eq!(walk(&s, 3), vec![(2, 30), (1, 20), (0, 10)]);
         s.prune_before(20);
-        let got: Vec<(usize, u64)> = s
-            .iter_below(3)
-            .map(|(idx, i)| (idx, i.event.timestamp()))
-            .collect();
-        assert_eq!(got, vec![(2, 30), (1, 20)]);
-
+        assert_eq!(walk(&s, 3), vec![(2, 30), (1, 20)]);
         // Bound beyond total clamps.
-        let got: Vec<usize> = s.iter_below(99).map(|(idx, _)| idx).collect();
+        let got: Vec<usize> = walk(&s, 99).into_iter().map(|(i, _)| i).collect();
         assert_eq!(got, vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn stacks_of_zero_to_three_instances() {
+        let all = [10, 20, 30];
+        for n in 0..=3 {
+            let s = stack_of(&all[..n]);
+            assert_eq!((s.len(), s.total(), s.is_empty()), (n, n, n == 0));
+            // One instance lives in the head; a tail exists from the second.
+            assert_eq!(s.head.is_some(), n > 0);
+            assert_eq!(s.tail.as_ref().map_or(0, |t| t.len()), n.saturating_sub(1));
+            for (i, &ts) in all[..n].iter().enumerate() {
+                assert_eq!(s.get(i).unwrap().ts, ts);
+            }
+            assert!(s.get(n).is_none());
+            let newest_first: Vec<(usize, u64)> =
+                all[..n].iter().copied().enumerate().rev().collect();
+            assert_eq!(walk(&s, 99), newest_first);
+
+            let back = round_trip(&s);
+            assert_eq!(back.snapshot(), s.snapshot());
+            assert_eq!(walk(&back, 99), newest_first);
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn layout_sizes() {
+        // The head and the tail pointer take the `VecDeque` header's place.
+        assert_eq!(std::mem::size_of::<Stack>(), 40);
+        assert_eq!(std::mem::size_of::<AisGroup>(), 88);
+    }
+
+    #[test]
+    fn pruning_crosses_from_head_into_tail_and_empties_both() {
+        let mut s = stack_of(&[1, 2, 3, 4]);
+        // The head and one tail instance go; the tail's front is promoted.
+        assert_eq!(s.prune_before(3), 2);
+        assert_eq!((s.first_index(), s.len()), (2, 2));
+        assert_eq!(s.head.as_ref().unwrap().ts, 3);
+        // `get` at `base` reads the head, at `base + 1` the tail.
+        assert_eq!(s.get(2).unwrap().ts, 3);
+        assert_eq!(s.get(3).unwrap().ts, 4);
+        assert!(s.get(1).is_none());
+
+        assert_eq!(s.prune_before(100), 2);
+        assert!(s.is_empty() && s.head.is_none());
+        assert_eq!((s.first_index(), s.total()), (4, 4));
+        assert!(s.get(3).is_none() && s.get(4).is_none());
+        assert!(walk(&s, 99).is_empty());
+        assert_eq!(s.prune_before(100), 0);
+
+        // Pushing again refills the head first, at the next absolute index.
+        assert_eq!(s.push(inst(200, 0)), 4);
+        assert_eq!(s.get(4).unwrap().ts, 200);
+        assert_eq!(s.tail.as_ref().unwrap().len(), 0);
+    }
+
+    #[test]
+    fn iter_below_bounds_at_head_seam_and_past_total() {
+        let mut s = stack_of(&[5, 10, 20, 30, 40]);
+        s.prune_before(10); // base 1: head 10, tail 20, 30, 40
+        assert!(walk(&s, 0).is_empty());
+        assert!(walk(&s, 1).is_empty()); // ends before the head
+        assert_eq!(walk(&s, 2), vec![(1, 10)]); // ends in the head
+        assert_eq!(walk(&s, 3), vec![(2, 20), (1, 10)]); // at the seam
+        assert_eq!(walk(&s, 4), vec![(3, 30), (2, 20), (1, 10)]);
+        let all = vec![(4, 40), (3, 30), (2, 20), (1, 10)];
+        assert_eq!(walk(&s, 5), all);
+        assert_eq!(walk(&s, 6), all); // past total
+        assert_eq!(walk(&s, usize::MAX), all);
+    }
+
+    #[test]
+    fn a_drained_spill_keeps_its_one_instance_in_the_head() {
+        let mut s = Stack::new();
+        for round in 0..50u64 {
+            // Three instances per round, then all but the newest expire:
+            // the stack goes 1 -> 4 -> 1 (0 -> 3 -> 1 in the first round).
+            for k in 1..=3 {
+                s.push(inst(round * 10 + k, 0));
+            }
+            let expired = if round == 0 { 2 } else { 3 };
+            assert_eq!(s.prune_before(round * 10 + 3), expired);
+            assert_eq!(s.head.as_ref().unwrap().ts, round * 10 + 3);
+            assert!(s.tail.as_ref().unwrap().is_empty());
+            assert_eq!((s.first_index(), s.len()), (3 * round as usize + 2, 1));
+        }
+        // The tail never grew past what one round needs.
+        assert!(s.tail.as_ref().unwrap().capacity() < 8);
     }
 
     #[test]
     fn stack_snapshot_round_trips_after_pruning() {
         let mut s = Stack::new();
         for ts in [1, 2, 3, 4, 5] {
-            s.push(Instance {
-                event: ev(ts),
-                ts,
-                rip: ts as usize - 1,
-            });
+            s.push(inst(ts, ts as usize - 1));
         }
         s.prune_before(3);
         let snap = s.snapshot();
         assert_eq!(snap.base, 2);
         assert_eq!(snap.instances.len(), 3);
-        let back = Stack::from_snapshot(&snap, &retail_registry()).unwrap();
+        // RIPs up to 4 are valid behind a previous stack of 5 instances.
+        let back =
+            Stack::from_snapshot(&snap, &retail_registry(), &shelf_types(), Some(5)).unwrap();
         assert_eq!(back.total(), s.total());
         assert_eq!(back.first_index(), s.first_index());
-        let walked: Vec<(usize, u64, usize)> = back
-            .iter_below(99)
-            .map(|(i, inst)| (i, inst.event.timestamp(), inst.rip))
-            .collect();
-        let orig: Vec<(usize, u64, usize)> = s
-            .iter_below(99)
-            .map(|(i, inst)| (i, inst.event.timestamp(), inst.rip))
-            .collect();
-        assert_eq!(walked, orig);
+        assert_eq!(walk_rips(&back, 99), walk_rips(&s, 99));
+        assert_eq!(walk_rips(&back, 99), vec![(4, 5, 4), (3, 4, 3), (2, 3, 2)]);
+    }
+
+    #[test]
+    fn a_stack_base_that_would_overflow_is_rejected() {
+        let mut snap = stack_of(&[1]).snapshot();
+        snap.base = u64::MAX;
+        let err = Stack::from_snapshot(&snap, &retail_registry(), &shelf_types(), None)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("snapshot mismatch: stack base overflows"),
+            "{err}"
+        );
     }
 
     #[test]
     fn group_prune_counts() {
         let mut g = AisGroup::new(2);
-        g.stack_mut(0).push(Instance {
-            event: ev(1),
-            ts: 1,
-            rip: 0,
-        });
-        g.stack_mut(0).push(Instance {
-            event: ev(5),
-            ts: 5,
-            rip: 0,
-        });
-        g.stack_mut(1).push(Instance {
-            event: ev(2),
-            ts: 2,
-            rip: 1,
-        });
+        g.stack_mut(0).push(inst(1, 0));
+        g.stack_mut(0).push(inst(5, 0));
+        g.stack_mut(1).push(inst(2, 1));
         assert_eq!(g.retained(), 3);
         assert_eq!(g.prune_before(3), 2);
         assert_eq!(g.retained(), 1);
@@ -371,21 +562,27 @@ mod tests {
     #[test]
     fn group_layouts_round_trip() {
         // One and two stacks are held inline, three on the heap.
-        for n in 1..=3 {
+        let reg = retail_registry();
+        let patterns = [
+            "EVENT SHELF_READING a",
+            "EVENT SEQ(SHELF_READING a, SHELF_READING b)",
+            "EVENT SEQ(SHELF_READING a, SHELF_READING b, SHELF_READING c)",
+        ];
+        for (n, src) in (1..=3).zip(patterns) {
+            let query = parse_query(src).unwrap();
+            let pattern = CompiledPattern::compile(&query.pattern, &reg).unwrap();
             let mut g = AisGroup::new(n);
             assert_eq!(g.len(), n);
+            // Each instance follows the one instance of the previous stack.
+            let rip = |i: usize| i.min(1);
             for i in 0..n {
-                g.stack_mut(i).push(Instance {
-                    event: ev(i as u64 + 1),
-                    ts: i as u64 + 1,
-                    rip: i,
-                });
+                g.stack_mut(i).push(inst(i as u64 + 1, rip(i)));
             }
-            let back = AisGroup::from_snapshot(&g.snapshot(), &retail_registry()).unwrap();
+            let back = AisGroup::from_snapshot(&g.snapshot(), &reg, &pattern).unwrap();
             assert_eq!(back.len(), n);
             for i in 0..n {
                 let inst = back.stack(i).get(0).unwrap();
-                assert_eq!((inst.ts, inst.rip), (i as u64 + 1, i));
+                assert_eq!((inst.ts, inst.rip), (i as u64 + 1, rip(i)));
             }
         }
     }

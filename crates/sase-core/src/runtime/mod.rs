@@ -26,6 +26,15 @@
 //! (or negation bucket). It reaches the plan only to run element filters
 //! that exist and to construct sequences.
 //!
+//! The partition's entry holds the rest: for up to two positive
+//! components its stacks, and in each stack the oldest retained instance
+//! with its timestamp (see [`ais`]). So an offer to a partition whose
+//! stacks hold at most one instance each, which is almost every partition
+//! when keys are many and windows short, prunes, appends and constructs
+//! without reading a heap buffer of the index; dropping an expired
+//! instance still reaches its event. Only instances behind a stack's head
+//! live in its tail ring.
+//!
 //! The partition keys themselves live in one `KeyTable` per engine (see
 //! the private `keys` module), which maps each live key to a dense `u32`
 //! key slot. The engine begins every offer, of an input or a derived

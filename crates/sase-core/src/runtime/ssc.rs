@@ -139,7 +139,6 @@ impl SscOperator {
         registry: &SchemaRegistry,
         keys: &mut KeyTable,
     ) -> Result<()> {
-        let n = self.plan.pattern.positive_len();
         let key_parts = self
             .plan
             .partition
@@ -153,13 +152,7 @@ impl SscOperator {
                     p.key.len()
                 )));
             }
-            if p.stacks.len() != n {
-                return Err(mismatch(format!(
-                    "partition has {} stacks, plan has {n} positive components",
-                    p.stacks.len()
-                )));
-            }
-            let group = AisGroup::from_snapshot(&p.stacks, registry)?;
+            let group = AisGroup::from_snapshot(&p.stacks, registry, &self.plan.pattern)?;
             if !self.groups.insert_key(&p.key, keys, group) {
                 return Err(mismatch("duplicate partition key"));
             }

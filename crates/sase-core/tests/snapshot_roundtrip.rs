@@ -7,6 +7,7 @@
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};
+use sase_core::snapshot::{EngineSnapshot, SeqSnapshot, StackSnapshot};
 use sase_core::value::{Value, ValueType};
 
 /// A query set covering every kind of runtime state: PAIS stacks, indexed
@@ -347,6 +348,121 @@ fn restore_rejects_a_negation_bucket_key_of_the_wrong_arity() {
     // The uninterrupted engine raises no alarm.
     let exit = reading("EXIT_READING", 3, 9);
     assert!(engine.process(&exit).unwrap().is_empty());
+}
+
+/// `SEQ(A x, B y)` over the retail types, partitioned by tag.
+const PAIR: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING y) WHERE [TagId] WITHIN 100 \
+                    RETURN x.Timestamp AS a, y.Timestamp AS b";
+
+/// An engine running [`PAIR`] that has seen `readings` of tag 9.
+fn pair_engine(reg: &SchemaRegistry, readings: &[(&str, u64)]) -> Engine {
+    let mut engine = Engine::new(reg.clone());
+    engine.register("pair", PAIR).unwrap();
+    let events: Vec<Event> = readings
+        .iter()
+        .map(|&(ty, ts)| {
+            reg.build_event(ty, ts, vec![Value::Int(9), Value::str("p"), Value::Int(1)])
+                .unwrap()
+        })
+        .collect();
+    engine.process_batch(&events).unwrap();
+    engine
+}
+
+/// The stacks of the one partition of `snap`'s one query.
+fn pair_stacks(snap: &mut EngineSnapshot) -> &mut [StackSnapshot] {
+    let SeqSnapshot::Ssc { partitions, .. } = &mut snap.queries[0].seq;
+    assert_eq!(partitions.len(), 1);
+    &mut partitions[0].stacks
+}
+
+/// Restoring `snap` into a fresh [`PAIR`] engine fails with a typed
+/// mismatch naming `what`, and leaves the engine as it was.
+fn assert_restore_rejects(snap: &EngineSnapshot, what: &str) {
+    let reg = retail_registry();
+    let mut engine = pair_engine(&reg, &[]);
+    let before = engine.snapshot();
+    let err = engine.restore(snap).unwrap_err().to_string();
+    assert!(err.contains("snapshot mismatch"), "{err}");
+    assert!(err.contains(what), "{err}");
+    assert_eq!(
+        engine.snapshot(),
+        before,
+        "a rejected restore built nothing"
+    );
+}
+
+#[test]
+fn restore_rejects_stack_timestamps_that_go_backwards() {
+    let reg = retail_registry();
+    let mut engine = pair_engine(&reg, &[("SHELF_READING", 10), ("SHELF_READING", 50)]);
+    let mut snap = engine.snapshot();
+    // Restored as [A@50, A@10], the newest-first walk for B@115 would stop
+    // at A@10 < 15 and never reach A@50.
+    pair_stacks(&mut snap)[0].instances.swap(0, 1);
+    assert_restore_rejects(&snap, "timestamps go backwards");
+
+    // The uninterrupted engine pairs A@50 with B@115.
+    let exit = reg
+        .build_event(
+            "EXIT_READING",
+            115,
+            vec![Value::Int(9), Value::str("p"), Value::Int(1)],
+        )
+        .unwrap();
+    let out = engine.process(&exit).unwrap();
+    assert_eq!(out.len(), 1);
+    assert!(out[0].to_string().contains("{a: 50, b: 115}"), "{}", out[0]);
+}
+
+/// A [`PAIR`] snapshot with two shelf readings, both preceding two exit
+/// readings, damaged by `damage`.
+fn damaged_pair_snapshot(damage: impl FnOnce(&mut [StackSnapshot])) -> EngineSnapshot {
+    let readings = [
+        ("SHELF_READING", 10),
+        ("SHELF_READING", 20),
+        ("EXIT_READING", 30),
+        ("EXIT_READING", 40),
+    ];
+    let mut snap = pair_engine(&retail_registry(), &readings).snapshot();
+    let stacks = pair_stacks(&mut snap);
+    let rips = |s: &StackSnapshot| s.instances.iter().map(|i| i.rip).collect::<Vec<_>>();
+    assert_eq!(
+        (rips(&stacks[0]), rips(&stacks[1])),
+        (vec![0, 0], vec![2, 2])
+    );
+    damage(stacks);
+    snap
+}
+
+#[test]
+fn restore_rejects_a_rip_in_the_first_stack() {
+    // The first stack has no previous stack to point into.
+    let snap = damaged_pair_snapshot(|s| s[0].instances[1].rip = 1);
+    assert_restore_rejects(&snap, "RIP 1 in the first stack");
+}
+
+#[test]
+fn restore_rejects_rips_that_decrease_or_point_past_the_previous_stack() {
+    let snap = damaged_pair_snapshot(|s| s[1].instances[1].rip = 1);
+    assert_restore_rejects(&snap, "RIPs go backwards");
+    // The previous stack holds `base + len` instances, pruned or not.
+    let snap = damaged_pair_snapshot(|s| s[1].instances[0].rip = 3);
+    assert_restore_rejects(&snap, "points past the previous stack's 2 instances");
+    let snap = damaged_pair_snapshot(|s| {
+        s[0].base = 1;
+        s[0].instances.remove(0);
+        s[1].instances[1].rip = 3;
+    });
+    assert_restore_rejects(&snap, "points past the previous stack's 2 instances");
+}
+
+#[test]
+fn restore_rejects_an_instance_its_component_cannot_bind() {
+    let reg = retail_registry();
+    let mut snap = pair_engine(&reg, &[("SHELF_READING", 10)]).snapshot();
+    pair_stacks(&mut snap)[0].instances[0].event.type_name = "COUNTER_READING".into();
+    assert_restore_rejects(&snap, "`COUNTER_READING` instance");
 }
 
 /// The churn workload: every tag is read a few times in a row, then not

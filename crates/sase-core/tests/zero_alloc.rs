@@ -215,6 +215,44 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
         "steady-state Q2 sequence construction must not allocate"
     );
 
+    // ---- 3c. A dense partition whose stacks keep spilling and draining:
+    //          one tag read in bursts of three ticks, each burst expiring
+    //          the one before, so after each arrival stack x holds 1, 2, 3,
+    //          then 1 again, and stack y 0, 1, 2, then 0. A stack's tail is
+    //          allocated by its first spill and kept, so the cycle costs
+    //          nothing. Construction runs and rejects every candidate.
+    //          Fewer than 4,096 events in all, so no idle sweep drops the
+    //          group between bursts.
+    let spill_plan = planner
+        .plan(
+            &parse_query(
+                "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
+                 WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 2",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let mut rt5 = QueryRuntime::new("spill", spill_plan);
+    let bursts: Vec<Event> = (0..800u64)
+        .map(|k| ev(&reg, "SHELF_READING", k / 3 * 10 + k % 3 + 1, 5, 1))
+        .collect();
+    for e in &bursts[..400] {
+        rt5.process(e, &mut out).unwrap();
+    }
+    let allocs = counted(|| {
+        for e in &bursts[400..] {
+            rt5.process(e, &mut out).unwrap();
+        }
+    });
+    assert!(out.is_empty());
+    let stats = rt5.stats();
+    assert!(stats.construction_filter_rejects > 0);
+    assert_eq!(rt5.retained_state().0, 3, "the last burst: x holds 2, y 1");
+    assert_eq!(
+        allocs, 0,
+        "a dense partition cycling its stacks through their tails must not allocate"
+    );
+
     // ---- 3b. The other key shapes: a two-part key whose parts also bucket
     //          the negation, and an `ANY(...)` component whose key
     //          attribute sits at a different position in each candidate
