@@ -25,7 +25,7 @@ pub trait Binding {
     fn event_at(&self, slot: usize) -> Option<&Event>;
 }
 
-/// A binding over a slice of optional events (the runtime's working form).
+/// A binding over a slice of optional events, one per slot.
 impl Binding for [Option<Event>] {
     fn event_at(&self, slot: usize) -> Option<&Event> {
         self.get(slot).and_then(|e| e.as_ref())

@@ -13,6 +13,12 @@ use crate::value::Value;
 
 /// A composite event emitted by a query: the matched constituent events
 /// plus the values computed by the RETURN clause.
+///
+/// An emission is immutable once built, so its body is shared: the events
+/// and the RETURN values each sit in one reference-counted allocation, and
+/// cloning a `ComplexEvent` — into an archive, a subscriber's channel, the
+/// `INTO` derivation queue — copies a few pointers and bumps their counts.
+/// Every clone of an emission reads the same events and values.
 #[derive(Debug, Clone)]
 pub struct ComplexEvent {
     /// Name of the query that produced this output.
@@ -21,11 +27,13 @@ pub struct ComplexEvent {
     /// with the query's plan: every emission of a query names the same
     /// variables).
     pub variables: Arc<[Arc<str>]>,
-    /// The matched events (one per positive component, in order).
-    pub events: Vec<Event>,
-    /// RETURN projection: `(column name, value)` pairs in clause order.
-    /// Empty when the query has no RETURN clause.
-    pub values: Vec<(Arc<str>, Value)>,
+    /// The matched events (one per positive component, in order), shared
+    /// by every clone of this emission.
+    pub events: Arc<[Event]>,
+    /// RETURN projection: `(column name, value)` pairs in clause order,
+    /// shared by every clone of this emission. Empty when the query has no
+    /// RETURN clause.
+    pub values: Arc<[(Arc<str>, Value)]>,
     /// Timestamp of the last constituent event (detection time).
     pub detected_at: Timestamp,
     /// Output stream name (`INTO`), if the query declared one.
@@ -64,7 +72,7 @@ impl fmt::Display for ComplexEvent {
             write!(f, "}}")?;
         }
         write!(f, " <-")?;
-        for (var, e) in self.variables.iter().zip(&self.events) {
+        for (var, e) in self.variables.iter().zip(self.events.iter()) {
             write!(f, " {var}={e}")?;
         }
         Ok(())
@@ -96,8 +104,8 @@ mod tests {
         let ce = ComplexEvent {
             query: Arc::from("shoplifting"),
             variables: Arc::from([Arc::from("x"), Arc::from("z")]),
-            events: vec![shelf, exit],
-            values: vec![(Arc::from("x.TagId"), Value::Int(9))],
+            events: Arc::from([shelf, exit]),
+            values: Arc::from([(Arc::from("x.TagId"), Value::Int(9))]),
             detected_at: 8,
             into: None,
         };

@@ -290,6 +290,11 @@ impl AisGroup {
         &self.stacks[i]
     }
 
+    /// The stacks, in component order.
+    pub(crate) fn stacks(&self) -> &[Stack] {
+        &self.stacks
+    }
+
     /// Mutable access to the stack for positive component `i`.
     pub fn stack_mut(&mut self, i: usize) -> &mut Stack {
         &mut self.stacks[i]

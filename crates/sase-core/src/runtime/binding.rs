@@ -1,15 +1,19 @@
 //! Runtime bindings: assignments of events to pattern slots.
+//!
+//! Both views borrow their events. A completed match is a slice of events,
+//! one per positive component in pattern order ([`MatchBinding`]); a match
+//! under construction is a chain of borrowed events, one per bound
+//! component, each link on a frame of the construction's recursion (the
+//! crate-private `Suffix`).
 
 use crate::event::Event;
 use crate::expr::Binding;
 use crate::pattern::CompiledPattern;
 
-/// A complete match of the positive components: one event per positive
-/// component, in pattern order, with strictly increasing timestamps.
-pub type PositiveMatch = Vec<Event>;
-
-/// A [`Binding`] view over a positive match, optionally extended with a
-/// candidate event for one negated slot (used by negation checks).
+/// A [`Binding`] view over a complete match of the positive components —
+/// one event per positive component, in pattern order — optionally
+/// extended with a candidate event for one negated slot (used by negation
+/// checks).
 pub struct MatchBinding<'a> {
     pattern: &'a CompiledPattern,
     positives: &'a [Event],
@@ -57,6 +61,36 @@ impl Binding for MatchBinding<'_> {
     }
 }
 
+/// The positive components bound so far by backward sequence construction:
+/// a suffix of the pattern's positive components, `event` bound to the
+/// first of them at pattern slot `slot`, and `rest` to the ones after it.
+/// Each link lives on a frame of the construction's recursion and borrows
+/// its event from an instance of the index (or from the arriving event), so
+/// binding a candidate costs neither an allocation nor a reference count.
+/// As a [`Binding`], slots the suffix does not cover read as unbound.
+pub(crate) struct Suffix<'a> {
+    pub(crate) slot: usize,
+    pub(crate) event: &'a Event,
+    pub(crate) rest: Option<&'a Suffix<'a>>,
+}
+
+impl<'a> Suffix<'a> {
+    /// The bound events, in pattern order.
+    pub(crate) fn events(&'a self) -> impl Iterator<Item = &'a Event> {
+        std::iter::successors(Some(self), |s| s.rest).map(|s| s.event)
+    }
+}
+
+impl Binding for Suffix<'_> {
+    fn event_at(&self, slot: usize) -> Option<&Event> {
+        let mut link = self;
+        while link.slot != slot {
+            link = link.rest?;
+        }
+        Some(link.event)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,5 +121,33 @@ mod tests {
         let counter = mk("COUNTER_READING", 3);
         let nb = MatchBinding::with_negated(&p, &positives, 1, &counter);
         assert_eq!(nb.event_at(1).unwrap().type_name(), "COUNTER_READING");
+    }
+
+    #[test]
+    fn suffix_binds_its_own_slots() {
+        let reg = retail_registry();
+        let mk = |ty: &str, ts: u64| {
+            reg.build_event(ty, ts, vec![Value::Int(1), Value::str("p"), Value::Int(1)])
+                .unwrap()
+        };
+        let (w, z) = (mk("SHELF_READING", 2), mk("EXIT_READING", 5));
+        // SEQ(x, !(y), w, z): the suffix binds w and z, at slots 2 and 3.
+        let last = Suffix {
+            slot: 3,
+            event: &z,
+            rest: None,
+        };
+        let two = Suffix {
+            slot: 2,
+            event: &w,
+            rest: Some(&last),
+        };
+        let stamps: Vec<u64> = two.events().map(Event::timestamp).collect();
+        assert_eq!(stamps, vec![2, 5]);
+        assert!(two.event_at(0).is_none());
+        assert!(two.event_at(1).is_none()); // negated slot
+        assert_eq!(two.event_at(2).unwrap().timestamp(), 2);
+        assert_eq!(two.event_at(3).unwrap().timestamp(), 5);
+        assert!(two.event_at(4).is_none());
     }
 }

@@ -62,7 +62,7 @@ pub mod negation;
 pub mod ssc;
 pub mod transform;
 
-pub use binding::{MatchBinding, PositiveMatch};
+pub use binding::MatchBinding;
 pub(crate) use keys::KeyTable;
 
 use std::sync::Arc;
@@ -75,7 +75,7 @@ use crate::plan::QueryPlan;
 use crate::program::AttrAccess;
 use crate::snapshot::{mismatch, QuerySnapshot, SeqSnapshot};
 use crate::time::{LogicalDuration, Timestamp};
-use crate::value::ValueKey;
+use crate::value::{Value, ValueKey};
 
 use negation::NegationOperator;
 use ssc::SscOperator;
@@ -86,7 +86,9 @@ use ssc::SscOperator;
 pub struct RuntimeStats {
     /// Events offered to the query.
     pub events_processed: u64,
-    /// Instances appended to Active Instance Stacks.
+    /// Instances appended to Active Instance Stacks. A single-component
+    /// query completes a match with each event it binds and stores none,
+    /// so this counts only instances some later event can extend.
     pub instances_appended: u64,
     /// Instances dropped by window pruning.
     pub instances_pruned: u64,
@@ -427,7 +429,12 @@ pub struct QueryRuntime {
     negation: NegationOperator,
     stats: RuntimeStats,
     last_ts: Option<Timestamp>,
-    scratch: Vec<PositiveMatch>,
+    /// The matches SSC constructed for the current event, flat: one event
+    /// per positive component, match after match. Negation probes them in
+    /// place; only survivors leave, moved into their emission.
+    matches: Vec<Event>,
+    /// Reused buffer the RETURN values of an emission are evaluated into.
+    values: Vec<(Arc<str>, Value)>,
     /// The key table of a runtime used on its own; `None` inside an
     /// engine. Boxed, so a standalone call moves it in and out as one
     /// pointer.
@@ -458,7 +465,8 @@ impl QueryRuntime {
             negation,
             stats: RuntimeStats::default(),
             last_ts: None,
-            scratch: Vec::new(),
+            matches: Vec::new(),
+            values: Vec::new(),
             keys: None,
         }
     }
@@ -532,21 +540,32 @@ impl QueryRuntime {
             }
         }
 
-        self.scratch.clear();
-        let mut candidates = std::mem::take(&mut self.scratch);
-        self.seq
-            .on_event(&self.offers, keys, event, &mut self.stats, &mut candidates)?;
+        // A construction that failed in an earlier call may have left
+        // matches behind.
+        self.matches.clear();
+        self.seq.on_event(
+            &self.offers,
+            keys,
+            event,
+            &mut self.stats,
+            &mut self.matches,
+        )?;
 
-        for m in candidates.drain(..) {
-            if !self.negation.allows(&m, self.seq.match_slot())? {
+        // Each match is probed in place; a survivor's events then move out
+        // of the buffer into its emission's one shared slice.
+        let n = self.offers.positives;
+        let mut matches = self.matches.drain(..);
+        while let Some(m) = matches.as_slice().get(..n) {
+            if !self.negation.allows(m, self.seq.match_slot())? {
                 self.stats.dropped_by_negation += 1;
+                matches.by_ref().take(n).for_each(drop);
                 continue;
             }
-            let ce = transform::transform(&self.plan, &self.name, m)?;
+            let events = matches.by_ref().take(n).collect();
+            let ce = transform::transform(&self.plan, &self.name, events, &mut self.values)?;
             self.stats.matches_emitted += 1;
             out.push(ce);
         }
-        self.scratch = candidates;
         Ok(())
     }
 
@@ -887,6 +906,63 @@ mod tests {
         let (instances, neg) = rt.retained_state();
         assert_eq!(instances, 1);
         assert_eq!(neg, 1);
+    }
+
+    #[test]
+    fn a_single_component_query_keeps_no_instances() {
+        // The archive rule's shape: no window, so a stored instance would
+        // never be pruned.
+        let (mut rt, reg) = runtime("EVENT ANY(SHELF_READING, EXIT_READING) x RETURN x.TagId");
+        let mut out = Vec::new();
+        for k in 0..10_000u64 {
+            let ty = if k % 2 == 0 {
+                "SHELF_READING"
+            } else {
+                "EXIT_READING"
+            };
+            rt.process(&ev(&reg, ty, k + 1, (k % 64) as i64, 1), &mut out)
+                .unwrap();
+        }
+        assert_eq!(out.len(), 10_000);
+        assert_eq!(rt.retained_state().0, 0);
+        assert_eq!(rt.stats().instances_appended, 0);
+        assert_eq!(rt.stats().sequences_constructed, 10_000);
+
+        // A snapshot that still holds instances of the query restores
+        // without them; a damaged one is still rejected.
+        let with_instance = |ty: &str| {
+            let mut snap = rt.snapshot();
+            let SeqSnapshot::Ssc { partitions, .. } = &mut snap.seq;
+            assert!(partitions.is_empty());
+            partitions.push(crate::snapshot::PartitionSnapshot {
+                key: Vec::new(),
+                stacks: vec![crate::snapshot::StackSnapshot {
+                    base: 9_999,
+                    instances: vec![crate::snapshot::InstanceSnapshot {
+                        event: crate::snapshot::EventSnapshot::capture(&ev(&reg, ty, 10_000, 7, 1)),
+                        rip: 0,
+                    }],
+                }],
+            });
+            snap
+        };
+        let mut restored = runtime_on(
+            &reg,
+            "EVENT ANY(SHELF_READING, EXIT_READING) x RETURN x.TagId",
+        );
+        restored
+            .restore(&with_instance("SHELF_READING"), &reg)
+            .unwrap();
+        assert_eq!(restored.retained_state().0, 0);
+        let mut more = Vec::new();
+        restored
+            .process(&ev(&reg, "EXIT_READING", 10_001, 7, 4), &mut more)
+            .unwrap();
+        assert_eq!(more.len(), 1);
+        assert_eq!(restored.retained_state().0, 0);
+        assert!(restored
+            .restore(&with_instance("COUNTER_READING"), &reg)
+            .is_err());
     }
 
     #[test]

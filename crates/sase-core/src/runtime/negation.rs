@@ -33,7 +33,7 @@ use crate::snapshot::{mismatch, EventSnapshot, NegationBufferSnapshot};
 use crate::time::Timestamp;
 use crate::value::ValueKey;
 
-use super::binding::{MatchBinding, PositiveMatch};
+use super::binding::MatchBinding;
 use super::keys::{KeyTable, SlotMap};
 use super::{OfferTable, RuntimeStats};
 
@@ -192,10 +192,13 @@ impl NegationOperator {
 
     /// Does the match survive every non-occurrence requirement?
     ///
-    /// `slot` is the slot of the group SSC built `m` in. An indexed
+    /// `m` holds the match's events, one per positive component in pattern
+    /// order, borrowed from the runtime's buffer of constructed matches:
+    /// a match this kills has cost no allocation. `slot` is the slot of
+    /// the group SSC built `m` in. An indexed
     /// negation buckets its candidates by the same key parts, so `slot`
     /// names the bucket to probe.
-    pub(crate) fn allows(&self, m: &PositiveMatch, slot: u32) -> Result<bool> {
+    pub(crate) fn allows(&self, m: &[Event], slot: u32) -> Result<bool> {
         for (ni, neg) in self.plan.negations.iter().enumerate() {
             let t_after = m[neg.scope.after_positive].timestamp();
             let t_before = m[neg.scope.before_positive].timestamp();
@@ -298,7 +301,7 @@ mod tests {
 
         /// Whether a match of two same-tag events survives; SSC would
         /// have built it in the group of that tag.
-        fn allows(&mut self, m: &PositiveMatch) -> Result<bool> {
+        fn allows(&mut self, m: &[Event]) -> Result<bool> {
             let slot = self
                 .keys
                 .intern(&[ValueKey::from_value(m[0].attr_at(0).unwrap())]);

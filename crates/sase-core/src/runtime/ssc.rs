@@ -14,7 +14,14 @@
 //! * **Sequence Construction**: when an instance lands in the *last* stack,
 //!   all sequences ending at it are enumerated by walking RIP pointers
 //!   backwards, applying window bounds and multi-variable predicates as
-//!   early as their variables are bound.
+//!   early as their variables are bound. The walk binds each candidate by
+//!   reference, never by an owned event: most candidates are rejected, and
+//!   a rejected one costs neither an allocation nor a reference count.
+//!   Completed matches are appended to the runtime's flat match buffer,
+//!   `n` events each, where negation probes them before any is emitted.
+//!
+//! A single-component query keeps no stacks at all: each event it binds
+//! completes a match on its own, and no later event could extend it.
 //!
 //! The partitions are indexed by key slot of the engine's key table (see
 //! the runtime's `keys` module): the operator keeps its groups in a dense
@@ -39,8 +46,8 @@ use crate::event::{Event, SchemaRegistry};
 use crate::plan::{ConstructionFilter, QueryPlan};
 use crate::snapshot::{mismatch, PartitionSnapshot, SeqSnapshot};
 
-use super::ais::{AisGroup, Instance};
-use super::binding::PositiveMatch;
+use super::ais::{AisGroup, Instance, Stack};
+use super::binding::Suffix;
 use super::keys::{KeyTable, SlotMap};
 use super::{OfferTable, RuntimeStats};
 
@@ -59,9 +66,6 @@ pub struct SscOperator {
     /// in. An indexed negation buckets candidates under the same key, so it
     /// probes with this slot instead of extracting the key again.
     match_slot: u32,
-    /// Reused slot-binding buffer for sequence construction — one buffer
-    /// per operator instead of a fresh `Vec<Option<Event>>` per candidate.
-    binding_scratch: Vec<Option<Event>>,
 }
 
 /// Full-sweep period (events) for pruning partitions (and negation
@@ -77,14 +81,12 @@ impl SscOperator {
         for f in &plan.construction_filters {
             filters_by_min[f.min_positive.min(n - 1)].push(f.clone());
         }
-        let slot_count = plan.pattern.slot_count();
         SscOperator {
             plan,
             groups: SlotMap::default(),
             filters_by_min,
             events_since_sweep: 0,
             match_slot: 0,
-            binding_scratch: vec![None; slot_count],
         }
     }
 
@@ -153,6 +155,13 @@ impl SscOperator {
                 )));
             }
             let group = AisGroup::from_snapshot(&p.stacks, registry, &self.plan.pattern)?;
+            if self.plan.pattern.positive_len() == 1 {
+                // A single-component query keeps no stacks. A snapshot may
+                // still hold instances of one, written by a build that
+                // stored every event such a query matched: nothing reads
+                // them, so once validated they are dropped.
+                continue;
+            }
             if !self.groups.insert_key(&p.key, keys, group) {
                 return Err(mismatch("duplicate partition key"));
             }
@@ -167,8 +176,8 @@ impl SscOperator {
     }
 
     /// Process one event through the positive rows of `offers`, the table
-    /// compiled from this operator's plan; pushes every completed positive
-    /// match to `out`.
+    /// compiled from this operator's plan; appends every completed positive
+    /// match to `out`, one event per positive component in pattern order.
     #[inline]
     pub(crate) fn on_event(
         &mut self,
@@ -176,7 +185,7 @@ impl SscOperator {
         keys: &mut KeyTable,
         event: &Event,
         stats: &mut RuntimeStats,
-        out: &mut Vec<PositiveMatch>,
+        out: &mut Vec<Event>,
     ) -> Result<()> {
         let n = offers.positives;
         let window = offers.window;
@@ -208,13 +217,28 @@ impl SscOperator {
                 // never hold for this event.
                 continue;
             };
+            let i = row.index;
+            let ts = event.timestamp();
+            let min_ts = window.map(|w| ts.saturating_sub(w));
+            if n == 1 {
+                // The event completes its match alone, and no later event
+                // can extend it: a single-component query keeps no stacks.
+                Construction {
+                    plan: &self.plan,
+                    filters_by_min: &self.filters_by_min,
+                    stacks: &[],
+                    min_ts,
+                    stats,
+                    out,
+                }
+                .run(event, 0)?;
+                continue;
+            }
             let group = self
                 .groups
                 .get_or_insert_with(slot, keys, || AisGroup::new(n));
-            let i = row.index;
-            if let Some(w) = window {
-                stats.instances_pruned +=
-                    group.prune_before(event.timestamp().saturating_sub(w)) as u64;
+            if let Some(min_ts) = min_ts {
+                stats.instances_pruned += group.prune_before(min_ts) as u64;
             }
 
             // An instance with no possible predecessor can never extend to
@@ -229,23 +253,22 @@ impl SscOperator {
             };
             group.stack_mut(i).push(Instance {
                 event: event.clone(),
-                ts: event.timestamp(),
+                ts,
                 rip,
             });
             stats.instances_appended += 1;
 
             if i == n - 1 {
                 let before = out.len();
-                construct(
-                    &self.plan,
-                    &self.filters_by_min,
-                    group,
-                    event,
-                    rip,
-                    &mut self.binding_scratch,
+                Construction {
+                    plan: &self.plan,
+                    filters_by_min: &self.filters_by_min,
+                    stacks: group.stacks(),
+                    min_ts,
                     stats,
                     out,
-                )?;
+                }
+                .run(event, rip)?;
                 if out.len() > before {
                     self.match_slot = slot;
                 }
@@ -256,122 +279,95 @@ impl SscOperator {
     }
 }
 
-/// Enumerate all sequences ending at `last` by backward RIP traversal.
+/// One sequence construction: enumerate every sequence ending at the
+/// arriving event by backward RIP traversal of one group's stacks.
 ///
-/// `binding` is the operator's reused slot-binding scratch buffer; it is
-/// reset here, so steady-state construction allocates nothing until a
-/// completed match is emitted.
-#[allow(clippy::too_many_arguments)]
-fn construct(
-    plan: &QueryPlan,
-    filters_by_min: &[Vec<ConstructionFilter>],
-    group: &AisGroup,
-    last: &Event,
-    last_rip: usize,
-    binding: &mut Vec<Option<Event>>,
-    stats: &mut RuntimeStats,
-    out: &mut Vec<PositiveMatch>,
-) -> Result<()> {
-    let n = plan.pattern.positive_len();
-    debug_assert_eq!(binding.len(), plan.pattern.slot_count());
-    for b in binding.iter_mut() {
-        *b = None;
-    }
-    binding[plan.pattern.positive_slots[n - 1]] = Some(last.clone());
-
-    for f in &filters_by_min[n - 1] {
-        if !f.expr.eval_bool(&binding[..])? {
-            stats.construction_filter_rejects += 1;
-            return Ok(());
-        }
-    }
-    if n == 1 {
-        stats.sequences_constructed += 1;
-        out.push(vec![last.clone()]);
-        return Ok(());
-    }
-
-    let min_ts = plan.window.map(|w| last.timestamp().saturating_sub(w));
-
-    descend(
-        plan,
-        filters_by_min,
-        group,
-        n - 2,
-        last_rip,
-        last.timestamp(),
-        min_ts,
-        binding,
-        stats,
-        out,
-    )
+/// The walk is a recursion over the positive components, last to first.
+/// Each candidate is bound by reference — the arriving event for the last
+/// component, an instance's event for the others — as a link of a
+/// [`Suffix`] on the stack frame that walks it, and the construction
+/// filters that become evaluable at its component run against the suffix
+/// before the walk descends. A candidate that is rejected, or whose walk
+/// dies out, has cost neither an allocation nor a reference count; only a
+/// completed match copies its events, into the caller's flat buffer. One
+/// walk serves every component count: a single-component query binds the
+/// arriving event and completes.
+struct Construction<'a> {
+    plan: &'a QueryPlan,
+    filters_by_min: &'a [Vec<ConstructionFilter>],
+    /// The group's stacks; empty for a single-component query, which keeps
+    /// none.
+    stacks: &'a [Stack],
+    /// The window's lower bound on every candidate's timestamp.
+    min_ts: Option<u64>,
+    stats: &'a mut RuntimeStats,
+    /// Completed matches, `n` events each in pattern order.
+    out: &'a mut Vec<Event>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    plan: &QueryPlan,
-    filters_by_min: &[Vec<ConstructionFilter>],
-    group: &AisGroup,
-    i: usize,
-    bound: usize,
-    prev_ts: u64,
-    min_ts: Option<u64>,
-    binding: &mut Vec<Option<Event>>,
-    stats: &mut RuntimeStats,
-    out: &mut Vec<PositiveMatch>,
-) -> Result<()> {
-    let slot = plan.pattern.positive_slots[i];
-    // `iter_below` walks newest-first: timestamps are non-increasing, so the
-    // window bound terminates the scan with `break`.
-    for (_, inst) in group.stack(i).iter_below(bound) {
-        let ts = inst.ts;
-        if ts >= prev_ts {
-            // Same-or-later timestamp: strict sequencing rejects it, but
-            // older instances further down may still qualify.
-            continue;
+impl Construction<'_> {
+    /// Enumerate every sequence whose last positive component binds
+    /// `event`, an instance with RIP `rip` (0 without stacks).
+    fn run(&mut self, event: &Event, rip: usize) -> Result<()> {
+        let i = self.plan.pattern.positive_len() - 1;
+        let last = Suffix {
+            slot: self.plan.pattern.positive_slots[i],
+            event,
+            rest: None,
+        };
+        if self.admits(i, &last)? {
+            self.extend(i, &last, event.timestamp(), rip)?;
         }
-        if let Some(m) = min_ts {
-            if ts < m {
-                break;
-            }
-        }
-        binding[slot] = Some(inst.event.clone());
-        let mut pass = true;
-        for f in &filters_by_min[i] {
-            if !f.expr.eval_bool(&binding[..])? {
-                pass = false;
-                stats.construction_filter_rejects += 1;
-                break;
-            }
-        }
-        if pass {
-            if i == 0 {
-                stats.sequences_constructed += 1;
-                let m: PositiveMatch = plan
-                    .pattern
-                    .positive_slots
-                    .iter()
-                    .map(|s| binding[*s].clone().expect("all positives bound"))
-                    .collect();
-                out.push(m);
-            } else {
-                descend(
-                    plan,
-                    filters_by_min,
-                    group,
-                    i - 1,
-                    inst.rip,
-                    ts,
-                    min_ts,
-                    binding,
-                    stats,
-                    out,
-                )?;
-            }
-        }
-        binding[slot] = None;
+        Ok(())
     }
-    Ok(())
+
+    /// Do the construction filters that need positive component `i` hold
+    /// for `suffix`, which binds components `i..n`?
+    #[inline]
+    fn admits(&mut self, i: usize, suffix: &Suffix<'_>) -> Result<bool> {
+        for f in &self.filters_by_min[i] {
+            if !f.expr.eval_bool(suffix)? {
+                self.stats.construction_filter_rejects += 1;
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// `suffix` binds positive components `i..n` and passed their filters;
+    /// its first link, the component `i` candidate, has timestamp `ts` and
+    /// RIP `rip`. Complete the match, or extend it by every viable
+    /// component `i - 1` candidate that passes the filters needing it.
+    fn extend(&mut self, i: usize, suffix: &Suffix<'_>, ts: u64, rip: usize) -> Result<()> {
+        if i == 0 {
+            self.stats.sequences_constructed += 1;
+            self.out.extend(suffix.events().cloned());
+            return Ok(());
+        }
+        // `iter_below` walks newest-first: timestamps are non-increasing,
+        // so the window bound terminates the scan with `break`.
+        let stacks = self.stacks;
+        let slot = self.plan.pattern.positive_slots[i - 1];
+        for (_, inst) in stacks[i - 1].iter_below(rip) {
+            if inst.ts >= ts {
+                // Same-or-later timestamp: strict sequencing rejects it,
+                // but older instances further down may still qualify.
+                continue;
+            }
+            if self.min_ts.is_some_and(|m| inst.ts < m) {
+                break;
+            }
+            let link = Suffix {
+                slot,
+                event: &inst.event,
+                rest: Some(suffix),
+            };
+            if self.admits(i - 1, &link)? {
+                self.extend(i - 1, &link, inst.ts, inst.rip)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -395,7 +391,7 @@ mod tests {
             &mut self,
             event: &Event,
             stats: &mut RuntimeStats,
-            out: &mut Vec<PositiveMatch>,
+            out: &mut Vec<Event>,
         ) -> Result<()> {
             self.keys.begin_offer();
             self.ssc
@@ -434,14 +430,16 @@ mod tests {
         .unwrap()
     }
 
-    fn run(op: &mut Op, events: &[Event]) -> (Vec<PositiveMatch>, RuntimeStats) {
+    /// Offer `events` in order; the completed matches, one `Vec` each.
+    fn run(op: &mut Op, events: &[Event]) -> (Vec<Vec<Event>>, RuntimeStats) {
         let mut out = Vec::new();
         let mut stats = RuntimeStats::default();
         for e in events {
             stats.events_processed += 1;
             op.on_event(e, &mut stats, &mut out).unwrap();
         }
-        (out, stats)
+        let n = op.ssc.plan.pattern.positive_len();
+        (out.chunks(n).map(<[Event]>::to_vec).collect(), stats)
     }
 
     const SEQ2: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
@@ -522,7 +520,8 @@ mod tests {
         let mut out = Vec::new();
         let mut stats = RuntimeStats::default();
         op.on_event(&events2[0], &mut stats, &mut out).unwrap();
-        assert_eq!(out.len(), 1);
+        let stamps: Vec<u64> = out.iter().map(Event::timestamp).collect();
+        assert_eq!(stamps, vec![1, 2]);
     }
 
     #[test]

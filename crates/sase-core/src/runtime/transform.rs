@@ -9,53 +9,55 @@
 //! inside the compiled scalar expressions — the engine invokes them exactly
 //! once per emitted composite event, which is what makes Q2-style
 //! `_updateLocation(...)` rules safe to register.
+//!
+//! Only a match that survived negation reaches this operator, its events
+//! already moved into the one shared slice its emission keeps. The RETURN
+//! values are evaluated into the caller's reused buffer and moved into a
+//! second shared slice, so an emission is exactly two allocations.
 
 use std::sync::Arc;
 
 use crate::error::{Result, SaseError};
+use crate::event::Event;
 use crate::lang::ast::AggFunc;
 use crate::output::ComplexEvent;
 use crate::plan::{CompiledAggArg, CompiledReturnItem, QueryPlan};
 use crate::value::Value;
 
-use super::binding::{MatchBinding, PositiveMatch};
+use super::binding::MatchBinding;
 
-/// Evaluate the RETURN clause of `plan` over a positive match, producing
-/// the output composite event.
+/// Evaluate the RETURN clause of `plan` over a positive match — one event
+/// per positive component, in pattern order — producing the output
+/// composite event, which keeps `events` as its body. `values` is a
+/// scratch buffer the caller reuses across calls; it is left empty.
 pub fn transform(
     plan: &QueryPlan,
     query_name: &Arc<str>,
-    m: PositiveMatch,
+    events: Arc<[Event]>,
+    values: &mut Vec<(Arc<str>, Value)>,
 ) -> Result<ComplexEvent> {
-    let binding = MatchBinding::new(&plan.pattern, &m);
-    let mut values = Vec::with_capacity(plan.return_plan.items.len());
+    let binding = MatchBinding::new(&plan.pattern, &events);
+    values.clear();
     for item in &plan.return_plan.items {
-        match item {
-            CompiledReturnItem::Scalar { name, expr } => {
-                values.push((name.clone(), expr.eval(&binding)?));
+        let value = match item {
+            CompiledReturnItem::Scalar { expr, .. } => expr.eval(&binding)?,
+            CompiledReturnItem::Aggregate { func, arg, .. } => {
+                aggregate(plan, &events, *func, arg)?
             }
-            CompiledReturnItem::Aggregate { name, func, arg } => {
-                values.push((name.clone(), aggregate(plan, &m, *func, arg)?));
-            }
-        }
+        };
+        values.push((item.name().clone(), value));
     }
-    let detected_at = m.last().map(|e| e.timestamp()).unwrap_or(0);
     Ok(ComplexEvent {
         query: query_name.clone(),
         variables: plan.pattern.positive_variables.clone(),
-        events: m,
-        values,
-        detected_at,
+        detected_at: events.last().map_or(0, Event::timestamp),
+        events,
+        values: values.drain(..).collect(),
         into: plan.return_plan.into.clone(),
     })
 }
 
-fn aggregate(
-    plan: &QueryPlan,
-    m: &PositiveMatch,
-    func: AggFunc,
-    arg: &CompiledAggArg,
-) -> Result<Value> {
+fn aggregate(plan: &QueryPlan, m: &[Event], func: AggFunc, arg: &CompiledAggArg) -> Result<Value> {
     // Collect the values the aggregate ranges over.
     let values: Vec<Value> = match arg {
         CompiledAggArg::Star => {
@@ -157,7 +159,7 @@ mod tests {
             ev(&reg, "SHELF_READING", 1, 7, 2),
             ev(&reg, "EXIT_READING", 5, 7, 4),
         ];
-        let ce = transform(&plan, &Arc::from("q"), m).unwrap();
+        let ce = transform(&plan, &Arc::from("q"), m.into(), &mut Vec::new()).unwrap();
         assert_eq!(ce.value("x.TagId"), Some(&Value::Int(7)));
         assert_eq!(ce.value("exit_area"), Some(&Value::Int(4)));
         assert_eq!(
@@ -179,7 +181,7 @@ mod tests {
             ev(&reg, "SHELF_READING", 1, 7, 2),
             ev(&reg, "EXIT_READING", 5, 7, 4),
         ];
-        let ce = transform(&plan, &Arc::from("q"), m).unwrap();
+        let ce = transform(&plan, &Arc::from("q"), m.into(), &mut Vec::new()).unwrap();
         assert_eq!(ce.value("n"), Some(&Value::Int(2)));
         assert_eq!(ce.value("areas"), Some(&Value::Int(6)));
         assert_eq!(ce.value("avg_area"), Some(&Value::Float(3.0)));
@@ -195,7 +197,7 @@ mod tests {
             ev(&reg, "SHELF_READING", 1, 7, 2),
             ev(&reg, "EXIT_READING", 5, 7, 4),
         ];
-        let ce = transform(&plan, &Arc::from("q"), m).unwrap();
+        let ce = transform(&plan, &Arc::from("q"), m.into(), &mut Vec::new()).unwrap();
         assert!(ce.values.is_empty());
         assert_eq!(ce.events.len(), 2);
     }
@@ -208,14 +210,14 @@ mod tests {
             ev(&reg, "SHELF_READING", 1, 7, 2),
             ev(&reg, "EXIT_READING", 5, 7, 4),
         ];
-        assert!(transform(&plan, &Arc::from("q"), m).is_err());
+        assert!(transform(&plan, &Arc::from("q"), m.into(), &mut Vec::new()).is_err());
     }
 
     #[test]
     fn into_stream_propagates() {
         let (plan, reg) = plan_for("EVENT SHELF_READING x RETURN x.TagId AS tag INTO shelf_out");
         let m = vec![ev(&reg, "SHELF_READING", 1, 7, 2)];
-        let ce = transform(&plan, &Arc::from("q"), m).unwrap();
+        let ce = transform(&plan, &Arc::from("q"), m.into(), &mut Vec::new()).unwrap();
         assert_eq!(ce.into.as_deref(), Some("shelf_out"));
     }
 }

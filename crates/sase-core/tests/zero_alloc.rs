@@ -1,10 +1,13 @@
 //! Counting-allocator proof that steady-state predicate evaluation — and
 //! the whole per-event SSC/negation path around it — performs **zero heap
-//! allocations** for the paper's representative Q1/Q2 queries; that
-//! building an event of up to three attributes from a resolved type costs
-//! exactly one allocation plus whatever made its strings; and that
-//! decoding a frame costs one allocation per event, one per distinct
-//! string, and a constant.
+//! allocations** for the paper's representative Q1/Q2 queries; that an
+//! emitted match costs exactly two allocations (its shared events and its
+//! shared RETURN values), a match killed by negation none, and a clone of
+//! an emission none; that a tick-sized batch of the retail demo's three
+//! queries stays inside its stated budget; that building an event of up to
+//! three attributes from a resolved type costs exactly one allocation plus
+//! whatever made its strings; and that decoding a frame costs one
+//! allocation per event, one per distinct string, and a constant.
 //!
 //! The test binary installs a global allocator that counts allocations
 //! while a flag is up. Everything allocating (events, engines, warmup that
@@ -18,6 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sase_core::engine::Engine;
 use sase_core::error::SaseError;
@@ -252,6 +256,50 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
         allocs, 0,
         "a dense partition cycling its stacks through their tails must not allocate"
     );
+
+    // ---- 3d. Emissions: Q1 over eight tags, each read on the shelf and
+    //          later at the exit, and no counter reading, so every exit
+    //          completes matches that negation lets through. An emission is
+    //          exactly two allocations, its shared events and its shared
+    //          RETURN values; cloning one is none, and the clone reads the
+    //          same bodies.
+    let mut rt6 = QueryRuntime::new("emit", planner.plan(&parse_query(Q1).unwrap()).unwrap());
+    let exits: Vec<Event> = (0..800u64)
+        .map(|k| {
+            let ty = if k % 16 < 8 {
+                "SHELF_READING"
+            } else {
+                "EXIT_READING"
+            };
+            ev(&reg, ty, k + 1, (k % 8) as i64, 1)
+        })
+        .collect();
+    let mut emitted = Vec::new();
+    for e in &exits[..400] {
+        rt6.process(e, &mut emitted).unwrap();
+    }
+    emitted.clear();
+    emitted.reserve(4 * 400);
+    let before = rt6.stats().matches_emitted;
+    let allocs = counted(|| {
+        for e in &exits[400..] {
+            rt6.process(e, &mut emitted).unwrap();
+        }
+    });
+    let n = rt6.stats().matches_emitted - before;
+    assert!(n >= 400, "every exit emits: {n}");
+    assert_eq!(emitted.len() as u64, n);
+    assert_eq!(
+        allocs,
+        2 * n,
+        "an emitted match is two allocations: its events and its values"
+    );
+    let mut copies = Vec::with_capacity(emitted.len());
+    let allocs = counted(|| copies.extend(emitted.iter().cloned()));
+    assert_eq!(allocs, 0, "cloning an emission must not allocate");
+    assert!(copies.iter().zip(&emitted).all(|(copy, original)| {
+        Arc::ptr_eq(&copy.events, &original.events) && Arc::ptr_eq(&copy.values, &original.values)
+    }));
 
     // ---- 3b. The other key shapes: a two-part key whose parts also bucket
     //          the negation, and an `ANY(...)` component whose key
@@ -504,7 +552,8 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     // A negation query beside it: the T3 counterexample lands in the
     // bucket of the slot T0 and T1 share with the other query, and kills
     // every match at the probe by the match's slot. A constructed match
-    // is one allocation (its event list); the slot path adds none.
+    // waits in the runtime's reused match buffer, so one that negation
+    // kills costs nothing, and neither does the slot path.
     let mut engine = shared_engine(&[
         "EVENT SEQ(T0 x, !(T3 n), T1 y) WHERE x.TagId = n.TagId AND x.TagId = y.TagId \
          WITHIN 50",
@@ -525,8 +574,86 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
     assert!(matches > 0);
     assert_eq!(dropped(&engine) - dropped_before, matches);
     assert_eq!(
-        allocs, matches,
-        "a negation probe by the shared slot must not allocate beyond the match"
+        allocs, 0,
+        "a match killed by a negation probe by the shared slot must not allocate"
+    );
+
+    // ---- 5c. The stated budget of a tick: the retail demo's three queries
+    //          (shoplifting, location change, and the archive rule over
+    //          the registry's three reading types), their database
+    //          built-ins swapped for stdlib functions of the same arity, in
+    //          batches of seven readings, about one tick of the demo. Eight
+    //          tags cycle shelf, moved shelf, counter, exit; tag 7 skips
+    //          the counter, so the shoplifting query fires for it. A batch
+    //          costs two allocations per emission plus the growth of the
+    //          `Vec` it returns, and nothing else: no allocation per event,
+    //          per query, per constructed match or per stored instance.
+    let mut engine = Engine::new(reg.clone());
+    for (name, src) in [
+        (
+            "shoplifting",
+            "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+             WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 12 hours \
+             RETURN x.TagId, x.ProductName, z.AreaId, _abs(z.AreaId)",
+        ),
+        (
+            "location_change",
+            "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
+             WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 1 hour \
+             RETURN _max(y.TagId, y.AreaId, y.Timestamp)",
+        ),
+        (
+            "archive_location",
+            "EVENT ANY(SHELF_READING, COUNTER_READING, EXIT_READING) x \
+             RETURN _max(x.TagId, x.AreaId, x.Timestamp)",
+        ),
+    ] {
+        engine.register(name, src).unwrap();
+    }
+    let readings: Vec<Event> = (0..2_800u64)
+        .map(|k| {
+            let tag = (k % 8) as i64;
+            let (ty, area) = match (k / 8 % 4, tag) {
+                (0, _) => ("SHELF_READING", 1),
+                (1, _) | (2, 7) => ("SHELF_READING", 2),
+                (2, _) => ("COUNTER_READING", 3),
+                _ => ("EXIT_READING", 4),
+            };
+            ev(&reg, ty, 300 * (k + 1), tag, area)
+        })
+        .collect();
+    let ticks: Vec<&[Event]> = readings.chunks(7).collect();
+    for batch in &ticks[..200] {
+        engine.process_batch(batch).unwrap();
+    }
+    // Allocations a `Vec` makes growing by pushes to `len` elements: its
+    // capacity doubles from 4.
+    let growth = |len: usize| {
+        let (mut cap, mut steps) = (0, 0);
+        while cap < len {
+            cap = (cap * 2).max(4);
+            steps += 1;
+        }
+        steps
+    };
+    let (mut allocs, mut budget, mut emissions) = (0, 0, 0);
+    for batch in &ticks[200..] {
+        let mut out = Vec::new();
+        allocs += counted(|| out = engine.process_batch(batch).unwrap());
+        budget += 2 * out.len() as u64 + growth(out.len());
+        emissions += out.len();
+    }
+    assert_eq!(allocs, budget, "a tick of the demo queries over budget");
+    let per_query = |name: &str| engine.stats(name).unwrap();
+    assert!(per_query("shoplifting").matches_emitted > 0);
+    assert!(per_query("shoplifting").dropped_by_negation > 0);
+    assert!(per_query("location_change").matches_emitted > 0);
+    assert_eq!(per_query("archive_location").matches_emitted, 2_800);
+    assert!(emissions > 1_400, "{emissions} emissions");
+    assert_eq!(
+        per_query("archive_location").instances_appended,
+        0,
+        "a single-component query stores nothing"
     );
 
     // ---- 6. The garbage budget of an event: building one of up to three

@@ -549,7 +549,7 @@ pub fn put_complex_event(w: &mut ByteWriter, ce: &ComplexEvent) {
         w.str(v);
     }
     w.u32(ce.events.len() as u32);
-    for e in &ce.events {
+    for e in ce.events.iter() {
         w.str(e.type_name());
         w.u64(e.timestamp());
         w.u32(e.attrs().len() as u32);
@@ -559,7 +559,7 @@ pub fn put_complex_event(w: &mut ByteWriter, ce: &ComplexEvent) {
         }
     }
     w.u32(ce.values.len() as u32);
-    for (n, v) in &ce.values {
+    for (n, v) in ce.values.iter() {
         w.str(n);
         put_value(w, v);
     }

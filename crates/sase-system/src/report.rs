@@ -49,7 +49,7 @@ impl UiReport {
         // Stream Processor Output: scalar values except DB-function joins.
         let mut stream_vals = Vec::new();
         let mut db_vals = Vec::new();
-        for (name, value) in &d.values {
+        for (name, value) in d.values.iter() {
             if name.starts_with('_') {
                 db_vals.push(format!("{name} -> {value}"));
             } else {
@@ -121,15 +121,15 @@ mod tests {
         ComplexEvent {
             query: Arc::from("shoplifting"),
             variables: Arc::from([]),
-            events: vec![],
-            values: vec![
+            events: Arc::from([]),
+            values: Arc::from([
                 (Arc::from("x.TagId"), Value::Int(7)),
                 (Arc::from("x.ProductName"), Value::str("soap")),
                 (
                     Arc::from("_retrieveLocation(z.AreaId)"),
                     Value::str("the leftmost door on the south side of the store"),
                 ),
-            ],
+            ]),
             detected_at: 42,
             into: None,
         }

@@ -313,7 +313,8 @@ impl SaseSystem {
             }
             self.cleaning_tap.extend(events.iter().cloned());
         }
-        // Archive one copy; the tick's own result keeps the originals.
+        // Archive a clone of each emission: it shares its body with the
+        // tick's own result, so archiving copies no events or values.
         self.detections.extend(detections.iter().cloned());
         Ok(TickResult { events, detections })
     }
@@ -405,6 +406,21 @@ mod tests {
             .unwrap()
             .to_string();
         assert!(desc.contains("door"));
+    }
+
+    #[test]
+    fn the_archive_shares_each_emission_with_its_tick() {
+        let mut sys = SaseSystem::retail(NoiseModel::perfect(), 7, 20).unwrap();
+        sys.register_demo_queries().unwrap();
+        let scenario = RetailScenario::build(sys.config(), 3, 2, 1, 0);
+        // `run_scenario` returns every tick's own detections.
+        let ticked = sys.run_scenario(&scenario).unwrap();
+        assert!(!ticked.is_empty());
+        assert_eq!(ticked.len(), sys.detections().len());
+        for (from_tick, archived) in ticked.iter().zip(sys.detections()) {
+            assert!(std::sync::Arc::ptr_eq(&from_tick.events, &archived.events));
+            assert!(std::sync::Arc::ptr_eq(&from_tick.values, &archived.values));
+        }
     }
 
     #[test]

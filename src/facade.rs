@@ -871,6 +871,12 @@ mod tests {
         let pushed: Vec<ComplexEvent> = rx.try_iter().collect();
         assert_eq!(pushed.len(), 1);
         assert_eq!(pushed[0].value("tag"), Some(&Value::Int(9)));
+
+        // Every holder shares the one body of each emission: the pull
+        // output, the channel and the collector.
+        assert!(Arc::ptr_eq(&pushed[0].events, &out[0].events));
+        assert!(Arc::ptr_eq(&pushed[0].values, &out[0].values));
+        assert!(Arc::ptr_eq(&drained[0].events, &out[1].events));
     }
 
     #[test]

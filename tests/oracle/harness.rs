@@ -86,7 +86,7 @@ fn engine_matches(registry: &SchemaRegistry, stream: &[Event], query: &str) -> V
     let out = engine
         .process_batch(stream)
         .expect("the engine processes the stream");
-    canonical(out.iter().map(|ce| ce.events.as_slice()))
+    canonical(out.iter().map(|ce| &ce.events[..]))
 }
 
 /// What the oracle matches for `query` over `stream`.
