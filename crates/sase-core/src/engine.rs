@@ -71,8 +71,8 @@ pub enum RoutingMode {
     #[default]
     Indexed,
     /// Scan every registered query per event (the pre-index baseline).
-    /// Kept as the reference the router differential and the benchmark's
-    /// output check compare against; emits exactly what
+    /// Kept as a column of the workspace's differential harness and as
+    /// the reference of the benchmark's output check; emits exactly what
     /// [`RoutingMode::Indexed`] emits.
     ScanAll,
 }

@@ -4,7 +4,8 @@
 //! references; the planner compiles them into [`CompiledExpr`] trees whose
 //! attribute references are resolved to *slots* — positions of pattern
 //! components — and whose function calls are resolved against the
-//! [`FunctionRegistry`]. Compiled expressions evaluate against any
+//! [`FunctionRegistry`]. A tree is not evaluated itself: it is flattened
+//! into a [`crate::program::PredicateProgram`], which evaluates against any
 //! [`Binding`] (a partial or complete assignment of events to slots).
 
 use std::fmt;
@@ -163,111 +164,6 @@ impl CompiledExpr {
         }
     }
 
-    /// Evaluate against a binding.
-    pub fn eval<B: Binding + ?Sized>(&self, binding: &B) -> Result<Value> {
-        match self {
-            CompiledExpr::Literal(v) => Ok(v.clone()),
-            CompiledExpr::Attr { slot, attr, var } => {
-                let event = binding
-                    .event_at(*slot)
-                    .ok_or_else(|| SaseError::eval(format!("variable `{var}` is not bound")))?;
-                event.attr(attr).ok_or_else(|| {
-                    SaseError::eval(format!(
-                        "event type `{}` has no attribute `{attr}` (variable `{var}`)",
-                        event.type_name()
-                    ))
-                })
-            }
-            CompiledExpr::Unary { op, expr } => {
-                let v = expr.eval(binding)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(SaseError::eval(format!(
-                            "NOT expects a boolean, got {}",
-                            other.value_type()
-                        ))),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(SaseError::eval(format!(
-                            "unary `-` expects a number, got {}",
-                            other.value_type()
-                        ))),
-                    },
-                }
-            }
-            CompiledExpr::Binary { op, left, right } => match op {
-                // Short-circuiting logical connectives.
-                BinOp::And => {
-                    if !left.eval(binding)?.is_true() {
-                        return Ok(Value::Bool(false));
-                    }
-                    Ok(Value::Bool(right.eval(binding)?.is_true()))
-                }
-                BinOp::Or => {
-                    if left.eval(binding)?.is_true() {
-                        return Ok(Value::Bool(true));
-                    }
-                    Ok(Value::Bool(right.eval(binding)?.is_true()))
-                }
-                BinOp::Eq => {
-                    let l = left.eval(binding)?;
-                    let r = right.eval(binding)?;
-                    Ok(Value::Bool(l.sase_eq(&r)))
-                }
-                BinOp::Ne => {
-                    let l = left.eval(binding)?;
-                    let r = right.eval(binding)?;
-                    Ok(Value::Bool(!l.sase_eq(&r)))
-                }
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let l = left.eval(binding)?;
-                    let r = right.eval(binding)?;
-                    // Incomparable kinds make ordering predicates false
-                    // rather than erroring: streams are dirty, and a
-                    // predicate that cannot hold simply filters the match.
-                    let res = match l.sase_cmp(&r) {
-                        None => false,
-                        Some(o) => match op {
-                            BinOp::Lt => o == std::cmp::Ordering::Less,
-                            BinOp::Le => o != std::cmp::Ordering::Greater,
-                            BinOp::Gt => o == std::cmp::Ordering::Greater,
-                            BinOp::Ge => o != std::cmp::Ordering::Less,
-                            _ => unreachable!(),
-                        },
-                    };
-                    Ok(Value::Bool(res))
-                }
-                BinOp::Add => left.eval(binding)?.add(&right.eval(binding)?),
-                BinOp::Sub => left.eval(binding)?.sub(&right.eval(binding)?),
-                BinOp::Mul => left.eval(binding)?.mul(&right.eval(binding)?),
-                BinOp::Div => left.eval(binding)?.div(&right.eval(binding)?),
-                BinOp::Rem => left.eval(binding)?.rem(&right.eval(binding)?),
-            },
-            CompiledExpr::Call { func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(binding)?);
-                }
-                func.call(&vals)
-            }
-        }
-    }
-
-    /// Evaluate as a predicate: non-boolean results are an error.
-    pub fn eval_bool<B: Binding + ?Sized>(&self, binding: &B) -> Result<bool> {
-        match self.eval(binding)? {
-            Value::Bool(b) => Ok(b),
-            other => Err(SaseError::eval(format!(
-                "predicate evaluated to {} ({}), expected a boolean",
-                other,
-                other.value_type()
-            ))),
-        }
-    }
-
     /// The set of slots this expression reads.
     pub fn referenced_slots(&self, out: &mut Vec<usize>) {
         match self {
@@ -325,7 +221,9 @@ impl fmt::Debug for CompiledExpr {
 mod tests {
     use super::*;
     use crate::event::{retail_registry, SchemaRegistry};
-    use crate::lang::parse_expr;
+    use crate::lang::{parse_expr, parse_query};
+    use crate::pattern::CompiledPattern;
+    use crate::program::PredicateProgram;
 
     fn shelf(reg: &SchemaRegistry, ts: u64, tag: i64, area: i64) -> Event {
         reg.build_event(
@@ -341,6 +239,15 @@ mod tests {
         CompiledExpr::compile(&ast, slots, &FunctionRegistry::with_stdlib()).unwrap()
     }
 
+    /// A compiled tree as the engine evaluates it: flattened into a
+    /// program over `SEQ(SHELF_READING x, SHELF_READING y)`.
+    fn program(src: &str) -> PredicateProgram {
+        let reg = retail_registry();
+        let q = parse_query("EVENT SEQ(SHELF_READING x, SHELF_READING y) WITHIN 10").unwrap();
+        let pattern = CompiledPattern::compile(&q.pattern, &reg).unwrap();
+        PredicateProgram::from_expr(compile(src, &xy_slots()), &pattern, &reg).unwrap()
+    }
+
     fn xy_slots() -> Vec<(String, usize)> {
         vec![("x".to_string(), 0), ("y".to_string(), 1)]
     }
@@ -348,7 +255,7 @@ mod tests {
     #[test]
     fn parameterized_predicate_q1_style() {
         let reg = retail_registry();
-        let e = compile("x.TagId = y.TagId", &xy_slots());
+        let e = program("x.TagId = y.TagId");
         let a = shelf(&reg, 1, 7, 1);
         let b = shelf(&reg, 2, 7, 2);
         let c = shelf(&reg, 3, 8, 2);
@@ -359,7 +266,7 @@ mod tests {
     #[test]
     fn partial_binding_probe() {
         let reg = retail_registry();
-        let e = compile("x.AreaId > 1 AND x.TagId < 100", &xy_slots());
+        let e = program("x.AreaId > 1 AND x.TagId < 100");
         let ev = shelf(&reg, 1, 7, 2);
         let probe = SlotProbe {
             slot: 0,
@@ -376,7 +283,7 @@ mod tests {
     #[test]
     fn timestamp_pseudo_attribute() {
         let reg = retail_registry();
-        let e = compile("y.Timestamp - x.Timestamp < 10", &xy_slots());
+        let e = program("y.Timestamp - x.Timestamp < 10");
         let a = shelf(&reg, 5, 1, 1);
         let b = shelf(&reg, 9, 1, 2);
         assert!(e.eval_bool(&[a.clone(), b][..]).unwrap());
@@ -388,7 +295,7 @@ mod tests {
     fn short_circuit_avoids_unbound_error() {
         let reg = retail_registry();
         // y is unbound; AND must short-circuit on the false left side.
-        let e = compile("x.TagId = 999 AND y.TagId = 1", &xy_slots());
+        let e = program("x.TagId = 999 AND y.TagId = 1");
         let ev = shelf(&reg, 1, 7, 1);
         let probe = SlotProbe {
             slot: 0,
@@ -396,14 +303,14 @@ mod tests {
         };
         assert!(!e.eval_bool(&probe).unwrap());
         // OR short-circuits on the true left side.
-        let o = compile("x.TagId = 7 OR y.TagId = 1", &xy_slots());
+        let o = program("x.TagId = 7 OR y.TagId = 1");
         assert!(o.eval_bool(&probe).unwrap());
     }
 
     #[test]
     fn arithmetic_and_functions() {
         let reg = retail_registry();
-        let e = compile("_abs(x.AreaId - y.AreaId) = 3", &xy_slots());
+        let e = program("_abs(x.AreaId - y.AreaId) = 3");
         let a = shelf(&reg, 1, 1, 1);
         let b = shelf(&reg, 2, 1, 4);
         assert!(e.eval_bool(&[a, b][..]).unwrap());
@@ -412,7 +319,7 @@ mod tests {
     #[test]
     fn incomparable_ordering_is_false_not_error() {
         let reg = retail_registry();
-        let e = compile("x.ProductName > 3", &xy_slots());
+        let e = program("x.ProductName > 3");
         let ev = shelf(&reg, 1, 1, 1);
         let probe = SlotProbe {
             slot: 0,
@@ -424,7 +331,7 @@ mod tests {
     #[test]
     fn ne_on_incomparable_is_true() {
         let reg = retail_registry();
-        let e = compile("x.ProductName != 3", &xy_slots());
+        let e = program("x.ProductName != 3");
         let ev = shelf(&reg, 1, 1, 1);
         assert!(e
             .eval_bool(&SlotProbe {
@@ -477,7 +384,7 @@ mod tests {
     #[test]
     fn non_boolean_predicate_is_an_error() {
         let reg = retail_registry();
-        let e = compile("x.TagId + 1", &xy_slots());
+        let e = program("x.TagId + 1");
         let ev = shelf(&reg, 1, 1, 1);
         assert!(e
             .eval_bool(&SlotProbe {

@@ -1,11 +1,10 @@
 //! Compiled predicate programs: flat, slot-resolved bytecode.
 //!
-//! [`crate::expr::CompiledExpr`] trees are correct but slow to interpret:
-//! every node is a `Box` hop, every attribute access re-resolves its name
-//! against the event's schema (heap-allocating a lowercased `String` per
-//! access before the allocation-free lookups landed), and every
-//! intermediate `Value` is cloned. A [`PredicateProgram`] flattens the tree
-//! once at plan time into an arena-backed postfix instruction sequence:
+//! Interpreting [`crate::expr::CompiledExpr`] trees directly would be
+//! slow: every node is a `Box` hop, every attribute access re-resolves its
+//! name against the event's schema, and every intermediate `Value` is
+//! cloned. A [`PredicateProgram`] flattens the tree once at plan time into
+//! an arena-backed postfix instruction sequence:
 //!
 //! * **Compile-time attribute resolution.** When a pattern slot's candidate
 //!   event types are known (the common case — everything but heterogeneous
@@ -17,9 +16,8 @@
 //!   ([`AttrAccess::Dynamic`]).
 //! * **Flat evaluation.** No `Box` per node, no recursion: a single loop
 //!   over a boxed op slice with an inline (stack-allocated) operand stack.
-//!   `AND`/`OR` short-circuit via jump opcodes with exactly the tree
-//!   evaluator's semantics (a falsy non-boolean short-circuits `AND`, the
-//!   result is always a boolean).
+//!   `AND`/`OR` short-circuit via jump opcodes (a falsy non-boolean
+//!   short-circuits `AND`, the result is always a boolean).
 //! * **Fused fast paths.** The dominant predicate shapes —
 //!   `attr ⋈ literal` (pushed single-variable filters), `attr ⋈ attr`
 //!   (equivalence tests, sequence construction filters), and
@@ -28,9 +26,10 @@
 //!   touching the operand stack at all.
 //!
 //! Steady-state evaluation performs **zero heap allocations** (asserted by
-//! `tests/zero_alloc.rs`); the retained source tree keeps `Debug` output
-//! and provides the reference evaluator for the differential property test
-//! (`tests/program_differential.rs`).
+//! `tests/zero_alloc.rs`). The source tree is retained for `Debug` output,
+//! EXPLAIN and the analyzer; it is not evaluated. Programs are held to the
+//! language's definition by the brute-force oracle's evaluator in the
+//! workspace's differential harness (`tests/differential.rs`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -342,8 +341,7 @@ pub struct PredicateProgram {
     attrs: Box<[AttrRef]>,
     funcs: Box<[Arc<dyn BuiltinFunction>]>,
     max_stack: u32,
-    /// The source tree, retained for `Debug`, EXPLAIN, and as the
-    /// reference evaluator in differential tests.
+    /// The source tree, retained for `Debug`, EXPLAIN and the analyzer.
     source: CompiledExpr,
 }
 
@@ -377,7 +375,7 @@ impl PredicateProgram {
         })
     }
 
-    /// The retained source tree (the reference evaluator).
+    /// The retained source tree.
     pub fn tree(&self) -> &CompiledExpr {
         &self.source
     }
@@ -435,8 +433,7 @@ impl PredicateProgram {
         }
     }
 
-    /// Evaluate as a predicate: non-boolean results are an error (same
-    /// semantics and message as [`CompiledExpr::eval_bool`]).
+    /// Evaluate as a predicate: non-boolean results are an error.
     pub fn eval_bool<B: Binding + ?Sized>(&self, binding: &B) -> Result<bool> {
         match self.eval(binding)? {
             Value::Bool(b) => Ok(b),
@@ -921,15 +918,13 @@ mod tests {
     }
 
     #[test]
-    fn short_circuit_matches_tree() {
+    fn short_circuit_skips_unbound_operands() {
         let reg = retail_registry();
         let p = program(&reg, "x.TagId = 999 AND y.TagId = 1");
         let e = ev(&reg, "SHELF_READING", 1, 7, 1);
         let probe = SlotProbe { slot: 0, event: &e };
-        // y unbound: AND must short-circuit on the false left side, like
-        // the tree evaluator.
+        // y unbound: AND must short-circuit on the false left side.
         assert!(!p.eval_bool(&probe).unwrap());
-        assert!(!p.tree().eval_bool(&probe).unwrap());
         let o = program(&reg, "x.TagId = 7 OR y.TagId = 1");
         assert!(o.eval_bool(&probe).unwrap());
     }
@@ -957,19 +952,38 @@ mod tests {
     }
 
     #[test]
-    fn error_messages_match_tree() {
+    fn error_messages_are_pinned() {
         let reg = retail_registry();
-        let p = program(&reg, "x.TagId + 1");
         let e = ev(&reg, "SHELF_READING", 1, 1, 1);
         let probe = SlotProbe { slot: 0, event: &e };
-        let prog_err = p.eval_bool(&probe).unwrap_err().to_string();
-        let tree_err = p.tree().eval_bool(&probe).unwrap_err().to_string();
-        assert_eq!(prog_err, tree_err);
-
-        let unbound = program(&reg, "y.TagId = 1");
-        let pe = unbound.eval_bool(&probe).unwrap_err().to_string();
-        let te = unbound.tree().eval_bool(&probe).unwrap_err().to_string();
-        assert_eq!(pe, te);
+        for (src, want) in [
+            ("y.TagId = 1", "evaluation error: variable `y` is not bound"),
+            (
+                "x.Nope = 1",
+                "evaluation error: event type `SHELF_READING` has no attribute `Nope` \
+                 (variable `x`)",
+            ),
+            (
+                "NOT x.TagId",
+                "evaluation error: NOT expects a boolean, got int",
+            ),
+            (
+                "-x.ProductName = 1",
+                "evaluation error: unary `-` expects a number, got string",
+            ),
+            (
+                "x.TagId + 1",
+                "evaluation error: predicate evaluated to 2 (int), expected a boolean",
+            ),
+            ("x.TagId / 0 = 1", "evaluation error: division by zero"),
+            (
+                "_abs(x.ProductName) = 1",
+                "built-in function _abs failed: expects a number, got string",
+            ),
+        ] {
+            let err = program(&reg, src).eval_bool(&probe).unwrap_err();
+            assert_eq!(err.to_string(), want, "{src}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Synthetic event-stream workloads for the performance experiments.
+//! Synthetic event streams with controlled shape.
 //!
-//! The benchmark suite (P1–P5 in DESIGN.md) measures the event processor on
-//! parameterized streams, following the evaluation methodology of the
-//! paper's companion system paper: streams with a controlled number of
-//! value partitions (distinct tag ids), a controlled event-type mix, and a
-//! controlled arrival rate.
+//! Streams follow the evaluation methodology of the paper's companion
+//! system paper: a controlled number of value partitions (distinct tag
+//! ids), a controlled event-type mix, and a controlled arrival rate. The
+//! differential harness (`tests/differential.rs`) draws realistic streams
+//! from here to hold every deployment to the oracle, and
+//! `tests/paper_queries.rs` runs the paper's queries over them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -2,10 +2,11 @@
 //!
 //! Figure 1 annotates the link between the physical device layer and the
 //! rest of SASE as "communication over socket": readers ship raw readings
-//! as framed binary messages. This module implements that frame format so
-//! the threaded deployment (`sase-system::concurrent`) can move readings
-//! between stages exactly as a socket would — and so tests can exercise
-//! corrupted/truncated frames.
+//! as framed binary messages. This module implements that frame format.
+//! No deployment in this workspace moves readings over it; the benchmark's
+//! `rfid.frame_encode_us_per_tick` / `rfid.frame_decode_us_per_tick` rows
+//! time it, and the unit tests below exercise corrupted and truncated
+//! frames.
 //!
 //! ## Frame layout (big-endian)
 //!

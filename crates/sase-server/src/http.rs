@@ -69,8 +69,11 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Both bytes must be hex digits: `from_str_radix` alone
+                // would also take a sign, decoding `%+5` as 0x05.
                 let hex = bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
                 match hex {
                     Some(b) => {
@@ -224,24 +227,10 @@ fn respond_error(w: &mut impl Write, e: &ServerError) -> std::io::Result<()> {
 /// Render [`RuntimeStats`](sase_core::runtime::RuntimeStats) as
 /// `name value` lines, one counter per line.
 pub(crate) fn render_stats(s: &sase_core::runtime::RuntimeStats) -> String {
-    format!(
-        "events_processed {}\ninstances_appended {}\ninstances_pruned {}\n\
-         sequences_constructed {}\nconstruction_filter_rejects {}\n\
-         dropped_by_window {}\ndropped_by_negation {}\n\
-         negation_candidates_buffered {}\nmatches_emitted {}\n\
-         partial_runs_peak {}\npartitions {}\n",
-        s.events_processed,
-        s.instances_appended,
-        s.instances_pruned,
-        s.sequences_constructed,
-        s.construction_filter_rejects,
-        s.dropped_by_window,
-        s.dropped_by_negation,
-        s.negation_candidates_buffered,
-        s.matches_emitted,
-        s.partial_runs_peak,
-        s.partitions,
-    )
+    s.rows()
+        .iter()
+        .map(|(label, value, _)| format!("{label} {value}\n"))
+        .collect()
 }
 
 /// Parse one `TYPE ts v1 v2 ...` ingest line against the deployment's
@@ -489,5 +478,46 @@ fn handle_stats(ctx: &Ctx, req: &Request) -> Result<String> {
             }
             Ok(out)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sase_core::runtime::RuntimeStats;
+
+    #[test]
+    fn percent_decode_takes_only_two_hex_digits() {
+        // The `%` stays literal; the `+` is still a form-encoded space.
+        assert_eq!(percent_decode("a%+5b"), "a% 5b");
+        assert_eq!(percent_decode("a%"), "a%");
+        assert_eq!(percent_decode("a%4"), "a%4");
+        assert_eq!(percent_decode("a%2Bb"), "a+b");
+        assert_eq!(percent_decode("a+b%20c"), "a b c");
+    }
+
+    #[test]
+    fn render_stats_lists_every_counter_in_row_order() {
+        let stats = RuntimeStats {
+            events_processed: 1,
+            instances_appended: 2,
+            instances_pruned: 3,
+            sequences_constructed: 4,
+            construction_filter_rejects: 5,
+            dropped_by_window: 6,
+            dropped_by_negation: 7,
+            negation_candidates_buffered: 8,
+            matches_emitted: 9,
+            partial_runs_peak: 10,
+            partitions: 11,
+        };
+        assert_eq!(
+            render_stats(&stats),
+            "events_processed 1\ninstances_appended 2\ninstances_pruned 3\n\
+             sequences_constructed 4\nconstruction_filter_rejects 5\n\
+             dropped_by_window 6\ndropped_by_negation 7\n\
+             negation_candidates_buffered 8\nmatches_emitted 9\n\
+             partial_runs_peak 10\npartitions 11\n"
+        );
     }
 }

@@ -34,7 +34,8 @@ use sase_core::output::ComplexEvent;
 use sase_core::runtime::RuntimeStats;
 use sase_core::value::Value;
 use sase_store::codec::{
-    crc32, get_events, get_value, put_events, put_value, ByteReader, ByteWriter,
+    crc32, get_events, get_stats, get_value, put_events, put_stats, put_value, ByteReader,
+    ByteWriter,
 };
 use sase_store::StoreError;
 
@@ -686,53 +687,6 @@ pub fn mirror_diagnostic(d: &Diagnostic) -> WireDiagnostic {
     }
 }
 
-const STATS_FIELDS: u32 = 11;
-
-fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
-    w.u32(STATS_FIELDS);
-    for v in [
-        s.events_processed,
-        s.instances_appended,
-        s.instances_pruned,
-        s.sequences_constructed,
-        s.construction_filter_rejects,
-        s.dropped_by_window,
-        s.dropped_by_negation,
-        s.negation_candidates_buffered,
-        s.matches_emitted,
-        s.partial_runs_peak,
-        s.partitions,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn get_stats(r: &mut ByteReader<'_>) -> std::result::Result<RuntimeStats, WireFault> {
-    let n = r.u32().map_err(WireFault::from)?;
-    if n != STATS_FIELDS {
-        return Err(WireFault::Decode(format!(
-            "stats frame has {n} counters, this build expects {STATS_FIELDS}"
-        )));
-    }
-    let mut f = [0u64; STATS_FIELDS as usize];
-    for slot in &mut f {
-        *slot = r.u64().map_err(WireFault::from)?;
-    }
-    Ok(RuntimeStats {
-        events_processed: f[0],
-        instances_appended: f[1],
-        instances_pruned: f[2],
-        sequences_constructed: f[3],
-        construction_filter_rejects: f[4],
-        dropped_by_window: f[5],
-        dropped_by_negation: f[6],
-        negation_candidates_buffered: f[7],
-        matches_emitted: f[8],
-        partial_runs_peak: f[9],
-        partitions: f[10],
-    })
-}
-
 fn put_response(w: &mut ByteWriter, resp: &ResponseParts<'_>) {
     match resp {
         ResponseParts::Pong => w.u8(OP_PONG),
@@ -858,7 +812,7 @@ pub fn decode_response(payload: &[u8]) -> std::result::Result<Response, WireFaul
         OP_REGISTERED => Response::Registered(get_diagnostics(&mut r)?),
         OP_UNREGISTERED => Response::Unregistered(r.u8().map_err(WireFault::from)? != 0),
         OP_CHECKED => Response::Checked(get_diagnostics(&mut r)?),
-        OP_STATS_OK => Response::Stats(get_stats(&mut r)?),
+        OP_STATS_OK => Response::Stats(get_stats(&mut r).map_err(WireFault::from)?),
         OP_METRICS_OK => Response::Metrics(r.str().map_err(WireFault::from)?),
         OP_QUERIES_OK => {
             let n = r.count().map_err(WireFault::from)?;

@@ -556,7 +556,9 @@ fn get_event_snapshot(r: &mut ByteReader<'_>) -> Result<EventSnapshot> {
 /// and the checkpoint version.
 const STATS_FIELDS: u32 = 11;
 
-fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
+/// Encode a query's [`RuntimeStats`]: the counter count, then each counter
+/// in declaration order. Checkpoints and the server's Stats frame share it.
+pub fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
     w.u32(STATS_FIELDS);
     for v in [
         s.events_processed,
@@ -575,11 +577,13 @@ fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
     }
 }
 
-fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats> {
+/// Decode what [`put_stats`] wrote; a counter count other than this
+/// build's is a decode error.
+pub fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats> {
     let n = r.u32()?;
     if n != STATS_FIELDS {
         return Err(StoreError::Decode(format!(
-            "snapshot has {n} stat counters, this build expects {STATS_FIELDS}"
+            "{n} stat counters, this build expects {STATS_FIELDS}"
         )));
     }
     Ok(RuntimeStats {

@@ -1,7 +1,8 @@
 //! A brute-force reference for what a SASE query matches, written from the
 //! language's definition (§2.1.1) and not from the engine. It shares the
-//! parser and the event and value types with the engine, and nothing else:
-//! no planner, no predicate compiler, no runtime.
+//! parser, the event and value types and the stdlib function bodies with
+//! the engine, and nothing else: no planner, no predicate compiler, no
+//! runtime.
 //!
 //! A match of `EVENT SEQ(c1, …, cn) WHERE w WITHIN t` over a stream is a
 //! tuple of stream events, one per positive component, such that:
@@ -29,6 +30,7 @@ pub mod harness;
 
 use std::cmp::Ordering;
 
+use sase::core::functions::FunctionRegistry;
 use sase::core::lang::ast::{BinOp, Expr, Query, UnaryOp};
 use sase::core::time::TimeScale;
 use sase::core::value::Value;
@@ -39,7 +41,8 @@ use sase::core::Event;
 ///
 /// Panics on a query outside the definition above: a conjunct naming two
 /// negated components, a `[attr]` nested inside another expression, a call
-/// to a host function in `WHERE`, or a predicate that fails to evaluate.
+/// to a host function outside the stdlib in `WHERE`, or a predicate that
+/// fails to evaluate.
 pub fn matches(query: &Query, stream: &[Event]) -> Vec<Vec<Event>> {
     assert!(
         stream
@@ -266,9 +269,10 @@ fn holds(conjunct: &Expr, binding: &[(&str, &Event)]) -> bool {
 
 /// The value of an expression under a binding: attributes are read off the
 /// bound events, operators are `Value`'s, `AND`/`OR` short-circuit and treat
-/// anything but `true` as false, and an ordering between values of kinds
-/// that do not compare is false.
-fn eval(expr: &Expr, binding: &[(&str, &Event)]) -> Result<Value, String> {
+/// anything but `true` as false, an ordering between values of kinds that
+/// do not compare is false, and a call runs the stdlib function of that
+/// name (their bodies are pinned by `sase-core`'s `functions` unit tests).
+pub fn eval(expr: &Expr, binding: &[(&str, &Event)]) -> Result<Value, String> {
     Ok(match expr {
         Expr::Literal(v) => v.clone(),
         Expr::Attr(a) => {
@@ -317,6 +321,15 @@ fn eval(expr: &Expr, binding: &[(&str, &Event)]) -> Result<Value, String> {
                 BinOp::And | BinOp::Or => unreachable!("short-circuited above"),
             }
         }
-        Expr::Call { name, .. } => return Err(format!("host function `{name}` is not modelled")),
+        Expr::Call { name, args } => {
+            let func = FunctionRegistry::with_stdlib()
+                .resolve(name)
+                .map_err(|_| format!("host function `{name}` is not modelled"))?;
+            let args = args
+                .iter()
+                .map(|a| eval(a, binding))
+                .collect::<Result<Vec<_>, _>>()?;
+            func.call(&args).map_err(|e| e.to_string())?
+        }
     })
 }

@@ -1,40 +1,26 @@
 //! Property-based tests (proptest) over the core engine:
 //!
 //! * the canonical printer and parser round-trip,
-//! * the engine agrees with the brute-force oracle (`tests/oracle`) on
-//!   randomly generated streams (for both plain and negated patterns),
-//! * structural invariants of emitted matches.
+//! * structural invariants of emitted matches and runtime counters.
+//!
+//! The engine's agreement with the brute-force oracle (`tests/oracle`) is
+//! checked in `tests/differential.rs`.
 
 mod oracle;
 
 use proptest::prelude::*;
 
-use oracle::harness::{arb_stream, assert_engine_matches_oracle, materialize};
+use oracle::harness::{arb_stream, materialize};
 use sase::core::functions::FunctionRegistry;
 use sase::core::lang::parse_query;
 use sase::core::plan::Planner;
 use sase::core::runtime::QueryRuntime;
 
-const SEQ2: &str = "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId WITHIN 10";
 const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                   WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 10";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn ssc_matches_brute_force_seq2(raw in arb_stream(40)) {
-        let registry = sase::core::event::retail_registry();
-        let events = materialize(&registry, &raw);
-        assert_engine_matches_oracle(&registry, &events, SEQ2);
-    }
-
-    #[test]
-    fn ssc_matches_brute_force_q1_negation(raw in arb_stream(40)) {
-        let registry = sase::core::event::retail_registry();
-        let events = materialize(&registry, &raw);
-        assert_engine_matches_oracle(&registry, &events, Q1);
-    }
 
     #[test]
     fn matches_are_well_formed(raw in arb_stream(60)) {
@@ -151,50 +137,6 @@ proptest! {
                 prop_assert!(w[0].area != w[1].area, "no-op moves are skipped");
             }
         }
-    }
-}
-
-const SEQ3: &str = "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) \
-                    WHERE [TagId] WITHIN 12";
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn ssc_matches_brute_force_seq3(raw in arb_stream(36)) {
-        let registry = sase::core::event::retail_registry();
-        let events = materialize(&registry, &raw);
-        assert_engine_matches_oracle(&registry, &events, SEQ3);
-    }
-
-    /// The derived-stream path is deterministic: two engines fed the same
-    /// stream produce identical output sequences, including re-ingested
-    /// INTO events.
-    #[test]
-    fn into_composition_deterministic(raw in arb_stream(40)) {
-        let registry = sase::core::event::retail_registry();
-        let events = materialize(&registry, &raw);
-        let build = || {
-            let mut engine = sase::core::engine::Engine::new(registry.clone());
-            engine
-                .register(
-                    "stage1",
-                    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE [TagId] WITHIN 10 \
-                     RETURN x.TagId AS tag, z.AreaId AS area INTO pairs",
-                )
-                .unwrap();
-            engine
-        };
-        let run_engine = |mut engine: sase::core::engine::Engine| -> Vec<String> {
-            let mut out = Vec::new();
-            for e in &events {
-                out.extend(engine.process(e).unwrap());
-            }
-            out.iter().map(|d| d.to_string()).collect()
-        };
-        let a = run_engine(build());
-        let b = run_engine(build());
-        prop_assert_eq!(a, b);
     }
 }
 

@@ -1,15 +1,13 @@
 //! Crash-recovery differentials: checkpoint mid-stream, drop the engine,
 //! recover from log + checkpoint, finish the stream — the emitted complex
 //! events must be **byte-for-byte identical** to an uninterrupted
-//! reference run. Asserted for the full retail [`SaseSystem`] deployment
-//! and for the sharded engine deployment, including derived `INTO`
-//! streams, plus kill-and-recover with a torn log tail and a randomized
-//! crash-point property.
+//! reference run. Asserted for the full retail [`SaseSystem`] deployment,
+//! for a derived `INTO` schema the engine minted from data, and for
+//! kill-and-recover with a torn log tail. Random crash points on the
+//! engine deployments are part of `tests/differential.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use proptest::prelude::*;
 
 use sase::core::engine::Engine;
 use sase::core::error::Result as CoreResult;
@@ -18,11 +16,8 @@ use sase::core::output::ComplexEvent;
 use sase::core::value::{Value, ValueType};
 use sase::rfid::noise::NoiseModel;
 use sase::rfid::scenario::RetailScenario;
-use sase::store::StoreError;
 use sase::system::durable::preregister_derived;
-use sase::system::{
-    DurableEngine, DurableError, DurableOptions, DurableSystem, SaseSystem, ShardedEngineBuilder,
-};
+use sase::system::{DurableEngine, DurableError, DurableOptions, DurableSystem, SaseSystem};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -207,10 +202,10 @@ fn durable_system_full_process_restart() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine deployment with derived INTO streams
+// Engine deployment with derived INTO streams
 // ---------------------------------------------------------------------------
 
-const SHARDED_QUERIES: [(&str, &str); 5] = [
+const ENGINE_QUERIES: [(&str, &str); 5] = [
     (
         "producer",
         "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
@@ -231,7 +226,7 @@ const SHARDED_QUERIES: [(&str, &str); 5] = [
     ),
 ];
 
-fn sharded_registry() -> SchemaRegistry {
+fn engine_registry() -> SchemaRegistry {
     let reg = retail_registry();
     reg.register(
         "moves",
@@ -267,75 +262,6 @@ fn synthetic_batches(reg: &SchemaRegistry, batches: usize, per_batch: usize) -> 
                 .collect()
         })
         .collect()
-}
-
-#[test]
-fn sharded_engine_crash_recovery_differential() {
-    // Uninterrupted single-engine reference over the union of the queries.
-    let ref_reg = sharded_registry();
-    let mut reference = Engine::new(ref_reg.clone());
-    for (name, src) in SHARDED_QUERIES {
-        reference.register(name, src).unwrap();
-    }
-    let ref_batches = synthetic_batches(&ref_reg, 24, 12);
-    let mut ref_out: Vec<String> = Vec::new();
-    for batch in &ref_batches {
-        ref_out.extend(render(&reference.process_batch(batch).unwrap()));
-    }
-    assert!(!ref_out.is_empty());
-
-    // Durable sharded run with a mid-stream checkpoint and a crash.
-    let build_sharded = |snaps: Option<&sase::core::SnapshotSet>| {
-        let reg = sharded_registry();
-        if let Some(snaps) = snaps {
-            preregister_derived(&reg, snaps)?;
-        }
-        let mut builder = ShardedEngineBuilder::new(reg);
-        for (name, src) in SHARDED_QUERIES {
-            builder.register(name, src)?;
-        }
-        builder.build(3)
-    };
-    let dir = tmp_dir("sharded");
-    let mut durable =
-        DurableEngine::create(&dir, build_sharded(None).unwrap(), small_segments()).unwrap();
-    let reg = durable.engine().schemas().clone();
-    let batches = synthetic_batches(&reg, 24, 12);
-
-    let ckpt_at = 9;
-    let crash_at = 17;
-    let mut live: Vec<String> = Vec::new();
-    let mut since_ckpt: Vec<String> = Vec::new();
-    for (i, batch) in batches[..crash_at].iter().enumerate() {
-        let out = render(&durable.ingest(i as u64, batch).unwrap());
-        if i < ckpt_at {
-            live.extend(out);
-        } else {
-            since_ckpt.extend(out);
-        }
-        if i + 1 == ckpt_at {
-            durable.checkpoint().unwrap();
-        }
-    }
-    drop(durable); // the process dies
-
-    let (mut recovered, report) =
-        DurableEngine::recover(&dir, small_segments(), build_sharded).unwrap();
-    assert_eq!(report.checkpoint_seq, Some(ckpt_at as u64));
-    assert_eq!(report.records_replayed, (crash_at - ckpt_at) as u64);
-    // Deterministic replay through a *re-sharded* deployment: the merge
-    // order reproduces the original emission sequence exactly.
-    assert_eq!(render(&report.emissions), since_ckpt);
-    live.extend(since_ckpt);
-
-    for (i, batch) in batches.iter().enumerate().skip(crash_at) {
-        live.extend(render(&recovered.ingest(i as u64, batch).unwrap()));
-    }
-    assert_eq!(
-        ref_out, live,
-        "sharded recovery must match the single-engine reference"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -415,12 +341,12 @@ fn kill_and_recover(
     cut_back: u64,
 ) -> Result<Vec<String>, DurableError> {
     let build = |snaps: Option<&sase::core::SnapshotSet>| {
-        let reg = sharded_registry();
+        let reg = engine_registry();
         if let Some(snaps) = snaps {
             preregister_derived(&reg, snaps)?;
         }
         let mut e = Engine::new(reg);
-        for (name, src) in SHARDED_QUERIES {
+        for (name, src) in ENGINE_QUERIES {
             e.register(name, src)?;
         }
         Ok(e)
@@ -469,13 +395,13 @@ fn kill_and_recover(
 
 #[test]
 fn kill_and_recover_torn_tail() {
-    let reg = sharded_registry();
+    let reg = engine_registry();
     let batches = synthetic_batches(&reg, 20, 10);
     let mut reference = Engine::new(reg.clone());
-    for (name, src) in SHARDED_QUERIES {
+    for (name, src) in ENGINE_QUERIES {
         reference.register(name, src).unwrap();
     }
-    let ref_batches = synthetic_batches(&sharded_registry(), 20, 10);
+    let ref_batches = synthetic_batches(&engine_registry(), 20, 10);
     let mut ref_out: Vec<String> = Vec::new();
     for batch in &ref_batches {
         ref_out.extend(render(&reference.process_batch(batch).unwrap()));
@@ -486,41 +412,4 @@ fn kill_and_recover_torn_tail() {
     let total = kill_and_recover(&dir, &batches, 8, 7).unwrap();
     assert_eq!(ref_out, total, "no lost and no duplicated complex events");
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Randomized crash points: any checkpoint position and any torn-tail
-    /// depth either recovers to the exact reference emission sequence or
-    /// fails with a typed store error (cut reaching below the checkpoint)
-    /// — never panics, never duplicates, never loses a complex event.
-    #[test]
-    fn random_crash_points_recover_exactly(
-        ckpt_at in 1usize..15,
-        cut_back in 0u64..2000,
-        per_batch in 4usize..12,
-    ) {
-        let reg = sharded_registry();
-        let batches = synthetic_batches(&reg, 15, per_batch);
-        let mut reference = Engine::new(reg.clone());
-        for (name, src) in SHARDED_QUERIES {
-            reference.register(name, src).unwrap();
-        }
-        let ref_batches = synthetic_batches(&sharded_registry(), 15, per_batch);
-        let mut ref_out: Vec<String> = Vec::new();
-        for batch in &ref_batches {
-            ref_out.extend(render(&reference.process_batch(batch).unwrap()));
-        }
-
-        let dir = tmp_dir("prop");
-        match kill_and_recover(&dir, &batches, ckpt_at, cut_back) {
-            Ok(total) => prop_assert_eq!(ref_out, total),
-            Err(DurableError::Store(StoreError::Corrupt { .. })) => {
-                // Typed: the cut reached committed pre-checkpoint records.
-            }
-            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
