@@ -3,7 +3,7 @@
 //! Streams follow the evaluation methodology of the paper's companion
 //! system paper: a controlled number of value partitions (distinct tag
 //! ids), a controlled event-type mix, and a controlled arrival rate. The
-//! differential harness (`tests/differential.rs`) draws realistic streams
+//! differential harness (`tests/scenarios`) draws realistic streams
 //! from here to hold every deployment to the oracle, and
 //! `tests/paper_queries.rs` runs the paper's queries over them.
 

@@ -1,1021 +1,29 @@
-//! The differential harness: every deployment is held to the language's
-//! definition on the same scenarios.
+//! The random scenarios of the differential harness (`tests/scenarios`),
+//! with the deployments every column plays, large-stream anchors, and the
+//! compiled predicate programs held to the oracle's evaluator.
 //!
-//! A [`Scenario`] scripts query registrations, event batches (on the
-//! default or on named streams, one of them out of order), an
-//! unregistration and a late registration, a snapshot restored into a fresh
-//! deployment, and a crash that may tear bytes off the log tail. [`play`] runs it on the indexed [`Engine`] — the reference — and in
-//! lockstep on every [`Column`], and checks:
-//!
-//! 1. for every query inside the oracle's definition (no `FROM`, no `INTO`,
-//!    no host function outside the stdlib), the reference matches what the
-//!    brute-force oracle (`tests/oracle`) matches;
-//! 2. batch by batch, every column emits what the reference emits, rendered
-//!    with provenance tags where the column returns them, and fails with
-//!    the same clock error at the same batch; a recovered durable column
-//!    replays what it emitted since its checkpoint, and a torn log tail
-//!    either recovers exactly or fails with `StoreError::Corrupt`;
-//! 3. every column's metrics conserve ground truth: emissions, events
-//!    ingested, findings by severity, WAL appends, events replayed, and
-//!    per-query counters (summed over workers when sharded).
-//!
-//! Random scenarios come from [`scenario`]; the pinned rows below are
-//! scenarios played by the same runner. A last property holds compiled
-//! predicate programs to the oracle's evaluator.
-//!
-//! Queries are code, not logged state: a durable column checkpoints when
-//! its query set changes, and recovery re-registers the query history.
+//! The scenarios hold the indexed engine to the brute-force oracle
+//! (`tests/oracle`) and every other deployment to the engine, batch by
+//! batch; see `tests/scenarios/mod.rs` for the checks.
 
 mod oracle;
-
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod scenarios;
 
 use proptest::prelude::*;
-use proptest::test_runner::run_cases;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use oracle::harness::{arb_stream, materialize};
-use sase::core::engine::{Emission, Engine, RoutingMode};
-use sase::core::error::Result as CoreResult;
-use sase::core::event::retail_registry;
 use sase::core::expr::CompiledExpr;
 use sase::core::functions::FunctionRegistry;
 use sase::core::lang::ast::{AttrRef, BinOp, Expr, UnaryOp};
 use sase::core::lang::{parse_expr, parse_query};
 use sase::core::pattern::CompiledPattern;
-use sase::core::runtime::RuntimeStats;
 use sase::core::value::{Value, ValueType};
-use sase::core::{Event, PredicateProgram, SchemaRegistry, SnapshotSet};
+use sase::core::{Event, PredicateProgram, SchemaRegistry};
 use sase::rfid::generator::{generate, SyntheticConfig};
-use sase::server::client::Client;
-use sase::server::wire::TickMode;
-use sase::store::StoreError;
-use sase::system::{DurableEngine, DurableError, ShardedEngine, ShardedEngineBuilder};
-use sase::{
-    render_prometheus, DurableOptions, EventProcessor, MetricsRegistry, MetricsSnapshot,
-    RecoveryReport, Sase, ServerConfig, ServerHandle, ShardingMode,
-};
+use sase::ShardingMode;
 
-// ---------------------------------------------------------------------------
-// Schemas and query templates
-// ---------------------------------------------------------------------------
-
-/// Every type a scenario uses: the retail readings, the derived `moves` and
-/// `hops` streams, keyed orders (`AUDITS` lacks the key), `HOT_A`/`HOT_B`
-/// with an `Int` and a `Float` key, and the custom types of two anchors.
-fn registry() -> SchemaRegistry {
-    use ValueType::{Float, Int, Str};
-    let reg = retail_registry();
-    let reading = [("TagId", Int), ("ProductName", Str), ("AreaId", Int)];
-    let types: [(&str, &[(&str, ValueType)]); 14] = [
-        ("moves", &[("tag", Int), ("area", Int)]),
-        ("hops", &[("t2", Int)]),
-        ("ORDERS", &[("UserId", Int), ("Amount", Int)]),
-        ("SHIPMENTS", &[("UserId", Int), ("Amount", Int)]),
-        ("AUDITS", &[("Note", Str)]),
-        ("HOT_A", &[("Key", Int)]),
-        ("HOT_B", &[("Key", Float)]),
-        ("A", &[("TagId", Int), ("AreaId", Int)]),
-        ("B", &[("AreaId", Int), ("TagId", Int)]),
-        ("C", &[("AreaId", Int), ("Label", Str), ("TagId", Int)]),
-        ("T0", &reading),
-        ("T1", &reading),
-        ("T2", &reading),
-        ("T3", &reading),
-    ];
-    for (name, attrs) in types {
-        reg.register(name, attrs).unwrap();
-    }
-    reg
-}
-
-/// Query templates over the retail readings; `{w}` becomes a window and
-/// `{k}` a small literal. First one per runtime configuration the planner
-/// selects (PAIS or unpartitioned SSC, indexed or flat negation buffers,
-/// pushed filters, `ANY`, same-type sequences, one component, no window,
-/// one- and two-part and string keys), then the routing shapes (a
-/// mixed-case named stream, `INTO` producers and their `FROM` consumers, a
-/// two-hop chain), a data-derived `INTO` schema and a stdlib call.
-const RETAIL: [&str; 26] = [
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
-     WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) WHERE [TagId] WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
-     WHERE x.TagId = z.TagId AND x.AreaId != z.AreaId AND z.AreaId >= {k} WITHIN {w}",
-    "EVENT SEQ(ANY(SHELF_READING, COUNTER_READING) a, EXIT_READING b) \
-     WHERE a.TagId = b.TagId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
-     WHERE x.TagId = y.TagId AND x.TagId = z.TagId AND y.AreaId = {k} WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.AreaId < z.AreaId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
-     WHERE x.TagId = z.TagId AND y.AreaId = {k} WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
-     WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN {w}",
-    "EVENT COUNTER_READING c WHERE c.AreaId >= {k}",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
-     WHERE x.TagId = z.TagId AND x.AreaId = z.AreaId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
-     WHERE x.TagId = y.TagId AND x.TagId = z.TagId \
-     AND x.AreaId = y.AreaId AND x.AreaId = z.AreaId WITHIN {w}",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.ProductName = z.ProductName WITHIN {w}",
-    "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-     WHERE a.TagId = b.TagId WITHIN {w} RETURN a.TagId AS tag",
-    "EVENT SEQ(SHELF_READING a, !(COUNTER_READING c), EXIT_READING b) \
-     WHERE a.TagId = b.TagId AND a.TagId = c.TagId WITHIN {w} RETURN a.TagId AS t",
-    "FROM Retail EVENT SHELF_READING x RETURN x.TagId AS tag",
-    "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
-     WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN {w} \
-     RETURN y.TagId AS tag, y.AreaId AS area INTO Moves",
-    "FROM moves EVENT MOVES m WHERE m.area >= {k} RETURN m.tag AS t",
-    "EVENT COUNTER_READING c RETURN c.TagId AS tag",
-    "FROM moves EVENT SEQ(moves a, moves b) \
-     WHERE a.tag = b.tag WITHIN {w} RETURN b.tag AS t2 INTO hops",
-    "FROM HOPS EVENT hops h RETURN h.t2 AS f",
-    "FROM moves EVENT MOVES m RETURN m.tag AS t",
-    "EVENT EXIT_READING z RETURN z.TagId AS tag",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE [TagId] WITHIN {w} \
-     RETURN x.TagId AS tag, z.AreaId AS area INTO pairs",
-    "EVENT SEQ(SHELF_READING x, EXIT_READING z) \
-     WHERE x.TagId = z.TagId AND _abs(x.AreaId - z.AreaId) >= {k} WITHIN {w}",
-];
-
-/// The `moves` producer and its consumers, and the two-hop chain. A
-/// `ByQuery` deployment places a query on the shard of every query whose
-/// derived stream it produces or consumes, and refuses a live registration
-/// that would have to join two shards; consumers of one stream need not
-/// share a shard until a producer arrives, so a late one could be refused.
-const NEVER_LATE: [usize; 5] = [17, 18, 20, 21, 22];
-
-/// Query templates over the keyed types: two queries sharing the `UserId`
-/// key, a keyless one, a negation whose key misses the negated slot, an
-/// `Int` = `Float` key, and a contradiction the analyzer flags for `{k}` ≥ 2.
-const KEYED: [&str; 6] = [
-    "EVENT SEQ(ORDERS x, SHIPMENTS y) WHERE x.UserId = y.UserId \
-     WITHIN {w} RETURN x.UserId AS u, y.Amount AS amt",
-    "EVENT SEQ(ORDERS x, ORDERS y) WHERE x.UserId = y.UserId \
-     AND x.Amount != y.Amount WITHIN {w} RETURN x.UserId AS u",
-    "EVENT AUDITS a RETURN a.Note AS note",
-    "EVENT SEQ(ORDERS a, !(AUDITS n), SHIPMENTS b) WHERE a.UserId = b.UserId \
-     WITHIN {w} RETURN a.UserId AS u",
-    "EVENT SEQ(HOT_A x, HOT_B y) WHERE x.Key = y.Key WITHIN {w} RETURN x.Key AS k",
-    "EVENT ORDERS x WHERE x.Amount > {k} AND x.Amount < 3 RETURN x.UserId AS u",
-];
-
-fn template(table: &[&str], t: usize, window: u64, literal: i64) -> String {
-    let src = table[t].replace("{w}", &window.to_string());
-    src.replace("{k}", &literal.to_string())
-}
-
-fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
-    items[rng.gen_range(0..items.len())]
-}
-
-// ---------------------------------------------------------------------------
-// Scenarios
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct Scenario {
-    script: Vec<Step>,
-    columns: Vec<Column>,
-}
-
-#[derive(Clone, Debug)]
-enum Step {
-    Register(String, String),
-    Unregister(String),
-    /// A batch on a stream (`None` = the default input).
-    Batch(Option<&'static str>, Vec<Event>),
-    /// Every deployment is snapshot and restored into a fresh one.
-    Snapshot,
-    /// Durable deployments die, lose this many bytes off the log tail, and
-    /// recover.
-    Crash(u64),
-}
-
-/// A deployment checked against the reference.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Column {
-    /// `Engine` with `RoutingMode::ScanAll`.
-    ScanAll,
-    /// The `Sase` facade, optionally sharded.
-    Facade(Option<(ShardingMode, usize)>),
-    Sharded(ShardingMode, usize),
-    /// `DurableEngine<Engine>`, or `DurableEngine<ShardedEngine>`.
-    Durable(Option<(ShardingMode, usize)>),
-    /// A `Client` against a served `Sase`.
-    Wire,
-    /// A `Client` against a served durable `Sase`: a crash is a graceful
-    /// shutdown, and the recovered facade then runs in process.
-    WireDurable,
-}
-
-const STREAMS: [Option<&str>; 4] = [None, Some("retail"), Some("RETAIL"), Some("Retail")];
-
-/// The scenario generator: queries from one template table, a stream of
-/// one of four shapes cut into random batches, and every operation at a
-/// random batch boundary.
-fn scenario(seed: u64) -> Scenario {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let reg = registry();
-    let keyed = rng.gen_bool(0.3);
-    let (table, share): (&[&str], f64) = if keyed {
-        (&KEYED, 0.5)
-    } else {
-        (&RETAIL, 0.25)
-    };
-    let mut picked: Vec<usize> = (0..table.len()).filter(|_| rng.gen_bool(share)).collect();
-    if picked.is_empty() {
-        picked.push(rng.gen_range(0..table.len()));
-    }
-    let query =
-        |rng: &mut StdRng, t| template(table, t, rng.gen_range(5..=200), rng.gen_range(1..=4));
-
-    let events = if keyed {
-        keyed_stream(&mut rng, &reg)
-    } else if rng.gen_bool(0.5) {
-        let soup = materialize(&reg, &arb_stream(60).generate(&mut rng));
-        soup.iter()
-            .map(|e| e.with_timestamp(e.timestamp() + 1))
-            .collect()
-    } else {
-        let cfg = SyntheticConfig::retail(rng.gen(), rng.gen_range(40..120), rng.gen_range(2..10));
-        generate(&reg, &cfg)
-    };
-    let named = !keyed && rng.gen_bool(0.3);
-    let mut batches = Vec::new();
-    let mut rest = &events[..];
-    while !rest.is_empty() {
-        let (batch, tail) = rest.split_at(rng.gen_range(1..=12usize).min(rest.len()));
-        let stream = if named && rng.gen_bool(0.5) {
-            pick(&mut rng, &STREAMS[1..])
-        } else {
-            None
-        };
-        batches.push((stream, batch.to_vec()));
-        rest = tail;
-    }
-    if batches.len() > 1 && rng.gen_bool(0.5) {
-        // Timestamps start at 1, so a 0 regresses a clock that has seen an
-        // event, and the rest of its batch is rejected with it.
-        let at = rng.gen_range(1..batches.len());
-        let batch = &mut batches[at].1;
-        let stale = events[rng.gen_range(0..events.len())].with_timestamp(0);
-        batch.insert(rng.gen_range(0..=batch.len()), stale);
-    }
-
-    let n = batches.len();
-    let [unregister, snapshot, crash] = [(); 3].map(|_| rng.gen_range(0..=n));
-    let late = rng.gen_range(unregister..=n);
-    let victim = format!("q{}", rng.gen_range(0..picked.len()));
-    let mut script: Vec<Step> = (picked.iter().enumerate())
-        .map(|(i, &t)| Step::Register(format!("q{i}"), query(&mut rng, t)))
-        .collect();
-    let mut batches = batches.into_iter();
-    for i in 0..=n {
-        if i == unregister {
-            script.push(Step::Unregister(victim.clone()));
-        }
-        if i == late {
-            let t = loop {
-                let t = rng.gen_range(0..table.len());
-                if keyed || !NEVER_LATE.contains(&t) {
-                    break t;
-                }
-            };
-            script.push(Step::Register("late".into(), query(&mut rng, t)));
-        }
-        if i == snapshot {
-            script.push(Step::Snapshot);
-        }
-        if i == crash {
-            script.push(Step::Crash(rng.gen_range(0..2000)));
-        }
-        script.extend(
-            batches
-                .next()
-                .map(|(stream, events)| Step::Batch(stream, events)),
-        );
-    }
-
-    // Scan-all plays every scenario; each other column about half of them,
-    // still more than the suites it replaced.
-    use ShardingMode::{ByPartitionKey as ByKey, ByQuery};
-    let facade = pick(&mut rng, &[None, Some((ByQuery, 3)), Some((ByKey, 4))]);
-    let inner = pick(
-        &mut rng,
-        &[
-            (ByQuery, 2),
-            (ByQuery, 3),
-            (ByKey, 1),
-            (ByKey, 2),
-            (ByKey, 4),
-        ],
-    );
-    let (by_query, by_key) = (rng.gen_range(2..=3), pick(&mut rng, &[1, 2, 4, 8]));
-    let mut columns = vec![Column::ScanAll];
-    let mut maybe = |column, share| columns.extend(rng.gen_bool(share).then_some(column));
-    maybe(Column::Facade(facade), 0.5);
-    maybe(Column::Sharded(ByQuery, by_query), 0.5);
-    maybe(Column::Sharded(ByKey, by_key), 0.5);
-    // Log records carry no stream name: durable deployments take the
-    // default stream only.
-    if !named {
-        maybe(Column::Durable(None), 0.5);
-        maybe(Column::Durable(Some(inner)), 0.5);
-    }
-    Scenario { script, columns }
-}
-
-/// Keyed streams in the partition-key shapes: a hot key taking ≈ 80 % of
-/// events, uniform keys, or one key per event; `AUDITS` events carry no
-/// key, and `HOT_B` keys are `Float` twins of `HOT_A`'s `Int` keys.
-fn keyed_stream(rng: &mut StdRng, reg: &SchemaRegistry) -> Vec<Event> {
-    let skew = rng.gen_range(0..3);
-    let mut ts = 1u64;
-    (0..rng.gen_range(0..64))
-        .map(|i| {
-            ts += rng.gen_range(0..3u64);
-            let draw: i64 = rng.gen_range(0..40);
-            let user = match skew {
-                0 if draw % 10 < 8 => 0,
-                0 => draw,
-                1 => draw % 8,
-                _ => i,
-            };
-            let (key, amount) = (user % 5, Value::Int(rng.gen_range(0..5)));
-            let half = if rng.gen_bool(0.2) { 0.5 } else { 0.0 };
-            let (ty, attrs) = match rng.gen_range(0..5) {
-                0 => ("ORDERS", vec![Value::Int(user), amount]),
-                1 => ("SHIPMENTS", vec![Value::Int(user), amount]),
-                2 => ("AUDITS", vec![Value::str("n")]),
-                3 => ("HOT_A", vec![Value::Int(key)]),
-                _ => ("HOT_B", vec![Value::Float(key as f64 + half)]),
-            };
-            reg.build_event(ty, ts, attrs).unwrap()
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Deployments
-// ---------------------------------------------------------------------------
-
-fn durable_options() -> DurableOptions {
-    DurableOptions {
-        segment_bytes: 512, // logs roll across segments
-        sync_each_batch: false,
-        ..DurableOptions::default()
-    }
-}
-
-fn engine() -> Engine {
-    let mut engine = Engine::new(registry());
-    engine.enable_metrics(&MetricsRegistry::new());
-    engine
-}
-
-fn sharded((mode, shards): (ShardingMode, usize)) -> ShardedEngine {
-    let mut builder = ShardedEngineBuilder::new(registry());
-    builder.set_sharding(mode);
-    builder.set_metrics(true);
-    builder.build(shards).unwrap()
-}
-
-fn facade(shards: Option<(ShardingMode, usize)>) -> sase::SaseBuilder {
-    let builder = Sase::builder().schemas(registry()).metrics(true);
-    match shards {
-        Some((mode, n)) => builder.shards(n).sharding(mode),
-        None => builder,
-    }
-}
-
-/// Bring a fresh deployment to the state a restore expects: the derived
-/// schemas of `snaps`, then the query history of `script` in order.
-fn prepare<P: EventProcessor + ?Sized>(
-    p: &mut P,
-    snaps: Option<&SnapshotSet>,
-    script: &[Step],
-) -> CoreResult<()> {
-    if let Some(snaps) = snaps {
-        snaps.preregister_derived(p.schemas())?;
-    }
-    for step in script {
-        match step {
-            Step::Register(name, src) => p.register(name, src)?,
-            Step::Unregister(name) => assert!(p.unregister(name)),
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-fn prepared<P: EventProcessor>(
-    mut p: P,
-    snaps: Option<&SnapshotSet>,
-    script: &[Step],
-) -> CoreResult<P> {
-    prepare(&mut p, snaps, script).map(|()| p)
-}
-
-/// An in-process deployment; a durable one also reaches its log.
-trait Deployment: EventProcessor {
-    /// Write a checkpoint and return its log position.
-    fn checkpoint(&mut self) -> u64 {
-        unreachable!("no log")
-    }
-    /// How many records the log holds, and its tail segment.
-    fn log_tail(&self) -> (u64, PathBuf) {
-        unreachable!("no log")
-    }
-}
-
-impl Deployment for Engine {}
-impl Deployment for ShardedEngine {}
-impl Deployment for Sase {}
-
-impl<E: EventProcessor> Deployment for DurableEngine<E> {
-    fn checkpoint(&mut self) -> u64 {
-        DurableEngine::checkpoint(self).unwrap()
-    }
-    fn log_tail(&self) -> (u64, PathBuf) {
-        let log = self.log();
-        (log.next_seq(), log.segments().last().unwrap().path.clone())
-    }
-}
-
-/// A fresh in-process deployment of `column` (logging in `dir` if it is
-/// durable) with the query history of `script`, restored from `snaps`.
-fn deploy(
-    column: Column,
-    dir: &Path,
-    script: &[Step],
-    snaps: Option<&SnapshotSet>,
-) -> Box<dyn Deployment> {
-    let opts = durable_options();
-    let mut p: Box<dyn Deployment> = match column {
-        Column::ScanAll => {
-            let mut e = engine();
-            e.set_routing(RoutingMode::ScanAll);
-            Box::new(e)
-        }
-        Column::Facade(shards) => Box::new(facade(shards).build().unwrap()),
-        Column::Sharded(mode, n) => Box::new(sharded((mode, n))),
-        Column::Durable(None) => Box::new(DurableEngine::create(dir, engine(), opts).unwrap()),
-        Column::Durable(Some(s)) => Box::new(DurableEngine::create(dir, sharded(s), opts).unwrap()),
-        Column::Wire | Column::WireDurable => unreachable!("served, not in process"),
-    };
-    prepare(p.as_mut(), snaps, script).unwrap();
-    if let Some(snaps) = snaps {
-        p.restore(snaps).unwrap();
-    }
-    p
-}
-
-type Recovered = (Box<dyn Deployment>, RecoveryReport);
-
-fn recover(column: Column, dir: &Path, script: &[Step]) -> Result<Recovered, DurableError> {
-    let opts = durable_options();
-    Ok(match column {
-        Column::Durable(None) => {
-            let (d, r) = DurableEngine::recover(dir, opts, |s| prepared(engine(), s, script))?;
-            (Box::new(d), r)
-        }
-        Column::Durable(Some(shape)) => {
-            let (d, r) =
-                DurableEngine::recover(dir, opts, |s| prepared(sharded(shape), s, script))?;
-            (Box::new(d), r)
-        }
-        _ => unreachable!("{column:?} keeps no log"),
-    })
-}
-
-fn tmp_dir() -> PathBuf {
-    static DIRS: AtomicUsize = AtomicUsize::new(0);
-    let n = DIRS.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("sase-differential-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-// ---------------------------------------------------------------------------
-// The runner
-// ---------------------------------------------------------------------------
-
-fn tagged(out: &[Emission]) -> Vec<String> {
-    let tag = |e: &Emission| format!("{}|{}|{:?}|{}", e.input_index, e.depth, e.path, e.output);
-    out.iter().map(tag).collect()
-}
-
-fn rendered<T: ToString>(out: &[T]) -> Vec<String> {
-    out.iter().map(T::to_string).collect()
-}
-
-fn untagged(out: &Result<Vec<Emission>, String>) -> Vec<String> {
-    out.iter().flatten().map(|e| e.output.to_string()).collect()
-}
-
-/// The monotonic rows of a query's counters, the ones conserved across
-/// deployment shapes (the gauges' per-worker sums are upper bounds).
-/// Scan-all offers every event to every query, so its `events_processed`
-/// is left out.
-fn conserved(s: &RuntimeStats, column: Column) -> Vec<(&'static str, u64)> {
-    let rows = s.rows().into_iter().filter(|row| row.2);
-    let skip = usize::from(column == Column::ScanAll);
-    rows.skip(skip)
-        .map(|(label, value, _)| (label, value))
-        .collect()
-}
-
-const SEVERITIES: [&str; 3] = ["info", "warning", "error"];
-
-/// The reference's record of one step.
-struct RefStep {
-    out: Result<Vec<Emission>, String>,
-    /// The analyzer's findings on the text of a `Register` step.
-    diags: Vec<String>,
-    /// The reference's emission counter after the step.
-    emitted: u64,
-}
-
-struct Reference<'s> {
-    script: &'s [Step],
-    engine: Engine,
-    steps: Vec<RefStep>,
-}
-
-impl Reference<'_> {
-    fn apply(&mut self, i: usize) {
-        let (mut out, mut diags) = (Ok(Vec::new()), Vec::new());
-        match &self.script[i] {
-            Step::Register(name, src) => {
-                diags = rendered(&EventProcessor::check(&self.engine, src));
-                self.engine.register(name, src).unwrap();
-            }
-            Step::Unregister(name) => assert!(self.engine.unregister(name)),
-            Step::Batch(stream, events) => {
-                out = self
-                    .engine
-                    .process_batch_tagged(*stream, events)
-                    .map_err(|e| e.to_string());
-            }
-            _ => {}
-        }
-        let emitted = self.metrics().counter("sase_ingest_emissions_total", &[]);
-        self.steps.push(RefStep {
-            out,
-            diags,
-            emitted,
-        });
-    }
-
-    /// The emission counter after steps `..i`.
-    fn emitted_before(&self, i: usize) -> u64 {
-        i.checked_sub(1).map_or(0, |j| self.steps[j].emitted)
-    }
-
-    /// The engine's own series, without the per-query ones.
-    fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics_registry().unwrap().snapshot()
-    }
-}
-
-enum Live {
-    InProcess(Box<dyn Deployment>),
-    Wire(ServerHandle, Client),
-    /// Recovery failed with `StoreError::Corrupt`: the deployment is gone.
-    Dead,
-}
-
-/// One column: its live deployment, and what that deployment did since it
-/// started from the state after script step `base - 1`.
-struct Col {
-    column: Column,
-    live: Live,
-    base: usize,
-    /// Events offered (replayed ones included).
-    events: u64,
-    /// The script step of each log record, by sequence number.
-    records: Vec<usize>,
-    /// Log position and script step of the newest checkpoint.
-    checkpoint: (u64, usize),
-    /// The query set changed since the newest checkpoint.
-    dirty: bool,
-    appended: u64,
-    replayed: u64,
-    dirs: Vec<PathBuf>,
-}
-
-impl Col {
-    fn new(column: Column) -> Col {
-        let mut col = Col {
-            column,
-            live: Live::Dead,
-            base: 0,
-            events: 0,
-            records: Vec::new(),
-            checkpoint: (0, 0),
-            dirty: false,
-            appended: 0,
-            replayed: 0,
-            dirs: vec![tmp_dir()],
-        };
-        let served = match column {
-            Column::Wire => facade(None),
-            Column::WireDurable => facade(None).durable(&col.dirs[0], durable_options()),
-            _ => {
-                col.restart(0, &[], None);
-                return col;
-            }
-        };
-        let handle = served
-            .build()
-            .unwrap()
-            .serve("127.0.0.1:0", ServerConfig::default());
-        let handle = handle.unwrap();
-        let client = Client::connect(handle.local_addr()).unwrap();
-        col.live = Live::Wire(handle, client);
-        col
-    }
-
-    fn durable(&self) -> bool {
-        matches!(self.column, Column::Durable(_))
-    }
-
-    /// Replace the deployment with a fresh one as of script step `i`.
-    fn restart(&mut self, i: usize, script: &[Step], snaps: Option<&SnapshotSet>) {
-        let dir = tmp_dir();
-        let mut p = deploy(self.column, &dir, script, snaps);
-        self.dirs.push(dir);
-        // A fresh deployment checkpoints once its first queries register.
-        let restored = self.durable() && snaps.is_some();
-        self.checkpoint = (if restored { p.checkpoint() } else { 0 }, i);
-        self.live = Live::InProcess(p);
-        (self.base, self.events, self.appended, self.replayed) = (i, 0, 0, 0);
-        self.records.clear();
-    }
-
-    fn apply(&mut self, i: usize, r: &Reference<'_>) {
-        let step = &r.script[i];
-        let durable = self.durable();
-        let p = match &mut self.live {
-            Live::InProcess(p) => p,
-            Live::Wire(..) => return self.wire(i, r),
-            Live::Dead => return,
-        };
-        let registration = matches!(step, Step::Register(..) | Step::Unregister(..));
-        if durable && self.dirty && !registration {
-            self.checkpoint = (p.checkpoint(), i);
-            self.dirty = false;
-        }
-        self.dirty |= registration;
-        match step {
-            Step::Register(name, src) => p.register(name, src).unwrap(),
-            Step::Unregister(name) => assert!(p.unregister(name)),
-            Step::Batch(stream, events) => self.batch(i, *stream, events, r),
-            Step::Snapshot => {
-                let snaps = p.snapshot();
-                self.check_laws(i, r);
-                self.restart(i, &r.script[..i], Some(&snaps));
-            }
-            Step::Crash(cut) if durable => self.crash(i, *cut, r),
-            Step::Crash(_) => {}
-        }
-    }
-
-    fn batch(&mut self, i: usize, stream: Option<&str>, events: &[Event], r: &Reference<'_>) {
-        let durable = self.durable();
-        let Live::InProcess(p) = &mut self.live else {
-            unreachable!()
-        };
-        self.events += events.len() as u64;
-        if durable && !events.is_empty() {
-            self.records.push(i);
-            self.appended += events.len() as u64;
-        }
-        let got = p.process_batch_tagged(stream, events);
-        let got = got.as_deref().map(tagged).map_err(|e| e.to_string());
-        let want = r.steps[i].out.as_deref().map(tagged).map_err(String::clone);
-        assert_eq!(got, want, "{:?} at step {i}", self.column);
-    }
-
-    /// Kill a durable column, tear `cut` bytes off its log tail, recover,
-    /// and re-send what the log lost.
-    fn crash(&mut self, i: usize, cut: u64, r: &Reference<'_>) {
-        self.check_laws(i, r);
-        let Live::InProcess(p) = std::mem::replace(&mut self.live, Live::Dead) else {
-            unreachable!()
-        };
-        let (_, segment) = p.log_tail();
-        drop(p);
-        let len = std::fs::metadata(&segment).unwrap().len();
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&segment)
-            .unwrap();
-        f.set_len(len.saturating_sub(cut)).unwrap();
-
-        let (p, report) = match recover(self.column, self.dirs.last().unwrap(), &r.script[..i]) {
-            Ok(recovered) => recovered,
-            // The cut reached records the checkpoint had already covered.
-            Err(DurableError::Store(StoreError::Corrupt { .. })) => return,
-            Err(e) => panic!("{:?}: recovery failed: {e}", self.column),
-        };
-        let (seq, at) = self.checkpoint;
-        assert_eq!(report.checkpoint_seq, Some(seq));
-        let survived = p.log_tail().0 as usize;
-        let replayed = &self.records[seq as usize..survived];
-        let want: Vec<String> = replayed
-            .iter()
-            .flat_map(|&s| untagged(&r.steps[s].out))
-            .collect();
-        assert_eq!(
-            rendered(&report.emissions),
-            want,
-            "{:?}: replay",
-            self.column
-        );
-        let rejected = replayed
-            .iter()
-            .filter(|&&s| r.steps[s].out.is_err())
-            .count();
-        assert_eq!(report.replay_errors.len(), rejected);
-        let events: u64 = replayed.iter().map(|&s| batch_len(&r.script[s])).sum();
-        assert_eq!(report.events_replayed, events);
-
-        let lost = self.records.split_off(survived);
-        self.live = Live::InProcess(p);
-        (self.base, self.events, self.appended, self.replayed) = (at, events, 0, events);
-        for s in lost {
-            let Step::Batch(stream, events) = &r.script[s] else {
-                unreachable!()
-            };
-            self.batch(s, *stream, events, r);
-        }
-    }
-
-    /// A served column: what the client sees must render as the
-    /// reference's output, findings included.
-    fn wire(&mut self, i: usize, r: &Reference<'_>) {
-        let Live::Wire(_, client) = &mut self.live else {
-            unreachable!()
-        };
-        let (column, want) = (self.column, &r.steps[i]);
-        match &r.script[i] {
-            Step::Register(name, src) => {
-                let diags = rendered(&client.register(name, src).unwrap());
-                assert_eq!(diags, want.diags, "{column:?}: findings for {name}");
-            }
-            Step::Unregister(name) => assert!(client.unregister(name).unwrap()),
-            Step::Batch(stream, events) => {
-                let got = client.ingest(*stream, TickMode::Explicit, events);
-                match (got.map(|out| rendered(&out)), &want.out) {
-                    (Ok(got), Ok(_)) => assert_eq!(got, untagged(&want.out), "{column:?} at {i}"),
-                    (Err(e), Err(w)) => assert!(e.to_string().contains(w), "{e} vs {w}"),
-                    (got, want) => panic!("{column:?} at step {i}: {got:?} vs {want:?}"),
-                }
-            }
-            // A graceful shutdown, then recovery in process: every
-            // acknowledged batch replays.
-            Step::Crash(_) if column == Column::WireDurable => {
-                let Live::Wire(handle, _) = std::mem::replace(&mut self.live, Live::Dead) else {
-                    unreachable!()
-                };
-                drop(handle.shutdown());
-                let (sase, report) = facade(None)
-                    .durable(&self.dirs[0], durable_options())
-                    .recover(|p| prepare(p, None, &r.script[..i]))
-                    .unwrap();
-                let acked: Vec<String> = (0..i).flat_map(|s| untagged(&r.steps[s].out)).collect();
-                assert_eq!(
-                    rendered(&report.emissions),
-                    acked,
-                    "acknowledged batches replay"
-                );
-                self.live = Live::InProcess(Box::new(sase));
-                self.events = report.events_replayed;
-            }
-            _ => {}
-        }
-    }
-
-    /// The conservation laws, checked on the live deployment before step
-    /// `i`.
-    fn check_laws(&mut self, i: usize, r: &Reference<'_>) {
-        let column = self.column;
-        let names = r.engine.query_names();
-        let p = match &mut self.live {
-            Live::InProcess(p) => p,
-            Live::Wire(_, client) if column == Column::Wire => {
-                assert_eq!(client.queries().unwrap(), names);
-                for name in &names {
-                    assert_eq!(client.stats(name).unwrap(), r.engine.stats(name).unwrap());
-                    assert_eq!(
-                        client.explain(name).unwrap(),
-                        r.engine.explain(name).unwrap()
-                    );
-                }
-                return;
-            }
-            _ => return,
-        };
-        let (snap, reference) = (p.metrics(), r.metrics());
-        let emitted = r.emitted_before(i) - r.emitted_before(self.base);
-        let emissions = snap.counter("sase_ingest_emissions_total", &[]);
-        assert_eq!(
-            emissions, emitted,
-            "{column:?}: emissions since step {}",
-            self.base
-        );
-        use Column::{Durable, Facade, ScanAll, WireDurable};
-        if matches!(column, ScanAll | Facade(None) | Durable(None) | WireDurable) {
-            let events = snap.counter("sase_ingest_events_total", &[]);
-            assert_eq!(events, self.events, "{column:?}: events ingested");
-        }
-        for severity in SEVERITIES {
-            let label = [("severity", severity)];
-            let count = |s: &MetricsSnapshot| s.counter("sase_diagnostics_emitted_total", &label);
-            assert_eq!(
-                count(&snap),
-                count(&reference),
-                "{column:?}: {severity} findings"
-            );
-        }
-        if matches!(column, Durable(_)) {
-            let appended = snap.counter("sase_wal_append_events_total", &[]);
-            let replayed = snap.counter("sase_recovery_events_replayed_total", &[]);
-            assert_eq!(
-                (appended, replayed),
-                (self.appended, self.replayed),
-                "{column:?}"
-            );
-        }
-        for name in &names {
-            let got = conserved(&p.stats(name).unwrap(), column);
-            let want = conserved(&r.engine.stats(name).unwrap(), column);
-            assert_eq!(got, want, "{column:?}: stats({name})");
-        }
-        let sharded = matches!(
-            column,
-            Column::Sharded(..) | Facade(Some(_)) | Durable(Some(_))
-        );
-        if sharded && i == r.script.len() {
-            let render = || render_prometheus(&p.metrics());
-            assert_eq!(
-                render(),
-                render(),
-                "{column:?}: worker registries merge deterministically"
-            );
-        }
-    }
-
-    fn finish(mut self, r: &Reference<'_>) {
-        self.check_laws(r.script.len(), r);
-        if let Live::Wire(handle, _) = std::mem::replace(&mut self.live, Live::Dead) {
-            drop(handle.shutdown());
-        }
-        for dir in &self.dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn batch_len(step: &Step) -> u64 {
-    match step {
-        Step::Batch(_, events) => events.len() as u64,
-        _ => 0,
-    }
-}
-
-/// What a played scenario leaves for row-specific assertions.
-struct Played {
-    /// Every reference emission, untagged, in order.
-    out: Vec<String>,
-    /// Matches the oracle confirmed.
-    judged: usize,
-    /// The reference engine after the script.
-    engine: Engine,
-}
-
-/// Play `s` on the reference and, in lockstep, on every column; then hold
-/// the reference to the oracle and every column to its conservation laws.
-fn play(s: &Scenario) -> Played {
-    let mut r = Reference {
-        script: &s.script,
-        engine: engine(),
-        steps: Vec::new(),
-    };
-    let mut cols: Vec<Col> = s.columns.iter().map(|&c| Col::new(c)).collect();
-    for i in 0..s.script.len() {
-        r.apply(i);
-        for col in &mut cols {
-            col.apply(i, &r);
-        }
-    }
-    for col in cols {
-        col.finish(&r);
-    }
-    let judged = judge(&r);
-    let out = r.steps.iter().flat_map(|s| untagged(&s.out)).collect();
-    Played {
-        out,
-        judged,
-        engine: r.engine,
-    }
-}
-
-/// Remove one occurrence of each of `items` from the multiset `from`.
-fn remove_each(from: &mut Vec<Vec<String>>, items: Vec<Vec<String>>) {
-    for item in items {
-        let at = from.iter().position(|m| *m == item).unwrap();
-        from.remove(at);
-    }
-}
-
-/// Check 1: while it was registered, each query inside the oracle's
-/// definition matched what the oracle matches over the default-stream
-/// events the reference accepted — less the matches that the valid prefix
-/// of a batch rejected for a clock regression completed: the engine
-/// processes that prefix but returns only the error. Returns the matches
-/// judged.
-fn judge(r: &Reference<'_>) -> usize {
-    let mut clocks: HashMap<Option<String>, u64> = HashMap::new();
-    let (mut accepted, mut lost) = (Vec::new(), Vec::new());
-    let (mut open, mut spans) = (Vec::new(), Vec::new());
-    for (i, step) in r.script.iter().enumerate() {
-        match step {
-            Step::Register(name, src) => open.push((name, src, accepted.len())),
-            Step::Unregister(name) => {
-                let (name, src, from) = open.remove(open.iter().position(|q| q.0 == name).unwrap());
-                spans.push((name, src, from, accepted.len()));
-            }
-            Step::Batch(stream, events) => {
-                let clock = clocks
-                    .entry(stream.map(str::to_ascii_lowercase))
-                    .or_default();
-                let start = accepted.len();
-                let rejected = events.iter().any(|e| {
-                    let regress = e.timestamp() < *clock;
-                    if !regress {
-                        *clock = e.timestamp();
-                        accepted.extend(stream.is_none().then(|| e.clone()));
-                    }
-                    regress
-                });
-                assert_eq!(rejected, r.steps[i].out.is_err(), "step {i}");
-                lost.extend(rejected.then_some((start, accepted.len())));
-            }
-            _ => {}
-        }
-    }
-    spans.extend(
-        open.into_iter()
-            .map(|(n, s, from)| (n, s, from, accepted.len())),
-    );
-    let stdlib = FunctionRegistry::with_stdlib();
-    let mut judged = 0;
-    for (name, src, from, to) in spans {
-        let query = parse_query(src).unwrap();
-        let into = query
-            .return_clause
-            .as_ref()
-            .is_some_and(|r| r.into.is_some());
-        let host = query
-            .called_functions()
-            .iter()
-            .any(|f| stdlib.resolve(f).is_err());
-        if query.from.is_some() || into || host {
-            continue;
-        }
-        let oracle = |to: usize| {
-            let matches = oracle::matches(&query, &accepted[from..to.max(from)]);
-            let mut m: Vec<Vec<String>> = matches.iter().map(|m| rendered(m)).collect();
-            m.sort();
-            m
-        };
-        let mut want = oracle(to);
-        for &(start, end) in &lost {
-            let mut gone = oracle(end.min(to));
-            remove_each(&mut gone, oracle(start.min(to)));
-            remove_each(&mut want, gone);
-        }
-        let emitted = r.steps.iter().flat_map(|s| s.out.iter().flatten());
-        let named = emitted.filter(|e| &*e.output.query == name.as_str());
-        let mut got: Vec<Vec<String>> = named.map(|e| rendered(&e.output.events)).collect();
-        got.sort();
-        assert_eq!(
-            got, want,
-            "the reference and the oracle disagree on {name}: {src}"
-        );
-        judged += want.len();
-    }
-    judged
-}
+use scenarios::{pick, play, property, registry, retail, row, Column, Draw, Shape};
 
 // ---------------------------------------------------------------------------
 // Random scenarios
@@ -1023,275 +31,53 @@ fn judge(r: &Reference<'_>) -> usize {
 
 #[test]
 fn every_deployment_agrees_on_random_scenarios() {
-    let (mut judged, mut columns, mut cases) = (0, Vec::new(), 0);
-    let config = ProptestConfig::with_cases(96);
-    run_cases(
-        &config,
-        "every_deployment_agrees_on_random_scenarios",
-        |rng| {
-            let mut s = scenario(rng.gen());
-            // Every twelfth scenario also plays over the wire.
-            cases += 1;
-            if cases % 12 == 0 {
-                s.columns.push(Column::Wire);
-            }
-            let played = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| play(&s)));
-            judged += played
-                .unwrap_or_else(|panic| {
-                    eprintln!("failing scenario: {s:?}");
-                    std::panic::resume_unwind(panic)
-                })
-                .judged;
-            columns.extend(s.columns);
-        },
-    );
+    let name = "every_deployment_agrees_on_random_scenarios";
+    // Every twelfth scenario also plays over the wire.
+    let tally = property(name, 96, Draw::default(), |case, s| {
+        if case % 12 == 11 {
+            s.columns.push(Column::Wire);
+        }
+    });
     if std::env::var("PROPTEST_CASES").is_err() {
         // At least as many cases per column as the suites this replaced.
-        let count = |f: &dyn Fn(&Column) -> bool| columns.iter().filter(|c| f(c)).count();
-        assert!(count(&|c| *c == Column::ScanAll) >= 96);
-        let by_key = |n| count(&|c| *c == Column::Sharded(ShardingMode::ByPartitionKey, n));
+        assert!(tally.count(|c| *c == Column::ScanAll) >= 96);
+        let by_key = |n| tally.count(|c| *c == Column::Sharded(ShardingMode::ByPartitionKey, n));
         assert!(by_key(1) + by_key(2) + by_key(4) + by_key(8) >= 24);
         assert!([1, 2, 4, 8].iter().all(|&n| by_key(n) >= 3));
-        assert!(count(&|c| *c == Column::Durable(None)) >= 16);
-        assert!(count(&|c| matches!(c, Column::Durable(Some(_)))) >= 16);
-        assert!(count(&|c| *c == Column::Wire) >= 8);
+        assert!(tally.count(|c| *c == Column::Durable(None)) >= 16);
+        assert!(tally.count(|c| matches!(c, Column::Durable(Some(_)))) >= 16);
+        assert!(tally.count(|c| *c == Column::Wire) >= 8);
+        let judged = tally.judged;
         assert!(judged > 1000, "the oracle judged only {judged} matches");
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pinned scenarios
-// ---------------------------------------------------------------------------
-
-/// The columns a pinned row plays; the first six take named streams.
-const ALL: [Column; 8] = [
-    Column::ScanAll,
-    Column::Facade(None),
-    Column::Facade(Some((ShardingMode::ByQuery, 3))),
-    Column::Facade(Some((ShardingMode::ByPartitionKey, 4))),
-    Column::Sharded(ShardingMode::ByQuery, 3),
-    Column::Sharded(ShardingMode::ByPartitionKey, 4),
-    Column::Durable(None),
-    Column::Durable(Some((ShardingMode::ByQuery, 3))),
-];
-
-/// A pinned row: register `queries`, then play `batches` on the default
-/// stream.
-fn row(queries: &[(&str, String)], batches: Vec<Vec<Event>>, columns: &[Column]) -> Scenario {
-    let register = queries
-        .iter()
-        .map(|(name, src)| Step::Register(name.to_string(), src.clone()));
-    let script = register
-        .chain(batches.into_iter().map(|b| Step::Batch(None, b)))
-        .collect();
-    Scenario {
-        script,
-        columns: columns.to_vec(),
-    }
-}
-
-fn retail(t: usize, window: u64, literal: i64) -> String {
-    template(&RETAIL, t, window, literal)
-}
-
-fn keyed(t: usize, window: u64, literal: i64) -> String {
-    template(&KEYED, t, window, literal)
-}
-
-/// A retail reading of type `k mod 3` at timestamp `ts`.
-fn reading(k: u64, ts: u64, tag: u64, area: u64) -> Event {
-    let ty = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"][(k % 3) as usize];
-    let attrs = vec![
-        Value::Int(tag as i64),
-        Value::str("p"),
-        Value::Int(area as i64),
-    ];
-    retail_registry().build_event(ty, ts, attrs).unwrap()
-}
-
-/// `batches` × `per_batch` retail readings of a xorshift stream, one tick
-/// apart.
-fn xorshift_batches(mut state: u64, batches: usize, per_batch: usize) -> Vec<Vec<Event>> {
-    let mut ts = 0;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        ts += 1;
-        reading(state, ts, (state >> 8) % 5, 1 + (state >> 16) % 3)
+/// Arbitrary soups of retail readings, on the columns each scenario draws.
+#[test]
+fn configs_agree_on_arbitrary_streams() {
+    let draw = Draw {
+        shape: Some(Shape::Soup),
+        ..Draw::default()
     };
-    (0..batches)
-        .map(|_| (0..per_batch).map(|_| next()).collect())
-        .collect()
+    let tally = property("configs_agree_on_arbitrary_streams", 32, draw, |_, _| {});
+    assert!(tally.judged > 0, "the oracle judged no match");
 }
 
-/// `Int(3)` and `Float(3.0)` are one key and must meet on one shard, while
-/// a non-integral float stays a key of its own.
+/// Streams of the RFID generator, on the columns each scenario draws.
 #[test]
-fn heterogeneous_key_types_route_together() {
-    let reg = registry();
-    let events = [
-        ("HOT_A", 1, Value::Int(3)),
-        ("HOT_B", 2, Value::Float(3.5)),
-        ("HOT_B", 3, Value::Float(3.0)),
-        ("HOT_A", 4, Value::Int(0)),
-        ("HOT_B", 5, Value::Float(-0.0)),
-    ]
-    .map(|(ty, ts, key)| reg.build_event(ty, ts, vec![key]).unwrap());
-    let played = play(&row(
-        &[("mix", keyed(4, 10, 0))],
-        vec![events.to_vec()],
-        &ALL,
-    ));
-    assert_eq!(
-        played.out.len(),
-        2,
-        "Int(3)=Float(3.0) and Int(0)=Float(-0.0)"
-    );
+fn configs_agree_on_random_generator_streams() {
+    let draw = Draw {
+        shape: Some(Shape::Generator),
+        ..Draw::default()
+    };
+    let name = "configs_agree_on_random_generator_streams";
+    let tally = property(name, 32, draw, |_, _| {});
+    assert!(tally.judged > 0, "the oracle judged no match");
 }
 
-/// The routing templates over a dense per-event script across the default
-/// and mixed-case named streams, with an unregistration in the middle; and
-/// the same script with no queries at all.
-#[test]
-fn all_templates_dense_script_anchor() {
-    let mut script: Vec<Step> = (14..22)
-        .map(|t| Step::Register(format!("q{}", t - 14), retail(t, 100, 0)))
-        .collect();
-    for k in 0..60u64 {
-        if k == 30 {
-            script.push(Step::Unregister("q2".into()));
-        }
-        let event = reading(k, k + 1, k % 3, 1 + k / 3 % 3);
-        script.push(Step::Batch(STREAMS[(k % 4) as usize], vec![event]));
-    }
-    let columns = ALL[..6].to_vec();
-    let played = play(&Scenario {
-        script: script.clone(),
-        columns: columns.clone(),
-    });
-    assert!(
-        played.out.iter().any(|l| l.starts_with("[q7@")),
-        "the two-hop chain fires"
-    );
-    script.retain(|s| matches!(s, Step::Batch(..)));
-    assert!(play(&Scenario { script, columns }).out.is_empty());
-}
-
-/// One batch and the same events one at a time emit the same sequence.
-#[test]
-fn batch_matches_per_event_under_both_modes() {
-    let queries: Vec<(&str, String)> = [("a", 14), ("b", 15), ("c", 17), ("d", 19)]
-        .map(|(n, t)| (n, retail(t, 100, 0)))
-        .into();
-    let events: Vec<Event> = (0..40)
-        .map(|k| reading(k, k + 1, k % 4, 1 + k % 3))
-        .collect();
-    let batched = play(&row(&queries, vec![events.clone()], &ALL)).out;
-    let per_event = events.chunks(1).map(<[Event]>::to_vec).collect();
-    assert!(!batched.is_empty());
-    assert_eq!(batched, play(&row(&queries, per_event, &ALL)).out);
-}
-
-/// The scripted retail workload: a derivation chain, negation, a mid-run
-/// unregistration and late registration, a snapshot and a crash, through
-/// every column behind `dyn EventProcessor`.
-#[test]
-fn engine_sharded_and_durable_emit_identically_through_dyn_processor() {
-    let queries = [
-        ("producer", retail(17, 100, 0)),
-        ("mover", retail(22, 0, 0)),
-        ("exits", retail(23, 0, 0)),
-        ("guarded", retail(15, 60, 0)),
-        ("pairs", retail(14, 50, 0)),
-    ];
-    let mut s = row(
-        &queries,
-        xorshift_batches(0x9E37_79B9_7F4A_7C15, 24, 12),
-        &ALL,
-    );
-    // Batch b is script step 5 + b; later insertions go first.
-    let late = "EVENT COUNTER_READING c RETURN c.TagId AS t".to_string();
-    s.script.insert(5 + 15, Step::Crash(0));
-    s.script.insert(5 + 10, Step::Snapshot);
-    s.script.insert(5 + 4, Step::Register("late".into(), late));
-    s.script.insert(5 + 4, Step::Unregister("exits".into()));
-    let played = play(&s);
-    assert!(
-        played.out.iter().any(|l| l.starts_with("[mover@")),
-        "the derived stream is consumed"
-    );
-    assert!(
-        played.out.iter().any(|l| l.starts_with("[late@")),
-        "the late query fires"
-    );
-    assert_eq!(
-        played.engine.query_names(),
-        ["producer", "mover", "guarded", "pairs", "late"]
-    );
-}
-
-/// Registration findings land in `sase_diagnostics_emitted_total` by
-/// severity, once per registration, as the analyzer reports them; the
-/// runner holds every column's counters to the reference's, and renders
-/// every column's metrics twice to check that worker registries merge
-/// deterministically.
-#[test]
-fn registration_diagnostics_are_counted_by_severity() {
-    use sase::core::analyze::analyze_with;
-    let queries = [("dead", keyed(5, 0, 5)), ("flow", keyed(0, 40, 0))];
-    let mut expected = [0u64; 3];
-    for (_, src) in &queries {
-        let query = parse_query(src).unwrap();
-        let functions = FunctionRegistry::with_stdlib();
-        for d in analyze_with(&query, &registry(), &functions, Default::default()) {
-            expected[d.severity as usize] += 1;
-        }
-    }
-    assert!(
-        expected[2] >= 1,
-        "the dead query must produce an error lint"
-    );
-    let events = (0..40).map(|i| {
-        let (ty, attrs) = match i % 3 {
-            0 => ("ORDERS", vec![Value::Int(i % 5), Value::Int(i % 4)]),
-            1 => ("SHIPMENTS", vec![Value::Int(i % 5), Value::Int(i % 4)]),
-            _ => ("AUDITS", vec![Value::str("n")]),
-        };
-        registry().build_event(ty, i as u64 + 1, attrs).unwrap()
-    });
-    let events: Vec<Event> = events.collect();
-    let played = play(&row(
-        &queries,
-        events.chunks(7).map(<[Event]>::to_vec).collect(),
-        &ALL,
-    ));
-    let snap = EventProcessor::metrics(&played.engine);
-    for (severity, want) in SEVERITIES.iter().zip(expected) {
-        let label = [("severity", *severity)];
-        assert_eq!(
-            snap.counter("sase_diagnostics_emitted_total", &label),
-            want,
-            "{severity}"
-        );
-    }
-}
-
-/// Every batch a served durable deployment acknowledged survives a
-/// graceful shutdown and replays at recovery, which then finishes the
-/// stream exactly as an uninterrupted run.
-#[test]
-fn acknowledged_batches_survive_shutdown_and_recover() {
-    let queries = [
-        ("pairs", retail(14, 50, 0)),
-        ("guarded", retail(15, 60, 0)),
-        ("exits", retail(23, 0, 0)),
-    ];
-    let batches = xorshift_batches(0x2545_F491_4F6C_DD1D, 12, 8);
-    let mut s = row(&queries, batches, &[Column::WireDurable]);
-    s.script.insert(3 + 7, Step::Crash(0));
-    assert!(!play(&s).out.is_empty());
-}
+// ---------------------------------------------------------------------------
+// Large-stream anchors
+// ---------------------------------------------------------------------------
 
 /// A large-stream anchor: one query over a long stream, on a data-parallel
 /// column (the random scenarios cover the rest); the oracle must confirm

@@ -1,397 +1,101 @@
-//! Trait-object differential over the unified [`EventProcessor`] surface:
-//! the same scripted retail workload — including a derived `INTO` stream,
-//! negation, a mid-run unregister + late registration, and provenance
-//! tags — is driven through `dyn EventProcessor` for a single [`Engine`],
-//! a 3-shard [`ShardedEngine`], and a [`DurableEngine`] that crashes and
-//! recovers mid-run. All three must produce **byte-identical**
-//! emission sequences, each batch sorted by [`Emission::order_key`].
+//! Every deployment behind `dyn EventProcessor` in the differential harness
+//! (`tests/scenarios`): one scripted retail workload — a derivation chain,
+//! negation, a mid-run unregistration and late registration, a snapshot
+//! and a crash — on each group of columns.
 
-use std::path::PathBuf;
+mod oracle;
+mod scenarios;
 
-use sase::core::engine::{Emission, Engine};
-use sase::core::event::{retail_registry, Event, SchemaRegistry};
-use sase::core::value::{Value, ValueType};
-use sase::core::EventProcessor;
-use sase::system::{DurableEngine, DurableOptions, ShardedEngineBuilder, ShardingMode};
-use sase::Sase;
+use sase::system::ShardedEngineBuilder;
+use sase::ShardingMode;
+use sase::ShardingMode::{ByPartitionKey as ByKey, ByQuery};
 
-/// The scripted query set: a derivation chain (`producer` → `mover`), a
-/// negation query, and two plain queries, over the retail schemas.
-const QUERIES: [(&str, &str); 5] = [
-    (
-        "producer",
-        "EVENT SEQ(SHELF_READING x, SHELF_READING y) \
-         WHERE x.TagId = y.TagId AND x.AreaId != y.AreaId WITHIN 100 \
-         RETURN y.TagId AS tag, y.AreaId AS area INTO Moves",
-    ),
-    ("mover", "FROM moves EVENT MOVES m RETURN m.tag AS t"),
-    ("exits", "EVENT EXIT_READING z RETURN z.TagId AS tag"),
-    (
-        "guarded",
-        "EVENT SEQ(SHELF_READING a, !(COUNTER_READING c), EXIT_READING b) \
-         WHERE a.TagId = b.TagId AND a.TagId = c.TagId WITHIN 60 RETURN a.TagId AS t",
-    ),
-    (
-        "pairs",
-        "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-         WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
-    ),
-];
+use scenarios::{play, registry, retail, row, xorshift_batches, Column, Step, ALL};
 
-/// Registered after the mid-run mutation point.
-const LATE_QUERY: (&str, &str) = ("late", "EVENT COUNTER_READING c RETURN c.TagId AS t");
-
-/// Batch index after which `exits` is unregistered and `late` registered
-/// (before the durable run's checkpoint, so recovery re-creates the
-/// mutated registration order).
-const MUTATE_AT: usize = 4;
-const CKPT_AT: usize = 7;
-const CRASH_AT: usize = 15;
-const BATCHES: usize = 24;
-const PER_BATCH: usize = 12;
-
-fn registry() -> SchemaRegistry {
-    let reg = retail_registry();
-    reg.register(
-        "moves",
-        &[("tag", ValueType::Int), ("area", ValueType::Int)],
-    )
-    .unwrap();
-    reg
+fn queries() -> [(&'static str, String); 5] {
+    [
+        ("producer", retail(17, 100, 0)),
+        ("mover", retail(22, 0, 0)),
+        ("exits", retail(23, 0, 0)),
+        ("guarded", retail(15, 60, 0)),
+        ("pairs", retail(14, 50, 0)),
+    ]
 }
 
-fn batches(reg: &SchemaRegistry) -> Vec<Vec<Event>> {
-    let types = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"];
-    let mut ts = 0u64;
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    (0..BATCHES)
-        .map(|_| {
-            (0..PER_BATCH)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    ts += 1;
-                    reg.build_event(
-                        types[(state % 3) as usize],
-                        ts,
-                        vec![
-                            Value::Int(((state >> 8) % 5) as i64),
-                            Value::str("p"),
-                            Value::Int(1 + ((state >> 16) % 3) as i64),
-                        ],
-                    )
-                    .unwrap()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Render an emission with its full provenance so equality is
-/// byte-identical over output *and* tags.
-fn render(e: &Emission) -> String {
-    format!("{}|{}|{:?}|{}", e.input_index, e.depth, e.path, e.output)
-}
-
-/// Drive one batch through the trait object, asserting the order_key
-/// contract, and render each emission.
-fn drive(p: &mut dyn EventProcessor, batch: &[Event]) -> Vec<String> {
-    let tagged = p.process_batch_tagged(None, batch).unwrap();
-    assert!(
-        tagged
-            .windows(2)
-            .all(|w| w[0].order_key() <= w[1].order_key()),
-        "emissions must arrive sorted by order_key"
+/// Play the scripted workload on `columns`.
+fn scripted(columns: &[Column]) {
+    let mut s = row(
+        &queries(),
+        xorshift_batches(0x9E37_79B9_7F4A_7C15, 24, 12),
+        columns,
     );
-    tagged.iter().map(render).collect()
+    // Batch b is script step 5 + b; later insertions go first.
+    let late = "EVENT COUNTER_READING c RETURN c.TagId AS t".to_string();
+    s.script.insert(5 + 15, Step::Crash(0));
+    s.script.insert(5 + 10, Step::Snapshot);
+    s.script.insert(5 + 4, Step::Register("late".into(), late));
+    s.script.insert(5 + 4, Step::Unregister("exits".into()));
+    let played = play(&s);
+    assert!(
+        played.out.iter().any(|l| l.starts_with("[mover@")),
+        "the derived stream is consumed"
+    );
+    assert!(
+        played.out.iter().any(|l| l.starts_with("[late@")),
+        "the late query fires"
+    );
+    assert_eq!(
+        played.engine.query_names(),
+        ["producer", "mover", "guarded", "pairs", "late"]
+    );
 }
 
-/// Apply the mid-run query mutation through the trait object.
-fn mutate(p: &mut dyn EventProcessor) {
-    assert!(p.unregister(QUERIES[2].0));
-    assert!(!p.unregister(QUERIES[2].0), "second unregister is a no-op");
-    p.register(LATE_QUERY.0, LATE_QUERY.1).unwrap();
-}
-
-fn expected_final_names() -> Vec<String> {
-    ["producer", "mover", "guarded", "pairs", "late"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
-}
-
-/// Run the whole scripted workload through an uninterrupted processor.
-fn run_uninterrupted(mut p: Box<dyn EventProcessor>, batches: &[Vec<Event>]) -> Vec<String> {
-    let mut out = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        out.extend(drive(p.as_mut(), batch));
-        if i + 1 == MUTATE_AT {
-            mutate(p.as_mut());
-        }
-    }
-    assert_eq!(p.query_names(), expected_final_names());
-    out
-}
-
-fn tmp_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sase-procdiff-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
+/// The scan-all engine, the facade plain and sharded both ways, both
+/// sharding modes, and the durable engine over an engine and over a
+/// query-parallel sharded engine.
 #[test]
 fn engine_sharded_and_durable_emit_identically_through_dyn_processor() {
-    let input = batches(&registry());
-
-    // 1) Single engine, boxed.
-    let mut engine = Engine::new(registry());
-    for (name, src) in QUERIES {
-        engine.register(name, src).unwrap();
-    }
-    let reference = run_uninterrupted(Box::new(engine), &input);
-    assert!(!reference.is_empty());
-    assert!(
-        reference.iter().any(|l| l.contains("[mover@")),
-        "the derived stream consumer must fire: {reference:?}"
-    );
-    assert!(
-        reference.iter().any(|l| l.contains("[late@")),
-        "the late-registered query must fire"
-    );
-
-    // 2) Sharded engine (3 workers), boxed; the mutation exercises
-    //    post-build unregister/register parity.
-    let mut builder = ShardedEngineBuilder::new(registry());
-    for (name, src) in QUERIES {
-        builder.register(name, src).unwrap();
-    }
-    let sharded = builder.build(3).unwrap();
-    let got = run_uninterrupted(Box::new(sharded), &input);
-    assert_eq!(reference, got, "sharded != single engine");
-
-    // 3) Durable engine with a checkpoint, a crash, and a recovery.
-    let dir = tmp_dir("durable");
-    let opts = DurableOptions {
-        segment_bytes: 512, // force the log to roll across segments
-        ..DurableOptions::default()
-    };
-    let mut engine = Engine::new(registry());
-    for (name, src) in QUERIES {
-        engine.register(name, src).unwrap();
-    }
-    let mut durable = DurableEngine::create(&dir, engine, opts).unwrap();
-
-    let mut live: Vec<String> = Vec::new();
-    let mut since_ckpt: Vec<Vec<String>> = Vec::new();
-    {
-        let p: &mut dyn EventProcessor = &mut durable;
-        for (i, batch) in input[..CKPT_AT].iter().enumerate() {
-            live.extend(drive(p, batch));
-            if i + 1 == MUTATE_AT {
-                mutate(p);
-            }
-        }
-    }
-    durable.checkpoint().unwrap();
-    {
-        let p: &mut dyn EventProcessor = &mut durable;
-        for batch in &input[CKPT_AT..CRASH_AT] {
-            since_ckpt.push(drive(p, batch));
-        }
-    }
-    drop(durable); // the process dies
-
-    let (recovered, report) = DurableEngine::recover(&dir, opts, |snaps| {
-        let reg = registry();
-        if let Some(snaps) = snaps {
-            snaps.preregister_derived(&reg)?;
-        }
-        let mut e = Engine::new(reg);
-        // Recreate the checkpointed registration order, mutation included.
-        for (name, src) in QUERIES {
-            e.register(name, src)?;
-        }
-        mutate(&mut e);
-        Ok(e)
-    })
-    .unwrap();
-    assert_eq!(report.checkpoint_seq, Some(CKPT_AT as u64));
-    assert_eq!(report.records_replayed, (CRASH_AT - CKPT_AT) as u64);
-    assert!(report.replay_errors.is_empty());
-    // Deterministic replay: the tail re-emits, byte for byte and in order,
-    // what the crashed process emitted after its last checkpoint.
-    let since_ckpt_untagged: Vec<String> = since_ckpt
-        .iter()
-        .flatten()
-        .map(|l| l.rsplit('|').next().unwrap().to_string())
-        .collect();
-    let replayed: Vec<String> = report.emissions.iter().map(|e| e.to_string()).collect();
-    assert_eq!(since_ckpt_untagged, replayed);
-    live.extend(since_ckpt.into_iter().flatten());
-
-    // Resume the rest of the stream through the recovered trait object.
-    let mut p: Box<dyn EventProcessor> = Box::new(recovered);
-    for batch in &input[CRASH_AT..] {
-        live.extend(drive(p.as_mut(), batch));
-    }
-    assert_eq!(p.query_names(), expected_final_names());
-    assert_eq!(
-        reference, live,
-        "durable crash/recover run != single engine"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+    scripted(&ALL);
 }
 
-/// The fourth and fifth backend legs: a `ShardedEngine` in data-parallel
-/// `ByPartitionKey` mode, and a `DurableEngine` wrapping one that crashes
-/// and recovers mid-run. Both must reproduce the single-engine reference
-/// byte for byte, provenance tags included.
+/// `ByPartitionKey` at every shard count, and durable over it: the `INTO`
+/// producer, its `FROM` consumer and the `WHERE`-less query are pinned to
+/// the extra worker, while the two keyed queries distribute.
 #[test]
 fn by_partition_key_and_durable_emit_identically() {
-    let input = batches(&registry());
-
-    // Reference: single engine.
-    let mut engine = Engine::new(registry());
-    for (name, src) in QUERIES {
-        engine.register(name, src).unwrap();
-    }
-    let reference = run_uninterrupted(Box::new(engine), &input);
-    assert!(!reference.is_empty());
-
-    // 4) Data-parallel sharded engine: 4 data workers + 1 pinned.
     let mut builder = ShardedEngineBuilder::new(registry());
     builder.set_sharding(ShardingMode::ByPartitionKey);
-    for (name, src) in QUERIES {
+    for (name, src) in &queries() {
         builder.register(name, src).unwrap();
     }
     let sharded = builder.build(4).unwrap();
-    // Dispositions: the INTO producer, its FROM consumer, and the
-    // WHERE-less `exits` are pinned; `guarded` (whose TagId class covers
-    // the negated COUNTER slot too) and `pairs` distribute.
-    assert_eq!(sharded.shard_of("producer"), Some(4), "INTO pins");
-    assert_eq!(sharded.shard_of("mover"), Some(4), "FROM pins");
-    assert_eq!(sharded.shard_of("exits"), Some(4), "no partition key pins");
-    assert_eq!(
-        sharded.shard_of("guarded"),
-        None,
-        "negation-covering key distributes"
-    );
-    assert_eq!(
-        sharded.shard_of("pairs"),
-        None,
-        "plain equivalence distributes"
-    );
-    let got = run_uninterrupted(Box::new(sharded), &input);
-    assert_eq!(reference, got, "ByPartitionKey sharded != single engine");
-
-    // 5) Durable data-parallel deployment with a checkpoint, a crash, and
-    //    a recovery, mirroring the single-engine durable leg.
-    let dir = tmp_dir("durable-partitioned");
-    let opts = DurableOptions {
-        segment_bytes: 512,
-        ..DurableOptions::default()
-    };
-    let mk_sharded = || {
-        let mut builder = ShardedEngineBuilder::new(registry());
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        for (name, src) in QUERIES {
-            builder.register(name, src).unwrap();
-        }
-        builder.build(4).unwrap()
-    };
-    let mut durable = DurableEngine::create(&dir, mk_sharded(), opts).unwrap();
-
-    let mut live: Vec<String> = Vec::new();
-    let mut since_ckpt: Vec<Vec<String>> = Vec::new();
-    {
-        let p: &mut dyn EventProcessor = &mut durable;
-        for (i, batch) in input[..CKPT_AT].iter().enumerate() {
-            live.extend(drive(p, batch));
-            if i + 1 == MUTATE_AT {
-                mutate(p);
-            }
-        }
+    for (name, shard) in [
+        ("producer", Some(4)),
+        ("mover", Some(4)),
+        ("exits", Some(4)),
+        ("guarded", None),
+        ("pairs", None),
+    ] {
+        assert_eq!(sharded.shard_of(name), shard, "{name}");
     }
-    durable.checkpoint().unwrap();
-    {
-        let p: &mut dyn EventProcessor = &mut durable;
-        for batch in &input[CKPT_AT..CRASH_AT] {
-            since_ckpt.push(drive(p, batch));
-        }
-    }
-    drop(durable); // the process dies
-
-    let (recovered, report) = DurableEngine::recover(&dir, opts, |snaps| {
-        if let Some(snaps) = snaps {
-            snaps.preregister_derived(&registry())?;
-        }
-        // Recreate the checkpointed registration sequence, mutation
-        // included: the sticky routing-key claims replay identically, so
-        // the rebuilt deployment routes (and shards) exactly as the
-        // crashed one did.
-        let mut sharded = mk_sharded();
-        mutate(&mut sharded);
-        Ok(sharded)
-    })
-    .unwrap();
-    assert_eq!(report.checkpoint_seq, Some(CKPT_AT as u64));
-    assert_eq!(report.records_replayed, (CRASH_AT - CKPT_AT) as u64);
-    assert!(report.replay_errors.is_empty());
-    let since_ckpt_untagged: Vec<String> = since_ckpt
-        .iter()
-        .flatten()
-        .map(|l| l.rsplit('|').next().unwrap().to_string())
-        .collect();
-    let replayed: Vec<String> = report.emissions.iter().map(|e| e.to_string()).collect();
-    assert_eq!(since_ckpt_untagged, replayed);
-    live.extend(since_ckpt.into_iter().flatten());
-
-    let mut p: Box<dyn EventProcessor> = Box::new(recovered);
-    for batch in &input[CRASH_AT..] {
-        live.extend(drive(p.as_mut(), batch));
-    }
-    assert_eq!(p.query_names(), expected_final_names());
-    assert_eq!(
-        reference, live,
-        "durable ByPartitionKey crash/recover run != single engine"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+    drop(sharded);
+    scripted(&[
+        Column::Sharded(ByKey, 1),
+        Column::Sharded(ByKey, 2),
+        Column::Sharded(ByKey, 8),
+        Column::Durable(Some((ByKey, 4))),
+        Column::Durable(Some((ByKey, 2))),
+    ]);
 }
 
-/// The `Sase` facade is an `EventProcessor` too: the same workload through
-/// facade-built sharded deployments — query-parallel and data-parallel —
-/// matches the reference byte for byte.
+/// The `Sase` facade at every sharding shape the builder offers.
 #[test]
 fn facade_backend_is_differentially_identical() {
-    let input = batches(&registry());
-    let mut engine = Engine::new(registry());
-    for (name, src) in QUERIES {
-        engine.register(name, src).unwrap();
-    }
-    let reference = run_uninterrupted(Box::new(engine), &input);
-
-    let mut sase = Sase::builder()
-        .schemas(registry())
-        .shards(3)
-        .build()
-        .unwrap();
-    for (name, src) in QUERIES {
-        sase.register(name, src).unwrap();
-    }
-    let got = run_uninterrupted(Box::new(sase), &input);
-    assert_eq!(reference, got, "facade sharded != single engine");
-
-    let mut sase = Sase::builder()
-        .schemas(registry())
-        .shards(4)
-        .sharding(ShardingMode::ByPartitionKey)
-        .build()
-        .unwrap();
-    for (name, src) in QUERIES {
-        sase.register(name, src).unwrap();
-    }
-    assert_eq!(sase.shard_count(), 5, "4 data workers + 1 pinned");
-    let got = run_uninterrupted(Box::new(sase), &input);
-    assert_eq!(reference, got, "facade data-parallel != single engine");
+    scripted(&[
+        Column::Facade(None),
+        Column::Facade(Some((ByQuery, 2))),
+        Column::Facade(Some((ByQuery, 3))),
+        Column::Facade(Some((ByKey, 1))),
+        Column::Facade(Some((ByKey, 4))),
+    ]);
 }

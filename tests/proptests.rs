@@ -1,12 +1,14 @@
 //! Property-based tests (proptest) over the core engine:
 //!
+//! * the engine agrees with the brute-force oracle (`tests/oracle`) on
+//!   arbitrary streams, for plain and negated patterns, and `INTO`
+//!   composition replays identically on every deployment — scenarios of
+//!   the differential harness (`tests/scenarios`),
 //! * the canonical printer and parser round-trip,
 //! * structural invariants of emitted matches and runtime counters.
-//!
-//! The engine's agreement with the brute-force oracle (`tests/oracle`) is
-//! checked in `tests/differential.rs`.
 
 mod oracle;
+mod scenarios;
 
 use proptest::prelude::*;
 
@@ -15,6 +17,56 @@ use sase::core::functions::FunctionRegistry;
 use sase::core::lang::parse_query;
 use sase::core::plan::Planner;
 use sase::core::runtime::QueryRuntime;
+use scenarios::{property, Draw, Shape};
+
+// ---------------------------------------------------------------------------
+// The engine against the oracle
+// ---------------------------------------------------------------------------
+
+/// Arbitrary soups under `templates` (rows of the harness's `RETAIL`, with
+/// random windows and literals), on the reference engine alone: every
+/// match it emits and only those must be the oracle's.
+fn engine_matches_oracle(name: &str, cases: u32, templates: &'static [usize]) {
+    let draw = Draw {
+        shape: Some(Shape::Soup),
+        templates: Some(templates),
+        ..Draw::default()
+    };
+    let tally = property(name, cases, draw, |_, s| s.columns.clear());
+    assert!(tally.judged > 0, "the oracle judged no match");
+}
+
+/// `SEQ(SHELF_READING x, EXIT_READING z)` on equal tags.
+#[test]
+fn ssc_matches_brute_force_seq2() {
+    engine_matches_oracle("ssc_matches_brute_force_seq2", 64, &[0]);
+}
+
+/// Q1 of the paper: a shelf reading, no counter reading, an exit reading.
+#[test]
+fn ssc_matches_brute_force_q1_negation() {
+    engine_matches_oracle("ssc_matches_brute_force_q1_negation", 64, &[1]);
+}
+
+/// Three steps under the `[TagId]` equivalence shorthand.
+#[test]
+fn ssc_matches_brute_force_seq3() {
+    engine_matches_oracle("ssc_matches_brute_force_seq3", 48, &[2]);
+}
+
+/// The derived-stream path is deterministic: the `pairs` and `moves`
+/// producers and a `moves` consumer, re-ingesting their `INTO` events,
+/// replay byte for byte on every column each scenario draws.
+#[test]
+fn into_composition_deterministic() {
+    let draw = Draw {
+        shape: Some(Shape::Soup),
+        templates: Some(&[24, 17, 18]),
+        ..Draw::default()
+    };
+    let tally = property("into_composition_deterministic", 48, draw, |_, _| {});
+    assert!(tally.columns.len() >= 48);
+}
 
 const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                   WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 10";

@@ -4,7 +4,11 @@
 //! reference run. Asserted for the full retail [`SaseSystem`] deployment,
 //! for a derived `INTO` schema the engine minted from data, and for
 //! kill-and-recover with a torn log tail. Random crash points on the
-//! engine deployments are part of `tests/differential.rs`.
+//! engine deployments, and the sharded engine's crash and recovery, are
+//! scenarios of the differential harness (`tests/scenarios`).
+
+mod oracle;
+mod scenarios;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -412,4 +416,62 @@ fn kill_and_recover_torn_tail() {
     let total = kill_and_recover(&dir, &batches, 8, 7).unwrap();
     assert_eq!(ref_out, total, "no lost and no duplicated complex events");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Scenarios of the differential harness
+// ---------------------------------------------------------------------------
+
+/// Durable engines die at a random batch boundary, lose 0..2000 bytes off
+/// the log tail, and recover: what they replay is what they emitted since
+/// their checkpoint, and the rest of the stream matches the reference; a
+/// cut reaching records the checkpoint covered fails with
+/// `StoreError::Corrupt`.
+#[test]
+fn random_crash_points_recover_exactly() {
+    use scenarios::{property, Column, Draw, Step};
+    let draw = Draw {
+        named: Some(false),
+        ..Draw::default()
+    };
+    property("random_crash_points_recover_exactly", 24, draw, |_, s| {
+        assert!(s.script.iter().any(|step| matches!(step, Step::Crash(_))));
+        s.columns.retain(|c| matches!(c, Column::Durable(_)));
+        if !s.columns.contains(&Column::Durable(None)) {
+            s.columns.push(Column::Durable(None));
+        }
+    });
+}
+
+/// `DurableEngine<ShardedEngine>` in both sharding modes, with derived
+/// `INTO` streams: checkpoint, crash twice, recover, and finish the stream
+/// as an uninterrupted engine does.
+#[test]
+fn sharded_engine_crash_recovery_differential() {
+    use sase::ShardingMode::{ByPartitionKey, ByQuery};
+    use scenarios::{play, retail, row, xorshift_batches, Column, Step};
+    let queries = [
+        ("producer", retail(17, 100, 0)),
+        ("mover", retail(18, 0, 1)),
+        ("pairs", retail(24, 20, 0)),
+        ("guarded", retail(15, 60, 0)),
+    ];
+    let columns = [
+        Column::Durable(Some((ByQuery, 2))),
+        Column::Durable(Some((ByQuery, 3))),
+        Column::Durable(Some((ByPartitionKey, 4))),
+    ];
+    let mut s = row(&queries, xorshift_batches(0x5EED, 20, 10), &columns);
+    // Batch b is script step 4 + b; the later crash goes in first.
+    s.script.insert(4 + 14, Step::Crash(0));
+    s.script.insert(4 + 6, Step::Crash(0));
+    let out = play(&s).out;
+    assert!(
+        out.iter().any(|l| l.starts_with("[mover@")),
+        "moves consumed"
+    );
+    assert!(
+        out.iter().any(|l| l.starts_with("[pairs@")),
+        "pairs derived"
+    );
 }
