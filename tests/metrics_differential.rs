@@ -1,397 +1,127 @@
-//! Conservation differential for the observability layer: the same
-//! random streams are driven through a single [`Engine`], a
-//! [`ShardedEngine`] in both sharding modes, and a [`DurableEngine`]
-//! that crashes and recovers mid-run. Every deployment's merged
-//! [`MetricsSnapshot`] must *conserve* the ground-truth counts — events
-//! ingested, emissions produced, WAL events appended, events replayed at
-//! recovery — and the data-parallel deployment's per-query `stats()`
-//! (summed across workers) must equal the single engine's monotonic
-//! counters, locking in the `ByPartitionKey` stats aggregation.
-//!
-//! Deterministic companions pin the registration-time diagnostics
-//! counter (`sase_diagnostics_emitted_total{severity=…}`) against the
-//! analyzer's own output, and snapshot-merge determinism (two
-//! back-to-back `metrics()` calls render byte-identically).
+//! Metrics in the differential harness (`tests/scenarios`): every column's
+//! counters conserve ground truth, findings are counted by severity, and
+//! sharded registries merge deterministically.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod oracle;
+mod scenarios;
 
-use proptest::prelude::*;
+use sase::core::functions::FunctionRegistry;
+use sase::core::lang::parse_query;
+use sase::core::value::Value;
+use sase::core::Event;
+use sase::system::ShardedEngineBuilder;
+use sase::ShardingMode::{ByPartitionKey as ByKey, ByQuery};
+use sase::{render_prometheus, EventProcessor};
 
-use sase::core::engine::Engine;
-use sase::core::event::{Event, SchemaRegistry};
-use sase::core::runtime::RuntimeStats;
-use sase::core::value::{Value, ValueType};
-use sase::core::EventProcessor;
-use sase::system::{DurableEngine, DurableOptions, ShardedEngineBuilder, ShardingMode};
-use sase::MetricsRegistry;
+use scenarios::{keyed, play, property, registry, row, Column, Draw, ALL, SEVERITIES};
 
-/// `AUDITS` has no `UserId`, so its events reach only the pinned worker
-/// in `ByPartitionKey` mode — the conservation laws below depend on the
-/// claimed/unclaimed split being visible in the routed-event counters.
-fn registry() -> SchemaRegistry {
-    let reg = SchemaRegistry::new();
-    reg.register(
-        "ORDERS",
-        &[("UserId", ValueType::Int), ("Amount", ValueType::Int)],
-    )
-    .unwrap();
-    reg.register(
-        "SHIPMENTS",
-        &[("UserId", ValueType::Int), ("Amount", ValueType::Int)],
-    )
-    .unwrap();
-    reg.register("AUDITS", &[("Note", ValueType::Str)]).unwrap();
-    reg
+/// Every in-process deployment shape in every scenario. At each snapshot,
+/// crash and at the end the runner checks emissions, events and batches
+/// ingested, findings by severity, WAL appends, events replayed, per-query
+/// counters and matches; on sharded columns, that the workers ingest what
+/// the router sends, that each worker is sent what the routing rules
+/// predict (a `ByQuery` worker hosting a query gets every event, the
+/// pinned `ByPartitionKey` worker too, and each event of a claimed type
+/// goes to one data worker), that queues are drained, and that the
+/// imbalance ratio is at least 1.
+#[test]
+fn metrics_conserve_ground_truth_across_deployments() {
+    let every = [
+        Column::ScanAll,
+        Column::Facade(Some((ByKey, 4))),
+        Column::Sharded(ByQuery, 3),
+        Column::Sharded(ByKey, 4),
+        Column::Durable(None),
+        Column::Durable(Some((ByKey, 2))),
+    ];
+    let draw = Draw {
+        named: Some(false),
+        ..Draw::default()
+    };
+    let name = "metrics_conserve_ground_truth_across_deployments";
+    property(name, 16, draw, |_, s| s.columns = every.to_vec());
 }
 
-/// Two distributable queries sharing the `UserId` claim, one pinned.
-const QUERIES: [(&str, &str); 3] = [
-    (
-        "flow",
-        "EVENT SEQ(ORDERS x, SHIPMENTS y) WHERE x.UserId = y.UserId \
-         WITHIN 40 RETURN x.UserId AS u, y.Amount AS amt",
-    ),
-    (
-        "big",
-        "EVENT SEQ(ORDERS x, ORDERS y) WHERE x.UserId = y.UserId \
-         AND x.Amount != y.Amount WITHIN 30 RETURN x.UserId AS u",
-    ),
-    ("audit", "EVENT AUDITS a RETURN a.Note AS note"),
-];
-
-#[derive(Debug, Clone)]
-struct RawEvent {
-    ty: usize, // 0 = ORDERS, 1 = SHIPMENTS, 2 = AUDITS
-    ts_gap: u64,
-    user: i64,
-    amount: i64,
-}
-
-fn arb_case() -> impl Strategy<Value = (usize, Vec<RawEvent>)> {
-    (
-        (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
-        prop::collection::vec(
-            (0usize..3, 0u64..3, 0i64..8, 0i64..5).prop_map(|(ty, ts_gap, user, amount)| {
-                RawEvent {
-                    ty,
-                    ts_gap,
-                    user,
-                    amount,
-                }
-            }),
-            0..80,
-        ),
-    )
-}
-
-fn materialize(reg: &SchemaRegistry, raw: &[RawEvent]) -> Vec<Event> {
-    let mut ts = 1u64;
-    raw.iter()
-        .map(|r| {
-            ts += r.ts_gap;
-            match r.ty {
-                0 => reg.build_event("ORDERS", ts, vec![Value::Int(r.user), Value::Int(r.amount)]),
-                1 => reg.build_event(
-                    "SHIPMENTS",
-                    ts,
-                    vec![Value::Int(r.user), Value::Int(r.amount)],
-                ),
-                _ => reg.build_event("AUDITS", ts, vec![Value::str("n")]),
-            }
-            .unwrap()
-        })
-        .collect()
-}
-
-/// Drive the stream in fixed chunks; returns (batches, emissions).
-fn drive(p: &mut dyn EventProcessor, events: &[Event]) -> (u64, u64) {
-    let mut batches = 0u64;
-    let mut emissions = 0u64;
-    for chunk in events.chunks(7) {
-        batches += 1;
-        emissions += p.process_batch_tagged(None, chunk).unwrap().len() as u64;
-    }
-    (batches, emissions)
-}
-
-/// The monotonic counter rows of a query's stats — the fields that must
-/// be conserved across deployment shapes (`partial_runs_peak` and
-/// `partitions` are point-in-time gauges whose per-worker sums are
-/// documented upper bounds, not identities).
-fn mono_rows(s: &RuntimeStats) -> Vec<(&'static str, u64)> {
-    s.rows()
-        .into_iter()
-        .filter(|&(_, _, monotonic)| monotonic)
-        .map(|(label, value, _)| (label, value))
-        .collect()
-}
-
-fn tmp_dir() -> PathBuf {
-    static CASE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "sase-metricsdiff-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Counter conservation across every deployment shape.
-    #[test]
-    fn metrics_conserve_ground_truth_across_deployments(case in arb_case()) {
-        let (data_shards, raw) = case;
-        let reg = registry();
-        let events = materialize(&reg, &raw);
-        let n = events.len() as u64;
-        let n_claimed = events
-            .iter()
-            .filter(|e| e.type_name() != "AUDITS")
-            .count() as u64;
-
-        // ---- Ground truth: single engine with metrics on. ----------------
-        let mut reference = Engine::new(reg.clone());
-        reference.enable_metrics(&MetricsRegistry::new());
-        for (name, src) in QUERIES {
-            reference.register(name, src).unwrap();
-        }
-        let (batches, emissions) = drive(&mut reference, &events);
-        let ref_stats: Vec<(&str, Vec<(&'static str, u64)>)> = QUERIES
-            .iter()
-            .map(|(name, _)| (*name, mono_rows(&reference.stats(name).unwrap())))
-            .collect();
-        let snap = EventProcessor::metrics(&reference);
-        prop_assert_eq!(snap.counter("sase_ingest_events_total", &[]), n);
-        prop_assert_eq!(snap.counter("sase_ingest_batches_total", &[]), batches);
-        prop_assert_eq!(snap.counter("sase_ingest_emissions_total", &[]), emissions);
-        // The per-query promoted counters agree with the engine totals.
-        prop_assert_eq!(snap.counter_sum("sase_query_matches_emitted"), emissions);
-
-        // ---- ByQuery: every worker ingests the whole stream. -------------
-        let mut builder = ShardedEngineBuilder::new(reg.clone());
-        builder.set_metrics(true);
-        for (name, src) in QUERIES {
-            builder.register(name, src).unwrap();
-        }
-        let mut sharded = builder.build(3).unwrap();
-        let (_, got) = drive(&mut sharded, &events);
-        prop_assert_eq!(got, emissions, "ByQuery emission count diverged");
-        for (name, rows) in &ref_stats {
-            prop_assert_eq!(
-                &mono_rows(&sharded.stats(name).unwrap()),
-                rows,
-                "ByQuery stats({}) diverged", name
-            );
-        }
-        let snap = EventProcessor::metrics(&sharded);
-        // Broadcast dispatch: each of the 3 workers sees every event once.
-        prop_assert_eq!(snap.counter_sum("sase_shard_events_routed_total"), 3 * n);
-        prop_assert_eq!(snap.counter("sase_ingest_events_total", &[]), 3 * n);
-        // Each emission is produced by exactly one worker.
-        prop_assert_eq!(snap.counter("sase_ingest_emissions_total", &[]), emissions);
-
-        // ---- ByPartitionKey: claimed events route to exactly one data
-        //      worker, the pinned worker sees the whole stream. ------------
-        let mut builder = ShardedEngineBuilder::new(reg.clone());
-        builder.set_sharding(ShardingMode::ByPartitionKey);
-        builder.set_metrics(true);
-        for (name, src) in QUERIES {
-            builder.register(name, src).unwrap();
-        }
-        let mut parted = builder.build(data_shards).unwrap();
-        let (_, got) = drive(&mut parted, &events);
-        prop_assert_eq!(got, emissions, "ByPartitionKey emission count diverged");
-        // Satellite fix under test: `stats(name)` sums a distributed
-        // query's counters across the data workers.
-        for (name, rows) in &ref_stats {
-            prop_assert_eq!(
-                &mono_rows(&parted.stats(name).unwrap()),
-                rows,
-                "ByPartitionKey stats({}) diverged at {} data shards",
-                name, data_shards
-            );
-        }
-        let snap = EventProcessor::metrics(&parted);
-        let pinned = data_shards.to_string();
-        let to_pinned = snap.counter(
-            "sase_shard_events_routed_total",
-            &[("shard", pinned.as_str())],
-        );
-        prop_assert_eq!(to_pinned, n, "the pinned worker must see every event");
-        prop_assert_eq!(
-            snap.counter_sum("sase_shard_events_routed_total") - to_pinned,
-            n_claimed,
-            "every claimed event routes to exactly one data worker"
-        );
-        // Queue-depth gauges settle to zero between batches.
-        for shard in 0..=data_shards {
-            let label = shard.to_string();
-            prop_assert_eq!(
-                snap.gauge("sase_shard_queue_depth", &[("shard", label.as_str())]) as u64,
-                0
-            );
-        }
-        if n_claimed > 0 {
-            prop_assert!(
-                snap.gauge("sase_shard_imbalance_ratio", &[]) >= 1.0,
-                "imbalance ratio is max/mean over data shards, so >= 1 whenever \
-                 anything routed"
-            );
-        }
-
-        // ---- Durable: WAL appends conserve the stream across a crash. ----
-        let dir = tmp_dir();
-        let opts = DurableOptions {
-            segment_bytes: 512,
-            ..DurableOptions::default()
+/// Orders, shipments and audits, with keys and amounts in small cycles.
+fn orders(n: i64) -> Vec<Event> {
+    let events = (0..n).map(|i| {
+        let (ty, attrs) = match i % 3 {
+            0 => ("ORDERS", vec![Value::Int(i % 5), Value::Int(i % 4)]),
+            1 => ("SHIPMENTS", vec![Value::Int(i % 5), Value::Int(i % 4)]),
+            _ => ("AUDITS", vec![Value::str("n")]),
         };
-        let mk = |reg: SchemaRegistry| {
-            let mut e = Engine::new(reg);
-            e.enable_metrics(&MetricsRegistry::new());
-            for (name, src) in QUERIES {
-                e.register(name, src).unwrap();
-            }
-            e
-        };
-        let (first, second) = events.split_at(events.len() / 2);
-        let mut durable = DurableEngine::create(&dir, mk(reg.clone()), opts).unwrap();
-        let (_, live1) = drive(&mut durable, first);
-        let snap = durable.metrics();
-        prop_assert_eq!(
-            snap.counter("sase_wal_append_events_total", &[]),
-            first.len() as u64,
-            "every ingested event is appended to the WAL"
-        );
-        drop(durable); // crash
-
-        let (mut recovered, report) =
-            DurableEngine::recover(&dir, opts, |_| Ok(mk(reg.clone()))).unwrap();
-        prop_assert_eq!(report.events_replayed, first.len() as u64);
-        let snap = recovered.metrics();
-        prop_assert_eq!(
-            snap.counter("sase_recovery_events_replayed_total", &[]),
-            first.len() as u64,
-            "recovery replays exactly what was appended before the crash"
-        );
-        let (_, live2) = drive(&mut recovered, second);
-        prop_assert_eq!(live1 + live2, emissions, "durable live emissions diverged");
-        // Post-recovery WAL counters are fresh: only the second half was
-        // appended since. first + second == the whole stream.
-        let snap = recovered.metrics();
-        prop_assert_eq!(
-            snap.counter("sase_wal_append_events_total", &[]),
-            second.len() as u64
-        );
-        // Replay + live processing rebuilds the exact per-query counters
-        // of the uninterrupted reference.
-        for (name, rows) in &ref_stats {
-            prop_assert_eq!(
-                &mono_rows(&recovered.stats(name).unwrap()),
-                rows,
-                "post-recovery stats({}) diverged", name
-            );
-        }
-    }
+        registry().build_event(ty, i as u64 + 1, attrs).unwrap()
+    });
+    events.collect()
 }
 
-/// Registration-time diagnostics land in
-/// `sase_diagnostics_emitted_total{severity=…}`, counted once per
-/// registration, matching the analyzer's own report exactly.
+/// Registration findings land in `sase_diagnostics_emitted_total` by
+/// severity, once per registration, as the analyzer reports them; the
+/// runner holds every column's counters to the reference's, and renders
+/// every column's metrics twice to check that worker registries merge
+/// deterministically.
 #[test]
 fn registration_diagnostics_are_counted_by_severity() {
-    use sase::core::analyze::{analyze_with, Severity};
-    use sase::core::functions::FunctionRegistry;
-    use sase::core::lang::parse_query;
-
-    // The interval contradiction is analyzer-detectable (error severity)
-    // but plans fine — registration succeeds and the counter moves.
-    const DEAD: &str = "EVENT ORDERS x WHERE x.Amount > 5 AND x.Amount < 3 \
-                        RETURN x.UserId AS u";
-    let reg = registry();
-    let functions = FunctionRegistry::with_stdlib();
+    use sase::core::analyze::analyze_with;
+    let queries = [("dead", keyed(5, 0, 5)), ("flow", keyed(0, 40, 0))];
     let mut expected = [0u64; 3];
-    for src in [DEAD, QUERIES[0].1] {
-        for d in analyze_with(
-            &parse_query(src).unwrap(),
-            &reg,
-            &functions,
-            Default::default(),
-        ) {
-            expected[match d.severity {
-                Severity::Info => 0,
-                Severity::Warning => 1,
-                Severity::Error => 2,
-            }] += 1;
+    for (_, src) in &queries {
+        let query = parse_query(src).unwrap();
+        let functions = FunctionRegistry::with_stdlib();
+        for d in analyze_with(&query, &registry(), &functions, Default::default()) {
+            expected[d.severity as usize] += 1;
         }
     }
     assert!(
         expected[2] >= 1,
         "the dead query must produce an error lint"
     );
-
-    // Single engine.
-    let mut engine = Engine::new(reg.clone());
-    engine.enable_metrics(&MetricsRegistry::new());
-    engine.register("dead", DEAD).unwrap();
-    engine.register(QUERIES[0].0, QUERIES[0].1).unwrap();
-    let snap = EventProcessor::metrics(&engine);
-    for (i, sev) in ["info", "warning", "error"].iter().enumerate() {
+    let events = orders(40);
+    let played = play(&row(
+        &queries,
+        events.chunks(7).map(<[Event]>::to_vec).collect(),
+        &ALL,
+    ));
+    let snap = EventProcessor::metrics(&played.engine);
+    for (severity, want) in SEVERITIES.iter().zip(expected) {
+        let label = [("severity", *severity)];
         assert_eq!(
-            snap.counter("sase_diagnostics_emitted_total", &[("severity", sev)]),
-            expected[i],
-            "engine diagnostics counter for severity={sev}"
-        );
-    }
-
-    // Sharded deployment: build-time registrations accumulate in the
-    // builder, live registrations count directly — and worker-side
-    // installs never double count.
-    let mut builder = ShardedEngineBuilder::new(reg);
-    builder.set_metrics(true);
-    builder.register("dead", DEAD).unwrap();
-    let mut sharded = builder.build(2).unwrap();
-    sharded.register(QUERIES[0].0, QUERIES[0].1).unwrap();
-    let snap = EventProcessor::metrics(&sharded);
-    for (i, sev) in ["info", "warning", "error"].iter().enumerate() {
-        assert_eq!(
-            snap.counter("sase_diagnostics_emitted_total", &[("severity", sev)]),
-            expected[i],
-            "sharded diagnostics counter for severity={sev}"
+            snap.counter("sase_diagnostics_emitted_total", &label),
+            want,
+            "{severity}"
         );
     }
 }
 
-/// `metrics()` merges worker-local registries deterministically: two
-/// back-to-back snapshots of a quiescent sharded deployment render to
-/// byte-identical Prometheus expositions.
+/// A quiescent sharded deployment renders the same metrics twice, with the
+/// routing and per-query series of every worker merged in; the runner
+/// renders each sharded column twice as well.
 #[test]
 fn sharded_snapshot_merge_is_deterministic() {
-    let reg = registry();
-    let mut builder = ShardedEngineBuilder::new(reg.clone());
-    builder.set_sharding(ShardingMode::ByPartitionKey);
+    let queries: Vec<(&str, String)> = (0..4)
+        .map(|t| (["a", "b", "c", "d"][t], keyed(t, 30, 0)))
+        .collect();
+    let batches: Vec<Vec<Event>> = orders(40).chunks(8).map(<[Event]>::to_vec).collect();
+    let columns = [
+        Column::Sharded(ByKey, 4),
+        Column::Sharded(ByQuery, 3),
+        Column::Facade(Some((ByKey, 4))),
+        Column::Durable(Some((ByKey, 4))),
+    ];
+    play(&row(&queries, batches.clone(), &columns));
+
+    let mut builder = ShardedEngineBuilder::new(registry());
+    builder.set_sharding(ByKey);
     builder.set_metrics(true);
-    for (name, src) in QUERIES {
+    for (name, src) in &queries {
         builder.register(name, src).unwrap();
     }
     let mut sharded = builder.build(4).unwrap();
-    let events = materialize(
-        &reg,
-        &(0..40)
-            .map(|i| RawEvent {
-                ty: i % 3,
-                ts_gap: 1,
-                user: (i % 5) as i64,
-                amount: (i % 4) as i64,
-            })
-            .collect::<Vec<_>>(),
-    );
-    drive(&mut sharded, &events);
-    let a = sase::render_prometheus(&EventProcessor::metrics(&sharded));
-    let b = sase::render_prometheus(&EventProcessor::metrics(&sharded));
+    for batch in &batches {
+        sharded.process_batch(batch).unwrap();
+    }
+    let a = render_prometheus(&EventProcessor::metrics(&sharded));
+    let b = render_prometheus(&EventProcessor::metrics(&sharded));
     assert_eq!(a, b, "quiescent snapshots must merge deterministically");
     assert!(a.contains("sase_shard_events_routed_total"));
     assert!(a.contains("sase_query_events_processed"));

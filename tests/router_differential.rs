@@ -7,7 +7,9 @@ mod scenarios;
 
 use sase::core::event::Event;
 
-use scenarios::{play, property, reading, retail, row, Draw, Scenario, Step, ALL, RETAIL, STREAMS};
+use scenarios::{
+    play, property, reading, retail, row, Column, Draw, Scenario, Step, ALL, RETAIL, STREAMS,
+};
 
 /// The routing templates of `RETAIL`: returns, a `FROM` on a mixed-case
 /// named stream, the `moves` producer and its consumers, the two-hop
@@ -15,7 +17,9 @@ use scenarios::{play, property, reading, retail, row, Draw, Scenario, Step, ALL,
 const ROUTING: [usize; 11] = [14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24];
 
 /// Every routing template registered at once, batches spread over the
-/// default and the mixed-case named streams.
+/// default and the mixed-case named streams, on the scan-all engine; the
+/// random scenarios of `tests/differential.rs` take named streams to the
+/// other columns.
 #[test]
 fn indexed_routing_matches_scan_all() {
     assert!(ROUTING.iter().all(|&t| t < RETAIL.len()));
@@ -24,7 +28,8 @@ fn indexed_routing_matches_scan_all() {
         templates: Some(&ROUTING),
         ..Draw::default()
     };
-    property("indexed_routing_matches_scan_all", 96, draw, |_, _| {});
+    let name = "indexed_routing_matches_scan_all";
+    property(name, 96, draw, |_, s| s.columns = vec![Column::ScanAll]);
 }
 
 /// The routing templates over a dense per-event script across the default

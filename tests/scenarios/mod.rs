@@ -18,9 +18,12 @@
 //!    the same clock error at the same batch; a recovered durable column
 //!    replays what it emitted since its checkpoint, and a torn log tail
 //!    either recovers exactly or fails with `StoreError::Corrupt`;
-//! 3. every column's metrics conserve ground truth: emissions, events
-//!    ingested, findings by severity, WAL appends, events replayed, and
-//!    per-query counters (summed over workers when sharded).
+//! 3. every column's metrics conserve ground truth: emissions, events and
+//!    batches ingested, findings by severity, WAL appends, events
+//!    replayed, and per-query counters and matches (summed over workers
+//!    when sharded); a sharded column's workers ingest what its router
+//!    sends, each worker is sent what the routing rules predict, queues
+//!    are drained, and the imbalance ratio is at least 1.
 //!
 //! Random scenarios come from [`scenario`], and [`property`] plays them; a
 //! [`Draw`] narrows what the generator draws. Pinned rows are scenarios
@@ -31,6 +34,7 @@
 
 #![allow(dead_code)]
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,9 +50,11 @@ use sase::core::error::Result as CoreResult;
 use sase::core::event::retail_registry;
 use sase::core::functions::FunctionRegistry;
 use sase::core::lang::parse_query;
+use sase::core::plan::{Planner, TypeKeyAccess};
 use sase::core::runtime::RuntimeStats;
 use sase::core::value::{Value, ValueType};
 use sase::core::{Event, SchemaRegistry, SnapshotSet};
+use sase::obs::MetricValue;
 use sase::rfid::generator::{generate, SyntheticConfig};
 use sase::server::client::Client;
 use sase::server::wire::TickMode;
@@ -458,6 +464,15 @@ fn prepared<P: EventProcessor>(
     prepare(&mut p, snaps, script).map(|()| p)
 }
 
+/// Where a sharded deployment hosts its queries.
+struct Placement {
+    mode: ShardingMode,
+    workers: usize,
+    /// The worker of each query; `None` for a query distributed over the
+    /// `ByPartitionKey` data workers.
+    hosts: Vec<Option<usize>>,
+}
+
 /// An in-process deployment; a durable one also reaches its log.
 trait Deployment: EventProcessor {
     /// Write a checkpoint and return its log position.
@@ -468,19 +483,37 @@ trait Deployment: EventProcessor {
     fn log_tail(&self) -> (u64, PathBuf) {
         unreachable!("no log")
     }
+    /// Where a sharded engine hosts its queries.
+    fn placement(&self) -> Option<Placement> {
+        None
+    }
 }
 
 impl Deployment for Engine {}
-impl Deployment for ShardedEngine {}
 impl Deployment for Sase {}
 
-impl<E: EventProcessor> Deployment for DurableEngine<E> {
+impl Deployment for ShardedEngine {
+    fn placement(&self) -> Option<Placement> {
+        Some(Placement {
+            mode: self.sharding_mode(),
+            workers: self.shard_count(),
+            hosts: (self.query_names().iter())
+                .map(|name| self.shard_of(name))
+                .collect(),
+        })
+    }
+}
+
+impl<E: Deployment> Deployment for DurableEngine<E> {
     fn checkpoint(&mut self) -> u64 {
         DurableEngine::checkpoint(self).unwrap()
     }
     fn log_tail(&self) -> (u64, PathBuf) {
         let log = self.log();
         (log.next_seq(), log.segments().last().unwrap().path.clone())
+    }
+    fn placement(&self) -> Option<Placement> {
+        self.engine().placement()
     }
 }
 
@@ -572,21 +605,28 @@ pub const SEVERITIES: [&str; 3] = ["info", "warning", "error"];
 /// The reference's record of one step.
 struct RefStep {
     out: Result<Vec<Emission>, String>,
+    /// `out` rendered with provenance tags, once a column asks.
+    tagged: OnceCell<Result<Vec<String>, String>>,
     /// The analyzer's findings on the text of a `Register` step.
     diags: Vec<String>,
-    /// The reference's emission counter after the step.
+    /// How many events of a batch precede its first clock regression.
+    prefix: usize,
+    /// The reference's emission and batch counters after the step.
     emitted: u64,
+    batches: u64,
 }
 
 struct Reference<'s> {
     script: &'s [Step],
     engine: Engine,
     steps: Vec<RefStep>,
+    /// The newest timestamp accepted on each stream.
+    clocks: HashMap<Option<String>, u64>,
 }
 
 impl Reference<'_> {
     fn apply(&mut self, i: usize) {
-        let (mut out, mut diags) = (Ok(Vec::new()), Vec::new());
+        let (mut out, mut diags, mut prefix) = (Ok(Vec::new()), Vec::new(), 0);
         match &self.script[i] {
             Step::Register(name, src) => {
                 diags = rendered(&EventProcessor::check(&self.engine, src));
@@ -598,20 +638,33 @@ impl Reference<'_> {
                     .engine
                     .process_batch_tagged(*stream, events)
                     .map_err(|e| e.to_string());
+                let key = stream.map(str::to_ascii_lowercase);
+                let clock = self.clocks.entry(key).or_default();
+                let mut advance = |e: &&Event| {
+                    let ok = e.timestamp() >= *clock;
+                    *clock = (*clock).max(e.timestamp());
+                    ok
+                };
+                prefix = events.iter().take_while(&mut advance).count();
+                assert_eq!(prefix < events.len(), out.is_err(), "step {i}");
             }
             _ => {}
         }
-        let emitted = self.metrics().counter("sase_ingest_emissions_total", &[]);
+        let snap = self.metrics();
         self.steps.push(RefStep {
+            tagged: OnceCell::new(),
             out,
             diags,
-            emitted,
+            prefix,
+            emitted: snap.counter("sase_ingest_emissions_total", &[]),
+            batches: snap.counter("sase_ingest_batches_total", &[]),
         });
     }
 
-    /// The emission counter after steps `..i`.
-    fn emitted_before(&self, i: usize) -> u64 {
-        i.checked_sub(1).map_or(0, |j| self.steps[j].emitted)
+    /// The emission and batch counters after steps `..i`.
+    fn counted_before(&self, i: usize) -> (u64, u64) {
+        i.checked_sub(1)
+            .map_or((0, 0), |j| (self.steps[j].emitted, self.steps[j].batches))
     }
 
     /// The engine's own series, without the per-query ones.
@@ -643,6 +696,15 @@ struct Col {
     dirty: bool,
     appended: u64,
     replayed: u64,
+    /// What the router of a sharded column sent each worker, as its rules
+    /// predict: the whole valid prefix of a batch to each worker hosting a
+    /// query, except that `ByPartitionKey` data workers share the events
+    /// whose type carries a claimed key (`spread`).
+    routed: Vec<u64>,
+    spread: u64,
+    /// The keys a `ByPartitionKey` router claimed; claims outlive their
+    /// query.
+    claims: Vec<TypeKeyAccess>,
     dirs: Vec<PathBuf>,
 }
 
@@ -658,6 +720,9 @@ impl Col {
             dirty: false,
             appended: 0,
             replayed: 0,
+            routed: Vec::new(),
+            spread: 0,
+            claims: Vec::new(),
             dirs: vec![tmp_dir()],
         };
         let served = match column {
@@ -692,6 +757,7 @@ impl Col {
         self.checkpoint = (if restored { p.checkpoint() } else { 0 }, i);
         self.live = Live::InProcess(p);
         (self.base, self.events, self.appended, self.replayed) = (i, 0, 0, 0);
+        (self.routed, self.spread) = (Vec::new(), 0);
         self.records.clear();
     }
 
@@ -710,7 +776,10 @@ impl Col {
         }
         self.dirty |= registration;
         match step {
-            Step::Register(name, src) => p.register(name, src).unwrap(),
+            Step::Register(name, src) => {
+                p.register(name, src).unwrap();
+                self.claim(name, src);
+            }
             Step::Unregister(name) => assert!(p.unregister(name)),
             Step::Batch(stream, events) => self.batch(i, *stream, events, r),
             Step::Snapshot => {
@@ -735,8 +804,67 @@ impl Col {
         }
         let got = p.process_batch_tagged(stream, events);
         let got = got.as_deref().map(tagged).map_err(|e| e.to_string());
-        let want = r.steps[i].out.as_deref().map(tagged).map_err(String::clone);
-        assert_eq!(got, want, "{:?} at step {i}", self.column);
+        let step = &r.steps[i];
+        let want =
+            (step.tagged).get_or_init(|| step.out.as_deref().map(tagged).map_err(String::clone));
+        assert_eq!(&got, want, "{:?} at step {i}", self.column);
+        self.route(i, r);
+    }
+
+    /// A `ByPartitionKey` router distributes a query when one of its
+    /// routing keys agrees with the claims made so far, and claims that
+    /// key for every type the query reacts to.
+    fn claim(&mut self, name: &str, src: &str) {
+        let Live::InProcess(p) = &self.live else {
+            return;
+        };
+        let Some(at) = p.placement() else { return };
+        let query = p.query_names().iter().position(|n| n == name).unwrap();
+        if at.mode == ShardingMode::ByQuery || at.hosts[query].is_some() {
+            return;
+        }
+        let functions = FunctionRegistry::with_stdlib();
+        let plan = Planner::new(registry(), functions).plan(&parse_query(src).unwrap());
+        let fits = |tk: &TypeKeyAccess| {
+            (self.claims.iter()).all(|c| c.type_id != tk.type_id || c.attr_lc == tk.attr_lc)
+        };
+        let keys = plan.unwrap().routing_keys;
+        let key = keys
+            .into_iter()
+            .find(|key| !key.per_type.is_empty() && key.per_type.iter().all(fits))
+            .expect("a distributed query claims a routing key");
+        for tk in key.per_type {
+            if !self.claims.iter().any(|c| c.type_id == tk.type_id) {
+                self.claims.push(tk);
+            }
+        }
+    }
+
+    /// Count what the router of a sharded column sends its workers for the
+    /// batch of script step `s`.
+    fn route(&mut self, s: usize, r: &Reference<'_>) {
+        let Live::InProcess(p) = &self.live else {
+            unreachable!()
+        };
+        let Some(at) = p.placement() else { return };
+        let Step::Batch(stream, events) = &r.script[s] else {
+            unreachable!()
+        };
+        let prefix = &events[..r.steps[s].prefix];
+        self.routed.resize(at.workers, 0);
+        let mut whole: Vec<usize> = at.hosts.iter().flatten().copied().collect();
+        whole.sort_unstable();
+        whole.dedup();
+        for w in whole {
+            self.routed[w] += prefix.len() as u64;
+        }
+        // Distributed queries listen on the default stream only.
+        if stream.is_none() && at.hosts.contains(&None) {
+            let claimed = |e: &&Event| {
+                (self.claims.iter()).any(|c| c.type_id == e.type_id() && c.key_of(e).is_some())
+            };
+            self.spread += prefix.iter().filter(claimed).count() as u64;
+        }
     }
 
     /// Kill a durable column, tear `cut` bytes off its log tail, recover,
@@ -764,7 +892,7 @@ impl Col {
         let (seq, at) = self.checkpoint;
         assert_eq!(report.checkpoint_seq, Some(seq));
         let survived = p.log_tail().0 as usize;
-        let replayed = &self.records[seq as usize..survived];
+        let replayed = self.records[seq as usize..survived].to_vec();
         let want: Vec<String> = replayed
             .iter()
             .flat_map(|&s| untagged(&r.steps[s].out))
@@ -786,6 +914,10 @@ impl Col {
         let lost = self.records.split_off(survived);
         self.live = Live::InProcess(p);
         (self.base, self.events, self.appended, self.replayed) = (at, events, 0, events);
+        (self.routed, self.spread) = (Vec::new(), 0);
+        for &s in &replayed {
+            self.route(s, r);
+        }
         for s in lost {
             let Step::Batch(stream, events) = &r.script[s] else {
                 unreachable!()
@@ -860,18 +992,69 @@ impl Col {
             _ => return,
         };
         let (snap, reference) = (p.metrics(), r.metrics());
-        let emitted = r.emitted_before(i) - r.emitted_before(self.base);
+        let ((emitted, batches), (e0, b0)) = (r.counted_before(i), r.counted_before(self.base));
+        let (emitted, batches) = (emitted - e0, batches - b0);
         let emissions = snap.counter("sase_ingest_emissions_total", &[]);
         assert_eq!(
             emissions, emitted,
             "{column:?}: emissions since step {}",
             self.base
         );
-        use Column::{Durable, Facade, ScanAll, WireDurable};
-        if matches!(column, ScanAll | Facade(None) | Durable(None) | WireDurable) {
-            let events = snap.counter("sase_ingest_events_total", &[]);
-            assert_eq!(events, self.events, "{column:?}: events ingested");
+        let ingested = (
+            snap.counter("sase_ingest_events_total", &[]),
+            snap.counter("sase_ingest_batches_total", &[]),
+        );
+        use Column::{Durable, Facade, Sharded};
+        let shards = match column {
+            Sharded(mode, n) | Facade(Some((mode, n))) | Durable(Some((mode, n))) => {
+                Some((mode, n))
+            }
+            _ => None,
+        };
+        if let Some((mode, n)) = shards {
+            // The workers ingest exactly what the router sends them, and
+            // have drained it.
+            let routed = |w: usize| {
+                let w = w.to_string();
+                snap.counter("sase_shard_events_routed_total", &[("shard", &w)])
+            };
+            let sent = (
+                snap.counter_sum("sase_shard_events_routed_total"),
+                snap.counter_sum("sase_shard_batches_total"),
+            );
+            assert_eq!(ingested, sent, "{column:?}: workers ingest what is routed");
+            let mut depths = snap
+                .samples
+                .iter()
+                .filter(|s| s.name == "sase_shard_queue_depth");
+            let workers = n + usize::from(mode == ShardingMode::ByPartitionKey);
+            assert_eq!(depths.clone().count(), workers, "{column:?}: queue depths");
+            assert!(
+                depths.all(|s| s.value == MetricValue::Gauge(0.0)),
+                "{column:?}"
+            );
+            if (0..n).map(routed).sum::<u64>() > 0 {
+                let ratio = snap.gauge("sase_shard_imbalance_ratio", &[]);
+                assert!(ratio >= 1.0, "{column:?}: imbalance ratio {ratio}");
+            }
+            if let Some(at) = p.placement() {
+                let whole = if mode == ShardingMode::ByQuery { 0 } else { n };
+                self.routed.resize(at.workers, 0);
+                for w in whole..at.workers {
+                    assert_eq!(routed(w), self.routed[w], "{column:?}: routed to {w}");
+                }
+                let spread: u64 = (0..whole).map(routed).sum();
+                assert_eq!(spread, self.spread, "{column:?}: claimed events routed");
+            }
+        } else {
+            assert_eq!(ingested, (self.events, batches), "{column:?}: ingested");
         }
+        let matched = |s: &MetricsSnapshot| s.counter_sum("sase_query_matches_emitted");
+        assert_eq!(
+            matched(&snap),
+            matched(&EventProcessor::metrics(&r.engine)),
+            "{column:?}: per-query matches"
+        );
         for severity in SEVERITIES {
             let label = [("severity", severity)];
             let count = |s: &MetricsSnapshot| s.counter("sase_diagnostics_emitted_total", &label);
@@ -895,11 +1078,7 @@ impl Col {
             let want = conserved(&r.engine.stats(name).unwrap(), column);
             assert_eq!(got, want, "{column:?}: stats({name})");
         }
-        let sharded = matches!(
-            column,
-            Column::Sharded(..) | Facade(Some(_)) | Durable(Some(_))
-        );
-        if sharded && i == r.script.len() {
+        if shards.is_some() && i == r.script.len() {
             let render = || render_prometheus(&p.metrics());
             assert_eq!(
                 render(),
@@ -931,8 +1110,9 @@ fn batch_len(step: &Step) -> u64 {
 pub struct Played {
     /// Every reference emission, untagged, in order.
     pub out: Vec<String>,
-    /// Matches the oracle confirmed.
+    /// Matches the oracle confirmed, in all and by query.
     pub judged: usize,
+    pub judged_by: HashMap<String, usize>,
     /// The reference engine after the script.
     pub engine: Engine,
 }
@@ -944,6 +1124,7 @@ pub fn play(s: &Scenario) -> Played {
         script: &s.script,
         engine: engine(),
         steps: Vec::new(),
+        clocks: HashMap::new(),
     };
     let mut cols: Vec<Col> = s.columns.iter().map(|&c| Col::new(c)).collect();
     for i in 0..s.script.len() {
@@ -955,11 +1136,20 @@ pub fn play(s: &Scenario) -> Played {
     for col in cols {
         col.finish(&r);
     }
-    let judged = judge(&r);
+    if !s.script.iter().any(|s| matches!(s, Step::Unregister(_))) {
+        let snap = EventProcessor::metrics(&r.engine);
+        assert_eq!(
+            snap.counter_sum("sase_query_matches_emitted"),
+            snap.counter("sase_ingest_emissions_total", &[]),
+            "the per-query matches sum to the emissions"
+        );
+    }
+    let judged_by = judge(&r);
     let out = r.steps.iter().flat_map(|s| untagged(&s.out)).collect();
     Played {
         out,
-        judged,
+        judged: judged_by.values().sum(),
+        judged_by,
         engine: r.engine,
     }
 }
@@ -977,8 +1167,8 @@ fn remove_each(from: &mut Vec<Vec<String>>, items: Vec<Vec<String>>) {
 /// events the reference accepted — less the matches that the valid prefix
 /// of a batch rejected for a clock regression completed: the engine
 /// processes that prefix but returns only the error. Returns the matches
-/// judged.
-fn judge(r: &Reference<'_>) -> usize {
+/// judged by query.
+fn judge(r: &Reference<'_>) -> HashMap<String, usize> {
     let mut clocks: HashMap<Option<String>, u64> = HashMap::new();
     let (mut accepted, mut lost) = (Vec::new(), Vec::new());
     let (mut open, mut spans) = (Vec::new(), Vec::new());
@@ -1013,7 +1203,7 @@ fn judge(r: &Reference<'_>) -> usize {
             .map(|(n, s, from)| (n, s, from, accepted.len())),
     );
     let stdlib = FunctionRegistry::with_stdlib();
-    let mut judged = 0;
+    let mut judged = HashMap::new();
     for (name, src, from, to) in spans {
         let query = parse_query(src).unwrap();
         let into = query
@@ -1047,7 +1237,7 @@ fn judge(r: &Reference<'_>) -> usize {
             got, want,
             "the reference and the oracle disagree on {name}: {src}"
         );
-        judged += want.len();
+        judged.insert(name.clone(), want.len());
     }
     judged
 }
@@ -1060,6 +1250,7 @@ fn judge(r: &Reference<'_>) -> usize {
 /// of every scenario.
 pub struct Tally {
     pub judged: usize,
+    pub judged_by: HashMap<String, usize>,
     pub columns: Vec<Column>,
 }
 
@@ -1080,6 +1271,7 @@ pub fn property(
 ) -> Tally {
     let mut tally = Tally {
         judged: 0,
+        judged_by: HashMap::new(),
         columns: Vec::new(),
     };
     let mut case = 0;
@@ -1088,12 +1280,14 @@ pub fn property(
         adjust(case, &mut s);
         case += 1;
         let played = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| play(&s)));
-        tally.judged += played
-            .unwrap_or_else(|panic| {
-                eprintln!("failing scenario: {s:?}");
-                std::panic::resume_unwind(panic)
-            })
-            .judged;
+        let played = played.unwrap_or_else(|panic| {
+            eprintln!("failing scenario: {s:?}");
+            std::panic::resume_unwind(panic)
+        });
+        tally.judged += played.judged;
+        for (name, n) in played.judged_by {
+            *tally.judged_by.entry(name).or_default() += n;
+        }
         tally.columns.extend(s.columns);
     });
     tally

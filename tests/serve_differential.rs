@@ -1,233 +1,36 @@
-//! Wire-vs-embedded differential over the serving layer: the same
-//! workload driven through a TCP [`Client`] against a served [`Sase`]
-//! deployment must produce **byte-identical** rendered emissions — and
-//! identical analyzer diagnostics on registration — to the same facade
-//! used embedded, in process. Plus the durability contract of graceful
-//! shutdown: every batch acknowledged over the wire survives
-//! [`ServerHandle::shutdown`](sase::ServerHandle::shutdown) and is
-//! replayed by [`SaseBuilder::recover`](sase::SaseBuilder::recover).
+//! The wire in the differential harness (`tests/scenarios`): a client
+//! against a served `Sase` must see what the embedded engine emits, and a
+//! served durable deployment must keep every batch it acknowledged.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod oracle;
+mod scenarios;
 
-use sase::core::event::{retail_registry, Event, SchemaRegistry};
-use sase::core::value::Value;
-use sase::server::client::Client;
-use sase::server::wire::TickMode;
-use sase::system::DurableOptions;
-use sase::{EventProcessor, Sase, ServerConfig};
+use scenarios::{play, property, retail, row, xorshift_batches, Column, Draw, Step};
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sase-serve-{}-{label}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The standing queries: a sequence join, a negation guard, and a plain
-/// filter — `guarded` deliberately references `c.TagId` so the analyzer
-/// has something to say at registration time on both paths.
-const QUERIES: [(&str, &str); 3] = [
-    (
-        "pairs",
-        "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
-         WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag",
-    ),
-    (
-        "guarded",
-        "EVENT SEQ(SHELF_READING a, !(COUNTER_READING c), EXIT_READING b) \
-         WHERE a.TagId = b.TagId AND a.TagId = c.TagId WITHIN 60 RETURN a.TagId AS t",
-    ),
-    ("exits", "EVENT EXIT_READING z RETURN z.TagId AS tag"),
-];
-
-fn synthetic_batches(reg: &SchemaRegistry, batches: usize, per_batch: usize) -> Vec<Vec<Event>> {
-    let types = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"];
-    let mut ts = 0u64;
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    (0..batches)
-        .map(|_| {
-            (0..per_batch)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    ts += 1;
-                    reg.build_event(
-                        types[(state % 3) as usize],
-                        ts,
-                        vec![
-                            Value::Int(((state >> 8) % 5) as i64),
-                            Value::str("p"),
-                            Value::Int(1 + ((state >> 16) % 3) as i64),
-                        ],
-                    )
-                    .unwrap()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn render<T: std::fmt::Display>(out: &[T]) -> Vec<String> {
-    out.iter().map(|e| e.to_string()).collect()
-}
-
-/// The tentpole differential: register + ingest the same scripted
-/// workload through a wire client and through the embedded facade; the
-/// rendered emission sequences (canonical order), the analyzer findings
-/// on registration, the runtime stats, and the EXPLAIN plans must all be
-/// byte-identical.
+/// Random scenarios on a served column: emissions, registration findings,
+/// query lists, stats and `EXPLAIN` over the wire must render as the
+/// reference's.
 #[test]
 fn wire_matches_embedded_byte_for_byte() {
-    let reg = retail_registry();
-    let batches = synthetic_batches(&reg, 16, 10);
-
-    // Embedded reference: the facade used in-process.
-    let mut embedded = Sase::builder().schemas(reg.clone()).build().unwrap();
-
-    // Served: an identical deployment behind the line protocol.
-    let served = Sase::builder().schemas(reg.clone()).build().unwrap();
-    let handle = served
-        .serve("127.0.0.1:0", ServerConfig::default())
-        .unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-
-    // Registration: the wire returns the analyzer's findings; embedded,
-    // `check` is the same analysis the server runs before registering.
-    for (name, src) in QUERIES {
-        let embedded_diags = render(&EventProcessor::check(&embedded, src));
-        embedded.register(name, src).unwrap();
-        let wire_diags = render(&client.register(name, src).unwrap());
-        assert_eq!(
-            embedded_diags, wire_diags,
-            "analyzer findings must match for {name}"
-        );
-    }
-    assert_eq!(client.queries().unwrap(), embedded.query_names());
-
-    // Ingest: batch by batch, emissions must render identically and in
-    // the same canonical order.
-    let mut total = 0usize;
-    for batch in &batches {
-        let expect = render(&embedded.process_batch(batch).unwrap());
-        let got = render(&client.ingest(None, TickMode::Explicit, batch).unwrap());
-        assert_eq!(expect, got, "wire emissions diverged from embedded");
-        total += got.len();
-    }
-    assert!(total > 0, "workload must produce detections");
-
-    // Runtime counters and plans went through the same engine paths.
-    for (name, _) in QUERIES {
-        assert_eq!(
-            client.stats(name).unwrap(),
-            EventProcessor::stats(&embedded, name).unwrap(),
-            "stats must match for {name}"
-        );
-        assert_eq!(
-            client.explain(name).unwrap(),
-            EventProcessor::explain(&embedded, name).unwrap(),
-            "explain must match for {name}"
-        );
-    }
-
-    drop(client);
-    let backend = handle.shutdown();
-    assert_eq!(backend.query_names(), embedded.query_names());
+    let name = "wire_matches_embedded_byte_for_byte";
+    let tally = property(name, 16, Draw::default(), |_, s| {
+        s.columns = vec![Column::Wire];
+    });
+    assert_eq!(tally.count(|c| *c == Column::Wire), 16);
 }
 
-/// Satellite 2's contract: serve a durable deployment, ingest over the
-/// wire, shut down gracefully (drain + WAL flush), *drop* the returned
-/// backend as if the process died — then recover from the directory.
-/// Every batch the server acknowledged must be replayed; the recovered
-/// deployment continues byte-identically to an uninterrupted reference.
+/// Every batch a served durable deployment acknowledged survives a
+/// graceful shutdown and replays at recovery, which then finishes the
+/// stream exactly as an uninterrupted run.
 #[test]
 fn acknowledged_batches_survive_shutdown_and_recover() {
-    let reg = retail_registry();
-    let batches = synthetic_batches(&reg, 12, 8);
-    let served_upto = 7usize;
-
-    // Uninterrupted reference over the full stream.
-    let mut reference = Sase::builder().schemas(reg.clone()).build().unwrap();
-    for (name, src) in QUERIES {
-        reference.register(name, src).unwrap();
-    }
-    let mut ref_out: Vec<String> = Vec::new();
-    for batch in &batches {
-        ref_out.extend(render(&reference.process_batch(batch).unwrap()));
-    }
-    assert!(!ref_out.is_empty());
-
-    // Serve a durable deployment and ingest the first chunk on the wire.
-    let dir = tmp_dir("durable");
-    let opts = DurableOptions {
-        segment_bytes: 512, // force the log to roll across segments
-        ..DurableOptions::default()
-    };
-    let durable = Sase::builder()
-        .schemas(reg.clone())
-        .durable(&dir, opts)
-        .build()
-        .unwrap();
-    let handle = durable
-        .serve("127.0.0.1:0", ServerConfig::default())
-        .unwrap();
-    let addr = handle.local_addr();
-    let mut client = Client::connect(addr).unwrap();
-    for (name, src) in QUERIES {
-        client.register(name, src).unwrap();
-    }
-    let mut acked: Vec<String> = Vec::new();
-    for batch in &batches[..served_upto] {
-        // A reply frame *is* the acknowledgement: the batch reached the
-        // engine and its emissions are final.
-        acked.extend(render(
-            &client.ingest(None, TickMode::Explicit, batch).unwrap(),
-        ));
-    }
-    drop(client);
-
-    // Graceful shutdown flushes the WAL; then the process "dies" —
-    // nothing survives but the directory.
-    let backend = handle.shutdown();
-    assert!(
-        Client::connect(addr)
-            .map(|mut c| c.ping())
-            .and(Ok(()))
-            .is_err()
-            || Client::connect(addr).is_err(),
-        "listener must be closed after shutdown"
-    );
-    drop(backend);
-
-    // Recover: the log replays exactly the acknowledged batches.
-    let (mut recovered, report) = Sase::builder()
-        .schemas(reg.clone())
-        .durable(&dir, opts)
-        .recover(|p| {
-            for (name, src) in QUERIES {
-                p.register(name, src)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(report.records_replayed, served_upto as u64);
-    assert_eq!(
-        render(&report.emissions),
-        acked,
-        "every acknowledged emission must be reproduced by replay"
-    );
-
-    // The recovered deployment finishes the stream byte-identically.
-    let mut live = acked;
-    for batch in &batches[served_upto..] {
-        live.extend(render(&recovered.process_batch(batch).unwrap()));
-    }
-    assert_eq!(ref_out, live, "shutdown + recover lost or duplicated state");
-    std::fs::remove_dir_all(&dir).unwrap();
+    let queries = [
+        ("pairs", retail(14, 50, 0)),
+        ("guarded", retail(15, 60, 0)),
+        ("exits", retail(23, 0, 0)),
+    ];
+    let batches = xorshift_batches(0x2545_F491_4F6C_DD1D, 12, 8);
+    let mut s = row(&queries, batches, &[Column::WireDurable]);
+    s.script.insert(3 + 7, Step::Crash(0));
+    assert!(!play(&s).out.is_empty());
 }
