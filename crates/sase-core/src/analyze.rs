@@ -270,7 +270,7 @@ pub fn cross_query(candidate: &Query, existing: &[(String, Query)]) -> Vec<Diagn
                 "SA032",
                 format!(
                     "stream `{from}` (FROM) has no registered producer; events \
-                     must be injected externally via process_on"
+                     must be ingested on that stream directly"
                 ),
             ));
         }

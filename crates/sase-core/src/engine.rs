@@ -7,10 +7,9 @@
 //! Such processing continues until the query is deleted by the user."
 //!
 //! An [`Engine`] owns the schema registry, the built-in function registry,
-//! and every registered continuous query. Events are pushed with
-//! [`Engine::process`] (one event) or [`Engine::process_batch`] (a tick's
-//! worth at once); emitted composite events are returned to the caller and
-//! also delivered to any registered sinks.
+//! and every registered continuous query. Batches of events are pushed
+//! with [`EventProcessor::ingest`]; emitted composite events go to the
+//! caller's buffer and to any registered sinks.
 //!
 //! ## Routing
 //!
@@ -27,11 +26,22 @@
 //!
 //! ## Ingest
 //!
-//! One loop serves input and derived events alike: each input event is
-//! offered straight to its routed queries, then the `INTO` events its
+//! A batch is first checked against its stream's monotonicity clock as a
+//! whole, so a regressing batch is rejected before any event is offered.
+//! Then one loop serves input and derived events alike: each input event
+//! is offered straight to its routed queries, then the `INTO` events its
 //! emissions derive are offered breadth-first from a queue that holds only
-//! derived events, before the next input. Every offer checks the stream's
-//! monotonicity clock and the derivation depth limit first.
+//! derived events, before the next input. A derived offer checks the
+//! derivation depth limit and its stream's clock first. The failure
+//! contract is stated in [`crate::processor`].
+//!
+//! The emissions of a query declaring `RETURN ... INTO s` are re-ingested
+//! as first-class events on stream `s` (§2.1.1: the RETURN clause "can
+//! also name the output stream and the type of events in the output"), so
+//! queries compose. The derived event type is the stream name; if it is
+//! not already registered, a schema is derived from the first emission's
+//! column types. Cyclic INTO graphs are cut off after
+//! `MAX_DERIVATION_DEPTH` hops with an error.
 //!
 //! ## Partition keys
 //!
@@ -55,6 +65,7 @@ use crate::event::{Event, EventTypeId, SchemaRegistry};
 use crate::functions::FunctionRegistry;
 use crate::output::ComplexEvent;
 use crate::plan::{compile_query, QueryPlan};
+use crate::processor::EventProcessor;
 use crate::runtime::{KeyTable, QueryRuntime, RuntimeStats};
 use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
 use crate::time::{TimeScale, Timestamp};
@@ -81,19 +92,17 @@ pub enum RoutingMode {
 /// within that query's reaction to one event)`.
 pub type EmissionHop = (u32, u32);
 
-/// A composite event plus its provenance within a batch.
+/// An emission's provenance within its batch: the optional second buffer
+/// of [`EventProcessor::ingest`], one tag per emission.
 ///
-/// Produced by [`Engine::process_batch_tagged`]. The tag totally orders
-/// emissions the way the untagged APIs return them: ascending
-/// `(input_index, depth, path)`. Sharded deployments exploit this to merge
-/// per-shard outputs into exactly the sequence a single engine over the
-/// union of the queries would have produced.
-#[derive(Debug, Clone)]
-pub struct Emission {
-    /// The emitted composite event.
-    pub output: ComplexEvent,
+/// The derived order (`input_index`, then `depth`, then `path`) is the
+/// order in which a single engine emits. Sharded deployments merge their
+/// workers' outputs by it into exactly the sequence a single engine over
+/// the union of the queries would have produced.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Tag {
     /// Index of the input event (within the ingested batch) that
-    /// ultimately caused this emission.
+    /// ultimately caused the emission.
     pub input_index: u32,
     /// Derivation depth: 0 for direct reactions to the input event, `n`
     /// for reactions to an `INTO` event derived at depth `n - 1`.
@@ -102,14 +111,6 @@ pub struct Emission {
     /// hold the engine-local query index (registration order); callers
     /// merging across engines remap them to a global order first.
     pub path: Vec<EmissionHop>,
-}
-
-impl Emission {
-    /// The ordering key: emissions sorted by it reproduce the untagged
-    /// output order of a single engine.
-    pub fn order_key(&self) -> (u32, u16, &[EmissionHop]) {
-        (self.input_index, self.depth, &self.path)
-    }
 }
 
 struct Registered {
@@ -184,12 +185,12 @@ impl RouterIndex {
 #[derive(Debug, Clone)]
 struct EngineMetrics {
     registry: sase_obs::MetricsRegistry,
-    /// Input events accepted by `process_batch*` (not counting derived
-    /// INTO re-ingestions).
+    /// Input events of accepted batches (not counting derived INTO
+    /// re-ingestions).
     events_ingested: sase_obs::Counter,
-    /// `process_batch*` calls.
+    /// Batches accepted by the clock check.
     batches: sase_obs::Counter,
-    /// Wall-clock nanoseconds per `process_batch*` call.
+    /// Wall-clock nanoseconds per accepted batch.
     batch_latency_ns: sase_obs::Histogram,
     /// Composite events emitted (all queries, including INTO producers).
     emissions: sase_obs::Counter,
@@ -222,9 +223,6 @@ impl EngineMetrics {
     }
 }
 
-/// One emission's provenance: `(input index, derivation depth, path)`.
-type Tag = (u32, u16, Vec<EmissionHop>);
-
 /// The breadth-first queue of `INTO`-derived events awaiting their offer:
 /// `(normalized stream, event, path)`. Input events never enter it.
 type DerivedQueue = VecDeque<(String, Event, Vec<EmissionHop>)>;
@@ -255,7 +253,7 @@ pub struct Engine {
     reusable_derived: FxHashSet<String>,
     /// Monotonicity clock of the default stream. Events must arrive in
     /// non-decreasing timestamp order per stream; the engine enforces this
-    /// once, before routing, so both routing modes reject regressions
+    /// before routing, so both routing modes reject regressions
     /// identically (per-query runtimes repeat the check for defense in
     /// depth, but under indexed routing they only see their relevant
     /// events).
@@ -279,6 +277,14 @@ pub struct Engine {
 /// Maximum chain of query-to-query derivations one input event may cause;
 /// exceeding it means the INTO graph is cyclic.
 const MAX_DERIVATION_DEPTH: u16 = 16;
+
+/// The error of an event whose timestamp `ts` regresses its stream's clock.
+fn out_of_order(ts: Timestamp, last: Timestamp, stream: Option<&str>) -> SaseError {
+    SaseError::engine(format!(
+        "out-of-order event: timestamp {ts} after {last} on stream `{}`",
+        stream.unwrap_or("<default>"),
+    ))
+}
 
 impl Engine {
     /// Create an engine over a schema registry, with the standard pure
@@ -522,99 +528,26 @@ impl Engine {
             .to_string())
     }
 
-    // Every ingest entry point below is a thin wrapper over the one
-    // batched core path, [`Engine::ingest`]: the single-event and
-    // default-stream variants exist purely as calling conveniences, so
-    // live ingest, durable replay, and sharded workers all share the
-    // same routing, derivation, and ordering code.
-
-    /// Process one event on the default input stream.
-    ///
-    /// Thin wrapper: `process_on(None, event)`.
-    pub fn process(&mut self, event: &Event) -> Result<Vec<ComplexEvent>> {
-        self.process_on(None, event)
-    }
-
-    /// Process one event on a named stream. Queries receive it when their
-    /// FROM clause matches (absent FROM = the default stream); stream
-    /// names compare case-insensitively.
-    ///
-    /// Composite events whose query declared `RETURN ... INTO s` are
-    /// re-ingested as first-class events on stream `s` (§2.1.1: the RETURN
-    /// clause "can also name the output stream and the type of events in
-    /// the output"), so queries compose. The derived event type is the
-    /// stream name; if it is not already registered, a schema is derived
-    /// from the first emission's column types. Cyclic INTO graphs are cut
-    /// off after `MAX_DERIVATION_DEPTH` hops with an error.
-    ///
-    /// Thin wrapper: a one-event [`Engine::process_batch_on`] call.
-    pub fn process_on(&mut self, stream: Option<&str>, event: &Event) -> Result<Vec<ComplexEvent>> {
-        self.process_batch_on(stream, std::slice::from_ref(event))
-    }
-
-    /// Process a batch of events on the default input stream.
-    ///
-    /// Equivalent to calling [`Engine::process`] per event and
-    /// concatenating the outputs, but routing setup, derivation queues,
-    /// and output handling are amortized across the batch — the intended
-    /// ingest path for tick- or frame-grained sources.
-    ///
-    /// Thin wrapper: `process_batch_on(None, events)`.
+    /// Ingest a batch on the default input stream and return its
+    /// emissions: [`EventProcessor::ingest`] into a fresh buffer. When the
+    /// batch fails, the emissions made before the error reach only the
+    /// sinks; call `ingest` to keep them.
     pub fn process_batch(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        self.process_batch_on(None, events)
-    }
-
-    /// Process a batch of events on a named stream (see
-    /// [`Engine::process_on`] for stream and INTO semantics): the untagged
-    /// face of the batched core path.
-    pub fn process_batch_on(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<ComplexEvent>> {
         let mut out = Vec::new();
-        self.ingest(stream, events, &mut out, None)?;
+        self.ingest_on(None, events, &mut out, None)?;
         Ok(out)
     }
 
-    /// Process a batch and return each emission with its provenance tag.
-    ///
-    /// The emissions arrive already sorted by [`Emission::order_key`];
-    /// stripping the tags yields exactly [`Engine::process_batch_on`]'s
-    /// output. Sharded deployments run disjoint query sets on engine
-    /// replicas and merge their tagged emissions by the same key to
-    /// reproduce the single-engine output order deterministically.
-    pub fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<Emission>> {
-        let mut out = Vec::new();
-        let mut tags = Vec::new();
-        self.ingest(stream, events, &mut out, Some(&mut tags))?;
-        debug_assert_eq!(out.len(), tags.len());
-        Ok(out
-            .into_iter()
-            .zip(tags)
-            .map(|(output, (input_index, depth, path))| Emission {
-                output,
-                input_index,
-                depth,
-                path,
-            })
-            .collect())
-    }
-
-    /// The shared ingest core: route each input event (and the INTO events
-    /// derived from it, breadth-first) to the reacting queries, collecting
-    /// outputs and, when `tags` is given, one provenance tag per output.
-    fn ingest(
+    /// The batched core behind [`EventProcessor::ingest`]; `stream` is
+    /// already normalized to lowercase.
+    fn ingest_on(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
         out: &mut Vec<ComplexEvent>,
         tags: Option<&mut Vec<Tag>>,
     ) -> Result<()> {
+        self.check_clock(stream, events)?;
         // Instrumentation wraps the core loop at batch grain: one
         // latency sample, one batch-ingest span, and counter deltas per
         // call. Per-event cost is limited to the router hit/miss
@@ -628,12 +561,7 @@ impl Engine {
         self.batch_seq = self.batch_seq.wrapping_add(1);
         let out_before = out.len();
 
-        let result = match stream {
-            None => self.ingest_queued(None, events, out, tags),
-            Some(s) => crate::event::with_ascii_lowercase(s, |s| {
-                self.ingest_queued(Some(s), events, out, tags)
-            }),
-        };
+        let result = self.ingest_queued(stream, events, out, tags);
         // A failed call may leave derived events behind.
         self.derived_queue.clear();
 
@@ -649,6 +577,26 @@ impl Engine {
             self.tracer.end(span, (out.len() - out_before) as u64);
         }
         result
+    }
+
+    /// The input clock check: a batch whose timestamps regress the
+    /// stream's clock, or an earlier event of the batch, is rejected whole,
+    /// before any event is offered.
+    fn check_clock(&self, stream: Option<&str>, events: &[Event]) -> Result<()> {
+        // Timestamps are unsigned: a stream not seen yet starts at 0.
+        let mut last = match stream {
+            None => self.default_clock,
+            Some(s) => self.named_clocks.get(s).copied(),
+        }
+        .unwrap_or(0);
+        for event in events {
+            let ts = event.timestamp();
+            if ts < last {
+                return Err(out_of_order(ts, last, stream));
+            }
+            last = ts;
+        }
+        Ok(())
     }
 
     /// The ingest loop proper: each input event is offered straight to
@@ -692,9 +640,11 @@ impl Engine {
                  the INTO graph is probably cyclic"
             )));
         }
-        // Per-stream monotonicity: enforced once here (not only in the
-        // per-query runtimes) so a clock regression is caught identically
-        // whether or not the event routes anywhere.
+        // Per-stream monotonicity, enforced here (not only in the
+        // per-query runtimes) so a regression is caught identically whether
+        // or not the event routes anywhere. Input events passed the batch's
+        // clock check; a derived event can still regress a named stream
+        // that a direct ingest has advanced.
         let ts = event.timestamp();
         let last = match stream {
             None => self.default_clock.get_or_insert(ts),
@@ -703,11 +653,8 @@ impl Engine {
                 None => self.named_clocks.entry(s.to_owned()).or_insert(ts),
             },
         };
-        if ts < *last {
-            return Err(SaseError::engine(format!(
-                "out-of-order event: timestamp {ts} after {last} on stream `{}`",
-                stream.unwrap_or("<default>"),
-            )));
+        if depth > 0 && ts < *last {
+            return Err(out_of_order(ts, *last, stream));
         }
         *last = ts;
         self.keys.begin_offer();
@@ -746,7 +693,11 @@ impl Engine {
                     derived.push((ce.clone(), hop_path.clone()));
                 }
                 if let Some(t) = tags.as_deref_mut() {
-                    t.push((input_index, depth, hop_path));
+                    t.push(Tag {
+                        input_index,
+                        depth,
+                        path: hop_path,
+                    });
                 }
             }
         }
@@ -964,12 +915,13 @@ impl std::fmt::Debug for Engine {
 }
 
 /// The single-engine implementation of the unified processor surface:
-/// every method delegates to the inherent method of the same name. The
+/// ingest runs the engine's batched core, and every other method delegates
+/// to the inherent method of the same name. The
 /// trait's [`SnapshotSet`](crate::snapshot::SnapshotSet) holds exactly one
 /// [`EngineSnapshot`] here (the inherent [`Engine::snapshot`] /
 /// [`Engine::restore`] remain the single-engine-typed forms, used per
 /// shard by sharded deployments).
-impl crate::processor::EventProcessor for Engine {
+impl EventProcessor for Engine {
     fn register(&mut self, name: &str, src: &str) -> Result<()> {
         Engine::register(self, name, src)
     }
@@ -982,20 +934,19 @@ impl crate::processor::EventProcessor for Engine {
         Engine::unregister(self, name)
     }
 
-    fn process_batch_on(
+    fn ingest(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-    ) -> Result<Vec<ComplexEvent>> {
-        Engine::process_batch_on(self, stream, events)
-    }
-
-    fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<Emission>> {
-        Engine::process_batch_tagged(self, stream, events)
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> Result<()> {
+        match stream {
+            None => self.ingest_on(None, events, out, tags),
+            Some(s) => crate::event::with_ascii_lowercase(s, |s| {
+                self.ingest_on(Some(s), events, out, tags)
+            }),
+        }
     }
 
     fn query_names(&self) -> Vec<String> {
@@ -1060,6 +1011,22 @@ mod tests {
             .unwrap()
     }
 
+    /// One ingest call on `stream`, returning the batch's emissions.
+    fn on(engine: &mut Engine, stream: Option<&str>, event: &Event) -> Result<Vec<ComplexEvent>> {
+        let mut out = Vec::new();
+        engine.ingest(stream, std::slice::from_ref(event), &mut out, None)?;
+        Ok(out)
+    }
+
+    /// One tagged ingest call on the default stream.
+    fn tagged(engine: &mut Engine, events: &[Event]) -> Vec<(Tag, ComplexEvent)> {
+        let (mut out, mut tags) = (Vec::new(), Vec::new());
+        engine
+            .ingest(None, events, &mut out, Some(&mut tags))
+            .unwrap();
+        tags.into_iter().zip(out).collect()
+    }
+
     const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                       WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 1000 \
                       RETURN x.TagId, z.AreaId";
@@ -1082,7 +1049,7 @@ mod tests {
         assert!(engine.unregister("shoplifting"));
         assert!(!engine.unregister("shoplifting"));
         let out = engine
-            .process(&ev(&engine, "EXIT_READING", 6, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 6, 7, 4)])
             .unwrap();
         assert!(out.is_empty());
     }
@@ -1122,13 +1089,13 @@ mod tests {
             .register("on_default", "EVENT SHELF_READING x RETURN x.TagId")
             .unwrap();
         let e = ev(&engine, "SHELF_READING", 1, 7, 1);
-        let out = engine.process_on(Some("retail"), &e).unwrap();
+        let out = on(&mut engine, Some("retail"), &e).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].query.as_ref(), "on_named");
-        let out = engine.process(&e).unwrap();
+        let out = engine.process_batch(std::slice::from_ref(&e)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].query.as_ref(), "on_default");
-        let out = engine.process_on(Some("warehouse"), &e).unwrap();
+        let out = on(&mut engine, Some("warehouse"), &e).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1136,7 +1103,7 @@ mod tests {
     fn stream_names_are_case_insensitive() {
         // Regression for the FROM/INTO case mismatch: every identifier in
         // the language compares case-insensitively, and stream names must
-        // agree — `FROM Retail_Stream` receives `process_on("retail_stream")`.
+        // agree — `FROM Retail_Stream` receives ingest on `retail_stream`.
         let mut engine = Engine::new(retail_registry());
         engine
             .register(
@@ -1145,18 +1112,9 @@ mod tests {
             )
             .unwrap();
         let e = ev(&engine, "SHELF_READING", 1, 7, 1);
-        assert_eq!(
-            engine.process_on(Some("retail_stream"), &e).unwrap().len(),
-            1
-        );
-        assert_eq!(
-            engine.process_on(Some("RETAIL_STREAM"), &e).unwrap().len(),
-            1
-        );
-        assert_eq!(
-            engine.process_on(Some("Retail_Stream"), &e).unwrap().len(),
-            1
-        );
+        assert_eq!(on(&mut engine, Some("retail_stream"), &e).unwrap().len(), 1);
+        assert_eq!(on(&mut engine, Some("RETAIL_STREAM"), &e).unwrap().len(), 1);
+        assert_eq!(on(&mut engine, Some("Retail_Stream"), &e).unwrap().len(), 1);
     }
 
     #[test]
@@ -1178,7 +1136,7 @@ mod tests {
             .register("consumer", "FROM foo EVENT FOO a RETURN a.tag AS got")
             .unwrap();
         let out = engine
-            .process(&ev(&engine, "EXIT_READING", 5, 9, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 5, 9, 4)])
             .unwrap();
         let hits: Vec<_> = out
             .iter()
@@ -1201,7 +1159,7 @@ mod tests {
             )
             .unwrap();
         engine
-            .process(&ev(&engine, "EXIT_READING", 1, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 7, 4)])
             .unwrap();
         let first = engine.schemas().schema_by_name("alerts").unwrap();
         assert_eq!(first.arity(), 1);
@@ -1217,7 +1175,7 @@ mod tests {
         // No consumer references `alerts` yet, so p2's first emission
         // redefines the derived schema to the new shape.
         engine
-            .process(&ev(&engine, "EXIT_READING", 2, 8, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)])
             .unwrap();
         let second = engine.schemas().schema_by_name("alerts").unwrap();
         assert_eq!(second.arity(), 2, "schema redefined to the new shape");
@@ -1230,7 +1188,7 @@ mod tests {
             )
             .unwrap();
         let out = engine
-            .process(&ev(&engine, "EXIT_READING", 3, 9, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 3, 9, 4)])
             .unwrap();
         let hits: Vec<_> = out
             .iter()
@@ -1253,7 +1211,7 @@ mod tests {
             )
             .unwrap();
         engine
-            .process(&ev(&engine, "EXIT_READING", 1, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 7, 4)])
             .unwrap();
         engine
             .register("watcher", "FROM alerts EVENT alerts a RETURN a.tag AS t")
@@ -1265,7 +1223,7 @@ mod tests {
                 "EVENT EXIT_READING z RETURN z.ProductName AS tag INTO alerts",
             )
             .unwrap();
-        let err = engine.process(&ev(&engine, "EXIT_READING", 2, 8, 4));
+        let err = engine.process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)]);
         assert!(
             err.is_err(),
             "mismatched emission must fail loudly: {err:?}"
@@ -1289,7 +1247,7 @@ mod tests {
             )
             .unwrap();
         engine
-            .process(&ev(&engine, "EXIT_READING", 1, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 7, 4)])
             .unwrap();
         assert!(engine.unregister("p1"));
         // A new producer with a mismatched shape must NOT silently
@@ -1301,7 +1259,7 @@ mod tests {
                  RETURN z.TagId AS tag, z.AreaId AS area INTO alerts",
             )
             .unwrap();
-        let err = engine.process(&ev(&engine, "EXIT_READING", 2, 8, 4));
+        let err = engine.process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)]);
         assert!(err.is_err(), "user schema is authoritative: {err:?}");
         assert_eq!(
             engine.schemas().schema_by_name("alerts").unwrap().arity(),
@@ -1329,7 +1287,7 @@ mod tests {
         let mut engine = Engine::new(retail_registry());
         engine.register("q", Q1).unwrap();
         engine
-            .process(&ev(&engine, "SHELF_READING", 1, 7, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 1, 7, 1)])
             .unwrap();
         let stats = engine.stats("q").unwrap();
         assert_eq!(stats.events_processed, 1);
@@ -1348,7 +1306,7 @@ mod tests {
             .register("shelves", "EVENT SHELF_READING x RETURN x.TagId")
             .unwrap();
         engine
-            .process(&ev(&engine, "EXIT_READING", 1, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 7, 4)])
             .unwrap();
         // The exit event was never offered to the shelf query.
         assert_eq!(engine.stats("exits").unwrap().events_processed, 1);
@@ -1361,7 +1319,8 @@ mod tests {
             .unwrap();
         scan.register("shelves", "EVENT SHELF_READING x RETURN x.TagId")
             .unwrap();
-        scan.process(&ev(&scan, "EXIT_READING", 1, 7, 4)).unwrap();
+        scan.process_batch(&[ev(&scan, "EXIT_READING", 1, 7, 4)])
+            .unwrap();
         // The scan baseline offers every event to every query.
         assert_eq!(scan.stats("shelves").unwrap().events_processed, 1);
     }
@@ -1392,7 +1351,7 @@ mod tests {
         let mut single = mk();
         let mut single_out = Vec::new();
         for e in &events {
-            single_out.extend(single.process(e).unwrap());
+            single_out.extend(single.process_batch(std::slice::from_ref(e)).unwrap());
         }
         let render = |v: &[ComplexEvent]| v.iter().map(|d| d.to_string()).collect::<Vec<_>>();
         assert_eq!(render(&batch_out), render(&single_out));
@@ -1415,33 +1374,28 @@ mod tests {
             ev(&engine, "EXIT_READING", 1, 7, 4),
             ev(&engine, "EXIT_READING", 2, 8, 4),
         ];
-        let tagged = engine.process_batch_tagged(None, &events).unwrap();
-        assert_eq!(tagged.len(), 2);
-        assert_eq!(tagged[0].input_index, 0);
-        assert_eq!(tagged[1].input_index, 1);
-        assert!(tagged.iter().all(|t| t.depth == 0 && t.path.len() == 1));
+        let out = tagged(&mut engine, &events);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].0.input_index, 0);
+        assert_eq!(out[1].0.input_index, 1);
+        assert!(out.iter().all(|(t, _)| t.depth == 0 && t.path.len() == 1));
 
         // Now with a listener on the derived stream: its emissions carry
         // depth 1 and a two-hop path, sorted after the producer's.
         engine
             .register("listener", "FROM side EVENT side a RETURN a.tag AS t")
             .unwrap();
-        let tagged = engine
-            .process_batch_tagged(None, &[ev(&engine, "EXIT_READING", 3, 9, 4)])
-            .unwrap();
-        assert_eq!(tagged.len(), 2);
-        assert_eq!(tagged[0].output.query.as_ref(), "producer");
-        assert_eq!(tagged[1].output.query.as_ref(), "listener");
-        assert_eq!(tagged[1].depth, 1);
-        assert_eq!(tagged[1].path.len(), 2);
-        let mut keys: Vec<_> = tagged.iter().map(|t| t.order_key()).collect();
-        let sorted = {
-            let mut s = keys.clone();
-            s.sort();
-            s
-        };
-        keys.sort();
-        assert_eq!(keys, sorted);
+        let exit = ev(&engine, "EXIT_READING", 3, 9, 4);
+        let out = tagged(&mut engine, &[exit]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].1.query.as_ref(), "producer");
+        assert_eq!(out[1].1.query.as_ref(), "listener");
+        assert_eq!(out[1].0.depth, 1);
+        assert_eq!(out[1].0.path.len(), 2);
+        assert!(
+            out.windows(2).all(|w| w[0].0 < w[1].0),
+            "emitted in tag order"
+        );
     }
 
     #[test]
@@ -1456,23 +1410,23 @@ mod tests {
                 .register("exits", "EVENT EXIT_READING z RETURN z.TagId")
                 .unwrap();
             engine
-                .process(&ev(&engine, "SHELF_READING", 10, 1, 1))
+                .process_batch(&[ev(&engine, "SHELF_READING", 10, 1, 1)])
                 .unwrap();
-            let err = engine.process(&ev(&engine, "SHELF_READING", 5, 2, 1));
+            let err = engine.process_batch(&[ev(&engine, "SHELF_READING", 5, 2, 1)]);
             assert!(err.is_err(), "{mode:?} must reject the regression");
             // Time moved on: the engine stays usable.
             let out = engine
-                .process(&ev(&engine, "EXIT_READING", 11, 3, 4))
+                .process_batch(&[ev(&engine, "EXIT_READING", 11, 3, 4)])
                 .unwrap();
             assert_eq!(out.len(), 1);
         }
     }
 
     #[test]
-    fn out_of_order_inside_a_batch_keeps_the_prefix() {
-        // A regression at position k fails the batch after the events
-        // before it were offered: the engine is left exactly as if it had
-        // been fed that prefix one event at a time, in both routing modes,
+    fn out_of_order_inside_a_batch_changes_nothing() {
+        // A regression at position k rejects the whole batch before any
+        // event is offered: the next batch emits exactly what an engine
+        // that never saw the rejected one emits, in both routing modes,
         // derived (INTO) events included.
         let mk = |mode: RoutingMode| {
             let registry = retail_registry();
@@ -1494,7 +1448,7 @@ mod tests {
             // The clock is set before the batch, so a regression at k = 0
             // is one too.
             engine
-                .process(&ev(&engine, "SHELF_READING", 9, 0, 1))
+                .process_batch(&[ev(&engine, "SHELF_READING", 9, 0, 1)])
                 .unwrap();
             engine
         };
@@ -1510,24 +1464,22 @@ mod tests {
         for k in [0, 5, 11] {
             let mut bad = batch.clone();
             bad[k] = ev(&proto, "EXIT_READING", 1, 9, 4);
-            let mut errors = Vec::new();
             let mut follow_ups = Vec::new();
             for mode in [RoutingMode::Indexed, RoutingMode::ScanAll] {
-                let mut batched = mk(mode);
-                let err = batched.process_batch(&bad).unwrap_err().to_string();
-                assert!(err.contains("out-of-order event: timestamp 1"), "{err}");
-                errors.push(err);
-                let mut single = mk(mode);
-                for e in &batch[..k] {
-                    single.process(e).unwrap();
-                }
-                let got = render(&batched.process_batch(&next).unwrap());
-                let want = render(&single.process_batch(&next).unwrap());
+                let mut rejected = mk(mode);
+                let mut out = Vec::new();
+                let err = rejected.ingest(None, &bad, &mut out, None).unwrap_err();
+                assert!(
+                    err.to_string().contains("out-of-order event: timestamp 1"),
+                    "{err}"
+                );
+                assert!(out.is_empty(), "{mode:?}: a rejected batch emits nothing");
+                let got = render(&rejected.process_batch(&next).unwrap());
+                let want = render(&mk(mode).process_batch(&next).unwrap());
                 assert_eq!(got, want, "{mode:?}, regression at {k}");
                 assert!(!got.is_empty());
                 follow_ups.push(got);
             }
-            assert_eq!(errors[0], errors[1], "regression at {k}");
             assert_eq!(follow_ups[0], follow_ups[1], "regression at {k}");
         }
     }
@@ -1543,7 +1495,7 @@ mod tests {
         // "c" must still be reachable after reindexing.
         assert!(engine.stats("c").is_ok());
         let e = ev(&engine, "COUNTER_READING", 1, 7, 3);
-        let out = engine.process(&e).unwrap();
+        let out = engine.process_batch(std::slice::from_ref(&e)).unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -1559,7 +1511,7 @@ mod tests {
             .register("q", "EVENT EXIT_READING z RETURN _describe(z.AreaId) AS d")
             .unwrap();
         let out = engine
-            .process(&ev(&engine, "EXIT_READING", 1, 7, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 7, 4)])
             .unwrap();
         assert_eq!(out[0].value("d"), Some(&Value::str("area-4")));
     }

@@ -11,6 +11,7 @@
 //! ```
 //! use sase_core::engine::Engine;
 //! use sase_core::event::retail_registry;
+//! use sase_core::processor::EventProcessor;
 //! use sase_core::value::Value;
 //!
 //! // Schemas for the paper's retail scenario.
@@ -35,8 +36,9 @@
 //!     vec![Value::Int(42), Value::str("soap"), Value::Int(4)],
 //! ).unwrap();
 //!
-//! let mut detections = engine.process(&shelf).unwrap();
-//! detections.extend(engine.process(&exit).unwrap());
+//! // One ingest call: emissions go into the caller's buffer.
+//! let mut detections = Vec::new();
+//! engine.ingest(None, &[shelf, exit], &mut detections, None).unwrap();
 //! assert_eq!(detections.len(), 1);
 //! assert_eq!(detections[0].value("x.TagId"), Some(&Value::Int(42)));
 //! ```

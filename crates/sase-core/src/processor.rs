@@ -8,11 +8,9 @@
 //!
 //! * **query management** — [`register`](EventProcessor::register) /
 //!   [`unregister`](EventProcessor::unregister);
-//! * **ingest** — [`process_batch_on`](EventProcessor::process_batch_on)
-//!   (and the provided [`process_batch`](EventProcessor::process_batch)
-//!   default-stream shorthand), plus
-//!   [`process_batch_tagged`](EventProcessor::process_batch_tagged) for
-//!   provenance-tagged emissions mergeable across deployments;
+//! * **ingest** — [`ingest`](EventProcessor::ingest), the one ingest
+//!   call: a batch on a stream, its emissions written into the caller's
+//!   buffer, and optionally their provenance [`Tag`]s into a second one;
 //! * **push output** — [`add_sink`](EventProcessor::add_sink) attaches a
 //!   per-query sink that observes every emission as it happens;
 //! * **inspection** — [`query_names`](EventProcessor::query_names),
@@ -33,17 +31,34 @@
 //! ## Semantics every implementation must uphold
 //!
 //! * Registration order is observable: `query_names` lists queries in
-//!   registration order, and [`Emission`] paths refer to queries by that
+//!   registration order, and [`Tag`] paths refer to queries by that
 //!   order.
-//! * `process_batch_on(stream, events)` returns emissions in the canonical
-//!   order of a single engine running all the queries — ascending
-//!   [`Emission::order_key`] — regardless of internal parallelism.
+//! * `ingest` appends emissions in the canonical order of a single engine
+//!   running all the queries — ascending [`Tag`] — regardless of internal
+//!   parallelism.
 //! * `snapshot` → `restore` round-trips exactly: restoring a snapshot onto
 //!   a freshly configured deployment with the same queries (in the same
 //!   order) resumes processing as if nothing happened. See [`crate::snapshot`] for the restore protocol.
+//!
+//! ## The failure contract of ingest
+//!
+//! * **An input-clock error is atomic.** A batch whose timestamps regress
+//!   its stream's clock, or an earlier event of the same batch, is
+//!   rejected before any event is offered: it changes no state, no
+//!   statistic and no metric, and writes nothing into the buffers.
+//! * **Any other error keeps what was emitted before it.** A built-in or
+//!   predicate error, the derivation-depth limit, a derived schema
+//!   mismatch, or a derived event regressing a named stream stops the
+//!   batch at the event that failed. The emissions made before the error
+//!   stay in the caller's buffer (sinks have seen them too), and the
+//!   error is returned; the events after it are not offered.
+//!
+//! A durable deployment logs a batch before it is processed, and replays
+//! the same outcome: a rejected batch again as a no-op, a failed one
+//! again with its emissions and its error.
 
 use crate::analyze::{check_src, Diagnostic};
-use crate::engine::{Emission, Sink};
+use crate::engine::{Sink, Tag};
 use crate::error::Result;
 use crate::event::{Event, SchemaRegistry};
 use crate::functions::FunctionRegistry;
@@ -94,28 +109,19 @@ pub trait EventProcessor: Send {
     /// Delete a query. Returns true if it existed.
     fn unregister(&mut self, name: &str) -> bool;
 
-    /// Process a batch of events on a named stream (`None` = the default
-    /// input stream), returning the emitted composite events in canonical
-    /// emission order.
-    fn process_batch_on(
+    /// Ingest a batch of events on a stream (`None` = the default input
+    /// stream; names compare case-insensitively). The emitted composite
+    /// events are appended to `out` in canonical emission order and, when
+    /// `tags` is given, one [`Tag`] per emission to it, aligned with
+    /// `out`. On error, `out` keeps what the batch emitted before it (see
+    /// [the failure contract](self#the-failure-contract-of-ingest)).
+    fn ingest(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-    ) -> Result<Vec<ComplexEvent>>;
-
-    /// Process a batch on the default input stream.
-    fn process_batch(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        self.process_batch_on(None, events)
-    }
-
-    /// Process a batch and return each emission with its provenance tag,
-    /// sorted by [`Emission::order_key`]. Stripping the tags yields
-    /// exactly [`EventProcessor::process_batch_on`]'s output.
-    fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<Emission>>;
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> Result<()>;
 
     /// Names of registered queries, in registration order.
     fn query_names(&self) -> Vec<String>;
@@ -208,12 +214,15 @@ mod tests {
                 vec![Value::Int(7), Value::str("soap"), Value::Int(4)],
             )
             .unwrap();
-        let out = p.process_batch(std::slice::from_ref(&e)).unwrap();
+        let (mut out, mut tags) = (Vec::new(), Vec::new());
+        p.ingest(None, std::slice::from_ref(&e), &mut out, None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value("tag"), Some(&Value::Int(7)));
-        let tagged = p.process_batch_tagged(None, &[e]).unwrap();
-        assert_eq!(tagged.len(), 1);
-        assert_eq!(tagged[0].input_index, 0);
+        p.ingest(None, &[e], &mut out, Some(&mut tags)).unwrap();
+        assert_eq!(out.len(), 2, "ingest appends");
+        assert_eq!(tags.len(), 1);
+        assert_eq!(tags[0].input_index, 0);
 
         assert_eq!(p.stats("exits").unwrap().events_processed, 2);
         assert!(p.unregister("exits"));
@@ -234,7 +243,7 @@ mod tests {
                 vec![Value::Int(7), Value::str("soap"), Value::Int(1)],
             )
             .unwrap();
-        p.process_batch(&[shelf]).unwrap();
+        p.ingest(None, &[shelf], &mut Vec::new(), None).unwrap();
         let set = p.snapshot();
         assert_eq!(set.len(), 1);
 
@@ -250,7 +259,9 @@ mod tests {
             )
             .unwrap();
         // The restored processor completes the pending sequence.
-        assert_eq!(fresh.process_batch(&[exit]).unwrap().len(), 1);
+        let mut out = Vec::new();
+        fresh.ingest(None, &[exit], &mut out, None).unwrap();
+        assert_eq!(out.len(), 1);
         // Restoring a mismatched set is rejected.
         assert!(boxed_engine().restore(&set).is_err());
     }

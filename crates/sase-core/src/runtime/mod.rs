@@ -569,15 +569,6 @@ impl QueryRuntime {
         Ok(())
     }
 
-    /// Process a batch of events, collecting all outputs.
-    pub fn process_all(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        let mut out = Vec::new();
-        for e in events {
-            self.process(e, &mut out)?;
-        }
-        Ok(out)
-    }
-
     /// Serializable image of this query's complete runtime state.
     pub fn snapshot(&self) -> QuerySnapshot {
         self.snapshot_in(self.keys.as_ref().expect(OWN_KEYS))
@@ -705,7 +696,10 @@ mod tests {
             ev(&reg, "EXIT_READING", 4, 8, 4),
             ev(&reg, "EXIT_READING", 5, 7, 4),
         ];
-        let out = rt.process_all(&events).unwrap();
+        let mut out = Vec::new();
+        for e in &events {
+            rt.process(e, &mut out).unwrap();
+        }
         assert_eq!(out.len(), 1);
         let ce = &out[0];
         assert_eq!(ce.value("x.TagId"), Some(&Value::Int(7)));
@@ -747,7 +741,10 @@ mod tests {
                 "{}",
                 rt.plan().explain()
             );
-            let out = rt.process_all(&events).unwrap();
+            let mut out = Vec::new();
+            for e in &events {
+                rt.process(e, &mut out).unwrap();
+            }
             let mut canon: Vec<Vec<u64>> = out
                 .iter()
                 .map(|ce| ce.events.iter().map(|e| e.timestamp()).collect())
@@ -902,7 +899,9 @@ mod tests {
             ev(&reg, "SHELF_READING", 1, 7, 1),
             ev(&reg, "COUNTER_READING", 2, 7, 3),
         ];
-        rt.process_all(&events).unwrap();
+        for e in &events {
+            rt.process(e, &mut Vec::new()).unwrap();
+        }
         let (instances, neg) = rt.retained_state();
         assert_eq!(instances, 1);
         assert_eq!(neg, 1);
@@ -976,7 +975,10 @@ mod tests {
             ev(&reg, "SHELF_READING", 20, 7, 1), // same area: no event
             ev(&reg, "SHELF_READING", 30, 7, 2), // moved
         ];
-        let out = rt.process_all(&events).unwrap();
+        let mut out = Vec::new();
+        for e in &events {
+            rt.process(e, &mut out).unwrap();
+        }
         // Both earlier readings pair with the area-2 reading.
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].value("y.AreaId"), Some(&Value::Int(2)));

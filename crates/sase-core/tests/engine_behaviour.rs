@@ -36,7 +36,7 @@ fn time_scale_rescales_wall_clock_windows() {
     let outside = ev(&engine, "EXIT_READING", 120_002, 2, 4);
     let mut out = Vec::new();
     for e in [a, inside, b, outside] {
-        out.extend(engine.process(&e).unwrap());
+        out.extend(engine.process_batch(&[e]).unwrap());
     }
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].value("x.TagId"), Some(&Value::Int(1)));
@@ -61,12 +61,12 @@ fn multiple_negations_all_enforced() {
     let mut out = Vec::new();
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 1, 1, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 1, 1, 1)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 5, 1, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 5, 1, 4)])
             .unwrap(),
     );
     assert_eq!(out.len(), 1);
@@ -77,17 +77,17 @@ fn multiple_negations_all_enforced() {
     let mut out = Vec::new();
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 10, 2, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 10, 2, 1)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 12, 2, 2))
+            .process_batch(&[ev(&engine, "SHELF_READING", 12, 2, 2)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 15, 2, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 15, 2, 4)])
             .unwrap(),
     );
     // The (10, 15) pair has the ts-12 shelf reading inside -> killed.
@@ -99,17 +99,17 @@ fn multiple_negations_all_enforced() {
     let mut out = Vec::new();
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 20, 3, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 20, 3, 1)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "COUNTER_READING", 22, 3, 3))
+            .process_batch(&[ev(&engine, "COUNTER_READING", 22, 3, 3)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 25, 3, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 25, 3, 4)])
             .unwrap(),
     );
     assert!(out.is_empty());
@@ -129,17 +129,17 @@ fn any_component_binds_either_type() {
     let mut out = Vec::new();
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 1, 1, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 1, 1, 1)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "COUNTER_READING", 2, 1, 3))
+            .process_batch(&[ev(&engine, "COUNTER_READING", 2, 1, 3)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 3, 1, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 3, 1, 4)])
             .unwrap(),
     );
     // Both the shelf and the counter reading pair with the exit.
@@ -157,13 +157,13 @@ fn unbounded_query_without_where_matches_cross_product() {
     for k in 0..5u64 {
         out.extend(
             engine
-                .process(&ev(&engine, "SHELF_READING", k * 2 + 1, k as i64, 1))
+                .process_batch(&[ev(&engine, "SHELF_READING", k * 2 + 1, k as i64, 1)])
                 .unwrap(),
         );
     }
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 100, 9, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 100, 9, 4)])
             .unwrap(),
     );
     // Every shelf reading pairs: 5 matches, no predicates, no window.
@@ -183,12 +183,12 @@ fn detected_at_equals_last_event_time() {
     let mut out = Vec::new();
     out.extend(
         engine
-            .process(&ev(&engine, "SHELF_READING", 7, 1, 1))
+            .process_batch(&[ev(&engine, "SHELF_READING", 7, 1, 1)])
             .unwrap(),
     );
     out.extend(
         engine
-            .process(&ev(&engine, "EXIT_READING", 31, 1, 4))
+            .process_batch(&[ev(&engine, "EXIT_READING", 31, 1, 4)])
             .unwrap(),
     );
     assert_eq!(out[0].detected_at, 31);

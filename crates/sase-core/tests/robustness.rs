@@ -83,7 +83,7 @@ fn failing_builtin_does_not_poison_engine() {
 
     assert_eq!(
         engine
-            .process(&ev(&engine, "EXIT_READING", 1, 5))
+            .process_batch(&[ev(&engine, "EXIT_READING", 1, 5)])
             .unwrap()
             .len(),
         1
@@ -91,12 +91,14 @@ fn failing_builtin_does_not_poison_engine() {
 
     fail.store(true, std::sync::atomic::Ordering::SeqCst);
     let err = engine
-        .process(&ev(&engine, "EXIT_READING", 2, 6))
+        .process_batch(&[ev(&engine, "EXIT_READING", 2, 6)])
         .unwrap_err();
     assert!(err.to_string().contains("injected outage"));
 
     fail.store(false, std::sync::atomic::Ordering::SeqCst);
-    let out = engine.process(&ev(&engine, "EXIT_READING", 3, 7)).unwrap();
+    let out = engine
+        .process_batch(&[ev(&engine, "EXIT_READING", 3, 7)])
+        .unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].value("t"), Some(&Value::Int(7)));
 }
@@ -111,12 +113,14 @@ fn out_of_order_rejection_is_recoverable() {
         .register("q", "EVENT EXIT_READING z RETURN z.TagId")
         .unwrap();
     engine
-        .process(&ev(&engine, "EXIT_READING", 100, 1))
+        .process_batch(&[ev(&engine, "EXIT_READING", 100, 1)])
         .unwrap();
-    assert!(engine.process(&ev(&engine, "EXIT_READING", 50, 2)).is_err());
+    assert!(engine
+        .process_batch(&[ev(&engine, "EXIT_READING", 50, 2)])
+        .is_err());
     // Time moved on: accepted again.
     let out = engine
-        .process(&ev(&engine, "EXIT_READING", 101, 3))
+        .process_batch(&[ev(&engine, "EXIT_READING", 101, 3)])
         .unwrap();
     assert_eq!(out.len(), 1);
 }

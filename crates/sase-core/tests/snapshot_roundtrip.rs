@@ -207,7 +207,7 @@ fn snapshot_preserves_derived_stream_lifecycle() {
             vec![Value::Int(7), Value::str("soap"), Value::Int(4)],
         )
         .unwrap();
-    engine.process(&e).unwrap();
+    engine.process_batch(&[e]).unwrap();
     assert!(engine.unregister("p1"));
     let snap = engine.snapshot();
     assert_eq!(snap.derived_streams.len(), 1);
@@ -231,7 +231,7 @@ fn snapshot_preserves_derived_stream_lifecycle() {
             vec![Value::Int(8), Value::str("soap"), Value::Int(4)],
         )
         .unwrap();
-    restored.process(&e2).unwrap();
+    restored.process_batch(&[e2]).unwrap();
     let schema = new_reg.schema_by_name("alerts").unwrap();
     assert_eq!(schema.arity(), 2, "new producer redefined the schema");
 }
@@ -291,7 +291,7 @@ fn restore_requires_derived_types_preregistered() {
             vec![Value::Int(7), Value::str("soap"), Value::Int(4)],
         )
         .unwrap();
-    engine.process(&e).unwrap();
+    engine.process_batch(&[e]).unwrap();
     let snap = engine.snapshot();
 
     // Fresh registry without preregister_derived: restore must fail with a
@@ -347,7 +347,7 @@ fn restore_rejects_a_negation_bucket_key_of_the_wrong_arity() {
 
     // The uninterrupted engine raises no alarm.
     let exit = reading("EXIT_READING", 3, 9);
-    assert!(engine.process(&exit).unwrap().is_empty());
+    assert!(engine.process_batch(&[exit]).unwrap().is_empty());
 }
 
 /// `SEQ(A x, B y)` over the retail types, partitioned by tag.
@@ -410,7 +410,7 @@ fn restore_rejects_stack_timestamps_that_go_backwards() {
             vec![Value::Int(9), Value::str("p"), Value::Int(1)],
         )
         .unwrap();
-    let out = engine.process(&exit).unwrap();
+    let out = engine.process_batch(&[exit]).unwrap();
     assert_eq!(out.len(), 1);
     assert!(out[0].to_string().contains("{a: 50, b: 115}"), "{}", out[0]);
 }

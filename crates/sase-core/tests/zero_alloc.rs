@@ -30,6 +30,7 @@ use sase_core::expr::SlotProbe;
 use sase_core::functions::FunctionRegistry;
 use sase_core::lang::parse_query;
 use sase_core::plan::Planner;
+use sase_core::processor::EventProcessor;
 use sase_core::runtime::QueryRuntime;
 use sase_core::value::{Value, ValueType};
 use sase_obs::{MetricsRegistry, TraceKind, Tracer};
@@ -475,14 +476,16 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
             );
             engine.register(&format!("q{i}"), &src).unwrap();
         }
+        let mut out = Vec::new();
         for batch in &fanin_batches[..32] {
-            assert!(engine.process_batch_on(stream, batch).unwrap().is_empty());
+            engine.ingest(stream, batch, &mut out, None).unwrap();
         }
         let allocs = counted(|| {
             for batch in &fanin_batches[32..] {
-                assert!(engine.process_batch_on(stream, batch).unwrap().is_empty());
+                engine.ingest(stream, batch, &mut out, None).unwrap();
             }
         });
+        assert!(out.is_empty());
         assert_eq!(
             allocs, 0,
             "steady-state 128-query fan-in ingest on stream {stream:?} must not allocate"

@@ -369,31 +369,29 @@ pub(crate) fn run_engine(
                 metrics.ingest_batches.inc();
                 metrics.ingest_events.add(events.len() as u64);
                 let clock = clocks.entry(stream.clone()).or_insert(0);
-                let out = match ticks {
+                let events = match ticks {
                     TickMode::Explicit => {
                         if let Some(max) = events.iter().map(|e| e.timestamp()).max() {
                             *clock = (*clock).max(max);
                         }
-                        backend
-                            .process_batch_on(stream.as_deref(), &events)
-                            .map_err(engine_err)
+                        events
                     }
-                    TickMode::ServerAssigned => {
-                        // Decode validated every event; each is copied to
-                        // its tick as it is, without the registry.
-                        let rebased: Vec<Event> = events
-                            .iter()
-                            .map(|e| {
-                                *clock += 1;
-                                e.with_timestamp(*clock)
-                            })
-                            .collect();
-                        backend
-                            .process_batch_on(stream.as_deref(), &rebased)
-                            .map_err(engine_err)
-                    }
+                    // Decode validated every event; each is copied to its
+                    // tick as it is, without the registry.
+                    TickMode::ServerAssigned => events
+                        .iter()
+                        .map(|e| {
+                            *clock += 1;
+                            e.with_timestamp(*clock)
+                        })
+                        .collect(),
                 };
-                let _ = reply.send(out);
+                // A failed batch answers with its error alone: the
+                // emissions made before it have already reached the
+                // subscribers, whose sinks fire as they happen.
+                let mut out = Vec::new();
+                let result = backend.ingest(stream.as_deref(), &events, &mut out, None);
+                let _ = reply.send(result.map(|()| out).map_err(engine_err));
             }
             Cmd::Register {
                 session,

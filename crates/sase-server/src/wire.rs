@@ -783,8 +783,9 @@ pub enum ResponseParts<'a> {
 /// A [`ServerError`] as a complete `Error` response frame.
 pub(crate) fn error_frame(e: &ServerError) -> Vec<u8> {
     let message = match e {
-        // NotOwner/UnknownQuery round-trip their payload through the
-        // message field; `ServerError::from_code` reverses this.
+        // Engine/NotOwner/UnknownQuery round-trip their payload through
+        // the message field; `ServerError::from_code` reverses this.
+        ServerError::Engine(m) => m.clone(),
         ServerError::NotOwner { query } => query.clone(),
         ServerError::UnknownQuery(q) => q.clone(),
         other => other.to_string(),

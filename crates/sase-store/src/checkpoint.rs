@@ -231,7 +231,7 @@ mod tests {
                     vec![Value::Int(1), Value::str("p"), Value::Int(1)],
                 )
                 .unwrap();
-            engine.process(&e).unwrap();
+            engine.process_batch(&[e]).unwrap();
         }
         engine.snapshot()
     }

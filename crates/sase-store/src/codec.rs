@@ -958,7 +958,7 @@ mod tests {
                     vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
                 )
                 .unwrap();
-            engine.process(&e).unwrap();
+            engine.process_batch(&[e]).unwrap();
         }
         let snap = engine.snapshot();
         assert!(snap.retained_events() > 0);

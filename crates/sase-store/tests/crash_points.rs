@@ -192,7 +192,7 @@ fn checkpoint_flip_sweep_never_panics() {
         )
         .unwrap();
     for ts in 1..=6u64 {
-        engine.process(&ev(&reg, ts, 1)).unwrap();
+        engine.process_batch(&[ev(&reg, ts, 1)]).unwrap();
     }
     let dir = tmp_dir("ckptflip");
     let path = write_checkpoint(

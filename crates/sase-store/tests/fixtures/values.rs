@@ -82,7 +82,7 @@ pub fn snapshot() -> EngineSnapshot {
                 vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
             )
             .unwrap();
-        engine.process(&e).unwrap();
+        engine.process_batch(&[e]).unwrap();
     }
     engine.snapshot()
 }

@@ -6,8 +6,8 @@
 //! one worker or on every data worker), one router (per-stream clocks
 //! that reject what the single engine rejects, then a placement rule that
 //! picks each worker's sub-batch), and one dispatch loop that merges the
-//! workers' provenance-tagged emissions ([`sase_core::engine::Emission`])
-//! on their order keys, so a sharded run reproduces the single-engine
+//! workers' emissions on their provenance tags ([`sase_core::engine::Tag`]),
+//! so a sharded run reproduces the single-engine
 //! output sequence byte for byte. It implements the unified
 //! [`EventProcessor`] surface, so it stands wherever a single [`Engine`]
 //! does, the durable wrapper included; the tests assert it against the
@@ -21,7 +21,7 @@ use std::thread;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use sase_core::analyze::{self, Diagnostic};
-use sase_core::engine::{Emission, Engine, RoutingMode, Sink};
+use sase_core::engine::{Engine, RoutingMode, Sink, Tag};
 use sase_core::error::{Result as CoreResult, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::functions::FunctionRegistry;
@@ -410,8 +410,7 @@ struct SubBatch {
     worker: usize,
     events: Arc<Vec<Event>>,
     /// For a key slice, the batch index of each event; `None` when the
-    /// worker gets the whole valid prefix, whose indices are already the
-    /// batch's.
+    /// worker gets the whole batch, whose indices are already the batch's.
     map: Option<Vec<u32>>,
 }
 
@@ -436,6 +435,10 @@ fn add_stats(total: &mut RuntimeStats, s: &RuntimeStats) {
 /// Capacity of each shard worker's command and result channels.
 const SHARD_QUEUE_CAPACITY: usize = 64;
 
+/// A worker's answer to one batch: its emissions and their tags, aligned,
+/// and the batch's outcome.
+type WorkerResult = (Vec<ComplexEvent>, Vec<Tag>, CoreResult<()>);
+
 /// A command executed by a shard worker thread.
 enum ShardCmd {
     /// Process a batch; the tagged emissions go to the worker's persistent
@@ -457,14 +460,14 @@ enum ShardCmd {
 /// single indexed engine at high query counts.
 struct ShardWorker {
     cmd_tx: Option<Sender<ShardCmd>>,
-    batch_rx: Receiver<CoreResult<Vec<Emission>>>,
+    batch_rx: Receiver<WorkerResult>,
     handle: Option<thread::JoinHandle<()>>,
 }
 
 impl ShardWorker {
     fn spawn(mut engine: Engine) -> ShardWorker {
         let (cmd_tx, cmd_rx) = bounded::<ShardCmd>(SHARD_QUEUE_CAPACITY);
-        let (batch_tx, batch_rx) = bounded::<CoreResult<Vec<Emission>>>(SHARD_QUEUE_CAPACITY);
+        let (batch_tx, batch_rx) = bounded::<WorkerResult>(SHARD_QUEUE_CAPACITY);
         let handle = thread::spawn(move || {
             for cmd in cmd_rx {
                 match cmd {
@@ -474,9 +477,22 @@ impl ShardWorker {
                         // the worker (and so snapshot / stats / restore)
                         // stays alive.
                         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            engine.process_batch_tagged(stream.as_deref(), &events)
+                            let (mut out, mut tags) = (Vec::new(), Vec::new());
+                            let res = engine.ingest(
+                                stream.as_deref(),
+                                &events,
+                                &mut out,
+                                Some(&mut tags),
+                            );
+                            (out, tags, res)
                         }))
-                        .unwrap_or_else(|_| Err(SaseError::engine(SHARD_PANIC_MSG)));
+                        .unwrap_or_else(|_| {
+                            (
+                                Vec::new(),
+                                Vec::new(),
+                                Err(SaseError::engine(SHARD_PANIC_MSG)),
+                            )
+                        });
                         if batch_tx.send(res).is_err() {
                             break; // deployment dropped mid-batch
                         }
@@ -539,17 +555,18 @@ impl Drop for ShardWorker {
 /// lives on a **persistent worker thread** fed through a command channel
 /// (`ShardWorker`); a batch costs two channel hops per worker it reaches.
 ///
-/// [`ShardedEngine::process_batch`] runs one router in both modes: it
-/// checks the batch against per-stream clocks the way one engine would,
-/// cuts it at the first regression, and gives the valid prefix to every
-/// worker hosting a query — except that `ByPartitionKey` data workers get
-/// only the events whose key hashes to them. One dispatch loop then
-/// collects the provenance-tagged emissions
-/// ([`sase_core::engine::Emission`]), remaps their per-worker indices to
-/// the batch and to the global registration order, and merges on
-/// [`Emission::order_key`] — reproducing, deterministically and byte for
-/// byte, the output sequence of one engine running all the queries. A
-/// worker panic poisons the deployment in either mode.
+/// Ingest runs one router in both modes: it checks the batch against
+/// per-stream clocks the way one engine would, rejecting a regressing
+/// batch before dispatch, and gives the batch to every worker hosting a
+/// query — except that `ByPartitionKey` data workers get only the events
+/// whose key hashes to them. One dispatch loop then collects the
+/// emissions and their [`Tag`]s, remaps the tags' per-worker indices to
+/// the batch and to the global registration order, and merges on the tags
+/// — reproducing, deterministically and byte for byte, the output
+/// sequence of one engine running all the queries. A worker error does
+/// not stop the other workers: their emissions are merged too, and the
+/// first error is returned. A worker panic poisons the deployment in
+/// either mode.
 pub struct ShardedEngine {
     /// One persistent worker per engine: the data workers first, then (in
     /// [`ShardingMode::ByPartitionKey`] mode) the pinned worker.
@@ -1035,93 +1052,38 @@ impl ShardedEngine {
         }
     }
 
-    /// Process a batch of events on the default input stream.
-    pub fn process_batch(&mut self, events: &[Event]) -> CoreResult<Vec<ComplexEvent>> {
-        self.process_batch_on(None, events)
-    }
-
-    /// Process a batch of events on a named stream, merging the shards'
-    /// emissions deterministically.
-    pub fn process_batch_on(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> CoreResult<Vec<ComplexEvent>> {
-        Ok(self
-            .process_batch_tagged(stream, events)?
-            .into_iter()
-            .map(|e| e.output)
-            .collect())
-    }
-
-    /// Process a batch and return each emission with its provenance tag,
-    /// with per-shard query indices already remapped to the global
-    /// registration order and the whole sequence sorted by
-    /// [`Emission::order_key`] — exactly what one engine over the union of
-    /// the queries would have tagged.
-    pub fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> CoreResult<Vec<Emission>> {
-        let seq = self.batch_seq;
-        self.batch_seq = self.batch_seq.wrapping_add(1);
-        if self.poisoned {
-            return Err(SaseError::engine(POISONED_MSG));
-        }
-        let span = self
-            .tracer
-            .begin(TraceKind::ShardDispatch, seq, events.len() as u64);
-        // On a clock regression the valid prefix is still dispatched (the
-        // single engine has processed those events by the time it errors,
-        // and later batches must observe the same state); the clock error
-        // comes after any worker error, whose event came earlier.
-        let (subs, clock_err) = self.route(stream, events);
-        let merged = self.dispatch(stream, subs)?;
-        if let Some(e) = clock_err {
-            return Err(e);
-        }
-        if let Some(span) = span {
-            self.tracer.end(span, merged.len() as u64);
-        }
-        Ok(merged)
-    }
-
-    /// The router: advance the stream's clock over the batch, cutting it at
-    /// the first regression exactly like [`Engine`] does, then split the
-    /// valid prefix. Every worker hosting a query gets the whole prefix,
-    /// except [`ShardingMode::ByPartitionKey`] data workers: each gets the
-    /// events whose claimed key hashes to it. Workers hosting no query are
-    /// skipped — there is nothing they could emit.
-    fn route(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> (Vec<SubBatch>, Option<SaseError>) {
+    /// The router's clock check: reject a batch whose timestamps regress
+    /// the stream's clock, or an earlier event of the batch, exactly like
+    /// [`Engine`] does; otherwise advance the clock to the batch's last
+    /// event.
+    fn check_clock(&mut self, stream: Option<&str>, events: &[Event]) -> CoreResult<()> {
         let stream_key = stream.map(str::to_ascii_lowercase);
-        // An absent entry starts at 0: timestamps are unsigned, so the
+        // An absent clock starts at 0: timestamps are unsigned, so the
         // first event always passes, exactly like `Engine`'s
         // insert-on-first-sight.
-        let clock = self.clocks.entry(stream_key.clone()).or_insert(0);
-        let mut cut = events.len();
-        let mut clock_err = None;
-        for (i, event) in events.iter().enumerate() {
-            if event.timestamp() < *clock {
-                clock_err = Some(SaseError::engine(format!(
-                    "out-of-order event: timestamp {} after {} on stream `{}`",
+        let mut last = self.clocks.get(&stream_key).copied().unwrap_or(0);
+        for event in events {
+            if event.timestamp() < last {
+                return Err(SaseError::engine(format!(
+                    "out-of-order event: timestamp {} after {last} on stream `{}`",
                     event.timestamp(),
-                    clock,
                     stream_key.as_deref().unwrap_or("<default>"),
                 )));
-                cut = i;
-                break;
             }
-            *clock = event.timestamp();
+            last = event.timestamp();
         }
-        let prefix = &events[..cut];
+        self.clocks.insert(stream_key, last);
+        Ok(())
+    }
+
+    /// The router's placement: every worker hosting a query gets the whole
+    /// batch, except [`ShardingMode::ByPartitionKey`] data workers: each
+    /// gets the events whose claimed key hashes to it. Workers hosting no
+    /// query are skipped — there is nothing they could emit.
+    fn route(&self, stream: Option<&str>, events: &[Event]) -> Vec<SubBatch> {
         let mut subs = Vec::new();
-        if prefix.is_empty() {
-            return (subs, clock_err);
+        if events.is_empty() {
+            return subs;
         }
         let keyed = self.mode == ShardingMode::ByPartitionKey;
         // Distributed queries listen on the default stream only (FROM
@@ -1129,7 +1091,7 @@ impl ShardedEngine {
         // workers.
         if keyed && stream.is_none() && !self.l2g[0].is_empty() {
             let mut slices = vec![(Vec::new(), Vec::new()); self.data];
-            for (i, event) in prefix.iter().enumerate() {
+            for (i, event) in events.iter().enumerate() {
                 // Claimed accessors are statically resolved, so `key_of`
                 // is infallible for events of the claimed type; an event
                 // of an unclaimed type routes nowhere (no distributed
@@ -1157,25 +1119,32 @@ impl ShardedEngine {
                 }
             }
         }
-        // One shared copy of the prefix; events are cheap `Arc` handles.
+        // One shared copy of the batch; events are cheap `Arc` handles.
         let mut shared: Option<Arc<Vec<Event>>> = None;
         let whole = if keyed { self.data } else { 0 };
         for worker in (whole..self.workers.len()).filter(|&w| !self.l2g[w].is_empty()) {
-            let events = shared.get_or_insert_with(|| Arc::new(prefix.to_vec()));
+            let events = shared.get_or_insert_with(|| Arc::new(events.to_vec()));
             subs.push(SubBatch {
                 worker,
                 events: events.clone(),
                 map: None,
             });
         }
-        (subs, clock_err)
+        subs
     }
 
     /// The dispatch loop: send each sub-batch, drain exactly one result per
-    /// dispatched worker, remap indices to the batch and to the global
-    /// registration order, and merge on [`Emission::order_key`]. The first
-    /// worker error wins; a worker panic also poisons the deployment.
-    fn dispatch(&mut self, stream: Option<&str>, subs: Vec<SubBatch>) -> CoreResult<Vec<Emission>> {
+    /// dispatched worker, remap tags to the batch and to the global
+    /// registration order, and merge on the tags into `out` (and `tags`).
+    /// Every worker's emissions are kept; the first worker error is
+    /// returned, and a worker panic also poisons the deployment.
+    fn dispatch(
+        &mut self,
+        stream: Option<&str>,
+        subs: Vec<SubBatch>,
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> CoreResult<()> {
         let mut sent = Vec::with_capacity(subs.len());
         let mut send_err = None;
         for SubBatch {
@@ -1198,55 +1167,51 @@ impl ShardedEngine {
         // Drain every dispatched worker — even on error — so the
         // persistent result channels never desync: a leftover result would
         // be merged into the *next* batch.
-        let mut results = Vec::with_capacity(sent.len());
+        let mut first_err = send_err;
+        let mut merged: Vec<(Tag, ComplexEvent)> = Vec::new();
         for (worker, map) in sent {
-            let result = self.workers[worker]
-                .batch_rx
-                .recv()
-                .map_err(|_| SaseError::engine("engine shard worker disconnected"))
-                .and_then(|r| r);
+            let (emitted, emitted_tags, result) =
+                self.workers[worker].batch_rx.recv().unwrap_or_else(|_| {
+                    let e = SaseError::engine("engine shard worker disconnected");
+                    (Vec::new(), Vec::new(), Err(e))
+                });
             if let Some(m) = &self.metrics {
                 m.drained(worker);
             }
-            results.push((worker, map, result));
-        }
-        if let Some(e) = send_err {
-            return Err(e);
-        }
-        // Ordinary errors (host functions) do not poison: the drain
-        // discipline keeps the workers consistent.
-        let mut first_err: Option<SaseError> = None;
-        let mut merged: Vec<Emission> = Vec::new();
-        for (worker, map, result) in results {
-            match result {
-                Err(e) => {
-                    self.poisoned |= e.to_string().contains(SHARD_PANIC_MSG);
-                    first_err.get_or_insert(e);
+            // Ordinary errors (host functions) do not poison: the drain
+            // discipline keeps the workers consistent.
+            if let Err(e) = result {
+                self.poisoned |= e.to_string().contains(SHARD_PANIC_MSG);
+                first_err.get_or_insert(e);
+            }
+            let table = &self.l2g[worker];
+            for (mut tag, emission) in emitted_tags.into_iter().zip(emitted) {
+                if let Some(map) = &map {
+                    tag.input_index = map[tag.input_index as usize];
                 }
-                Ok(emissions) => {
-                    let table = &self.l2g[worker];
-                    for mut emission in emissions {
-                        if let Some(map) = &map {
-                            emission.input_index = map[emission.input_index as usize];
-                        }
-                        for hop in &mut emission.path {
-                            hop.0 = table[hop.0 as usize];
-                        }
-                        merged.push(emission);
-                    }
+                for hop in &mut tag.path {
+                    hop.0 = table[hop.0 as usize];
                 }
+                merged.push((tag, emission));
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        merged.sort_by(|a, b| a.0.cmp(&b.0));
+        match tags {
+            Some(tags) => {
+                for (tag, emission) in merged {
+                    tags.push(tag);
+                    out.push(emission);
+                }
+            }
+            None => out.extend(merged.into_iter().map(|(_, emission)| emission)),
         }
-        merged.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
-        Ok(merged)
+        first_err.map_or(Ok(()), Err)
     }
 }
 
-/// The sharded implementation of the unified processor surface: every
-/// method delegates to the inherent method of the same name, so a sharded
+/// The sharded implementation of the unified processor surface: ingest
+/// runs the router and the dispatch loop, and every other method delegates
+/// to the inherent method of the same name, so a sharded
 /// deployment is a drop-in replacement for a single [`Engine`] behind
 /// `dyn EventProcessor` — including post-build registration, per-query
 /// sinks, and snapshot/restore (one engine snapshot per shard).
@@ -1263,20 +1228,29 @@ impl EventProcessor for ShardedEngine {
         ShardedEngine::unregister(self, name)
     }
 
-    fn process_batch_on(
+    fn ingest(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-    ) -> CoreResult<Vec<ComplexEvent>> {
-        ShardedEngine::process_batch_on(self, stream, events)
-    }
-
-    fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> CoreResult<Vec<Emission>> {
-        ShardedEngine::process_batch_tagged(self, stream, events)
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> CoreResult<()> {
+        let seq = self.batch_seq;
+        self.batch_seq = self.batch_seq.wrapping_add(1);
+        if self.poisoned {
+            return Err(SaseError::engine(POISONED_MSG));
+        }
+        self.check_clock(stream, events)?;
+        let span = self
+            .tracer
+            .begin(TraceKind::ShardDispatch, seq, events.len() as u64);
+        let out_before = out.len();
+        let subs = self.route(stream, events);
+        let result = self.dispatch(stream, subs, out, tags);
+        if let Some(span) = span {
+            self.tracer.end(span, (out.len() - out_before) as u64);
+        }
+        result
     }
 
     fn query_names(&self) -> Vec<String> {
@@ -1340,6 +1314,12 @@ mod tests {
     use sase_rfid::sim::RfidSimulator;
     use sase_stream::CleaningConfig;
 
+    /// One ingest call on the default stream, returning its emissions.
+    fn batch(p: &mut dyn EventProcessor, events: &[Event]) -> CoreResult<Vec<ComplexEvent>> {
+        let mut out = Vec::new();
+        p.ingest(None, events, &mut out, None).map(|()| out)
+    }
+
     fn reference_detections(scenario: &RetailScenario) -> Vec<String> {
         let mut reference = crate::SaseSystem::retail(NoiseModel::realistic(), 9, 40).unwrap();
         reference.register_demo_queries().unwrap();
@@ -1390,7 +1370,7 @@ mod tests {
         for tick in 0..scenario.duration {
             scenario.apply_tick(&mut sim, tick);
             let events = pipeline.process_tick(tick, &sim.tick()).unwrap();
-            let detections = sharded.process_batch(&events).unwrap();
+            let detections = batch(&mut sharded, &events).unwrap();
             got.extend(detections.iter().map(|d| d.to_string()));
         }
         assert!(!expect.is_empty());
@@ -1472,7 +1452,7 @@ mod tests {
         let mut got = Vec::new();
         for (se, he) in single_events.chunks(17).zip(sharded_events.chunks(17)) {
             expect.extend(single.process_batch(se).unwrap());
-            got.extend(sharded.process_batch(he).unwrap());
+            got.extend(batch(&mut sharded, he).unwrap());
         }
         assert!(!expect.is_empty());
         assert_eq!(render(&expect), render(&got));
@@ -1503,7 +1483,7 @@ mod tests {
                 vec![Value::Int(1), Value::str("p"), Value::Int(1)],
             )
             .unwrap();
-        let err = sharded.process_batch(&[e]).unwrap_err();
+        let err = batch(&mut sharded, &[e]).unwrap_err();
         assert!(err.to_string().contains("injected"));
 
         // Regression: the failed batch must not leave stale results in any
@@ -1516,7 +1496,7 @@ mod tests {
                 vec![Value::Int(9), Value::str("p"), Value::Int(4)],
             )
             .unwrap();
-        let out = sharded.process_batch(&[exit]).unwrap();
+        let out = batch(&mut sharded, &[exit]).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value("tag"), Some(&Value::Int(9)));
         assert_eq!(sharded.snapshot().len(), 2);
@@ -1570,7 +1550,7 @@ mod tests {
                 vec![Value::Int(7), Value::str("p"), Value::Int(4)],
             )
             .unwrap();
-        sharded.process_batch(std::slice::from_ref(&exit)).unwrap();
+        batch(&mut sharded, std::slice::from_ref(&exit)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1, "sink fired on its shard");
 
         // Post-build registration starts a new co-location component on
@@ -1592,7 +1572,7 @@ mod tests {
                 vec![Value::Int(7), Value::str("p"), Value::Int(3)],
             )
             .unwrap();
-        let out = sharded.process_batch(&[exit, counter]).unwrap();
+        let out = batch(&mut sharded, &[exit, counter]).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].query.as_ref(), "counters");
         assert_eq!(sharded.stats("counters").unwrap().matches_emitted, 1);
@@ -1643,7 +1623,7 @@ mod tests {
                 )
                 .unwrap()
         };
-        let out = sharded.process_batch(&[mk(1, 1), mk(2, 2)]).unwrap();
+        let out = batch(&mut sharded, &[mk(1, 1), mk(2, 2)]).unwrap();
         assert_eq!(out.len(), 2, "producer + mover: {out:?}");
 
         // A second producer into `moves` must also co-locate.
@@ -1708,17 +1688,17 @@ mod tests {
             .collect();
         let mut expect = Vec::new();
         let mut got = Vec::new();
+        let tagged = |p: &mut dyn EventProcessor, chunk: &[Event], rendered: &mut Vec<String>| {
+            let (mut out, mut tags) = (Vec::new(), Vec::new());
+            p.ingest(None, chunk, &mut out, Some(&mut tags)).unwrap();
+            rendered.extend(tags.iter().zip(&out).map(|(t, e)| format!("{t:?}|{e}")));
+        };
         for chunk in events.chunks(13) {
-            expect.extend(single.process_batch_tagged(None, chunk).unwrap());
-            got.extend(sharded.process_batch_tagged(None, chunk).unwrap());
+            tagged(&mut single, chunk, &mut expect);
+            tagged(&mut sharded, chunk, &mut got);
         }
         assert!(!expect.is_empty());
-        let render = |v: &[Emission]| {
-            v.iter()
-                .map(|e| format!("{}|{}|{:?}|{}", e.input_index, e.depth, e.path, e.output))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(render(&expect), render(&got));
+        assert_eq!(expect, got);
         // Distributed stats are summed across data workers and agree with
         // the single engine on the exact counters.
         assert_eq!(
@@ -1776,17 +1756,17 @@ mod tests {
                     )
                     .unwrap()
             };
-            assert_eq!(sharded.process_batch(&[mk(1, 1)]).unwrap().len(), 1);
+            assert_eq!(batch(&mut sharded, &[mk(1, 1)]).unwrap().len(), 1);
 
-            let err = sharded.process_batch(&[mk(2, 13)]).unwrap_err();
+            let err = batch(&mut sharded, &[mk(2, 13)]).unwrap_err();
             assert!(
                 err.to_string().contains("panicked"),
                 "{mode:?}: panic must surface as a typed error: {err}"
             );
 
             // Deterministic rejection from here on: identical message, twice.
-            let e1 = sharded.process_batch(&[mk(3, 1)]).unwrap_err().to_string();
-            let e2 = sharded.process_batch(&[mk(4, 2)]).unwrap_err().to_string();
+            let e1 = batch(&mut sharded, &[mk(3, 1)]).unwrap_err().to_string();
+            let e2 = batch(&mut sharded, &[mk(4, 2)]).unwrap_err().to_string();
             assert!(e1.contains("poisoned"), "{mode:?}: got: {e1}");
             assert_eq!(e1, e2, "{mode:?}: rejection must be deterministic");
             // The workers themselves survive (panic isolation): the
@@ -1798,8 +1778,9 @@ mod tests {
 
     #[test]
     fn error_does_not_poison() {
-        // An ordinary engine error (failing host function) propagates but
-        // leaves the deployment usable, whatever the sharding mode.
+        // An ordinary engine error (failing host function) mid-batch
+        // propagates with what the batch emitted before it, and leaves the
+        // deployment usable, whatever the sharding mode.
         for mode in MODES {
             let registry = sase_core::event::retail_registry();
             let functions = FunctionRegistry::with_stdlib();
@@ -1827,9 +1808,17 @@ mod tests {
                     )
                     .unwrap()
             };
-            let err = sharded.process_batch(&[mk(1, 13)]).unwrap_err();
+            let mut out = Vec::new();
+            let failed = [mk(1, 5), mk(2, 13), mk(3, 6)];
+            let err = sharded.ingest(None, &failed, &mut out, None).unwrap_err();
             assert!(err.to_string().contains("injected"), "{mode:?}: {err}");
-            let out = sharded.process_batch(&[mk(2, 5)]).unwrap();
+            let kept: Vec<_> = out.iter().map(|e| e.value("v").cloned()).collect();
+            assert_eq!(
+                kept,
+                [Some(Value::Int(5))],
+                "{mode:?}: the prefix's emission"
+            );
+            let out = batch(&mut sharded, &[mk(4, 7)]).unwrap();
             assert_eq!(out.len(), 1, "{mode:?}");
         }
     }
@@ -1838,7 +1827,8 @@ mod tests {
     fn router_rejects_out_of_order_like_single_engine() {
         // The router-level clocks reproduce the single engine's
         // out-of-order rejection even when the regressing event would have
-        // reached a worker that never saw the earlier timestamp.
+        // reached a worker that never saw the earlier timestamp, and, like
+        // the engine, reject the whole batch before dispatch.
         const PAIRS: &str = "EVENT SEQ(SHELF_READING a, EXIT_READING b) \
                              WHERE a.TagId = b.TagId WITHIN 50 RETURN a.TagId AS tag";
         for mode in MODES {
@@ -1849,26 +1839,38 @@ mod tests {
             builder.set_sharding(mode);
             builder.register("pairs", PAIRS).unwrap();
             let mut sharded = builder.build(4).unwrap();
-            let mk = |ts: u64, tag: i64| {
+            let mk = |ty: &str, ts: u64, tag: i64| {
                 registry
                     .build_event(
-                        "SHELF_READING",
+                        ty,
                         ts,
                         vec![Value::Int(tag), Value::str("p"), Value::Int(1)],
                     )
                     .unwrap()
             };
-            let batch = vec![mk(10, 1), mk(5, 2)];
-            let e1 = single.process_batch(&batch).unwrap_err().to_string();
-            let e2 = sharded.process_batch(&batch).unwrap_err().to_string();
+            let rejected = vec![mk("SHELF_READING", 10, 1), mk("SHELF_READING", 5, 2)];
+            let e1 = batch(&mut single, &rejected).unwrap_err().to_string();
+            let e2 = batch(&mut sharded, &rejected).unwrap_err().to_string();
             assert!(e1.contains("out-of-order"), "got: {e1}");
             assert_eq!(
                 e1, e2,
                 "{mode:?}: clock rejection must match the single engine"
             );
-            // Not poisoned: the next in-order batch is accepted by both.
-            assert!(single.process_batch(&[mk(11, 3)]).is_ok());
-            assert!(sharded.process_batch(&[mk(11, 3)]).is_ok(), "{mode:?}");
+            // The rejected batch changed nothing: the clock did not move to
+            // 10, and its SHELF_READING of tag 1 pairs with no exit.
+            let next = [
+                mk("SHELF_READING", 6, 3),
+                mk("EXIT_READING", 12, 1),
+                mk("EXIT_READING", 13, 3),
+            ];
+            let render = |v: Vec<ComplexEvent>| v.iter().map(|e| e.to_string()).collect::<Vec<_>>();
+            let want = render(batch(&mut single, &next).unwrap());
+            assert_eq!(want.len(), 1, "only tag 3 pairs: {want:?}");
+            assert_eq!(
+                render(batch(&mut sharded, &next).unwrap()),
+                want,
+                "{mode:?}"
+            );
         }
     }
 
@@ -1888,11 +1890,10 @@ mod tests {
                     .unwrap()
             };
             let mut out = Vec::new();
-            let mut feed =
-                |p: &mut dyn EventProcessor, event: Event| match p.process_batch(&[event]) {
-                    Ok(detections) => out.extend(detections.iter().map(|d| d.to_string())),
-                    Err(e) => out.push(format!("rejected: {e}")),
-                };
+            let mut feed = |p: &mut dyn EventProcessor, event: Event| match batch(p, &[event]) {
+                Ok(detections) => out.extend(detections.iter().map(|d| d.to_string())),
+                Err(e) => out.push(format!("rejected: {e}")),
+            };
             feed(p, mk("EXIT_READING", 10));
             p.register("q1", Q1).unwrap();
             feed(p, mk("SHELF_READING", 5));

@@ -38,7 +38,7 @@
 
 use std::path::{Path, PathBuf};
 
-use sase_core::engine::{Emission, Sink};
+use sase_core::engine::{Sink, Tag};
 use sase_core::error::{Result as CoreResult, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::output::ComplexEvent;
@@ -170,12 +170,14 @@ pub struct RecoveryReport {
     pub records_replayed: u64,
     /// Events replayed.
     pub events_replayed: u64,
-    /// Composite events emitted during replay, in emission order.
+    /// Composite events emitted during replay, in emission order,
+    /// including those a failed record emitted before its error.
     pub emissions: Vec<ComplexEvent>,
     /// Records the engine rejected during replay, as `(seq, error)`.
     /// Engine rejections are deterministic — the live run rejected the
-    /// same record with the same error — so they are reported, not fatal:
-    /// a poisoned record can never make a deployment unrecoverable.
+    /// same record with the same error, after the same emissions — so
+    /// they are reported, not fatal: a poisoned record can never make a
+    /// deployment unrecoverable.
     pub replay_errors: Vec<(u64, String)>,
     /// Checkpoint files skipped because they failed validation.
     pub corrupt_checkpoints: Vec<PathBuf>,
@@ -188,7 +190,8 @@ pub struct ReplayRun {
     pub records: u64,
     /// Events re-driven.
     pub events: u64,
-    /// Composite events emitted, in emission order.
+    /// Composite events emitted, in emission order, including those a
+    /// failed record emitted before its error.
     pub emissions: Vec<ComplexEvent>,
     /// Records the engine rejected, as `(seq, error)` (see
     /// [`RecoveryReport::replay_errors`]).
@@ -259,9 +262,9 @@ impl Wal {
     /// Append one batch at `tick`, committing it under `sync_each_batch`.
     ///
     /// The tick is clamped up to the log's last tick: the WAL tick is a
-    /// replay-range index (events carry their own timestamps), and callers
-    /// may mix clocks (logical ticks, event timestamps), which must never
-    /// make the log reject a batch the engine would accept.
+    /// replay-range index (events carry their own timestamps), and a batch
+    /// that starts below it is still logged — the engine then rejects it
+    /// for its clock, and replay rejects it again.
     fn append(&mut self, tick: Timestamp, events: &[Event]) -> sase_store::Result<()> {
         let tick = tick.max(self.log.last_tick().unwrap_or(0));
         self.log.append(tick, events)?;
@@ -398,9 +401,9 @@ impl Wal {
                 run.events += events;
                 m.recovery_records.inc();
                 m.recovery_events.add(events);
-                match engine.process_batch(&record.events) {
-                    Ok(out) => run.emissions.extend(out),
-                    Err(e) => run.errors.push((record.seq, e.to_string())),
+                let result = engine.ingest(None, &record.events, &mut run.emissions, None);
+                if let Err(e) = result {
+                    run.errors.push((record.seq, e.to_string()));
                 }
             }
             m.recovery_errors.add(run.errors.len() as u64);
@@ -430,10 +433,17 @@ pub fn preregister_derived(registry: &SchemaRegistry, snaps: &SnapshotSet) -> Co
 ///
 /// Ingest order is log-first: the batch is appended (and, by default,
 /// committed) before the engine processes it, so a crash at any point
-/// between loses nothing — recovery replays the batch. The log covers the
-/// default input stream, the one the system deployments feed; ingesting
-/// on a named stream through the [`EventProcessor`] surface is rejected
-/// (the log records carry no stream name, so replay could not route them).
+/// between loses nothing — recovery replays the batch. The WAL tick is the
+/// batch's first event timestamp. The log covers the default input
+/// stream, the one the system deployments feed; ingesting on a named
+/// stream is rejected (the log records carry no stream name, so replay
+/// could not route them).
+///
+/// If the *engine* rejects a batch, the batch stays logged: the rejection
+/// is deterministic, so replay reports the same rejection for that record
+/// ([`RecoveryReport::replay_errors`]), after the same emissions, and
+/// recovery proceeds past it. A clock-rejected batch costs one record and
+/// replays as the same no-op.
 pub struct DurableEngine<E: EventProcessor> {
     wal: Wal,
     engine: E,
@@ -505,21 +515,6 @@ impl<E: EventProcessor> DurableEngine<E> {
         &self.wal.dir
     }
 
-    /// Log, then process, one batch of events at `tick` (a regressing
-    /// tick is clamped up to the log's last tick, so the WAL never
-    /// rejects a batch the engine would accept). With `sync_each_batch`
-    /// the batch is durable before the engine sees it; otherwise call
-    /// [`DurableEngine::commit`] at your own cadence.
-    ///
-    /// If the *engine* rejects the batch (a [`DurableError::Core`]), the
-    /// batch stays logged — the rejection is deterministic, so replay
-    /// reports the same rejection for that record
-    /// ([`RecoveryReport::replay_errors`]) and recovery proceeds past it.
-    pub fn ingest(&mut self, tick: Timestamp, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        self.wal.append(tick, events)?;
-        Ok(self.engine.process_batch(events)?)
-    }
-
     /// Make every ingested batch durable (one fsync).
     pub fn commit(&mut self) -> Result<()> {
         Ok(self.wal.commit()?)
@@ -559,10 +554,9 @@ impl<E: EventProcessor> std::fmt::Debug for DurableEngine<E> {
 
 /// The durability decorator on the unified processor surface: query
 /// management, inspection, sinks, and state pass through to the wrapped
-/// deployment; ingest is write-ahead logged first (the WAL tick is the
-/// batch's first event timestamp — use [`DurableEngine::ingest`] for an
-/// explicit tick). Store failures surface as engine errors here; the
-/// inherent methods keep the typed [`DurableError`].
+/// deployment; ingest is write-ahead logged first. Store failures surface
+/// as engine errors here; the inherent methods keep the typed
+/// [`DurableError`].
 ///
 /// Queries registered through this surface are, like all queries, *code*
 /// rather than logged state: recovery re-registers them via the
@@ -580,22 +574,25 @@ impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
         self.engine.unregister(name)
     }
 
-    fn process_batch_on(
+    fn ingest(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-    ) -> CoreResult<Vec<ComplexEvent>> {
-        self.log_for_trait(stream, events)?;
-        self.engine.process_batch_on(None, events)
-    }
-
-    fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> CoreResult<Vec<Emission>> {
-        self.log_for_trait(stream, events)?;
-        self.engine.process_batch_tagged(None, events)
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> CoreResult<()> {
+        if let Some(s) = stream {
+            return Err(SaseError::engine(format!(
+                "durable deployments log only the default input stream, not `{s}`; \
+                 ingest through the default stream"
+            )));
+        }
+        if let Some(first) = events.first() {
+            self.wal
+                .append(first.timestamp(), events)
+                .map_err(|e| SaseError::engine(format!("event log: {e}")))?;
+        }
+        self.engine.ingest(None, events, out, tags)
     }
 
     fn query_names(&self) -> Vec<String> {
@@ -641,28 +638,6 @@ impl<E: EventProcessor> EventProcessor for DurableEngine<E> {
 
     fn restore(&mut self, snaps: &SnapshotSet) -> CoreResult<()> {
         self.engine.restore(snaps)
-    }
-}
-
-impl<E: EventProcessor> DurableEngine<E> {
-    /// The trait-surface write-ahead step: reject named streams (log
-    /// records carry no stream name, so they could not replay), then
-    /// append with the batch's first event timestamp as the WAL tick
-    /// (clamped like every append, so interleaving this surface with the
-    /// explicit-tick [`DurableEngine::ingest`] never bricks the log).
-    fn log_for_trait(&mut self, stream: Option<&str>, events: &[Event]) -> CoreResult<()> {
-        if let Some(s) = stream {
-            return Err(SaseError::engine(format!(
-                "durable deployments log only the default input stream, not `{s}`; \
-                 ingest through the default stream"
-            )));
-        }
-        let Some(first) = events.first() else {
-            return Ok(());
-        };
-        self.wal
-            .append(first.timestamp(), events)
-            .map_err(|e| SaseError::engine(format!("event log: {e}")))
     }
 }
 
@@ -785,9 +760,9 @@ impl DurableSystem {
                 self.pending = Some((tick, events));
                 return Err(e.into());
             }
-            let detections = self.sys.processor_mut().process_batch(&events)?;
-            self.sys.archive_detections(&detections);
-            carried = detections;
+            let result = (self.sys.processor_mut()).ingest(None, &events, &mut carried, None);
+            self.sys.archive_detections(&carried);
+            result?;
         }
 
         let wal = &mut self.wal;
@@ -886,6 +861,12 @@ mod tests {
         e
     }
 
+    /// One ingest call on the default stream, returning its emissions.
+    fn batch(p: &mut dyn EventProcessor, events: &[Event]) -> CoreResult<Vec<ComplexEvent>> {
+        let mut out = Vec::new();
+        p.ingest(None, events, &mut out, None).map(|()| out)
+    }
+
     fn ev(reg: &SchemaRegistry, ty: &str, ts: u64, tag: i64) -> Event {
         reg.build_event(
             ty,
@@ -904,14 +885,10 @@ mod tests {
 
         // Two shelf readings land in stacks; checkpoint; one more batch
         // after the checkpoint stays only in the log.
-        durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 1, 7)])
-            .unwrap();
+        batch(&mut durable, &[ev(&reg, "SHELF_READING", 1, 7)]).unwrap();
         let seq = durable.checkpoint().unwrap();
         assert_eq!(seq, 1);
-        let out = durable
-            .ingest(1, &[ev(&reg, "SHELF_READING", 2, 8)])
-            .unwrap();
+        let out = batch(&mut durable, &[ev(&reg, "SHELF_READING", 2, 8)]).unwrap();
         assert!(out.is_empty());
         drop(durable);
 
@@ -934,15 +911,14 @@ mod tests {
 
         // Both pending shelf readings must pair with the exit.
         let reg = recovered.engine().schemas().clone();
-        let out = recovered
-            .ingest(
-                2,
-                &[
-                    ev(&reg, "EXIT_READING", 3, 7),
-                    ev(&reg, "EXIT_READING", 3, 8),
-                ],
-            )
-            .unwrap();
+        let out = batch(
+            &mut recovered,
+            &[
+                ev(&reg, "EXIT_READING", 3, 7),
+                ev(&reg, "EXIT_READING", 3, 8),
+            ],
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -953,15 +929,14 @@ mod tests {
         let mut durable =
             DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
         let reg = durable.engine().schemas().clone();
-        let live = durable
-            .ingest(
-                0,
-                &[
-                    ev(&reg, "SHELF_READING", 1, 7),
-                    ev(&reg, "EXIT_READING", 2, 7),
-                ],
-            )
-            .unwrap();
+        let live = batch(
+            &mut durable,
+            &[
+                ev(&reg, "SHELF_READING", 1, 7),
+                ev(&reg, "EXIT_READING", 2, 7),
+            ],
+        )
+        .unwrap();
         assert_eq!(live.len(), 1);
         drop(durable);
 
@@ -985,9 +960,7 @@ mod tests {
         let mut durable =
             DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
         let reg = durable.engine().schemas().clone();
-        durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 1, 7)])
-            .unwrap();
+        batch(&mut durable, &[ev(&reg, "SHELF_READING", 1, 7)]).unwrap();
         drop(durable);
         let err =
             DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap_err();
@@ -1027,9 +1000,7 @@ mod tests {
         durable.set_tracer(Tracer::sampled(sink.clone(), 1));
         let reg = durable.engine().schemas().clone();
         for tick in 0..3u64 {
-            durable
-                .ingest(tick, &[ev(&reg, "SHELF_READING", tick + 1, 7)])
-                .unwrap();
+            batch(&mut durable, &[ev(&reg, "SHELF_READING", tick + 1, 7)]).unwrap();
         }
         assert_eq!(commit_spans(&sink), 3);
         durable.commit().unwrap();
@@ -1058,9 +1029,7 @@ mod tests {
             DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
         let reg = durable.engine().schemas().clone();
         for tick in 0..5u64 {
-            durable
-                .ingest(tick, &[ev(&reg, "SHELF_READING", tick + 1, 7)])
-                .unwrap();
+            batch(&mut durable, &[ev(&reg, "SHELF_READING", tick + 1, 7)]).unwrap();
         }
         durable.checkpoint().unwrap();
         let seg = durable.log().segments()[0].clone();
@@ -1097,18 +1066,14 @@ mod tests {
         let mut durable =
             DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
         let reg = durable.engine().schemas().clone();
-        durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 10, 7)])
-            .unwrap();
-        // Same tick, regressed event timestamp: log accepts, engine rejects.
-        let err = durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 5, 7)])
-            .unwrap_err();
-        assert!(matches!(err, DurableError::Core(_)));
+        batch(&mut durable, &[ev(&reg, "SHELF_READING", 10, 7)]).unwrap();
+        // A regressed event timestamp: the log accepts the batch (its WAL
+        // tick 5 clamps up to 10), the engine rejects it whole.
+        let err = batch(&mut durable, &[ev(&reg, "SHELF_READING", 5, 7)]).unwrap_err();
+        assert!(err.to_string().contains("out-of-order"), "{err}");
+        assert_eq!(durable.log().last_tick(), Some(10));
         // The system keeps running past the bad batch.
-        let live = durable
-            .ingest(1, &[ev(&reg, "EXIT_READING", 11, 7)])
-            .unwrap();
+        let live = batch(&mut durable, &[ev(&reg, "EXIT_READING", 11, 7)]).unwrap();
         assert_eq!(live.len(), 1);
         drop(durable);
 
@@ -1128,9 +1093,7 @@ mod tests {
         assert_eq!(report.emissions.len(), 1);
         assert_eq!(report.emissions[0].to_string(), live[0].to_string());
         let reg = recovered.engine().schemas().clone();
-        let out = recovered
-            .ingest(2, &[ev(&reg, "EXIT_READING", 12, 7)])
-            .unwrap();
+        let out = batch(&mut recovered, &[ev(&reg, "EXIT_READING", 12, 7)]).unwrap();
         assert_eq!(out.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1157,9 +1120,7 @@ mod tests {
         let mut durable =
             DurableEngine::create(&dir, build(None).unwrap(), DurableOptions::default()).unwrap();
         let reg = durable.engine().schemas().clone();
-        durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 1, 7)])
-            .unwrap();
+        batch(&mut durable, &[ev(&reg, "SHELF_READING", 1, 7)]).unwrap();
         durable.checkpoint().unwrap();
         drop(durable);
 
@@ -1168,35 +1129,8 @@ mod tests {
         assert_eq!(report.checkpoint_seq, Some(1));
         assert!(report.replay_errors.is_empty());
         // The pending sequence and the late query both resumed.
-        let out = recovered
-            .ingest(1, &[ev(&reg, "EXIT_READING", 2, 7)])
-            .unwrap();
+        let out = batch(&mut recovered, &[ev(&reg, "EXIT_READING", 2, 7)]).unwrap();
         assert_eq!(out.len(), 2, "`a` match + `late` match: {out:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mixed_tick_surfaces_never_brick_the_log() {
-        // The trait surface stamps event-timestamp WAL ticks; the inherent
-        // ingest takes a logical tick. Interleaving the two clocks must
-        // keep the log appendable (ticks clamp up, never reject).
-        let dir = tmp_dir("mixedticks");
-        let mut durable =
-            DurableEngine::create(&dir, engine_with_q(), DurableOptions::default()).unwrap();
-        let reg = durable.engine().schemas().clone();
-        durable
-            .ingest(0, &[ev(&reg, "SHELF_READING", 1000, 7)])
-            .unwrap();
-        // Trait-surface ingest: WAL tick = event timestamp (1001).
-        let p: &mut dyn EventProcessor = &mut durable;
-        p.process_batch(&[ev(&reg, "SHELF_READING", 1001, 8)])
-            .unwrap();
-        // Back to logical ticks: 1 < 1001 clamps instead of erroring.
-        let out = durable
-            .ingest(1, &[ev(&reg, "EXIT_READING", 1002, 7)])
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(durable.log().next_seq(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

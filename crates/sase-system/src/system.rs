@@ -284,7 +284,8 @@ impl SaseSystem {
     /// hook: the batch is appended to the event log first, so a crash
     /// between logging and processing replays the batch instead of losing
     /// it. An observer error aborts the tick before the engine sees the
-    /// batch.
+    /// batch. An engine error returns after archiving the detections the
+    /// batch emitted before it.
     pub fn tick_observed(
         &mut self,
         scenario: Option<&RetailScenario>,
@@ -298,7 +299,8 @@ impl SaseSystem {
         let events = self.pipeline.process_tick(tick, &readings)?;
         observer(tick, &events)?;
         // One batched ingest per tick instead of per-event engine calls.
-        let detections = self.engine.process_batch(&events)?;
+        let mut detections = Vec::new();
+        let result = self.engine.ingest(None, &events, &mut detections, None);
         // Bounded UI tap: make room first so only surviving events are
         // cloned (events are cheap `Arc` handles, but still).
         if events.len() >= Self::TAP_CAPACITY {
@@ -314,8 +316,10 @@ impl SaseSystem {
             self.cleaning_tap.extend(events.iter().cloned());
         }
         // Archive a clone of each emission: it shares its body with the
-        // tick's own result, so archiving copies no events or values.
+        // tick's own result, so archiving copies no events or values. A
+        // failed batch's emissions before its error are archived too.
         self.detections.extend(detections.iter().cloned());
+        result?;
         Ok(TickResult { events, detections })
     }
 
@@ -533,8 +537,11 @@ mod tests {
     #[test]
     fn engine_error_surfaces_from_tick() {
         // A query that fails at evaluation time aborts the scan cycle with
-        // the engine's error instead of dropping it.
+        // the engine's error instead of dropping it, and what the batch
+        // emitted before the error is archived.
         let mut sys = SaseSystem::retail(NoiseModel::perfect(), 1, 4).unwrap();
+        sys.register_query("seen", "EVENT SHELF_READING x RETURN x.TagId AS tag")
+            .unwrap();
         sys.register_query(
             "q",
             "EVENT SHELF_READING x RETURN x.TagId / (x.AreaId - x.AreaId) AS boom",
@@ -546,5 +553,6 @@ mod tests {
             .find_map(|_| sys.tick(None).err())
             .expect("the shelf reading reaches the engine");
         assert!(err.to_string().contains("division by zero"), "{err}");
+        assert_eq!(sys.detections_for("seen").len(), 1);
     }
 }

@@ -43,7 +43,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sase_core::analyze::{Diagnostic, Severity};
-use sase_core::engine::{Emission, Engine, RoutingMode, Sink};
+use sase_core::engine::{Engine, RoutingMode, Sink, Tag};
 use sase_core::error::{Result, SaseError};
 use sase_core::event::{Event, SchemaRegistry};
 use sase_core::functions::FunctionRegistry;
@@ -509,22 +509,14 @@ impl Sase {
     }
 
     /// Process a batch of events on the default input stream, returning
-    /// the emitted composite events (subscriptions fire as well).
+    /// the emitted composite events (subscriptions fire as well): the
+    /// facade's [`EventProcessor::ingest`] into a fresh buffer. When the
+    /// batch fails, the emissions made before the error reach only the
+    /// subscriptions; call `ingest` to keep them.
     pub fn process(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
-        let out = self.processor_mut().process_batch(events);
-        self.maybe_push();
-        out
-    }
-
-    /// Process a batch on a named stream (`None` = the default stream).
-    pub fn process_on(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<ComplexEvent>> {
-        let out = self.processor_mut().process_batch_on(stream, events);
-        self.maybe_push();
-        out
+        let mut out = Vec::new();
+        self.ingest(None, events, &mut out, None)?;
+        Ok(out)
     }
 
     /// Fire the [`SaseBuilder::on_metrics`] callback when its interval
@@ -722,22 +714,16 @@ impl EventProcessor for Sase {
         self.processor_mut().unregister(name)
     }
 
-    fn process_batch_on(
+    fn ingest(
         &mut self,
         stream: Option<&str>,
         events: &[Event],
-    ) -> Result<Vec<ComplexEvent>> {
-        Sase::process_on(self, stream, events)
-    }
-
-    fn process_batch_tagged(
-        &mut self,
-        stream: Option<&str>,
-        events: &[Event],
-    ) -> Result<Vec<Emission>> {
-        let out = self.processor_mut().process_batch_tagged(stream, events);
+        out: &mut Vec<ComplexEvent>,
+        tags: Option<&mut Vec<Tag>>,
+    ) -> Result<()> {
+        let result = self.processor_mut().ingest(stream, events, out, tags);
         self.maybe_push();
-        out
+        result
     }
 
     fn query_names(&self) -> Vec<String> {

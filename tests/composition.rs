@@ -5,6 +5,7 @@
 
 use sase::core::engine::Engine;
 use sase::core::event::retail_registry;
+use sase::core::processor::EventProcessor;
 use sase::core::value::{Value, ValueType};
 use sase::core::SchemaRegistry;
 
@@ -106,7 +107,7 @@ fn pre_registered_output_schema() {
         )
         .unwrap();
     let out = engine
-        .process(&ev(&registry, "EXIT_READING", 5, 9, 4))
+        .process_batch(&[ev(&registry, "EXIT_READING", 5, 9, 4)])
         .unwrap();
     let consumer_hits: Vec<_> = out
         .iter()
@@ -143,8 +144,12 @@ fn cyclic_into_graph_is_cut_off() {
     let seed = registry
         .build_event("loop_stream", 1, vec![Value::Int(1)])
         .unwrap();
-    let err = engine.process_on(Some("loop_stream"), &seed).unwrap_err();
+    let mut out = Vec::new();
+    let err = (engine.ingest(Some("loop_stream"), &[seed], &mut out, None)).unwrap_err();
     assert!(err.to_string().contains("cyclic"), "{err}");
+    // What the chain emitted before the cut stays with the caller: one
+    // emission per derivation depth, 0 through 16.
+    assert_eq!(out.len(), 17);
 }
 
 #[test]
@@ -163,7 +168,7 @@ fn derived_events_do_not_leak_to_other_streams() {
         .register("all_exits", "EVENT EXIT_READING e RETURN e.TagId")
         .unwrap();
     let out = engine
-        .process(&ev(&registry, "EXIT_READING", 5, 9, 4))
+        .process_batch(&[ev(&registry, "EXIT_READING", 5, 9, 4)])
         .unwrap();
     assert_eq!(out.len(), 2); // producer + all_exits, nothing extra
 }

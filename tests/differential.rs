@@ -23,7 +23,9 @@ use sase::core::{Event, PredicateProgram, SchemaRegistry};
 use sase::rfid::generator::{generate, SyntheticConfig};
 use sase::ShardingMode;
 
-use scenarios::{pick, play, property, registry, retail, row, Column, Draw, Shape};
+use scenarios::{
+    pick, play, property, reading, registry, retail, row, Column, Draw, Scenario, Shape, Step,
+};
 
 // ---------------------------------------------------------------------------
 // Random scenarios
@@ -74,6 +76,107 @@ fn configs_agree_on_random_generator_streams() {
     let name = "configs_agree_on_random_generator_streams";
     let tally = property(name, 32, draw, |_, _| {});
     assert!(tally.judged > 0, "the oracle judged no match");
+}
+
+// ---------------------------------------------------------------------------
+// Batches that fail past their clock check
+// ---------------------------------------------------------------------------
+
+/// The `[query@detected_at` heads of emissions, in order.
+fn heads(out: &[String]) -> Vec<&str> {
+    out.iter().map(|e| e.split(']').next().unwrap()).collect()
+}
+
+/// A host function failing mid-batch: the batch keeps what it emitted
+/// before the failing event, and the events after it are not offered. The
+/// single-engine columns return the reference's emissions and error, the
+/// durable one again at replay; the wire answers with the same error.
+/// Sharded columns are left out: a worker error does not stop the other
+/// workers, which emit past the failing event.
+#[test]
+fn a_failing_host_function_keeps_the_batch_prefix() {
+    let queries = [
+        ("exits", retail(23, 0, 0)),
+        (
+            "faulty",
+            "EVENT SHELF_READING x RETURN _faulty(x.TagId) AS v".into(),
+        ),
+    ];
+    // Readings of type `k mod 3`: 0 shelf, 2 exit; `_faulty` fails on tag 13.
+    let batches = vec![
+        vec![reading(0, 1, 1, 1), reading(2, 2, 1, 4)],
+        vec![
+            reading(2, 3, 2, 4),
+            reading(0, 4, 5, 1),
+            reading(0, 5, 13, 1),
+            reading(2, 6, 3, 4),
+        ],
+        vec![reading(2, 7, 4, 4)],
+    ];
+    let columns = [
+        Column::ScanAll,
+        Column::Facade(None),
+        Column::Durable(None),
+        Column::Wire,
+    ];
+    let mut s = row(&queries, batches, &columns);
+    s.script.push(Step::Crash(0));
+    let played = play(&s);
+    assert_eq!(played.failed.len(), 1);
+    assert_eq!(played.failed[0].0, 3, "the second batch fails");
+    assert!(
+        played.failed[0].1.contains("fails on 13"),
+        "{:?}",
+        played.failed
+    );
+    assert_eq!(
+        heads(&played.out),
+        ["[faulty@1", "[exits@2", "[exits@3", "[faulty@4", "[exits@7"]
+    );
+}
+
+/// An `INTO` producer on the default stream whose derived event regresses
+/// a named stream that a direct ingest has advanced: the batch fails at
+/// that event and keeps what it emitted before, the producer's own
+/// emission included. Durable columns are left out: their log records
+/// carry no stream name, so they take the default stream only.
+#[test]
+fn a_derived_regression_keeps_the_batch_prefix() {
+    let moved = registry().build_event("moves", 100, vec![Value::Int(9), Value::Int(1)]);
+    let register = |name: &str, src: &str| Step::Register(name.into(), src.into());
+    let script = vec![
+        register(
+            "producer",
+            "EVENT EXIT_READING z RETURN z.TagId AS tag, z.AreaId AS area INTO moves",
+        ),
+        register("mover", "FROM moves EVENT MOVES m RETURN m.tag AS t"),
+        register("counters", "EVENT COUNTER_READING c RETURN c.TagId AS tag"),
+        Step::Batch(Some("moves"), vec![moved.unwrap()]),
+        // Readings of type `k mod 3`: 1 counter, 2 exit.
+        Step::Batch(
+            None,
+            vec![
+                reading(1, 40, 2, 1),
+                reading(2, 50, 1, 4),
+                reading(1, 60, 3, 1),
+            ],
+        ),
+        Step::Batch(None, vec![reading(2, 120, 4, 4)]),
+    ];
+    let columns = vec![Column::ScanAll, Column::Facade(None), Column::Wire];
+    let played = play(&Scenario { script, columns });
+    let error = "engine error: out-of-order event: timestamp 50 after 100 on stream `moves`";
+    assert_eq!(played.failed, [(4, error.to_string())]);
+    assert_eq!(
+        heads(&played.out),
+        [
+            "[mover@100",
+            "[counters@40",
+            "[producer@50",
+            "[producer@120",
+            "[mover@120"
+        ]
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -174,8 +277,47 @@ const VARS: [&str; 3] = ["x", "y", "z"];
 /// Mixed-case spellings, the pseudo-attributes, and a missing attribute.
 const ATTRS: [&str; 7] = ["a", "A", "name", "NAME", "Timestamp", "ts", "nope"];
 
+/// The comparisons the compiler fuses.
+const CMPS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+
+/// A well-typed `attr ⋈ literal`, either way round, whose literal is drawn
+/// from the attribute's own values: on a bound slot it compiles to a fused
+/// comparison that is as often true as false, and equal values are
+/// common, so it tells `<=` from `<` and `!=` from `=`.
+fn gen_attr_cmp(rng: &mut StdRng) -> Expr {
+    let (attr, literal) = match rng.gen_range(0..2) {
+        0 => ("a", Value::Int(rng.gen_range(0..5))),
+        _ => ("name", Value::str(pick(rng, &["p", "q"]))),
+    };
+    let attr = Box::new(Expr::Attr(AttrRef {
+        var: pick(rng, &VARS).to_string(),
+        attr: attr.to_string(),
+        span: Default::default(),
+    }));
+    let literal = Box::new(Expr::Literal(literal));
+    let (left, right) = match rng.gen_bool(0.5) {
+        true => (attr, literal),
+        false => (literal, attr),
+    };
+    Expr::Binary {
+        op: pick(rng, &CMPS),
+        left,
+        right,
+    }
+}
+
 fn gen_expr(rng: &mut StdRng, depth: u32) -> Expr {
     let sub = |rng: &mut StdRng| Box::new(gen_expr(rng, depth - 1));
+    if rng.gen_bool(0.25) {
+        return gen_attr_cmp(rng);
+    }
     match rng.gen_range(0..if depth == 0 { 2 } else { 8 }) {
         0 => Expr::Literal(match rng.gen_range(0..5) {
             0 => Value::Int(rng.gen_range(-3..4)),

@@ -118,7 +118,7 @@ fn sharded_snapshot_merge_is_deterministic() {
     }
     let mut sharded = builder.build(4).unwrap();
     for batch in &batches {
-        sharded.process_batch(batch).unwrap();
+        sharded.ingest(None, batch, &mut Vec::new(), None).unwrap();
     }
     let a = render_prometheus(&EventProcessor::metrics(&sharded));
     let b = render_prometheus(&EventProcessor::metrics(&sharded));

@@ -214,7 +214,7 @@ fn engine_continues_until_query_deleted() {
         .unwrap();
     assert_eq!(
         engine
-            .process(&ev(&registry, "EXIT_READING", 1, 1, "soap", 4))
+            .process_batch(&[ev(&registry, "EXIT_READING", 1, 1, "soap", 4)])
             .unwrap()
             .len(),
         1
@@ -222,7 +222,7 @@ fn engine_continues_until_query_deleted() {
     engine.unregister("exits");
     assert_eq!(
         engine
-            .process(&ev(&registry, "EXIT_READING", 2, 1, "soap", 4))
+            .process_batch(&[ev(&registry, "EXIT_READING", 2, 1, "soap", 4)])
             .unwrap()
             .len(),
         0

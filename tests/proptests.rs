@@ -92,7 +92,10 @@ proptest! {
         let q = parse_query(Q1).unwrap();
         let plan = planner.plan(&q).unwrap();
         let mut rt = QueryRuntime::new("prop", plan);
-        let out = rt.process_all(&events).unwrap();
+        let mut out = Vec::new();
+        for e in &events {
+            rt.process(e, &mut out).unwrap();
+        }
         for ce in &out {
             prop_assert_eq!(ce.events.len(), 2);
             prop_assert_eq!(ce.events[0].type_name(), "SHELF_READING");
@@ -144,7 +147,10 @@ proptest! {
         let q = parse_query(Q1).unwrap();
         let plan = planner.plan(&q).unwrap();
         let mut rt = QueryRuntime::new("prop", plan);
-        let out = rt.process_all(&events).unwrap();
+        let mut out = Vec::new();
+        for e in &events {
+            rt.process(e, &mut out).unwrap();
+        }
         let s = rt.stats();
         prop_assert_eq!(s.events_processed as usize, events.len());
         prop_assert_eq!(s.matches_emitted as usize, out.len());

@@ -17,6 +17,7 @@ use sase::core::engine::Engine;
 use sase::core::error::Result as CoreResult;
 use sase::core::event::{retail_registry, Event, SchemaRegistry};
 use sase::core::output::ComplexEvent;
+use sase::core::processor::EventProcessor;
 use sase::core::value::{Value, ValueType};
 use sase::rfid::noise::NoiseModel;
 use sase::rfid::scenario::RetailScenario;
@@ -37,6 +38,12 @@ fn tmp_dir(label: &str) -> PathBuf {
 
 fn render(out: &[ComplexEvent]) -> Vec<String> {
     out.iter().map(|d| d.to_string()).collect()
+}
+
+/// One ingest call on the default stream, returning its emissions.
+fn batch(p: &mut dyn EventProcessor, events: &[Event]) -> CoreResult<Vec<ComplexEvent>> {
+    let mut out = Vec::new();
+    p.ingest(None, events, &mut out, None).map(|()| out)
 }
 
 fn small_segments() -> DurableOptions {
@@ -291,10 +298,14 @@ fn engine_derived_schema_survives_recovery() {
     let ref_reg = retail_registry();
     let mut reference = Engine::new(ref_reg.clone());
     reference.register("producer", PRODUCER).unwrap();
-    let mut ref_out = render(&reference.process(&exit(&ref_reg, 1, 7)).unwrap());
+    let mut ref_out = render(&reference.process_batch(&[exit(&ref_reg, 1, 7)]).unwrap());
     reference.register("consumer", CONSUMER).unwrap();
-    ref_out.extend(render(&reference.process(&exit(&ref_reg, 2, 8)).unwrap()));
-    ref_out.extend(render(&reference.process(&exit(&ref_reg, 3, 9)).unwrap()));
+    ref_out.extend(render(
+        &reference.process_batch(&[exit(&ref_reg, 2, 8)]).unwrap(),
+    ));
+    ref_out.extend(render(
+        &reference.process_batch(&[exit(&ref_reg, 3, 9)]).unwrap(),
+    ));
 
     // Durable run: crash after the checkpoint; the recovered registry has
     // no `alerts` type until preregister_derived supplies it — without it
@@ -304,9 +315,9 @@ fn engine_derived_schema_survives_recovery() {
     let mut engine = Engine::new(reg.clone());
     engine.register("producer", PRODUCER).unwrap();
     let mut durable = DurableEngine::create(&dir, engine, small_segments()).unwrap();
-    let mut live = render(&durable.ingest(0, &[exit(&reg, 1, 7)]).unwrap());
+    let mut live = render(&batch(&mut durable, &[exit(&reg, 1, 7)]).unwrap());
     durable.engine_mut().register("consumer", CONSUMER).unwrap();
-    live.extend(render(&durable.ingest(1, &[exit(&reg, 2, 8)]).unwrap()));
+    live.extend(render(&batch(&mut durable, &[exit(&reg, 2, 8)]).unwrap()));
     durable.checkpoint().unwrap();
     drop(durable);
 
@@ -325,7 +336,7 @@ fn engine_derived_schema_survives_recovery() {
     .unwrap();
     assert_eq!(report.records_replayed, 0);
     let reg = recovered.engine().schemas().clone();
-    live.extend(render(&recovered.ingest(2, &[exit(&reg, 3, 9)]).unwrap()));
+    live.extend(render(&batch(&mut recovered, &[exit(&reg, 3, 9)]).unwrap()));
     assert_eq!(ref_out, live);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -361,8 +372,8 @@ fn kill_and_recover(
     };
     let mut durable = DurableEngine::create(dir, build(None).unwrap(), opts)?;
     let mut live_by_batch: Vec<Vec<String>> = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        live_by_batch.push(render(&durable.ingest(i as u64, batch)?));
+    for (i, events) in batches.iter().enumerate() {
+        live_by_batch.push(render(&batch(&mut durable, events)?));
         if i + 1 == ckpt_at {
             durable.checkpoint()?;
         }
@@ -391,8 +402,8 @@ fn kill_and_recover(
         .cloned()
         .collect();
     total.extend(render(&report.emissions));
-    for (i, batch) in batches.iter().enumerate().skip(survived) {
-        total.extend(render(&recovered.ingest(i as u64, batch)?));
+    for events in batches.iter().skip(survived) {
+        total.extend(render(&batch(&mut recovered, events)?));
     }
     Ok(total)
 }
