@@ -73,8 +73,8 @@ use sase_obs::{MetricsRegistry, MetricsSnapshot};
 /// single, sharded, and durable engine deployments are interchangeable.
 ///
 /// See the [module docs](self) for the contract. The `Send` supertrait
-/// lets deployments move across threads (a server's engine thread owns
-/// its processor).
+/// lets deployments move across threads (a server's connection threads
+/// share one behind a lock).
 pub trait EventProcessor: Send {
     /// Register a continuous query from source text. Query names are
     /// unique per deployment.

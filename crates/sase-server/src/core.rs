@@ -1,16 +1,20 @@
-//! The session core shared by all three protocols: the single-writer
-//! engine thread, the subscriber fan-out hub, and the server's own
-//! metrics handles.
+//! The session core shared by all three protocols: the deployment behind
+//! its one lock, the subscriber fan-out hub, and the server's own metrics
+//! handles.
 //!
-//! Every mutating request — ingest, register, unregister — funnels
-//! through one bounded command channel into one thread that owns the
-//! [`Backend`]. That serialization is what makes wire traffic
-//! byte-identical to an embedded engine (the differential test pins it),
-//! and the bounded channel is the first backpressure stage: when the
-//! engine falls behind, producers block, TCP flow control propagates, and
-//! clients slow down instead of the server buffering without bound.
+//! Every request that needs the backend — ingest, register, unregister,
+//! check, stats, metrics, queries, explain, subscribe — is a method of
+//! [`Deployment`], called directly by the connection thread that decoded
+//! it. The lock serializes them, which is what makes wire traffic
+//! byte-identical to an embedded engine (the differential test pins it).
+//! Decoding and response encoding happen outside the lock. The lock is
+//! also the backpressure: each connection has at most one request in
+//! flight, so concurrency is bounded by `ServerConfig::max_connections`,
+//! and a connection waiting for the lock stops reading, so TCP flow
+//! control slows its client instead of the server buffering without bound.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -28,7 +32,7 @@ use crate::{render_emission, Backend, Result, ServerError};
 /// What happens when an emission finds a subscriber's fan-out queue
 /// (`ServerConfig::subscriber_queue` frames in user space; what the
 /// kernel has already accepted is not counted) full. Under either policy
-/// the engine thread never waits for the subscriber: the ingest is
+/// the ingesting thread never waits for the subscriber: the ingest is
 /// acknowledged and other subscribers are served as usual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SlowPolicy {
@@ -46,8 +50,8 @@ pub enum SlowPolicy {
 }
 
 /// A message bound for one WebSocket connection's writer thread. All
-/// writes to a WS socket go through this queue so the engine thread never
-/// blocks on a peer's receive window.
+/// writes to a WS socket go through this queue so the ingesting thread
+/// never blocks on a peer's receive window.
 pub(crate) enum WsOut {
     /// A protocol reply (handshake follow-ups, `subscribed`, `pong`, ...),
     /// sent with a blocking send from the connection's own reader thread.
@@ -55,14 +59,14 @@ pub(crate) enum WsOut {
     Control(String),
     /// Reply to a WebSocket ping, echoing its payload.
     Pong(Vec<u8>),
-    /// A fan-out push from the engine thread; `enqueued` feeds the
+    /// A fan-out push from the ingesting thread; `enqueued` feeds the
     /// `sase_server_push_send_latency_ns` histogram when the writer
     /// finally flushes it.
     Push {
         /// Pre-rendered `event <ComplexEvent>` line, shared across
         /// subscribers of the same query.
         text: Arc<str>,
-        /// When the engine enqueued the push.
+        /// When the ingesting thread enqueued the push.
         enqueued: Instant,
     },
 }
@@ -84,9 +88,10 @@ pub(crate) struct Subscriber {
     pub sock: Arc<std::net::TcpStream>,
 }
 
-/// The fan-out hub: query name → subscribers. Shared by the engine thread
-/// (publishing through per-query sinks) and connection threads
-/// (subscribing/unsubscribing).
+/// The fan-out hub: query name → subscribers. Shared by ingest
+/// (publishing through per-query sinks, under the deployment lock) and
+/// connection threads (subscribing/unsubscribing). Its own lock is only
+/// ever taken after the deployment's, or alone.
 pub(crate) struct Hub {
     inner: Mutex<HashMap<String, Vec<Subscriber>>>,
     pushes: Counter,
@@ -104,7 +109,7 @@ impl Hub {
 
     /// Deliver one emission to every live subscriber of `query`. Renders
     /// at most once; a full queue is resolved by the subscriber's
-    /// [`SlowPolicy`], never by blocking the engine.
+    /// [`SlowPolicy`], never by blocking the ingest.
     pub fn publish(&self, query: &str, ce: &ComplexEvent) {
         let mut map = self.inner.lock();
         let Some(subs) = map.get_mut(query) else {
@@ -253,228 +258,245 @@ enum Owner {
     Unowned,
 }
 
-/// A command for the engine thread. Each carries its own typed reply
-/// channel; requests without one are fire-and-forget.
-pub(crate) enum Cmd {
-    Ingest {
-        stream: Option<String>,
-        ticks: TickMode,
-        events: Vec<Event>,
-        reply: mpsc::Sender<Result<Vec<ComplexEvent>>>,
-    },
-    Register {
-        session: Option<u64>,
-        name: String,
-        src: String,
-        reply: mpsc::Sender<Result<Vec<Diagnostic>>>,
-    },
-    Unregister {
-        session: Option<u64>,
-        name: String,
-        reply: mpsc::Sender<Result<bool>>,
-    },
-    Check {
-        src: String,
-        reply: mpsc::Sender<Vec<Diagnostic>>,
-    },
-    Stats {
-        name: String,
-        reply: mpsc::Sender<Result<RuntimeStats>>,
-    },
-    Metrics {
-        reply: mpsc::Sender<MetricsSnapshot>,
-    },
-    Queries {
-        reply: mpsc::Sender<Vec<String>>,
-    },
-    Explain {
-        name: String,
-        reply: mpsc::Sender<Result<String>>,
-    },
-    /// Subscribe `sub` to `query`'s emissions; fails with `UnknownQuery`
-    /// if the query is not registered. Runs on the engine thread because
-    /// it must atomically check existence and install the fan-out sink.
-    Subscribe {
-        query: String,
-        sub: Subscriber,
-        reply: mpsc::Sender<Result<()>>,
-    },
-    /// Stop the loop: drain already-queued commands (the channel is FIFO,
-    /// so everything sent before this is processed first), flush the
-    /// backend, and hand it back.
-    Shutdown,
-}
-
-/// Send one command to the engine thread and wait for its typed reply.
-/// The bounded channel blocks when the engine is behind — that is the
-/// backpressure propagating to the caller (and from there down its TCP
-/// connection). A closed channel means the server shut down.
-pub(crate) fn call<T>(
-    tx: &crossbeam::channel::Sender<Cmd>,
-    build: impl FnOnce(mpsc::Sender<T>) -> Cmd,
-) -> Result<T> {
-    let (rtx, rrx) = mpsc::channel();
-    tx.send(build(rtx)).map_err(|_| ServerError::ShuttingDown)?;
-    rrx.recv().map_err(|_| ServerError::ShuttingDown)
-}
-
 fn engine_err(e: sase_core::error::SaseError) -> ServerError {
     ServerError::Engine(e.to_string())
 }
 
-/// The single-writer engine loop. Owns the backend until shutdown, then
-/// returns it through `done` so the host can keep using (or dropping) the
-/// deployment after the server is gone.
-pub(crate) fn run_engine(
-    mut backend: Box<dyn Backend>,
-    rx: crossbeam::channel::Receiver<Cmd>,
+/// The served deployment and the state the server keeps beside it, behind
+/// one lock that is the only way to reach the backend. Connection threads
+/// call these methods directly: requests from every session run one at a
+/// time, in lock order, which is the single-engine ordering the
+/// differential tests pin. A request waiting for the lock holds its
+/// connection thread, which stops reading its socket, so TCP flow control
+/// reaches the client.
+pub(crate) struct Deployment {
+    state: Mutex<State>,
     hub: Arc<Hub>,
     metrics: Arc<ServerMetrics>,
-    done: mpsc::Sender<Box<dyn Backend>>,
-) {
-    // Per-stream monotonic clocks for server-assigned ticks. Explicit
-    // batches advance them too, so mixing modes on one stream never
-    // rewinds time.
-    let mut clocks: HashMap<Option<String>, u64> = HashMap::new();
-    // Queries that already have a fan-out sink installed.
-    let mut sinked: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut owners: HashMap<String, Owner> = HashMap::new();
+}
 
-    let install_sink = |backend: &mut Box<dyn Backend>,
-                        sinked: &mut std::collections::HashSet<String>,
-                        hub: &Arc<Hub>,
-                        name: &str|
-     -> sase_core::error::Result<()> {
-        if sinked.contains(name) {
+struct State {
+    backend: Box<dyn Backend>,
+    /// Per-stream monotonic clocks for server-assigned ticks. Explicit
+    /// batches advance them too, so mixing modes on one stream never
+    /// rewinds time.
+    clocks: HashMap<Option<String>, u64>,
+    /// Queries that already have a fan-out sink installed.
+    sinked: HashSet<String>,
+    owners: HashMap<String, Owner>,
+    /// Set by the first backend call that panicked, to the error every
+    /// later call answers with: the backend may have been left half
+    /// updated, so it serves nothing more.
+    poisoned: Option<String>,
+}
+
+impl State {
+    fn has_query(&self, name: &str) -> bool {
+        self.backend.query_names().iter().any(|n| n == name)
+    }
+
+    fn install_sink(&mut self, hub: &Arc<Hub>, name: &str) -> Result<()> {
+        if self.sinked.contains(name) {
             return Ok(());
         }
         let hub = Arc::clone(hub);
         let query = name.to_string();
-        backend.add_sink(
-            name,
-            Box::new(move |ce: &ComplexEvent| hub.publish(&query, ce)),
-        )?;
-        sinked.insert(name.to_string());
+        self.backend
+            .add_sink(
+                name,
+                Box::new(move |ce: &ComplexEvent| hub.publish(&query, ce)),
+            )
+            .map_err(engine_err)?;
+        self.sinked.insert(name.to_string());
         Ok(())
-    };
+    }
+}
 
-    for cmd in rx.iter() {
-        match cmd {
-            Cmd::Ingest {
-                stream,
-                ticks,
-                events,
-                reply,
-            } => {
-                metrics.ingest_batches.inc();
-                metrics.ingest_events.add(events.len() as u64);
-                let clock = clocks.entry(stream.clone()).or_insert(0);
-                let events = match ticks {
-                    TickMode::Explicit => {
-                        if let Some(max) = events.iter().map(|e| e.timestamp()).max() {
-                            *clock = (*clock).max(max);
-                        }
-                        events
-                    }
-                    // Decode validated every event; each is copied to its
-                    // tick as it is, without the registry.
-                    TickMode::ServerAssigned => events
-                        .iter()
-                        .map(|e| {
-                            *clock += 1;
-                            e.with_timestamp(*clock)
-                        })
-                        .collect(),
-                };
-                // A failed batch answers with its error alone: the
-                // emissions made before it have already reached the
-                // subscribers, whose sinks fire as they happen.
-                let mut out = Vec::new();
-                let result = backend.ingest(stream.as_deref(), &events, &mut out, None);
-                let _ = reply.send(result.map(|()| out).map_err(engine_err));
-            }
-            Cmd::Register {
-                session,
-                name,
-                src,
-                reply,
-            } => {
-                let diags = backend.check(&src);
-                let out = match backend.register(&name, &src) {
-                    Err(e) => Err(engine_err(e)),
-                    Ok(()) => {
-                        owners.insert(name.clone(), session.map_or(Owner::Unowned, Owner::Session));
-                        install_sink(&mut backend, &mut sinked, &hub, &name)
-                            .map(|()| diags)
-                            .map_err(engine_err)
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            Cmd::Unregister {
-                session,
-                name,
-                reply,
-            } => {
-                let out = if !backend.query_names().iter().any(|n| n == &name) {
-                    Ok(false)
-                } else {
-                    let owner = owners.get(&name).copied().unwrap_or(Owner::Unowned);
-                    let allowed = match (owner, session) {
-                        (Owner::Session(o), Some(s)) => o == s,
-                        // Server-side callers (HTTP has no session) may
-                        // drop anything.
-                        (_, None) => true,
-                        (Owner::Unowned, Some(_)) => false,
-                    };
-                    if !allowed {
-                        Err(ServerError::NotOwner {
-                            query: name.clone(),
-                        })
-                    } else {
-                        let existed = backend.unregister(&name);
-                        owners.remove(&name);
-                        sinked.remove(&name);
-                        hub.drop_query(&name);
-                        Ok(existed)
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            Cmd::Check { src, reply } => {
-                let _ = reply.send(backend.check(&src));
-            }
-            Cmd::Stats { name, reply } => {
-                let _ = reply.send(backend.stats(&name).map_err(engine_err));
-            }
-            Cmd::Metrics { reply } => {
-                let _ = reply.send(backend.metrics());
-            }
-            Cmd::Queries { reply } => {
-                let _ = reply.send(backend.query_names());
-            }
-            Cmd::Explain { name, reply } => {
-                let _ = reply.send(backend.explain(&name).map_err(engine_err));
-            }
-            Cmd::Subscribe { query, sub, reply } => {
-                let out = if !backend.query_names().iter().any(|n| n == &query) {
-                    Err(ServerError::UnknownQuery(query.clone()))
-                } else {
-                    match install_sink(&mut backend, &mut sinked, &hub, &query) {
-                        Err(e) => Err(engine_err(e)),
-                        Ok(()) => {
-                            hub.subscribe(&query, sub);
-                            Ok(())
-                        }
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            Cmd::Shutdown => break,
+impl Deployment {
+    pub fn new(backend: Box<dyn Backend>, hub: Arc<Hub>, metrics: Arc<ServerMetrics>) -> Self {
+        Deployment {
+            state: Mutex::new(State {
+                backend,
+                clocks: HashMap::new(),
+                sinked: HashSet::new(),
+                owners: HashMap::new(),
+                poisoned: None,
+            }),
+            hub,
+            metrics,
         }
     }
-    // Acknowledged ingest becomes durable before the backend is handed
-    // back; volatile backends no-op.
-    let _ = backend.flush();
-    let _ = done.send(backend);
+
+    /// Run `f` under the lock. A panic inside it (a host function, a
+    /// sink, the backend itself) poisons the deployment: this call and
+    /// every later one answer [`ServerError::Engine`] naming the panic,
+    /// while the connection threads and the listener keep running.
+    fn with<T>(&self, f: impl FnOnce(&mut State) -> Result<T>) -> Result<T> {
+        let mut state = self.state.lock();
+        if let Some(why) = &state.poisoned {
+            return Err(ServerError::Engine(why.clone()));
+        }
+        panic::catch_unwind(AssertUnwindSafe(|| f(&mut state))).unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(no message)");
+            let why = format!("deployment poisoned: a backend call panicked: {what}");
+            state.poisoned = Some(why.clone());
+            Err(ServerError::Engine(why))
+        })
+    }
+
+    /// Ingest one batch. Server-assigned ticks rebase it onto the stream's
+    /// clock; a batch the clock cannot fit below `u64::MAX` is refused
+    /// before the clock or the backend changes. A failed batch answers
+    /// with its error alone: the emissions made before it have already
+    /// reached the subscribers, whose sinks fire as they happen.
+    pub fn ingest(
+        &self,
+        stream: Option<String>,
+        ticks: TickMode,
+        events: Vec<Event>,
+    ) -> Result<Vec<ComplexEvent>> {
+        self.metrics.ingest_batches.inc();
+        self.metrics.ingest_events.add(events.len() as u64);
+        self.with(|s| {
+            let clock = s.clocks.entry(stream.clone()).or_insert(0);
+            let events = match ticks {
+                TickMode::Explicit => {
+                    if let Some(max) = events.iter().map(|e| e.timestamp()).max() {
+                        *clock = (*clock).max(max);
+                    }
+                    events
+                }
+                TickMode::ServerAssigned => {
+                    let end = clock.checked_add(events.len() as u64).ok_or_else(|| {
+                        ServerError::Engine(format!(
+                            "server-assigned ticks exhausted: {} events after tick {} \
+                                 overflow u64",
+                            events.len(),
+                            *clock
+                        ))
+                    })?;
+                    // Decode validated every event; each is copied to its
+                    // tick as it is, without the registry.
+                    let mut tick = *clock;
+                    let events = events
+                        .iter()
+                        .map(|e| {
+                            tick += 1;
+                            e.with_timestamp(tick)
+                        })
+                        .collect();
+                    *clock = end;
+                    events
+                }
+            };
+            let mut out = Vec::new();
+            s.backend
+                .ingest(stream.as_deref(), &events, &mut out, None)
+                .map_err(engine_err)?;
+            Ok(out)
+        })
+    }
+
+    /// Analyze and register `src` as `name`, owned by `session` (`None`:
+    /// unowned, as over HTTP), and install its fan-out sink.
+    pub fn register(&self, session: Option<u64>, name: &str, src: &str) -> Result<Vec<Diagnostic>> {
+        self.with(|s| {
+            let diags = s.backend.check(src);
+            s.backend.register(name, src).map_err(engine_err)?;
+            s.owners.insert(
+                name.to_string(),
+                session.map_or(Owner::Unowned, Owner::Session),
+            );
+            s.install_sink(&self.hub, name)?;
+            Ok(diags)
+        })
+    }
+
+    /// Unregister `name` on behalf of `session` (`None`: a server-side
+    /// caller, which may drop anything) and drop its subscribers. `false`
+    /// if no such query is registered.
+    pub fn unregister(&self, session: Option<u64>, name: &str) -> Result<bool> {
+        self.with(|s| {
+            if !s.has_query(name) {
+                return Ok(false);
+            }
+            let owner = s.owners.get(name).copied().unwrap_or(Owner::Unowned);
+            let allowed = match (owner, session) {
+                (Owner::Session(owner), Some(caller)) => owner == caller,
+                (_, None) => true,
+                (Owner::Unowned, Some(_)) => false,
+            };
+            if !allowed {
+                return Err(ServerError::NotOwner {
+                    query: name.to_string(),
+                });
+            }
+            let existed = s.backend.unregister(name);
+            s.owners.remove(name);
+            s.sinked.remove(name);
+            self.hub.drop_query(name);
+            Ok(existed)
+        })
+    }
+
+    pub fn check(&self, src: &str) -> Result<Vec<Diagnostic>> {
+        self.with(|s| Ok(s.backend.check(src)))
+    }
+
+    pub fn stats(&self, name: &str) -> Result<RuntimeStats> {
+        self.with(|s| s.backend.stats(name).map_err(engine_err))
+    }
+
+    /// Every registered query's stats, read in one lock hold; a query
+    /// whose stats fail is left out.
+    pub fn all_stats(&self) -> Result<Vec<(String, RuntimeStats)>> {
+        self.with(|s| {
+            Ok(s.backend
+                .query_names()
+                .into_iter()
+                .filter_map(|name| Some((name.clone(), s.backend.stats(&name).ok()?)))
+                .collect())
+        })
+    }
+
+    /// The deployment's metrics merged with the server's own series.
+    pub fn metrics(&self) -> Result<MetricsSnapshot> {
+        let mut snap = self.with(|s| Ok(s.backend.metrics()))?;
+        snap.merge(&self.metrics.registry.snapshot());
+        Ok(snap)
+    }
+
+    pub fn queries(&self) -> Result<Vec<String>> {
+        self.with(|s| Ok(s.backend.query_names()))
+    }
+
+    pub fn explain(&self, name: &str) -> Result<String> {
+        self.with(|s| s.backend.explain(name).map_err(engine_err))
+    }
+
+    /// Subscribe `sub` to `query`'s emissions: checks that the query
+    /// exists and installs its sink under the same lock hold.
+    pub fn subscribe(&self, query: &str, sub: Subscriber) -> Result<()> {
+        self.with(|s| {
+            if !s.has_query(query) {
+                return Err(ServerError::UnknownQuery(query.to_string()));
+            }
+            s.install_sink(&self.hub, query)?;
+            self.hub.subscribe(query, sub);
+            Ok(())
+        })
+    }
+
+    /// Hand the backend back, flushed so that every acknowledged batch is
+    /// durable on durable backends (volatile ones no-op). A poisoned
+    /// deployment is flushed and returned too.
+    pub fn into_backend(self) -> Box<dyn Backend> {
+        let mut backend = self.state.into_inner().backend;
+        let _ = backend.flush();
+        backend
+    }
 }

@@ -18,7 +18,7 @@
 //! against the event type's schema (string attributes therefore cannot
 //! contain whitespace over this transport; use the line protocol for
 //! arbitrary payloads). With `ticks=server` the timestamp column is
-//! ignored (write `-`) and the engine assigns monotonic ticks.
+//! ignored (write `-`) and the server assigns monotonic ticks.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -27,7 +27,6 @@ use sase_core::event::Event;
 use sase_core::value::{Value, ValueType};
 use sase_obs::render_prometheus;
 
-use crate::core::Cmd;
 use crate::server::Ctx;
 use crate::wire::TickMode;
 use crate::{Result, ServerError};
@@ -330,7 +329,7 @@ pub(crate) fn handle_request(ctx: &Ctx, req: &Request, w: &mut impl Write) -> Re
         ("GET", "/stats") => handle_stats(ctx, req),
         ("GET", "/queries") => {
             ctx.metrics.http_requests("/queries").inc();
-            crate::core::call(&ctx.tx, |reply| Cmd::Queries { reply }).map(|names| {
+            ctx.deployment.queries().map(|names| {
                 let mut out = names.join("\n");
                 if !out.is_empty() {
                     out.push('\n');
@@ -340,10 +339,9 @@ pub(crate) fn handle_request(ctx: &Ctx, req: &Request, w: &mut impl Write) -> Re
         }
         ("GET", "/metrics") => {
             ctx.metrics.http_requests("/metrics").inc();
-            crate::core::call(&ctx.tx, |reply| Cmd::Metrics { reply }).map(|mut snap| {
-                snap.merge(&ctx.metrics.registry.snapshot());
-                render_prometheus(&snap)
-            })
+            ctx.deployment
+                .metrics()
+                .map(|snap| render_prometheus(&snap))
         }
         (_, "/ingest" | "/query" | "/stats" | "/queries" | "/metrics") => {
             respond(
@@ -407,12 +405,7 @@ fn handle_ingest(ctx: &Ctx, req: &Request) -> Result<String> {
         events.push(parse_ingest_line(ctx, line)?);
     }
     let stream = req.params.get("stream").cloned();
-    let emissions = crate::core::call(&ctx.tx, |reply| Cmd::Ingest {
-        stream,
-        ticks,
-        events,
-        reply,
-    })??;
+    let emissions = ctx.deployment.ingest(stream, ticks, events)?;
     let mut out = String::new();
     for ce in &emissions {
         crate::render_emission(&mut out, ce);
@@ -426,23 +419,16 @@ fn handle_register(ctx: &Ctx, req: &Request) -> Result<String> {
     let name = req
         .params
         .get("name")
-        .cloned()
         .ok_or_else(|| ServerError::Protocol("POST /query requires ?name=".into()))?;
     let src = std::str::from_utf8(&req.body)
         .map_err(|_| ServerError::Protocol("query body is not UTF-8".into()))?
-        .trim()
-        .to_string();
+        .trim();
     if src.is_empty() {
         return Err(ServerError::Protocol("query body is empty".into()));
     }
     // HTTP has no session, so the query is registered unowned: no wire
     // session can unregister it.
-    let diags = crate::core::call(&ctx.tx, |reply| Cmd::Register {
-        session: None,
-        name,
-        src,
-        reply,
-    })??;
+    let diags = ctx.deployment.register(None, name, src)?;
     let mut out = String::new();
     for d in &diags {
         out.push_str(&d.to_string());
@@ -453,31 +439,17 @@ fn handle_register(ctx: &Ctx, req: &Request) -> Result<String> {
 
 fn handle_stats(ctx: &Ctx, req: &Request) -> Result<String> {
     ctx.metrics.http_requests("/stats").inc();
+    let all = ctx.deployment.all_stats()?;
     match req.params.get("query") {
-        Some(name) => {
-            let stats = crate::core::call(&ctx.tx, |reply| Cmd::Stats {
-                name: name.clone(),
-                reply,
-            })?
-            .map_err(|_| ServerError::UnknownQuery(name.clone()))?;
-            Ok(render_stats(&stats))
-        }
-        None => {
-            let names = crate::core::call(&ctx.tx, |reply| Cmd::Queries { reply })?;
-            let mut out = String::new();
-            for name in names {
-                let Ok(stats) = crate::core::call(&ctx.tx, |reply| Cmd::Stats {
-                    name: name.clone(),
-                    reply,
-                })?
-                else {
-                    continue;
-                };
-                out.push_str(&format!("[{name}]\n"));
-                out.push_str(&render_stats(&stats));
-            }
-            Ok(out)
-        }
+        Some(name) => all
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, stats)| render_stats(stats))
+            .ok_or_else(|| ServerError::UnknownQuery(name.clone())),
+        None => Ok(all
+            .iter()
+            .map(|(name, stats)| format!("[{name}]\n{}", render_stats(stats)))
+            .collect::<String>()),
     }
 }
 

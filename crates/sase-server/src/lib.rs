@@ -25,16 +25,19 @@
 //!
 //! ## Threading model
 //!
-//! No async runtime: the container's dependency set is `std::net` +
-//! `crossbeam`, so the server is plain threads. One **accept loop**, one
-//! **connection thread** per client (plus a writer thread per WebSocket
-//! connection), and a single **engine thread** that owns the
-//! [`EventProcessor`] — all ingest and registration funnels through a
-//! bounded command channel to that one writer, so wire traffic gets
-//! exactly the single-engine ordering semantics the differential tests
-//! pin. Backpressure is explicit at both ends: the bounded command queue
-//! blocks producers (TCP flow control propagates to clients), and each
-//! subscriber has a bounded fan-out queue — a slow subscriber either
+//! No async runtime: the server is plain `std::net` threads. One **accept
+//! loop**, one **connection thread** per client, and a writer thread per
+//! WebSocket connection. There is no engine thread: the
+//! [`EventProcessor`] sits behind one lock, and each connection thread
+//! decodes its request, calls the deployment under that lock, and encodes
+//! the response outside it. The lock gives wire traffic exactly the
+//! single-engine ordering the differential tests pin. A backend call that
+//! panics poisons the deployment: it and every later request that needs
+//! the deployment answer a typed `Engine` error, while the listener,
+//! `ping` and graceful shutdown keep working. Backpressure is explicit at
+//! both ends: each connection has at most one request in flight and
+//! blocks on the lock (TCP flow control propagates to its client), and
+//! each subscriber has a bounded fan-out queue — a slow subscriber either
 //! drops pushes (counted in `sase_server_pushes_dropped_total`) or is
 //! disconnected, per [`SlowPolicy`]; nothing buffers without bound.
 //!

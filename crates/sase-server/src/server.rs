@@ -11,16 +11,18 @@
 //!
 //! 1. the accept loop stops taking connections;
 //! 2. every open connection's read half is shut down, unblocking reader
-//!    threads; requests already submitted to the engine queue stay in
-//!    flight;
+//!    threads; requests already running (or waiting for the deployment
+//!    lock) stay in flight;
 //! 3. connection threads finish what is in flight and are joined. One
 //!    still running after a one-second grace has its socket shut both
 //!    ways: that fails the `write` of a writer whose peer stopped reading
 //!    (and frees a push session's reader queued behind that writer), so
 //!    the join always returns; a request that slow loses its
 //!    acknowledgement, not its effect;
-//! 4. the engine thread drains its (FIFO) queue, flushes the backend —
-//!    fsyncing the WAL on durable deployments — and hands it back.
+//! 4. with every connection thread joined, nothing else can reach the
+//!    deployment: the backend is taken out of its lock, flushed — fsyncing
+//!    the WAL on durable deployments — and handed back, also when a
+//!    panicking request has poisoned it.
 //!
 //! An ingest batch that was *acknowledged* before `shutdown` returned is
 //! therefore durable on durable backends; batches cut off mid-request
@@ -37,7 +39,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use sase_core::event::SchemaRegistry;
 
-use crate::core::{call, run_engine, Cmd, Hub, ServerMetrics, Subscriber, WsOut};
+use crate::core::{Deployment, Hub, ServerMetrics, Subscriber, WsOut};
 use crate::http;
 use crate::wire::{self, Request, ResponseParts};
 use crate::ws;
@@ -45,9 +47,12 @@ use crate::{Backend, Result, ServerError};
 
 pub use crate::core::SlowPolicy;
 
-/// Stack size for connection, writer, and engine threads. The serving
-/// code is shallow; small stacks keep thousand-connection fan-in cheap.
-const THREAD_STACK: usize = 256 * 1024;
+/// Stack size for WS writer threads, which only frame and write: small
+/// stacks keep thousand-subscriber fan-out cheap. Connection threads call
+/// into the deployment, whose recursive-descent parser needs more (a
+/// query nested 400 parentheses deep overflows 256 KiB in a release
+/// build), so they keep the default stack.
+const WRITER_STACK: usize = 256 * 1024;
 
 /// How long [`ServerHandle::shutdown`] lets connection threads finish on
 /// their own before shutting the sockets of those still running.
@@ -67,9 +72,6 @@ pub struct ServerConfig {
     /// Connections beyond this are answered with a typed `AtCapacity`
     /// rejection (line protocol) or `503` (HTTP) and closed.
     pub max_connections: usize,
-    /// Bound of the engine command queue. A full queue blocks request
-    /// threads — backpressure, not buffering.
-    pub cmd_queue: usize,
     /// Bound of each push subscriber's fan-out queue: at most this many
     /// frames are queued in user space per subscriber (plus the one write,
     /// at most 64 KiB and one frame, its writer thread is in). Bytes the
@@ -88,7 +90,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 4096,
-            cmd_queue: 256,
             subscriber_queue: 128,
             slow_policy: SlowPolicy::Drop,
         }
@@ -97,7 +98,7 @@ impl Default for ServerConfig {
 
 /// Shared server state: what every connection thread needs.
 pub(crate) struct Ctx {
-    pub tx: crossbeam::channel::Sender<Cmd>,
+    pub deployment: Deployment,
     pub hub: Arc<Hub>,
     pub metrics: Arc<ServerMetrics>,
     pub schemas: SchemaRegistry,
@@ -124,21 +125,9 @@ impl Server {
         let metrics = Arc::new(ServerMetrics::new());
         let hub = Arc::new(Hub::new(&metrics));
         let schemas = backend.schemas().clone();
-        let (tx, rx) = crossbeam::channel::bounded::<Cmd>(config.cmd_queue);
-        let (done_tx, done_rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
-
-        let engine = {
-            let hub = Arc::clone(&hub);
-            let metrics = Arc::clone(&metrics);
-            std::thread::Builder::new()
-                .name("sase-engine".into())
-                .spawn(move || run_engine(backend, rx, hub, metrics, done_tx))
-                .map_err(|e| ServerError::Io(e.to_string()))?
-        };
-
         let ctx = Arc::new(Ctx {
-            tx: tx.clone(),
+            deployment: Deployment::new(backend, Arc::clone(&hub), Arc::clone(&metrics)),
             hub,
             metrics,
             schemas,
@@ -162,10 +151,8 @@ impl Server {
         Ok(ServerHandle {
             local_addr,
             shutdown,
-            tx,
-            done_rx,
+            ctx,
             accept: Some(accept),
-            engine: Some(engine),
             conns,
             joins,
         })
@@ -177,10 +164,8 @@ impl Server {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    tx: crossbeam::channel::Sender<Cmd>,
-    done_rx: mpsc::Receiver<Box<dyn Backend>>,
+    ctx: Arc<Ctx>,
     accept: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<()>>,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     joins: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -220,17 +205,10 @@ impl ServerHandle {
         for j in joins {
             let _ = j.join();
         }
-        // All producers are gone; everything already queued drains first
-        // (FIFO), then the engine flushes and returns the backend.
-        let _ = self.tx.send(Cmd::Shutdown);
-        let backend = self
-            .done_rx
-            .recv()
-            .expect("engine thread always returns the backend");
-        if let Some(engine) = self.engine.take() {
-            let _ = engine.join();
-        }
-        backend
+        // The accept loop and every connection thread are joined, and with
+        // them every other holder of the context.
+        let ctx = Arc::into_inner(self.ctx).expect("every thread sharing the context was joined");
+        ctx.deployment.into_backend()
     }
 }
 
@@ -260,7 +238,6 @@ fn accept_loop(
                     (Arc::clone(&ctx), Arc::clone(&conns), Arc::clone(&active));
                 let spawned = std::thread::Builder::new()
                     .name(format!("sase-conn-{session}"))
-                    .stack_size(THREAD_STACK)
                     .spawn(move || {
                         let over_cap = tactive.load(Ordering::SeqCst) > tctx.config.max_connections;
                         connection(&tctx, session, stream, over_cap);
@@ -422,85 +399,46 @@ fn serve_line(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, first: [u8; 4], o
 
 /// Execute one line-protocol request and build its complete response
 /// frame.
-fn line_response(ctx: &Arc<Ctx>, session: u64, request: Request) -> Vec<u8> {
-    match request {
-        Request::Ping => wire::response_frame(&ResponseParts::Pong),
+fn line_response(ctx: &Ctx, session: u64, request: Request) -> Vec<u8> {
+    let deployment = &ctx.deployment;
+    let frame = match request {
+        Request::Ping => Ok(wire::response_frame(&ResponseParts::Pong)),
         Request::Ingest {
             stream,
             ticks,
             events,
-        } => {
-            match call(&ctx.tx, |reply| Cmd::Ingest {
-                stream,
-                ticks,
-                events,
-                reply,
-            })
-            .and_then(|r| r)
-            {
-                Ok(emissions) => wire::response_frame(&ResponseParts::Ingested(&emissions)),
-                Err(e) => wire::error_frame(&e),
-            }
-        }
-        Request::Register { name, src } => {
-            match call(&ctx.tx, |reply| Cmd::Register {
-                session: Some(session),
-                name,
-                src,
-                reply,
-            })
-            .and_then(|r| r)
-            {
-                Ok(diags) => wire::response_frame(&ResponseParts::Registered(&diags)),
-                Err(e) => wire::error_frame(&e),
-            }
-        }
-        Request::Unregister { name } => {
-            match call(&ctx.tx, |reply| Cmd::Unregister {
-                session: Some(session),
-                name,
-                reply,
-            })
-            .and_then(|r| r)
-            {
-                Ok(existed) => wire::response_frame(&ResponseParts::Unregistered(existed)),
-                Err(e) => wire::error_frame(&e),
-            }
-        }
-        Request::Check { src } => match call(&ctx.tx, |reply| Cmd::Check { src, reply }) {
-            Ok(diags) => wire::response_frame(&ResponseParts::Checked(&diags)),
-            Err(e) => wire::error_frame(&e),
-        },
-        Request::Stats { name } => {
-            match call(&ctx.tx, |reply| Cmd::Stats { name, reply }).and_then(|r| r) {
-                Ok(stats) => wire::response_frame(&ResponseParts::Stats(&stats)),
-                Err(e) => wire::error_frame(&e),
-            }
-        }
-        Request::Metrics => match call(&ctx.tx, |reply| Cmd::Metrics { reply }) {
-            Ok(mut snap) => {
-                snap.merge(&ctx.metrics.registry.snapshot());
-                wire::response_frame(&ResponseParts::Metrics(&sase_obs::render_prometheus(&snap)))
-            }
-            Err(e) => wire::error_frame(&e),
-        },
-        Request::Queries => match call(&ctx.tx, |reply| Cmd::Queries { reply }) {
-            Ok(names) => wire::response_frame(&ResponseParts::Queries(&names)),
-            Err(e) => wire::error_frame(&e),
-        },
-        Request::Explain { name } => {
-            match call(&ctx.tx, |reply| Cmd::Explain { name, reply }).and_then(|r| r) {
-                Ok(text) => wire::response_frame(&ResponseParts::Explain(&text)),
-                Err(e) => wire::error_frame(&e),
-            }
-        }
-    }
+        } => deployment
+            .ingest(stream, ticks, events)
+            .map(|emissions| wire::response_frame(&ResponseParts::Ingested(&emissions))),
+        Request::Register { name, src } => deployment
+            .register(Some(session), &name, &src)
+            .map(|diags| wire::response_frame(&ResponseParts::Registered(&diags))),
+        Request::Unregister { name } => deployment
+            .unregister(Some(session), &name)
+            .map(|existed| wire::response_frame(&ResponseParts::Unregistered(existed))),
+        Request::Check { src } => deployment
+            .check(&src)
+            .map(|diags| wire::response_frame(&ResponseParts::Checked(&diags))),
+        Request::Stats { name } => deployment
+            .stats(&name)
+            .map(|stats| wire::response_frame(&ResponseParts::Stats(&stats))),
+        Request::Metrics => deployment.metrics().map(|snap| {
+            wire::response_frame(&ResponseParts::Metrics(&sase_obs::render_prometheus(&snap)))
+        }),
+        Request::Queries => deployment
+            .queries()
+            .map(|names| wire::response_frame(&ResponseParts::Queries(&names))),
+        Request::Explain { name } => deployment
+            .explain(&name)
+            .map(|text| wire::response_frame(&ResponseParts::Explain(&text))),
+    };
+    frame.unwrap_or_else(|e| wire::error_frame(&e))
 }
 
 /// The push session: reader half of an upgraded WebSocket connection.
 /// All socket writes happen on a dedicated writer thread fed by a bounded
-/// queue — the engine thread enqueues pushes with `try_send` and never
-/// blocks on a peer.
+/// queue — an ingesting connection thread enqueues pushes with `try_send`
+/// and never blocks on a peer.
 fn ws_session(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, mut reader: impl Read) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -516,7 +454,7 @@ fn ws_session(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, mut reader: impl 
         let dead = Arc::clone(&dead);
         std::thread::Builder::new()
             .name(format!("sase-ws-writer-{session}"))
-            .stack_size(THREAD_STACK)
+            .stack_size(WRITER_STACK)
             .spawn(move || ws_writer(write_half, push_rx, send_latency, depth, dead))
     };
     let Ok(writer) = writer else {
@@ -574,13 +512,7 @@ fn ws_command(
                 dead: Arc::clone(dead),
                 sock: Arc::clone(sock),
             };
-            match call(&ctx.tx, |reply| Cmd::Subscribe {
-                query: query.to_string(),
-                sub,
-                reply,
-            })
-            .and_then(|r| r)
-            {
+            match ctx.deployment.subscribe(query, sub) {
                 Ok(()) => format!("subscribed {query}"),
                 Err(e) => format!("error {e}"),
             }

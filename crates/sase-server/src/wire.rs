@@ -18,11 +18,12 @@
 //! *that connection*; the listener and every other session keep running.
 //!
 //! Requests carry explicit timestamps by default. An ingest may instead
-//! ask for **server-assigned ticks** (`tick_mode = 1`): the engine thread
-//! rebases each event onto the target stream's monotonic clock, which is
-//! what concurrent ingesters want (client-side timestamps from multiple
-//! unsynchronized connections would trip the engine's per-stream
-//! monotonicity check).
+//! ask for **server-assigned ticks** (`tick_mode = 1`): the ingesting
+//! thread rebases each event onto the target stream's monotonic clock,
+//! which is what concurrent ingesters want (client-side timestamps from
+//! multiple unsynchronized connections would trip the engine's per-stream
+//! monotonicity check). A batch that would carry the clock past
+//! `u64::MAX` is refused with an `Engine` error and changes nothing.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -97,9 +98,10 @@ pub enum TickMode {
     /// monotonicity and rejects regressions.
     #[default]
     Explicit,
-    /// The engine thread rebases each event onto the stream's monotonic
-    /// clock (one tick per event, in arrival order). Safe for many
-    /// concurrent ingesters.
+    /// The ingesting thread rebases each event onto the stream's
+    /// monotonic clock (one tick per event, in arrival order). Safe for
+    /// many concurrent ingesters. A batch the clock cannot fit below
+    /// `u64::MAX` is refused with an `Engine` error.
     ServerAssigned,
 }
 

@@ -2,11 +2,12 @@
 //! sockets, all three protocols.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};
+use sase_core::functions::FunctionRegistry;
 use sase_core::value::Value;
 use sase_server::client::{Client, PushClient};
 use sase_server::wire::TickMode;
@@ -45,6 +46,34 @@ fn deepest_queue(metrics: &str) -> f64 {
         })
         .reduce(f64::max)
         .unwrap_or_else(|| panic!("no queue-depth series in:\n{metrics}"))
+}
+
+/// Send one raw HTTP request; returns the status and the body.
+fn http(addr: SocketAddr, request: &str) -> (u16, String) {
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    sock.read_to_string(&mut response).unwrap();
+    let status = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+fn http_post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    http(
+        addr,
+        &format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    )
 }
 
 fn serve_default() -> (ServerHandle, SchemaRegistry) {
@@ -530,29 +559,8 @@ fn http_endpoints_work() {
     let (handle, _reg) = serve_default();
     let addr = handle.local_addr();
 
-    let http = |request: String| -> (u16, String) {
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(request.as_bytes()).unwrap();
-        let mut response = String::new();
-        sock.read_to_string(&mut response).unwrap();
-        let status = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let body = response
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
-    };
-    let post = |path: &str, body: &str| {
-        http(format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ))
-    };
-    let get = |path: &str| http(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+    let post = |path: &str, body: &str| http_post(addr, path, body);
+    let get = |path: &str| http(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
 
     // Register via HTTP; response carries rendered diagnostics (none).
     let (status, body) = post("/query?name=pairs", Q_PAIR);
@@ -713,4 +721,89 @@ fn shutdown_returns_the_backend_with_state_intact() {
             c.ping().is_err()
         }
     );
+}
+
+#[test]
+fn server_assigned_ticks_refuse_to_overflow() {
+    let (handle, reg) = serve_default();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.register("exits", Q_EXIT).unwrap();
+    let last = [reading(&reg, "EXIT_READING", u64::MAX, 7)];
+    assert_eq!(
+        client
+            .ingest(None, TickMode::Explicit, &last)
+            .unwrap()
+            .len(),
+        1
+    );
+
+    // The stream's clock is at the last tick: a server-assigned batch has
+    // no tick left, over either protocol, and is refused with a typed
+    // error.
+    let next = [reading(&reg, "EXIT_READING", 0, 8)];
+    match client.ingest(None, TickMode::ServerAssigned, &next) {
+        Err(ServerError::Engine(m)) => assert!(m.contains("ticks exhausted"), "{m}"),
+        other => panic!("expected a typed engine error, got {other:?}"),
+    }
+    let (status, body) = http_post(
+        handle.local_addr(),
+        "/ingest?ticks=server",
+        "EXIT_READING - 9 soap 1\n",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("ticks exhausted"), "{body}");
+
+    // Neither refusal reached the backend, and the connection still works.
+    assert_eq!(
+        client
+            .ingest(None, TickMode::Explicit, &last)
+            .unwrap()
+            .len(),
+        1
+    );
+    assert_eq!(client.stats("exits").unwrap().events_processed, 2);
+    handle.shutdown();
+}
+
+#[test]
+fn a_panicking_host_function_poisons_the_deployment_not_the_server() {
+    let reg = retail_registry();
+    let functions = FunctionRegistry::with_stdlib();
+    functions.register_fn("_boom", Some(1), |args| match &args[0] {
+        Value::Int(13) => panic!("_boom on 13"),
+        v => Ok(v.clone()),
+    });
+    let engine = Engine::with_functions(reg.clone(), functions);
+    let handle = Server::serve("127.0.0.1:0", Box::new(engine), ServerConfig::default()).unwrap();
+    let mut owner = Client::connect(handle.local_addr()).unwrap();
+    owner
+        .register("boom", "EVENT EXIT_READING z RETURN _boom(z.TagId) AS tag")
+        .unwrap();
+    let fine = [reading(&reg, "EXIT_READING", 1, 7)];
+    assert_eq!(
+        owner.ingest(None, TickMode::Explicit, &fine).unwrap().len(),
+        1
+    );
+
+    let poisoned = |result: Result<(), ServerError>| match result {
+        Err(ServerError::Engine(m)) => {
+            assert!(m.contains("panicked") && m.contains("_boom on 13"), "{m}")
+        }
+        other => panic!("expected a typed engine error, got {other:?}"),
+    };
+    // The requester gets a typed error naming the panic.
+    let boom = [reading(&reg, "EXIT_READING", 2, 13)];
+    poisoned(owner.ingest(None, TickMode::Explicit, &boom).map(drop));
+    // So does every later request, from any session, that needs the
+    // deployment; requests that do not are still answered.
+    let mut other = Client::connect(handle.local_addr()).unwrap();
+    other.ping().unwrap();
+    poisoned(other.queries().map(drop));
+    let later = [reading(&reg, "EXIT_READING", 3, 7)];
+    poisoned(other.ingest(None, TickMode::Explicit, &later).map(drop));
+    poisoned(owner.stats("boom").map(drop));
+    owner.ping().unwrap();
+
+    let backend = handle.shutdown();
+    assert_eq!(backend.query_names(), vec!["boom".to_string()]);
 }
