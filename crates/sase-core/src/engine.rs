@@ -67,7 +67,7 @@ use crate::output::ComplexEvent;
 use crate::plan::{compile_query, QueryPlan};
 use crate::processor::EventProcessor;
 use crate::runtime::{KeyTable, QueryRuntime, RuntimeStats};
-use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot};
+use crate::snapshot::{mismatch, DerivedStreamSnapshot, EngineSnapshot, EventTable};
 use crate::time::{TimeScale, Timestamp};
 
 /// A per-query output callback.
@@ -830,12 +830,13 @@ impl Engine {
             });
         }
 
+        let mut table = EventTable::default();
+        let queries = (self.queries.iter())
+            .map(|q| q.runtime.snapshot_in(&self.keys, &mut table))
+            .collect();
         EngineSnapshot {
-            queries: self
-                .queries
-                .iter()
-                .map(|q| q.runtime.snapshot_in(&self.keys))
-                .collect(),
+            events: table.into_events(),
+            queries,
             stream_clocks,
             derived_streams,
         }
@@ -858,10 +859,6 @@ impl Engine {
                 self.queries.len()
             )));
         }
-        for (q, qs) in self.queries.iter_mut().zip(&snap.queries) {
-            q.runtime.restore_in(qs, &self.registry, &mut self.keys)?;
-        }
-
         let mut derived_types = FxHashMap::default();
         let mut reusable_derived = FxHashSet::default();
         for d in &snap.derived_streams {
@@ -885,6 +882,13 @@ impl Engine {
                 );
             }
         }
+        let events = (snap.events.iter())
+            .map(|e| e.rebuild(&self.registry))
+            .collect::<Result<Vec<Event>>>()?;
+        for (q, qs) in self.queries.iter_mut().zip(&snap.queries) {
+            q.runtime.restore_in(qs, &events, &mut self.keys)?;
+        }
+
         self.derived_types = derived_types;
         self.reusable_derived = reusable_derived;
         let clocks = &snap.stream_clocks;

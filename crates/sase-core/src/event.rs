@@ -543,6 +543,13 @@ impl Event {
         self.attrs().get(pos)
     }
 
+    /// The address of the shared body: equal for every clone of one event,
+    /// distinct between events alive at the same time. A snapshot tells
+    /// retained events apart by it.
+    pub(crate) fn body(&self) -> *const () {
+        Arc::as_ptr(&self.data).cast()
+    }
+
     /// This event at another timestamp: the same type, schema and
     /// attributes, already validated, copied into a new event without
     /// going back to the registry.

@@ -29,10 +29,7 @@
 
 use std::collections::{vec_deque, VecDeque};
 
-use crate::error::Result;
-use crate::event::{Event, EventTypeId, SchemaRegistry};
-use crate::pattern::CompiledPattern;
-use crate::snapshot::{mismatch, EventSnapshot, InstanceSnapshot, StackSnapshot};
+use crate::event::Event;
 use crate::time::Timestamp;
 
 /// One stack entry.
@@ -132,81 +129,10 @@ impl Stack {
     }
 
     /// The retained instances, oldest first.
-    fn instances(&self) -> impl Iterator<Item = &Instance> {
+    pub(crate) fn instances(&self) -> impl Iterator<Item = &Instance> {
         self.head
             .iter()
             .chain(self.tail.iter().flat_map(|t| t.iter()))
-    }
-
-    /// Serializable image of this stack (absolute indexing included).
-    pub fn snapshot(&self) -> StackSnapshot {
-        StackSnapshot {
-            base: self.base as u64,
-            instances: self
-                .instances()
-                .map(|i| InstanceSnapshot {
-                    event: EventSnapshot::capture(&i.event),
-                    rip: i.rip as u64,
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a stack from its snapshot, resolving events against
-    /// `registry`.
-    ///
-    /// `types` are the event types the stack's component binds, and
-    /// `prev_total` is the previous stack's [`Stack::total`] (`None` for
-    /// the first stack). A snapshot the engine could not have written is
-    /// rejected: an instance of another type, timestamps that go
-    /// backwards, or RIPs that are not zero on the first stack, decrease,
-    /// or point past the previous stack. Sequence construction relies on
-    /// each of these, so accepting one would silently miss matches.
-    pub fn from_snapshot(
-        snap: &StackSnapshot,
-        registry: &SchemaRegistry,
-        types: &[EventTypeId],
-        prev_total: Option<usize>,
-    ) -> Result<Stack> {
-        let mut stack = Stack {
-            base: snap.base as usize,
-            ..Stack::default()
-        };
-        if stack.base.checked_add(snap.instances.len()).is_none() {
-            return Err(mismatch("stack base overflows"));
-        }
-        let (mut last_ts, mut last_rip) = (0, 0);
-        for i in &snap.instances {
-            let event = i.event.rebuild(registry)?;
-            let (ts, rip) = (event.timestamp(), i.rip as usize);
-            if !types.contains(&event.type_id()) {
-                return Err(mismatch(format!(
-                    "a `{}` instance in a stack whose component does not bind it",
-                    event.type_name()
-                )));
-            }
-            if ts < last_ts {
-                return Err(mismatch(format!(
-                    "stack timestamps go backwards ({ts} after {last_ts})"
-                )));
-            }
-            let wrong_rip = match prev_total {
-                None if rip != 0 => Some(format!("RIP {rip} in the first stack")),
-                Some(prev) if rip > prev => Some(format!(
-                    "RIP {rip} points past the previous stack's {prev} instances"
-                )),
-                _ if rip < last_rip => {
-                    Some(format!("stack RIPs go backwards ({rip} after {last_rip})"))
-                }
-                _ => None,
-            };
-            if let Some(what) = wrong_rip {
-                return Err(mismatch(what));
-            }
-            (last_ts, last_rip) = (ts, rip);
-            stack.push(Instance { event, ts, rip });
-        }
-        Ok(stack)
     }
 
     /// Iterate retained instances newest-first together with their absolute
@@ -310,36 +236,6 @@ impl AisGroup {
         self.stacks.is_empty()
     }
 
-    /// Serializable image of every stack, in component order.
-    pub fn snapshot(&self) -> Vec<StackSnapshot> {
-        self.stacks.iter().map(Stack::snapshot).collect()
-    }
-
-    /// Rebuild a group of `pattern`'s positive components from per-stack
-    /// snapshots, validating each stack as [`Stack::from_snapshot`] does.
-    pub fn from_snapshot(
-        stacks: &[StackSnapshot],
-        registry: &SchemaRegistry,
-        pattern: &CompiledPattern,
-    ) -> Result<AisGroup> {
-        let n = pattern.positive_len();
-        if stacks.len() != n {
-            return Err(mismatch(format!(
-                "partition has {} stacks, plan has {n} positive components",
-                stacks.len()
-            )));
-        }
-        let mut group = AisGroup::new(n);
-        let mut prev_total = None;
-        for (i, s) in stacks.iter().enumerate() {
-            let types = &pattern.positive_elem(i).type_ids;
-            let stack = Stack::from_snapshot(s, registry, types, prev_total)?;
-            prev_total = Some(stack.total());
-            group.stacks[i] = stack;
-        }
-        Ok(group)
-    }
-
     /// Prune every stack; returns total dropped.
     pub fn prune_before(&mut self, min_ts: Timestamp) -> usize {
         self.stacks.iter_mut().map(|s| s.prune_before(min_ts)).sum()
@@ -355,7 +251,6 @@ impl AisGroup {
 mod tests {
     use super::*;
     use crate::event::retail_registry;
-    use crate::lang::parse_query;
     use crate::value::Value;
 
     fn ev(ts: u64) -> Event {
@@ -388,21 +283,6 @@ mod tests {
     /// `iter_below(bound)` as (absolute index, timestamp) pairs.
     fn walk(s: &Stack, bound: usize) -> Vec<(usize, u64)> {
         s.iter_below(bound).map(|(i, inst)| (i, inst.ts)).collect()
-    }
-
-    /// `iter_below(bound)` as (absolute index, timestamp, RIP) triples.
-    fn walk_rips(s: &Stack, bound: usize) -> Vec<(usize, u64, usize)> {
-        s.iter_below(bound)
-            .map(|(i, inst)| (i, inst.ts, inst.rip))
-            .collect()
-    }
-
-    fn shelf_types() -> Vec<EventTypeId> {
-        vec![retail_registry().type_id("SHELF_READING").unwrap()]
-    }
-
-    fn round_trip(s: &Stack) -> Stack {
-        Stack::from_snapshot(&s.snapshot(), &retail_registry(), &shelf_types(), None).unwrap()
     }
 
     #[test]
@@ -447,10 +327,6 @@ mod tests {
             let newest_first: Vec<(usize, u64)> =
                 all[..n].iter().copied().enumerate().rev().collect();
             assert_eq!(walk(&s, 99), newest_first);
-
-            let back = round_trip(&s);
-            assert_eq!(back.snapshot(), s.snapshot());
-            assert_eq!(walk(&back, 99), newest_first);
         }
     }
 
@@ -522,38 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_snapshot_round_trips_after_pruning() {
-        let mut s = Stack::new();
-        for ts in [1, 2, 3, 4, 5] {
-            s.push(inst(ts, ts as usize - 1));
-        }
-        s.prune_before(3);
-        let snap = s.snapshot();
-        assert_eq!(snap.base, 2);
-        assert_eq!(snap.instances.len(), 3);
-        // RIPs up to 4 are valid behind a previous stack of 5 instances.
-        let back =
-            Stack::from_snapshot(&snap, &retail_registry(), &shelf_types(), Some(5)).unwrap();
-        assert_eq!(back.total(), s.total());
-        assert_eq!(back.first_index(), s.first_index());
-        assert_eq!(walk_rips(&back, 99), walk_rips(&s, 99));
-        assert_eq!(walk_rips(&back, 99), vec![(4, 5, 4), (3, 4, 3), (2, 3, 2)]);
-    }
-
-    #[test]
-    fn a_stack_base_that_would_overflow_is_rejected() {
-        let mut snap = stack_of(&[1]).snapshot();
-        snap.base = u64::MAX;
-        let err = Stack::from_snapshot(&snap, &retail_registry(), &shelf_types(), None)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("snapshot mismatch: stack base overflows"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn group_prune_counts() {
         let mut g = AisGroup::new(2);
         g.stack_mut(0).push(inst(1, 0));
@@ -566,27 +410,19 @@ mod tests {
 
     #[test]
     fn group_layouts_round_trip() {
-        // One and two stacks are held inline, three on the heap.
-        let reg = retail_registry();
-        let patterns = [
-            "EVENT SHELF_READING a",
-            "EVENT SEQ(SHELF_READING a, SHELF_READING b)",
-            "EVENT SEQ(SHELF_READING a, SHELF_READING b, SHELF_READING c)",
-        ];
-        for (n, src) in (1..=3).zip(patterns) {
-            let query = parse_query(src).unwrap();
-            let pattern = CompiledPattern::compile(&query.pattern, &reg).unwrap();
+        // One and two stacks are held inline, three on the heap; each
+        // gives back what was pushed onto it.
+        for n in 1..=3 {
             let mut g = AisGroup::new(n);
             assert_eq!(g.len(), n);
+            assert_eq!(matches!(g.stacks, GroupStacks::Heap(_)), n > 2);
             // Each instance follows the one instance of the previous stack.
             let rip = |i: usize| i.min(1);
             for i in 0..n {
                 g.stack_mut(i).push(inst(i as u64 + 1, rip(i)));
             }
-            let back = AisGroup::from_snapshot(&g.snapshot(), &reg, &pattern).unwrap();
-            assert_eq!(back.len(), n);
             for i in 0..n {
-                let inst = back.stack(i).get(0).unwrap();
+                let inst = g.stack(i).get(0).unwrap();
                 assert_eq!((inst.ts, inst.rip), (i as u64 + 1, rip(i)));
             }
         }

@@ -18,7 +18,8 @@
 //! holder leaves the map and goes on a free list that is reused last in,
 //! first out, so the table never has more slots than the peak number of
 //! live keys. Slot ids depend on arrival and reclamation order, so nothing
-//! observable may depend on them: snapshots write keys, sorted.
+//! observable may depend on them: snapshots order events by key, not by
+//! slot.
 
 use crate::event::Event;
 use crate::hash::FxHashMap;
@@ -188,8 +189,8 @@ impl KeyTable {
         (slot != VACANT).then_some(slot)
     }
 
-    /// The slot of a key read from a snapshot, interning it if new. The
-    /// caller takes a hold on it at once.
+    /// The slot of `parts`, interning it if new.
+    #[cfg(test)]
     pub(crate) fn intern(&mut self, parts: &[ValueKey]) -> u32 {
         self.interned.intern(parts)
     }
@@ -313,17 +314,6 @@ impl<T> SlotMap<T> {
         self.entries.push(entry);
         self.slots.push(slot);
         local
-    }
-
-    /// Add the entry of a restored key; `false` when the key already has
-    /// one (a damaged snapshot).
-    pub(crate) fn insert_key(&mut self, key: &[ValueKey], keys: &mut KeyTable, entry: T) -> bool {
-        let slot = keys.intern(key);
-        if self.position(slot).is_some() {
-            return false;
-        }
-        self.push(slot, keys, entry);
-        true
     }
 
     /// Keep the entries `keep` accepts; the rest release their slots.

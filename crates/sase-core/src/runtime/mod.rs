@@ -53,7 +53,7 @@
 //! filters; partition → parts → per-slot attributes → accessor;
 //! negations), spread over each query's separate allocations. The table is
 //! derived state, like SSC's construction filters by index, and so are key
-//! slot ids: snapshots write keys, and output does not depend on either.
+//! slot ids: snapshots write events, and output does not depend on either.
 
 pub mod ais;
 pub mod binding;
@@ -68,12 +68,12 @@ pub(crate) use keys::KeyTable;
 use std::sync::Arc;
 
 use crate::error::{Result, SaseError};
-use crate::event::{Event, EventTypeId, SchemaRegistry};
+use crate::event::{Event, EventTypeId};
 use crate::expr::SlotProbe;
 use crate::output::ComplexEvent;
 use crate::plan::QueryPlan;
 use crate::program::AttrAccess;
-use crate::snapshot::{mismatch, QuerySnapshot, SeqSnapshot};
+use crate::snapshot::{mismatch, EntrySnapshot, EventTable, Place, QuerySnapshot};
 use crate::time::{LogicalDuration, Timestamp};
 use crate::value::{Value, ValueKey};
 
@@ -97,19 +97,12 @@ pub struct RuntimeStats {
     pub sequences_constructed: u64,
     /// Construction-filter rejections during sequence construction.
     pub construction_filter_rejects: u64,
-    /// Always 0: the window runs inside the sequence scan, so no
-    /// constructed match is ever outside it. Kept so the checkpoint, the
-    /// Stats frame and the metrics keep their shape.
-    pub dropped_by_window: u64,
     /// Matches killed by a negation counterexample.
     pub dropped_by_negation: u64,
     /// Counterexample candidates buffered by the negation operator.
     pub negation_candidates_buffered: u64,
     /// Composite events emitted.
     pub matches_emitted: u64,
-    /// Always 0: SSC keeps stack instances, not partial runs. Kept so the
-    /// checkpoint, the Stats frame and the metrics keep their shape.
-    pub partial_runs_peak: u64,
     /// Current number of PAIS partitions.
     pub partitions: u64,
 }
@@ -117,8 +110,8 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// The counters as `(label, value, is_monotonic)` rows, in a fixed
     /// presentation order. Monotonic rows export as Prometheus counters;
-    /// the rest (`partial_runs_peak`, `partitions`) as gauges.
-    pub fn rows(&self) -> [(&'static str, u64, bool); 11] {
+    /// the rest (`partitions`) as gauges.
+    pub fn rows(&self) -> [(&'static str, u64, bool); 9] {
         [
             ("events_processed", self.events_processed, true),
             ("instances_appended", self.instances_appended, true),
@@ -129,7 +122,6 @@ impl RuntimeStats {
                 self.construction_filter_rejects,
                 true,
             ),
-            ("dropped_by_window", self.dropped_by_window, true),
             ("dropped_by_negation", self.dropped_by_negation, true),
             (
                 "negation_candidates_buffered",
@@ -137,7 +129,6 @@ impl RuntimeStats {
                 true,
             ),
             ("matches_emitted", self.matches_emitted, true),
-            ("partial_runs_peak", self.partial_runs_peak, false),
             ("partitions", self.partitions, false),
         ]
     }
@@ -409,6 +400,64 @@ impl OfferTable {
     }
 }
 
+/// One place holding a retained event, as a snapshot orders it: the
+/// event's timestamp, the key of its partition or bucket, the place, its
+/// position there, and the event.
+pub(crate) type Held<'a> = (Timestamp, &'a [ValueKey], Place, usize, &'a Event);
+
+/// Re-append each of `entries`' events, indexes into `events`, to the
+/// place it names in `seq` or `negation`, which `offers` was compiled for.
+fn refill(
+    offers: &OfferTable,
+    entries: &[EntrySnapshot],
+    events: &[Event],
+    keys: &mut KeyTable,
+    seq: &mut SscOperator,
+    negation: &mut NegationOperator,
+) -> Result<()> {
+    let mut last = 0;
+    for entry in entries {
+        let event = events.get(entry.event as usize).ok_or_else(|| {
+            mismatch(format!(
+                "an entry names event {} of a table of {}",
+                entry.event,
+                events.len()
+            ))
+        })?;
+        let ts = event.timestamp();
+        if ts < last {
+            return Err(mismatch(format!(
+                "timestamps go backwards ({ts} after {last})"
+            )));
+        }
+        last = ts;
+        let row = match entry.place {
+            Place::Stack(i) => offers.positives().iter().rev().nth(i as usize),
+            Place::Negation(i) => offers.negations().get(i as usize),
+        };
+        let place = entry.place;
+        let row = row.ok_or_else(|| mismatch(format!("the plan has no {place:?}")))?;
+        if !row.types.matches(event.type_id()) {
+            return Err(mismatch(format!(
+                "a `{}` event in {place:?}, whose component does not bind it",
+                event.type_name()
+            )));
+        }
+        keys.begin_offer();
+        let placed = match place {
+            Place::Stack(_) => seq.restore(row, keys, event),
+            Place::Negation(_) => negation.restore(row, keys, event),
+        };
+        if !placed {
+            return Err(mismatch(format!(
+                "a `{}` event in {place:?} lacks its key attribute",
+                event.type_name()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The public keyed methods of [`QueryRuntime`] run on its private key
 /// table, which only an engine's runtimes lack, and the engine never
 /// hands those out.
@@ -569,41 +618,43 @@ impl QueryRuntime {
         Ok(())
     }
 
-    /// Serializable image of this query's complete runtime state.
-    pub fn snapshot(&self) -> QuerySnapshot {
-        self.snapshot_in(self.keys.as_ref().expect(OWN_KEYS))
-    }
-
-    /// [`QueryRuntime::snapshot`] with the keys in `keys`.
-    pub(crate) fn snapshot_in(&self, keys: &KeyTable) -> QuerySnapshot {
+    /// This query's part of an engine snapshot: its counters, its clocks
+    /// and an entry per place holding an event, the event as its index in
+    /// `table`, in the canonical order of [`crate::snapshot`].
+    pub(crate) fn snapshot_in(&self, keys: &KeyTable, table: &mut EventTable) -> QuerySnapshot {
+        let mut held: Vec<Held<'_>> = self
+            .seq
+            .held(keys)
+            .chain(self.negation.held(keys))
+            .collect();
+        held.sort_unstable_by(|a, b| (a.0, a.1, a.2, a.3).cmp(&(b.0, b.1, b.2, b.3)));
         QuerySnapshot {
             name: self.name.to_string(),
             stats: self.stats.clone(),
             last_ts: self.last_ts,
-            seq: self.seq.snapshot(keys),
-            negations: self.negation.snapshot(keys),
+            events_since_sweep: self.seq.events_since_sweep as u64,
+            entries: (held.iter())
+                .map(|&(.., place, _, event)| EntrySnapshot {
+                    event: table.index_of(event),
+                    place,
+                })
+                .collect(),
         }
     }
 
-    /// Replace this runtime's state with a snapshot's.
+    /// Replace this runtime's state with `snap`'s: re-append each entry's
+    /// event, taken from `events` (the snapshot's rebuilt event table), to
+    /// the place it names (see [`crate::snapshot`]).
     ///
     /// The runtime must have been built from the same query as the
     /// snapshotted one (the engine restore protocol guarantees this by
-    /// re-registering queries before restoring);
-    /// mismatches are rejected with a typed error, never applied halfway —
-    /// nothing is modified unless every piece of the snapshot fits.
-    pub fn restore(&mut self, snap: &QuerySnapshot, registry: &SchemaRegistry) -> Result<()> {
-        let mut keys = self.own_keys();
-        let result = self.restore_in(snap, registry, &mut keys);
-        self.keys = Some(keys);
-        result
-    }
-
-    /// [`QueryRuntime::restore`] with the keys in `keys`.
+    /// re-registering queries before restoring); mismatches are rejected
+    /// with a typed error, never applied halfway — nothing is modified
+    /// unless every entry fits.
     pub(crate) fn restore_in(
         &mut self,
         snap: &QuerySnapshot,
-        registry: &SchemaRegistry,
+        events: &[Event],
         keys: &mut KeyTable,
     ) -> Result<()> {
         if snap.name != self.name.as_ref() {
@@ -612,24 +663,25 @@ impl QueryRuntime {
                 snap.name, self.name
             )));
         }
-        // Rebuild both operators from the snapshot before touching any
-        // state, so a mid-restore failure leaves the runtime unchanged.
+        // Rebuild both operators before touching any state, so a
+        // mid-restore failure leaves the runtime unchanged.
         let mut seq = SscOperator::new(self.plan.clone());
         let mut negation = NegationOperator::new(self.plan.clone());
-        let SeqSnapshot::Ssc {
-            partitions,
-            events_since_sweep,
-        } = &snap.seq;
-        let rebuilt = seq
-            .restore(partitions, *events_since_sweep, registry, keys)
-            .and_then(|()| negation.restore(&snap.negations, registry, keys));
-        if let Err(e) = rebuilt {
+        let refilled = refill(
+            &self.offers,
+            &snap.entries,
+            events,
+            keys,
+            &mut seq,
+            &mut negation,
+        );
+        if let Err(e) = refilled {
             seq.release(keys);
             negation.release(keys);
             return Err(e);
         }
-
         self.release(keys);
+        seq.events_since_sweep = snap.events_since_sweep as usize;
         self.seq = seq;
         self.negation = negation;
         self.stats = snap.stats.clone();
@@ -927,41 +979,37 @@ mod tests {
         assert_eq!(rt.stats().instances_appended, 0);
         assert_eq!(rt.stats().sequences_constructed, 10_000);
 
-        // A snapshot that still holds instances of the query restores
-        // without them; a damaged one is still rejected.
+        // A snapshot that still holds an instance of the query (one
+        // converted from an old checkpoint may) restores without it; one
+        // whose component cannot bind the event is still rejected.
+        let engine = || {
+            let mut engine = crate::engine::Engine::new(reg.clone());
+            engine
+                .register(
+                    "archive",
+                    "EVENT ANY(SHELF_READING, EXIT_READING) x RETURN x.TagId",
+                )
+                .unwrap();
+            engine
+        };
         let with_instance = |ty: &str| {
-            let mut snap = rt.snapshot();
-            let SeqSnapshot::Ssc { partitions, .. } = &mut snap.seq;
-            assert!(partitions.is_empty());
-            partitions.push(crate::snapshot::PartitionSnapshot {
-                key: Vec::new(),
-                stacks: vec![crate::snapshot::StackSnapshot {
-                    base: 9_999,
-                    instances: vec![crate::snapshot::InstanceSnapshot {
-                        event: crate::snapshot::EventSnapshot::capture(&ev(&reg, ty, 10_000, 7, 1)),
-                        rip: 0,
-                    }],
-                }],
+            let mut snap = engine().snapshot();
+            let event = ev(&reg, ty, 10_000, 7, 1);
+            snap.events
+                .push(crate::snapshot::EventSnapshot::capture(&event));
+            snap.queries[0].entries.push(EntrySnapshot {
+                event: 0,
+                place: Place::Stack(0),
             });
             snap
         };
-        let mut restored = runtime_on(
-            &reg,
-            "EVENT ANY(SHELF_READING, EXIT_READING) x RETURN x.TagId",
-        );
-        restored
-            .restore(&with_instance("SHELF_READING"), &reg)
-            .unwrap();
-        assert_eq!(restored.retained_state().0, 0);
-        let mut more = Vec::new();
-        restored
-            .process(&ev(&reg, "EXIT_READING", 10_001, 7, 4), &mut more)
-            .unwrap();
-        assert_eq!(more.len(), 1);
-        assert_eq!(restored.retained_state().0, 0);
-        assert!(restored
-            .restore(&with_instance("COUNTER_READING"), &reg)
-            .is_err());
+        let mut restored = engine();
+        restored.restore(&with_instance("SHELF_READING")).unwrap();
+        assert_eq!(restored.snapshot().retained_events(), 0);
+        let exit = ev(&reg, "EXIT_READING", 10_001, 7, 4);
+        assert_eq!(restored.process_batch(&[exit]).unwrap().len(), 1);
+        assert_eq!(restored.snapshot().retained_events(), 0);
+        assert!(engine().restore(&with_instance("COUNTER_READING")).is_err());
     }
 
     #[test]

@@ -27,15 +27,14 @@
 use std::collections::VecDeque;
 
 use crate::error::Result;
-use crate::event::{Event, SchemaRegistry};
+use crate::event::Event;
 use crate::plan::QueryPlan;
-use crate::snapshot::{mismatch, EventSnapshot, NegationBufferSnapshot};
+use crate::snapshot::Place;
 use crate::time::Timestamp;
-use crate::value::ValueKey;
 
 use super::binding::MatchBinding;
 use super::keys::{KeyTable, SlotMap};
-use super::{OfferTable, RuntimeStats};
+use super::{Held, OfferRow, OfferTable, RuntimeStats};
 
 #[derive(Debug)]
 struct NegBuffer {
@@ -83,76 +82,32 @@ impl NegationOperator {
             .sum()
     }
 
-    /// Serializable image of every negation buffer, buckets sorted by key.
-    pub(crate) fn snapshot(&self, keys: &KeyTable) -> Vec<NegationBufferSnapshot> {
-        self.buffers
-            .iter()
-            .map(|b| {
-                let mut buckets: Vec<(Vec<ValueKey>, Vec<EventSnapshot>)> = b
-                    .buckets
-                    .iter(keys)
-                    .map(|(k, q)| (k.to_vec(), q.iter().map(EventSnapshot::capture).collect()))
-                    .collect();
-                buckets.sort_by(|a, b| a.0.cmp(&b.0));
-                NegationBufferSnapshot {
-                    buckets,
-                    all: b.all.iter().map(EventSnapshot::capture).collect(),
-                }
+    /// Every buffered candidate, as a snapshot orders it.
+    pub(crate) fn held<'a>(&'a self, keys: &'a KeyTable) -> impl Iterator<Item = Held<'a>> {
+        self.buffers.iter().enumerate().flat_map(move |(ni, buf)| {
+            let place = Place::Negation(ni as u32);
+            let flat = std::iter::once((&[][..], &buf.all));
+            (buf.buckets.iter(keys).chain(flat)).flat_map(move |(key, queue)| {
+                (queue.iter().enumerate()).map(move |(at, e)| (e.timestamp(), key, place, at, e))
             })
-            .collect()
+        })
     }
 
-    /// Replace the buffered candidates with a snapshot's. The snapshot
-    /// must come from a plan with the same negations, each buffered the
-    /// same way (bucketed vs. flat) under keys of as many parts. On error
-    /// the operator keeps the buckets restored so far; the caller releases
-    /// them.
-    pub(crate) fn restore(
-        &mut self,
-        snaps: &[NegationBufferSnapshot],
-        registry: &SchemaRegistry,
-        keys: &mut KeyTable,
-    ) -> Result<()> {
-        if snaps.len() != self.buffers.len() {
-            return Err(mismatch(format!(
-                "snapshot has {} negation buffers, plan has {}",
-                snaps.len(),
-                self.buffers.len()
-            )));
-        }
-        self.release(keys);
-        for (buf, snap) in self.buffers.iter_mut().zip(snaps) {
-            if buf.key_parts.is_some() && !snap.all.is_empty() {
-                return Err(mismatch(
-                    "snapshot buffered negation candidates flat, plan indexes them",
-                ));
-            }
-            if buf.key_parts.is_none() && !snap.buckets.is_empty() {
-                return Err(mismatch(
-                    "snapshot bucketed negation candidates, plan buffers them flat",
-                ));
-            }
-            for (key, events) in &snap.buckets {
-                let parts = buf.key_parts.unwrap_or(0);
-                if key.len() != parts {
-                    return Err(mismatch(format!(
-                        "negation bucket key has {} parts, plan has {parts}",
-                        key.len()
-                    )));
-                }
-                let mut queue = VecDeque::with_capacity(events.len());
-                for e in events {
-                    queue.push_back(e.rebuild(registry)?);
-                }
-                if !buf.buckets.insert_key(key, keys, queue) {
-                    return Err(mismatch("duplicate negation bucket key"));
-                }
-            }
-            for e in &snap.all {
-                buf.all.push_back(e.rebuild(registry)?);
-            }
-        }
-        Ok(())
+    /// Re-append a restored candidate to the buffer of `row`'s negated
+    /// component: the bucket of its key, or the flat buffer; `false` when
+    /// a bucketed candidate lacks a key attribute.
+    pub(super) fn restore(&mut self, row: &OfferRow, keys: &mut KeyTable, event: &Event) -> bool {
+        let buf = &mut self.buffers[row.index];
+        let queue = if buf.key_parts.is_some() {
+            let Some(slot) = row.slot(keys, event) else {
+                return false;
+            };
+            buf.buckets.get_or_insert_with(slot, keys, VecDeque::new)
+        } else {
+            &mut buf.all
+        };
+        queue.push_back(event.clone());
+        true
     }
 
     /// Observe an arriving event, buffering it wherever it is a candidate
@@ -275,7 +230,7 @@ mod tests {
     use crate::functions::FunctionRegistry;
     use crate::lang::parse_query;
     use crate::plan::Planner;
-    use crate::value::Value;
+    use crate::value::{Value, ValueKey};
 
     const Q1: &str = "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
                       WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 1000";

@@ -42,14 +42,14 @@
 //! predicates.
 
 use crate::error::Result;
-use crate::event::{Event, SchemaRegistry};
+use crate::event::Event;
 use crate::plan::{ConstructionFilter, QueryPlan};
-use crate::snapshot::{mismatch, PartitionSnapshot, SeqSnapshot};
+use crate::snapshot::Place;
 
 use super::ais::{AisGroup, Instance, Stack};
 use super::binding::Suffix;
 use super::keys::{KeyTable, SlotMap};
-use super::{OfferTable, RuntimeStats};
+use super::{Held, OfferRow, OfferTable, RuntimeStats};
 
 /// The SSC operator: one per running query.
 #[derive(Debug)]
@@ -61,7 +61,7 @@ pub struct SscOperator {
     /// Construction filters grouped by the positive index at which they
     /// become evaluable during backward construction.
     filters_by_min: Vec<Vec<ConstructionFilter>>,
-    events_since_sweep: usize,
+    pub(super) events_since_sweep: usize,
     /// The slot of the group the last event's matches were constructed
     /// in. An indexed negation buckets candidates under the same key, so it
     /// probes with this slot instead of extracting the key again.
@@ -112,62 +112,44 @@ impl SscOperator {
         self.groups.values().map(|g| g.retained()).sum()
     }
 
-    /// Serializable image of the operator's state, partitions sorted by
-    /// key so equal states snapshot identically.
-    pub(crate) fn snapshot(&self, keys: &KeyTable) -> SeqSnapshot {
-        let mut partitions: Vec<PartitionSnapshot> = self
-            .groups
-            .iter(keys)
-            .map(|(key, group)| PartitionSnapshot {
-                key: key.to_vec(),
-                stacks: group.snapshot(),
+    /// Every retained instance, as a snapshot orders it.
+    pub(crate) fn held<'a>(&'a self, keys: &'a KeyTable) -> impl Iterator<Item = Held<'a>> {
+        self.groups.iter(keys).flat_map(|(key, group)| {
+            (group.stacks().iter().enumerate()).flat_map(move |(i, stack)| {
+                let place = Place::Stack(i as u32);
+                (stack.instances().enumerate())
+                    .map(move |(at, inst)| (inst.ts, key, place, at, &inst.event))
             })
-            .collect();
-        partitions.sort_by(|a, b| a.key.cmp(&b.key));
-        SeqSnapshot::Ssc {
-            partitions,
-            events_since_sweep: self.events_since_sweep as u64,
-        }
+        })
     }
 
-    /// Replace the operator's state with a snapshot's (the plan this
-    /// operator was built from must match the snapshotted one). On error
-    /// the operator keeps the partitions restored so far; the caller
-    /// releases them.
-    pub(crate) fn restore(
-        &mut self,
-        partitions: &[PartitionSnapshot],
-        events_since_sweep: u64,
-        registry: &SchemaRegistry,
-        keys: &mut KeyTable,
-    ) -> Result<()> {
-        let key_parts = self
-            .plan
-            .partition
-            .as_ref()
-            .map_or(0, |spec| spec.parts.len());
-        self.groups.clear(keys);
-        for p in partitions {
-            if p.key.len() != key_parts {
-                return Err(mismatch(format!(
-                    "partition key has {} parts, plan has {key_parts}",
-                    p.key.len()
-                )));
-            }
-            let group = AisGroup::from_snapshot(&p.stacks, registry, &self.plan.pattern)?;
-            if self.plan.pattern.positive_len() == 1 {
-                // A single-component query keeps no stacks. A snapshot may
-                // still hold instances of one, written by a build that
-                // stored every event such a query matched: nothing reads
-                // them, so once validated they are dropped.
-                continue;
-            }
-            if !self.groups.insert_key(&p.key, keys, group) {
-                return Err(mismatch("duplicate partition key"));
-            }
+    /// Re-append a restored `event` to the stack of `row`'s component, in
+    /// the group of its key, with the previous stack's instance count as
+    /// its RIP; `false` when the event lacks a key attribute. A
+    /// single-component query keeps no stacks, so it drops the event.
+    pub(super) fn restore(&mut self, row: &OfferRow, keys: &mut KeyTable, event: &Event) -> bool {
+        let n = self.plan.pattern.positive_len();
+        if n == 1 {
+            return true;
         }
-        self.events_since_sweep = events_since_sweep as usize;
-        Ok(())
+        let Some(slot) = row.slot(keys, event) else {
+            return false;
+        };
+        let group = self
+            .groups
+            .get_or_insert_with(slot, keys, || AisGroup::new(n));
+        let i = row.index;
+        let rip = if i == 0 {
+            0
+        } else {
+            group.stack(i - 1).total()
+        };
+        group.stack_mut(i).push(Instance {
+            event: event.clone(),
+            ts: event.timestamp(),
+            rip,
+        });
+        true
     }
 
     /// Drop every partition, releasing its key.

@@ -3,10 +3,17 @@
 //! The paper's system keeps every partial match in volatile memory; a
 //! production deployment needs to survive restarts without reprocessing the
 //! stream from the beginning. This module defines the *data model* of an
-//! engine checkpoint: plain owned structs mirroring every piece of mutable
-//! runtime state — per-query NFA instance stacks (AIS/PAIS), buffered
-//! negation counterexamples, runtime counters, per-stream monotonicity
-//! clocks, and the derived (`INTO`) schema registry.
+//! engine checkpoint: the events the engine's queries still hold, where
+//! each query holds them, runtime counters, per-stream monotonicity clocks,
+//! and the derived (`INTO`) schema registry.
+//!
+//! A snapshot records events, not the layout that indexes them. An
+//! [`EngineSnapshot`] holds one *event table* — each distinct retained
+//! event once, by type name — and per query its entries: an event index
+//! and the [`Place`] holding it, a positive component's stack or a negated
+//! component's buffer. It records no RIP pointer, stack base, partition key
+//! or bucket key: restore derives them from the events, as the runtime
+//! does on arrival.
 //!
 //! The types here are deliberately free of any wire format: `sase-store`
 //! owns the binary codec (and the checkpoint files), `sase-core` owns the
@@ -25,19 +32,31 @@
 //!    streams can plan;
 //! 2. the host re-registers the same queries, with the same text and in
 //!    the same order, as the checkpointed run;
-//! 3. [`crate::engine::Engine::restore`] swaps the recorded runtime state
-//!    into the re-registered runtimes.
+//! 3. [`crate::engine::Engine::restore`] rebuilds the event table and, per
+//!    query and entry in order, re-appends the event to its place: onto a
+//!    stack, in the partition of the event's key, with the previous stack's
+//!    instance count as its RIP; into a negation buffer, in the bucket of
+//!    its key. Nothing is pruned, matched or counted, so restoring emits
+//!    nothing. Last, each query takes its counters and clocks.
 //!
-//! Snapshot contents are ordered deterministically (partitions and buckets
-//! sorted by key), so snapshotting the same engine state twice yields equal
-//! snapshots — which is what makes checkpoint files byte-stable and replay
-//! provable.
+//! Three inputs are rejected with a typed error: an event its place's
+//! component cannot bind, an event without the key attribute its place
+//! needs, and timestamps that go backwards within a query.
+//!
+//! Entries are in a canonical order: by timestamp, then by the key of the
+//! partition or bucket, then by place, then by position in it. So equal
+//! states snapshot to equal values, whatever key slots the engine picked,
+//! and each stack and buffer is re-appended in its own order. Across
+//! places, events of equal timestamp may be re-appended in another order
+//! than they arrived in; no match sees that, because sequence construction
+//! skips a same-timestamp predecessor before it runs any filter.
 
 use crate::error::{Result, SaseError};
 use crate::event::{Event, SchemaRegistry};
+use crate::hash::FxHashMap;
 use crate::runtime::RuntimeStats;
 use crate::time::Timestamp;
-use crate::value::{Value, ValueKey, ValueType};
+use crate::value::{Value, ValueType};
 
 /// A serializable image of one [`Event`].
 ///
@@ -71,57 +90,26 @@ impl EventSnapshot {
     }
 }
 
-/// One Active Instance Stack entry: the bound event plus its RIP pointer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstanceSnapshot {
-    /// The event bound to the component.
-    pub event: EventSnapshot,
-    /// Absolute count of instances in the previous stack at append time.
-    pub rip: u64,
+/// Where a query holds a retained event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Place {
+    /// The Active Instance Stack of positive component `i`, counted in
+    /// pattern order among the positive components.
+    Stack(u32),
+    /// The candidate buffer of negated component `i`, counted in pattern
+    /// order among the negated components.
+    Negation(u32),
 }
 
-/// One Active Instance Stack, including how much of its front has been
-/// pruned (absolute indexing must survive the round trip, or RIP pointers
-/// would dangle).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StackSnapshot {
-    /// Number of instances pruned from the front since stream start.
-    pub base: u64,
-    /// Retained instances, oldest first.
-    pub instances: Vec<InstanceSnapshot>,
-}
-
-/// One PAIS partition: its key and one stack per positive component.
-/// Unpartitioned plans use a single partition with an empty key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSnapshot {
-    /// The partition key (empty for unpartitioned plans).
-    pub key: Vec<ValueKey>,
-    /// One stack per positive pattern component.
-    pub stacks: Vec<StackSnapshot>,
-}
-
-/// State of a query's sequence operator. The checkpoint codec writes the
-/// variant as a tag byte: `Ssc` is 0, and no other tag decodes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SeqSnapshot {
-    /// The SSC operator: live partitions plus the sweep phase counter.
-    Ssc {
-        /// Partitions sorted by key.
-        partitions: Vec<PartitionSnapshot>,
-        /// Events seen since the last idle-partition sweep.
-        events_since_sweep: u64,
-    },
-}
-
-/// Buffered counterexample candidates of one negated component.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NegationBufferSnapshot {
-    /// Key-bucketed candidates (indexed negation), sorted by key; each
-    /// bucket in arrival order.
-    pub buckets: Vec<(Vec<ValueKey>, Vec<EventSnapshot>)>,
-    /// Flat candidate buffer (unindexed negation), in arrival order.
-    pub all: Vec<EventSnapshot>,
+/// One retained event of a query and the place that holds it. An event
+/// held in several places (an `ANY` event in two stacks, say) has an
+/// entry per place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntrySnapshot {
+    /// Index into the engine snapshot's [`EngineSnapshot::events`].
+    pub event: u32,
+    /// The stack or negation buffer holding it.
+    pub place: Place,
 }
 
 /// Complete runtime state of one registered continuous query.
@@ -133,10 +121,11 @@ pub struct QuerySnapshot {
     pub stats: RuntimeStats,
     /// The query-local monotonicity clock.
     pub last_ts: Option<Timestamp>,
-    /// Sequence operator state.
-    pub seq: SeqSnapshot,
-    /// One buffer per negated component, in pattern order.
-    pub negations: Vec<NegationBufferSnapshot>,
+    /// Events seen since the last idle-partition sweep.
+    pub events_since_sweep: u64,
+    /// Every retained event, in the canonical order (see the module
+    /// documentation).
+    pub entries: Vec<EntrySnapshot>,
 }
 
 /// A derived (`INTO`) output stream's schema and lifecycle flags.
@@ -159,6 +148,9 @@ pub struct DerivedStreamSnapshot {
 /// snapshot was taken, given the same registered queries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
+    /// Each distinct retained event once, in order of first sight over
+    /// `queries`' entries.
+    pub events: Vec<EventSnapshot>,
     /// Per-query runtime state, in registration order.
     pub queries: Vec<QuerySnapshot>,
     /// Per-stream monotonicity clocks (`None` = the default stream),
@@ -187,27 +179,35 @@ impl EngineSnapshot {
         Ok(())
     }
 
-    /// Total retained events across all queries (stack instances and
-    /// negation candidates) — a size indicator for checkpoint policy
-    /// decisions.
+    /// Distinct retained events across all queries (stack instances and
+    /// negation candidates, each event once however many places hold it)
+    /// — a size indicator for checkpoint policy decisions.
     pub fn retained_events(&self) -> usize {
-        self.queries
-            .iter()
-            .map(|q| {
-                let SeqSnapshot::Ssc { partitions, .. } = &q.seq;
-                let seq: usize = partitions
-                    .iter()
-                    .flat_map(|p| p.stacks.iter())
-                    .map(|s| s.instances.len())
-                    .sum();
-                let neg: usize = q
-                    .negations
-                    .iter()
-                    .map(|n| n.all.len() + n.buckets.iter().map(|(_, b)| b.len()).sum::<usize>())
-                    .sum();
-                seq + neg
-            })
-            .sum()
+        self.events.len()
+    }
+}
+
+/// The event table of a snapshot being written: each distinct event once,
+/// in order of first sight. Events are told apart by their shared body, so
+/// an event that several queries or places hold is written once.
+#[derive(Default)]
+pub(crate) struct EventTable {
+    index: FxHashMap<*const (), u32>,
+    events: Vec<EventSnapshot>,
+}
+
+impl EventTable {
+    /// The index of `event`, capturing it on first sight.
+    pub(crate) fn index_of(&mut self, event: &Event) -> u32 {
+        let next = u32::try_from(self.events.len()).expect("fewer than 2^32 retained events");
+        *self.index.entry(event.body()).or_insert_with(|| {
+            self.events.push(EventSnapshot::capture(event));
+            next
+        })
+    }
+
+    pub(crate) fn into_events(self) -> Vec<EventSnapshot> {
+        self.events
     }
 }
 
@@ -299,6 +299,7 @@ mod tests {
     fn preregister_derived_registers_missing_types_only() {
         let reg = retail_registry();
         let snap = EngineSnapshot {
+            events: vec![],
             queries: vec![],
             stream_clocks: vec![],
             derived_streams: vec![
@@ -324,37 +325,39 @@ mod tests {
 
     #[test]
     fn retained_events_counts_all_buffers() {
-        let ev = EventSnapshot {
-            type_name: "T".into(),
-            timestamp: 1,
-            attrs: vec![],
-        };
-        let snap = EngineSnapshot {
-            queries: vec![QuerySnapshot {
-                name: "q".into(),
-                stats: RuntimeStats::default(),
-                last_ts: None,
-                seq: SeqSnapshot::Ssc {
-                    partitions: vec![PartitionSnapshot {
-                        key: vec![],
-                        stacks: vec![StackSnapshot {
-                            base: 2,
-                            instances: vec![InstanceSnapshot {
-                                event: ev.clone(),
-                                rip: 0,
-                            }],
-                        }],
-                    }],
-                    events_since_sweep: 0,
-                },
-                negations: vec![NegationBufferSnapshot {
-                    buckets: vec![(vec![ValueKey::Int(1)], vec![ev.clone()])],
-                    all: vec![ev],
-                }],
-            }],
-            stream_clocks: vec![],
-            derived_streams: vec![],
-        };
-        assert_eq!(snap.retained_events(), 3);
+        // A shelf reading in two queries' stacks and a counter reading in
+        // a stack and a negation buffer: two events, four entries.
+        let reg = retail_registry();
+        let mut engine = crate::engine::Engine::new(reg.clone());
+        for (name, src) in [
+            (
+                "guarded",
+                "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+                 WHERE [TagId] WITHIN 10",
+            ),
+            (
+                "counted",
+                "EVENT SEQ(SHELF_READING x, COUNTER_READING y) WHERE [TagId] WITHIN 10",
+            ),
+        ] {
+            engine.register(name, src).unwrap();
+        }
+        for (ty, ts) in [("SHELF_READING", 1), ("COUNTER_READING", 2)] {
+            let e = reg
+                .build_event(ty, ts, vec![Value::Int(7), Value::str("p"), Value::Int(1)])
+                .unwrap();
+            engine.process_batch(&[e]).unwrap();
+        }
+        let snap = engine.snapshot();
+        assert_eq!(snap.retained_events(), 2);
+        let places = |q: &QuerySnapshot| q.entries.iter().map(|e| (e.event, e.place)).collect();
+        let places: Vec<Vec<(u32, Place)>> = snap.queries.iter().map(places).collect();
+        assert_eq!(
+            places,
+            [
+                vec![(0, Place::Stack(0)), (1, Place::Negation(0))],
+                vec![(0, Place::Stack(0)), (1, Place::Stack(1))],
+            ]
+        );
     }
 }

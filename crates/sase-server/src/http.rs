@@ -476,20 +476,17 @@ mod tests {
             instances_pruned: 3,
             sequences_constructed: 4,
             construction_filter_rejects: 5,
-            dropped_by_window: 6,
-            dropped_by_negation: 7,
-            negation_candidates_buffered: 8,
-            matches_emitted: 9,
-            partial_runs_peak: 10,
-            partitions: 11,
+            dropped_by_negation: 6,
+            negation_candidates_buffered: 7,
+            matches_emitted: 8,
+            partitions: 9,
         };
         assert_eq!(
             render_stats(&stats),
             "events_processed 1\ninstances_appended 2\ninstances_pruned 3\n\
              sequences_constructed 4\nconstruction_filter_rejects 5\n\
-             dropped_by_window 6\ndropped_by_negation 7\n\
-             negation_candidates_buffered 8\nmatches_emitted 9\n\
-             partial_runs_peak 10\npartitions 11\n"
+             dropped_by_negation 6\nnegation_candidates_buffered 7\n\
+             matches_emitted 8\npartitions 9\n"
         );
     }
 }

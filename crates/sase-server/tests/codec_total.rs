@@ -7,6 +7,11 @@
 //!   [`WireFault`] — never a panic — and decoding damaged bytes never
 //!   makes an allocation larger than the frame itself.
 //!
+//! * The store's engine snapshot frame is held to the same bounds: every
+//!   truncation and single-bit flip of its golden version-2 frame is a
+//!   typed decode error or a well-formed snapshot, within a constant
+//!   multiple of the frame's size per allocation.
+//!
 //! The test binary installs a global allocator that records, per thread
 //! and only while asked to, the largest single allocation requested.
 
@@ -21,6 +26,8 @@ use sase_server::wire::{
     ResponseParts, TickMode, WireFault,
 };
 use sase_server::ServerError;
+use sase_store::codec::{get_engine_snapshot, ByteReader};
+use sase_store::StoreError;
 
 // Shared with `sase-store`'s format tests, which also use its snapshot.
 #[allow(dead_code)]
@@ -201,6 +208,57 @@ fn a_damaged_payload_never_panics_or_overallocates() {
         let mut bytes = payload.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         // A flipped value bit is another valid request; a flipped count,
+        // tag or name is a fault. Either way `check` bounds the cost.
+        let _ = check(&bytes, &format!("bit {bit}"));
+    }
+}
+
+/// No single allocation decoding a snapshot frame exceeds this many times
+/// the frame's length: every count is bounded by the bytes its elements
+/// need (`ByteReader::count_of`), and the widest element per encoded byte
+/// is a `Value` (24 bytes) behind its 2-byte encoding.
+const ALLOC_PER_BYTE: usize = 12;
+
+/// The store's checkpoint codec, measured here beside the wire's under the
+/// same allocator hook. Past the CRC (a disk that checksums garbage): every
+/// cut and every flipped bit of the golden version-2 snapshot frame in
+/// `sase-store`'s fixtures decodes to a typed
+/// [`StoreError::Decode`] or to some well-formed snapshot, without
+/// panicking and within [`ALLOC_PER_BYTE`].
+#[test]
+fn a_damaged_snapshot_frame_never_panics_or_overallocates() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../sase-store/tests/fixtures/checkpoint_v2.ckpt");
+    let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    // magic, version, replay position and engine count; then the frame's
+    // length and the frame.
+    let len = u32::from_be_bytes(golden[18..22].try_into().unwrap()) as usize;
+    let frame = &golden[22..22 + len];
+    let check = |bytes: &[u8], what: &str| {
+        let (outcome, peak) = peak_alloc(|| {
+            let mut r = ByteReader::new(bytes);
+            get_engine_snapshot(&mut r).and_then(|snap| r.expect_end().map(|()| snap))
+        });
+        assert!(
+            peak <= ALLOC_PER_BYTE * frame.len(),
+            "{what}: one allocation of {peak} bytes decoding a {}-byte frame",
+            frame.len()
+        );
+        match outcome {
+            Ok(_) | Err(StoreError::Decode(_)) => outcome,
+            Err(other) => panic!("{what}: unexpected error class {other}"),
+        }
+    };
+
+    assert_eq!(check(frame, "intact").unwrap(), values::snapshot());
+    for cut in 0..frame.len() {
+        let what = format!("cut at {cut}");
+        assert!(check(&frame[..cut], &what).is_err(), "{what} decoded");
+    }
+    for bit in 0..frame.len() * 8 {
+        let mut bytes = frame.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        // A flipped value bit is another valid snapshot; a flipped count,
         // tag or name is a fault. Either way `check` bounds the cost.
         let _ = check(&bytes, &format!("bit {bit}"));
     }

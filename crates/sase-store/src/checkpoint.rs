@@ -9,11 +9,30 @@
 //!
 //! ```text
 //! magic            u32 (SACK)
-//! version          u16
+//! version          u16 (2)
 //! replay_from_seq  u64
 //! engines          u32 · engines × { len u32 · engine snapshot frame }
 //! crc              u32 over everything above
 //! ```
+//!
+//! An engine snapshot frame (version 2) writes events, not layout (see
+//! [`sase_core::snapshot`]):
+//!
+//! ```text
+//! events           u32 · events × { type str · ts u64 · attrs u32 · attrs × value }
+//! queries          u32 · queries × {
+//!                    name str · stats (u32 9 · 9 × u64) · last_ts (u8 0 | u8 1 · u64)
+//!                    · events_since_sweep u64
+//!                    · entries u32 · entries × { event u32 · place (u8 0 stack | 1 negation) · index u32 } }
+//! stream_clocks    u32 · × { stream (u8 0 | u8 1 · str) · ts u64 }
+//! derived_streams  u32 · × { type str · attrs u32 · × { name str · type u8 } · engine_registered u8 · reusable u8 }
+//! ```
+//!
+//! Version 1 wrote each query's layout instead: AIS stacks with pruning
+//! bases and RIPs under partition keys, keyed negation buckets, and 11
+//! counters. A version-1 file is converted as it is read
+//! ([`load_latest_checkpoint`] and [`read_checkpoint`] take both); nothing
+//! writes version 1.
 //!
 //! Files are written to a temporary name, fsynced, then renamed into
 //! place (`ckpt-<seq>.ckpt`) and the directory fsynced — a crash leaves
@@ -29,13 +48,15 @@ use std::path::{Path, PathBuf};
 
 use sase_core::snapshot::EngineSnapshot;
 
-use crate::codec::{crc32, get_engine_snapshot, put_engine_snapshot, ByteReader, ByteWriter};
+use crate::codec::{
+    crc32, get_engine_snapshot, get_engine_snapshot_v1, put_engine_snapshot, ByteReader, ByteWriter,
+};
 use crate::error::{Result, StoreError};
 
 /// Checkpoint file magic ("SACK": SASE checkpoint).
 pub const CKPT_MAGIC: u32 = 0x5341_434B;
-/// Checkpoint format version.
-pub const CKPT_VERSION: u16 = 1;
+/// Checkpoint format version this build writes.
+pub const CKPT_VERSION: u16 = 2;
 
 /// A loaded (or to-be-written) checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,12 +104,15 @@ fn decode(path: &Path, bytes: &[u8]) -> Result<Checkpoint> {
                 "bad checkpoint magic {magic:#010x}"
             )));
         }
-        let version = r.u16()?;
-        if version != CKPT_VERSION {
-            return Err(StoreError::Decode(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
+        let get = match r.u16()? {
+            1 => get_engine_snapshot_v1,
+            CKPT_VERSION => get_engine_snapshot,
+            version => {
+                return Err(StoreError::Decode(format!(
+                    "unsupported checkpoint version {version}"
+                )))
+            }
+        };
         let replay_from_seq = r.u64()?;
         let n = r.count()?;
         let mut engines = Vec::with_capacity(n);
@@ -98,7 +122,7 @@ fn decode(path: &Path, bytes: &[u8]) -> Result<Checkpoint> {
                 return Err(StoreError::Decode("snapshot blob cut short".into()));
             }
             let start = r.position();
-            let e = get_engine_snapshot(&mut r)?;
+            let e = get(&mut r)?;
             if r.position() - start != len {
                 return Err(StoreError::Decode(
                     "snapshot blob length does not match its frame".into(),
@@ -175,14 +199,20 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
+/// Read one checkpoint file; a file that does not validate is
+/// [`StoreError::Corrupt`].
+pub fn read_checkpoint(path: &Path) -> Result<Checkpoint> {
+    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, "read", e))?;
+    decode(path, &bytes)
+}
+
 /// Load the newest valid checkpoint, skipping (and reporting) corrupt
 /// ones. Returns `(checkpoint, corrupt file paths)`; the checkpoint is
 /// `None` when no valid one exists (recover by replaying the whole log).
 pub fn load_latest_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, Vec<PathBuf>)> {
     let mut corrupt = Vec::new();
     for (_, path) in list_checkpoints(dir)? {
-        let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, "read", e))?;
-        match decode(&path, &bytes) {
+        match read_checkpoint(&path) {
             Ok(ckpt) => return Ok((Some(ckpt), corrupt)),
             Err(StoreError::Corrupt { .. }) => corrupt.push(path),
             Err(e) => return Err(e),

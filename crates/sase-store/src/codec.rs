@@ -16,8 +16,7 @@ use std::sync::Arc;
 use sase_core::event::{Event, RegistryRead, SchemaRegistry};
 use sase_core::runtime::RuntimeStats;
 use sase_core::snapshot::{
-    DerivedStreamSnapshot, EngineSnapshot, EventSnapshot, InstanceSnapshot, NegationBufferSnapshot,
-    PartitionSnapshot, QuerySnapshot, SeqSnapshot, StackSnapshot,
+    DerivedStreamSnapshot, EngineSnapshot, EntrySnapshot, EventSnapshot, Place, QuerySnapshot,
 };
 use sase_core::value::{Value, ValueKey, ValueType};
 
@@ -337,27 +336,6 @@ fn get_value_with<'a>(
     })
 }
 
-fn put_value_key(w: &mut ByteWriter, k: &ValueKey) {
-    match k {
-        ValueKey::Int(i) => {
-            w.u8(0);
-            w.i64(*i);
-        }
-        ValueKey::Float(bits) => {
-            w.u8(1);
-            w.u64(*bits);
-        }
-        ValueKey::Str(s) => {
-            w.u8(2);
-            w.str(s);
-        }
-        ValueKey::Bool(b) => {
-            w.u8(3);
-            w.u8(u8::from(*b));
-        }
-    }
-}
-
 fn get_value_key(r: &mut ByteReader<'_>) -> Result<ValueKey> {
     Ok(match r.u8()? {
         0 => ValueKey::Int(r.i64()?),
@@ -533,10 +511,13 @@ fn put_event_snapshot(w: &mut ByteWriter, e: &EventSnapshot) {
     }
 }
 
+/// Fewest bytes one encoded value can occupy: a tag and a `bool`.
+const VALUE_MIN_BYTES: usize = 2;
+
 fn get_event_snapshot(r: &mut ByteReader<'_>) -> Result<EventSnapshot> {
     let type_name = r.str()?;
     let timestamp = r.u64()?;
-    let n = r.count()?;
+    let n = r.count_of(VALUE_MIN_BYTES)?;
     let mut attrs = Vec::with_capacity(n);
     for _ in 0..n {
         attrs.push(get_value(r)?);
@@ -554,7 +535,7 @@ fn get_event_snapshot(r: &mut ByteReader<'_>) -> Result<EventSnapshot> {
 
 /// Number of counter fields in [`RuntimeStats`]; bump alongside the struct
 /// and the checkpoint version.
-const STATS_FIELDS: u32 = 11;
+const STATS_FIELDS: u32 = 9;
 
 /// Encode a query's [`RuntimeStats`]: the counter count, then each counter
 /// in declaration order. Checkpoints and the server's Stats frame share it.
@@ -566,11 +547,9 @@ pub fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
         s.instances_pruned,
         s.sequences_constructed,
         s.construction_filter_rejects,
-        s.dropped_by_window,
         s.dropped_by_negation,
         s.negation_candidates_buffered,
         s.matches_emitted,
-        s.partial_runs_peak,
         s.partitions,
     ] {
         w.u64(v);
@@ -592,131 +571,36 @@ pub fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats> {
         instances_pruned: r.u64()?,
         sequences_constructed: r.u64()?,
         construction_filter_rejects: r.u64()?,
-        dropped_by_window: r.u64()?,
         dropped_by_negation: r.u64()?,
         negation_candidates_buffered: r.u64()?,
         matches_emitted: r.u64()?,
-        partial_runs_peak: r.u64()?,
         partitions: r.u64()?,
     })
 }
 
-fn put_stack(w: &mut ByteWriter, s: &StackSnapshot) {
-    w.u64(s.base);
-    w.u32(s.instances.len() as u32);
-    for i in &s.instances {
-        put_event_snapshot(w, &i.event);
-        w.u64(i.rip);
-    }
-}
-
-fn get_stack(r: &mut ByteReader<'_>) -> Result<StackSnapshot> {
-    let base = r.u64()?;
-    let n = r.count()?;
-    let mut instances = Vec::with_capacity(n);
-    for _ in 0..n {
-        let event = get_event_snapshot(r)?;
-        let rip = r.u64()?;
-        instances.push(InstanceSnapshot { event, rip });
-    }
-    Ok(StackSnapshot { base, instances })
-}
-
-fn put_seq(w: &mut ByteWriter, seq: &SeqSnapshot) {
-    let SeqSnapshot::Ssc {
-        partitions,
-        events_since_sweep,
-    } = seq;
-    w.u8(0);
-    w.u64(*events_since_sweep);
-    w.u32(partitions.len() as u32);
-    for p in partitions {
-        w.u32(p.key.len() as u32);
-        for k in &p.key {
-            put_value_key(w, k);
-        }
-        w.u32(p.stacks.len() as u32);
-        for s in &p.stacks {
-            put_stack(w, s);
-        }
-    }
-}
-
-fn get_seq(r: &mut ByteReader<'_>) -> Result<SeqSnapshot> {
+fn get_opt_ts(r: &mut ByteReader<'_>) -> Result<Option<u64>> {
     match r.u8()? {
-        0 => {
-            let events_since_sweep = r.u64()?;
-            let np = r.count()?;
-            let mut partitions = Vec::with_capacity(np);
-            for _ in 0..np {
-                let nk = r.count()?;
-                let mut key = Vec::with_capacity(nk);
-                for _ in 0..nk {
-                    key.push(get_value_key(r)?);
-                }
-                let ns = r.count()?;
-                let mut stacks = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    stacks.push(get_stack(r)?);
-                }
-                partitions.push(PartitionSnapshot { key, stacks });
-            }
-            Ok(SeqSnapshot::Ssc {
-                partitions,
-                events_since_sweep,
-            })
-        }
-        // Tag 1 is retired: no runtime writes it, and none can read it.
-        t => Err(StoreError::Decode(format!(
-            "unknown sequence-snapshot tag {t}"
-        ))),
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        t => Err(StoreError::Decode(format!("unknown option tag {t}"))),
     }
 }
 
-fn put_negation(w: &mut ByteWriter, n: &NegationBufferSnapshot) {
-    w.u32(n.buckets.len() as u32);
-    for (key, events) in &n.buckets {
-        w.u32(key.len() as u32);
-        for k in key {
-            put_value_key(w, k);
-        }
-        w.u32(events.len() as u32);
-        for e in events {
-            put_event_snapshot(w, e);
-        }
-    }
-    w.u32(n.all.len() as u32);
-    for e in &n.all {
+/// Fewest bytes one encoded entry occupies: event index, place tag and
+/// place index.
+const ENTRY_MIN_BYTES: usize = 4 + 1 + 4;
+
+/// Fewest bytes one encoded query occupies: name length, stats, clock
+/// tag, sweep phase and entry count.
+const QUERY_MIN_BYTES: usize = 4 + 4 + 8 * STATS_FIELDS as usize + 1 + 8 + 4;
+
+/// Encode a complete engine snapshot into `w`: the event table, the
+/// queries with their entries, the stream clocks and the derived streams.
+pub fn put_engine_snapshot(w: &mut ByteWriter, snap: &EngineSnapshot) {
+    w.u32(snap.events.len() as u32);
+    for e in &snap.events {
         put_event_snapshot(w, e);
     }
-}
-
-fn get_negation(r: &mut ByteReader<'_>) -> Result<NegationBufferSnapshot> {
-    let nb = r.count()?;
-    let mut buckets = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        let nk = r.count()?;
-        let mut key = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            key.push(get_value_key(r)?);
-        }
-        let ne = r.count()?;
-        let mut events = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            events.push(get_event_snapshot(r)?);
-        }
-        buckets.push((key, events));
-    }
-    let na = r.count()?;
-    let mut all = Vec::with_capacity(na);
-    for _ in 0..na {
-        all.push(get_event_snapshot(r)?);
-    }
-    Ok(NegationBufferSnapshot { buckets, all })
-}
-
-/// Encode a complete engine snapshot into `w`.
-pub fn put_engine_snapshot(w: &mut ByteWriter, snap: &EngineSnapshot) {
     w.u32(snap.queries.len() as u32);
     for q in &snap.queries {
         w.str(&q.name);
@@ -728,10 +612,16 @@ pub fn put_engine_snapshot(w: &mut ByteWriter, snap: &EngineSnapshot) {
                 w.u64(ts);
             }
         }
-        put_seq(w, &q.seq);
-        w.u32(q.negations.len() as u32);
-        for n in &q.negations {
-            put_negation(w, n);
+        w.u64(q.events_since_sweep);
+        w.u32(q.entries.len() as u32);
+        for entry in &q.entries {
+            w.u32(entry.event);
+            let (tag, i) = match entry.place {
+                Place::Stack(i) => (0, i),
+                Place::Negation(i) => (1, i),
+            };
+            w.u8(tag);
+            w.u32(i);
         }
     }
     w.u32(snap.stream_clocks.len() as u32);
@@ -758,33 +648,55 @@ pub fn put_engine_snapshot(w: &mut ByteWriter, snap: &EngineSnapshot) {
     }
 }
 
-/// Decode a complete engine snapshot from `r`.
+/// Decode a complete engine snapshot written by [`put_engine_snapshot`].
 pub fn get_engine_snapshot(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
-    let nq = r.count()?;
+    let ne = r.count_of(EVENT_MIN_BYTES)?;
+    let mut events = Vec::with_capacity(ne);
+    for _ in 0..ne {
+        events.push(get_event_snapshot(r)?);
+    }
+    let nq = r.count_of(QUERY_MIN_BYTES)?;
     let mut queries = Vec::with_capacity(nq);
     for _ in 0..nq {
         let name = r.str()?;
         let stats = get_stats(r)?;
-        let last_ts = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            t => return Err(StoreError::Decode(format!("unknown option tag {t}"))),
-        };
-        let seq = get_seq(r)?;
-        let nn = r.count()?;
-        let mut negations = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            negations.push(get_negation(r)?);
+        let last_ts = get_opt_ts(r)?;
+        let events_since_sweep = r.u64()?;
+        let n = r.count_of(ENTRY_MIN_BYTES)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let event = r.u32()?;
+            let place = match (r.u8()?, r.u32()?) {
+                (0, i) => Place::Stack(i),
+                (1, i) => Place::Negation(i),
+                (t, _) => return Err(StoreError::Decode(format!("unknown place tag {t}"))),
+            };
+            entries.push(EntrySnapshot { event, place });
         }
         queries.push(QuerySnapshot {
             name,
             stats,
             last_ts,
-            seq,
-            negations,
+            events_since_sweep,
+            entries,
         });
     }
-    let nc = r.count()?;
+    let (stream_clocks, derived_streams) = get_clocks_and_derived(r)?;
+    Ok(EngineSnapshot {
+        events,
+        queries,
+        stream_clocks,
+        derived_streams,
+    })
+}
+
+/// The tail both snapshot versions share: stream clocks, then derived
+/// streams.
+#[allow(clippy::type_complexity)]
+fn get_clocks_and_derived(
+    r: &mut ByteReader<'_>,
+) -> Result<(Vec<(Option<String>, u64)>, Vec<DerivedStreamSnapshot>)> {
+    let nc = r.count_of(1 + 8)?;
     let mut stream_clocks = Vec::with_capacity(nc);
     for _ in 0..nc {
         let stream = match r.u8()? {
@@ -794,11 +706,11 @@ pub fn get_engine_snapshot(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
         };
         stream_clocks.push((stream, r.u64()?));
     }
-    let nd = r.count()?;
+    let nd = r.count_of(4 + 4 + 2)?;
     let mut derived_streams = Vec::with_capacity(nd);
     for _ in 0..nd {
         let type_name = r.str()?;
-        let na = r.count()?;
+        let na = r.count_of(4 + 1)?;
         let mut attrs = Vec::with_capacity(na);
         for _ in 0..na {
             let name = r.str()?;
@@ -814,7 +726,116 @@ pub fn get_engine_snapshot(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
             reusable,
         });
     }
+    Ok((stream_clocks, derived_streams))
+}
+
+/// Decode a version-1 engine snapshot, which wrote each query's layout:
+/// PAIS partitions of AIS stacks (with pruning bases and RIPs) and keyed
+/// negation buckets, each event once per place. It becomes this build's
+/// format: every place's event is a table entry of its own, ordered as a
+/// snapshot orders entries; the two counters version 1 kept always 0 are
+/// dropped, and so are RIPs, bases and keys. A single-component query's
+/// instances are dropped too: such a query keeps no stacks.
+pub(crate) fn get_engine_snapshot_v1(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
+    const V1_STATS_FIELDS: u32 = 11;
+    /// One place of the query being read: (timestamp, key, place, position)
+    /// and the event.
+    type Held = ((u64, Vec<ValueKey>, Place, usize), EventSnapshot);
+    fn get_keyed_events(
+        r: &mut ByteReader<'_>,
+        key: &[ValueKey],
+        place: Place,
+        held: &mut Vec<Held>,
+    ) -> Result<()> {
+        for at in 0..r.count_of(EVENT_MIN_BYTES)? {
+            let e = get_event_snapshot(r)?;
+            held.push(((e.timestamp, key.to_vec(), place, at), e));
+        }
+        Ok(())
+    }
+    fn get_key(r: &mut ByteReader<'_>) -> Result<Vec<ValueKey>> {
+        (0..r.count_of(2)?).map(|_| get_value_key(r)).collect()
+    }
+
+    let (mut events, mut queries) = (Vec::new(), Vec::new());
+    for _ in 0..r.count()? {
+        let name = r.str()?;
+        if r.u32()? != V1_STATS_FIELDS {
+            return Err(StoreError::Decode(format!(
+                "a version-1 snapshot has {V1_STATS_FIELDS} stat counters"
+            )));
+        }
+        let c: Vec<u64> = (0..V1_STATS_FIELDS)
+            .map(|_| r.u64())
+            .collect::<Result<_>>()?;
+        // Version 1's counters 5 and 9, `dropped_by_window` and
+        // `partial_runs_peak`, were always 0.
+        let stats = RuntimeStats {
+            events_processed: c[0],
+            instances_appended: c[1],
+            instances_pruned: c[2],
+            sequences_constructed: c[3],
+            construction_filter_rejects: c[4],
+            dropped_by_negation: c[6],
+            negation_candidates_buffered: c[7],
+            matches_emitted: c[8],
+            partitions: c[10],
+        };
+        let last_ts = get_opt_ts(r)?;
+        let mut held: Vec<Held> = Vec::new();
+        // The sequence operator: tag 0 is SSC. Tag 1 is retired: no
+        // runtime writes it, and none can read it.
+        let tag = r.u8()?;
+        if tag != 0 {
+            return Err(StoreError::Decode(format!(
+                "unknown sequence-snapshot tag {tag}"
+            )));
+        }
+        let events_since_sweep = r.u64()?;
+        for _ in 0..r.count()? {
+            let key = get_key(r)?;
+            let stacks = r.count()?;
+            for i in 0..stacks {
+                let _base = r.u64()?;
+                let place = Place::Stack(i as u32);
+                for at in 0..r.count_of(EVENT_MIN_BYTES + 8)? {
+                    let e = get_event_snapshot(r)?;
+                    let _rip = r.u64()?;
+                    if stacks > 1 {
+                        held.push(((e.timestamp, key.clone(), place, at), e));
+                    }
+                }
+            }
+        }
+        for ni in 0..r.count()? {
+            let place = Place::Negation(ni as u32);
+            for _ in 0..r.count()? {
+                let key = get_key(r)?;
+                get_keyed_events(r, &key, place, &mut held)?;
+            }
+            get_keyed_events(r, &[], place, &mut held)?;
+        }
+        held.sort_by(|a, b| a.0.cmp(&b.0));
+        let entries = (held.into_iter())
+            .map(|((.., place, _), e)| {
+                events.push(e);
+                EntrySnapshot {
+                    event: (events.len() - 1) as u32,
+                    place,
+                }
+            })
+            .collect();
+        queries.push(QuerySnapshot {
+            name,
+            stats,
+            last_ts,
+            events_since_sweep,
+            entries,
+        });
+    }
+    let (stream_clocks, derived_streams) = get_clocks_and_derived(r)?;
     Ok(EngineSnapshot {
+        events,
         queries,
         stream_clocks,
         derived_streams,

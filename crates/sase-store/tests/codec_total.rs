@@ -3,31 +3,38 @@
 //! * `crc32` is the IEEE CRC-32 at every length and alignment: known
 //!   vectors, and a differential against the bytewise loop it replaced.
 //! * The log and checkpoint formats did not move: bytes written before the
-//!   byte path was rebuilt decode, and re-encode identically.
+//!   byte path was rebuilt decode, and re-encode identically; a version-1
+//!   checkpoint converts to what this build snapshots.
 //! * A damaged log record is a typed error or the committed prefix, never
-//!   a panic; a retired sequence-snapshot tag is a typed error.
+//!   a panic; a retired sequence-snapshot tag is a typed error. (Damage to
+//!   a version-2 snapshot frame is measured in `sase-server`'s
+//!   `codec_total`, under its allocator hook.)
 //! * `decode ∘ encode = id` over every kind of event a batch can hold and
-//!   both layouts an event can take; equal strings within a batch decode
-//!   to one shared `Arc<str>`, and an event prints exactly its attributes.
+//!   both layouts an event can take, and over engine snapshots; equal
+//!   strings within a batch decode to one shared `Arc<str>`, and an event
+//!   prints exactly its attributes.
 //! * A batch decodes under one registry read while other threads redefine
 //!   and register types.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use sase_core::event::{Event, SchemaRegistry};
+use sase_core::engine::Engine;
+use sase_core::event::{retail_registry, Event, SchemaRegistry};
+use sase_core::snapshot::EngineSnapshot;
 use sase_core::value::{Value, ValueType};
-use sase_store::checkpoint::{CKPT_MAGIC, CKPT_VERSION};
+use sase_store::checkpoint::CKPT_MAGIC;
 use sase_store::codec::{
-    crc32, get_engine_snapshot, get_events, put_events, ByteReader, ByteWriter,
+    crc32, get_engine_snapshot, get_events, put_engine_snapshot, put_events, ByteReader, ByteWriter,
 };
 use sase_store::{
-    load_latest_checkpoint, write_checkpoint, Checkpoint, EventLog, LogOptions, Record, StoreError,
+    load_latest_checkpoint, read_checkpoint, write_checkpoint, Checkpoint, EventLog, LogOptions,
+    Record, StoreError,
 };
 
 #[path = "fixtures/values.rs"]
@@ -172,9 +179,11 @@ fn golden_wal_segment_decodes_and_reencodes_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The version-2 checkpoint format did not move: the golden file decodes
+/// to this build's snapshot of the fixture run and re-encodes identically.
 #[test]
 fn golden_checkpoint_decodes_and_reencodes_identically() {
-    let golden = fixture("checkpoint.ckpt");
+    let golden = fixture("checkpoint_v2.ckpt");
     let want = Checkpoint {
         replay_from_seq: 42,
         engines: vec![values::snapshot()],
@@ -195,6 +204,25 @@ fn golden_checkpoint_decodes_and_reencodes_identically() {
         golden,
         "the checkpoint format moved"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-1 checkpoint, which wrote each runtime's layout (stacks with
+/// RIPs and bases, keyed partitions and buckets, 11 counters), converts on
+/// read to exactly what this build snapshots for the same run.
+#[test]
+fn golden_v1_checkpoint_converts_to_this_builds_snapshot() {
+    let golden = fixture("checkpoint.ckpt");
+    assert_eq!(golden[4..6], [0, 1], "the fixture is version 1");
+    let dir = tmp_dir("golden-v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt-000000000000002a.ckpt");
+    std::fs::write(&path, &golden).unwrap();
+    let want = Checkpoint {
+        replay_from_seq: 42,
+        engines: vec![values::snapshot()],
+    };
+    assert_eq!(read_checkpoint(&path).unwrap(), want);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -252,8 +280,9 @@ fn damaged_wal_records_are_typed_errors_or_the_committed_prefix() {
     }
 }
 
-/// An engine snapshot of one query, written field by field so that its
-/// sequence snapshot can carry any tag: `tag`, then what `body` writes.
+/// A version-1 engine snapshot of one query, written field by field so
+/// that its sequence snapshot can carry any tag: `tag`, then what `body`
+/// writes.
 fn one_query_snapshot(tag: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(1); // queries
@@ -271,22 +300,34 @@ fn one_query_snapshot(tag: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_snapshot(bytes: &[u8]) -> Result<(), StoreError> {
-    let mut r = ByteReader::new(bytes);
-    get_engine_snapshot(&mut r)?;
-    r.expect_end()
+/// Write a version-1 checkpoint holding `blob` as its one engine snapshot
+/// into `dir`, and read it back.
+fn read_v1(dir: &Path, blob: &[u8]) -> Result<Checkpoint, StoreError> {
+    let mut w = ByteWriter::new();
+    w.u32(CKPT_MAGIC);
+    w.u16(1);
+    w.u64(9);
+    w.u32(1);
+    w.len_prefixed(|b| b.raw(blob));
+    w.u32(crc32(w.as_slice()));
+    let path = dir.join("ckpt-0000000000000009.ckpt");
+    std::fs::write(&path, w.into_bytes()).unwrap();
+    read_checkpoint(&path)
 }
 
-/// Tag 1 was the sequence snapshot of a runtime that is gone. A checkpoint
-/// holding one is a typed decode error at every length, and recovery skips
-/// the file as corrupt; tag 0 written the same way decodes.
+/// Tag 1 was the sequence snapshot of a runtime that is gone. A version-1
+/// checkpoint holding one is a typed error at every length, and recovery
+/// skips the file as corrupt; tag 0 written the same way converts.
 #[test]
 fn a_retired_sequence_snapshot_tag_is_a_typed_error() {
+    let dir = tmp_dir("retired-tag");
+    std::fs::create_dir_all(&dir).unwrap();
     let ssc = one_query_snapshot(0, |w| {
         w.u64(0); // events since the last sweep
         w.u32(0); // partitions
     });
-    decode_snapshot(&ssc).unwrap();
+    let converted = read_v1(&dir, &ssc).unwrap();
+    assert_eq!(converted.engines[0].queries[0].name, "q");
 
     // The retired layout: runs, each a list of event snapshots.
     let retired = one_query_snapshot(1, |w| {
@@ -296,39 +337,90 @@ fn a_retired_sequence_snapshot_tag_is_a_typed_error() {
         w.u64(3);
         w.u32(0);
     });
-    match decode_snapshot(&retired) {
-        Err(StoreError::Decode(d)) => {
-            assert!(d.contains("unknown sequence-snapshot tag 1"), "{d}")
+    match read_v1(&dir, &retired) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(
+                detail.contains("unknown sequence-snapshot tag 1"),
+                "{detail}"
+            )
         }
         other => panic!("expected a typed decode error, got {other:?}"),
     }
     for cut in 0..retired.len() {
         assert!(
-            matches!(decode_snapshot(&retired[..cut]), Err(StoreError::Decode(_))),
+            matches!(
+                read_v1(&dir, &retired[..cut]),
+                Err(StoreError::Corrupt { .. })
+            ),
             "cut at {cut}"
         );
     }
-
-    let mut w = ByteWriter::new();
-    w.u32(CKPT_MAGIC);
-    w.u16(CKPT_VERSION);
-    w.u64(9);
-    w.u32(1);
-    w.len_prefixed(|blob| blob.raw(&retired));
-    w.u32(crc32(w.as_slice()));
-    let dir = tmp_dir("retired-tag");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ckpt-0000000000000009.ckpt");
-    std::fs::write(&path, w.into_bytes()).unwrap();
+    read_v1(&dir, &retired).unwrap_err();
     let (loaded, corrupt) = load_latest_checkpoint(&dir).unwrap();
     assert!(loaded.is_none());
-    assert_eq!(corrupt, vec![path]);
+    assert_eq!(corrupt, vec![dir.join("ckpt-0000000000000009.ckpt")]);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn decode_snapshot(bytes: &[u8]) -> Result<EngineSnapshot, StoreError> {
+    let mut r = ByteReader::new(bytes);
+    let snap = get_engine_snapshot(&mut r)?;
+    r.expect_end()?;
+    Ok(snap)
+}
+
+fn encode_snapshot(snap: &EngineSnapshot) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_engine_snapshot(&mut w, snap);
+    w.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
 // Round trip
 // ---------------------------------------------------------------------------
+
+/// Queries holding every kind of place: PAIS and unpartitioned stacks, an
+/// `ANY` component, indexed and flat negation buffers, and a derived
+/// stream with a consumer.
+const SNAPSHOT_QUERIES: [&str; 5] = [
+    "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) \
+     WHERE x.TagId = y.TagId AND x.TagId = z.TagId WITHIN 20 RETURN x.TagId AS tag INTO alerts",
+    "FROM alerts EVENT SEQ(ALERTS a, ALERTS b) WHERE a.tag = b.tag WITHIN 40",
+    "EVENT SEQ(ANY(SHELF_READING, COUNTER_READING) a, EXIT_READING b) \
+     WHERE a.AreaId < b.AreaId WITHIN 15",
+    "EVENT SEQ(SHELF_READING a, !(COUNTER_READING c), EXIT_READING b) \
+     WHERE a.TagId = b.TagId AND a.AreaId = c.AreaId WITHIN 25",
+    "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) WHERE [TagId] WITHIN 30",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `decode ∘ encode = id` on snapshots of engines that ran a random
+    /// retail stream, and the bytes re-encode identically.
+    #[test]
+    fn snapshots_round_trip(
+        picks in prop::collection::vec((0usize..3, 0i64..4, 0i64..3), 0..120),
+    ) {
+        let reg = retail_registry();
+        reg.register("alerts", &[("tag", ValueType::Int)]).unwrap();
+        let mut engine = Engine::new(reg.clone());
+        for (i, src) in SNAPSHOT_QUERIES.iter().enumerate() {
+            engine.register(&format!("q{i}"), src).unwrap();
+        }
+        for (k, (ty, tag, area)) in picks.iter().enumerate() {
+            let ty = ["SHELF_READING", "COUNTER_READING", "EXIT_READING"][*ty];
+            let attrs = vec![Value::Int(*tag), Value::str("p"), Value::Int(*area)];
+            let e = reg.build_event(ty, k as u64 + 1, attrs).unwrap();
+            engine.process_batch(&[e]).unwrap();
+        }
+        let snap = engine.snapshot();
+        let bytes = encode_snapshot(&snap);
+        let back = decode_snapshot(&bytes).unwrap();
+        prop_assert_eq!(&back, &snap);
+        prop_assert_eq!(encode_snapshot(&back), bytes);
+    }
+}
 
 fn decoded(bytes: &[u8], reg: &SchemaRegistry) -> Result<Vec<Event>, StoreError> {
     let mut r = ByteReader::new(bytes);

@@ -5,6 +5,10 @@
 //! codec — from exactly what these functions build. The format tests
 //! (`codec_total` here and in `sase-server`) decode those bytes and
 //! re-encode these values, and require both to agree with the files.
+//! `checkpoint.ckpt` is checkpoint version 1, which wrote each runtime's
+//! layout; it now only has to convert on read to what [`snapshot`]
+//! returns. `checkpoint_v2.ckpt` pins version 2, which writes events: it
+//! must decode to [`snapshot`] and re-encode identically.
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};

@@ -422,13 +422,9 @@ fn add_stats(total: &mut RuntimeStats, s: &RuntimeStats) {
     total.instances_pruned += s.instances_pruned;
     total.sequences_constructed += s.sequences_constructed;
     total.construction_filter_rejects += s.construction_filter_rejects;
-    total.dropped_by_window += s.dropped_by_window;
     total.dropped_by_negation += s.dropped_by_negation;
     total.negation_candidates_buffered += s.negation_candidates_buffered;
     total.matches_emitted += s.matches_emitted;
-    // Peaks on different workers need not coincide in time; the sum is an
-    // upper bound on the deployment-wide peak.
-    total.partial_runs_peak += s.partial_runs_peak;
     total.partitions += s.partitions;
 }
 
@@ -870,9 +866,7 @@ impl ShardedEngine {
     }
 
     /// Runtime counters of a query, summed field-wise over its hosting
-    /// workers; for a query with several hosts `partial_runs_peak` becomes
-    /// an upper bound on the deployment-wide peak (per-worker peaks need
-    /// not coincide in time).
+    /// workers.
     pub fn stats(&self, name: &str) -> CoreResult<RuntimeStats> {
         let mut total = RuntimeStats::default();
         for w in self.workers_of(self.hosts[self.global(name)?]) {
@@ -1013,8 +1007,8 @@ impl ShardedEngine {
 
     /// Restore a snapshot set (one engine snapshot per shard, in shard
     /// order) onto a freshly rebuilt deployment with the same queries.
-    /// The router clocks become the per-stream maximum over all slots,
-    /// and a poison latch clears (the restored state is consistent).
+    /// The router clocks become the last slot's, and a poison latch clears
+    /// (the restored state is consistent).
     pub fn restore(&mut self, snaps: &SnapshotSet) -> CoreResult<()> {
         if snaps.len() != self.shard_count() {
             return Err(SaseError::engine(format!(
@@ -1027,11 +1021,12 @@ impl ShardedEngine {
             let snap = snap.clone();
             worker.call(move |engine| engine.restore(&snap))??;
         }
-        self.clocks.clear();
-        for (stream, ts) in snaps.engines.iter().flat_map(|s| &s.stream_clocks) {
-            let clock = self.clocks.entry(stream.clone()).or_insert(*ts);
-            *clock = (*clock).max(*ts);
-        }
+        // The last slot carries the router's clocks (see `snapshot`). The
+        // other slots' own clocks stay theirs: taken into the router, a
+        // derived stream one of them minted would be written into the last
+        // slot by the next snapshot.
+        let last = snaps.engines.last().map(|s| s.stream_clocks.iter());
+        self.clocks = last.into_iter().flatten().cloned().collect();
         self.poisoned = false;
         Ok(())
     }

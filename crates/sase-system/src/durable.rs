@@ -5,8 +5,12 @@
 //! event stream is the canonical record (appended to a
 //! [`sase_store::EventLog`] before the engine sees each batch), and engine
 //! state is checkpointed as [`EngineSnapshot`]s referencing a log
-//! position. On restart, [`DurableEngine::recover`] loads the newest valid
-//! checkpoint, restores the engines, and replays only the log tail —
+//! position. A snapshot holds events too: the ones the queries still keep,
+//! and where each query keeps them (see [`sase_core::snapshot`]), not the
+//! stacks and buckets that index them. On restart,
+//! [`DurableEngine::recover`] loads the newest valid checkpoint (converting
+//! one of the previous format version), restores the engines by
+//! re-appending those events, and replays only the log tail —
 //! resuming exactly where the crashed process left off, provably: replay
 //! re-emits byte-for-byte the composite events the crashed process emitted
 //! after its last checkpoint (the recovery tests assert this against an

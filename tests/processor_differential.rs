@@ -10,7 +10,7 @@ use sase::system::ShardedEngineBuilder;
 use sase::ShardingMode;
 use sase::ShardingMode::{ByPartitionKey as ByKey, ByQuery};
 
-use scenarios::{play, registry, retail, row, xorshift_batches, Column, Step, ALL};
+use scenarios::{play, reading, registry, retail, row, xorshift_batches, Column, Step, ALL};
 
 fn queries() -> [(&'static str, String); 5] {
     [
@@ -98,4 +98,50 @@ fn facade_backend_is_differentially_identical() {
         Column::Facade(Some((ByKey, 1))),
         Column::Facade(Some((ByKey, 4))),
     ]);
+}
+
+/// A stranded instance: a touch at 12 prunes `a@1` and keeps `b@5`, which
+/// then sits in its stack with an empty stack before it. Offered again,
+/// `b` would not be appended (it has no predecessor), so a snapshot records
+/// where it sits. After the restore, `c@13` still runs the `(b, c)` filter
+/// against it and `a@16` still prunes it, so every column's counters equal
+/// the reference's. `b@5` is also a counterexample buffered by `guarded`,
+/// which kills `x@1`'s matches on both sides of the snapshot.
+#[test]
+fn a_stranded_instance_survives_restore() {
+    let queries = [
+        (
+            "stranded",
+            "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) \
+             WHERE a.TagId = b.TagId AND a.TagId = c.TagId AND b.AreaId < c.AreaId \
+             WITHIN 10"
+                .to_string(),
+        ),
+        ("guarded", retail(1, 20, 0)),
+    ];
+    // `reading(k, ..)` is a shelf, counter or exit reading for k = 0, 1, 2.
+    let batches = vec![
+        vec![
+            reading(0, 1, 1, 1),
+            reading(1, 5, 1, 3),
+            reading(2, 12, 1, 1),
+        ],
+        vec![reading(2, 13, 1, 1), reading(0, 16, 1, 1)],
+    ];
+    let mut s = row(&queries, batches, &ALL);
+    s.script.insert(3, Step::Snapshot);
+    let played = play(&s);
+    assert!(played.out.is_empty(), "{:?}", played.out);
+    let stranded = played.engine.stats("stranded").unwrap();
+    assert_eq!(
+        (
+            stranded.construction_filter_rejects,
+            stranded.instances_pruned
+        ),
+        (2, 2)
+    );
+    assert_eq!(
+        played.engine.stats("guarded").unwrap().dropped_by_negation,
+        2
+    );
 }

@@ -156,7 +156,7 @@ proptest! {
         prop_assert_eq!(s.matches_emitted as usize, out.len());
         prop_assert_eq!(
             s.sequences_constructed,
-            s.matches_emitted + s.dropped_by_negation + s.dropped_by_window
+            s.matches_emitted + s.dropped_by_negation
         );
     }
 }

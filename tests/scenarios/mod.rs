@@ -6,7 +6,8 @@
 //! A [`Scenario`] scripts query registrations, event batches (on the
 //! default or on named streams, one of them out of order), an
 //! unregistration and a late registration, a snapshot restored into a fresh
-//! deployment, and a crash that may tear bytes off the log tail. [`play`]
+//! deployment (which must snapshot back to what it was restored from), and
+//! a crash that may tear bytes off the log tail. [`play`]
 //! runs it on the indexed [`Engine`] — the reference — and in lockstep on
 //! every [`Column`], and checks:
 //!
@@ -836,6 +837,14 @@ impl Col {
                 let snaps = p.snapshot();
                 self.check_laws(i, r);
                 self.restart(i, &r.script[..i], Some(&snaps));
+                let Live::InProcess(p) = &self.live else {
+                    unreachable!()
+                };
+                assert!(
+                    p.snapshot() == snaps,
+                    "{:?} at step {i}: restoring and snapshotting again changed the snapshot",
+                    self.column
+                );
             }
             Step::Crash(cut) if durable => self.crash(i, *cut, r),
             Step::Crash(_) => {}
