@@ -281,6 +281,12 @@ impl<T> SlotMap<T> {
         self.position(slot).map(|local| &self.entries[local])
     }
 
+    /// The entry of `slot`, if any, mutably.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.position(slot).map(|local| &mut self.entries[local])
+    }
+
     /// The entry of `slot`, made by `make` (and holding the slot) when
     /// there is none.
     #[inline]

@@ -103,7 +103,7 @@ pub struct RuntimeStats {
     pub negation_candidates_buffered: u64,
     /// Composite events emitted.
     pub matches_emitted: u64,
-    /// Current number of PAIS partitions.
+    /// Current number of PAIS partitions holding an instance.
     pub partitions: u64,
 }
 

@@ -62,6 +62,8 @@ pub struct SscOperator {
     /// become evaluable during backward construction.
     filters_by_min: Vec<Vec<ConstructionFilter>>,
     pub(super) events_since_sweep: usize,
+    /// Number of groups holding at least one instance.
+    occupied: usize,
     /// The slot of the group the last event's matches were constructed
     /// in. An indexed negation buckets candidates under the same key, so it
     /// probes with this slot instead of extracting the key again.
@@ -86,6 +88,7 @@ impl SscOperator {
             groups: SlotMap::default(),
             filters_by_min,
             events_since_sweep: 0,
+            occupied: 0,
             match_slot: 0,
         }
     }
@@ -96,9 +99,10 @@ impl SscOperator {
         self.match_slot
     }
 
-    /// Number of live partitions (1 when unpartitioned and active).
+    /// Number of partitions holding an instance (1 when unpartitioned
+    /// and active).
     pub fn partition_count(&self) -> usize {
-        self.groups.len()
+        self.occupied
     }
 
     /// The partitions, by slot.
@@ -138,6 +142,9 @@ impl SscOperator {
         let group = self
             .groups
             .get_or_insert_with(slot, keys, || AisGroup::new(n));
+        if group.retained() == 0 {
+            self.occupied += 1;
+        }
         let i = row.index;
         let rip = if i == 0 {
             0
@@ -155,6 +162,7 @@ impl SscOperator {
     /// Drop every partition, releasing its key.
     pub(crate) fn release(&mut self, keys: &mut KeyTable) {
         self.groups.clear(keys);
+        self.occupied = 0;
     }
 
     /// Process one event through the positive rows of `offers`, the table
@@ -184,6 +192,7 @@ impl SscOperator {
                     g.retained() > 0
                 });
                 stats.instances_pruned += pruned;
+                self.occupied = self.groups.len();
             }
         }
 
@@ -216,17 +225,35 @@ impl SscOperator {
                 .run(event, 0)?;
                 continue;
             }
-            let group = self
-                .groups
-                .get_or_insert_with(slot, keys, || AisGroup::new(n));
-            if let Some(min_ts) = min_ts {
-                stats.instances_pruned += group.prune_before(min_ts) as u64;
-            }
-
+            // An event that appends nothing creates no group. A group
+            // emptied by pruning is kept for reuse until the next sweep, but
+            // not counted: the partition count depends only on what is
+            // retained, which is all a snapshot records.
+            let group = match self.groups.get_mut(slot) {
+                Some(group) => {
+                    if let Some(min_ts) = min_ts {
+                        let pruned = group.prune_before(min_ts);
+                        if pruned > 0 {
+                            stats.instances_pruned += pruned as u64;
+                            if group.retained() == 0 {
+                                self.occupied -= 1;
+                            }
+                        }
+                    }
+                    group
+                }
+                None if i > 0 => continue,
+                None => self
+                    .groups
+                    .get_or_insert_with(slot, keys, || AisGroup::new(n)),
+            };
             // An instance with no possible predecessor can never extend to
             // a match: predecessors must already be in the previous stack.
             if i > 0 && group.stack(i - 1).is_empty() {
                 continue;
+            }
+            if group.retained() == 0 {
+                self.occupied += 1;
             }
             let rip = if i == 0 {
                 0
@@ -256,7 +283,7 @@ impl SscOperator {
                 }
             }
         }
-        stats.partitions = self.groups.len() as u64;
+        stats.partitions = self.occupied as u64;
         Ok(())
     }
 }
@@ -474,6 +501,27 @@ mod tests {
         ];
         let (matches, _) = run(&mut op, &events);
         assert_eq!(matches.len(), 1);
+    }
+
+    /// A partition counts while it holds an instance: an event that
+    /// appends nothing opens none, and a prune that empties one uncounts
+    /// it until it holds an instance again.
+    #[test]
+    fn only_partitions_holding_instances_count() {
+        let (mut op, reg) = setup(SEQ2);
+        let (_, stats) = run(&mut op, &[ev(&reg, "EXIT_READING", 1, 7, 4)]);
+        assert_eq!((op.partition_count(), stats.partitions), (0, 0));
+        let shelves = [
+            ev(&reg, "SHELF_READING", 2, 7, 1),
+            ev(&reg, "SHELF_READING", 3, 8, 1),
+        ];
+        assert_eq!(run(&mut op, &shelves).1.partitions, 2);
+        // Outside WITHIN 100 of tag 7's shelf reading: pruned, nothing
+        // appended.
+        let (_, stats) = run(&mut op, &[ev(&reg, "EXIT_READING", 200, 7, 4)]);
+        assert_eq!((op.partition_count(), stats.partitions), (1, 1));
+        let (_, stats) = run(&mut op, &[ev(&reg, "SHELF_READING", 201, 7, 1)]);
+        assert_eq!((op.partition_count(), stats.partitions), (2, 2));
     }
 
     #[test]

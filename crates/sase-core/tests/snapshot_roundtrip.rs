@@ -481,22 +481,6 @@ fn restore_remaps_churning_slots() {
             let out = render(&restored.process_batch(chunk).unwrap());
             assert_eq!(out, outputs[i], "cut at chunk {cut}, chunk {i}");
         }
-        // A snapshot holds events, so a restored engine has only the
-        // partitions holding some: the uninterrupted engine's `partitions`
-        // gauge also counts groups emptied by pruning that wait for its
-        // next sweep. Everything else agrees.
-        assert_eq!(
-            without_partitions(restored.snapshot()),
-            without_partitions(last.clone()),
-            "cut at chunk {cut}"
-        );
+        assert_eq!(restored.snapshot(), last, "cut at chunk {cut}");
     }
-}
-
-/// `snap` with every query's `partitions` gauge zeroed.
-fn without_partitions(mut snap: EngineSnapshot) -> EngineSnapshot {
-    for q in &mut snap.queries {
-        q.stats.partitions = 0;
-    }
-    snap
 }

@@ -26,7 +26,7 @@ use sase_server::wire::{
     ResponseParts, TickMode, WireFault,
 };
 use sase_server::ServerError;
-use sase_store::codec::{get_engine_snapshot, ByteReader};
+use sase_store::codec::{get_engine_snapshot, put_engine_snapshot, ByteReader, ByteWriter};
 use sase_store::StoreError;
 
 // Shared with `sase-store`'s format tests, which also use its snapshot.
@@ -221,19 +221,15 @@ const ALLOC_PER_BYTE: usize = 12;
 
 /// The store's checkpoint codec, measured here beside the wire's under the
 /// same allocator hook. Past the CRC (a disk that checksums garbage): every
-/// cut and every flipped bit of the golden version-2 snapshot frame in
-/// `sase-store`'s fixtures decodes to a typed
-/// [`StoreError::Decode`] or to some well-formed snapshot, without
+/// cut and every flipped bit of the snapshot frame of `values::snapshot()`
+/// (the frame `sase-store`'s golden `checkpoint_v2.ckpt` pins) decodes to
+/// a typed [`StoreError::Decode`] or to some well-formed snapshot, without
 /// panicking and within [`ALLOC_PER_BYTE`].
 #[test]
 fn a_damaged_snapshot_frame_never_panics_or_overallocates() {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../sase-store/tests/fixtures/checkpoint_v2.ckpt");
-    let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    // magic, version, replay position and engine count; then the frame's
-    // length and the frame.
-    let len = u32::from_be_bytes(golden[18..22].try_into().unwrap()) as usize;
-    let frame = &golden[22..22 + len];
+    let mut w = ByteWriter::new();
+    put_engine_snapshot(&mut w, &values::snapshot());
+    let frame = &w.into_bytes()[..];
     let check = |bytes: &[u8], what: &str| {
         let (outcome, peak) = peak_alloc(|| {
             let mut r = ByteReader::new(bytes);

@@ -31,8 +31,7 @@
 //! Version 1 wrote each query's layout instead: AIS stacks with pruning
 //! bases and RIPs under partition keys, keyed negation buckets, and 11
 //! counters. A version-1 file is converted as it is read
-//! ([`load_latest_checkpoint`] and [`read_checkpoint`] take both); nothing
-//! writes version 1.
+//! ([`load_latest_checkpoint`] takes both); nothing writes version 1.
 //!
 //! Files are written to a temporary name, fsynced, then renamed into
 //! place (`ckpt-<seq>.ckpt`) and the directory fsynced — a crash leaves
@@ -199,20 +198,14 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// Read one checkpoint file; a file that does not validate is
-/// [`StoreError::Corrupt`].
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, "read", e))?;
-    decode(path, &bytes)
-}
-
 /// Load the newest valid checkpoint, skipping (and reporting) corrupt
 /// ones. Returns `(checkpoint, corrupt file paths)`; the checkpoint is
 /// `None` when no valid one exists (recover by replaying the whole log).
 pub fn load_latest_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, Vec<PathBuf>)> {
     let mut corrupt = Vec::new();
     for (_, path) in list_checkpoints(dir)? {
-        match read_checkpoint(&path) {
+        let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, "read", e))?;
+        match decode(&path, &bytes) {
             Ok(ckpt) => return Ok((Some(ckpt), corrupt)),
             Err(StoreError::Corrupt { .. }) => corrupt.push(path),
             Err(e) => return Err(e),

@@ -999,6 +999,28 @@ mod tests {
         assert_eq!(bytes, w2.into_bytes());
     }
 
+    /// Tag 1 of a version-1 snapshot was the sequence snapshot of a
+    /// runtime that is gone: the converter names it in a typed error.
+    #[test]
+    fn a_retired_v1_sequence_tag_is_named() {
+        let mut w = ByteWriter::new();
+        w.u32(1); // queries
+        w.str("q");
+        w.u32(11); // stat counters
+        for _ in 0..11 {
+            w.u64(0);
+        }
+        w.u8(0); // no query clock
+        w.u8(1); // the retired tag
+        let bytes = w.into_bytes();
+        match get_engine_snapshot_v1(&mut ByteReader::new(&bytes)) {
+            Err(StoreError::Decode(d)) => {
+                assert!(d.contains("unknown sequence-snapshot tag 1"), "{d}")
+            }
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn snapshot_decode_rejects_garbage() {
         for bytes in [&[][..], &[0xFF; 3][..], &[0, 0, 0, 9][..]] {

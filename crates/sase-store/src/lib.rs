@@ -30,8 +30,7 @@ pub mod error;
 pub mod log;
 
 pub use checkpoint::{
-    list_checkpoints, load_latest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint,
-    Checkpoint,
+    list_checkpoints, load_latest_checkpoint, prune_checkpoints, write_checkpoint, Checkpoint,
 };
 pub use error::{Result, StoreError};
 pub use log::{EventLog, LogIter, LogOptions, Record, SegmentInfo, WalMetrics};

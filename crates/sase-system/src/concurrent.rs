@@ -991,9 +991,11 @@ impl ShardedEngine {
         };
         // A worker hosting no queries is skipped entirely, so its own
         // clocks may lag the router's. Overlay the authoritative router
-        // clocks onto the last slot — `restore` rebuilds the router clocks
-        // from the slots. `max` keeps derived-stream entries the engine
-        // minted itself; sorting makes snapshot bytes deterministic.
+        // clocks onto the last slot — `restore` takes the router clocks
+        // from that slot alone. Streams only the last engine has (derived
+        // streams it minted itself) keep their entries, and `max` keeps the
+        // later clock of a stream both have; sorting makes snapshot bytes
+        // deterministic.
         let snap = set.engines.last_mut().expect("at least one worker");
         for (stream, ts) in &self.clocks {
             match snap.stream_clocks.iter_mut().find(|(s, _)| s == stream) {
