@@ -31,9 +31,9 @@
 //! Then one loop serves input and derived events alike: each input event
 //! is offered straight to its routed queries, then the `INTO` events its
 //! emissions derive are offered breadth-first from a queue that holds only
-//! derived events, before the next input. A derived offer checks the
-//! derivation depth limit and its stream's clock first. The failure
-//! contract is stated in [`crate::processor`].
+//! derived events, before the next input. A derived offer checks its
+//! stream's clock first. The failure contract and the evaluation rule are
+//! stated in [`crate::processor`].
 //!
 //! The emissions of a query declaring `RETURN ... INTO s` are re-ingested
 //! as first-class events on stream `s` (§2.1.1: the RETURN clause "can
@@ -41,7 +41,7 @@
 //! queries compose. The derived event type is the stream name; if it is
 //! not already registered, a schema is derived from the first emission's
 //! column types. Cyclic INTO graphs are cut off after
-//! `MAX_DERIVATION_DEPTH` hops with an error.
+//! `MAX_DERIVATION_DEPTH` hops: the event past the limit is dropped.
 //!
 //! ## Partition keys
 //!
@@ -254,9 +254,7 @@ pub struct Engine {
     /// Monotonicity clock of the default stream. Events must arrive in
     /// non-decreasing timestamp order per stream; the engine enforces this
     /// before routing, so both routing modes reject regressions
-    /// identically (per-query runtimes repeat the check for defense in
-    /// depth, but under indexed routing they only see their relevant
-    /// events).
+    /// identically, and every query sees its events in order.
     default_clock: Option<Timestamp>,
     /// Monotonicity clocks of named streams (keys normalized to lowercase).
     named_clocks: FxHashMap<String, Timestamp>,
@@ -275,16 +273,9 @@ pub struct Engine {
 }
 
 /// Maximum chain of query-to-query derivations one input event may cause;
-/// exceeding it means the INTO graph is cyclic.
+/// exceeding it means the INTO graph is cyclic, and the event past it is
+/// dropped.
 const MAX_DERIVATION_DEPTH: u16 = 16;
-
-/// The error of an event whose timestamp `ts` regresses its stream's clock.
-fn out_of_order(ts: Timestamp, last: Timestamp, stream: Option<&str>) -> SaseError {
-    SaseError::engine(format!(
-        "out-of-order event: timestamp {ts} after {last} on stream `{}`",
-        stream.unwrap_or("<default>"),
-    ))
-}
 
 impl Engine {
     /// Create an engine over a schema registry, with the standard pure
@@ -529,9 +520,7 @@ impl Engine {
     }
 
     /// Ingest a batch on the default input stream and return its
-    /// emissions: [`EventProcessor::ingest`] into a fresh buffer. When the
-    /// batch fails, the emissions made before the error reach only the
-    /// sinks; call `ingest` to keep them.
+    /// emissions: [`EventProcessor::ingest`] into a fresh buffer.
     pub fn process_batch(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
         let mut out = Vec::new();
         self.ingest_on(None, events, &mut out, None)?;
@@ -561,9 +550,7 @@ impl Engine {
         self.batch_seq = self.batch_seq.wrapping_add(1);
         let out_before = out.len();
 
-        let result = self.ingest_queued(stream, events, out, tags);
-        // A failed call may leave derived events behind.
-        self.derived_queue.clear();
+        self.ingest_queued(stream, events, out, tags);
 
         if let Some(m) = &self.metrics {
             m.batches.inc();
@@ -576,7 +563,7 @@ impl Engine {
         if let Some(span) = span {
             self.tracer.end(span, (out.len() - out_before) as u64);
         }
-        result
+        Ok(())
     }
 
     /// The input clock check: a batch whose timestamps regress the
@@ -592,7 +579,10 @@ impl Engine {
         for event in events {
             let ts = event.timestamp();
             if ts < last {
-                return Err(out_of_order(ts, last, stream));
+                return Err(SaseError::engine(format!(
+                    "out-of-order event: timestamp {ts} after {last} on stream `{}`",
+                    stream.unwrap_or("<default>"),
+                )));
             }
             last = ts;
         }
@@ -609,16 +599,15 @@ impl Engine {
         events: &[Event],
         out: &mut Vec<ComplexEvent>,
         mut tags: Option<&mut Vec<Tag>>,
-    ) -> Result<()> {
+    ) {
         for (input_index, input) in events.iter().enumerate() {
             let input_index = input_index as u32;
-            self.offer(stream, input, input_index, &[], out, tags.as_deref_mut())?;
+            self.offer(stream, input, input_index, &[], out, tags.as_deref_mut());
             while let Some((derived_stream, event, path)) = self.derived_queue.pop_front() {
                 let stream = Some(derived_stream.as_str());
-                self.offer(stream, &event, input_index, &path, out, tags.as_deref_mut())?;
+                self.offer(stream, &event, input_index, &path, out, tags.as_deref_mut());
             }
         }
-        Ok(())
     }
 
     /// Offer one event — an input (empty `path`) or an `INTO` event derived
@@ -632,19 +621,12 @@ impl Engine {
         path: &[EmissionHop],
         out: &mut Vec<ComplexEvent>,
         mut tags: Option<&mut Vec<Tag>>,
-    ) -> Result<()> {
+    ) {
         let depth = path.len() as u16;
-        if depth > MAX_DERIVATION_DEPTH {
-            return Err(SaseError::engine(format!(
-                "derived-stream depth exceeded {MAX_DERIVATION_DEPTH} hops; \
-                 the INTO graph is probably cyclic"
-            )));
-        }
-        // Per-stream monotonicity, enforced here (not only in the
-        // per-query runtimes) so a regression is caught identically whether
-        // or not the event routes anywhere. Input events passed the batch's
-        // clock check; a derived event can still regress a named stream
-        // that a direct ingest has advanced.
+        // Per-stream monotonicity, so every query sees its events in order.
+        // Input events passed the batch's clock check; a derived event can
+        // still regress a named stream that a direct ingest has advanced,
+        // and is then dropped as an error of its producer.
         let ts = event.timestamp();
         let last = match stream {
             None => self.default_clock.get_or_insert(ts),
@@ -654,7 +636,9 @@ impl Engine {
             },
         };
         if depth > 0 && ts < *last {
-            return Err(out_of_order(ts, *last, stream));
+            let (producer, _) = path[path.len() - 1];
+            self.queries[producer as usize].runtime.count_eval_error();
+            return;
         }
         *last = ts;
         self.keys.begin_offer();
@@ -675,7 +659,7 @@ impl Engine {
                 .begin(sase_obs::TraceKind::QueryEval, qi as u64, 0);
             let q = &mut self.queries[qi];
             let start = out.len();
-            q.runtime.offer(&mut self.keys, event, out)?;
+            q.runtime.offer(&mut self.keys, event, out);
             if let Some(qspan) = qspan {
                 self.tracer.end(qspan, (out.len() - start) as u64);
             }
@@ -701,21 +685,30 @@ impl Engine {
                 }
             }
         }
+        // A derived event past the depth limit, or one its stream's schema
+        // cannot hold, is dropped as an error of its producer.
         for (ce, hop_path) in derived {
-            let (derived_stream, derived_event) = self.derive_event(&ce)?;
+            let producer = hop_path[hop_path.len() - 1].0 as usize;
+            let derived = (hop_path.len() <= MAX_DERIVATION_DEPTH as usize)
+                .then(|| self.derive_event(&ce).ok())
+                .flatten();
+            let Some((derived_stream, derived_event)) = derived else {
+                self.queries[producer].runtime.count_eval_error();
+                continue;
+            };
             if let Some(m) = &self.metrics {
                 m.derived_events.inc();
             }
             self.derived_queue
                 .push_back((derived_stream, derived_event, hop_path));
         }
-        Ok(())
     }
 
     /// Turn an `INTO` composite event into a first-class event on its
     /// output stream, registering (or, after all previous producers left,
     /// redefining) the stream's event type on first use. Returns the
-    /// normalized stream name.
+    /// normalized stream name, or the registry's error when the emission
+    /// does not fit the stream's schema.
     fn derive_event(&mut self, ce: &ComplexEvent) -> Result<(String, Event)> {
         let stream = ce.into.as_ref().expect("caller checked").to_string();
         let key = stream.to_ascii_lowercase();
@@ -737,8 +730,8 @@ impl Engine {
                             // or reacts to the type: redefining under a
                             // live consumer would silently invalidate its
                             // plan, so the old schema stays authoritative
-                            // (a mismatched emission then fails loudly at
-                            // event construction below).
+                            // (a mismatched emission then fails at event
+                            // construction below).
                             self.reusable_derived.remove(&key);
                             if self.type_in_use(id, &key) {
                                 (id, true)
@@ -1205,8 +1198,8 @@ mod tests {
     #[test]
     fn derived_schema_not_redefined_under_live_consumer() {
         // A consumer planned against the old derived schema must not have
-        // the type redefined under it: the mismatched new producer fails
-        // loudly at event construction instead.
+        // the type redefined under it: the mismatched new producer's
+        // derived event is dropped at construction, as its error.
         let mut engine = Engine::new(retail_registry());
         engine
             .register(
@@ -1227,11 +1220,12 @@ mod tests {
                 "EVENT EXIT_READING z RETURN z.ProductName AS tag INTO alerts",
             )
             .unwrap();
-        let err = engine.process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)]);
-        assert!(
-            err.is_err(),
-            "mismatched emission must fail loudly: {err:?}"
-        );
+        let out = engine
+            .process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)])
+            .unwrap();
+        let queries: Vec<&str> = out.iter().map(|ce| ce.query.as_ref()).collect();
+        assert_eq!(queries, ["p2"], "the watcher sees no mismatched event");
+        assert_eq!(engine.stats("p2").unwrap().eval_errors, 1);
         // The watcher's schema survived untouched.
         let schema = engine.schemas().schema_by_name("alerts").unwrap();
         assert_eq!(schema.attr_type("tag"), Some(ValueType::Int));
@@ -1255,7 +1249,7 @@ mod tests {
             .unwrap();
         assert!(engine.unregister("p1"));
         // A new producer with a mismatched shape must NOT silently
-        // redefine the user's type: building its derived events fails.
+        // redefine the user's type: its derived events are dropped.
         engine
             .register(
                 "p2",
@@ -1263,8 +1257,10 @@ mod tests {
                  RETURN z.TagId AS tag, z.AreaId AS area INTO alerts",
             )
             .unwrap();
-        let err = engine.process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)]);
-        assert!(err.is_err(), "user schema is authoritative: {err:?}");
+        engine
+            .process_batch(&[ev(&engine, "EXIT_READING", 2, 8, 4)])
+            .unwrap();
+        assert_eq!(engine.stats("p2").unwrap().eval_errors, 1);
         assert_eq!(
             engine.schemas().schema_by_name("alerts").unwrap().arity(),
             1

@@ -42,20 +42,30 @@
 //!
 //! ## The failure contract of ingest
 //!
-//! * **An input-clock error is atomic.** A batch whose timestamps regress
-//!   its stream's clock, or an earlier event of the same batch, is
-//!   rejected before any event is offered: it changes no state, no
-//!   statistic and no metric, and writes nothing into the buffers.
-//! * **Any other error keeps what was emitted before it.** A built-in or
-//!   predicate error, the derivation-depth limit, a derived schema
-//!   mismatch, or a derived event regressing a named stream stops the
-//!   batch at the event that failed. The emissions made before the error
-//!   stay in the caller's buffer (sinks have seen them too), and the
-//!   error is returned; the events after it are not offered.
+//! **Ingest fails only whole.** A batch whose timestamps regress its
+//! stream's clock, or an earlier event of the same batch, is rejected
+//! before any event is offered: it changes no state, no statistic and no
+//! metric, and writes nothing into the buffers. A deployment may refuse a
+//! batch whole for reasons of its own (a log append that failed, a stream
+//! it cannot log, a poisoned deployment); no evaluation error reaches the
+//! caller.
 //!
-//! A durable deployment logs a batch before it is processed, and replays
-//! the same outcome: a rejected batch again as a no-op, a failed one
-//! again with its emissions and its error.
+//! **An evaluation error stays in its query.** A value error (a built-in
+//! that fails, arithmetic on the wrong types, a missing attribute, a
+//! predicate that is not a boolean) is met as follows:
+//!
+//! * a `WHERE` conjunct that fails to evaluate is false, wherever the
+//!   planner placed it: an element filter, a construction filter, or a
+//!   negation check, where it makes the event no counterexample;
+//! * a `RETURN` that fails to evaluate drops its match;
+//! * a derived (`INTO`) event past the derivation-depth limit, of a shape
+//!   its stream's schema cannot hold, or regressing a named stream is
+//!   dropped.
+//!
+//! Each adds one to [`RuntimeStats::eval_errors`] of the query that owns
+//! the expression (for a derived event, its producer), and every other
+//! event and query goes on. A durable deployment logs a batch before it
+//! is processed and replays the same outcome.
 
 use crate::analyze::{check_src, Diagnostic};
 use crate::engine::{Sink, Tag};
@@ -113,7 +123,7 @@ pub trait EventProcessor: Send {
     /// stream; names compare case-insensitively). The emitted composite
     /// events are appended to `out` in canonical emission order and, when
     /// `tags` is given, one [`Tag`] per emission to it, aligned with
-    /// `out`. On error, `out` keeps what the batch emitted before it (see
+    /// `out`. An error leaves both untouched (see
     /// [the failure contract](self#the-failure-contract-of-ingest)).
     fn ingest(
         &mut self,

@@ -12,7 +12,7 @@
 //!   *position* at compile time and eval is a single bounds-checked index.
 //!   `timestamp`/`ts` pseudo-attributes are recognized statically. The
 //!   remaining dynamic case lowercases the name once at compile and
-//!   resolves through a lock-free per-type memo
+//!   resolves it against each event's own schema
 //!   ([`AttrAccess::Dynamic`]).
 //! * **Flat evaluation.** No `Box` per node, no recursion: a single loop
 //!   over a boxed op slice with an inline (stack-allocated) operand stack.
@@ -32,7 +32,6 @@
 //! workspace's differential harness (`tests/differential.rs`).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Result, SaseError};
@@ -44,41 +43,21 @@ use crate::pattern::CompiledPattern;
 use crate::value::Value;
 
 /// How a compiled attribute reference reaches its value at eval time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum AttrAccess {
     /// Fixed position, valid for every candidate schema of the slot.
     Pos(u32),
     /// The `timestamp` / `ts` pseudo-attribute.
     Timestamp,
     /// Per-event resolution for slots whose candidate schemas disagree on
-    /// the position (heterogeneous `ANY(...)`) or lack the attribute. The
-    /// name is lowercased once at compile time; resolution is one hash
-    /// probe memoized in a lock-free single-entry cache keyed by event
-    /// type. (Safe because the engine never redefines a schema that any
-    /// registered plan references.)
+    /// the position (heterogeneous `ANY(...)`) or lack the attribute: one
+    /// hash probe of the event's schema, under the name lowercased once at
+    /// compile time. Nothing is memoized, so a schema redefined under the
+    /// same type id is read as it is now.
     Dynamic {
         /// Pre-lowercased attribute name.
         attr_lc: Arc<str>,
-        /// Packed memo: `VALID | PRESENT? | pos << 32 | type_id`.
-        cache: AtomicU64,
     },
-}
-
-const CACHE_VALID: u64 = 1 << 63;
-const CACHE_PRESENT: u64 = 1 << 62;
-const CACHE_POS_MASK: u64 = 0x3FFF_FFFF;
-
-impl Clone for AttrAccess {
-    fn clone(&self) -> Self {
-        match self {
-            AttrAccess::Pos(p) => AttrAccess::Pos(*p),
-            AttrAccess::Timestamp => AttrAccess::Timestamp,
-            AttrAccess::Dynamic { attr_lc, cache } => AttrAccess::Dynamic {
-                attr_lc: attr_lc.clone(),
-                cache: AtomicU64::new(cache.load(Ordering::Relaxed)),
-            },
-        }
-    }
 }
 
 impl AttrAccess {
@@ -86,8 +65,8 @@ impl AttrAccess {
     ///
     /// `type_ids` are the slot's candidate event types; when every
     /// candidate schema stores the attribute at the same position the
-    /// access is fully resolved, otherwise it degrades to the memoized
-    /// dynamic lookup.
+    /// access is fully resolved, otherwise it degrades to the dynamic
+    /// lookup.
     pub fn resolve(
         attr: &str,
         type_ids: &[crate::event::EventTypeId],
@@ -110,10 +89,9 @@ impl AttrAccess {
             }
         }
         match (uniform, common) {
-            (true, Some(p)) if p as u64 <= CACHE_POS_MASK => AttrAccess::Pos(p as u32),
+            (true, Some(p)) => AttrAccess::Pos(p as u32),
             _ => AttrAccess::Dynamic {
                 attr_lc: Arc::from(attr.to_ascii_lowercase().as_str()),
-                cache: AtomicU64::new(0),
             },
         }
     }
@@ -125,28 +103,9 @@ impl AttrAccess {
         match self {
             AttrAccess::Pos(p) => event.attr_at(*p as usize).map(Fetched::Ref),
             AttrAccess::Timestamp => Some(Fetched::Ts(event.timestamp() as i64)),
-            AttrAccess::Dynamic { attr_lc, cache } => {
-                let tid = event.type_id().0 as u64;
-                let c = cache.load(Ordering::Relaxed);
-                if c & CACHE_VALID != 0 && (c & 0xFFFF_FFFF) == tid {
-                    if c & CACHE_PRESENT != 0 {
-                        let pos = ((c >> 32) & CACHE_POS_MASK) as usize;
-                        return event.attr_at(pos).map(Fetched::Ref);
-                    }
-                    return None;
-                }
-                let pos = event.schema().attr_position_lc(attr_lc);
-                let enc = match pos {
-                    Some(p) if p as u64 <= CACHE_POS_MASK => {
-                        CACHE_VALID | CACHE_PRESENT | ((p as u64) << 32) | tid
-                    }
-                    Some(_) => 0, // position too large to encode: skip the memo
-                    None => CACHE_VALID | tid,
-                };
-                if enc != 0 {
-                    cache.store(enc, Ordering::Relaxed);
-                }
-                pos.and_then(|p| event.attr_at(p)).map(Fetched::Ref)
+            AttrAccess::Dynamic { attr_lc } => {
+                let pos = event.schema().attr_position_lc(attr_lc)?;
+                event.attr_at(pos).map(Fetched::Ref)
             }
         }
     }
@@ -443,6 +402,17 @@ impl PredicateProgram {
                 other.value_type()
             ))),
         }
+    }
+
+    /// Evaluate as a `WHERE` conjunct under the evaluation rule of
+    /// [`crate::processor`]: a conjunct that fails to evaluate is false,
+    /// and adds one to `errors`.
+    #[inline]
+    pub(crate) fn holds<B: Binding + ?Sized>(&self, binding: &B, errors: &mut u64) -> bool {
+        self.eval_bool(binding).unwrap_or_else(|_| {
+            *errors += 1;
+            false
+        })
     }
 
     fn run<B: Binding + ?Sized, S: OperandStack>(

@@ -404,7 +404,7 @@ mod tests {
         keys.begin_offer();
         let mut out = Vec::new();
         for rt in rts {
-            rt.offer(keys, event, &mut out).unwrap();
+            rt.offer(keys, event, &mut out);
         }
     }
 

@@ -105,13 +105,17 @@ pub struct RuntimeStats {
     pub matches_emitted: u64,
     /// Current number of PAIS partitions holding an instance.
     pub partitions: u64,
+    /// Evaluation errors: a `WHERE` conjunct taken as false, a `RETURN`
+    /// whose match was dropped, or a derived event dropped (counted on its
+    /// producer). See [`crate::processor`] for the rule.
+    pub eval_errors: u64,
 }
 
 impl RuntimeStats {
     /// The counters as `(label, value, is_monotonic)` rows, in a fixed
     /// presentation order. Monotonic rows export as Prometheus counters;
     /// the rest (`partitions`) as gauges.
-    pub fn rows(&self) -> [(&'static str, u64, bool); 9] {
+    pub fn rows(&self) -> [(&'static str, u64, bool); 10] {
         [
             ("events_processed", self.events_processed, true),
             ("instances_appended", self.instances_appended, true),
@@ -130,6 +134,7 @@ impl RuntimeStats {
             ),
             ("matches_emitted", self.matches_emitted, true),
             ("partitions", self.partitions, false),
+            ("eval_errors", self.eval_errors, true),
         ]
     }
 
@@ -310,24 +315,21 @@ impl OfferRow {
     }
 
     /// Can `event` bind this component: one of its types, passing its
-    /// element filters?
+    /// element filters? A filter that fails to evaluate counts as false
+    /// and adds to `errors`.
     #[inline]
-    fn admits(&self, plan: &QueryPlan, event: &Event) -> Result<bool> {
+    fn admits(&self, plan: &QueryPlan, event: &Event, errors: &mut u64) -> bool {
         if !self.types.matches(event.type_id()) {
-            return Ok(false);
+            return false;
         }
-        if self.filtered {
-            let probe = SlotProbe {
-                slot: self.slot,
-                event,
-            };
-            for f in &plan.element_filters[self.slot] {
-                if !f.eval_bool(&probe)? {
-                    return Ok(false);
-                }
-            }
+        if !self.filtered {
+            return true;
         }
-        Ok(true)
+        let probe = SlotProbe {
+            slot: self.slot,
+            event,
+        };
+        (plan.element_filters[self.slot].iter()).all(|f| f.holds(&probe, errors))
     }
 }
 
@@ -539,39 +541,32 @@ impl QueryRuntime {
     ///
     /// Events must arrive in non-decreasing timestamp order (the Time
     /// Conversion Layer guarantees this); regressions are rejected because
-    /// stack and buffer pruning assume temporal order.
+    /// stack and buffer pruning assume temporal order. Inside an engine,
+    /// the stream clocks enforce the order instead.
     pub fn process(&mut self, event: &Event, out: &mut Vec<ComplexEvent>) -> Result<()> {
-        let mut keys = self.own_keys();
+        if let Some(last) = self.last_ts.filter(|&last| event.timestamp() < last) {
+            return Err(SaseError::engine(format!(
+                "out-of-order event: timestamp {} after {last} (query `{}`)",
+                event.timestamp(),
+                self.name
+            )));
+        }
+        let mut keys = self.keys.take().expect(OWN_KEYS);
         keys.begin_offer();
-        let result = self.offer(&mut keys, event, out);
+        self.offer(&mut keys, event, out);
         self.keys = Some(keys);
-        result
-    }
-
-    /// The private key table, taken out for one standalone call.
-    fn own_keys(&mut self) -> Box<KeyTable> {
-        self.keys.take().expect(OWN_KEYS)
+        Ok(())
     }
 
     /// [`QueryRuntime::process`] with the keys in `keys`, inside an offer
-    /// the caller began.
+    /// the caller began, on an event no older than the last one offered.
     #[inline]
     pub(crate) fn offer(
         &mut self,
         keys: &mut KeyTable,
         event: &Event,
         out: &mut Vec<ComplexEvent>,
-    ) -> Result<()> {
-        if let Some(last) = self.last_ts {
-            if event.timestamp() < last {
-                return Err(SaseError::engine(format!(
-                    "out-of-order event: timestamp {} after {} (query `{}`)",
-                    event.timestamp(),
-                    last,
-                    self.name
-                )));
-            }
-        }
+    ) {
         self.last_ts = Some(event.timestamp());
         self.stats.events_processed += 1;
 
@@ -581,7 +576,7 @@ impl QueryRuntime {
         // negation buckets, so a restored runtime sweeps when the original
         // would have.
         self.negation
-            .observe(&self.offers, keys, event, &mut self.stats)?;
+            .observe(&self.offers, keys, event, &mut self.stats);
         if let Some(w) = self.offers.window {
             if self.stats.events_processed % ssc::SWEEP_PERIOD as u64 == 0 {
                 self.negation
@@ -589,33 +584,41 @@ impl QueryRuntime {
             }
         }
 
-        // A construction that failed in an earlier call may have left
-        // matches behind.
-        self.matches.clear();
         self.seq.on_event(
             &self.offers,
             keys,
             event,
             &mut self.stats,
             &mut self.matches,
-        )?;
+        );
 
         // Each match is probed in place; a survivor's events then move out
-        // of the buffer into its emission's one shared slice.
+        // of the buffer into its emission's one shared slice. A `RETURN`
+        // that fails to evaluate drops its match.
         let n = self.offers.positives;
         let mut matches = self.matches.drain(..);
         while let Some(m) = matches.as_slice().get(..n) {
-            if !self.negation.allows(m, self.seq.match_slot())? {
+            let slot = self.seq.match_slot();
+            if !self.negation.allows(m, slot, &mut self.stats.eval_errors) {
                 self.stats.dropped_by_negation += 1;
                 matches.by_ref().take(n).for_each(drop);
                 continue;
             }
             let events = matches.by_ref().take(n).collect();
-            let ce = transform::transform(&self.plan, &self.name, events, &mut self.values)?;
-            self.stats.matches_emitted += 1;
-            out.push(ce);
+            match transform::transform(&self.plan, &self.name, events, &mut self.values) {
+                Ok(ce) => {
+                    self.stats.matches_emitted += 1;
+                    out.push(ce);
+                }
+                Err(_) => self.stats.eval_errors += 1,
+            }
         }
-        Ok(())
+    }
+
+    /// Count an evaluation error of this query that its engine met: a
+    /// derived event it produced was dropped.
+    pub(crate) fn count_eval_error(&mut self) {
+        self.stats.eval_errors += 1;
     }
 
     /// This query's part of an engine snapshot: its counters, its clocks

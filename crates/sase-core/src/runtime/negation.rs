@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 
-use crate::error::Result;
 use crate::event::Event;
 use crate::plan::QueryPlan;
 use crate::snapshot::Place;
@@ -120,9 +119,9 @@ impl NegationOperator {
         keys: &mut KeyTable,
         event: &Event,
         stats: &mut RuntimeStats,
-    ) -> Result<()> {
+    ) {
         for row in offers.negations() {
-            if !row.admits(&self.plan, event)? {
+            if !row.admits(&self.plan, event, &mut stats.eval_errors) {
                 continue;
             }
             let buf = &mut self.buffers[row.index];
@@ -142,7 +141,6 @@ impl NegationOperator {
             queue.push_back(event.clone());
             stats.negation_candidates_buffered += 1;
         }
-        Ok(())
     }
 
     /// Does the match survive every non-occurrence requirement?
@@ -152,8 +150,9 @@ impl NegationOperator {
     /// a match this kills has cost no allocation. `slot` is the slot of
     /// the group SSC built `m` in. An indexed
     /// negation buckets its candidates by the same key parts, so `slot`
-    /// names the bucket to probe.
-    pub(crate) fn allows(&self, m: &[Event], slot: u32) -> Result<bool> {
+    /// names the bucket to probe. A check that fails to evaluate counts as
+    /// false, so its candidate is no counterexample, and adds to `errors`.
+    pub(crate) fn allows(&self, m: &[Event], slot: u32, errors: &mut u64) -> bool {
         for (ni, neg) in self.plan.negations.iter().enumerate() {
             let t_after = m[neg.scope.after_positive].timestamp();
             let t_before = m[neg.scope.before_positive].timestamp();
@@ -173,23 +172,13 @@ impl NegationOperator {
                 if e.timestamp() >= t_before {
                     break;
                 }
-                if neg.checks.is_empty() {
-                    return Ok(false);
-                }
                 let binding = MatchBinding::with_negated(&self.plan.pattern, m, neg.scope.slot, e);
-                let mut all_pass = true;
-                for c in &neg.checks {
-                    if !c.eval_bool(&binding)? {
-                        all_pass = false;
-                        break;
-                    }
-                }
-                if all_pass {
-                    return Ok(false);
+                if neg.checks.iter().all(|c| c.holds(&binding, errors)) {
+                    return false;
                 }
             }
         }
-        Ok(true)
+        true
     }
 
     /// Drop candidates older than `min_ts` (window expiry) from every
@@ -249,18 +238,18 @@ mod tests {
     }
 
     impl Op {
-        fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) -> Result<()> {
+        fn observe(&mut self, event: &Event, stats: &mut RuntimeStats) {
             self.keys.begin_offer();
             self.neg.observe(&self.offers, &mut self.keys, event, stats)
         }
 
         /// Whether a match of two same-tag events survives; SSC would
         /// have built it in the group of that tag.
-        fn allows(&mut self, m: &[Event]) -> Result<bool> {
+        fn allows(&mut self, m: &[Event]) -> bool {
             let slot = self
                 .keys
                 .intern(&[ValueKey::from_value(m[0].attr_at(0).unwrap())]);
-            self.neg.allows(m, slot)
+            self.neg.allows(m, slot, &mut 0)
         }
 
         fn prune_before(&mut self, min_ts: Timestamp) {
@@ -306,33 +295,28 @@ mod tests {
         assert!(!op.is_trivial());
         let mut stats = RuntimeStats::default();
         // Counter reading for tag 7 at ts 5 — kills tag-7 matches spanning it.
-        op.observe(&ev(&reg, "COUNTER_READING", 5, 7), &mut stats)
-            .unwrap();
+        op.observe(&ev(&reg, "COUNTER_READING", 5, 7), &mut stats);
         // Counter for tag 8 — irrelevant to tag 7.
-        op.observe(&ev(&reg, "COUNTER_READING", 6, 8), &mut stats)
-            .unwrap();
+        op.observe(&ev(&reg, "COUNTER_READING", 6, 8), &mut stats);
         assert_eq!(stats.negation_candidates_buffered, 2);
 
         let spanning = vec![
             ev(&reg, "SHELF_READING", 1, 7),
             ev(&reg, "EXIT_READING", 9, 7),
         ];
-        assert!(!op.allows(&spanning).unwrap(), "counter at 5 must kill it");
+        assert!(!op.allows(&spanning), "counter at 5 must kill it");
 
         let before = vec![
             ev(&reg, "SHELF_READING", 6, 7),
             ev(&reg, "EXIT_READING", 9, 7),
         ];
-        assert!(
-            op.allows(&before).unwrap(),
-            "counter at 5 is before the shelf"
-        );
+        assert!(op.allows(&before), "counter at 5 is before the shelf");
 
         let other_tag = vec![
             ev(&reg, "SHELF_READING", 1, 9),
             ev(&reg, "EXIT_READING", 9, 9),
         ];
-        assert!(op.allows(&other_tag).unwrap(), "different tag unaffected");
+        assert!(op.allows(&other_tag), "different tag unaffected");
 
         // Boundary: counter exactly at the shelf/exit timestamps does not
         // count (open interval).
@@ -340,12 +324,12 @@ mod tests {
             ev(&reg, "SHELF_READING", 5, 7),
             ev(&reg, "EXIT_READING", 9, 7),
         ];
-        assert!(op.allows(&at_left).unwrap());
+        assert!(op.allows(&at_left));
         let at_right = vec![
             ev(&reg, "SHELF_READING", 1, 7),
             ev(&reg, "EXIT_READING", 5, 7),
         ];
-        assert!(op.allows(&at_right).unwrap());
+        assert!(op.allows(&at_right));
     }
 
     #[test]
@@ -359,8 +343,7 @@ mod tests {
         let (mut op, reg) = setup(true);
         let mut stats = RuntimeStats::default();
         for ts in [5u64, 10, 15] {
-            op.observe(&ev(&reg, "COUNTER_READING", ts, 7), &mut stats)
-                .unwrap();
+            op.observe(&ev(&reg, "COUNTER_READING", ts, 7), &mut stats);
         }
         assert_eq!(op.buffered(), 3);
         op.prune_before(12);
@@ -373,8 +356,7 @@ mod tests {
     fn shelf_events_are_not_candidates() {
         let (mut op, reg) = setup(true);
         let mut stats = RuntimeStats::default();
-        op.observe(&ev(&reg, "SHELF_READING", 5, 7), &mut stats)
-            .unwrap();
+        op.observe(&ev(&reg, "SHELF_READING", 5, 7), &mut stats);
         assert_eq!(op.buffered(), 0);
     }
 }

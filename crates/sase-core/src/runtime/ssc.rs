@@ -41,7 +41,6 @@
 //! increasing timestamp order, within the window, satisfying the pushed
 //! predicates.
 
-use crate::error::Result;
 use crate::event::Event;
 use crate::plan::{ConstructionFilter, QueryPlan};
 use crate::snapshot::Place;
@@ -176,7 +175,7 @@ impl SscOperator {
         event: &Event,
         stats: &mut RuntimeStats,
         out: &mut Vec<Event>,
-    ) -> Result<()> {
+    ) {
         let n = offers.positives;
         let window = offers.window;
 
@@ -200,7 +199,7 @@ impl SscOperator {
         // several components cannot become its own predecessor within this
         // arrival.
         for row in offers.positives() {
-            if !row.admits(&self.plan, event)? {
+            if !row.admits(&self.plan, event, &mut stats.eval_errors) {
                 continue;
             }
             let Some(slot) = row.slot(keys, event) else {
@@ -222,7 +221,7 @@ impl SscOperator {
                     stats,
                     out,
                 }
-                .run(event, 0)?;
+                .run(event, 0);
                 continue;
             }
             // An event that appends nothing creates no group. A group
@@ -277,14 +276,13 @@ impl SscOperator {
                     stats,
                     out,
                 }
-                .run(event, rip)?;
+                .run(event, rip);
                 if out.len() > before {
                     self.match_slot = slot;
                 }
             }
         }
         stats.partitions = self.occupied as u64;
-        Ok(())
     }
 }
 
@@ -317,41 +315,41 @@ struct Construction<'a> {
 impl Construction<'_> {
     /// Enumerate every sequence whose last positive component binds
     /// `event`, an instance with RIP `rip` (0 without stacks).
-    fn run(&mut self, event: &Event, rip: usize) -> Result<()> {
+    fn run(&mut self, event: &Event, rip: usize) {
         let i = self.plan.pattern.positive_len() - 1;
         let last = Suffix {
             slot: self.plan.pattern.positive_slots[i],
             event,
             rest: None,
         };
-        if self.admits(i, &last)? {
-            self.extend(i, &last, event.timestamp(), rip)?;
+        if self.admits(i, &last) {
+            self.extend(i, &last, event.timestamp(), rip);
         }
-        Ok(())
     }
 
     /// Do the construction filters that need positive component `i` hold
-    /// for `suffix`, which binds components `i..n`?
+    /// for `suffix`, which binds components `i..n`? A filter that fails to
+    /// evaluate counts as false.
     #[inline]
-    fn admits(&mut self, i: usize, suffix: &Suffix<'_>) -> Result<bool> {
-        for f in &self.filters_by_min[i] {
-            if !f.expr.eval_bool(suffix)? {
-                self.stats.construction_filter_rejects += 1;
-                return Ok(false);
-            }
+    fn admits(&mut self, i: usize, suffix: &Suffix<'_>) -> bool {
+        let stats = &mut *self.stats;
+        let holds =
+            (self.filters_by_min[i].iter()).all(|f| f.expr.holds(suffix, &mut stats.eval_errors));
+        if !holds {
+            stats.construction_filter_rejects += 1;
         }
-        Ok(true)
+        holds
     }
 
     /// `suffix` binds positive components `i..n` and passed their filters;
     /// its first link, the component `i` candidate, has timestamp `ts` and
     /// RIP `rip`. Complete the match, or extend it by every viable
     /// component `i - 1` candidate that passes the filters needing it.
-    fn extend(&mut self, i: usize, suffix: &Suffix<'_>, ts: u64, rip: usize) -> Result<()> {
+    fn extend(&mut self, i: usize, suffix: &Suffix<'_>, ts: u64, rip: usize) {
         if i == 0 {
             self.stats.sequences_constructed += 1;
             self.out.extend(suffix.events().cloned());
-            return Ok(());
+            return;
         }
         // `iter_below` walks newest-first: timestamps are non-increasing,
         // so the window bound terminates the scan with `break`.
@@ -371,11 +369,10 @@ impl Construction<'_> {
                 event: &inst.event,
                 rest: Some(suffix),
             };
-            if self.admits(i - 1, &link)? {
-                self.extend(i - 1, &link, inst.ts, inst.rip)?;
+            if self.admits(i - 1, &link) {
+                self.extend(i - 1, &link, inst.ts, inst.rip);
             }
         }
-        Ok(())
     }
 }
 
@@ -396,12 +393,7 @@ mod tests {
     }
 
     impl Op {
-        fn on_event(
-            &mut self,
-            event: &Event,
-            stats: &mut RuntimeStats,
-            out: &mut Vec<Event>,
-        ) -> Result<()> {
+        fn on_event(&mut self, event: &Event, stats: &mut RuntimeStats, out: &mut Vec<Event>) {
             self.keys.begin_offer();
             self.ssc
                 .on_event(&self.offers, &mut self.keys, event, stats, out)
@@ -445,7 +437,7 @@ mod tests {
         let mut stats = RuntimeStats::default();
         for e in events {
             stats.events_processed += 1;
-            op.on_event(e, &mut stats, &mut out).unwrap();
+            op.on_event(e, &mut stats, &mut out);
         }
         let n = op.ssc.plan.pattern.positive_len();
         (out.chunks(n).map(<[Event]>::to_vec).collect(), stats)
@@ -549,7 +541,7 @@ mod tests {
         let events2 = [ev(&reg, "EXIT_READING", 2, 7, 1)];
         let mut out = Vec::new();
         let mut stats = RuntimeStats::default();
-        op.on_event(&events2[0], &mut stats, &mut out).unwrap();
+        op.on_event(&events2[0], &mut stats, &mut out);
         let stamps: Vec<u64> = out.iter().map(Event::timestamp).collect();
         assert_eq!(stamps, vec![1, 2]);
     }

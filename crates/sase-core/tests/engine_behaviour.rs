@@ -194,3 +194,40 @@ fn detected_at_equals_last_event_time() {
     assert_eq!(out[0].detected_at, 31);
     assert_eq!(*out[0].variables, ["x".into(), "z".into()]);
 }
+
+/// An `ANY` component reads its key by name from each event's own schema:
+/// once `B` is redefined without `Tag`, a new `B` event has no key and
+/// joins no partition, even though the engine read `Tag` off an earlier
+/// `B` under the same type id.
+#[test]
+fn any_component_reads_a_redefined_schema_as_it_is_now() {
+    use sase_core::event::SchemaRegistry;
+    use sase_core::value::ValueType::Int;
+
+    let reg = SchemaRegistry::new();
+    reg.register("A", &[("Tag", Int), ("X", Int)]).unwrap();
+    reg.register("B", &[("X", Int), ("Tag", Int)]).unwrap();
+    let mut engine = Engine::new(reg.clone());
+    engine
+        .register(
+            "q",
+            "EVENT SEQ(ANY(A, B) a, A z) WHERE a.Tag = z.Tag WITHIN 10",
+        )
+        .unwrap();
+    let b = |ts, attrs| reg.build_event("B", ts, attrs).unwrap();
+    engine
+        .process_batch(&[b(1, vec![Value::Int(0), Value::Int(7)])])
+        .unwrap();
+    reg.redefine("B", &[("X", Int), ("Other", Int)]).unwrap();
+    engine
+        .process_batch(&[b(2, vec![Value::Int(0), Value::Int(7)])])
+        .unwrap();
+    let a = reg.build_event("A", 3, vec![Value::Int(7), Value::Int(0)]);
+    let out = engine.process_batch(&[a.unwrap()]).unwrap();
+    let firsts: Vec<u64> = out.iter().map(|ce| ce.events[0].timestamp()).collect();
+    assert_eq!(
+        firsts,
+        [1],
+        "only the `B` read before the redefinition has a tag"
+    );
+}

@@ -350,9 +350,8 @@ impl Deployment {
 
     /// Ingest one batch. Server-assigned ticks rebase it onto the stream's
     /// clock; a batch the clock cannot fit below `u64::MAX` is refused
-    /// before the clock or the backend changes. A failed batch answers
-    /// with its error alone: the emissions made before it have already
-    /// reached the subscribers, whose sinks fire as they happen.
+    /// before the clock or the backend changes. A refused batch answers
+    /// with its error alone and has reached no subscriber.
     pub fn ingest(
         &self,
         stream: Option<String>,

@@ -480,13 +480,14 @@ mod tests {
             negation_candidates_buffered: 7,
             matches_emitted: 8,
             partitions: 9,
+            eval_errors: 10,
         };
         assert_eq!(
             render_stats(&stats),
             "events_processed 1\ninstances_appended 2\ninstances_pruned 3\n\
              sequences_constructed 4\nconstruction_filter_rejects 5\n\
              dropped_by_negation 6\nnegation_candidates_buffered 7\n\
-             matches_emitted 8\npartitions 9\n"
+             matches_emitted 8\npartitions 9\neval_errors 10\n"
         );
     }
 }

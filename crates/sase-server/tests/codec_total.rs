@@ -8,7 +8,7 @@
 //!   makes an allocation larger than the frame itself.
 //!
 //! * The store's engine snapshot frame is held to the same bounds: every
-//!   truncation and single-bit flip of its golden version-2 frame is a
+//!   truncation and single-bit flip of its golden version-3 frame is a
 //!   typed decode error or a well-formed snapshot, within a constant
 //!   multiple of the frame's size per allocation.
 //!
@@ -222,7 +222,7 @@ const ALLOC_PER_BYTE: usize = 12;
 /// The store's checkpoint codec, measured here beside the wire's under the
 /// same allocator hook. Past the CRC (a disk that checksums garbage): every
 /// cut and every flipped bit of the snapshot frame of `values::snapshot()`
-/// (the frame `sase-store`'s golden `checkpoint_v2.ckpt` pins) decodes to
+/// (the frame `sase-store`'s golden `checkpoint_v3.ckpt` pins) decodes to
 /// a typed [`StoreError::Decode`] or to some well-formed snapshot, without
 /// panicking and within [`ALLOC_PER_BYTE`].
 #[test]

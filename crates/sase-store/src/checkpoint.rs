@@ -9,29 +9,31 @@
 //!
 //! ```text
 //! magic            u32 (SACK)
-//! version          u16 (2)
+//! version          u16 (3)
 //! replay_from_seq  u64
 //! engines          u32 · engines × { len u32 · engine snapshot frame }
 //! crc              u32 over everything above
 //! ```
 //!
-//! An engine snapshot frame (version 2) writes events, not layout (see
+//! An engine snapshot frame (version 3) writes events, not layout (see
 //! [`sase_core::snapshot`]):
 //!
 //! ```text
 //! events           u32 · events × { type str · ts u64 · attrs u32 · attrs × value }
 //! queries          u32 · queries × {
-//!                    name str · stats (u32 9 · 9 × u64) · last_ts (u8 0 | u8 1 · u64)
+//!                    name str · stats (u32 10 · 10 × u64) · last_ts (u8 0 | u8 1 · u64)
 //!                    · events_since_sweep u64
 //!                    · entries u32 · entries × { event u32 · place (u8 0 stack | 1 negation) · index u32 } }
 //! stream_clocks    u32 · × { stream (u8 0 | u8 1 · str) · ts u64 }
 //! derived_streams  u32 · × { type str · attrs u32 · × { name str · type u8 } · engine_registered u8 · reusable u8 }
 //! ```
 //!
-//! Version 1 wrote each query's layout instead: AIS stacks with pruning
-//! bases and RIPs under partition keys, keyed negation buckets, and 11
-//! counters. A version-1 file is converted as it is read
-//! ([`load_latest_checkpoint`] takes both); nothing writes version 1.
+//! Version 2 is the same frame with 9 counters: it kept no `eval_errors`,
+//! which reads as 0. Version 1 wrote each query's layout instead: AIS
+//! stacks with pruning bases and RIPs under partition keys, keyed negation
+//! buckets, and 11 counters. Files of both older versions are converted as
+//! they are read ([`load_latest_checkpoint`] takes all three); nothing
+//! writes them.
 //!
 //! Files are written to a temporary name, fsynced, then renamed into
 //! place (`ckpt-<seq>.ckpt`) and the directory fsynced — a crash leaves
@@ -48,14 +50,15 @@ use std::path::{Path, PathBuf};
 use sase_core::snapshot::EngineSnapshot;
 
 use crate::codec::{
-    crc32, get_engine_snapshot, get_engine_snapshot_v1, put_engine_snapshot, ByteReader, ByteWriter,
+    crc32, get_engine_snapshot, get_engine_snapshot_v1, get_engine_snapshot_v2,
+    put_engine_snapshot, ByteReader, ByteWriter,
 };
 use crate::error::{Result, StoreError};
 
 /// Checkpoint file magic ("SACK": SASE checkpoint).
 pub const CKPT_MAGIC: u32 = 0x5341_434B;
 /// Checkpoint format version this build writes.
-pub const CKPT_VERSION: u16 = 2;
+pub const CKPT_VERSION: u16 = 3;
 
 /// A loaded (or to-be-written) checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +108,7 @@ fn decode(path: &Path, bytes: &[u8]) -> Result<Checkpoint> {
         }
         let get = match r.u16()? {
             1 => get_engine_snapshot_v1,
+            2 => get_engine_snapshot_v2,
             CKPT_VERSION => get_engine_snapshot,
             version => {
                 return Err(StoreError::Decode(format!(

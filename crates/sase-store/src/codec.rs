@@ -535,7 +535,11 @@ fn get_event_snapshot(r: &mut ByteReader<'_>) -> Result<EventSnapshot> {
 
 /// Number of counter fields in [`RuntimeStats`]; bump alongside the struct
 /// and the checkpoint version.
-const STATS_FIELDS: u32 = 9;
+const STATS_FIELDS: u32 = 10;
+
+/// The counter count of a version-2 checkpoint, which kept no
+/// `eval_errors`.
+const V2_STATS_FIELDS: u32 = 9;
 
 /// Encode a query's [`RuntimeStats`]: the counter count, then each counter
 /// in declaration order. Checkpoints and the server's Stats frame share it.
@@ -551,6 +555,7 @@ pub fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
         s.negation_candidates_buffered,
         s.matches_emitted,
         s.partitions,
+        s.eval_errors,
     ] {
         w.u64(v);
     }
@@ -559,23 +564,39 @@ pub fn put_stats(w: &mut ByteWriter, s: &RuntimeStats) {
 /// Decode what [`put_stats`] wrote; a counter count other than this
 /// build's is a decode error.
 pub fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats> {
+    get_stats_of(r, STATS_FIELDS)
+}
+
+/// Decode a counter count that must be `fields`, then that many counters
+/// in declaration order; the counters an older format lacks read as 0.
+fn get_stats_of(r: &mut ByteReader<'_>, fields: u32) -> Result<RuntimeStats> {
     let n = r.u32()?;
-    if n != STATS_FIELDS {
+    if n != fields {
         return Err(StoreError::Decode(format!(
-            "{n} stat counters, this build expects {STATS_FIELDS}"
+            "{n} stat counters, expected {fields}"
         )));
     }
-    Ok(RuntimeStats {
-        events_processed: r.u64()?,
-        instances_appended: r.u64()?,
-        instances_pruned: r.u64()?,
-        sequences_constructed: r.u64()?,
-        construction_filter_rejects: r.u64()?,
-        dropped_by_negation: r.u64()?,
-        negation_candidates_buffered: r.u64()?,
-        matches_emitted: r.u64()?,
-        partitions: r.u64()?,
-    })
+    let mut c = [0; STATS_FIELDS as usize];
+    for v in &mut c[..n as usize] {
+        *v = r.u64()?;
+    }
+    Ok(stats_of(c))
+}
+
+/// The counters in declaration order as [`RuntimeStats`].
+fn stats_of(c: [u64; STATS_FIELDS as usize]) -> RuntimeStats {
+    RuntimeStats {
+        events_processed: c[0],
+        instances_appended: c[1],
+        instances_pruned: c[2],
+        sequences_constructed: c[3],
+        construction_filter_rejects: c[4],
+        dropped_by_negation: c[5],
+        negation_candidates_buffered: c[6],
+        matches_emitted: c[7],
+        partitions: c[8],
+        eval_errors: c[9],
+    }
 }
 
 fn get_opt_ts(r: &mut ByteReader<'_>) -> Result<Option<u64>> {
@@ -590,9 +611,11 @@ fn get_opt_ts(r: &mut ByteReader<'_>) -> Result<Option<u64>> {
 /// place index.
 const ENTRY_MIN_BYTES: usize = 4 + 1 + 4;
 
-/// Fewest bytes one encoded query occupies: name length, stats, clock
-/// tag, sweep phase and entry count.
-const QUERY_MIN_BYTES: usize = 4 + 4 + 8 * STATS_FIELDS as usize + 1 + 8 + 4;
+/// Fewest bytes one encoded query with `fields` counters occupies: name
+/// length, stats, clock tag, sweep phase and entry count.
+const fn query_min_bytes(fields: u32) -> usize {
+    4 + 4 + 8 * fields as usize + 1 + 8 + 4
+}
 
 /// Encode a complete engine snapshot into `w`: the event table, the
 /// queries with their entries, the stream clocks and the derived streams.
@@ -650,16 +673,26 @@ pub fn put_engine_snapshot(w: &mut ByteWriter, snap: &EngineSnapshot) {
 
 /// Decode a complete engine snapshot written by [`put_engine_snapshot`].
 pub fn get_engine_snapshot(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
+    get_engine_snapshot_of(r, STATS_FIELDS)
+}
+
+/// Decode a version-2 engine snapshot: this build's format with one
+/// counter fewer, so every query's `eval_errors` reads as 0.
+pub(crate) fn get_engine_snapshot_v2(r: &mut ByteReader<'_>) -> Result<EngineSnapshot> {
+    get_engine_snapshot_of(r, V2_STATS_FIELDS)
+}
+
+fn get_engine_snapshot_of(r: &mut ByteReader<'_>, fields: u32) -> Result<EngineSnapshot> {
     let ne = r.count_of(EVENT_MIN_BYTES)?;
     let mut events = Vec::with_capacity(ne);
     for _ in 0..ne {
         events.push(get_event_snapshot(r)?);
     }
-    let nq = r.count_of(QUERY_MIN_BYTES)?;
+    let nq = r.count_of(query_min_bytes(fields))?;
     let mut queries = Vec::with_capacity(nq);
     for _ in 0..nq {
         let name = r.str()?;
-        let stats = get_stats(r)?;
+        let stats = get_stats_of(r, fields)?;
         let last_ts = get_opt_ts(r)?;
         let events_since_sweep = r.u64()?;
         let n = r.count_of(ENTRY_MIN_BYTES)?;
@@ -769,18 +802,8 @@ pub(crate) fn get_engine_snapshot_v1(r: &mut ByteReader<'_>) -> Result<EngineSna
             .map(|_| r.u64())
             .collect::<Result<_>>()?;
         // Version 1's counters 5 and 9, `dropped_by_window` and
-        // `partial_runs_peak`, were always 0.
-        let stats = RuntimeStats {
-            events_processed: c[0],
-            instances_appended: c[1],
-            instances_pruned: c[2],
-            sequences_constructed: c[3],
-            construction_filter_rejects: c[4],
-            dropped_by_negation: c[6],
-            negation_candidates_buffered: c[7],
-            matches_emitted: c[8],
-            partitions: c[10],
-        };
+        // `partial_runs_peak`, were always 0; it kept no `eval_errors`.
+        let stats = stats_of([c[0], c[1], c[2], c[3], c[4], c[6], c[7], c[8], c[10], 0]);
         let last_ts = get_opt_ts(r)?;
         let mut held: Vec<Held> = Vec::new();
         // The sequence operator: tag 0 is SSC. Tag 1 is retired: no

@@ -3,11 +3,11 @@
 //! * `crc32` is the IEEE CRC-32 at every length and alignment: known
 //!   vectors, and a differential against the bytewise loop it replaced.
 //! * The log and checkpoint formats did not move: bytes written before the
-//!   byte path was rebuilt decode, and re-encode identically; a version-1
-//!   checkpoint converts to what this build snapshots.
+//!   byte path was rebuilt decode, and re-encode identically; version-1
+//!   and version-2 checkpoints convert to what this build snapshots.
 //! * A damaged log record is a typed error or the committed prefix, never
 //!   a panic; a retired sequence-snapshot tag is a typed error. (Damage to
-//!   a version-2 snapshot frame is measured in `sase-server`'s
+//!   a version-3 snapshot frame is measured in `sase-server`'s
 //!   `codec_total`, under its allocator hook.)
 //! * `decode ∘ encode = id` over every kind of event a batch can hold and
 //!   both layouts an event can take, and over engine snapshots; equal
@@ -178,15 +178,24 @@ fn golden_wal_segment_decodes_and_reencodes_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The version-2 checkpoint format did not move: the golden file decodes
+/// This build's snapshot of the fixture run, with evaluation errors
+/// counted so the golden bytes pin that counter too.
+fn snapshot_v3() -> Checkpoint {
+    let mut engine = values::snapshot();
+    engine.queries[0].stats.eval_errors = 3;
+    Checkpoint {
+        replay_from_seq: 42,
+        engines: vec![engine],
+    }
+}
+
+/// The version-3 checkpoint format did not move: the golden file decodes
 /// to this build's snapshot of the fixture run and re-encodes identically.
 #[test]
 fn golden_checkpoint_decodes_and_reencodes_identically() {
-    let golden = fixture("checkpoint_v2.ckpt");
-    let want = Checkpoint {
-        replay_from_seq: 42,
-        engines: vec![values::snapshot()],
-    };
+    let golden = fixture("checkpoint_v3.ckpt");
+    assert_eq!(golden[4..6], [0, 3], "the fixture is version 3");
+    let want = snapshot_v3();
 
     let dir = tmp_dir("golden-ckpt-read");
     std::fs::create_dir_all(&dir).unwrap();
@@ -203,6 +212,25 @@ fn golden_checkpoint_decodes_and_reencodes_identically() {
         golden,
         "the checkpoint format moved"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-2 checkpoint, which kept 9 counters, reads as this build's
+/// snapshot of the fixture run with no evaluation errors.
+#[test]
+fn golden_v2_checkpoint_reads_with_no_eval_errors() {
+    let golden = fixture("checkpoint_v2.ckpt");
+    assert_eq!(golden[4..6], [0, 2], "the fixture is version 2");
+    let dir = tmp_dir("golden-v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("ckpt-000000000000002a.ckpt"), &golden).unwrap();
+    let want = Checkpoint {
+        replay_from_seq: 42,
+        engines: vec![values::snapshot()],
+    };
+    let (loaded, corrupt) = load_latest_checkpoint(&dir).unwrap();
+    assert!(corrupt.is_empty(), "{corrupt:?}");
+    assert_eq!(loaded, Some(want));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

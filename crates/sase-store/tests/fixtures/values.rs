@@ -7,8 +7,11 @@
 //! re-encode these values, and require both to agree with the files.
 //! `checkpoint.ckpt` is checkpoint version 1, which wrote each runtime's
 //! layout; it now only has to convert on read to what [`snapshot`]
-//! returns. `checkpoint_v2.ckpt` pins version 2, which writes events: it
-//! must decode to [`snapshot`] and re-encode identically.
+//! returns. `checkpoint_v2.ckpt` pins version 2, which writes events and 9
+//! counters: it must read as [`snapshot`], whose `eval_errors` are 0.
+//! `checkpoint_v3.ckpt` pins version 3, which adds `eval_errors`: it must
+//! decode to [`snapshot`] with 3 evaluation errors on its first query, and
+//! re-encode identically.
 
 use sase_core::engine::Engine;
 use sase_core::event::{retail_registry, Event, SchemaRegistry};

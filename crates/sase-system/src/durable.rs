@@ -174,14 +174,13 @@ pub struct RecoveryReport {
     pub records_replayed: u64,
     /// Events replayed.
     pub events_replayed: u64,
-    /// Composite events emitted during replay, in emission order,
-    /// including those a failed record emitted before its error.
+    /// Composite events emitted during replay, in emission order.
     pub emissions: Vec<ComplexEvent>,
     /// Records the engine rejected during replay, as `(seq, error)`.
     /// Engine rejections are deterministic — the live run rejected the
-    /// same record with the same error, after the same emissions — so
-    /// they are reported, not fatal: a poisoned record can never make a
-    /// deployment unrecoverable.
+    /// same record whole with the same error — so they are reported, not
+    /// fatal: a poisoned record can never make a deployment
+    /// unrecoverable.
     pub replay_errors: Vec<(u64, String)>,
     /// Checkpoint files skipped because they failed validation.
     pub corrupt_checkpoints: Vec<PathBuf>,
@@ -194,8 +193,7 @@ pub struct ReplayRun {
     pub records: u64,
     /// Events re-driven.
     pub events: u64,
-    /// Composite events emitted, in emission order, including those a
-    /// failed record emitted before its error.
+    /// Composite events emitted, in emission order.
     pub emissions: Vec<ComplexEvent>,
     /// Records the engine rejected, as `(seq, error)` (see
     /// [`RecoveryReport::replay_errors`]).
@@ -445,9 +443,8 @@ pub fn preregister_derived(registry: &SchemaRegistry, snaps: &SnapshotSet) -> Co
 ///
 /// If the *engine* rejects a batch, the batch stays logged: the rejection
 /// is deterministic, so replay reports the same rejection for that record
-/// ([`RecoveryReport::replay_errors`]), after the same emissions, and
-/// recovery proceeds past it. A clock-rejected batch costs one record and
-/// replays as the same no-op.
+/// ([`RecoveryReport::replay_errors`]) and recovery proceeds past it: a
+/// clock-rejected batch costs one record and replays as the same no-op.
 pub struct DurableEngine<E: EventProcessor> {
     wal: Wal,
     engine: E,
@@ -764,9 +761,8 @@ impl DurableSystem {
                 self.pending = Some((tick, events));
                 return Err(e.into());
             }
-            let result = (self.sys.processor_mut()).ingest(None, &events, &mut carried, None);
+            (self.sys.processor_mut()).ingest(None, &events, &mut carried, None)?;
             self.sys.archive_detections(&carried);
-            result?;
         }
 
         let wal = &mut self.wal;

@@ -510,9 +510,7 @@ impl Sase {
 
     /// Process a batch of events on the default input stream, returning
     /// the emitted composite events (subscriptions fire as well): the
-    /// facade's [`EventProcessor::ingest`] into a fresh buffer. When the
-    /// batch fails, the emissions made before the error reach only the
-    /// subscriptions; call `ingest` to keep them.
+    /// facade's [`EventProcessor::ingest`] into a fresh buffer.
     pub fn process(&mut self, events: &[Event]) -> Result<Vec<ComplexEvent>> {
         let mut out = Vec::new();
         self.ingest(None, events, &mut out, None)?;

@@ -24,7 +24,7 @@ use sase::rfid::generator::{generate, SyntheticConfig};
 use sase::ShardingMode;
 
 use scenarios::{
-    pick, play, property, reading, registry, retail, row, Column, Draw, Scenario, Shape, Step,
+    pick, play, property, reading, registry, retail, row, Column, Draw, Scenario, Shape, Step, ALL,
 };
 
 // ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ fn configs_agree_on_random_generator_streams() {
 }
 
 // ---------------------------------------------------------------------------
-// Batches that fail past their clock check
+// Evaluation errors stay in their query
 // ---------------------------------------------------------------------------
 
 /// The `[query@detected_at` heads of emissions, in order.
@@ -87,14 +87,57 @@ fn heads(out: &[String]) -> Vec<&str> {
     out.iter().map(|e| e.split(']').next().unwrap()).collect()
 }
 
-/// A host function failing mid-batch: the batch keeps what it emitted
-/// before the failing event, and the events after it are not offered. The
-/// single-engine columns return the reference's emissions and error, the
-/// durable one again at replay; the wire answers with the same error.
-/// Sharded columns are left out: a worker error does not stop the other
-/// workers, which emit past the failing event.
+/// Every pinned column, and the wire.
+fn every_column() -> Vec<Column> {
+    ALL.iter().copied().chain([Column::Wire]).collect()
+}
+
+/// The probe: `bad` divides by zero on tag 13, and `good` goes on. Every
+/// batch succeeds on every column, a restored deployment counts what the
+/// uninterrupted one counts, a durable one recovers with no replay error,
+/// and `bad` counts its errors everywhere.
 #[test]
-fn a_failing_host_function_keeps_the_batch_prefix() {
+fn an_evaluation_error_stays_in_its_query() {
+    let queries = [
+        (
+            "good",
+            "EVENT EXIT_READING z RETURN z.TagId AS t".to_string(),
+        ),
+        (
+            "bad",
+            "EVENT SHELF_READING x RETURN 1 / (x.TagId - 13) AS v".into(),
+        ),
+    ];
+    // Readings of type `k mod 3`: 0 shelf, 2 exit.
+    let batch = vec![
+        reading(2, 1, 1, 4),
+        reading(0, 2, 13, 1),
+        reading(2, 3, 2, 4),
+        reading(2, 4, 3, 4),
+    ];
+    let columns: Vec<Column> = every_column()
+        .into_iter()
+        .chain([Column::WireDurable])
+        .collect();
+    let again = vec![reading(0, 5, 13, 1), reading(2, 6, 4, 4)];
+    let mut s = row(&queries, vec![batch], &columns);
+    s.script.push(Step::Snapshot);
+    s.script.push(Step::Batch(None, again));
+    s.script.push(Step::Crash(0));
+    let played = play(&s);
+    assert_eq!(
+        heads(&played.out),
+        ["[good@1", "[good@3", "[good@4", "[good@6"]
+    );
+    assert_eq!(played.engine.stats("bad").unwrap().eval_errors, 2);
+    assert_eq!(played.engine.stats("good").unwrap().eval_errors, 0);
+}
+
+/// A host function failing mid-batch drops only the match it was called
+/// for: every event is offered, every column returns the reference's
+/// emissions and no error, and the durable ones again at replay.
+#[test]
+fn a_failing_host_function_drops_only_its_match() {
     let queries = [
         ("exits", retail(23, 0, 0)),
         (
@@ -113,35 +156,30 @@ fn a_failing_host_function_keeps_the_batch_prefix() {
         ],
         vec![reading(2, 7, 4, 4)],
     ];
-    let columns = [
-        Column::ScanAll,
-        Column::Facade(None),
-        Column::Durable(None),
-        Column::Wire,
-    ];
-    let mut s = row(&queries, batches, &columns);
+    let mut s = row(&queries, batches, &every_column());
     s.script.push(Step::Crash(0));
     let played = play(&s);
-    assert_eq!(played.failed.len(), 1);
-    assert_eq!(played.failed[0].0, 3, "the second batch fails");
-    assert!(
-        played.failed[0].1.contains("fails on 13"),
-        "{:?}",
-        played.failed
-    );
     assert_eq!(
         heads(&played.out),
-        ["[faulty@1", "[exits@2", "[exits@3", "[faulty@4", "[exits@7"]
+        [
+            "[faulty@1",
+            "[exits@2",
+            "[exits@3",
+            "[faulty@4",
+            "[exits@6",
+            "[exits@7"
+        ]
     );
+    assert_eq!(played.engine.stats("faulty").unwrap().eval_errors, 1);
 }
 
 /// An `INTO` producer on the default stream whose derived event regresses
-/// a named stream that a direct ingest has advanced: the batch fails at
-/// that event and keeps what it emitted before, the producer's own
-/// emission included. Durable columns are left out: their log records
-/// carry no stream name, so they take the default stream only.
+/// a named stream that a direct ingest has advanced: that derived event is
+/// dropped as the producer's error, and every other query goes on.
+/// Durable columns are left out: their log records carry no stream name,
+/// so they take the default stream only.
 #[test]
-fn a_derived_regression_keeps_the_batch_prefix() {
+fn a_derived_regression_drops_only_the_derived_event() {
     let moved = registry().build_event("moves", 100, vec![Value::Int(9), Value::Int(1)]);
     let register = |name: &str, src: &str| Step::Register(name.into(), src.into());
     let script = vec![
@@ -163,20 +201,22 @@ fn a_derived_regression_keeps_the_batch_prefix() {
         ),
         Step::Batch(None, vec![reading(2, 120, 4, 4)]),
     ];
-    let columns = vec![Column::ScanAll, Column::Facade(None), Column::Wire];
+    let columns = (every_column().into_iter())
+        .filter(|c| !matches!(c, Column::Durable(_)))
+        .collect();
     let played = play(&Scenario { script, columns });
-    let error = "engine error: out-of-order event: timestamp 50 after 100 on stream `moves`";
-    assert_eq!(played.failed, [(4, error.to_string())]);
     assert_eq!(
         heads(&played.out),
         [
             "[mover@100",
             "[counters@40",
             "[producer@50",
+            "[counters@60",
             "[producer@120",
             "[mover@120"
         ]
     );
+    assert_eq!(played.engine.stats("producer").unwrap().eval_errors, 1);
 }
 
 // ---------------------------------------------------------------------------

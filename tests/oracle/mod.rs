@@ -16,7 +16,13 @@
 //! * for each negated component, no stream event lies strictly between the
 //!   positive components on either side of it that has one of its types,
 //!   makes every conjunct naming it true, and agrees on every `[attr]`
-//!   whose attribute it has.
+//!   whose attribute it has;
+//! * every `RETURN` expression evaluates.
+//!
+//! A conjunct that fails to evaluate is false, wherever it stands: an
+//! error never makes a match, nor a counterexample. A `RETURN` expression
+//! that calls a host function outside the stdlib is not evaluated: the
+//! host's function decides nothing about what matches.
 //!
 //! The enumeration visits every tuple in `SEQ` order. Its two shortcuts
 //! change how many tuples it visits, never which ones it keeps: the scan
@@ -31,7 +37,7 @@ pub mod harness;
 use std::cmp::Ordering;
 
 use sase::core::functions::FunctionRegistry;
-use sase::core::lang::ast::{BinOp, Expr, Query, UnaryOp};
+use sase::core::lang::ast::{BinOp, Expr, Query, ReturnItem, UnaryOp};
 use sase::core::time::TimeScale;
 use sase::core::value::Value;
 use sase::core::Event;
@@ -41,8 +47,8 @@ use sase::core::Event;
 ///
 /// Panics on a query outside the definition above: a conjunct naming two
 /// negated components, a `[attr]` nested inside another expression, a call
-/// to a host function outside the stdlib in `WHERE`, or a predicate that
-/// fails to evaluate.
+/// to a host function outside the stdlib in `WHERE`, a predicate that
+/// evaluates to a value other than a boolean, or an aggregate in `RETURN`.
 pub fn matches(query: &Query, stream: &[Event]) -> Vec<Vec<Event>> {
     assert!(
         stream
@@ -50,12 +56,31 @@ pub fn matches(query: &Query, stream: &[Event]) -> Vec<Vec<Event>> {
             .all(|w| w[0].timestamp() <= w[1].timestamp()),
         "the oracle reads a stream in timestamp order"
     );
+    let stdlib = FunctionRegistry::with_stdlib();
+    let modelled = |e: &Expr| {
+        let mut calls = Vec::new();
+        e.called_functions(&mut calls);
+        calls.iter().all(|f| stdlib.resolve(f).is_ok())
+    };
+    if let Some(w) = &query.where_clause {
+        assert!(
+            modelled(w),
+            "`{w}` calls a host function outside the stdlib"
+        );
+    }
+    let returns = (query.return_clause.iter().flat_map(|r| &r.items))
+        .filter_map(|item| match item {
+            ReturnItem::Scalar { expr, .. } => modelled(expr).then_some(expr),
+            ReturnItem::Aggregate { .. } => panic!("the oracle models no aggregate"),
+        })
+        .collect();
     let mut oracle = Oracle {
         stream,
         window: query.within.map(|w| w.to_logical(TimeScale::default())),
         positives: Vec::new(),
         negations: Vec::new(),
         equivalences: Vec::new(),
+        returns,
     };
     for (slot, elem) in query.pattern.elements.iter().enumerate() {
         let fits = stream
@@ -132,6 +157,8 @@ struct Oracle<'q, 's> {
     negations: Vec<Negation<'q>>,
     /// The attributes of every `[attr]` conjunct.
     equivalences: Vec<&'q str>,
+    /// The `RETURN` expressions the oracle evaluates.
+    returns: Vec<&'q Expr>,
 }
 
 impl<'q, 's> Oracle<'q, 's> {
@@ -171,10 +198,9 @@ impl<'q, 's> Oracle<'q, 's> {
     fn extend(&self, tuple: &mut Vec<&'s Event>, from: usize, out: &mut Vec<Vec<Event>>) {
         let k = tuple.len();
         if k == self.positives.len() {
-            if self
-                .negations
-                .iter()
-                .all(|n| !self.has_counterexample(n, tuple))
+            let binding = self.binding(tuple, None);
+            if (self.negations.iter()).all(|n| !self.has_counterexample(n, tuple))
+                && self.returns.iter().all(|e| eval(e, &binding).is_ok())
             {
                 out.push(tuple.iter().map(|e| (*e).clone()).collect());
             }
@@ -258,12 +284,13 @@ fn agree(a: Option<Value>, b: Option<Value>) -> bool {
     matches!((a, b), (Some(a), Some(b)) if a.sase_eq(&b))
 }
 
-/// A conjunct's truth under a binding of variables to events.
+/// A conjunct's truth under a binding of variables to events: false when
+/// it fails to evaluate.
 fn holds(conjunct: &Expr, binding: &[(&str, &Event)]) -> bool {
     match eval(conjunct, binding) {
         Ok(Value::Bool(b)) => b,
         Ok(other) => panic!("`{conjunct}` evaluated to {other}, not a boolean"),
-        Err(e) => panic!("`{conjunct}` failed to evaluate: {e}"),
+        Err(_) => false,
     }
 }
 

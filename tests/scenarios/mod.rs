@@ -16,18 +16,18 @@
 //!    brute-force oracle (`tests/oracle`) matches;
 //! 2. batch by batch, every column emits what the reference emits, rendered
 //!    with provenance tags where the column returns them, and fails with
-//!    the same error at the same batch: a batch that regresses its stream's
-//!    clock is rejected whole and leaves the reference's metrics and every
-//!    query's stats unchanged, and a batch that fails past that check keeps
-//!    what it emitted before the error; a recovered durable column
+//!    the same error at the same batch: only a batch that regresses its
+//!    stream's clock fails, rejected whole, and it leaves the reference's
+//!    metrics and every query's stats unchanged; a recovered durable column
 //!    replays what it emitted since its checkpoint, and a torn log tail
 //!    either recovers exactly or fails with `StoreError::Corrupt`;
 //! 3. every column's metrics conserve ground truth: emissions, events and
 //!    batches ingested, findings by severity, WAL appends, events
-//!    replayed, and per-query counters and matches (summed over workers
-//!    when sharded); a sharded column's workers ingest what its router
-//!    sends, each worker is sent what the routing rules predict, queues
-//!    are drained, and the imbalance ratio is at least 1.
+//!    replayed, and per-query counters, evaluation errors included, and
+//!    matches (summed over workers when sharded); a sharded column's
+//!    workers ingest what its router sends, each worker is sent what the
+//!    routing rules predict, queues are drained, and the imbalance ratio
+//!    is at least 1.
 //!
 //! Random scenarios come from [`scenario`], and [`property`] plays them; a
 //! [`Draw`] narrows what the generator draws. Pinned rows are scenarios
@@ -624,13 +624,13 @@ pub const SEVERITIES: [&str; 3] = ["info", "warning", "error"];
 /// The reference's record of one step.
 #[derive(Default)]
 struct RefStep {
-    /// What a batch emitted, in order: on error, what it emitted before.
+    /// What a batch emitted, in order: nothing when it was rejected.
     out: Vec<ComplexEvent>,
     /// `out` rendered with provenance tags.
     tagged: Vec<String>,
+    /// The error of a batch that regressed its stream's clock, the only
+    /// batch that fails.
     err: Option<String>,
-    /// The batch regressed its stream's clock.
-    rejected: bool,
     /// The analyzer's findings on the text of a `Register` step.
     diags: Vec<String>,
     /// The reference's emission and batch counters after the step.
@@ -642,9 +642,7 @@ struct Reference<'s> {
     script: &'s [Step],
     engine: Engine,
     steps: Vec<RefStep>,
-    /// The newest timestamp accepted on each input stream. A batch that
-    /// fails past its clock check advances it over all its events: no
-    /// script plays a later batch between its failing event and its last.
+    /// The newest timestamp accepted on each input stream.
     clocks: HashMap<Option<String>, u64>,
 }
 
@@ -671,13 +669,14 @@ impl Reference<'_> {
                 let last = (events.iter()).try_fold(*clock, |last, e| {
                     (e.timestamp() >= last).then_some(e.timestamp())
                 });
-                step.rejected = last.is_none();
                 *clock = last.unwrap_or(*clock);
-                if step.rejected {
-                    assert!(
-                        step.err.is_some(),
-                        "step {i}: a regressing batch is rejected"
-                    );
+                assert_eq!(
+                    step.err.is_some(),
+                    last.is_none(),
+                    "step {i}: a batch fails exactly when it regresses its clock: {:?}",
+                    step.err
+                );
+                if step.err.is_some() {
                     assert!(
                         self.state() == before,
                         "step {i}: a rejected batch changes nothing"
@@ -703,7 +702,7 @@ impl Reference<'_> {
     /// The events of batch step `s` the reference's engine ingested: none
     /// if it was rejected for its clock.
     fn ingested(&self, s: usize) -> u64 {
-        if self.steps[s].rejected {
+        if self.steps[s].err.is_some() {
             0
         } else {
             batch_len(&self.script[s])
@@ -912,7 +911,7 @@ impl Col {
         let Step::Batch(stream, events) = &r.script[s] else {
             unreachable!()
         };
-        if r.steps[s].rejected {
+        if r.steps[s].err.is_some() {
             return;
         }
         self.routed.resize(at.workers, 0);
@@ -1034,6 +1033,13 @@ impl Col {
                     rendered(&report.emissions),
                     acked,
                     "acknowledged batches replay"
+                );
+                let failed = (0..i).filter(|&s| r.steps[s].err.is_some()).count();
+                assert_eq!(
+                    report.replay_errors.len(),
+                    failed,
+                    "{:?}",
+                    report.replay_errors
                 );
                 self.live = Live::InProcess(Box::new(sase));
                 self.events = (0..i).map(|s| r.ingested(s)).sum();
@@ -1181,9 +1187,6 @@ fn batch_len(step: &Step) -> u64 {
 pub struct Played {
     /// Every reference emission, untagged, in order.
     pub out: Vec<String>,
-    /// The reference's errors by script step, for the batches that failed
-    /// past their clock check.
-    pub failed: Vec<(usize, String)>,
     /// Matches the oracle confirmed, in all and by query.
     pub judged: usize,
     pub judged_by: HashMap<String, usize>,
@@ -1220,13 +1223,8 @@ pub fn play(s: &Scenario) -> Played {
     }
     let judged_by = judge(&r);
     let out = r.steps.iter().flat_map(|s| rendered(&s.out)).collect();
-    let failed = (r.steps.iter().enumerate())
-        .filter(|(_, s)| !s.rejected)
-        .filter_map(|(i, s)| Some((i, s.err.clone()?)))
-        .collect();
     Played {
         out,
-        failed,
         judged: judged_by.values().sum(),
         judged_by,
         engine: r.engine,
@@ -1235,23 +1233,19 @@ pub fn play(s: &Scenario) -> Played {
 
 /// Check 1: while it was registered, each query inside the oracle's
 /// definition matched what the oracle matches over the default-stream
-/// events of the batches the reference accepted, up to the first batch
-/// that failed past its clock check: the oracle does not define which of
-/// that batch's events the engine took. Returns the matches judged by
-/// query.
+/// events of the batches the reference accepted. Returns the matches
+/// judged by query.
 fn judge(r: &Reference<'_>) -> HashMap<String, usize> {
-    let judged = |s: &&RefStep| s.err.is_none() || s.rejected;
-    let end = r.steps.iter().take_while(judged).count();
     let mut accepted = Vec::new();
     let (mut open, mut spans) = (Vec::new(), Vec::new());
-    for (step, done) in r.script.iter().zip(&r.steps[..end]) {
+    for (step, done) in r.script.iter().zip(&r.steps) {
         match step {
             Step::Register(name, src) => open.push((name, src, accepted.len())),
             Step::Unregister(name) => {
                 let (name, src, from) = open.remove(open.iter().position(|q| q.0 == name).unwrap());
                 spans.push((name, src, from, accepted.len()));
             }
-            Step::Batch(None, events) if !done.rejected => accepted.extend_from_slice(events),
+            Step::Batch(None, events) if done.err.is_none() => accepted.extend_from_slice(events),
             _ => {}
         }
     }
@@ -1277,7 +1271,7 @@ fn judge(r: &Reference<'_>) -> HashMap<String, usize> {
         let matches = crate::oracle::matches(&query, &accepted[from..to]);
         let mut want: Vec<Vec<String>> = matches.iter().map(|m| rendered(m)).collect();
         want.sort();
-        let emitted = r.steps[..end].iter().flat_map(|s| &s.out);
+        let emitted = r.steps.iter().flat_map(|s| &s.out);
         let named = emitted.filter(|e| &*e.query == name.as_str());
         let mut got: Vec<Vec<String>> = named.map(|e| rendered(&e.events)).collect();
         got.sort();
@@ -1332,11 +1326,6 @@ pub fn property(
             eprintln!("failing scenario: {s:?}");
             std::panic::resume_unwind(panic)
         });
-        assert_eq!(
-            played.failed,
-            [],
-            "random scenarios fail only on their clock: {s:?}"
-        );
         tally.judged += played.judged;
         for (name, n) in played.judged_by {
             *tally.judged_by.entry(name).or_default() += n;
