@@ -24,8 +24,8 @@
 //!
 //! Because the trait is object safe, deployments compose behind
 //! `Box<dyn EventProcessor>`: a host can swap a single engine for a
-//! sharded one, or wrap either in a durable decorator, without touching
-//! any call site. The differential tests drive the same workload through
+//! sharded one, or put either behind a write-ahead log (a durable `Sase`),
+//! without touching any call site. The differential tests drive the same workload through
 //! every implementation and assert byte-identical emissions.
 //!
 //! ## Semantics every implementation must uphold

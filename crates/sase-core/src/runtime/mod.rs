@@ -156,19 +156,27 @@ impl RuntimeStats {
         out
     }
 
-    /// Export the counters into a metrics snapshot as per-query series
-    /// (`sase_query_<counter>{query="…"}`), counters and gauges per
-    /// [`RuntimeStats::rows`]. This is how every deployment's
-    /// `metrics()` surface promotes per-query runtime counters into the
-    /// registry view without putting atomics on the per-event path.
+    /// Export the counters into a metrics snapshot as per-query series,
+    /// counters and gauges per [`RuntimeStats::rows`]: a monotonic row is
+    /// the counter `sase_query_<row>_total{query="…"}`, and the
+    /// `partitions` gauge is `sase_query_partitions{query="…"}`. This is
+    /// how every deployment's `metrics()` surface promotes per-query
+    /// runtime counters into the registry view without putting atomics on
+    /// the per-event path.
     pub fn export_metrics(&self, query: &str, snap: &mut sase_obs::MetricsSnapshot) {
         for (label, value, monotonic) in self.rows() {
-            let value = if monotonic {
-                sase_obs::MetricValue::Counter(value)
+            let (name, value) = if monotonic {
+                (
+                    format!("sase_query_{label}_total"),
+                    sase_obs::MetricValue::Counter(value),
+                )
             } else {
-                sase_obs::MetricValue::Gauge(value as f64)
+                (
+                    format!("sase_query_{label}"),
+                    sase_obs::MetricValue::Gauge(value as f64),
+                )
             };
-            snap.push(format!("sase_query_{label}"), &[("query", query)], value);
+            snap.push(name, &[("query", query)], value);
         }
     }
 }

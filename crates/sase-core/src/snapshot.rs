@@ -217,7 +217,7 @@ impl EventTable {
 /// This is the unit of state the [`crate::processor::EventProcessor`]
 /// trait exchanges: a plain [`crate::engine::Engine`] holds exactly one
 /// engine snapshot, a sharded deployment holds one per shard, and a
-/// durable wrapper passes its inner deployment's set through unchanged.
+/// durable deployment checkpoints its engine's set unchanged.
 /// Callers that persist snapshots (checkpoint files) store the `engines`
 /// vector; callers that restore hand the whole set back to the same
 /// deployment shape that produced it.

@@ -21,7 +21,7 @@
 //! ignored (write `-`) and the server assigns monotonic ticks.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, Write};
 
 use sase_core::event::Event;
 use sase_core::value::{Value, ValueType};
@@ -99,23 +99,35 @@ fn percent_decode(s: &str) -> String {
 }
 
 /// Read one request from `r` (which must already include any sniffed
-/// prefix bytes via [`Read::chain`]). `Ok(None)` means the peer closed
-/// before sending anything.
-pub(crate) fn read_request(r: &mut impl Read) -> Result<Option<Request>> {
+/// prefix bytes via [`std::io::Read::chain`]). `Ok(None)` means the peer
+/// closed before sending anything.
+///
+/// The head is taken from `r`'s buffer a line at a time, so it costs one
+/// underlying read per buffer fill, and nothing past the head is consumed:
+/// bytes the peer sent behind it (a body, or the first WebSocket frame
+/// after an upgrade request) stay in `r` for the next reader.
+pub(crate) fn read_request(r: &mut impl BufRead) -> Result<Option<Request>> {
     let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
         if head.len() > MAX_HTTP_HEAD {
             return Err(ServerError::Protocol("oversized request head".into()));
         }
-        match r.read(&mut byte) {
-            Ok(0) => {
+        match r.fill_buf() {
+            Ok([]) => {
                 if head.is_empty() {
                     return Ok(None);
                 }
                 return Err(ServerError::Protocol("request head truncated".into()));
             }
-            Ok(_) => head.push(byte[0]),
+            Ok(buf) => {
+                let line = buf
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(buf.len(), |i| i + 1);
+                let take = line.min(MAX_HTTP_HEAD + 1 - head.len());
+                head.extend_from_slice(&buf[..take]);
+                r.consume(take);
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::Interrupted
                     || e.kind() == std::io::ErrorKind::WouldBlock
@@ -489,5 +501,48 @@ mod tests {
              dropped_by_negation 6\nnegation_candidates_buffered 7\n\
              matches_emitted 8\npartitions 9\neval_errors 10\n"
         );
+    }
+
+    /// A socket stand-in: every `read` hands over as much as fits, and is
+    /// counted.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl std::io::Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_request_head_costs_at_most_two_reads() {
+        use std::io::Read;
+        let mut request = String::from("POST /ingest?stream=retail HTTP/1.1\r\n");
+        for i in 0..40 {
+            request.push_str(&format!("X-Header-{i}: value number {i}\r\n"));
+        }
+        let body = "EXIT_READING 1 7 soap 4\n";
+        request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
+        let request = request.into_bytes();
+
+        // As the server reads it: the four sniffed bytes, then the socket.
+        let (first, rest) = request.split_at(4);
+        let mut socket = Counting {
+            bytes: rest,
+            reads: 0,
+        };
+        let mut reader = std::io::BufReader::new(first.chain(&mut socket));
+        let req = read_request(&mut reader).unwrap().unwrap();
+        drop(reader);
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/ingest");
+        assert_eq!(req.params.get("stream").map(String::as_str), Some("retail"));
+        assert_eq!(req.headers.len(), 41);
+        assert_eq!(req.header("x-header-39"), Some("value number 39"));
+        assert_eq!(req.body, body.as_bytes());
+        assert!(socket.reads <= 2, "{} socket reads", socket.reads);
     }
 }

@@ -319,7 +319,10 @@ fn serve_http(ctx: &Arc<Ctx>, session: u64, stream: TcpStream, first: [u8; 4], o
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = (&first[..]).chain(read_half);
+    // One buffered reader for the connection's lifetime: the request head
+    // comes out of one or two socket reads, and whatever the peer sent
+    // behind it reaches the WebSocket session after an upgrade.
+    let mut reader = BufReader::new((&first[..]).chain(read_half));
     let mut write_half = stream;
     let req = match http::read_request(&mut reader) {
         Ok(Some(req)) => req,

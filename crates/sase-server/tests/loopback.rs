@@ -351,6 +351,44 @@ fn websocket_push_end_to_end() {
     handle.shutdown();
 }
 
+/// An upgrade request and the first WebSocket frame in one write: the
+/// server reads the request head through a buffer, and the frame bytes
+/// buffered behind the head reach the push session, which answers them.
+#[test]
+fn a_frame_sent_with_the_upgrade_request_is_answered() {
+    use sase_server::ws::{base64, put_frame, Opcode};
+    let (handle, _) = serve_default();
+    let mut sock = TcpStream::connect(handle.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let key = base64(b"sase-server-ws19");
+    let mut bytes = format!(
+        "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n\
+         Connection: Upgrade\r\nSec-WebSocket-Key: {key}\r\n\
+         Sec-WebSocket-Version: 13\r\n\r\n"
+    )
+    .into_bytes();
+    put_frame(&mut bytes, Opcode::Text, b"ping", Some([1, 2, 3, 4]));
+    sock.write_all(&bytes).unwrap();
+
+    let mut reader = std::io::BufReader::new(sock);
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        let mut byte = [0u8; 1];
+        reader.read_exact(&mut byte).unwrap();
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).unwrap();
+    assert!(head.starts_with("HTTP/1.1 101"), "{head}");
+    // Read the reply with `read_exact`, which gives up at the timeout.
+    let mut pong = Vec::new();
+    put_frame(&mut pong, Opcode::Text, b"pong", None);
+    let mut reply = vec![0u8; pong.len()];
+    reader.read_exact(&mut reply).unwrap();
+    assert_eq!(reply, pong);
+    handle.shutdown();
+}
+
 /// The fan-out contract (`docs/wire-protocol.md`, "Fan-out bound"): at
 /// most `subscriber_queue` frames wait in user space per subscriber;
 /// bytes the kernel has accepted are the peer's. So a subscriber that

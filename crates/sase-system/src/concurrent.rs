@@ -10,7 +10,7 @@
 //! so a sharded run reproduces the single-engine
 //! output sequence byte for byte. It implements the unified
 //! [`EventProcessor`] surface, so it stands wherever a single [`Engine`]
-//! does, the durable wrapper included; the tests assert it against the
+//! does, behind a write-ahead log included; the tests assert it against the
 //! single-threaded [`crate::SaseSystem`] and a single [`Engine`].
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -31,9 +31,7 @@ pub mod system;
 
 pub use builtins::{register_db_builtins, retail_area_descriptions, seed_area_info};
 pub use concurrent::{ShardedEngine, ShardedEngineBuilder, ShardingMode};
-pub use durable::{
-    DurableEngine, DurableError, DurableOptions, DurableSystem, RecoveryReport, ReplayRun,
-};
+pub use durable::{DurableError, DurableOptions, DurableSystem, RecoveryReport, Restart, Wal};
 pub use report::UiReport;
 pub use sase_core::processor::EventProcessor;
 pub use system::{SaseSystem, TickResult};

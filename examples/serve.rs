@@ -165,7 +165,7 @@ fn self_check(
     for family in [
         "sase_server_connections",
         "sase_server_ingest_batches_total",
-        "sase_query_matches_emitted",
+        "sase_query_matches_emitted_total",
     ] {
         assert!(metrics.contains(family), "missing metric family {family}");
     }

@@ -3,15 +3,14 @@
 //!
 //! The paper's Figure 3 shows a single system — queries go in, complex
 //! events stream out. This module is that system's front door. A
-//! [`SaseBuilder`] assembles any combination of the workspace's engine
-//! deployments behind the unified
+//! [`SaseBuilder`] assembles one of the workspace's engine deployments,
+//! optionally behind a write-ahead log, behind the unified
 //! [`EventProcessor`] surface:
 //!
 //! ```text
 //! Sase::builder()                         -> single Engine
 //!     .shards(4)                          -> ShardedEngine (4 workers)
-//!     .durable(dir, opts)                 -> DurableEngine<...> (WAL + checkpoints)
-//!     .shards(4).durable(dir, opts)       -> DurableEngine<ShardedEngine>
+//!     .durable(dir, opts)                 -> either one + Wal (WAL + checkpoints)
 //! ```
 //!
 //! Registration returns a typed [`QueryHandle`] instead of a bare string,
@@ -54,8 +53,7 @@ use sase_core::snapshot::SnapshotSet;
 use sase_core::time::TimeScale;
 use sase_obs::{MetricsRegistry, MetricsSnapshot, TraceSink, Tracer};
 use sase_system::{
-    DurableEngine, DurableOptions, RecoveryReport, ShardedEngine, ShardedEngineBuilder,
-    ShardingMode,
+    DurableOptions, RecoveryReport, ShardedEngine, ShardedEngineBuilder, ShardingMode, Wal,
 };
 
 /// A typed handle to a registered continuous query, returned by
@@ -111,16 +109,30 @@ impl Collector {
     }
 }
 
-/// The deployment shapes [`SaseBuilder::build`] can assemble. Kept as an
-/// enum (rather than a `Box<dyn ...>`) so durable-only operations like
-/// [`Sase::checkpoint`] stay available without downcasting. One exists
-/// per deployment, so the variant size spread is irrelevant.
+/// The engine deployments [`SaseBuilder::build`] can assemble. Kept as an
+/// enum (rather than a `Box<dyn ...>`) so [`Sase::shard_count`] needs no
+/// downcast. One exists per deployment, so the variant size spread is
+/// irrelevant.
 #[allow(clippy::large_enum_variant)]
-enum Backend {
+enum Processor {
     Engine(Engine),
     Sharded(ShardedEngine),
-    Durable(DurableEngine<Engine>),
-    DurableSharded(DurableEngine<ShardedEngine>),
+}
+
+impl Processor {
+    fn get(&self) -> &dyn EventProcessor {
+        match self {
+            Processor::Engine(e) => e,
+            Processor::Sharded(e) => e,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn EventProcessor {
+        match self {
+            Processor::Engine(e) => e,
+            Processor::Sharded(e) => e,
+        }
+    }
 }
 
 /// A periodic metrics push installed by [`SaseBuilder::on_metrics`]: the
@@ -135,16 +147,20 @@ struct MetricsPush {
 /// The boxed callback [`SaseBuilder::on_metrics`] installs.
 type MetricsPushFn = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
-/// The assembled system facade: an engine deployment (single, sharded,
-/// durable, or both) behind one ingestion and subscription surface. Build
-/// one with [`Sase::builder`]; see the [module docs](self) for the tour.
+/// The assembled system facade: an engine deployment (single or sharded,
+/// optionally durable) behind one ingestion and subscription surface.
+/// Build one with [`Sase::builder`]; see the [module docs](self) for the
+/// tour.
 ///
-/// `Sase` itself implements
-/// [`EventProcessor`], so it can be
-/// dropped anywhere a deployment is expected — e.g. wrapped in a
-/// [`sase_system::DurableEngine`].
+/// A durable deployment holds a [`Wal`] beside its processor and logs
+/// each batch before the processor sees it (see [`Wal`] for the contract);
+/// a batch on a named stream is refused.
+///
+/// `Sase` itself implements [`EventProcessor`], so it can be dropped
+/// anywhere a deployment is expected.
 pub struct Sase {
-    backend: Backend,
+    processor: Processor,
+    wal: Option<Wal>,
     deny: Option<Severity>,
     push: Option<MetricsPush>,
 }
@@ -320,37 +336,40 @@ impl SaseBuilder {
         Ok(sharded)
     }
 
-    /// Assemble a fresh deployment.
-    pub fn build(mut self) -> Result<Sase> {
-        let mut backend = match (self.shards, &self.durable) {
-            (None, None) => Backend::Engine(self.make_engine()),
-            (Some(n), None) => Backend::Sharded(self.make_sharded(n)?),
-            (None, Some((dir, opts))) => Backend::Durable(
-                DurableEngine::create(dir.clone(), self.make_engine(), *opts)
-                    .map_err(durable_err)?,
-            ),
-            (Some(n), Some((dir, opts))) => {
-                let sharded = self.make_sharded(n)?;
-                Backend::DurableSharded(
-                    DurableEngine::create(dir.clone(), sharded, *opts).map_err(durable_err)?,
-                )
-            }
-        };
+    fn make_processor(&self) -> Result<Processor> {
+        Ok(match self.shards {
+            None => Processor::Engine(self.make_engine()),
+            Some(n) => Processor::Sharded(self.make_sharded(n)?),
+        })
+    }
+
+    /// A write-ahead core for the deployment, carrying the builder's
+    /// tracer for its own spans (WAL commit, checkpoint, recovery).
+    fn traced(&self, wal: sase_system::durable::Result<Wal>) -> Result<Wal> {
+        let mut wal = wal.map_err(durable_err)?;
         if let Some(t) = &self.trace {
-            // The inner engines got the tracer in make_engine/make_sharded;
-            // the durable wrapper's own spans (WAL commit, checkpoint,
-            // recovery) need it too.
-            match &mut backend {
-                Backend::Durable(e) => e.set_tracer(t.clone()),
-                Backend::DurableSharded(e) => e.set_tracer(t.clone()),
-                _ => {}
-            }
+            wal.set_tracer(t.clone());
         }
-        Ok(Sase {
-            backend,
+        Ok(wal)
+    }
+
+    fn assemble(mut self, processor: Processor, wal: Option<Wal>) -> Sase {
+        Sase {
+            processor,
+            wal,
             deny: self.deny,
             push: self.on_metrics.take().map(MetricsPush::new),
-        })
+        }
+    }
+
+    /// Assemble a fresh deployment.
+    pub fn build(mut self) -> Result<Sase> {
+        let processor = self.make_processor()?;
+        let wal = match self.durable.take() {
+            Some((dir, opts)) => Some(self.traced(Wal::create(dir, opts))?),
+            None => None,
+        };
+        Ok(self.assemble(processor, wal))
     }
 
     /// Reopen an existing durable deployment: load the newest valid
@@ -363,58 +382,18 @@ impl SaseBuilder {
         mut self,
         register: impl FnOnce(&mut dyn EventProcessor) -> Result<()>,
     ) -> Result<(Sase, RecoveryReport)> {
-        let (dir, opts) = self.durable.take().ok_or_else(|| {
-            SaseError::engine("Sase::recover requires a durable deployment (builder.durable(..))")
-        })?;
-        let deny = self.deny;
-        let push = self.on_metrics.take().map(MetricsPush::new);
-        let trace = self.trace.clone();
-        match self.shards {
-            None => {
-                let (mut engine, report) = DurableEngine::recover(dir, opts, |snaps| {
-                    let mut engine = self.make_engine();
-                    if let Some(snaps) = snaps {
-                        snaps.preregister_derived(engine.schemas())?;
-                    }
-                    register(&mut engine)?;
-                    Ok(engine)
-                })
-                .map_err(durable_err)?;
-                if let Some(t) = trace {
-                    engine.set_tracer(t);
-                }
-                Ok((
-                    Sase {
-                        backend: Backend::Durable(engine),
-                        deny,
-                        push,
-                    },
-                    report,
-                ))
-            }
-            Some(n) => {
-                let (mut engine, report) = DurableEngine::recover(dir, opts, |snaps| {
-                    let mut sharded = self.make_sharded(n)?;
-                    if let Some(snaps) = snaps {
-                        snaps.preregister_derived(ShardedEngine::schemas(&sharded))?;
-                    }
-                    register(&mut sharded)?;
-                    Ok(sharded)
-                })
-                .map_err(durable_err)?;
-                if let Some(t) = trace {
-                    engine.set_tracer(t);
-                }
-                Ok((
-                    Sase {
-                        backend: Backend::DurableSharded(engine),
-                        deny,
-                        push,
-                    },
-                    report,
-                ))
-            }
+        let (dir, opts) = (self.durable.take()).ok_or_else(|| needs_wal("Sase::recover"))?;
+        let mut wal = self.traced(Wal::open(dir, opts))?;
+        let restart = wal.load_checkpoint().map_err(durable_err)?;
+        let mut processor = self.make_processor()?;
+        if let Some(snaps) = restart.snapshots() {
+            snaps.preregister_derived(processor.get().schemas())?;
         }
+        register(processor.get_mut())?;
+        let report = wal
+            .recover(restart, processor.get_mut())
+            .map_err(durable_err)?;
+        Ok((self.assemble(processor, Some(wal)), report))
     }
 }
 
@@ -428,8 +407,14 @@ impl MetricsPush {
     }
 }
 
-fn durable_err(e: sase_system::DurableError) -> SaseError {
+fn durable_err(e: impl std::fmt::Display) -> SaseError {
     SaseError::engine(format!("durable store: {e}"))
+}
+
+fn needs_wal(op: &str) -> SaseError {
+    SaseError::engine(format!(
+        "{op} requires a durable deployment (builder.durable(..))"
+    ))
 }
 
 impl Sase {
@@ -438,21 +423,24 @@ impl Sase {
         SaseBuilder::default()
     }
 
-    fn processor(&self) -> &dyn EventProcessor {
-        match &self.backend {
-            Backend::Engine(e) => e,
-            Backend::Sharded(e) => e,
-            Backend::Durable(e) => e,
-            Backend::DurableSharded(e) => e,
+    /// On a durable deployment, append a batch on the default stream to
+    /// the log at its first event's timestamp before the processor sees
+    /// it, and refuse one on a named stream: log records carry no stream
+    /// name, so replay could not route it.
+    fn write_ahead(&mut self, stream: Option<&str>, events: &[Event]) -> Result<()> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        if let Some(s) = stream {
+            return Err(SaseError::engine(format!(
+                "durable deployments log only the default input stream, not `{s}`; \
+                 ingest through the default stream"
+            )));
         }
-    }
-
-    fn processor_mut(&mut self) -> &mut dyn EventProcessor {
-        match &mut self.backend {
-            Backend::Engine(e) => e,
-            Backend::Sharded(e) => e,
-            Backend::Durable(e) => e,
-            Backend::DurableSharded(e) => e,
+        match events.first() {
+            Some(first) => (wal.append(first.timestamp(), events))
+                .map_err(|e| SaseError::engine(format!("event log: {e}"))),
+            None => Ok(()),
         }
     }
 
@@ -476,7 +464,7 @@ impl Sase {
                 ));
             }
         }
-        self.processor_mut().register(name, src)?;
+        self.processor.get_mut().register(name, src)?;
         Ok(QueryHandle {
             name: Arc::from(name),
         })
@@ -487,13 +475,14 @@ impl Sase {
     /// registering it. Returns the analyzer's findings, most severe first;
     /// see [`sase_core::analyze()`] for the lint catalogue.
     pub fn check(&self, src: &str) -> Vec<Diagnostic> {
-        self.processor().check(src)
+        self.processor.get().check(src)
     }
 
     /// Handle of an already-registered query, if it exists (e.g. one
     /// re-registered through [`SaseBuilder::recover`]'s callback).
     pub fn handle(&self, name: &str) -> Option<QueryHandle> {
-        self.processor()
+        self.processor
+            .get()
             .query_names()
             .iter()
             .any(|n| n == name)
@@ -505,7 +494,7 @@ impl Sase {
     /// Delete a query. Returns true if it existed; its handles (and
     /// subscriptions) are dead afterwards.
     pub fn unregister(&mut self, handle: &QueryHandle) -> bool {
-        self.processor_mut().unregister(&handle.name)
+        self.processor.get_mut().unregister(&handle.name)
     }
 
     /// Process a batch of events on the default input stream, returning
@@ -537,14 +526,19 @@ impl Sase {
     /// [`RuntimeStats`] promoted to `sase_query_*{query=…}` series.
     /// Render textually with [`sase_obs::render_prometheus`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.processor().metrics()
+        let mut snap = self.processor.get().metrics();
+        if let Some(wal) = &self.wal {
+            snap.merge(&wal.metrics_registry().snapshot());
+        }
+        snap
     }
 
-    /// The deployment's top-level metrics registry, when metrics are
-    /// enabled ([`SaseBuilder::metrics`]). Worker-local and durable-layer
-    /// registries are folded in by [`Sase::metrics`], not reachable here.
+    /// The deployment's top-level engine metrics registry, when metrics
+    /// are enabled ([`SaseBuilder::metrics`]), on every deployment shape.
+    /// Worker-local and durable-layer registries are folded in by
+    /// [`Sase::metrics`], not reachable here.
     pub fn metrics_registry(&self) -> Option<&MetricsRegistry> {
-        self.processor().metrics_registry()
+        self.processor.get().metrics_registry()
     }
 
     /// Subscribe a callback to a query: it observes every emission of that
@@ -555,7 +549,8 @@ impl Sase {
         handle: &QueryHandle,
         mut sink: impl FnMut(&ComplexEvent) + Send + 'static,
     ) -> Result<()> {
-        self.processor_mut()
+        self.processor
+            .get_mut()
             .add_sink(&handle.name, Box::new(move |ce| sink(ce)))
     }
 
@@ -587,72 +582,60 @@ impl Sase {
 
     /// Names of registered queries, in registration order.
     pub fn query_names(&self) -> Vec<String> {
-        self.processor().query_names()
+        self.processor.get().query_names()
     }
 
     /// Runtime counters of a query.
     pub fn stats(&self, handle: &QueryHandle) -> Result<RuntimeStats> {
-        self.processor().stats(&handle.name)
+        self.processor.get().stats(&handle.name)
     }
 
     /// EXPLAIN output of a query's plan.
     pub fn explain(&self, handle: &QueryHandle) -> Result<String> {
-        self.processor().explain(&handle.name)
+        self.processor.get().explain(&handle.name)
     }
 
     /// The source text (canonical form) of a query.
     pub fn query_text(&self, handle: &QueryHandle) -> Result<String> {
-        self.processor().query_text(&handle.name)
+        self.processor.get().query_text(&handle.name)
     }
 
     /// The schema registry events are built against.
     pub fn schemas(&self) -> &SchemaRegistry {
-        self.processor().schemas()
+        self.processor.get().schemas()
     }
 
     /// Serializable image of the deployment's complete mutable state.
     pub fn snapshot(&self) -> SnapshotSet {
-        self.processor().snapshot()
+        self.processor.get().snapshot()
     }
 
     /// Restore a snapshot onto a freshly built deployment with the same
     /// queries (see [`sase_core::snapshot`] for the protocol).
     pub fn restore(&mut self, snaps: &SnapshotSet) -> Result<()> {
-        self.processor_mut().restore(snaps)
+        self.processor.get_mut().restore(snaps)
     }
 
     /// Write an atomic checkpoint of the engine state at the current log
     /// position (durable deployments only); returns the checkpoint's log
     /// position.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        match &mut self.backend {
-            Backend::Durable(e) => e.checkpoint().map_err(durable_err),
-            Backend::DurableSharded(e) => e.checkpoint().map_err(durable_err),
-            _ => Err(SaseError::engine(
-                "checkpoint requires a durable deployment (builder.durable(..))",
-            )),
-        }
+        let wal = self.wal.as_mut().ok_or_else(|| needs_wal("checkpoint"))?;
+        (wal.checkpoint(|| self.processor.get().snapshot())).map_err(durable_err)
     }
 
     /// Make every ingested batch durable (one fsync) — the host's commit
     /// cadence when `sync_each_batch` is off (durable deployments only).
     pub fn commit(&mut self) -> Result<()> {
-        match &mut self.backend {
-            Backend::Durable(e) => e.commit().map_err(durable_err),
-            Backend::DurableSharded(e) => e.commit().map_err(durable_err),
-            _ => Err(SaseError::engine(
-                "commit requires a durable deployment (builder.durable(..))",
-            )),
-        }
+        let wal = self.wal.as_mut().ok_or_else(|| needs_wal("commit"))?;
+        wal.commit().map_err(durable_err)
     }
 
     /// Number of engine workers (1 for unsharded deployments).
     pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            Backend::Engine(_) => 1,
-            Backend::Sharded(e) => e.shard_count(),
-            Backend::Durable(_) => 1,
-            Backend::DurableSharded(e) => e.engine().shard_count(),
+        match &self.processor {
+            Processor::Engine(_) => 1,
+            Processor::Sharded(e) => e.shard_count(),
         }
     }
 
@@ -660,10 +643,7 @@ impl Sase {
     /// [`commit`](Sase::commit) and [`checkpoint`](Sase::checkpoint) are
     /// meaningful.
     pub fn is_durable(&self) -> bool {
-        matches!(
-            self.backend,
-            Backend::Durable(_) | Backend::DurableSharded(_)
-        )
+        self.wal.is_some()
     }
 
     /// Put this deployment on the wire: serve the line protocol,
@@ -683,22 +663,22 @@ impl Sase {
 
 impl std::fmt::Debug for Sase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let shape = match &self.backend {
-            Backend::Engine(_) => "engine",
-            Backend::Sharded(_) => "sharded",
-            Backend::Durable(_) => "durable",
-            Backend::DurableSharded(_) => "durable+sharded",
+        let shape = match &self.processor {
+            Processor::Engine(_) => "engine",
+            Processor::Sharded(_) => "sharded",
         };
         f.debug_struct("Sase")
-            .field("backend", &shape)
+            .field("processor", &shape)
+            .field("durable", &self.is_durable())
             .field("queries", &self.query_names())
             .finish()
     }
 }
 
 /// The facade is itself an [`EventProcessor`], so a `Sase` can stand in
-/// anywhere a deployment is expected (the durable decorator, differential
-/// tests). Every method delegates to the configured backend.
+/// anywhere a deployment is expected (the server, differential tests).
+/// Ingest is write-ahead logged on durable deployments; every other method
+/// delegates to the processor.
 impl EventProcessor for Sase {
     fn register(&mut self, name: &str, src: &str) -> Result<()> {
         Sase::register(self, name, src).map(|_| ())
@@ -709,7 +689,7 @@ impl EventProcessor for Sase {
     }
 
     fn unregister(&mut self, name: &str) -> bool {
-        self.processor_mut().unregister(name)
+        self.processor.get_mut().unregister(name)
     }
 
     fn ingest(
@@ -719,17 +699,18 @@ impl EventProcessor for Sase {
         out: &mut Vec<ComplexEvent>,
         tags: Option<&mut Vec<Tag>>,
     ) -> Result<()> {
-        let result = self.processor_mut().ingest(stream, events, out, tags);
+        let result = (self.write_ahead(stream, events))
+            .and_then(|()| self.processor.get_mut().ingest(stream, events, out, tags));
         self.maybe_push();
         result
     }
 
     fn query_names(&self) -> Vec<String> {
-        self.processor().query_names()
+        self.processor.get().query_names()
     }
 
     fn stats(&self, name: &str) -> Result<RuntimeStats> {
-        self.processor().stats(name)
+        self.processor.get().stats(name)
     }
 
     fn metrics_registry(&self) -> Option<&MetricsRegistry> {
@@ -741,27 +722,27 @@ impl EventProcessor for Sase {
     }
 
     fn explain(&self, name: &str) -> Result<String> {
-        self.processor().explain(name)
+        self.processor.get().explain(name)
     }
 
     fn query_text(&self, name: &str) -> Result<String> {
-        self.processor().query_text(name)
+        self.processor.get().query_text(name)
     }
 
     fn add_sink(&mut self, name: &str, sink: Sink) -> Result<()> {
-        self.processor_mut().add_sink(name, sink)
+        self.processor.get_mut().add_sink(name, sink)
     }
 
     fn schemas(&self) -> &SchemaRegistry {
-        self.processor().schemas()
+        self.processor.get().schemas()
     }
 
     fn snapshot(&self) -> SnapshotSet {
-        self.processor().snapshot()
+        self.processor.get().snapshot()
     }
 
     fn restore(&mut self, snaps: &SnapshotSet) -> Result<()> {
-        self.processor_mut().restore(snaps)
+        self.processor.get_mut().restore(snaps)
     }
 }
 

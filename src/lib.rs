@@ -51,3 +51,6 @@ pub use sase_obs::{
 };
 pub use sase_server::{Server, ServerConfig, ServerError, ServerHandle, SlowPolicy};
 pub use sase_system::{DurableOptions, RecoveryReport, ShardingMode};
+
+#[cfg(test)]
+mod durable;

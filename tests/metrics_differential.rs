@@ -124,5 +124,5 @@ fn sharded_snapshot_merge_is_deterministic() {
     let b = render_prometheus(&EventProcessor::metrics(&sharded));
     assert_eq!(a, b, "quiescent snapshots must merge deterministically");
     assert!(a.contains("sase_shard_events_routed_total"));
-    assert!(a.contains("sase_query_events_processed"));
+    assert!(a.contains("sase_query_events_processed_total"));
 }

@@ -21,8 +21,8 @@ use sase::core::processor::EventProcessor;
 use sase::core::value::{Value, ValueType};
 use sase::rfid::noise::NoiseModel;
 use sase::rfid::scenario::RetailScenario;
-use sase::system::durable::preregister_derived;
-use sase::system::{DurableEngine, DurableError, DurableOptions, DurableSystem, SaseSystem};
+use sase::system::{DurableOptions, DurableSystem, SaseSystem};
+use sase::Sase;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -38,12 +38,6 @@ fn tmp_dir(label: &str) -> PathBuf {
 
 fn render(out: &[ComplexEvent]) -> Vec<String> {
     out.iter().map(|d| d.to_string()).collect()
-}
-
-/// One ingest call on the default stream, returning its emissions.
-fn batch(p: &mut dyn EventProcessor, events: &[Event]) -> CoreResult<Vec<ComplexEvent>> {
-    let mut out = Vec::new();
-    p.ingest(None, events, &mut out, None).map(|()| out)
 }
 
 fn small_segments() -> DurableOptions {
@@ -308,35 +302,37 @@ fn engine_derived_schema_survives_recovery() {
     ));
 
     // Durable run: crash after the checkpoint; the recovered registry has
-    // no `alerts` type until preregister_derived supplies it — without it
-    // the consumer could not even be re-registered.
+    // no `alerts` type until recovery preregisters the checkpoint's derived
+    // types — without them the consumer could not even be re-registered.
     let dir = tmp_dir("derived");
-    let reg = retail_registry();
-    let mut engine = Engine::new(reg.clone());
-    engine.register("producer", PRODUCER).unwrap();
-    let mut durable = DurableEngine::create(&dir, engine, small_segments()).unwrap();
-    let mut live = render(&batch(&mut durable, &[exit(&reg, 1, 7)]).unwrap());
-    durable.engine_mut().register("consumer", CONSUMER).unwrap();
-    live.extend(render(&batch(&mut durable, &[exit(&reg, 2, 8)]).unwrap()));
-    durable.checkpoint().unwrap();
-    drop(durable);
+    let durable = || {
+        Sase::builder()
+            .schemas(retail_registry())
+            .durable(&dir, small_segments())
+    };
+    let mut sase = durable().build().unwrap();
+    sase.register("producer", PRODUCER).unwrap();
+    let reg = sase.schemas().clone();
+    let mut live = render(&sase.process(&[exit(&reg, 1, 7)]).unwrap());
+    sase.register("consumer", CONSUMER).unwrap();
+    live.extend(render(&sase.process(&[exit(&reg, 2, 8)]).unwrap()));
+    sase.checkpoint().unwrap();
+    drop(sase);
 
-    let (mut recovered, report) = DurableEngine::recover(&dir, small_segments(), |snaps| {
-        let reg = retail_registry();
-        assert!(reg.type_id("alerts").is_none());
-        if let Some(snaps) = snaps {
-            preregister_derived(&reg, snaps)?;
-        }
-        assert!(reg.type_id("alerts").is_some(), "derived schema recovered");
-        let mut e = Engine::new(reg);
-        e.register("producer", PRODUCER)?;
-        e.register("consumer", CONSUMER)?;
-        Ok(e)
-    })
-    .unwrap();
+    let reg = retail_registry();
+    assert!(reg.type_id("alerts").is_none());
+    let recover = durable().schemas(reg).recover(|p| {
+        assert!(
+            p.schemas().type_id("alerts").is_some(),
+            "derived schema recovered"
+        );
+        p.register("producer", PRODUCER)?;
+        p.register("consumer", CONSUMER)
+    });
+    let (mut recovered, report) = recover.unwrap();
     assert_eq!(report.records_replayed, 0);
-    let reg = recovered.engine().schemas().clone();
-    live.extend(render(&batch(&mut recovered, &[exit(&reg, 3, 9)]).unwrap()));
+    let reg = recovered.schemas().clone();
+    live.extend(render(&recovered.process(&[exit(&reg, 3, 9)]).unwrap()));
     assert_eq!(ref_out, live);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -346,52 +342,52 @@ fn engine_derived_schema_survives_recovery() {
 // ---------------------------------------------------------------------------
 
 /// Run the `guarded` + `pairs` queries over scripted batches through a
-/// durable engine, kill it leaving a torn tail of `cut_back` bytes, then
-/// recover and re-send whatever the log lost. Returns Ok(collected
-/// emissions) or the typed recovery error.
+/// durable deployment, kill it leaving a torn tail of `cut_back` bytes,
+/// then recover and re-send whatever the log lost. Returns Ok(collected
+/// emissions) or the recovery error.
 fn kill_and_recover(
     dir: &PathBuf,
     batches: &[Vec<Event>],
     ckpt_at: usize,
     cut_back: u64,
-) -> Result<Vec<String>, DurableError> {
-    let build = |snaps: Option<&sase::core::SnapshotSet>| {
-        let reg = engine_registry();
-        if let Some(snaps) = snaps {
-            preregister_derived(&reg, snaps)?;
-        }
-        let mut e = Engine::new(reg);
-        for (name, src) in ENGINE_QUERIES {
-            e.register(name, src)?;
-        }
-        Ok(e)
-    };
+) -> CoreResult<Vec<String>> {
     let opts = DurableOptions {
         sync_each_batch: false, // the host owns the commit cadence
         ..small_segments()
     };
-    let mut durable = DurableEngine::create(dir, build(None).unwrap(), opts)?;
+    let durable = || {
+        Sase::builder()
+            .schemas(engine_registry())
+            .durable(dir, opts)
+    };
+    let register = |p: &mut dyn EventProcessor| {
+        for (name, src) in ENGINE_QUERIES {
+            p.register(name, src)?;
+        }
+        Ok(())
+    };
+    let mut sase = durable().build()?;
+    register(&mut sase)?;
     let mut live_by_batch: Vec<Vec<String>> = Vec::new();
     for (i, events) in batches.iter().enumerate() {
-        live_by_batch.push(render(&batch(&mut durable, events)?));
+        live_by_batch.push(render(&sase.process(events)?));
         if i + 1 == ckpt_at {
-            durable.checkpoint()?;
+            sase.checkpoint()?;
         }
     }
-    let seg = durable.log().segments().last().unwrap().clone();
-    drop(durable); // kill: buffered tail may be torn
+    drop(sase); // kill: buffered tail may be torn
 
-    // Tear the tail.
-    let len = std::fs::metadata(&seg.path).unwrap().len();
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&seg.path)
-        .unwrap();
+    // Tear the tail: the last segment, whose name is the greatest.
+    let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let seg = entries.filter(|p| p.extension().is_some_and(|x| x == "log"));
+    let seg = seg.max().unwrap();
+    let len = std::fs::metadata(&seg).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
     f.set_len(len.saturating_sub(cut_back)).unwrap();
     drop(f);
 
-    let (mut recovered, report) = DurableEngine::recover(dir, opts, build)?;
-    let survived = recovered.log().next_seq() as usize;
+    let (mut recovered, report) = durable().recover(register)?;
+    let survived = (report.checkpoint_seq.unwrap_or(0) + report.records_replayed) as usize;
     assert!(survived <= batches.len());
 
     // Emissions once each: live up to the checkpoint, replay for
@@ -403,7 +399,7 @@ fn kill_and_recover(
         .collect();
     total.extend(render(&report.emissions));
     for events in batches.iter().skip(survived) {
-        total.extend(render(&batch(&mut recovered, events)?));
+        total.extend(render(&recovered.process(events)?));
     }
     Ok(total)
 }
@@ -436,8 +432,7 @@ fn kill_and_recover_torn_tail() {
 /// Durable engines die at a random batch boundary, lose 0..2000 bytes off
 /// the log tail, and recover: what they replay is what they emitted since
 /// their checkpoint, and the rest of the stream matches the reference; a
-/// cut reaching records the checkpoint covered fails with
-/// `StoreError::Corrupt`.
+/// cut reaching records the checkpoint covered fails recovery.
 #[test]
 fn random_crash_points_recover_exactly() {
     use scenarios::{property, Column, Draw, Step};
@@ -454,7 +449,7 @@ fn random_crash_points_recover_exactly() {
     });
 }
 
-/// `DurableEngine<ShardedEngine>` in both sharding modes, with derived
+/// Durable sharded `Sase` deployments in both sharding modes, with derived
 /// `INTO` streams: checkpoint, crash twice, recover, and finish the stream
 /// as an uninterrupted engine does.
 #[test]

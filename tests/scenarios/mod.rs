@@ -20,7 +20,8 @@
 //!    stream's clock fails, rejected whole, and it leaves the reference's
 //!    metrics and every query's stats unchanged; a recovered durable column
 //!    replays what it emitted since its checkpoint, and a torn log tail
-//!    either recovers exactly or fails with `StoreError::Corrupt`;
+//!    recovers exactly, or fails exactly when the cut reached records the
+//!    checkpoint covers;
 //! 3. every column's metrics conserve ground truth: emissions, events and
 //!    batches ingested, findings by severity, WAL appends, events
 //!    replayed, and per-query counters, evaluation errors included, and
@@ -63,8 +64,8 @@ use sase::rfid::generator::{generate, SyntheticConfig};
 use sase::server::client::Client;
 use sase::server::wire::TickMode;
 use sase::server::ServerError;
-use sase::store::StoreError;
-use sase::system::{DurableEngine, DurableError, ShardedEngine, ShardedEngineBuilder};
+use sase::store::{EventLog, LogOptions};
+use sase::system::{ShardedEngine, ShardedEngineBuilder};
 use sase::{
     render_prometheus, DurableOptions, EventProcessor, MetricsRegistry, MetricsSnapshot,
     RecoveryReport, Sase, ServerConfig, ServerHandle, ShardingMode,
@@ -231,7 +232,7 @@ pub enum Column {
     /// The `Sase` facade, optionally sharded.
     Facade(Option<(ShardingMode, usize)>),
     Sharded(ShardingMode, usize),
-    /// `DurableEngine<Engine>`, or `DurableEngine<ShardedEngine>`.
+    /// The `Sase` facade behind a write-ahead log, optionally sharded.
     Durable(Option<(ShardingMode, usize)>),
     /// A `Client` against a served `Sase`.
     Wire,
@@ -478,14 +479,6 @@ fn prepare<P: EventProcessor + ?Sized>(
     Ok(())
 }
 
-fn prepared<P: EventProcessor>(
-    mut p: P,
-    snaps: Option<&SnapshotSet>,
-    script: &[Step],
-) -> CoreResult<P> {
-    prepare(&mut p, snaps, script).map(|()| p)
-}
-
 /// Where a sharded deployment hosts its queries.
 struct Placement {
     mode: ShardingMode,
@@ -495,14 +488,10 @@ struct Placement {
     hosts: Vec<Option<usize>>,
 }
 
-/// An in-process deployment; a durable one also reaches its log.
+/// An in-process deployment; a durable one also checkpoints.
 trait Deployment: EventProcessor {
     /// Write a checkpoint and return its log position.
     fn checkpoint(&mut self) -> u64 {
-        unreachable!("no log")
-    }
-    /// How many records the log holds, and its tail segment.
-    fn log_tail(&self) -> (u64, PathBuf) {
         unreachable!("no log")
     }
     /// Where a sharded engine hosts its queries.
@@ -512,7 +501,12 @@ trait Deployment: EventProcessor {
 }
 
 impl Deployment for Engine {}
-impl Deployment for Sase {}
+
+impl Deployment for Sase {
+    fn checkpoint(&mut self) -> u64 {
+        Sase::checkpoint(self).unwrap()
+    }
+}
 
 impl Deployment for ShardedEngine {
     fn placement(&self) -> Option<Placement> {
@@ -523,19 +517,6 @@ impl Deployment for ShardedEngine {
                 .map(|name| self.shard_of(name))
                 .collect(),
         })
-    }
-}
-
-impl<E: Deployment> Deployment for DurableEngine<E> {
-    fn checkpoint(&mut self) -> u64 {
-        DurableEngine::checkpoint(self).unwrap()
-    }
-    fn log_tail(&self) -> (u64, PathBuf) {
-        let log = self.log();
-        (log.next_seq(), log.segments().last().unwrap().path.clone())
-    }
-    fn placement(&self) -> Option<Placement> {
-        self.engine().placement()
     }
 }
 
@@ -556,8 +537,7 @@ fn deploy(
         }
         Column::Facade(shards) => Box::new(facade(shards).build().unwrap()),
         Column::Sharded(mode, n) => Box::new(sharded((mode, n))),
-        Column::Durable(None) => Box::new(DurableEngine::create(dir, engine(), opts).unwrap()),
-        Column::Durable(Some(s)) => Box::new(DurableEngine::create(dir, sharded(s), opts).unwrap()),
+        Column::Durable(shards) => Box::new(facade(shards).durable(dir, opts).build().unwrap()),
         Column::Wire | Column::WireDurable => unreachable!("served, not in process"),
     };
     prepare(p.as_mut(), snaps, script).unwrap();
@@ -569,20 +549,21 @@ fn deploy(
 
 type Recovered = (Box<dyn Deployment>, RecoveryReport);
 
-fn recover(column: Column, dir: &Path, script: &[Step]) -> Result<Recovered, DurableError> {
-    let opts = durable_options();
-    Ok(match column {
-        Column::Durable(None) => {
-            let (d, r) = DurableEngine::recover(dir, opts, |s| prepared(engine(), s, script))?;
-            (Box::new(d), r)
-        }
-        Column::Durable(Some(shape)) => {
-            let (d, r) =
-                DurableEngine::recover(dir, opts, |s| prepared(sharded(shape), s, script))?;
-            (Box::new(d), r)
-        }
-        _ => unreachable!("{column:?} keeps no log"),
-    })
+fn recover(column: Column, dir: &Path, script: &[Step]) -> CoreResult<Recovered> {
+    let Column::Durable(shards) = column else {
+        unreachable!("{column:?} keeps no log")
+    };
+    let durable = facade(shards).durable(dir, durable_options());
+    let (sase, report) = durable.recover(|p| prepare(p, None, script))?;
+    Ok((Box::new(sase), report))
+}
+
+/// The last segment of the log in `dir`: segment names are the first
+/// sequence number in fixed-width hex, so the greatest name is the tail.
+fn tail_segment(dir: &Path) -> PathBuf {
+    let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let segments = entries.filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("seg-"));
+    segments.max().expect("a durable deployment has a segment")
 }
 
 fn tmp_dir() -> PathBuf {
@@ -937,8 +918,9 @@ impl Col {
         let Live::InProcess(p) = std::mem::replace(&mut self.live, Live::Dead) else {
             unreachable!()
         };
-        let (_, segment) = p.log_tail();
         drop(p);
+        let dir = self.dirs.last().unwrap();
+        let segment = tail_segment(dir);
         let len = std::fs::metadata(&segment).unwrap().len();
         let f = std::fs::OpenOptions::new()
             .write(true)
@@ -946,15 +928,28 @@ impl Col {
             .unwrap();
         f.set_len(len.saturating_sub(cut)).unwrap();
 
-        let (p, report) = match recover(self.column, self.dirs.last().unwrap(), &r.script[..i]) {
-            Ok(recovered) => recovered,
-            // The cut reached records the checkpoint had already covered.
-            Err(DurableError::Store(StoreError::Corrupt { .. })) => return,
-            Err(e) => panic!("{:?}: recovery failed: {e}", self.column),
-        };
+        // Recovery fails exactly when the cut reached records the
+        // checkpoint had already covered.
         let (seq, at) = self.checkpoint;
+        let segment_bytes = durable_options().segment_bytes;
+        let logged = EventLog::open(dir, LogOptions { segment_bytes })
+            .unwrap()
+            .next_seq();
+        let recovered = recover(self.column, dir, &r.script[..i]);
+        if logged < seq {
+            assert!(
+                recovered.is_err(),
+                "{:?}: the cut log recovered",
+                self.column
+            );
+            return;
+        }
+        let (p, report) =
+            recovered.unwrap_or_else(|e| panic!("{:?}: recovery failed: {e}", self.column));
         assert_eq!(report.checkpoint_seq, Some(seq));
-        let survived = p.log_tail().0 as usize;
+        let survived = seq + report.records_replayed;
+        assert_eq!(survived, logged, "{:?}: records replayed", self.column);
+        let survived = survived as usize;
         let replayed = self.records[seq as usize..survived].to_vec();
         let want: Vec<String> = replayed
             .iter()
@@ -1126,7 +1121,7 @@ impl Col {
         } else {
             assert_eq!(ingested, (self.events, batches), "{column:?}: ingested");
         }
-        let matched = |s: &MetricsSnapshot| s.counter_sum("sase_query_matches_emitted");
+        let matched = |s: &MetricsSnapshot| s.counter_sum("sase_query_matches_emitted_total");
         assert_eq!(
             matched(&snap),
             matched(&EventProcessor::metrics(&r.engine)),
@@ -1216,7 +1211,7 @@ pub fn play(s: &Scenario) -> Played {
     if !s.script.iter().any(|s| matches!(s, Step::Unregister(_))) {
         let snap = EventProcessor::metrics(&r.engine);
         assert_eq!(
-            snap.counter_sum("sase_query_matches_emitted"),
+            snap.counter_sum("sase_query_matches_emitted_total"),
             snap.counter("sase_ingest_emissions_total", &[]),
             "the per-query matches sum to the emissions"
         );
