@@ -6,8 +6,10 @@
 //! an emission none; that a tick-sized batch of the retail demo's three
 //! queries stays inside its stated budget; that building an event of up to
 //! three attributes from a resolved type costs exactly one allocation plus
-//! whatever made its strings; and that decoding a frame costs one
-//! allocation per event, one per distinct string, and a constant.
+//! whatever made its strings; that decoding a frame costs one
+//! allocation per event, one per distinct string, and a constant; and that
+//! a scan cycle through the cleaning pipeline costs one allocation per
+//! event it generates, plus the `Vec` that returns them.
 //!
 //! The test binary installs a global allocator that counts allocations
 //! while a flag is up. Everything allocating (events, engines, warmup that
@@ -35,6 +37,9 @@ use sase_core::runtime::QueryRuntime;
 use sase_core::value::{Value, ValueType};
 use sase_obs::{MetricsRegistry, TraceKind, Tracer};
 use sase_store::codec::{get_events, put_events, ByteReader, ByteWriter};
+use sase_stream::{
+    register_reading_schemas, CleaningConfig, CleaningPipeline, RawReading, RawTag, StaticOns,
+};
 
 struct CountingAlloc;
 
@@ -828,5 +833,111 @@ fn steady_state_predicate_evaluation_is_allocation_free() {
             .to_string();
         assert_eq!(resolved, by_name);
         assert!(resolved.contains(says), "{resolved}");
+    }
+
+    // ---- 7. Cleaning: a scan cycle of the retail demo's shape, through all
+    //         five layers, is one allocation per generated event plus the
+    //         returned `Vec` when any reading survives smoothing. Sixteen
+    //         items lap shelf -> counter -> exit every 40 ticks, a quarter
+    //         of their reads missed (smoothing fills them in) and some
+    //         doubled (dedup drops them), beside ghost codes, truncated
+    //         captures and two items the ONS does not know. -------------
+    let cfg = CleaningConfig::retail_demo();
+    let readings_reg = SchemaRegistry::new();
+    register_reading_schemas(&readings_reg).unwrap();
+    let mut ons = StaticOns::new();
+    for item in 0..14 {
+        ons.insert(
+            cfg.make_tag(item),
+            &format!("product-{item}"),
+            "grocery",
+            100,
+        );
+    }
+    let mut pipeline = CleaningPipeline::new(cfg.clone(), readings_reg, Arc::new(ons));
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut roll = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let cycles: Vec<Vec<RawReading>> = (0..1_200u64)
+        .map(|tick| {
+            let mut cycle = Vec::new();
+            for item in 0..16u64 {
+                let reader = match (tick + item * 5) % 40 {
+                    0..=29 => 1 + (item % 2) as u32,
+                    30..=32 => 3,
+                    33 => 4,
+                    _ => continue,
+                };
+                for _ in 0..[0, 1, 1, 1, 1, 1, 1, 2][roll(8) as usize] {
+                    cycle.push(RawReading::full(cfg.make_tag(item), reader, tick));
+                }
+            }
+            if roll(4) == 0 {
+                cycle.push(RawReading::full(0xBAD0_0000_0000_0001, 1, tick));
+            }
+            if roll(4) == 0 {
+                let tag = RawTag::Truncated {
+                    partial: 7,
+                    bits: 8,
+                };
+                cycle.push(RawReading {
+                    tag,
+                    reader: 4,
+                    tick,
+                });
+            }
+            cycle
+        })
+        .collect();
+    for (tick, cycle) in cycles[..600].iter().enumerate() {
+        pipeline.process_tick(tick as u64, cycle).unwrap();
+    }
+    let (mut allocs, mut budget) = (0, 0);
+    let before = pipeline.stats();
+    for (tick, cycle) in cycles.iter().enumerate().skip(600) {
+        let smoothed =
+            |p: &CleaningPipeline| p.stats().smoothing.genuine + p.stats().smoothing.interpolated;
+        let survivors = smoothed(&pipeline);
+        let mut out = Vec::new();
+        allocs += counted(|| out = pipeline.process_tick(tick as u64, cycle).unwrap());
+        budget += out.len() as u64 + u64::from(smoothed(&pipeline) > survivors);
+    }
+    assert_eq!(allocs, budget, "a scan cycle of cleaning over budget");
+    let after = pipeline.stats();
+    let ticks = (cycles.len() - 600) as u64;
+    let readings = after.anomaly.seen - before.anomaly.seen;
+    let events = after.events.generated - before.events.generated;
+    assert!(
+        readings > 8 * ticks,
+        "{readings} readings over {ticks} ticks"
+    );
+    assert!(events > 4 * ticks, "{events} events over {ticks} ticks");
+    for (delta, what) in [
+        (
+            after.anomaly.dropped_spurious - before.anomaly.dropped_spurious,
+            "ghost codes",
+        ),
+        (
+            after.anomaly.dropped_truncated - before.anomaly.dropped_truncated,
+            "truncated captures",
+        ),
+        (
+            after.smoothing.interpolated - before.smoothing.interpolated,
+            "interpolations",
+        ),
+        (
+            after.dedup.suppressed - before.dedup.suppressed,
+            "duplicates",
+        ),
+        (
+            after.events.unknown_tag - before.events.unknown_tag,
+            "unknown tags",
+        ),
+    ] {
+        assert!(delta > 0, "no {what} in the measured ticks");
     }
 }

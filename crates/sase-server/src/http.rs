@@ -128,13 +128,7 @@ pub(crate) fn read_request(r: &mut impl BufRead) -> Result<Option<Request>> {
                 head.extend_from_slice(&buf[..take]);
                 r.consume(take);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -183,13 +177,7 @@ pub(crate) fn read_request(r: &mut impl BufRead) -> Result<Option<Request>> {
         match r.read(&mut body[filled..]) {
             Ok(0) => return Err(ServerError::Protocol("request body truncated".into())),
             Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -469,6 +457,19 @@ fn handle_stats(ctx: &Ctx, req: &Request) -> Result<String> {
 mod tests {
     use super::*;
     use sase_core::runtime::RuntimeStats;
+
+    #[test]
+    fn read_timeout_mid_request_ends_the_read() {
+        let request = b"POST /ingest HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        // Cut inside the head, then inside the body.
+        for cut in [20, request.len()] {
+            let peer = crate::SilentPeer::new(&request[..cut], std::io::ErrorKind::TimedOut);
+            let err = read_request(&mut std::io::BufReader::new(peer))
+                .err()
+                .expect("a silent peer ends the read");
+            assert!(matches!(err, ServerError::Io(_)), "{err}");
+        }
+    }
 
     #[test]
     fn percent_decode_takes_only_two_hex_digits() {

@@ -200,3 +200,37 @@ pub(crate) fn render_emission(out: &mut String, ce: &ComplexEvent) {
     use std::fmt::Write as _;
     write!(out, "{ce}").expect("writing to a String cannot fail");
 }
+
+/// A peer that sends `bytes` and then falls silent: every later read
+/// fails with `kind`, as a socket read timeout does. It panics on its
+/// 1,000th read, so a reader that retries the timeout fails its test
+/// instead of hanging it.
+#[cfg(test)]
+pub(crate) struct SilentPeer {
+    bytes: std::collections::VecDeque<u8>,
+    kind: std::io::ErrorKind,
+    reads: usize,
+}
+
+#[cfg(test)]
+impl SilentPeer {
+    pub(crate) fn new(bytes: &[u8], kind: std::io::ErrorKind) -> Self {
+        SilentPeer {
+            bytes: bytes.iter().copied().collect(),
+            kind,
+            reads: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+impl std::io::Read for SilentPeer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        assert!(self.reads < 1_000, "the reader retried a timeout");
+        if self.bytes.is_empty() {
+            return Err(self.kind.into());
+        }
+        self.bytes.read(buf)
+    }
+}

@@ -227,6 +227,10 @@ fn accept_loop(
                 // Acks and pushes are small and latency-bound: never hold
                 // one back waiting for the peer to ACK the previous one.
                 let _ = stream.set_nodelay(true);
+                // Some platforms hand out accepted sockets in the listener's
+                // non-blocking mode; connection reads block, and end on any
+                // error but an interrupt.
+                let _ = stream.set_nonblocking(false);
                 let session = next_session.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
                     conns.lock().insert(session, clone);
@@ -278,13 +282,7 @@ fn sniff(stream: &mut TcpStream, buf: &mut [u8; 4]) -> Sniffed {
         match stream.read(&mut buf[filled..]) {
             Ok(0) => return Sniffed::Gone,
             Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return Sniffed::Gone,
         }
     }

@@ -377,9 +377,9 @@ enum ReadOutcome {
     Eof,
 }
 
-/// `read_exact` that distinguishes clean EOF (no bytes) from a torn read,
-/// and retries on timeouts so a socket read timeout set for shutdown
-/// polling never corrupts framing. Interrupts are retried.
+/// `read_exact` that distinguishes clean EOF (no bytes) from a torn read.
+/// Interrupts are retried; any other error, a read timeout included, ends
+/// the read.
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome> {
     let mut filled = 0usize;
     while filled < buf.len() {
@@ -392,13 +392,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome> {
                 });
             }
             Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -855,6 +849,17 @@ mod tests {
         };
         let events = vec![mk("SHELF_READING", 1, 7), mk("EXIT_READING", 2, 7)];
         (reg, events)
+    }
+
+    #[test]
+    fn read_timeout_mid_frame_ends_the_read() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello frame").unwrap();
+        for kind in [std::io::ErrorKind::TimedOut, std::io::ErrorKind::WouldBlock] {
+            let mut peer = crate::SilentPeer::new(&buf[..6], kind);
+            let err = read_frame(&mut peer).unwrap_err();
+            assert!(matches!(err, ServerError::Io(_)), "{err}");
+        }
     }
 
     #[test]

@@ -293,13 +293,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<Filled> {
                 });
             }
             Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
@@ -437,6 +431,17 @@ impl<S: Read + Write> WsClient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_timeout_mid_frame_ends_the_read() {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, Opcode::Text, b"hello", Some([1, 2, 3, 4]));
+        for kind in [std::io::ErrorKind::TimedOut, std::io::ErrorKind::WouldBlock] {
+            let mut peer = crate::SilentPeer::new(&buf[..4], kind);
+            let err = read_frame(&mut peer, true).unwrap_err();
+            assert!(matches!(err, ServerError::Io(_)), "{err}");
+        }
+    }
 
     #[test]
     fn sha1_matches_known_vectors() {

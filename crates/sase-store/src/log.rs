@@ -70,8 +70,9 @@ impl Default for LogOptions {
     }
 }
 
-/// The per-segment index entry: enough to skip whole files during
-/// tick-range replay without opening them.
+/// The per-segment index entry: where a segment's records start, how many
+/// there are, and the ticks they span (`append` refuses a tick below the
+/// last one).
 #[derive(Debug, Clone)]
 pub struct SegmentInfo {
     /// Backing file.
@@ -533,35 +534,7 @@ impl EventLog {
             .filter(|s| s.end_seq() > from_seq)
             .map(|s| (s.path.clone(), s.first_seq))
             .collect();
-        Ok(LogIter::new(
-            registry.clone(),
-            files,
-            from_seq,
-            0,
-            Timestamp::MAX,
-        ))
-    }
-
-    /// Replay every record whose tick lies in `[min_tick, max_tick]`, in
-    /// order, using the segment index to skip files entirely outside the
-    /// range.
-    pub fn replay_ticks(
-        &mut self,
-        registry: &SchemaRegistry,
-        min_tick: Timestamp,
-        max_tick: Timestamp,
-    ) -> Result<LogIter> {
-        self.flush_for_read()?;
-        let files = self
-            .segments
-            .iter()
-            .filter(|s| match (s.first_tick, s.last_tick) {
-                (Some(first), Some(last)) => last >= min_tick && first <= max_tick,
-                _ => false,
-            })
-            .map(|s| (s.path.clone(), s.first_seq))
-            .collect();
-        Ok(LogIter::new(registry.clone(), files, 0, min_tick, max_tick))
+        Ok(LogIter::new(registry.clone(), files, from_seq))
     }
 
     fn flush_for_read(&mut self) -> Result<()> {
@@ -624,26 +597,16 @@ pub struct LogIter {
     registry: SchemaRegistry,
     files: VecDeque<(PathBuf, u64)>,
     from_seq: u64,
-    min_tick: Timestamp,
-    max_tick: Timestamp,
     current: Option<(PathBuf, Vec<u8>, usize, u64)>,
     failed: bool,
 }
 
 impl LogIter {
-    fn new(
-        registry: SchemaRegistry,
-        files: VecDeque<(PathBuf, u64)>,
-        from_seq: u64,
-        min_tick: Timestamp,
-        max_tick: Timestamp,
-    ) -> LogIter {
+    fn new(registry: SchemaRegistry, files: VecDeque<(PathBuf, u64)>, from_seq: u64) -> LogIter {
         LogIter {
             registry,
             files,
             from_seq,
-            min_tick,
-            max_tick,
             current: None,
             failed: false,
         }
@@ -695,14 +658,8 @@ impl LogIter {
             let payload = &bytes[*pos + (REC_OVERHEAD as usize - 4)..*pos + total - 4];
             *pos += total;
 
-            if seq < self.from_seq || tick < self.min_tick {
+            if seq < self.from_seq {
                 continue;
-            }
-            if tick > self.max_tick {
-                // Ticks are non-decreasing: nothing later can match.
-                self.files.clear();
-                self.current = None;
-                return Ok(None);
             }
             let mut pr = ByteReader::new(payload);
             let decoded = get_events(&mut pr, &self.registry)
@@ -821,17 +778,6 @@ mod tests {
         }
         let total: u64 = log.segments().iter().map(|s| s.records).sum();
         assert_eq!(total, 40);
-
-        // Tick-range replay skips whole segments but yields exactly the
-        // requested window.
-        let ranged: Vec<Record> = log
-            .replay_ticks(&reg, 10, 19)
-            .unwrap()
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(ranged.len(), 10);
-        assert_eq!(ranged[0].tick, 10);
-        assert_eq!(ranged.last().unwrap().tick, 19);
 
         drop(log);
         let log = EventLog::open(&dir, LogOptions { segment_bytes: 256 }).unwrap();

@@ -57,18 +57,6 @@ impl AnomalyFilter {
             }
         }
     }
-
-    /// Filter a batch, keeping survivors.
-    pub fn process_batch(
-        &mut self,
-        cfg: &CleaningConfig,
-        readings: &[RawReading],
-    ) -> Vec<CleanReading> {
-        readings
-            .iter()
-            .filter_map(|r| self.process(cfg, r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +77,10 @@ mod tests {
             reader: 1,
             tick: 0,
         };
-        let out = f.process_batch(&cfg, &[good, ghost, cut]);
+        let out: Vec<_> = [good, ghost, cut]
+            .iter()
+            .filter_map(|r| f.process(&cfg, r))
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tag, cfg.make_tag(1));
         assert!(!out[0].synthetic);

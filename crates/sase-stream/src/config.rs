@@ -1,6 +1,6 @@
 //! Configuration of the Cleaning and Association Layer.
 
-use std::collections::HashMap;
+use sase_core::hash::FxHashMap;
 
 use crate::reading::ReaderId;
 
@@ -77,12 +77,12 @@ pub struct CleaningConfig {
     pub dedup_window: u64,
     /// Reader → area association (the redundant-setup case maps several
     /// readers to one area).
-    pub reader_areas: HashMap<ReaderId, AreaInfo>,
+    pub reader_areas: FxHashMap<ReaderId, AreaInfo>,
 }
 
 impl CleaningConfig {
     /// A config with the given reader→area map and sensible defaults.
-    pub fn new(reader_areas: HashMap<ReaderId, AreaInfo>) -> Self {
+    pub fn new(reader_areas: FxHashMap<ReaderId, AreaInfo>) -> Self {
         CleaningConfig {
             valid_prefix: 0xEC00,
             smoothing_window: 2,
@@ -115,7 +115,7 @@ impl CleaningConfig {
     /// The paper's demo setup (Figure 2): four readers — two shelves, one
     /// check-out counter, one exit, each in its own logical area.
     pub fn retail_demo() -> Self {
-        let mut readers = HashMap::new();
+        let mut readers = FxHashMap::default();
         readers.insert(
             1,
             AreaInfo {

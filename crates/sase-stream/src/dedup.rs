@@ -8,7 +8,7 @@
 //! the first reading of each `(tag, area)` pair and suppresses repeats
 //! within `dedup_window` logical units of the *last emitted* reading.
 
-use std::collections::HashMap;
+use sase_core::hash::FxHashMap;
 
 use crate::config::CleaningConfig;
 use crate::reading::TimedReading;
@@ -26,7 +26,7 @@ pub struct DedupStats {
 #[derive(Debug, Default)]
 pub struct Deduplicator {
     /// (tag, area) -> timestamp of the last emitted reading.
-    last_emitted: HashMap<(u64, i64), u64>,
+    last_emitted: FxHashMap<(u64, i64), u64>,
     stats: DedupStats,
     /// Lazy cleanup horizon.
     max_ts: u64,
@@ -69,22 +69,13 @@ impl Deduplicator {
         }
     }
 
-    /// Process a batch, keeping survivors.
-    pub fn process_batch(
-        &mut self,
-        cfg: &CleaningConfig,
-        readings: &[TimedReading],
-    ) -> Vec<TimedReading> {
-        let out: Vec<_> = readings
-            .iter()
-            .filter_map(|r| self.process(cfg, r))
-            .collect();
-        // Periodic cleanup of long-stale entries bounds memory.
+    /// Drop long-stale entries once too many are tracked, bounding memory;
+    /// the pipeline calls this once per scan cycle.
+    pub fn sweep(&mut self, cfg: &CleaningConfig) {
         if self.last_emitted.len() > 8192 {
             let horizon = self.max_ts.saturating_sub(cfg.dedup_window * 16);
             self.last_emitted.retain(|_, ts| *ts >= horizon);
         }
-        out
     }
 }
 
@@ -137,8 +128,10 @@ mod tests {
     fn cleanup_bounds_memory() {
         let cfg = CleaningConfig::retail_demo();
         let mut d = Deduplicator::new();
-        let batch: Vec<TimedReading> = (0..10_000).map(|i| tr(i as u64, 1, i as u64)).collect();
-        d.process_batch(&cfg, &batch);
+        for i in 0..10_000u64 {
+            d.process(&cfg, &tr(i, 1, i));
+        }
+        d.sweep(&cfg);
         assert!(d.tracked() < 10_000);
     }
 }

@@ -8,16 +8,18 @@
 //!
 //! The generator resolves each reading's tag through an [`OnsResolver`],
 //! picks the event type from the area kind, and builds a validated
-//! [`sase_core::Event`]. Timestamps are made strictly increasing (the SEQ
-//! operator's temporal order is strict), preserving the logical-time scale:
-//! a reading whose converted timestamp collides with the previous event's
-//! is nudged forward by one unit.
+//! [`sase_core::Event`]. Each kind's type is resolved against the registry
+//! once, on its first reading; after that an event costs one ONS probe and
+//! one allocation, the event itself. Timestamps are made strictly
+//! increasing (the SEQ operator's temporal order is strict), preserving the
+//! logical-time scale: a reading whose converted timestamp collides with
+//! the previous event's is nudged forward by one unit.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sase_core::error::Result;
-use sase_core::event::{Event, SchemaRegistry};
+use sase_core::event::{Event, ResolvedType, SchemaRegistry};
+use sase_core::hash::FxHashMap;
 use sase_core::value::{Value, ValueType};
 
 use crate::config::{AreaKind, CleaningConfig};
@@ -37,14 +39,14 @@ pub struct ProductInfo {
 /// Resolves tag codes to product metadata (the simulated ONS).
 pub trait OnsResolver: Send + Sync {
     /// Look up a tag's product metadata.
-    fn resolve(&self, tag: u64) -> Option<ProductInfo>;
+    fn resolve(&self, tag: u64) -> Option<&ProductInfo>;
 }
 
 /// An ONS backed by an in-memory map — the paper's "local database storing
 /// product metadata".
 #[derive(Debug, Default, Clone)]
 pub struct StaticOns {
-    products: HashMap<u64, ProductInfo>,
+    products: FxHashMap<u64, ProductInfo>,
 }
 
 impl StaticOns {
@@ -77,8 +79,8 @@ impl StaticOns {
 }
 
 impl OnsResolver for StaticOns {
-    fn resolve(&self, tag: u64) -> Option<ProductInfo> {
-        self.products.get(&tag).cloned()
+    fn resolve(&self, tag: u64) -> Option<&ProductInfo> {
+        self.products.get(&tag)
     }
 }
 
@@ -96,6 +98,8 @@ pub struct EventGenStats {
 /// The event generator.
 pub struct EventGenerator {
     registry: SchemaRegistry,
+    /// The event type of each [`AreaKind`], resolved on its first reading.
+    types: [Option<ResolvedType>; 5],
     ons: Arc<dyn OnsResolver>,
     stats: EventGenStats,
     last_ts: Option<u64>,
@@ -106,6 +110,7 @@ impl EventGenerator {
     pub fn new(registry: SchemaRegistry, ons: Arc<dyn OnsResolver>) -> Self {
         EventGenerator {
             registry,
+            types: Default::default(),
             ons,
             stats: EventGenStats::default(),
             last_ts: None,
@@ -139,15 +144,21 @@ impl EventGenerator {
             }
         }
         self.last_ts = Some(ts);
-        let event = self.registry.build_event(
-            kind.event_type(),
-            ts,
-            vec![
-                Value::Int(cfg.item_of_tag(reading.tag) as i64),
-                Value::Str(product.name.clone()),
-                Value::Int(reading.area),
-            ],
-        )?;
+        let ty = match &mut self.types[kind as usize] {
+            Some(ty) => ty,
+            slot => {
+                let ty = self.registry.resolve(kind.event_type())?;
+                ty.check_arity(3)?; // the three attributes built below
+                slot.insert(ty)
+            }
+        };
+        let event = ty.build_event_with(ts, |i| -> Result<Value> {
+            Ok(match i {
+                0 => Value::Int(cfg.item_of_tag(reading.tag) as i64),
+                1 => Value::Str(product.name.clone()),
+                _ => Value::Int(reading.area),
+            })
+        })?;
         self.stats.generated += 1;
         Ok(Some(event))
     }

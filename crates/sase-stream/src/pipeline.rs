@@ -8,6 +8,12 @@
 //! Drive it one reader scan cycle at a time with [`CleaningPipeline::
 //! process_tick`]; it returns the fully-formed events for that cycle, ready
 //! for the complex event processor.
+//!
+//! A cycle is one pass: the anomaly filter writes the cycle's survivors into
+//! a buffer the pipeline reuses, the smoother appends its interpolations to
+//! that buffer, and each reading in it then goes straight through time
+//! conversion, deduplication and event generation. In steady state a cycle
+//! allocates only its events and the `Vec` that returns them.
 
 use std::sync::Arc;
 
@@ -18,13 +24,13 @@ use crate::anomaly::{AnomalyFilter, AnomalyStats};
 use crate::config::CleaningConfig;
 use crate::dedup::{DedupStats, Deduplicator};
 use crate::event_gen::{EventGenStats, EventGenerator, OnsResolver};
-use crate::reading::{RawReading, Tick};
+use crate::reading::{CleanReading, RawReading, Tick};
 use crate::smoothing::{SmoothingStats, TemporalSmoother};
 use crate::time_conversion::{TimeConversionStats, TimeConverter};
 
 /// Aggregated per-layer counters, for the "Cleaning and Association Layer
 /// Output" UI window and the P6 experiment table.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Anomaly filter counters.
     pub anomaly: AnomalyStats,
@@ -46,6 +52,8 @@ pub struct CleaningPipeline {
     time: TimeConverter,
     dedup: Deduplicator,
     generator: EventGenerator,
+    /// The cycle's readings after filtering and smoothing; reused.
+    smoothed: Vec<CleanReading>,
 }
 
 impl CleaningPipeline {
@@ -58,6 +66,7 @@ impl CleaningPipeline {
             time: TimeConverter::new(),
             dedup: Deduplicator::new(),
             generator: EventGenerator::new(registry, ons),
+            smoothed: Vec::new(),
         }
     }
 
@@ -82,25 +91,24 @@ impl CleaningPipeline {
     /// `readings` are this cycle's raw captures (any reader order); the
     /// return value is the cycle's generated events in timestamp order.
     pub fn process_tick(&mut self, tick: Tick, readings: &[RawReading]) -> Result<Vec<Event>> {
-        let clean = self.anomaly.process_batch(&self.cfg, readings);
-        let smoothed = self.smoother.process_tick(&self.cfg, tick, &clean);
-        let timed = self.time.process_batch(&self.cfg, &smoothed);
-        let deduped = self.dedup.process_batch(&self.cfg, &timed);
-        let mut events = Vec::with_capacity(deduped.len());
-        for r in &deduped {
-            // Area kind resolution: the reading's area came from the
-            // config, so the lookup cannot fail for associated readers.
-            let kind = self
-                .cfg
-                .reader_areas
-                .values()
-                .find(|a| a.area_id == r.area)
-                .map(|a| a.kind)
-                .expect("area came from the association table");
-            if let Some(e) = self.generator.process(&self.cfg, kind, r)? {
+        let cfg = &self.cfg;
+        self.smoothed.clear();
+        self.smoothed
+            .extend(readings.iter().filter_map(|r| self.anomaly.process(cfg, r)));
+        self.smoother.process_tick(cfg, tick, &mut self.smoothed);
+        let mut events = Vec::with_capacity(self.smoothed.len());
+        for r in &self.smoothed {
+            let Some((timed, kind)) = self.time.process(cfg, r) else {
+                continue;
+            };
+            let Some(timed) = self.dedup.process(cfg, &timed) else {
+                continue;
+            };
+            if let Some(e) = self.generator.process(cfg, kind, &timed)? {
                 events.push(e);
             }
         }
+        self.dedup.sweep(cfg);
         Ok(events)
     }
 }

@@ -13,7 +13,7 @@
 //! The smoother is tick-batched: callers advance it one scan cycle at a
 //! time with all of that cycle's readings (regular scan intervals, §3).
 
-use std::collections::HashMap;
+use sase_core::hash::FxHashMap;
 
 use crate::config::CleaningConfig;
 use crate::reading::{CleanReading, ReaderId, Tick};
@@ -33,7 +33,7 @@ pub struct SmoothingStats {
 #[derive(Debug, Default)]
 pub struct TemporalSmoother {
     /// (tag, reader) -> last tick with a genuine reading.
-    last_seen: HashMap<(u64, ReaderId), Tick>,
+    last_seen: FxHashMap<(u64, ReaderId), Tick>,
     stats: SmoothingStats,
 }
 
@@ -53,35 +53,40 @@ impl TemporalSmoother {
         self.last_seen.len()
     }
 
-    /// Process one scan cycle: pass through its genuine readings and
-    /// interpolate readings for tags recently seen but missing this cycle.
+    /// Process one scan cycle in place: `readings` holds the cycle's
+    /// genuine readings on entry, and readings interpolated for tags seen
+    /// recently but missing this cycle are appended to it, in `(tag,
+    /// reader)` order.
     pub fn process_tick(
         &mut self,
         cfg: &CleaningConfig,
         tick: Tick,
-        readings: &[CleanReading],
-    ) -> Vec<CleanReading> {
+        readings: &mut Vec<CleanReading>,
+    ) {
         let w = cfg.smoothing_window;
-        let mut out = Vec::with_capacity(readings.len());
 
         // Genuine readings update presence.
-        for r in readings {
+        for r in readings.iter() {
             debug_assert_eq!(r.tick, tick, "smoother is tick-batched");
             self.last_seen.insert((r.tag, r.reader), tick);
-            self.stats.genuine += 1;
-            out.push(*r);
         }
+        let genuine = readings.len();
+        self.stats.genuine += genuine as u64;
 
         // Interpolate for presences seen within w but not this cycle, and
         // expire stale ones. Sort for deterministic output order.
-        let mut missing: Vec<(u64, ReaderId)> = Vec::new();
         let mut expired = 0u64;
-        self.last_seen.retain(|(tag, reader), last| {
+        self.last_seen.retain(|&(tag, reader), last| {
             if *last == tick {
                 return true; // seen this cycle
             }
             if tick.saturating_sub(*last) <= w {
-                missing.push((*tag, *reader));
+                readings.push(CleanReading {
+                    tag,
+                    reader,
+                    tick,
+                    synthetic: true,
+                });
                 true
             } else {
                 expired += 1;
@@ -89,17 +94,8 @@ impl TemporalSmoother {
             }
         });
         self.stats.expired += expired;
-        missing.sort_unstable();
-        for (tag, reader) in missing {
-            self.stats.interpolated += 1;
-            out.push(CleanReading {
-                tag,
-                reader,
-                tick,
-                synthetic: true,
-            });
-        }
-        out
+        self.stats.interpolated += (readings.len() - genuine) as u64;
+        readings[genuine..].sort_unstable_by_key(|r| (r.tag, r.reader));
     }
 }
 
@@ -116,26 +112,38 @@ mod tests {
         }
     }
 
+    /// One scan cycle of `genuine` readings; the smoother's output.
+    fn run(
+        s: &mut TemporalSmoother,
+        cfg: &CleaningConfig,
+        tick: Tick,
+        genuine: &[CleanReading],
+    ) -> Vec<CleanReading> {
+        let mut out = genuine.to_vec();
+        s.process_tick(cfg, tick, &mut out);
+        out
+    }
+
     #[test]
     fn interpolates_within_window_then_expires() {
         let cfg = CleaningConfig::retail_demo(); // w = 2
         let mut s = TemporalSmoother::new();
 
         // Tick 0: tag 1 read at reader 1.
-        let out0 = s.process_tick(&cfg, 0, &[r(&cfg, 1, 1, 0)]);
+        let out0 = run(&mut s, &cfg, 0, &[r(&cfg, 1, 1, 0)]);
         assert_eq!(out0.len(), 1);
         assert!(!out0[0].synthetic);
 
         // Ticks 1 and 2: tag missed; smoother fills it in.
-        let out1 = s.process_tick(&cfg, 1, &[]);
+        let out1 = run(&mut s, &cfg, 1, &[]);
         assert_eq!(out1.len(), 1);
         assert!(out1[0].synthetic);
         assert_eq!(out1[0].tick, 1);
-        let out2 = s.process_tick(&cfg, 2, &[]);
+        let out2 = run(&mut s, &cfg, 2, &[]);
         assert_eq!(out2.len(), 1);
 
         // Tick 3: beyond w=2 since last genuine read -> gone.
-        let out3 = s.process_tick(&cfg, 3, &[]);
+        let out3 = run(&mut s, &cfg, 3, &[]);
         assert!(out3.is_empty());
         assert_eq!(s.tracked(), 0);
 
@@ -148,10 +156,10 @@ mod tests {
     fn genuine_read_renews_presence() {
         let cfg = CleaningConfig::retail_demo();
         let mut s = TemporalSmoother::new();
-        s.process_tick(&cfg, 0, &[r(&cfg, 1, 1, 0)]);
-        s.process_tick(&cfg, 1, &[]); // synthetic
-        s.process_tick(&cfg, 2, &[r(&cfg, 1, 1, 2)]); // genuine again
-        let out = s.process_tick(&cfg, 4, &[]);
+        run(&mut s, &cfg, 0, &[r(&cfg, 1, 1, 0)]);
+        run(&mut s, &cfg, 1, &[]); // synthetic
+        run(&mut s, &cfg, 2, &[r(&cfg, 1, 1, 2)]); // genuine again
+        let out = run(&mut s, &cfg, 4, &[]);
         // tick 4 - last genuine 2 = 2 <= w: still present.
         assert_eq!(out.len(), 1);
         assert!(out[0].synthetic);
@@ -161,8 +169,8 @@ mod tests {
     fn per_reader_tracking_is_independent() {
         let cfg = CleaningConfig::retail_demo();
         let mut s = TemporalSmoother::new();
-        s.process_tick(&cfg, 0, &[r(&cfg, 1, 1, 0), r(&cfg, 1, 2, 0)]);
-        let out = s.process_tick(&cfg, 1, &[r(&cfg, 1, 1, 1)]);
+        run(&mut s, &cfg, 0, &[r(&cfg, 1, 1, 0), r(&cfg, 1, 2, 0)]);
+        let out = run(&mut s, &cfg, 1, &[r(&cfg, 1, 1, 1)]);
         // Reader 1 genuine + reader 2 synthetic.
         assert_eq!(out.len(), 2);
         assert_eq!(out.iter().filter(|x| x.synthetic).count(), 1);
@@ -174,8 +182,8 @@ mod tests {
         let mut cfg = CleaningConfig::retail_demo();
         cfg.smoothing_window = 0;
         let mut s = TemporalSmoother::new();
-        s.process_tick(&cfg, 0, &[r(&cfg, 1, 1, 0)]);
-        let out = s.process_tick(&cfg, 1, &[]);
+        run(&mut s, &cfg, 0, &[r(&cfg, 1, 1, 0)]);
+        let out = run(&mut s, &cfg, 1, &[]);
         assert!(out.is_empty());
     }
 }

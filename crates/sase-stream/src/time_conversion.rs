@@ -6,7 +6,7 @@
 //! stages reason about logical areas, not physical readers. Readings from
 //! readers with no area association are dropped (an unconfigured antenna).
 
-use crate::config::CleaningConfig;
+use crate::config::{AreaKind, CleaningConfig};
 use crate::reading::{CleanReading, TimedReading};
 
 /// Counters of the time-conversion layer.
@@ -35,35 +35,25 @@ impl TimeConverter {
         self.stats
     }
 
-    /// Stamp one reading with logical time and associate its area.
+    /// Stamp one reading with logical time and associate its area; the
+    /// area's kind comes back with it, for event generation.
     pub fn process(
         &mut self,
         cfg: &CleaningConfig,
         reading: &CleanReading,
-    ) -> Option<TimedReading> {
+    ) -> Option<(TimedReading, AreaKind)> {
         let Some(area) = cfg.area_of(reading.reader) else {
             self.stats.unassociated += 1;
             return None;
         };
         self.stats.converted += 1;
-        Some(TimedReading {
+        let timed = TimedReading {
             tag: reading.tag,
             area: area.area_id,
             timestamp: reading.tick * cfg.units_per_tick,
             synthetic: reading.synthetic,
-        })
-    }
-
-    /// Convert a batch, keeping survivors.
-    pub fn process_batch(
-        &mut self,
-        cfg: &CleaningConfig,
-        readings: &[CleanReading],
-    ) -> Vec<TimedReading> {
-        readings
-            .iter()
-            .filter_map(|r| self.process(cfg, r))
-            .collect()
+        };
+        Some((timed, area.kind))
     }
 }
 
@@ -82,9 +72,10 @@ mod tests {
             tick: 7,
             synthetic: false,
         };
-        let t = tc.process(&cfg, &r).unwrap();
+        let (t, kind) = tc.process(&cfg, &r).unwrap();
         assert_eq!(t.timestamp, 70);
         assert_eq!(t.area, 3);
+        assert_eq!(kind, AreaKind::Counter);
     }
 
     #[test]

@@ -20,7 +20,8 @@ fail=0
 # store codec and the wire codec are here because they run per event on
 # every frame and log record; the event database's tables and typed stores
 # and the built-ins that call them, because the archiving rules run once
-# per emission.
+# per emission; the cleaning layers and the config whose reader table time
+# conversion probes, because they run once per RFID reading.
 HOT_PATHS="
 crates/sase-core/src/engine.rs
 crates/sase-core/src/program.rs
@@ -41,6 +42,13 @@ crates/sase-db/src/location.rs
 crates/sase-db/src/containment.rs
 crates/sase-db/src/trace.rs
 crates/sase-system/src/builtins.rs
+crates/sase-stream/src/pipeline.rs
+crates/sase-stream/src/anomaly.rs
+crates/sase-stream/src/smoothing.rs
+crates/sase-stream/src/time_conversion.rs
+crates/sase-stream/src/dedup.rs
+crates/sase-stream/src/event_gen.rs
+crates/sase-stream/src/config.rs
 "
 
 # Hasher types that silently reintroduce SipHash. Plain `HashMap<`/
